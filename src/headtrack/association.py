@@ -183,11 +183,6 @@ def build_cost_matrix(tracks: Sequence, detections: Sequence, cfg: AssociationCo
     return CostMatrix(values=values, gate_mask=mask)
 
 
-def _lsa_total(m: np.ndarray) -> float:
-    rows, cols = linear_sum_assignment(m)
-    return float(m[rows, cols].sum())
-
-
 def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     """Minimum-cost one-to-one matching restricted to admissible pairs.
 
@@ -196,6 +191,11 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     maximizes the number of matches, then minimizes total cost; ties are
     broken toward the lexicographically smallest (track, detection) list.
     Returned pairs never violate the gate.
+
+    One LSA solve gives an optimal matching; its duals mark the tight
+    (zero-reduced-cost) pairs, whose perfect matchings are exactly the
+    optimal ones, and the tie-break walks the tracks in order, moving each
+    to the smallest tight detection an alternating path can free.
     """
     T, D = c.values.shape
     if T == 0 or D == 0:
@@ -210,47 +210,78 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     # to non-negative keeps matching always preferable to unmatching
     # without changing which matchings are optimal at a given cardinality.
     values = c.values
-    lo = float(values[admissible].min())
+    kept = values[admissible]
+    lo = min(float(kept.min()), 0.0)
     if lo < 0.0:
         values = values - lo
-    unmatch = float(values[admissible].max()) + 1.0
+    unmatch = float(kept.max()) - lo + 1.0
     barred = (T + D + 1.0) * (unmatch + 1.0)
     n = T + D
     enc = np.full((n, n), barred)
     enc[:T, :D] = np.where(admissible, values, barred)
-    enc[:T, D:] = np.where(np.eye(T, dtype=bool), unmatch, barred)
-    enc[T:, :D] = barred
+    np.fill_diagonal(enc[:T, D:], unmatch)
     np.fill_diagonal(enc[T:, :D], unmatch)
     enc[T:, D:] = 0.0
 
-    best = _lsa_total(enc)
-    tol = 1e-9 * max(1.0, abs(best))
+    rows, col = linear_sum_assignment(enc)
+    base = enc[rows, col]
+    tol = 1e-9 * max(1.0, abs(float(base.sum())))
 
-    pairs: list[tuple[int, int]] = []
-    cols = list(range(n))  # original column ids of the current submatrix
-    cur = enc
+    # Column potentials v are shortest distances over columns, where moving
+    # row i from col[i] to j costs enc[i, j] - base[i]; the optimum has no
+    # negative cycle, so Bellman-Ford reaches a fixpoint within n passes.
+    # With row potentials u = base - v[col], the reduced cost of (i, j) is
+    # reach[i, j] - v[j] >= 0. No barred pair is tight: u + v <= n * unmatch.
+    move = enc - base[:, None]
+    v = np.zeros(n)
+    for _ in range(n):
+        reach = v[col][:, None] + move  # move[i, col[i]] == 0
+        relaxed = reach.min(axis=0)
+        if not (relaxed < v).any():
+            break
+        v = relaxed
+    tight = reach - v <= tol
+
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in np.argwhere(tight).tolist():
+        adj[i].append(j)
+    owner = np.argsort(col).tolist()  # row holding each column
+    col = col.tolist()
+    fixed = [False] * n  # columns taken by already decided track rows
     for i in range(T):
-        # current row 0 is always the next original track row
-        fixed = False
-        for jc, j in enumerate(cols):
-            if j >= D:
-                break  # dummy columns sort after all real ones
-            val = cur[0, jc]
-            if val >= barred:
-                continue
-            sub = np.delete(np.delete(cur, 0, axis=0), jc, axis=1)
-            sub_best = _lsa_total(sub)
-            if val + sub_best <= best + tol:
-                pairs.append((i, j))
-                cols.pop(jc)
-                cur = sub
-                best = sub_best
-                fixed = True
+        stop = min(col[i], D)  # only real detections below the current partner
+        for j in adj[i]:
+            if j >= stop:
                 break
-        if not fixed:
-            # row provably unmatched in every optimum: retire it with its own dummy
-            jc = cols.index(D + i)
-            cur = np.delete(np.delete(cur, 0, axis=0), jc, axis=1)
-            cols.pop(jc)
-            best = _lsa_total(cur)
-    return pairs
+            if not fixed[j] and _reroute(i, j, adj, col, owner, fixed):
+                break
+        fixed[col[i]] = True
+    return [(i, col[i]) for i in range(T) if col[i] < D]
+
+
+def _reroute(
+    i: int, j: int, adj: list[list[int]], col: list[int], owner: list[int], fixed: list[bool]
+) -> bool:
+    """Give column j to row i if unfixed tight pairs can still complete the matching.
+
+    Breadth-first search for an alternating path over unfixed tight pairs
+    that carries j's holder to the column row i frees; on success the
+    path is flipped in place.
+    """
+    target = col[i]
+    via = {j: -1}  # column -> row that moves into it
+    queue = [owner[j]]
+    for r in queue:
+        for k in adj[r]:
+            if k in via or fixed[k]:
+                continue
+            via[k] = r
+            if k == target:
+                while k != j:
+                    r = via[k]
+                    col[r], k = k, col[r]
+                    owner[col[r]] = r
+                col[i], owner[j] = j, i
+                return True
+            queue.append(owner[k])
+    return False

@@ -136,10 +136,11 @@ def mot_to_detections(
 ) -> dict[int, list[Detection]]:
     """Group parsed detection lines by frame, attaching sidecar descriptors.
 
-    Descriptor keys are (frame, index within that frame's line order).
+    Descriptor keys are (frame, index within that frame's line order):
+    frames come out ascending, each frame's lines in file order.
     """
     by_frame: dict[int, list[MotLine]] = {}
-    for line in sorted(lines, key=lambda l: (l.frame, l.id)):
+    for line in sorted(lines, key=lambda l: l.frame):
         by_frame.setdefault(line.frame, []).append(line)
     out: dict[int, list[Detection]] = {}
     for frame, rows in by_frame.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .association import CostMatrix, solve_assignment
 from .geometry import BBox, iou
@@ -117,9 +118,6 @@ def _idf1(overlap_counts: dict[tuple[int, int], int], gt_total: int, hyp_total: 
     counts = np.zeros((len(g_index), len(h_index)))
     for (g, h), n in overlap_counts.items():
         counts[g_index[g], h_index[h]] = n
-    # maximize total overlap == minimize (max - overlap) over a full matching;
-    # every pair is admissible so zero-overlap fillers never displace real ones
-    top = counts.max() + 1.0
-    cm = CostMatrix(values=top - counts, gate_mask=np.ones(counts.shape, dtype=bool))
-    idtp = sum(counts[i, j] for i, j in solve_assignment(cm))
+    rows, cols = linear_sum_assignment(counts, maximize=True)
+    idtp = counts[rows, cols].sum()
     return float(2.0 * idtp / (gt_total + hyp_total))

@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from headtrack.association import (
     AppearanceDescriptor,
@@ -44,6 +47,64 @@ def brute_force_matching(values, mask):
 
     rec(0, 0, 0, 0.0)
     return best[0], best[1]
+
+
+def reference_solve(c):
+    """Lexicographic gated assignment by re-solving the LSA per (row, column).
+
+    The earlier implementation of ``solve_assignment``, kept as the oracle:
+    the same square encoding, one full LSA for the optimum, then for each
+    track row in order the first real column whose fixing still admits an
+    optimal completion, tested by solving the remaining submatrix again.
+    """
+    T, D = c.values.shape
+    if T == 0 or D == 0:
+        return []
+    admissible = c.gate_mask & np.isfinite(c.values)
+    if not admissible.any():
+        return []
+    values = c.values
+    lo = float(values[admissible].min())
+    if lo < 0.0:
+        values = values - lo
+    unmatch = float(values[admissible].max()) + 1.0
+    barred = (T + D + 1.0) * (unmatch + 1.0)
+    n = T + D
+    enc = np.full((n, n), barred)
+    enc[:T, :D] = np.where(admissible, values, barred)
+    enc[:T, D:] = np.where(np.eye(T, dtype=bool), unmatch, barred)
+    np.fill_diagonal(enc[T:, :D], unmatch)
+    enc[T:, D:] = 0.0
+
+    def lsa_total(m):
+        rows, cols = linear_sum_assignment(m)
+        return float(m[rows, cols].sum())
+
+    best = lsa_total(enc)
+    tol = 1e-9 * max(1.0, abs(best))
+    pairs = []
+    cols = list(range(n))  # original column ids of the current submatrix
+    cur = enc
+    for i in range(T):
+        fixed = False
+        for jc, j in enumerate(cols):
+            if j >= D:
+                break
+            if cur[0, jc] >= barred:
+                continue
+            sub = np.delete(np.delete(cur, 0, axis=0), jc, axis=1)
+            sub_best = lsa_total(sub)
+            if cur[0, jc] + sub_best <= best + tol:
+                pairs.append((i, j))
+                cols.pop(jc)
+                cur, best, fixed = sub, sub_best, True
+                break
+        if not fixed:
+            jc = cols.index(D + i)
+            cur = np.delete(np.delete(cur, 0, axis=0), jc, axis=1)
+            cols.pop(jc)
+            best = lsa_total(cur)
+    return pairs
 
 
 class FakeTrack:
@@ -323,6 +384,54 @@ class TestSolveAssignment:
             card, cost = brute_force_matching(values, mask)
             assert len(pairs) == card
             assert sum(values[i, j] for i, j in pairs) == pytest.approx(cost, abs=1e-9)
+
+    def test_equals_reference_solver(self):
+        # continuous, tie-heavy, negative, fully admissible and sparse-gate
+        # instances up to 12 x 12: identical pair lists, not just equal cost
+        rng = np.random.default_rng(2025)
+        for k in range(2000):
+            T, D = (int(x) for x in rng.integers(1, 13, 2))
+            kind = k % 5
+            if kind == 0:
+                values = rng.uniform(0, 1, (T, D))
+                mask = rng.uniform(size=(T, D)) < 0.8
+            elif kind == 1:
+                values = rng.choice([0.1, 0.2, 0.3], size=(T, D))
+                mask = rng.uniform(size=(T, D)) < 0.8
+            elif kind == 2:
+                values = rng.uniform(-10, 2, (T, D))
+                mask = rng.uniform(size=(T, D)) < 0.7
+            elif kind == 3:
+                values = rng.integers(0, 3, (T, D)).astype(float)
+                mask = np.ones((T, D), bool)
+            else:
+                values = rng.uniform(0, 1, (T, D))
+                mask = values <= 0.2
+            cm = CostMatrix(values=values, gate_mask=mask)
+            assert solve_assignment(cm) == reference_solve(cm), (kind, values, mask)
+
+    def test_dense_ties_30(self):
+        # all ones: every pair is tight and the diagonal is the lexicographic minimum
+        n = 30
+        cm = CostMatrix(values=np.ones((n, n)), gate_mask=np.ones((n, n), bool))
+        assert solve_assignment(cm) == [(i, i) for i in range(n)]
+        # three cost levels: the LSA's own optimum is not the lexicographic
+        # minimum here, so the walk flips alternating paths in a dense tight graph
+        values = np.random.default_rng(0).integers(0, 3, (n, n)).astype(float)
+        cm = CostMatrix(values=values, gate_mask=np.ones((n, n), bool))
+        assert solve_assignment(cm) == reference_solve(cm)
+
+    def test_fully_admissible_100_is_fast(self):
+        values = np.random.default_rng(8).uniform(0, 1, (100, 100))
+        cm = CostMatrix(values=values, gate_mask=np.ones((100, 100), bool))
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            pairs = solve_assignment(cm)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.1
+        rows, cols = linear_sum_assignment(values)
+        assert sum(values[i, j] for i, j in pairs) == pytest.approx(values[rows, cols].sum())
 
 
 def test_config_validation():

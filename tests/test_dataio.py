@@ -263,6 +263,33 @@ class TestMotToDetections:
         assert frames[1][1].descriptor is desc[(1, 1)]
         assert frames[2][0].score == 0.7
 
+    def test_file_order_kept_with_real_ids(self, tmp_path):
+        # descending ids must not reorder a frame: sidecar records are keyed
+        # by det_index in file order
+        lines = parse_mot(
+            [
+                "2,7,90,0,10,20,0.6,-1,-1,-1",
+                "1,9,0,0,10,20,0.9,-1,-1,-1",
+                "1,5,50,0,10,20,0.8,-1,-1,-1",
+                "2,3,70,0,10,20,0.5,-1,-1,-1",
+                "1,1,30,0,10,20,0.7,-1,-1,-1",
+            ]
+        )
+        basis = np.eye(3)
+        records = [
+            DescriptorRecord(frame=1, det_index=k, f_cls=basis[k]) for k in range(3)
+        ] + [DescriptorRecord(frame=2, det_index=1, f_cls=basis[2])]
+        path = tmp_path / "dets.ftfv"
+        write_descriptors(path, records, dim_cls=3, dim_reg=0, dim_head=0)
+        frames = mot_to_detections(lines, read_descriptors(path))
+        assert list(frames) == [1, 2]
+        assert [d.bbox.x for d in frames[1]] == [0.0, 50.0, 30.0]
+        assert [d.bbox.x for d in frames[2]] == [90.0, 70.0]
+        for k, det in enumerate(frames[1]):
+            assert np.array_equal(det.descriptor.f_cls, basis[k])
+        assert frames[2][0].descriptor is None
+        assert np.array_equal(frames[2][1].descriptor.f_cls, basis[2])
+
     def test_head_format_flag(self):
         lines = parse_mot(["1,-1,0,0,10,20,0.9,5,3,0.6"])
         with_head = mot_to_detections(lines, head_format=True)

@@ -1,8 +1,11 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 from headtrack.geometry import BBox
-from headtrack.metrics import EvalFrame, EvalReport, evaluate
+from headtrack.metrics import EvalFrame, EvalReport, _idf1, evaluate
 
 
 def box(cx, cy, w=40.0, h=100.0):
@@ -147,3 +150,37 @@ class TestEdgeCases:
         rep = evaluate(ten_by_ten())
         assert isinstance(rep, EvalReport)
         assert isinstance(rep.idf1, float)
+
+
+class TestIdf1Matching:
+    def test_equals_brute_force(self):
+        # exhaustive search over every injective gt -> hyp identity map
+        rng = np.random.default_rng(11)
+        for G, H in ((4, 6), (6, 4), (5, 5)):
+            counts = rng.integers(0, 9, (G, H)) * (rng.uniform(size=(G, H)) < 0.6)
+            overlap = {(g, 100 + h): int(counts[g, h]) for g in range(G) for h in range(H)
+                       if counts[g, h]}
+            if G <= H:
+                best = max(sum(counts[g, p[g]] for g in range(G))
+                           for p in itertools.permutations(range(H), G))
+            else:
+                best = max(sum(counts[p[h], h] for h in range(H))
+                           for p in itertools.permutations(range(G), H))
+            assert _idf1(overlap, 300, 250) == 2.0 * best / 550
+
+    def test_thousands_of_ids_are_fast(self):
+        # gt g overlaps hyp g in 50 frames and two other hyps in fewer, so
+        # the best identity map is g -> g with 50 000 shared frames
+        rng = np.random.default_rng(12)
+        overlap = {}
+        for g in range(1000):
+            overlap[(g, g)] = 50
+            for h in rng.choice(np.arange(1000, 1500), size=2, replace=False):
+                overlap[(g, int(h))] = int(rng.integers(1, 50))
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            score = _idf1(overlap, 60000, 65000)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 1.0
+        assert score == 2.0 * 50000 / 125000
