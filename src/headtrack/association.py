@@ -15,7 +15,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import HeadKeypoint
-from .kalman import KalmanState
 
 FEATURE_KINDS = ("f_cls", "f_reg", "f_head")
 
@@ -51,9 +50,6 @@ class AppearanceDescriptor:
                 object.__setattr__(self, kind, _as_unit(v, kind))
         if all(getattr(self, k) is None for k in FEATURE_KINDS):
             raise ValueError("descriptor needs at least one feature kind")
-
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(k for k in FEATURE_KINDS if getattr(self, k) is not None)
 
 
 @dataclass(frozen=True)
@@ -91,40 +87,6 @@ class CostMatrix:
     gate_mask: np.ndarray  # (T, D) bool
 
 
-def cosine_cost(p: np.ndarray, q: np.ndarray) -> float:
-    """1 - <p, q> for unit vectors; 0 identical, 1 orthogonal, 2 antipodal."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    return 1.0 - float(np.dot(p, q))
-
-
-def appearance_cost(
-    track_desc: AppearanceDescriptor,
-    det_desc: AppearanceDescriptor,
-    cfg: AssociationConfig,
-) -> Optional[float]:
-    """Weighted cosine cost over the feature kinds present on both sides.
-
-    Weights are renormalized over the shared subset. Returns None when the
-    descriptors share no kind (or all shared kinds carry zero weight), in
-    which case the caller falls back to pure motion cost.
-    """
-    total_w = 0.0
-    acc = 0.0
-    for kind, w in zip(FEATURE_KINDS, cfg.feature_weights):
-        a = getattr(track_desc, kind)
-        b = getattr(det_desc, kind)
-        if a is None or b is None or w == 0.0:
-            continue
-        acc += w * cosine_cost(a, b)
-        total_w += w
-    if total_w == 0.0:
-        return None
-    return acc / total_w
-
-
 def gaussian_weighted_descriptor(
     cell_centers: np.ndarray,
     cell_features: np.ndarray,
@@ -153,34 +115,51 @@ def gaussian_weighted_descriptor(
     return flat / n
 
 
-def motion_cost(track: KalmanState, det, cfg: AssociationConfig) -> float:
-    """Center distance between the predicted state and a detection, normalized."""
-    du = track.x[0] - det.bbox.cx
-    dv = track.x[1] - det.bbox.cy
-    return float(np.hypot(du, dv)) / cfg.motion_scale
-
-
 def build_cost_matrix(tracks: Sequence, detections: Sequence, cfg: AssociationConfig) -> CostMatrix:
     """Combine appearance and motion costs into a gated matrix.
 
     ``tracks`` expose ``.kf`` (predicted KalmanState) and ``.descriptor``;
-    ``detections`` expose ``.bbox`` and ``.descriptor``. Pairs without a
-    shared feature kind use the motion term alone.
+    ``detections`` expose ``.bbox`` and ``.descriptor``. The motion term is
+    the center distance to the prediction over ``motion_scale``. The
+    appearance term is the cosine cost 1 - <p, q> (0 identical, 1
+    orthogonal, 2 antipodal), averaged over the weighted feature kinds a
+    pair shares with the weights renormalized over that subset; pairs that
+    share none use the motion term alone. Each kind costs one (T x d)(d x D)
+    product. Raises ValueError when a shared, weighted kind has mismatched
+    dimensions.
     """
     T, D = len(tracks), len(detections)
-    values = np.zeros((T, D))
-    for i, trk in enumerate(tracks):
-        for j, det in enumerate(detections):
-            c_mot = motion_cost(trk.kf, det, cfg)
-            c_app = None
-            if trk.descriptor is not None and det.descriptor is not None:
-                c_app = appearance_cost(trk.descriptor, det.descriptor, cfg)
-            if c_app is None:
-                values[i, j] = cfg.w_mot * c_mot
-            else:
-                values[i, j] = cfg.w_app * c_app + cfg.w_mot * c_mot
-    mask = values <= cfg.gate_g
-    return CostMatrix(values=values, gate_mask=mask)
+    trk_xy = np.array([trk.kf.x[:2] for trk in tracks], dtype=float).reshape(T, 2)
+    det_xy = np.array([(d.bbox.cx, d.bbox.cy) for d in detections], dtype=float).reshape(D, 2)
+    motion = np.hypot(trk_xy[:, :1] - det_xy[:, 0], trk_xy[:, 1:] - det_xy[:, 1]) / cfg.motion_scale
+
+    acc = np.zeros((T, D))
+    total_w = np.zeros((T, D))
+    for kind, w in zip(FEATURE_KINDS, cfg.feature_weights):
+        if w == 0.0:
+            continue
+        p = [getattr(trk.descriptor, kind, None) for trk in tracks]
+        q = [getattr(det.descriptor, kind, None) for det in detections]
+        has_p = np.array([v is not None for v in p], dtype=bool)
+        has_q = np.array([v is not None for v in q], dtype=bool)
+        if not (has_p.any() and has_q.any()):
+            continue
+        dims = {v.shape for v in p + q if v is not None}
+        if len(dims) > 1:
+            raise ValueError(f"{kind} dimension mismatch: {sorted(dims)}")
+        absent = np.zeros(dims.pop())
+        cos = _rows(p, absent) @ _rows(q, absent).T
+        shared = has_p[:, None] & has_q
+        acc += np.where(shared, w * (1.0 - cos), 0.0)
+        total_w += np.where(shared, w, 0.0)
+    app = np.divide(acc, total_w, out=np.zeros((T, D)), where=total_w > 0.0)
+    values = cfg.w_app * app + cfg.w_mot * motion
+    return CostMatrix(values=values, gate_mask=values <= cfg.gate_g)
+
+
+def _rows(vectors: list, absent: np.ndarray) -> np.ndarray:
+    """Stack per-object vectors of one kind, with ``absent`` for objects that lack it."""
+    return np.array([absent if v is None else v for v in vectors])
 
 
 def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:

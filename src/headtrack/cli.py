@@ -9,7 +9,6 @@ its default. Exit codes: 0 success, 1 usage error, 2 data/config error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import sys
@@ -206,22 +205,22 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
 
 def cmd_track(args, cfg: RunConfig) -> int:
     dets = Path(args.dets)
-    if dets.is_dir():
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        seq_files = sorted(dets.glob("*.txt"))
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
-            futures = [
-                pool.submit(
-                    run_track_file, seq, args.features, out_dir / seq.name, cfg,
-                    args.head_format,
-                )
-                for seq in seq_files
-            ]
-            for fut in concurrent.futures.as_completed(futures):
-                fut.result()
+    if not dets.is_dir():
+        run_track_file(dets, args.features, args.out, cfg, args.head_format)
         return 0
-    run_track_file(dets, args.features, args.out, cfg, args.head_format)
+    seq_files = sorted(dets.glob("*.txt"))
+    sidecars = [None] * len(seq_files)
+    if args.features is not None:  # <stem>.txt reads <features>/<stem>.ftfv
+        if not Path(args.features).is_dir():
+            raise ConfigError(f"{args.features}: a --dets directory needs a --features directory")
+        sidecars = [Path(args.features) / f"{seq.stem}.ftfv" for seq in seq_files]
+        for sidecar in sidecars:
+            if not sidecar.is_file():
+                raise ConfigError(f"{sidecar}: missing descriptor sidecar")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for seq, sidecar in zip(seq_files, sidecars):
+        run_track_file(seq, sidecar, out_dir / seq.name, cfg, args.head_format)
     return 0
 
 
@@ -420,10 +419,9 @@ def build_parser() -> _Parser:
 
     p_track = sub.add_parser("track", help="run the tracker over a detection file")
     p_track.add_argument("--dets", required=True, help="detection file or directory of them")
-    p_track.add_argument("--features", default=None, help="descriptor sidecar (.ftfv)")
+    p_track.add_argument("--features", default=None, help="sidecar (.ftfv), or a directory of them")
     p_track.add_argument("--out", required=True, help="result file (or directory for batches)")
     p_track.add_argument("--head-format", action="store_true", help="trailing fields carry head keypoints")
-    p_track.add_argument("--jobs", type=int, default=1, help="parallel sequences in directory mode")
     _add_config_flags(p_track)
 
     p_interp = sub.add_parser("interpolate", help="fill trajectory gaps in a result file")

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .association import AppearanceDescriptor
-from .geometry import BBox, HeadKeypoint, iou
+from .geometry import BBox, HeadKeypoint, iou_matrix
 from .tracker import Detection
 
 DESCRIPTOR_MAGIC = b"FTFV"
@@ -340,10 +340,10 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     paths = _gt_paths(spec)
 
-    for a in range(spec.targets):
-        for b in range(a + 1, spec.targets):
-            if iou(paths[a][0], paths[b][0]) > 0.0:
-                raise ValueError(f"targets {a + 1} and {b + 1} overlap at spawn")
+    starts = [path[0] for path in paths]
+    clashes = np.argwhere(np.triu(iou_matrix(starts, starts) > 0.0, k=1))
+    if clashes.size:
+        raise ValueError(f"targets {clashes[0, 0] + 1} and {clashes[0, 1] + 1} overlap at spawn")
 
     occluded: set[tuple[int, int]] = set()
     for tid, start, end in spec.occlusions:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 VALID_STRIDES = (8, 16, 32)
 
 
@@ -93,6 +95,22 @@ def iou(a: BBox, b: BBox) -> float:
     area_a = (ax2 - a.x) * (ay2 - a.y)
     area_b = (bx2 - b.x) * (by2 - b.y)
     return inter / (area_a + area_b - inter)
+
+
+def iou_matrix(boxes_a: list[BBox], boxes_b: list[BBox]) -> np.ndarray:
+    """Pairwise ``iou``, shape (len(boxes_a), len(boxes_b)), with bit-identical entries."""
+    ax, ay, ax2, ay2 = _corners(boxes_a)[..., None]
+    bx, by, bx2, by2 = _corners(boxes_b)[:, None, :]
+    ix = np.minimum(ax2, bx2) - np.maximum(ax, bx)
+    iy = np.minimum(ay2, by2) - np.maximum(ay, by)
+    inter = ix * iy
+    union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=(ix > 0.0) & (iy > 0.0))
+
+
+def _corners(boxes: list[BBox]) -> np.ndarray:
+    """Rows x, y, x2, y2 of the boxes, shape (4, n)."""
+    return np.array([(b.x, b.y, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4).T
 
 
 def ciou_loss(pred: BBox, gt: BBox) -> float:

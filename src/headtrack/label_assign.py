@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import geometry
 from .geometry import BBox, HeadKeypoint, iou, ciou_loss
 
 _PROB_CLAMP = 1e-7
@@ -108,11 +109,7 @@ def assign_cost_matrix(
 
 
 def iou_matrix(anchors: list[Anchor], gts: list[GtInstance]) -> np.ndarray:
-    out = np.empty((len(anchors), len(gts)))
-    for i, a in enumerate(anchors):
-        for j, g in enumerate(gts):
-            out[i, j] = iou(a.pred_box, g.box)
-    return out
+    return geometry.iou_matrix([a.pred_box for a in anchors], [g.box for g in gts])
 
 
 def dynamic_k_match(

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .association import CostMatrix, solve_assignment
-from .geometry import BBox, iou
+from .geometry import BBox, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,12 @@ def evaluate(frames: list[EvalFrame], iou_threshold: float = 0.5) -> EvalReport:
         _check_unique([g for g, _ in gt], "ground-truth")
         _check_unique([h for h, _ in hyp], "hypothesis")
 
-        ious = np.array([[iou(gb, hb) for _, hb in hyp] for _, gb in gt]).reshape(
-            len(gt), len(hyp)
-        )
+        ious = iou_matrix([b for _, b in gt], [b for _, b in hyp])
 
         # identity-level overlap counts feed the global IDF1 matching
-        for gi, (g_id, _) in enumerate(gt):
-            for hi, (h_id, _) in enumerate(hyp):
-                if ious[gi, hi] >= iou_threshold:
-                    key = (g_id, h_id)
-                    overlap_counts[key] = overlap_counts.get(key, 0) + 1
+        for gi, hi in np.argwhere(ious >= iou_threshold).tolist():
+            key = (gt[gi][0], hyp[hi][0])
+            overlap_counts[key] = overlap_counts.get(key, 0) + 1
 
         matched_g: dict[int, int] = {}
         used_h: set[int] = set()

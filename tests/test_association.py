@@ -5,14 +5,12 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from headtrack.association import (
+    FEATURE_KINDS,
     AppearanceDescriptor,
     AssociationConfig,
     CostMatrix,
-    appearance_cost,
     build_cost_matrix,
-    cosine_cost,
     gaussian_weighted_descriptor,
-    motion_cost,
     solve_assignment,
 )
 from headtrack.geometry import BBox, HeadKeypoint
@@ -107,6 +105,38 @@ def reference_solve(c):
     return pairs
 
 
+def reference_cost_matrix(tracks, detections, cfg):
+    """Tracks x detections costs filled one pair at a time.
+
+    The formulas of the earlier per-pair helpers, kept as the oracle for
+    ``build_cost_matrix``: normalized center distance to the prediction,
+    plus the weighted cosine cost 1 - <p, q> over the kinds both sides
+    carry with a non-zero weight, renormalized over that subset; motion
+    alone when the pair shares no such kind.
+    """
+    values = np.zeros((len(tracks), len(detections)))
+    for i, trk in enumerate(tracks):
+        for j, det in enumerate(detections):
+            du = trk.kf.x[0] - det.bbox.cx
+            dv = trk.kf.x[1] - det.bbox.cy
+            c_mot = float(np.hypot(du, dv)) / cfg.motion_scale
+            acc = total_w = 0.0
+            for kind, w in zip(FEATURE_KINDS, cfg.feature_weights):
+                a = getattr(trk.descriptor, kind, None)
+                b = getattr(det.descriptor, kind, None)
+                if a is None or b is None or w == 0.0:
+                    continue
+                if a.shape != b.shape:
+                    raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+                acc += w * (1.0 - float(np.dot(a, b)))
+                total_w += w
+            if total_w == 0.0:
+                values[i, j] = cfg.w_mot * c_mot
+            else:
+                values[i, j] = cfg.w_app * (acc / total_w) + cfg.w_mot * c_mot
+    return values
+
+
 class FakeTrack:
     def __init__(self, cx, cy, descriptor=None):
         x = np.array([cx, cy, 0.5, 100.0, 0, 0, 0, 0])
@@ -120,55 +150,75 @@ class FakeDet:
         self.descriptor = descriptor
 
 
+def appearance_term(track_desc, det_desc, weights=(1.0, 0.0, 0.0)):
+    """The appearance cost of one co-located pair, read through build_cost_matrix."""
+    cfg = AssociationConfig(w_app=1.0, w_mot=0.0, feature_weights=weights, gate_g=1e9)
+    cm = build_cost_matrix([FakeTrack(0, 0, track_desc)], [FakeDet(0, 0, det_desc)], cfg)
+    return cm.values[0, 0]
+
+
+def motion_term(track, det, motion_scale):
+    cfg = AssociationConfig(w_app=0.0, w_mot=1.0, motion_scale=motion_scale, gate_g=1e9)
+    return build_cost_matrix([track], [det], cfg).values[0, 0]
+
+
 class TestCosineCost:
     def test_identical(self):
-        p = unit(1, 2, 3)
-        assert cosine_cost(p, p) == pytest.approx(0.0, abs=1e-12)
+        d = AppearanceDescriptor(f_cls=unit(1, 2, 3))
+        assert appearance_term(d, d) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine_cost(unit(1, 0), unit(0, 1)) == pytest.approx(1.0)
+        a = AppearanceDescriptor(f_cls=unit(1, 0))
+        b = AppearanceDescriptor(f_cls=unit(0, 1))
+        assert appearance_term(a, b) == pytest.approx(1.0)
 
     def test_antipodal(self):
         p = unit(3, 4)
-        assert cosine_cost(p, -p) == pytest.approx(2.0)
+        a = AppearanceDescriptor(f_cls=p)
+        b = AppearanceDescriptor(f_cls=-p)
+        assert appearance_term(a, b) == pytest.approx(2.0)
 
     def test_dim_mismatch(self):
+        a = AppearanceDescriptor(f_cls=unit(1, 0))
+        b = AppearanceDescriptor(f_cls=unit(1, 0, 0))
         with pytest.raises(ValueError):
-            cosine_cost(unit(1, 0), unit(1, 0, 0))
+            appearance_term(a, b)
 
 
 class TestAppearanceCost:
-    def setup_method(self):
-        self.cfg = AssociationConfig(feature_weights=(0.5, 0.5, 0.0))
+    weights = (0.5, 0.5, 0.0)
 
     def test_identical_descriptors(self):
         d = AppearanceDescriptor(f_cls=unit(1, 1), f_reg=unit(2, 1))
-        assert appearance_cost(d, d, self.cfg) == pytest.approx(0.0, abs=1e-12)
+        assert appearance_term(d, d, self.weights) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_kind_renormalizes(self):
         a = AppearanceDescriptor(f_cls=unit(1, 0))
         b = AppearanceDescriptor(f_cls=unit(1, 1))
-        expected = cosine_cost(unit(1, 0), unit(1, 1))
-        assert appearance_cost(a, b, self.cfg) == pytest.approx(expected)
+        expected = 1.0 - float(np.dot(unit(1, 0), unit(1, 1)))
+        assert appearance_term(a, b, self.weights) == pytest.approx(expected)
 
     def test_weighted_mean(self):
         # cls cost 0.2, reg cost 0.4, equal weights: 0.3 by hand
         a = AppearanceDescriptor(f_cls=np.array([1.0, 0.0]), f_reg=np.array([1.0, 0.0]))
         b = AppearanceDescriptor(f_cls=np.array([0.8, 0.6]), f_reg=np.array([0.6, 0.8]))
-        assert appearance_cost(a, b, self.cfg) == pytest.approx(0.3, abs=1e-12)
+        assert appearance_term(a, b, self.weights) == pytest.approx(0.3, abs=1e-12)
 
     def test_no_common_kind_is_sentinel(self):
+        # no shared kind: the pair costs the motion term alone
+        cfg = AssociationConfig(w_app=0.7, w_mot=0.3, motion_scale=1.0, gate_g=1e9)
         a = AppearanceDescriptor(f_cls=unit(1, 0))
         b = AppearanceDescriptor(f_reg=unit(1, 0))
-        assert appearance_cost(a, b, self.cfg) is None
+        cm = build_cost_matrix([FakeTrack(0, 0, a)], [FakeDet(3, 4, b)], cfg)
+        assert cm.values[0, 0] == pytest.approx(0.3 * 5.0, abs=1e-12)
 
     def test_kind_order_irrelevant(self):
         a = AppearanceDescriptor(f_cls=unit(1, 2), f_reg=unit(3, 1), f_head=unit(0, 1))
         b = AppearanceDescriptor(f_cls=unit(2, 1), f_reg=unit(1, 3), f_head=unit(1, 1))
-        cfg1 = AssociationConfig(feature_weights=(0.2, 0.3, 0.5))
-        cfg2 = AssociationConfig(feature_weights=(0.4, 0.6, 1.0))
         # doubling all weights renormalizes to the same mixture
-        assert appearance_cost(a, b, cfg1) == pytest.approx(appearance_cost(a, b, cfg2))
+        assert appearance_term(a, b, (0.2, 0.3, 0.5)) == pytest.approx(
+            appearance_term(a, b, (0.4, 0.6, 1.0))
+        )
 
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):
@@ -215,18 +265,13 @@ class TestGaussianWeightedDescriptor:
 
 class TestMotionCost:
     def test_zero_at_prediction(self):
-        cfg = AssociationConfig(motion_scale=1.0)
-        t = FakeTrack(100, 200)
-        d = FakeDet(100, 200)
-        assert motion_cost(t.kf, d, cfg) == 0.0
+        assert motion_term(FakeTrack(100, 200), FakeDet(100, 200), 1.0) == 0.0
 
     def test_three_four_five(self):
-        cfg = AssociationConfig(motion_scale=1.0)
-        assert motion_cost(FakeTrack(0, 0).kf, FakeDet(3, 4), cfg) == pytest.approx(5.0)
+        assert motion_term(FakeTrack(0, 0), FakeDet(3, 4), 1.0) == pytest.approx(5.0)
 
     def test_scaling(self):
-        cfg = AssociationConfig(motion_scale=100.0)
-        assert motion_cost(FakeTrack(0, 0).kf, FakeDet(3, 4), cfg) == pytest.approx(0.05)
+        assert motion_term(FakeTrack(0, 0), FakeDet(3, 4), 100.0) == pytest.approx(0.05)
 
 
 class TestBuildCostMatrix:
@@ -237,7 +282,8 @@ class TestBuildCostMatrix:
         cm = build_cost_matrix(tracks, dets, cfg)
         for i, t in enumerate(tracks):
             for j, d in enumerate(dets):
-                assert cm.values[i, j] == pytest.approx(motion_cost(t.kf, d, cfg))
+                expected = np.hypot(t.kf.x[0] - d.bbox.cx, t.kf.x[1] - d.bbox.cy) / 10.0
+                assert cm.values[i, j] == pytest.approx(expected)
 
     def test_empty_inputs(self):
         cfg = AssociationConfig()
@@ -272,6 +318,65 @@ class TestBuildCostMatrix:
         cfg = AssociationConfig(w_app=0.0, w_mot=1.0, motion_scale=1.0, gate_g=6.0)
         cm = build_cost_matrix([FakeTrack(0, 0)], [FakeDet(3, 4), FakeDet(30, 40)], cfg)
         assert cm.gate_mask.tolist() == [[True, False]]
+
+
+    def test_matches_per_pair_reference(self):
+        # seeded mixes of kind presence (kinds of different dimensions, some
+        # objects without a descriptor), zero weights and empty sides
+        rng = np.random.default_rng(11)
+        dims = {"f_cls": 3, "f_reg": 5, "f_head": 4}
+
+        def descriptor():
+            present = [k for k in FEATURE_KINDS if rng.uniform() < 0.6]
+            if not present or rng.uniform() < 0.15:
+                return None
+            return AppearanceDescriptor(**{k: unit(*rng.normal(size=dims[k])) for k in present})
+
+        checked = 0
+        for _ in range(300):
+            T, D = (int(n) for n in rng.integers(0, 7, 2))
+            weights = tuple(float(w) for w in rng.choice([0.0, 0.3, 1.0, 2.5], 3))
+            cfg = AssociationConfig(
+                w_app=float(rng.choice([0.0, 0.4, 1.0])),
+                w_mot=float(rng.choice([0.2, 0.5, 1.0])),
+                feature_weights=weights,
+                gate_g=float(rng.uniform(0.1, 2.0)),
+                motion_scale=float(rng.uniform(50.0, 500.0)),
+            )
+            tracks = [FakeTrack(*rng.uniform(0, 300, 2), descriptor()) for _ in range(T)]
+            dets = [FakeDet(*rng.uniform(0, 300, 2), descriptor()) for _ in range(D)]
+            cm = build_cost_matrix(tracks, dets, cfg)
+            expected = reference_cost_matrix(tracks, dets, cfg)
+            assert cm.values.shape == cm.gate_mask.shape == (T, D)
+            np.testing.assert_allclose(cm.values, expected, rtol=0.0, atol=1e-12)
+            assert (cm.gate_mask == (cm.values <= cfg.gate_g)).all()
+            checked += T * D
+        assert checked > 1000
+
+    def test_shared_weighted_dimension_mismatch_raises(self):
+        cfg = AssociationConfig(feature_weights=(0.5, 0.5, 0.0), gate_g=1e9)
+        two = AppearanceDescriptor(f_cls=unit(1, 0), f_reg=unit(1, 0))
+        three = AppearanceDescriptor(f_cls=unit(1, 0, 0), f_reg=unit(1, 0))
+        with pytest.raises(ValueError, match="f_cls"):
+            build_cost_matrix([FakeTrack(0, 0, two)], [FakeDet(0, 0, three)], cfg)
+        # tracks disagreeing among themselves while a detection shares the kind
+        with pytest.raises(ValueError, match="f_cls"):
+            build_cost_matrix(
+                [FakeTrack(0, 0, two), FakeTrack(5, 0, three)], [FakeDet(0, 0, two)], cfg
+            )
+
+    def test_dimension_mismatch_ignored_when_not_shared_or_unweighted(self):
+        # the per-pair formulas never compare such vectors, so neither may the matrix
+        two = AppearanceDescriptor(f_cls=unit(1, 0), f_head=unit(0, 1))
+        three_head = AppearanceDescriptor(f_cls=unit(1, 1), f_head=unit(1, 0, 0))
+        reg_only = AppearanceDescriptor(f_reg=unit(1, 0, 0))
+        cfg = AssociationConfig(feature_weights=(0.5, 0.5, 0.0), gate_g=1e9)
+        tracks = [FakeTrack(0, 0, two), FakeTrack(5, 0, three_head)]
+        dets = [FakeDet(0, 0, two), FakeDet(4, 3, reg_only)]
+        cm = build_cost_matrix(tracks, dets, cfg)
+        np.testing.assert_allclose(
+            cm.values, reference_cost_matrix(tracks, dets, cfg), rtol=0.0, atol=1e-12
+        )
 
 
 class TestSolveAssignment:

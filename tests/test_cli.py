@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import numpy as np
+
 from headtrack import cli
-from headtrack.dataio import parse_mot
+from headtrack.dataio import DescriptorRecord, parse_mot, read_descriptors, write_descriptors
 
 SCENE = """
 targets = 4
@@ -111,13 +113,61 @@ class TestTrack:
                 "track",
                 "--dets", str(dets_dir),
                 "--out", str(out_dir),
-                "--jobs", "2",
                 "--min-hits", "1",
                 "--w-app", "0", "--w-mot", "1",
             ]
         )
         assert code == 0
         assert (out_dir / "a.txt").read_bytes() == (out_dir / "b.txt").read_bytes()
+
+
+class TestDirectorySidecars:
+    @pytest.fixture
+    def seq_dirs(self, sim_dir, tmp_path):
+        """Sequences a and b share detections; b's sidecar swaps identities from frame 15."""
+        dets_dir, feats_dir = tmp_path / "seqs", tmp_path / "feats"
+        dets_dir.mkdir()
+        feats_dir.mkdir()
+        for name in ("a", "b"):
+            (dets_dir / f"{name}.txt").write_bytes((sim_dir / "det.txt").read_bytes())
+        (feats_dir / "a.ftfv").write_bytes((sim_dir / "features.ftfv").read_bytes())
+        records = [
+            DescriptorRecord(f, k, f_cls=np.roll(d.f_cls, 1) if f >= 15 else d.f_cls)
+            for (f, k), d in sorted(read_descriptors(sim_dir / "features.ftfv").items())
+        ]
+        write_descriptors(feats_dir / "b.ftfv", records, dim_cls=4, dim_reg=0, dim_head=0)
+        return dets_dir, feats_dir
+
+    def test_each_sequence_reads_its_own_sidecar(self, seq_dirs, tmp_path):
+        dets_dir, feats_dir = seq_dirs
+        out_dir = tmp_path / "results"
+        track = ["track", "--min-hits", "1"]
+        assert cli.main(track + ["--dets", str(dets_dir), "--features", str(feats_dir),
+                                 "--out", str(out_dir)]) == 0
+        for name in ("a", "b"):
+            alone = tmp_path / f"{name}_alone.txt"
+            assert cli.main(track + ["--dets", str(dets_dir / f"{name}.txt"),
+                                     "--features", str(feats_dir / f"{name}.ftfv"),
+                                     "--out", str(alone)]) == 0
+            assert (out_dir / f"{name}.txt").read_bytes() == alone.read_bytes()
+        assert (out_dir / "a.txt").read_bytes() != (out_dir / "b.txt").read_bytes()
+
+    def test_sidecar_file_with_directory_is_data_error(self, seq_dirs, tmp_path, capsys):
+        dets_dir, feats_dir = seq_dirs
+        sidecar = feats_dir / "a.ftfv"
+        code = cli.main(["track", "--dets", str(dets_dir), "--features", str(sidecar),
+                         "--out", str(tmp_path / "results")])
+        assert code == 2
+        assert str(sidecar) in capsys.readouterr().err
+
+    def test_missing_sequence_sidecar_is_data_error(self, seq_dirs, tmp_path, capsys):
+        dets_dir, feats_dir = seq_dirs
+        (feats_dir / "b.ftfv").unlink()
+        code = cli.main(["track", "--dets", str(dets_dir), "--features", str(feats_dir),
+                         "--out", str(tmp_path / "results")])
+        assert code == 2
+        assert str(feats_dir / "b.ftfv") in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
 
 class TestEvaluate:

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from headtrack.geometry import BBox, GridIndex, HeadKeypoint, ciou_loss, gaussian_weight, grid_map, iou
+from headtrack.geometry import (
+    BBox,
+    GridIndex,
+    HeadKeypoint,
+    ciou_loss,
+    gaussian_weight,
+    grid_map,
+    iou,
+    iou_matrix,
+)
 
 
 def ciou_reference(pred, gt):
@@ -86,6 +95,38 @@ class TestIou:
             a = BBox(*rng.uniform(0, 100, 2), *rng.uniform(1, 50, 2))
             b = BBox(*rng.uniform(0, 100, 2), *rng.uniform(1, 50, 2))
             assert 0.0 <= iou(a, b) <= 1.0
+
+
+class TestIouMatrix:
+    def test_equals_scalar_iou_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        overlapping = disjoint = 0
+        for _ in range(20):
+            na, nb = (int(n) for n in rng.integers(1, 30, 2))
+            boxes_a = [BBox(*rng.uniform(0, 200, 2), *rng.uniform(0.5, 60, 2)) for _ in range(na)]
+            boxes_b = [BBox(*rng.uniform(0, 200, 2), *rng.uniform(0.5, 60, 2)) for _ in range(nb)]
+            m = iou_matrix(boxes_a, boxes_b)
+            expected = np.array([[iou(a, b) for b in boxes_b] for a in boxes_a])
+            assert m.shape == (na, nb)
+            assert np.array_equal(m, expected)
+            overlapping += int((m > 0.0).sum())
+            disjoint += int((m == 0.0).sum())
+        assert overlapping > 100 and disjoint > 100
+
+    def test_identical_boxes_are_exactly_one(self):
+        boxes = [BBox(0.1, 0.2, 10.3, 7.7), BBox(1e3 / 3, 2e3 / 7, 0.3, 1e3 / 9)]
+        assert np.diag(iou_matrix(boxes, boxes)).tolist() == [1.0, 1.0]
+
+    def test_touching_edges_are_zero(self):
+        a = [BBox(0, 0, 10, 10)]
+        touching = [BBox(10, 0, 5, 5), BBox(0, 10, 5, 5), BBox(-5, -5, 5, 5), BBox(10, 10, 1, 1)]
+        assert iou_matrix(a, touching).tolist() == [[0.0, 0.0, 0.0, 0.0]]
+
+    def test_empty_sides(self):
+        boxes = [BBox(0, 0, 1, 1), BBox(2, 2, 1, 1), BBox(4, 4, 1, 1)]
+        assert iou_matrix([], boxes).shape == (0, 3)
+        assert iou_matrix(boxes, []).shape == (3, 0)
+        assert iou_matrix([], []).shape == (0, 0)
 
 
 class TestCiouLoss:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from headtrack import kalman
 from headtrack.association import AppearanceDescriptor, AssociationConfig
 from headtrack.geometry import BBox
 from headtrack.tracker import (
@@ -202,6 +203,55 @@ class TestInvariants:
         tr.step(4, [det(4, 100, 100)])
         assert dead.status == "removed"
         assert tr.tracks[1].id == 2
+
+
+class TestNumericalGuards:
+    def test_diverged_filter_removes_only_that_track(self, monkeypatch):
+        tr = Tracker(motion_config(min_hits=1))
+        for f in (1, 2):
+            assert [tid for tid, _ in tr.step(f, [det(f, 100, 100), det(f, 600, 600)])] == [1, 2]
+        broken = tr.tracks[0]
+        broken.kf = kalman.KalmanState(x=np.full(8, np.nan), P=broken.kf.P)
+
+        diverged = []
+        real_predict = kalman.predict
+
+        def spy(state, model, h_min=1.0):
+            try:
+                return real_predict(state, model, h_min=h_min)
+            except kalman.FilterDivergence:
+                diverged.append(state)
+                raise
+
+        monkeypatch.setattr(kalman, "predict", spy)
+        emitted = {f: tr.step(f, [det(f, 100, 100), det(f, 600, 600)]) for f in range(3, 8)}
+        assert len(diverged) == 1 and diverged[0] is broken.kf
+        assert broken.status == "removed"
+        # the survivor keeps id 2; track 1's detections spawn id 3
+        assert all([tid for tid, _ in emitted[f]] == [2, 3] for f in emitted)
+
+    def test_ill_conditioned_update_retries_with_jitter(self, monkeypatch):
+        tr = Tracker(motion_config(min_hits=1))
+        tr.step(1, [det(1, 100, 100)])
+        track = tr.tracks[0]
+
+        seen_R = []
+        real_update = kalman.iterated_update
+
+        def flaky(state, z, model, **kw):
+            seen_R.append(model.R)
+            if len(seen_R) == 1:
+                raise kalman.IllConditionedUpdate("singular innovation covariance")
+            return real_update(state, z, model, **kw)
+
+        monkeypatch.setattr(kalman, "iterated_update", flaky)
+        matched = det(2, 102, 101)
+        assert tr.step(2, [matched]) == [(1, matched.bbox)]
+        assert len(seen_R) == 2
+        assert np.array_equal(seen_R[1], seen_R[0] + 1e-9 * np.eye(4))
+        assert track.hit_count == 2 and track.miss_count == 0
+        assert track.history[-1] == (2, matched.bbox)
+        assert len(tr.tracks) == 1
 
 
 class TestFinalize:
