@@ -26,7 +26,7 @@ def _as_unit(v, kind: str) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"{kind} must be a 1-d vector")
     n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > _UNIT_NORM_TOL:
+    if not abs(n - 1.0) <= _UNIT_NORM_TOL:  # also rejects a NaN norm
         raise ValueError(f"{kind} must be unit-norm (got |v| = {n})")
     return v
 

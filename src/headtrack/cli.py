@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 from . import dataio, label_assign, lifting, metrics
 from .association import AssociationConfig
 from .geometry import BBox, HeadKeypoint
-from .kalman import IteratedUpdateConfig, KalmanConfig
+from .kalman import KalmanConfig
 from .tracker import Tracker, TrackerConfig
 
 USAGE_ERROR = 1
@@ -32,82 +33,53 @@ class ConfigError(ValueError):
     """Bad configuration file or key."""
 
 
+def _key(default, help_text: str):
+    """A RunConfig field: its default, and its help line for --help."""
+    return dataclasses.field(default=default, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Every tunable of the pipeline, with module defaults."""
+    """Every tunable of the pipeline, with module defaults.
+
+    The fields are the only list of config keys: the config file, the
+    per-key flags and --help all read them.
+    """
 
     # association
-    w_app: float = 0.5
-    w_mot: float = 0.5
-    lambda_cls: float = 0.5
-    lambda_reg: float = 0.5
-    lambda_head: float = 0.0
-    gate_g: float = 0.5
-    motion_scale: float = 0.0  # 0 = use the image diagonal
+    w_app: float = _key(0.5, "appearance weight in the association cost")
+    w_mot: float = _key(0.5, "motion weight in the association cost")
+    lambda_cls: float = _key(0.5, "weight of the classification-branch feature")
+    lambda_reg: float = _key(0.5, "weight of the regression-branch feature")
+    lambda_head: float = _key(0.0, "weight of the head-branch feature")
+    gate_g: float = _key(0.5, "gating threshold on the combined association cost")
+    motion_scale: float = _key(0.0, "pixel normalizer for motion cost; 0 uses the image diagonal")
     # tracker lifecycle
-    patience_w: int = 30
-    min_hits: int = 3
-    init_score_min: float = 0.25
-    descriptor_momentum: float = 0.9
-    emit_predictions: bool = False
+    patience_w: int = _key(30, "frames a track survives without a match")
+    min_hits: int = _key(3, "matches required before a track is emitted")
+    init_score_min: float = _key(0.25, "confidence threshold for spawning new tracks")
+    descriptor_momentum: float = _key(0.9, "EMA momentum for track descriptors")
+    emit_predictions: bool = _key(False, "also emit predicted boxes while a track coasts")
     # kalman
-    epsilon_conv: float = 0.01
-    max_iters: int = 10
-    h_min: float = 1.0
+    h_min: float = _key(1.0, "lower clamp on the filtered target height")
     # lifting
-    d_min: float = 1.0
-    depth_eta: float = 0.05
-    y_normalized: bool = True
-    rotation_mode: str = "identity"
-    se3_process_std: float = 0.1
-    se3_meas_std: float = 0.01
-    # head weighting
-    sigma: float = 10.0
+    d_min: float = _key(1.0, "minimum depth of the pseudo-depth heuristic")
+    depth_eta: float = _key(0.05, "divisor offset of the pseudo-depth heuristic")
+    y_normalized: bool = _key(True, "normalize the box bottom edge by image height before lifting")
+    rotation_mode: str = _key("identity", "lifted pose rotations: identity or heading")
+    se3_process_std: float = _key(0.1, "process noise std of the twist smoother")
+    se3_meas_std: float = _key(0.01, "measurement noise std of the twist smoother")
     # label assignment
-    alpha: float = 3.0
-    beta: float = 1e5
-    eps_iou: float = 1e-8
-    q_topk: int = 10
+    alpha: float = _key(3.0, "IoU-cost weight in the assignment cost")
+    beta: float = _key(1e5, "positional penalty outside the center region")
+    eps_iou: float = _key(1e-8, "epsilon inside the -log(IoU + eps) cost")
+    q_topk: int = _key(10, "candidates summed for the dynamic-k rule")
     # evaluation
-    iou_threshold: float = 0.5
+    iou_threshold: float = _key(0.5, "IoU threshold for evaluation matching")
     # scene geometry / determinism
-    image_width: float = 1920.0
-    image_height: float = 1080.0
-    seed: int = 0
-
-
-CONFIG_HELP = {
-    "w_app": "appearance weight in the association cost",
-    "w_mot": "motion weight in the association cost",
-    "lambda_cls": "weight of the classification-branch feature",
-    "lambda_reg": "weight of the regression-branch feature",
-    "lambda_head": "weight of the head-branch feature",
-    "gate_g": "gating threshold on the combined association cost",
-    "motion_scale": "pixel normalizer for motion cost; 0 uses the image diagonal",
-    "patience_w": "frames a track survives without a match",
-    "min_hits": "matches required before a track is emitted",
-    "init_score_min": "confidence threshold for spawning new tracks",
-    "descriptor_momentum": "EMA momentum for track descriptors",
-    "emit_predictions": "also emit predicted boxes while a track coasts",
-    "epsilon_conv": "relative convergence threshold of the iterated update",
-    "max_iters": "iteration cap of the iterated update",
-    "h_min": "lower clamp on the filtered target height",
-    "d_min": "minimum depth of the pseudo-depth heuristic",
-    "depth_eta": "divisor offset of the pseudo-depth heuristic",
-    "y_normalized": "normalize the box bottom edge by image height before lifting",
-    "rotation_mode": "lifted pose rotations: identity or heading",
-    "se3_process_std": "process noise std of the twist smoother",
-    "se3_meas_std": "measurement noise std of the twist smoother",
-    "sigma": "Gaussian falloff (pixels) for head-weighted features",
-    "alpha": "IoU-cost weight in the assignment cost",
-    "beta": "positional penalty outside the center region",
-    "eps_iou": "epsilon inside the -log(IoU + eps) cost",
-    "q_topk": "candidates summed for the dynamic-k rule",
-    "iou_threshold": "IoU threshold for evaluation matching",
-    "image_width": "image width in pixels",
-    "image_height": "image height in pixels",
-    "seed": "PRNG seed for the scene generator",
-}
+    image_width: float = _key(1920.0, "image width in pixels")
+    image_height: float = _key(1080.0, "image height in pixels")
+    seed: int = _key(0, "PRNG seed for the scene generator")
 
 
 def _coerce(name: str, raw: str, target_type):
@@ -120,15 +92,17 @@ def _coerce(name: str, raw: str, target_type):
             return False
         raise ConfigError(f"key {name}: expected a boolean, got {raw!r}")
     try:
-        return target_type(raw)
+        value = target_type(raw)
     except ValueError:
         raise ConfigError(f"key {name}: cannot parse {raw!r} as {target_type.__name__}") from None
+    if target_type is float and not math.isfinite(value):
+        raise ConfigError(f"key {name}: expected a finite number, got {raw!r}")
+    return value
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     """Read a key=value file (optional) and apply command-line overrides."""
-    defaults = RunConfig()
-    types = {f.name: type(getattr(defaults, f.name)) for f in dataclasses.fields(RunConfig)}
+    types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
     if path is not None:
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -154,7 +128,6 @@ def tracker_config(cfg: RunConfig) -> TrackerConfig:
         scale = float(np.hypot(cfg.image_width, cfg.image_height))
     return TrackerConfig(
         patience_w=cfg.patience_w,
-        gate_g=cfg.gate_g,
         init_score_min=cfg.init_score_min,
         min_hits=cfg.min_hits,
         emit_predictions=cfg.emit_predictions,
@@ -167,7 +140,6 @@ def tracker_config(cfg: RunConfig) -> TrackerConfig:
             motion_scale=scale,
         ),
         noise=KalmanConfig(h_min=cfg.h_min),
-        iterated=IteratedUpdateConfig(epsilon_conv=cfg.epsilon_conv, max_iters=cfg.max_iters),
     )
 
 
@@ -394,22 +366,21 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="key=value config file")
     group = parser.add_argument_group("config overrides")
     for f in dataclasses.fields(RunConfig):
-        default = getattr(RunConfig(), f.name)
         group.add_argument(
             f"--{f.name.replace('_', '-')}",
             dest=f"cfg_{f.name}",
             default=None,
             metavar="V",
-            help=f"{CONFIG_HELP[f.name]} (default {default})",
+            help=f"{f.metadata['help']} (default {f.default})",
         )
 
 
 def _collect_overrides(args) -> dict[str, str]:
     out = {}
-    for key in CONFIG_HELP:
-        val = getattr(args, f"cfg_{key}", None)
+    for f in dataclasses.fields(RunConfig):
+        val = getattr(args, f"cfg_{f.name}", None)
         if val is not None:
-            out[key] = val
+            out[f.name] = val
     return out
 
 
@@ -462,7 +433,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, _collect_overrides(args))
         return _VERBS[args.verb](args, cfg)
-    except (ConfigError, dataio.MotParseError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, dataio.MotParseError, OSError, ValueError) as exc:
         print(f"headtrack: {exc}", file=sys.stderr)
         return DATA_ERROR
     except Exception as exc:  # pragma: no cover - defensive

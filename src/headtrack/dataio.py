@@ -235,7 +235,7 @@ def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
             vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).astype(float)
             offset += 4 * dim
             n = float(np.linalg.norm(vec))
-            if abs(n - 1.0) > 1e-4:
+            if not abs(n - 1.0) <= 1e-4:  # also rejects a NaN norm
                 raise ValueError(f"{name} for ({frame},{det_index}) is not unit-norm: |v|={n}")
             kinds[name] = vec / n
         out[(frame, det_index)] = AppearanceDescriptor(**kinds)

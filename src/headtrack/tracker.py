@@ -1,10 +1,12 @@
 """Per-frame track lifecycle: predict, associate, spawn, age out.
 
 One Tracker instance owns one sequence. Matched tracks are corrected with
-the iterated Kalman update; unmatched tracks coast on prediction and are
-eliminated after ``patience_w`` consecutive misses. New tracks start
-tentative and are only emitted once they have accumulated ``min_hits``
-matches.
+the closed-form Kalman update: the (u, v, a, h) measurement is linear in
+the state, so ``kalman.iterated_update``, the routine for nonlinear
+measurement functions, would stop after one pass with the same result.
+Unmatched tracks coast on prediction and are eliminated after
+``patience_w`` consecutive misses. New tracks start tentative and are
+only emitted once they have accumulated ``min_hits`` matches.
 """
 
 from __future__ import annotations
@@ -62,14 +64,12 @@ class Track:
 @dataclass(frozen=True)
 class TrackerConfig:
     patience_w: int = 30
-    gate_g: float = 0.5
     init_score_min: float = 0.25
     min_hits: int = 3
     emit_predictions: bool = False
     descriptor_momentum: float = 0.9
     assoc: AssociationConfig = field(default_factory=AssociationConfig)
     noise: kalman.KalmanConfig = field(default_factory=kalman.KalmanConfig)
-    iterated: kalman.IteratedUpdateConfig = field(default_factory=kalman.IteratedUpdateConfig)
 
     def __post_init__(self):
         if self.patience_w < 1:
@@ -78,8 +78,6 @@ class TrackerConfig:
             raise ValueError(f"min_hits must be >= 1, got {self.min_hits}")
         if not 0.0 <= self.descriptor_momentum < 1.0:
             raise ValueError("descriptor_momentum must lie in [0, 1)")
-        # the tracker-level gate is authoritative for association as well
-        object.__setattr__(self, "assoc", replace(self.assoc, gate_g=self.gate_g))
 
 
 def measurement_from_bbox(bbox: BBox) -> np.ndarray:
@@ -212,15 +210,10 @@ class Tracker:
         z = measurement_from_bbox(det.bbox)
         model = kalman.constant_velocity_model(track.kf.x[3], self.cfg.noise)
         try:
-            result = kalman.iterated_update(
-                track.kf, z, model, cfg=self.cfg.iterated, h_min=self.cfg.noise.h_min
-            )
+            track.kf = kalman.update(track.kf, z, model, h_min=self.cfg.noise.h_min)
         except kalman.IllConditionedUpdate:
             jittered = replace(model, R=model.R + _JITTER * np.eye(4))
-            result = kalman.iterated_update(
-                track.kf, z, jittered, cfg=self.cfg.iterated, h_min=self.cfg.noise.h_min
-            )
-        track.kf = result.state
+            track.kf = kalman.update(track.kf, z, jittered, h_min=self.cfg.noise.h_min)
         track.miss_count = 0
         track.hit_count += 1
         if track.hit_count >= self.cfg.min_hits:

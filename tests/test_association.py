@@ -224,6 +224,8 @@ class TestAppearanceCost:
         with pytest.raises(ValueError):
             AppearanceDescriptor(f_cls=np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
+            AppearanceDescriptor(f_cls=np.array([0.6, np.nan, 0.8]))
+        with pytest.raises(ValueError):
             AppearanceDescriptor()
 
 

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headtrack import cli
 from headtrack.dataio import DescriptorRecord, parse_mot, read_descriptors, write_descriptors
@@ -119,6 +122,22 @@ class TestTrack:
         )
         assert code == 0
         assert (out_dir / "a.txt").read_bytes() == (out_dir / "b.txt").read_bytes()
+
+    def test_nan_descriptor_is_data_error(self, tmp_path, capsys):
+        dets = write(tmp_path / "det.txt", "".join(
+            f"{f},-1,100,100,40,100,1,-1,-1,-1\n" for f in (1, 2, 3)
+        ))
+        records = [
+            DescriptorRecord(f, 0, f_cls=np.array([np.nan if f == 2 else 1.0, 0.0]))
+            for f in (1, 2, 3)
+        ]
+        sidecar = tmp_path / "features.ftfv"
+        write_descriptors(sidecar, records, dim_cls=2, dim_reg=0, dim_head=0)
+        out = tmp_path / "res.txt"
+        code = cli.main(["track", "--dets", dets, "--features", str(sidecar), "--out", str(out)])
+        assert code == 2
+        assert "f_cls for (2,0) is not unit-norm" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDirectorySidecars:
@@ -244,13 +263,35 @@ class TestAssign:
 
 
 class TestConfigHandling:
-    def test_unknown_config_key_rejected(self, tmp_path):
-        cfgfile = write(tmp_path / "run.cfg", "warp_speed = 9\n")
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         spec = write(tmp_path / "scene.cfg", SCENE)
-        code = cli.main(
-            ["simulate", "--spec", spec, "--out-dir", str(tmp_path / "o"), "--config", cfgfile]
-        )
-        assert code == 2
+        # sigma, epsilon_conv and max_iters were keys once; they changed no output
+        for key in ("warp_speed", "sigma", "epsilon_conv", "max_iters"):
+            cfgfile = write(tmp_path / "run.cfg", f"{key} = 9\n")
+            code = cli.main(
+                ["simulate", "--spec", spec, "--out-dir", str(tmp_path / "o"), "--config", cfgfile]
+            )
+            assert code == 2
+            assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    def test_non_finite_value_rejected(self, sim_dir, tmp_path, capsys):
+        track = ["track", "--dets", str(sim_dir / "det.txt"), "--out", str(tmp_path / "o.txt")]
+        cfgfile = write(tmp_path / "run.cfg", "init_score_min = nan\n")
+        assert cli.main(track + ["--config", cfgfile]) == 2
+        assert "key init_score_min" in capsys.readouterr().err
+        assert cli.main(track + ["--gate-g", "inf"]) == 2
+        assert "key gate_g" in capsys.readouterr().err
+        assert not (tmp_path / "o.txt").exists()
+
+    def test_directory_path_is_data_error(self, sim_dir, tmp_path, capsys):
+        gt = str(sim_dir / "gt.txt")
+        evaluate = ["evaluate", "--gt", gt, "--result", gt]
+        assert cli.main(evaluate + ["--config", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert cli.main(["track", "--dets", str(sim_dir / "det.txt"), "--out", str(out_dir)]) == 2
+        assert str(out_dir) in capsys.readouterr().err
 
     def test_config_file_and_override_precedence(self, tmp_path):
         cfgfile = write(tmp_path / "run.cfg", "seed = 7\nimage_width = 640\n")
@@ -269,9 +310,11 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as e:
             cli.main(["track", "--help"])
         assert e.value.code == 0
-        text = capsys.readouterr().out
-        for key in cli.CONFIG_HELP:
-            assert f"--{key.replace('_', '-')}" in text
+        # argparse re-wraps help lines, so compare with whitespace removed
+        text = "".join(capsys.readouterr().out.split())
+        for f in dataclasses.fields(cli.RunConfig):
+            flag = f"--{f.name.replace('_', '-')}V"
+            assert "".join(f"{flag}{f.metadata['help']} (default {f.default})".split()) in text
 
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -283,3 +326,45 @@ class TestConfigHandling:
             ["track", "--dets", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o.txt")]
         )
         assert code == 2
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(cli.RunConfig)]
+CONFIG_LINES = st.one_of(
+    st.builds(
+        "{}{}{}".format,
+        st.one_of(st.sampled_from(CONFIG_KEYS + ["sigma"]), st.text(max_size=8)),
+        st.sampled_from(["=", " = ", "==", " "]),
+        st.one_of(
+            st.sampled_from(["nan", "-inf", "1e400", "0", "-1", "7", "0.5", "true", "off", ""]),
+            st.text(max_size=12),
+        ),
+    ),
+    st.text(max_size=20),
+)
+CONFIG_TEXTS = st.lists(CONFIG_LINES, max_size=6).map("\n".join)
+
+
+class TestConfigFuzz:
+    """Any key=value text gives a RunConfig or a ConfigError, and exit 0 or 2."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        write(root / "gt.txt", "1,1,10,10,20,40,1,-1,-1,-1\n2,1,12,10,20,40,1,-1,-1,-1\n")
+        return root
+
+    @given(text=CONFIG_TEXTS)
+    @settings(max_examples=40, deadline=None)
+    def test_load_config(self, fuzz_dir, text):
+        cfgfile = write(fuzz_dir / "run.cfg", text)
+        try:
+            assert isinstance(cli.load_config(cfgfile), cli.RunConfig)
+        except cli.ConfigError:
+            pass
+
+    @given(text=CONFIG_TEXTS)
+    @settings(max_examples=20, deadline=None)
+    def test_evaluate_exit_code(self, fuzz_dir, text):
+        cfgfile = write(fuzz_dir / "run.cfg", text)
+        gt = str(fuzz_dir / "gt.txt")
+        assert cli.main(["evaluate", "--gt", gt, "--result", gt, "--config", cfgfile]) in (0, 2)

@@ -149,6 +149,13 @@ class TestDescriptorFile:
         with pytest.raises(ValueError):
             read_descriptors(path)
 
+    def test_nan_vector_rejected_on_read(self, tmp_path):
+        path = tmp_path / "d.ftfv"
+        rec = DescriptorRecord(frame=2, det_index=0, f_cls=np.array([0.6, np.nan, 0.8]))
+        write_descriptors(path, [rec], dim_cls=3, dim_reg=0, dim_head=0)
+        with pytest.raises(ValueError, match=r"f_cls for \(2,0\) is not unit-norm"):
+            read_descriptors(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "d.ftfv"
         path.write_bytes(b"NOPE" + b"\x00" * 30)

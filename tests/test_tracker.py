@@ -24,8 +24,7 @@ def det(frame, cx, cy, w=40.0, h=100.0, score=1.0, descriptor=None):
 
 def motion_config(**kw):
     defaults = dict(
-        gate_g=0.2,
-        assoc=AssociationConfig(w_app=0.0, w_mot=1.0, motion_scale=1000.0),
+        assoc=AssociationConfig(w_app=0.0, w_mot=1.0, motion_scale=1000.0, gate_g=0.2),
     )
     defaults.update(kw)
     return TrackerConfig(**defaults)
@@ -70,8 +69,7 @@ class TestLifecycle:
         # descriptors, appearance-only cost: identities must survive
         cfg = TrackerConfig(
             min_hits=1,
-            gate_g=0.5,
-            assoc=AssociationConfig(w_app=1.0, w_mot=0.0, motion_scale=1000.0),
+            assoc=AssociationConfig(w_app=1.0, w_mot=0.0, motion_scale=1000.0, gate_g=0.5),
         )
         tr = Tracker(cfg)
         history = {1: [], 2: []}
@@ -236,7 +234,7 @@ class TestNumericalGuards:
         track = tr.tracks[0]
 
         seen_R = []
-        real_update = kalman.iterated_update
+        real_update = kalman.update
 
         def flaky(state, z, model, **kw):
             seen_R.append(model.R)
@@ -244,7 +242,7 @@ class TestNumericalGuards:
                 raise kalman.IllConditionedUpdate("singular innovation covariance")
             return real_update(state, z, model, **kw)
 
-        monkeypatch.setattr(kalman, "iterated_update", flaky)
+        monkeypatch.setattr(kalman, "update", flaky)
         matched = det(2, 102, 101)
         assert tr.step(2, [matched]) == [(1, matched.bbox)]
         assert len(seen_R) == 2
@@ -288,8 +286,7 @@ class TestFinalize:
         frames = mot_to_detections(scene.detections, desc)
         cfg = TrackerConfig(
             min_hits=1,
-            gate_g=0.5,
-            assoc=AssociationConfig(w_app=0.5, w_mot=0.5, motion_scale=2203.0),
+            assoc=AssociationConfig(w_app=0.5, w_mot=0.5, motion_scale=2203.0, gate_g=0.5),
         )
         tr = Tracker(cfg)
         for f in range(1, spec.frames + 1):
@@ -317,6 +314,6 @@ def test_config_validation():
         TrackerConfig(descriptor_momentum=1.0)
 
 
-def test_gate_forwarded_to_association():
-    cfg = TrackerConfig(gate_g=0.123)
-    assert cfg.assoc.gate_g == 0.123
+def test_association_gate_is_kept():
+    cfg = TrackerConfig(assoc=AssociationConfig(gate_g=0.8))
+    assert cfg.assoc.gate_g == 0.8
