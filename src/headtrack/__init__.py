@@ -3,7 +3,7 @@
 from .association import AppearanceDescriptor, AssociationConfig, CostMatrix
 from .geometry import BBox, GridIndex, HeadKeypoint
 from .kalman import IteratedUpdateConfig, KalmanConfig, KalmanModel, KalmanState
-from .lifting import LiftingConfig, Pose3, PseudoDepthConfig, TrajectoryGap
+from .lifting import LiftingConfig, Pose3, TrajectoryGap
 from .metrics import EvalFrame, EvalReport, evaluate
 from .tracker import Detection, Track, Tracker, TrackerConfig
 
@@ -23,7 +23,6 @@ __all__ = [
     "KalmanState",
     "LiftingConfig",
     "Pose3",
-    "PseudoDepthConfig",
     "Track",
     "Tracker",
     "TrackerConfig",

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,11 +63,7 @@ class RunConfig:
     emit_predictions: bool = _key(False, "also emit predicted boxes while a track coasts")
     # kalman
     h_min: float = _key(1.0, "lower clamp on the filtered target height")
-    # lifting
-    d_min: float = _key(1.0, "minimum depth of the pseudo-depth heuristic")
-    depth_eta: float = _key(0.05, "divisor offset of the pseudo-depth heuristic")
-    y_normalized: bool = _key(True, "normalize the box bottom edge by image height before lifting")
-    rotation_mode: str = _key("identity", "lifted pose rotations: identity or heading")
+    # gap filling
     se3_process_std: float = _key(0.1, "process noise std of the twist smoother")
     se3_meas_std: float = _key(0.01, "measurement noise std of the twist smoother")
     # label assignment
@@ -143,20 +140,6 @@ def tracker_config(cfg: RunConfig) -> TrackerConfig:
     )
 
 
-def lifting_config(cfg: RunConfig) -> lifting.LiftingConfig:
-    return lifting.LiftingConfig(
-        depth=lifting.PseudoDepthConfig(
-            d_min=cfg.d_min,
-            depth_eta=cfg.depth_eta,
-            y_normalized=cfg.y_normalized,
-            image_height=cfg.image_height,
-        ),
-        rotation_mode=cfg.rotation_mode,
-        process_std=cfg.se3_process_std,
-        meas_std=cfg.se3_meas_std,
-    )
-
-
 # -- verbs ---------------------------------------------------------------------
 
 
@@ -198,7 +181,7 @@ def cmd_track(args, cfg: RunConfig) -> int:
 
 def cmd_interpolate(args, cfg: RunConfig) -> int:
     lines = dataio.parse_mot(args.input)
-    lcfg = lifting_config(cfg)
+    lcfg = lifting.LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std)
     by_id: dict[int, list[tuple[int, BBox]]] = {}
     extras: dict[tuple[int, int], tuple[float, tuple]] = {}
     for l in lines:
@@ -206,7 +189,10 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
         extras[(l.frame, l.id)] = (l.conf, l.extra)
     out: list[dataio.MotLine] = []
     for tid in sorted(by_id):
-        filled, skipped = lifting.complete(by_id[tid], args.method, lcfg)
+        try:
+            filled, skipped = lifting.complete(by_id[tid], args.method, lcfg)
+        except ValueError as exc:
+            raise ValueError(f"{args.input}: track {tid}: {exc}") from None
         for frame, box in filled:
             conf, extra = extras.get((frame, tid), (1.0, (-1.0, -1.0, -1.0)))
             out.append(
@@ -356,6 +342,11 @@ def cmd_assign(args, cfg: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read signed float literals, exponents included, as values
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

@@ -1,48 +1,34 @@
-"""Offline trajectory completion through pseudo-depth lifting to SE(3).
+"""Offline trajectory completion: fill the frame gaps of one track.
 
-Track points are lifted to 3D with a monotone heuristic depth taken from
-the box bottom edge, z = d_min + 1/(y + eta), then gaps are filled by one
-of four methods: plain 2D linear interpolation, componentwise 3D linear
-interpolation, the SE(3) geodesic, or a constant-velocity Kalman smoother
-over the 6-dim twist sequence. Observed frames are never altered.
+Three methods, each with its own behaviour:
+
+* ``linear2d`` interpolates box centres linearly in the image;
+* ``se3_linear`` follows the SE(3) geodesic between the two anchor poses,
+  each placed at the box centre (z = 0) and turned about the z axis to
+  face the direction of travel, so a track that turns is filled on an
+  arc; a turn of pi across a gap has no principal-branch geodesic and is
+  rejected;
+* ``se3_kalman`` runs a constant-velocity Kalman smoother over the 6-dim
+  twists of identity-rotation poses at the box centres, so a gap blends
+  the motion on both sides.
+
+Box width and height are always interpolated linearly. Observed frames
+are never altered.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import BBox
 
-METHODS = ("linear2d", "linear3d", "se3_linear", "se3_kalman")
+METHODS = ("linear2d", "se3_linear", "se3_kalman")
 
 _ANGLE_EPS = 1e-8
 _BRANCH_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class PseudoDepthConfig:
-    """Depth heuristic knobs.
-
-    ``y_normalized`` divides the bottom-edge coordinate by ``image_height``
-    before applying the formula; with raw pixel coordinates the reciprocal
-    term is negligible for any realistic image.
-    """
-
-    d_min: float = 1.0
-    depth_eta: float = 0.05
-    y_normalized: bool = True
-    image_height: float = 1.0
-
-    def __post_init__(self):
-        if self.depth_eta <= 0.0:
-            raise ValueError(f"depth_eta must be positive, got {self.depth_eta}")
-        if self.d_min < 0.0:
-            raise ValueError(f"d_min must be non-negative, got {self.d_min}")
-        if self.image_height <= 0.0:
-            raise ValueError(f"image_height must be positive, got {self.image_height}")
 
 
 @dataclass(frozen=True)
@@ -77,15 +63,15 @@ class Pose3:
 
 @dataclass(frozen=True)
 class LiftingConfig:
-    depth: PseudoDepthConfig = field(default_factory=PseudoDepthConfig)
-    rotation_mode: str = "identity"  # or "heading": yaw from travel direction
-    process_std: float = 0.1
+    process_std: float = 0.1  # twist smoother noise, squared into Q and R
     meas_std: float = 0.01
     max_gap: int | None = None
 
     def __post_init__(self):
-        if self.rotation_mode not in ("identity", "heading"):
-            raise ValueError(f"unknown rotation_mode {self.rotation_mode!r}")
+        for name in ("process_std", "meas_std"):
+            std = getattr(self, name)
+            if not math.isfinite(std * std):
+                raise ValueError(f"{name} must have a finite square, got {std}")
 
 
 @dataclass(frozen=True)
@@ -102,21 +88,6 @@ class TrajectoryGap:
                 raise ValueError(
                     f"missing frame {f} outside ({self.before[0]}, {self.after[0]})"
                 )
-
-
-def pseudo_depth(y_bottom: float, cfg: PseudoDepthConfig = PseudoDepthConfig()) -> float:
-    """z = d_min + 1/(y + eta). Strictly decreasing in y, bounded below by d_min."""
-    if y_bottom < 0.0:
-        raise ValueError(f"bottom-edge coordinate must be non-negative, got {y_bottom}")
-    return cfg.d_min + 1.0 / (y_bottom + cfg.depth_eta)
-
-
-def lift(u: float, v: float, bbox: BBox, cfg: PseudoDepthConfig = PseudoDepthConfig()) -> Pose3:
-    """Lift an image point to a 3D pose with depth from the box bottom edge."""
-    y_bot = bbox.y2
-    if cfg.y_normalized:
-        y_bot = y_bot / cfg.image_height
-    return Pose3(R=np.eye(3), t=np.array([u, v, pseudo_depth(y_bot, cfg)]))
 
 
 def _skew(w: np.ndarray) -> np.ndarray:
@@ -225,8 +196,8 @@ def complete(
             )
             continue
         if method == "se3_linear":
-            T1 = _anchor_pose(pts, idx, cfg)
-            T2 = _anchor_pose(pts, idx + 1, cfg)
+            T1 = _heading_pose(pts, idx)
+            T2 = _heading_pose(pts, idx + 1)
         for f in range(f1 + 1, f2):
             omega = (f - f1) / (f2 - f1)
             w = b1.w + omega * (b2.w - b1.w)
@@ -234,10 +205,6 @@ def complete(
             if method == "linear2d":
                 cx = b1.cx + omega * (b2.cx - b1.cx)
                 cy = b1.cy + omega * (b2.cy - b1.cy)
-            elif method == "linear3d":
-                t1 = lift(b1.cx, b1.cy, b1, cfg.depth).t
-                t2 = lift(b2.cx, b2.cy, b2, cfg.depth).t
-                cx, cy, _ = t1 + omega * (t2 - t1)
             elif method == "se3_linear":
                 cx, cy, _ = interpolate_se3(T1, T2, omega).t
             else:  # se3_kalman
@@ -258,39 +225,32 @@ def _heading_yaw(prev: np.ndarray | None, cur: np.ndarray, nxt: np.ndarray | Non
     return math.atan2(float(d[1]), float(d[0]))
 
 
-def _yaw_pose(t: np.ndarray, yaw: float) -> Pose3:
+def _centre(box: BBox) -> np.ndarray:
+    return np.array([box.cx, box.cy, 0.0])
+
+
+def _heading_pose(pts: list[tuple[int, BBox]], idx: int) -> Pose3:
+    """Pose at the box centre, turned about z to face the direction of travel."""
+    t = _centre(pts[idx][1])
+    prev_t = _centre(pts[idx - 1][1]) if idx > 0 else None
+    next_t = _centre(pts[idx + 1][1]) if idx + 1 < len(pts) else None
+    yaw = _heading_yaw(prev_t, t, next_t)
     c, s = math.cos(yaw), math.sin(yaw)
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     return Pose3(R=R, t=t)
 
 
-def _anchor_pose(pts: list[tuple[int, BBox]], idx: int, cfg: LiftingConfig) -> Pose3:
-    box = pts[idx][1]
-    base = lift(box.cx, box.cy, box, cfg.depth)
-    if cfg.rotation_mode == "identity":
-        return base
-
-    def lifted(k):
-        b = pts[k][1]
-        return lift(b.cx, b.cy, b, cfg.depth).t
-
-    prev_t = lifted(idx - 1) if idx > 0 else None
-    next_t = lifted(idx + 1) if idx + 1 < len(pts) else None
-    return _yaw_pose(base.t, _heading_yaw(prev_t, base.t, next_t))
-
-
 def _twist_smoother(pts: list[tuple[int, BBox]], cfg: LiftingConfig) -> dict[int, np.ndarray]:
     """RTS-smoothed translations for every frame spanned by the trajectory.
 
-    Runs a constant-velocity filter over the 6-dim twist of each lifted
-    pose (measurement updates at observed frames, prediction only inside
-    gaps), then smooths backward so gap poses blend the motion on both
-    sides. Returns frame -> (x, y, z) translation of the smoothed pose.
+    Runs a constant-velocity filter over the 6-dim twist of the identity-
+    rotation pose at each box centre (measurement updates at observed
+    frames, prediction only inside gaps), then smooths backward so gap
+    poses blend the motion on both sides. Returns frame -> (x, y, z)
+    translation of the smoothed pose.
     """
     frames = [f for f, _ in pts]
-    observed: dict[int, np.ndarray] = {}
-    for idx, (f, b) in enumerate(pts):
-        observed[f] = se3_log(_anchor_pose(pts, idx, cfg))
+    observed = {f: se3_log(Pose3(R=np.eye(3), t=_centre(b))) for f, b in pts}
 
     dim = 6
     F = np.eye(2 * dim)

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headtrack import cli
+from headtrack import cli, lifting
 from headtrack.dataio import DescriptorRecord, parse_mot, read_descriptors, write_descriptors
 
 SCENE = """
@@ -239,6 +239,43 @@ class TestInterpolate:
         assert [l.frame for l in lines] == [1, 2, 3, 4, 5]
         assert lines[2].x == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("method", lifting.METHODS)
+    def test_box_above_image_is_filled(self, tmp_path, method):
+        # y + h < 0: the box lies wholly above the image top, a legal MOT row
+        rows = ["1,1,100,-200,40,80,1,-1,-1,-1", "4,1,130,-190,40,80,1,-1,-1,-1"]
+        inp = write(tmp_path / "in.txt", "\n".join(rows) + "\n")
+        out = tmp_path / "out.txt"
+        assert cli.main(["interpolate", "--input", inp, "--method", method, "--out", str(out)]) == 0
+        assert [l.frame for l in parse_mot(out)] == [1, 2, 3, 4]
+
+    def test_branch_cut_names_the_track(self, tmp_path, capsys):
+        # a U-turn across the gap: the anchors at frames 3 and 6 face opposite ways
+        rows = [f"{f},7,{x},50,40,80,1,-1,-1,-1" for f, x in
+                [(1, 100), (2, 110), (3, 120), (6, 150), (7, 140)]]
+        inp = write(tmp_path / "in.txt", "\n".join(rows) + "\n")
+        out = tmp_path / "out.txt"
+        code = cli.main(["interpolate", "--input", inp, "--method", "se3_linear", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "track 7" in err and "principal branch" in err
+
+    @pytest.mark.parametrize(
+        "flag, name", [("--se3-meas-std", "meas_std"), ("--se3-process-std", "process_std")]
+    )
+    def test_overflowing_smoother_std_rejected(self, sim_dir, tmp_path, capsys, flag, name):
+        # 1e200 is finite, but its square, which the smoother uses, is not
+        out = tmp_path / "out.txt"
+        args = ["interpolate", "--input", str(sim_dir / "gt.txt"), "--method", "se3_kalman"]
+        assert cli.main(args + ["--out", str(out), flag, "1e200"]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deleted_method_is_usage_error(self, sim_dir, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["interpolate", "--input", str(sim_dir / "gt.txt"),
+                      "--method", "linear3d", "--out", str(tmp_path / "out.txt")])
+        assert e.value.code == 1
+
 
 class TestAssign:
     def test_table_matches_module_oracle(self, tmp_path, capsys):
@@ -265,8 +302,10 @@ class TestAssign:
 class TestConfigHandling:
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         spec = write(tmp_path / "scene.cfg", SCENE)
-        # sigma, epsilon_conv and max_iters were keys once; they changed no output
-        for key in ("warp_speed", "sigma", "epsilon_conv", "max_iters"):
+        # the keys after warp_speed were keys once; they changed no output
+        deleted = ("sigma", "epsilon_conv", "max_iters", "d_min", "depth_eta", "y_normalized",
+                   "rotation_mode")
+        for key in ("warp_speed",) + deleted:
             cfgfile = write(tmp_path / "run.cfg", f"{key} = 9\n")
             code = cli.main(
                 ["simulate", "--spec", spec, "--out-dir", str(tmp_path / "o"), "--config", cfgfile]
@@ -292,6 +331,15 @@ class TestConfigHandling:
         out_dir.mkdir()
         assert cli.main(["track", "--dets", str(sim_dir / "det.txt"), "--out", str(out_dir)]) == 2
         assert str(out_dir) in capsys.readouterr().err
+
+    def test_negative_exponent_flag_value(self, sim_dir, tmp_path, capsys):
+        track = ["track", "--dets", str(sim_dir / "det.txt")]
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert cli.main(track + ["--out", str(a), "--motion-scale", "-1e-3"]) == 0
+        assert cli.main(track + ["--out", str(b), "--motion-scale=-1e-3"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert cli.main(track + ["--out", str(a), "--gate-g", "-1e-3"]) == 2
+        assert "gate must be positive" in capsys.readouterr().err
 
     def test_config_file_and_override_precedence(self, tmp_path):
         cfgfile = write(tmp_path / "run.cfg", "seed = 7\nimage_width = 640\n")

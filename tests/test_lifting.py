@@ -8,11 +8,8 @@ from headtrack.lifting import (
     LiftingConfig,
     METHODS,
     Pose3,
-    PseudoDepthConfig,
     complete,
     interpolate_se3,
-    lift,
-    pseudo_depth,
     se3_exp,
     se3_log,
 )
@@ -38,68 +35,6 @@ def random_twist(rng, max_angle=math.pi - 0.01):
     angle = rng.uniform(0, max_angle)
     rho = rng.uniform(-10, 10, 3)
     return np.concatenate([axis * angle, rho])
-
-
-class TestPseudoDepth:
-    def test_direct_substitution(self):
-        cfg = PseudoDepthConfig(d_min=1.0, depth_eta=1.0)
-        assert pseudo_depth(1.0, cfg) == pytest.approx(1.5)
-
-    def test_origin_value(self):
-        cfg = PseudoDepthConfig(d_min=0.0, depth_eta=0.05)
-        assert pseudo_depth(0.0, cfg) == pytest.approx(20.0)
-
-    def test_monotone_decreasing(self):
-        cfg = PseudoDepthConfig()
-        assert pseudo_depth(0.2, cfg) > pseudo_depth(0.8, cfg)
-        ys = np.linspace(0, 1, 50)
-        zs = [pseudo_depth(float(y), cfg) for y in ys]
-        assert all(a > b for a, b in zip(zs, zs[1:]))
-
-    def test_bounded_below(self):
-        cfg = PseudoDepthConfig(d_min=2.5)
-        for y in np.linspace(0, 100, 200):
-            assert pseudo_depth(float(y), cfg) > 2.5
-
-    def test_rejects_negative_y(self):
-        with pytest.raises(ValueError):
-            pseudo_depth(-0.1)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PseudoDepthConfig(depth_eta=0.0)
-        with pytest.raises(ValueError):
-            PseudoDepthConfig(d_min=-1.0)
-
-
-class TestLift:
-    def test_stationary_box_is_stable(self):
-        cfg = PseudoDepthConfig(image_height=1000.0)
-        box = BBox(100, 200, 50, 100)
-        poses = [lift(box.cx, box.cy, box, cfg) for _ in range(5)]
-        for p in poses[1:]:
-            assert np.array_equal(p.t, poses[0].t)
-            assert np.array_equal(p.R, poses[0].R)
-
-    def test_depth_decreases_moving_down_image(self):
-        cfg = PseudoDepthConfig(image_height=1000.0)
-        zs = []
-        for y in (100, 300, 500, 700):
-            box = BBox(100, y, 50, 100)
-            zs.append(lift(box.cx, box.cy, box, cfg).t[2])
-        assert all(a > b for a, b in zip(zs, zs[1:]))
-
-    def test_hand_computed_depth(self):
-        # bottom edge (200 + 100) / 1000 = 0.3: z = 1 + 1/0.35
-        cfg = PseudoDepthConfig(d_min=1.0, depth_eta=0.05, image_height=1000.0)
-        p = lift(125.0, 250.0, BBox(100, 200, 50, 100), cfg)
-        assert p.t[2] == pytest.approx(3.857142857142857, abs=1e-12)
-        assert np.allclose(p.R, np.eye(3))
-
-    def test_raw_pixel_mode(self):
-        cfg = PseudoDepthConfig(d_min=1.0, depth_eta=0.05, y_normalized=False)
-        p = lift(0.0, 0.0, BBox(0, 0, 10, 300), cfg)
-        assert p.t[2] == pytest.approx(1.0 + 1.0 / 300.05)
 
 
 class TestExpLog:
@@ -207,7 +142,7 @@ def drop_frames(pts, missing):
 
 class TestComplete:
     def setup_method(self):
-        self.cfg = LiftingConfig(depth=PseudoDepthConfig(image_height=1080.0))
+        self.cfg = LiftingConfig()
 
     def test_constant_velocity_gap_recovered_exactly(self):
         truth = linear_track(20)
@@ -222,7 +157,7 @@ class TestComplete:
     def test_translation_only_methods_agree(self):
         truth = linear_track(15)
         gappy = drop_frames(truth, set(range(5, 10)))
-        a, _ = complete(gappy, "linear3d", self.cfg)
+        a, _ = complete(gappy, "linear2d", self.cfg)
         b, _ = complete(gappy, "se3_linear", self.cfg)
         for (fa, ba), (fb, bb) in zip(a, b):
             assert fa == fb
@@ -245,7 +180,7 @@ class TestComplete:
         assert [f for f, _ in filled] == list(range(1, 13))
 
     def test_max_gap_skips_and_reports(self):
-        cfg = LiftingConfig(depth=self.cfg.depth, max_gap=2)
+        cfg = LiftingConfig(max_gap=2)
         truth = linear_track(12)
         gappy = drop_frames(truth, {4, 5, 6})
         filled, skipped = complete(gappy, "linear2d", cfg)
@@ -286,14 +221,19 @@ class TestComplete:
         truth = self.arc_track()
         missing = set(range(16, 26))
         err_kalman = self.fill_error("se3_kalman", truth, missing)
-        err_linear = self.fill_error("se3_linear", truth, missing)
+        err_linear = self.fill_error("linear2d", truth, missing)
         assert err_kalman <= err_linear
 
+    def test_heading_geodesic_follows_arcs(self):
+        truth = self.arc_track()
+        missing = set(range(16, 26))
+        err_geodesic = self.fill_error("se3_linear", truth, missing)
+        assert err_geodesic < 0.5 * self.fill_error("linear2d", truth, missing)
+
     def test_heading_mode_still_exact_at_endpoints(self):
-        cfg = LiftingConfig(depth=self.cfg.depth, rotation_mode="heading")
         truth = self.arc_track(n=20)
         gappy = drop_frames(truth, {8, 9, 10})
-        filled, _ = complete(gappy, "se3_linear", cfg)
+        filled, _ = complete(gappy, "se3_linear", self.cfg)
         got = dict(filled)
         for f, b in gappy:
             assert got[f] == b
@@ -301,8 +241,10 @@ class TestComplete:
 
 
 def test_lifting_config_validation():
-    with pytest.raises(ValueError):
-        LiftingConfig(rotation_mode="spin")
+    for name in ("process_std", "meas_std"):
+        LiftingConfig(**{name: 1e150})  # its square, 1e300, is finite
+        with pytest.raises(ValueError, match=name):
+            LiftingConfig(**{name: 1e200})
 
 
 def test_trajectory_gap_frame_ordering_enforced():
