@@ -8,8 +8,9 @@ and maximizes match cardinality before minimizing total cost.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -115,51 +116,53 @@ def gaussian_weighted_descriptor(
     return flat / n
 
 
-def build_cost_matrix(tracks: Sequence, detections: Sequence, cfg: AssociationConfig) -> CostMatrix:
-    """Combine appearance and motion costs into a gated matrix.
+def stack_descriptors(descriptors: Sequence, cfg: AssociationConfig) -> dict:
+    """Map each weighted kind some descriptor carries to (N x d matrix, N presence mask).
 
-    ``tracks`` expose ``.kf`` (predicted KalmanState) and ``.descriptor``;
-    ``detections`` expose ``.bbox`` and ``.descriptor``. The motion term is
-    the center distance to the prediction over ``motion_scale``. The
-    appearance term is the cosine cost 1 - <p, q> (0 identical, 1
-    orthogonal, 2 antipodal), averaged over the weighted feature kinds a
-    pair shares with the weights renormalized over that subset; pairs that
-    share none use the motion term alone. Each kind costs one (T x d)(d x D)
-    product. Raises ValueError when a shared, weighted kind has mismatched
-    dimensions.
+    Rows without the kind are zero. Raises ValueError on a kind of several dimensions.
     """
-    T, D = len(tracks), len(detections)
-    trk_xy = np.array([trk.kf.x[:2] for trk in tracks], dtype=float).reshape(T, 2)
-    det_xy = np.array([(d.bbox.cx, d.bbox.cy) for d in detections], dtype=float).reshape(D, 2)
-    motion = np.hypot(trk_xy[:, :1] - det_xy[:, 0], trk_xy[:, 1:] - det_xy[:, 1]) / cfg.motion_scale
-
-    acc = np.zeros((T, D))
-    total_w = np.zeros((T, D))
+    out = {}
     for kind, w in zip(FEATURE_KINDS, cfg.feature_weights):
-        if w == 0.0:
+        vecs = [None if d is None else getattr(d, kind) for d in descriptors]
+        has = np.array([v is not None for v in vecs], dtype=bool)
+        if w == 0.0 or not has.any():
             continue
-        p = [getattr(trk.descriptor, kind, None) for trk in tracks]
-        q = [getattr(det.descriptor, kind, None) for det in detections]
-        has_p = np.array([v is not None for v in p], dtype=bool)
-        has_q = np.array([v is not None for v in q], dtype=bool)
-        if not (has_p.any() and has_q.any()):
-            continue
-        dims = {v.shape for v in p + q if v is not None}
+        dims = {v.shape for v in vecs if v is not None}
         if len(dims) > 1:
             raise ValueError(f"{kind} dimension mismatch: {sorted(dims)}")
         absent = np.zeros(dims.pop())
-        cos = _rows(p, absent) @ _rows(q, absent).T
+        out[kind] = (np.array([absent if v is None else v for v in vecs]), has)
+    return out
+
+
+def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: AssociationConfig):
+    """Gated tracks x detections CostMatrix of appearance and motion costs.
+
+    Centres are (T, 2) predictions and (D, 2) detections; feats come from
+    ``stack_descriptors``. Motion is the centre distance over
+    ``motion_scale``; appearance the cosine cost 1 - <p, q> averaged over
+    the weighted kinds a pair shares, weights renormalized over them (motion
+    alone if none). One (T x d)(d x D) product per kind. Raises ValueError
+    when a kind both sides carry differs in dimension.
+    """
+    T, D = len(trk_xy), len(det_xy)
+    motion = np.hypot(trk_xy[:, :1] - det_xy[:, 0], trk_xy[:, 1:] - det_xy[:, 1]) / cfg.motion_scale
+
+    acc, total_w = np.zeros((2, T, D))
+    for kind, w in zip(FEATURE_KINDS, cfg.feature_weights):
+        if w == 0.0 or kind not in trk_feats or kind not in det_feats:
+            continue
+        (p, has_p), (q, has_q) = trk_feats[kind], det_feats[kind]
+        if not (has_p.any() and has_q.any()):
+            continue
+        if p.shape[1] != q.shape[1]:
+            raise ValueError(f"{kind} dimension mismatch: {sorted({p.shape[1:], q.shape[1:]})}")
         shared = has_p[:, None] & has_q
-        acc += np.where(shared, w * (1.0 - cos), 0.0)
+        acc += np.where(shared, w * (1.0 - p @ q.T), 0.0)
         total_w += np.where(shared, w, 0.0)
     app = np.divide(acc, total_w, out=np.zeros((T, D)), where=total_w > 0.0)
     values = cfg.w_app * app + cfg.w_mot * motion
     return CostMatrix(values=values, gate_mask=values <= cfg.gate_g)
-
-
-def _rows(vectors: list, absent: np.ndarray) -> np.ndarray:
-    """Stack per-object vectors of one kind, with ``absent`` for objects that lack it."""
-    return np.array([absent if v is None else v for v in vectors])
 
 
 def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
@@ -183,17 +186,18 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     if not admissible.any():
         return []
 
-    # Square encoding: per-row / per-column dummy slots priced just above
-    # any admissible cost make "leave unmatched" explicit, so forbidden
-    # pairs never need huge sentinel magnitudes. Shifting admissible costs
-    # to non-negative keeps matching always preferable to unmatching
-    # without changing which matchings are optimal at a given cardinality.
+    # Square encoding: per-row / per-column dummy slots make "leave
+    # unmatched" explicit, so forbidden pairs need no huge sentinels.
+    # Admissible costs are shifted to [0, span]. One more match saves two
+    # dummy slots and adds at most min(T, D) * span of pair cost along its
+    # augmenting path, so with unmatch above that every optimum has maximum
+    # cardinality; among equal cardinalities the shift changes nothing.
     values = c.values
     kept = values[admissible]
     lo = min(float(kept.min()), 0.0)
     if lo < 0.0:
         values = values - lo
-    unmatch = float(kept.max()) - lo + 1.0
+    unmatch = min(T, D) * (float(kept.max()) - lo) + 1.0
     barred = (T + D + 1.0) * (unmatch + 1.0)
     n = T + D
     enc = np.full((n, n), barred)
@@ -220,16 +224,14 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
             break
         v = relaxed
     tight = reach - v <= tol
+    adj = functools.cache(lambda i: tight[i].nonzero()[0].tolist())  # rows as visited
 
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in np.argwhere(tight).tolist():
-        adj[i].append(j)
     owner = np.argsort(col).tolist()  # row holding each column
     col = col.tolist()
     fixed = [False] * n  # columns taken by already decided track rows
     for i in range(T):
         stop = min(col[i], D)  # only real detections below the current partner
-        for j in adj[i]:
+        for j in adj(i):
             if j >= stop:
                 break
             if not fixed[j] and _reroute(i, j, adj, col, owner, fixed):
@@ -238,9 +240,7 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     return [(i, col[i]) for i in range(T) if col[i] < D]
 
 
-def _reroute(
-    i: int, j: int, adj: list[list[int]], col: list[int], owner: list[int], fixed: list[bool]
-) -> bool:
+def _reroute(i: int, j: int, adj: Callable, col: list, owner: list, fixed: list) -> bool:
     """Give column j to row i if unfixed tight pairs can still complete the matching.
 
     Breadth-first search for an alternating path over unfixed tight pairs
@@ -251,7 +251,7 @@ def _reroute(
     via = {j: -1}  # column -> row that moves into it
     queue = [owner[j]]
     for r in queue:
-        for k in adj[r]:
+        for k in adj(r):
             if k in via or fixed[k]:
                 continue
             via[k] = r

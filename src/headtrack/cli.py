@@ -143,10 +143,22 @@ def tracker_config(cfg: RunConfig) -> TrackerConfig:
 # -- verbs ---------------------------------------------------------------------
 
 
+def _located(path, read):
+    """Run ``read``; a data error it raises comes back naming ``path``."""
+    try:
+        return read()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_format=False) -> None:
-    lines = dataio.parse_mot(dets_path)
-    descriptors = dataio.read_descriptors(features_path) if features_path else None
-    frames = dataio.mot_to_detections(lines, descriptors, head_format=head_format)
+    lines = _located(dets_path, lambda: dataio.parse_mot(dets_path))
+    descriptors = None
+    if features_path:
+        descriptors = _located(features_path, lambda: dataio.read_descriptors(features_path))
+    frames = _located(
+        dets_path, lambda: dataio.mot_to_detections(lines, descriptors, head_format=head_format)
+    )
     tracker = Tracker(tracker_config(cfg))
     out: list[dataio.MotLine] = []
     last = max(frames) if frames else 0
@@ -180,7 +192,7 @@ def cmd_track(args, cfg: RunConfig) -> int:
 
 
 def cmd_interpolate(args, cfg: RunConfig) -> int:
-    lines = dataio.parse_mot(args.input)
+    lines = _located(args.input, lambda: dataio.parse_mot(args.input))
     lcfg = lifting.LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std)
     by_id: dict[int, list[tuple[int, BBox]]] = {}
     extras: dict[tuple[int, int], tuple[float, tuple]] = {}
@@ -209,8 +221,8 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    gt_lines = dataio.parse_mot(args.gt)
-    res_lines = dataio.parse_mot(args.result)
+    gt_lines = _located(args.gt, lambda: dataio.parse_mot(args.gt))
+    res_lines = _located(args.result, lambda: dataio.parse_mot(args.result))
     frames = sorted({l.frame for l in gt_lines} | {l.frame for l in res_lines})
     gt_by_frame: dict[int, list] = {}
     for l in gt_lines:
@@ -265,21 +277,17 @@ def parse_scene_spec(path, cfg: RunConfig) -> dataio.SceneSpec:
             kwargs["occlusions"] = tuple(windows)
         elif key == "motion":
             kwargs["motion"] = val
-        elif key in int_keys:
-            kwargs[key] = _coerce(key, val, int)
-        elif key in float_keys:
-            kwargs[key] = _coerce(key, val, float)
+        elif key in int_keys or key in float_keys:
+            kind = int if key in int_keys else float
+            kwargs[key] = _located(f"{path}:{lineno}", lambda: _coerce(key, val, kind))
         else:
             raise ConfigError(f"{path}:{lineno}: unknown scene key {key!r}")
-    try:
-        return dataio.SceneSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _located(path, lambda: dataio.SceneSpec(**kwargs))
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
     spec = parse_scene_spec(args.spec, cfg)
-    scene = dataio.generate_scene(spec)
+    scene = _located(args.spec, lambda: dataio.generate_scene(spec))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_mot(out_dir / "gt.txt", scene.gt)

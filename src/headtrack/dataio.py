@@ -108,7 +108,7 @@ def parse_mot(source) -> list[MotLine]:
 
 def _fmt(v: float) -> str:
     """Shortest exact decimal for a float; integers drop the trailing .0."""
-    if v == int(v) and abs(v) < 1e15:
+    if abs(v) < 1e15 and v == int(v):  # inf and nan fail the first test
         return str(int(v))
     return repr(float(v))
 

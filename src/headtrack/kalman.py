@@ -8,6 +8,7 @@ convention, so small and large targets get comparable relative uncertainty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -23,7 +24,7 @@ class FilterDivergence(RuntimeError):
 
 
 class IllConditionedUpdate(RuntimeError):
-    """Innovation covariance is singular; retry with jittered R."""
+    """Innovation covariance is not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,13 @@ class KalmanConfig:
     vel_std_weight: float = 1.0 / 160
     meas_std_weight: float = 1.0 / 20
     h_min: float = 1.0
+
+    def __post_init__(self):
+        for name in ("pos_std_weight", "vel_std_weight", "meas_std_weight", "h_min"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if (self.meas_std_weight * self.h_min) ** 2 == 0.0:
+            raise ValueError(f"h_min {self.h_min} is so small that the measurement variance is 0")
 
 
 @dataclass(frozen=True)
@@ -75,19 +83,6 @@ class IteratedResult(NamedTuple):
     converged: bool
 
 
-def _transition_matrix() -> np.ndarray:
-    F = np.eye(STATE_DIM)
-    for i in range(MEAS_DIM):
-        F[i, i + MEAS_DIM] = 1.0
-    return F
-
-
-def _measurement_matrix() -> np.ndarray:
-    H = np.zeros((MEAS_DIM, STATE_DIM))
-    H[:, :MEAS_DIM] = np.eye(MEAS_DIM)
-    return H
-
-
 def constant_velocity_model(h: float, cfg: KalmanConfig = KalmanConfig()) -> KalmanModel:
     """Build F, H, Q, R for a target of height ``h``."""
     h = max(float(h), cfg.h_min)
@@ -96,7 +91,8 @@ def constant_velocity_model(h: float, cfg: KalmanConfig = KalmanConfig()) -> Kal
     meas = cfg.meas_std_weight * h
     Q = np.diag([pos**2] * MEAS_DIM + [vel**2] * MEAS_DIM)
     R = np.diag([meas**2] * MEAS_DIM)
-    return KalmanModel(F=_transition_matrix(), H=_measurement_matrix(), Q=Q, R=R)
+    F = np.eye(STATE_DIM) + np.eye(STATE_DIM, k=MEAS_DIM)  # each coordinate plus its velocity
+    return KalmanModel(F=F, H=np.eye(MEAS_DIM, STATE_DIM), Q=Q, R=R)
 
 
 def initiate(z: np.ndarray, cfg: KalmanConfig = KalmanConfig()) -> KalmanState:
@@ -105,15 +101,8 @@ def initiate(z: np.ndarray, cfg: KalmanConfig = KalmanConfig()) -> KalmanState:
     Velocities are unobserved at birth, so their variance is inflated:
     2x the measurement std on position terms, 10x on velocity terms.
     """
-    z = np.asarray(z, dtype=float)
-    h = max(float(z[3]), cfg.h_min)
-    x = np.zeros(STATE_DIM)
-    x[:MEAS_DIM] = z
-    x[3] = h
-    pos = 2.0 * cfg.meas_std_weight * h
-    vel = 10.0 * cfg.vel_std_weight * h
-    P = np.diag([pos**2] * MEAS_DIM + [vel**2] * MEAS_DIM)
-    return KalmanState(x=x, P=P)
+    x, ((p, c, v),) = initiate_rows(np.asarray(z, dtype=float)[None], cfg)
+    return KalmanState(x=x[0], P=np.kron([[p, c], [c, v]], np.eye(MEAS_DIM)))
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
@@ -214,3 +203,42 @@ def iterated_update(
     _check_finite(x_post, P_post)
     new_state = KalmanState(x=_clamp_height(x_post, h_min), P=P_post)
     return IteratedResult(state=new_state, iterations=iterations, converged=converged)
+
+
+# -- whole-array forms ---------------------------------------------------------
+# From a birth on, every covariance is kron([[p, c], [c, v]], I4): F pairs each
+# coordinate with its own velocity, and Q, R and the birth covariance repeat one
+# number on all four. So N filters are (N, 8) states and (N, 3) rows (p, c, v);
+# the forms below redo the matrix forms' arithmetic in order, bit for bit (C pow
+# squares, ``np.float_power``, as ``**`` on a Python float).
+Rows = tuple[np.ndarray, np.ndarray]
+
+
+def initiate_rows(z: np.ndarray, cfg: KalmanConfig) -> Rows:
+    """The filters started from the (N, 4) measurements ``z``: states and (p, c, v)."""
+    h = np.maximum(z[:, 3], cfg.h_min)
+    pos2, vel2 = np.float_power([2.0 * cfg.meas_std_weight * h, 10.0 * cfg.vel_std_weight * h], 2)
+    x = np.hstack([z[:, :3], h[:, None], np.zeros((len(z), MEAS_DIM))])
+    return x, np.column_stack([pos2, np.zeros(len(z)), vel2])
+
+
+def predict_rows(x: np.ndarray, pcv: np.ndarray, cfg: KalmanConfig) -> Rows:
+    """``predict`` of each row with its own model; a p rounded below 0 becomes 0."""
+    h = np.maximum(x[:, 3], cfg.h_min)
+    p, c, v = pcv.T
+    x = np.hstack([x[:, :MEAS_DIM] + x[:, MEAS_DIM:], x[:, MEAS_DIM:]])
+    x[:, 3] = np.maximum(x[:, 3], cfg.h_min)
+    pos2, vel2 = np.float_power([cfg.pos_std_weight * h, cfg.vel_std_weight * h], 2)
+    return x, np.column_stack([np.maximum(((p + c) + (c + v)) + pos2, 0.0), c + v, v + vel2])
+
+
+def update_rows(x: np.ndarray, pcv: np.ndarray, z: np.ndarray, cfg: KalmanConfig) -> Rows:
+    """``update`` of each row by its row of ``z``; S = p + r >= (meas * h_min)^2 > 0."""
+    p, c, v = pcv.T
+    l = np.sqrt(p + np.float_power(cfg.meas_std_weight * np.maximum(x[:, 3], cfg.h_min), 2))
+    k_pos, k_vel = p * (1 / l) * (1 / l), c * (1 / l) * (1 / l)
+    y = z - x[:, :MEAS_DIM]
+    x = np.hstack([x[:, :MEAS_DIM] + k_pos[:, None] * y, x[:, MEAS_DIM:] + k_vel[:, None] * y])
+    x[:, 3] = np.maximum(x[:, 3], cfg.h_min)
+    c_post = 0.5 * ((1 - k_pos) * c + (c - k_vel * p))
+    return x, np.column_stack([(1 - k_pos) * p, c_post, v - k_vel * c])

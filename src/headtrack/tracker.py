@@ -1,36 +1,29 @@
-"""Per-frame track lifecycle: predict, associate, spawn, age out.
+"""Per-frame track lifecycle over whole-array track state.
 
-One Tracker instance owns one sequence. Matched tracks are corrected with
-the closed-form Kalman update: the (u, v, a, h) measurement is linear in
-the state, so ``kalman.iterated_update``, the routine for nonlinear
-measurement functions, would stop after one pass with the same result.
-Unmatched tracks coast on prediction and are eliminated after
-``patience_w`` consecutive misses. New tracks start tentative and are
-only emitted once they have accumulated ``min_hits`` matches.
+One Tracker owns one sequence; its live tracks are array rows. Each frame
+predicts every row, associates, corrects the matched rows with the
+closed-form Kalman update (the (u, v, a, h) measurement is linear, so
+``kalman.iterated_update`` would stop after one pass) and blends their
+descriptors. A row that turns non-finite is a diverged filter: only that
+track is removed. Unmatched tracks coast on prediction and are eliminated
+after ``patience_w`` consecutive misses; tracks are emitted from ``min_hits`` matches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import kalman
-from .association import (
-    AppearanceDescriptor,
-    AssociationConfig,
-    FEATURE_KINDS,
-    build_cost_matrix,
-    solve_assignment,
-)
+from .association import AppearanceDescriptor, AssociationConfig, build_cost_matrix
+from .association import solve_assignment, stack_descriptors
 from .geometry import BBox, HeadKeypoint
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
 REMOVED = "removed"
-
-_JITTER = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,11 +45,9 @@ class Detection:
 
 @dataclass
 class Track:
+    """One identity and its matched boxes; while live, its filter is a Tracker row."""
+
     id: int
-    kf: kalman.KalmanState
-    descriptor: Optional[AppearanceDescriptor]
-    miss_count: int = 0
-    hit_count: int = 1
     status: str = TENTATIVE
     history: list[tuple[int, BBox]] = field(default_factory=list)
 
@@ -93,40 +84,22 @@ def bbox_from_state(x: np.ndarray) -> BBox:
     return BBox(x=float(x[0]) - 0.5 * w, y=float(x[1]) - 0.5 * h, w=w, h=h)
 
 
-def _ema_descriptor(
-    old: Optional[AppearanceDescriptor],
-    new: Optional[AppearanceDescriptor],
-    momentum: float,
-) -> Optional[AppearanceDescriptor]:
-    """Blend matched descriptors per feature kind and renormalize."""
-    if new is None:
-        return old
-    if old is None:
-        return new
-    merged = {}
-    for kind in FEATURE_KINDS:
-        a = getattr(old, kind)
-        b = getattr(new, kind)
-        if a is None and b is None:
-            continue
-        if a is None:
-            merged[kind] = b
-        elif b is None:
-            merged[kind] = a
-        else:
-            v = momentum * a + (1.0 - momentum) * b
-            n = float(np.linalg.norm(v))
-            # antipodal vectors can cancel; keep the fresher observation then
-            merged[kind] = b if n < 1e-9 else v / n
-    return AppearanceDescriptor(**merged)
-
-
 class Tracker:
-    """Stateful per-sequence tracker. Use one instance per sequence."""
+    """Stateful per-sequence tracker. Use one instance per sequence.
+
+    ``tracks`` holds every track ever spawned; ``live`` the ones not removed,
+    in id order, aligned with the rows of the states ``x`` (N x 8), their
+    covariances ``pcv`` (N x 3, see ``kalman.predict_rows``), ``hits``, ``misses``
+    and ``feats`` (weighted kind -> (N x d matrix, zero where absent; N mask)).
+    """
 
     def __init__(self, cfg: TrackerConfig = TrackerConfig()):
         self.cfg = cfg
         self.tracks: list[Track] = []
+        self.live: list[Track] = []
+        self.x, self.pcv = np.zeros((0, kalman.STATE_DIM)), np.zeros((0, 3))
+        self.hits, self.misses = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+        self.feats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._next_id = 1
         self._last_frame: Optional[int] = None
 
@@ -145,93 +118,92 @@ class Tracker:
             if det.frame != frame:
                 raise ValueError(f"detection for frame {det.frame} passed to step({frame})")
         self._last_frame = frame
+        if not (self.live or detections):  # nothing to predict, match or spawn
+            return []
+        cfg = self.cfg
 
-        live = self._predict_live()
-        matches = solve_assignment(build_cost_matrix(live, detections, self.cfg.assoc))
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.x, self.pcv = kalman.predict_rows(self.x, self.pcv, cfg.noise)
+        self._keep(np.isfinite(self.x).all(axis=1) & np.isfinite(self.pcv).all(axis=1))
 
-        det_for_track: dict[int, Detection] = {ti: detections[dj] for ti, dj in matches}
-        matched_dets = {dj for _, dj in matches}
+        z = np.array([measurement_from_bbox(d.bbox) for d in detections]).reshape(-1, 4)
+        det_feats = stack_descriptors([d.descriptor for d in detections], cfg.assoc)
+        cost = build_cost_matrix(self.x[:, :2], self.feats, z[:, :2], det_feats, cfg.assoc)
+        rows, cols = np.array(solve_assignment(cost), dtype=int).reshape(-1, 2).T
+        matched = dict(zip(rows.tolist(), cols.tolist()))
 
-        for ti, track in enumerate(live):
-            if ti in det_for_track:
-                self._apply_match(track, det_for_track[ti], frame)
-            else:
-                track.miss_count += 1
-                if track.miss_count >= self.cfg.patience_w:
-                    track.status = REMOVED
-
-        spawned = [
-            self._spawn(det, frame)
-            for dj, det in enumerate(detections)
-            if dj not in matched_dets and det.score >= self.cfg.init_score_min
-        ]
+        if matched:
+            x, pcv = kalman.update_rows(self.x[rows], self.pcv[rows], z[cols], cfg.noise)
+            self.x[rows], self.pcv[rows] = x, pcv
+        self._blend(rows, det_feats, cols)
+        self.misses += 1
+        self.misses[rows] = 0
+        self.hits[rows] += 1
+        for i, j in matched.items():
+            self.live[i].history.append((frame, detections[j].bbox))
+        for i in rows[self.hits[rows] == cfg.min_hits].tolist():
+            self.live[i].status = CONFIRMED
 
         out = []
-        for ti, track in enumerate(live):
-            if track.status != CONFIRMED:
-                continue
-            if ti in det_for_track:
-                out.append((track.id, det_for_track[ti].bbox))
-            elif self.cfg.emit_predictions:
-                out.append((track.id, bbox_from_state(track.kf.x)))
-        for track in spawned:
-            if track.status == CONFIRMED:
-                out.append((track.id, track.history[-1][1]))
-        out.sort(key=lambda item: item[0])
+        for i in np.flatnonzero(self.hits >= cfg.min_hits).tolist():
+            if i in matched:
+                out.append((self.live[i].id, detections[matched[i]].bbox))
+            elif cfg.emit_predictions and self.misses[i] < cfg.patience_w:
+                out.append((self.live[i].id, bbox_from_state(self.x[i])))
+        self._keep(self.misses < cfg.patience_w)
+
+        fresh = np.array([d.score >= cfg.init_score_min for d in detections], dtype=bool)
+        fresh[cols] = False
+        if fresh.any():
+            born = self._spawn(frame, detections, np.flatnonzero(fresh), z, det_feats)
+            out += [(t.id, t.history[-1][1]) for t in born if t.status == CONFIRMED]
         return out
 
     def finalize(self) -> list[tuple[int, list[tuple[int, BBox]]]]:
         """All trajectories that ever reached confirmation, sorted by id."""
-        out = [
-            (t.id, list(t.history))
-            for t in self.tracks
-            if t.hit_count >= self.cfg.min_hits
-        ]
-        out.sort(key=lambda item: item[0])
-        return out
+        return [(t.id, list(t.history)) for t in self.tracks if len(t.history) >= self.cfg.min_hits]
 
     # -- internals ---------------------------------------------------------
 
-    def _predict_live(self) -> list[Track]:
-        live = []
-        for track in self.tracks:
-            if track.status == REMOVED:
-                continue
-            model = kalman.constant_velocity_model(track.kf.x[3], self.cfg.noise)
-            try:
-                track.kf = kalman.predict(track.kf, model, h_min=self.cfg.noise.h_min)
-            except kalman.FilterDivergence:
-                track.status = REMOVED
-                continue
-            live.append(track)
-        return live
+    def _keep(self, keep: np.ndarray) -> None:
+        """Remove the live rows where ``keep`` is False."""
+        if keep.all():
+            return
+        for i in np.flatnonzero(~keep).tolist():
+            self.live[i].status = REMOVED
+        self.live = [t for t, k in zip(self.live, keep.tolist()) if k]
+        self.x, self.pcv = self.x[keep], self.pcv[keep]
+        self.hits, self.misses = self.hits[keep], self.misses[keep]
+        self.feats = {kind: (m[keep], has[keep]) for kind, (m, has) in self.feats.items()}
 
-    def _apply_match(self, track: Track, det: Detection, frame: int) -> None:
-        z = measurement_from_bbox(det.bbox)
-        model = kalman.constant_velocity_model(track.kf.x[3], self.cfg.noise)
-        try:
-            track.kf = kalman.update(track.kf, z, model, h_min=self.cfg.noise.h_min)
-        except kalman.IllConditionedUpdate:
-            jittered = replace(model, R=model.R + _JITTER * np.eye(4))
-            track.kf = kalman.update(track.kf, z, jittered, h_min=self.cfg.noise.h_min)
-        track.miss_count = 0
-        track.hit_count += 1
-        if track.hit_count >= self.cfg.min_hits:
-            track.status = CONFIRMED
-        track.descriptor = _ema_descriptor(
-            track.descriptor, det.descriptor, self.cfg.descriptor_momentum
-        )
-        track.history.append((frame, det.bbox))
+    def _blend(self, rows: np.ndarray, det_feats: dict, cols: np.ndarray) -> None:
+        """Renormalized per-kind EMA of matched descriptors; a lacking side takes the other's."""
+        mom, n = self.cfg.descriptor_momentum, len(self.live)
+        for kind, (q, has_q) in det_feats.items():
+            m, has = self.feats.get(kind, (None, None))
+            if m is None or (m.shape[1] != q.shape[1] and not has.any()):  # take q's dimension
+                m, has = self.feats[kind] = (np.zeros((n, q.shape[1])), np.zeros(n, dtype=bool))
+            a, b, new = m[rows], q[cols], has_q[cols]
+            v = mom * a + (1.0 - mom) * b
+            norm = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]  # row by row, as np.linalg.norm
+            # antipodal vectors can cancel; keep the fresher observation then
+            mixed = np.where(norm < 1e-9, b, v / np.maximum(norm, 1e-9))
+            m[rows] = np.where((has[rows] & new)[:, None], mixed, np.where(new[:, None], b, a))
+            has[rows] |= new
 
-    def _spawn(self, det: Detection, frame: int) -> Track:
-        state = kalman.initiate(measurement_from_bbox(det.bbox), self.cfg.noise)
-        track = Track(
-            id=self._next_id,
-            kf=state,
-            descriptor=det.descriptor,
-            status=CONFIRMED if self.cfg.min_hits <= 1 else TENTATIVE,
-            history=[(frame, det.bbox)],
-        )
-        self._next_id += 1
-        self.tracks.append(track)
-        return track
+    def _spawn(self, frame: int, detections: list[Detection], fresh, z, det_feats) -> list[Track]:
+        """Start one track per detection index in ``fresh``; ``z`` holds all measurements."""
+        for kind, (m, has) in list(self.feats.items()):
+            q, has_q = det_feats.get(kind, (np.zeros((len(z), m.shape[1])), np.zeros(len(z), bool)))
+            self.feats[kind] = (np.vstack([m, q[fresh]]), np.concatenate([has, has_q[fresh]]))
+        status = CONFIRMED if self.cfg.min_hits <= 1 else TENTATIVE
+        ids = range(self._next_id, self._next_id + len(fresh))
+        born = [Track(i, status, [(frame, detections[j].bbox)]) for i, j in zip(ids, fresh)]
+        self._next_id = ids.stop
+        self.tracks += born
+        self.live += born
+        x, pcv = kalman.initiate_rows(z[fresh], self.cfg.noise)
+        self.x, self.pcv = np.vstack([self.x, x]), np.vstack([self.pcv, pcv])
+        self.hits = np.append(self.hits, np.ones(len(born), dtype=int))
+        self.misses = np.append(self.misses, np.zeros(len(born), dtype=int))
+        return born

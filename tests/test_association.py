@@ -3,6 +3,8 @@ import time
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from headtrack.association import (
     FEATURE_KINDS,
@@ -12,6 +14,7 @@ from headtrack.association import (
     build_cost_matrix,
     gaussian_weighted_descriptor,
     solve_assignment,
+    stack_descriptors,
 )
 from headtrack.geometry import BBox, HeadKeypoint
 from headtrack.kalman import KalmanState
@@ -65,7 +68,7 @@ def reference_solve(c):
     lo = float(values[admissible].min())
     if lo < 0.0:
         values = values - lo
-    unmatch = float(values[admissible].max()) + 1.0
+    unmatch = min(T, D) * float(values[admissible].max()) + 1.0
     barred = (T + D + 1.0) * (unmatch + 1.0)
     n = T + D
     enc = np.full((n, n), barred)
@@ -150,16 +153,25 @@ class FakeDet:
         self.descriptor = descriptor
 
 
+def cost_matrix(tracks, detections, cfg):
+    """``build_cost_matrix`` on object lists: predicted centres and stacked descriptors."""
+    trk_xy = np.array([t.kf.x[:2] for t in tracks], dtype=float).reshape(-1, 2)
+    det_xy = np.array([(d.bbox.cx, d.bbox.cy) for d in detections], dtype=float).reshape(-1, 2)
+    trk_feats = stack_descriptors([t.descriptor for t in tracks], cfg)
+    det_feats = stack_descriptors([d.descriptor for d in detections], cfg)
+    return build_cost_matrix(trk_xy, trk_feats, det_xy, det_feats, cfg)
+
+
 def appearance_term(track_desc, det_desc, weights=(1.0, 0.0, 0.0)):
     """The appearance cost of one co-located pair, read through build_cost_matrix."""
     cfg = AssociationConfig(w_app=1.0, w_mot=0.0, feature_weights=weights, gate_g=1e9)
-    cm = build_cost_matrix([FakeTrack(0, 0, track_desc)], [FakeDet(0, 0, det_desc)], cfg)
+    cm = cost_matrix([FakeTrack(0, 0, track_desc)], [FakeDet(0, 0, det_desc)], cfg)
     return cm.values[0, 0]
 
 
 def motion_term(track, det, motion_scale):
     cfg = AssociationConfig(w_app=0.0, w_mot=1.0, motion_scale=motion_scale, gate_g=1e9)
-    return build_cost_matrix([track], [det], cfg).values[0, 0]
+    return cost_matrix([track], [det], cfg).values[0, 0]
 
 
 class TestCosineCost:
@@ -209,7 +221,7 @@ class TestAppearanceCost:
         cfg = AssociationConfig(w_app=0.7, w_mot=0.3, motion_scale=1.0, gate_g=1e9)
         a = AppearanceDescriptor(f_cls=unit(1, 0))
         b = AppearanceDescriptor(f_reg=unit(1, 0))
-        cm = build_cost_matrix([FakeTrack(0, 0, a)], [FakeDet(3, 4, b)], cfg)
+        cm = cost_matrix([FakeTrack(0, 0, a)], [FakeDet(3, 4, b)], cfg)
         assert cm.values[0, 0] == pytest.approx(0.3 * 5.0, abs=1e-12)
 
     def test_kind_order_irrelevant(self):
@@ -281,7 +293,7 @@ class TestBuildCostMatrix:
         cfg = AssociationConfig(w_app=0.0, w_mot=1.0, motion_scale=10.0, gate_g=100.0)
         tracks = [FakeTrack(0, 0), FakeTrack(10, 0)]
         dets = [FakeDet(0, 0), FakeDet(10, 0)]
-        cm = build_cost_matrix(tracks, dets, cfg)
+        cm = cost_matrix(tracks, dets, cfg)
         for i, t in enumerate(tracks):
             for j, d in enumerate(dets):
                 expected = np.hypot(t.kf.x[0] - d.bbox.cx, t.kf.x[1] - d.bbox.cy) / 10.0
@@ -289,10 +301,10 @@ class TestBuildCostMatrix:
 
     def test_empty_inputs(self):
         cfg = AssociationConfig()
-        cm = build_cost_matrix([], [FakeDet(0, 0)], cfg)
+        cm = cost_matrix([], [FakeDet(0, 0)], cfg)
         assert cm.values.shape == (0, 1)
         assert solve_assignment(cm) == []
-        cm = build_cost_matrix([FakeTrack(0, 0)], [], cfg)
+        cm = cost_matrix([FakeTrack(0, 0)], [], cfg)
         assert cm.values.shape == (1, 0)
         assert solve_assignment(cm) == []
 
@@ -303,7 +315,7 @@ class TestBuildCostMatrix:
                   FakeTrack(10, 0, AppearanceDescriptor(f_cls=e2))]
         dets = [FakeDet(3, 4, AppearanceDescriptor(f_cls=e1)),
                 FakeDet(10, 0, AppearanceDescriptor(f_cls=e1))]
-        cm = build_cost_matrix(tracks, dets, cfg)
+        cm = cost_matrix(tracks, dets, cfg)
         assert cm.values[0, 0] == pytest.approx(0.5 * 0.0 + 0.5 * 5.0)
         assert cm.values[0, 1] == pytest.approx(0.5 * 0.0 + 0.5 * 10.0)
         assert cm.values[1, 0] == pytest.approx(0.5 * 1.0 + 0.5 * np.hypot(7, 4))
@@ -313,12 +325,12 @@ class TestBuildCostMatrix:
         cfg = AssociationConfig(w_app=0.7, w_mot=0.3, motion_scale=1.0, gate_g=1e9)
         tracks = [FakeTrack(0, 0, AppearanceDescriptor(f_cls=unit(1, 0)))]
         dets = [FakeDet(3, 4)]  # no descriptor
-        cm = build_cost_matrix(tracks, dets, cfg)
+        cm = cost_matrix(tracks, dets, cfg)
         assert cm.values[0, 0] == pytest.approx(0.3 * 5.0)
 
     def test_gate_mask(self):
         cfg = AssociationConfig(w_app=0.0, w_mot=1.0, motion_scale=1.0, gate_g=6.0)
-        cm = build_cost_matrix([FakeTrack(0, 0)], [FakeDet(3, 4), FakeDet(30, 40)], cfg)
+        cm = cost_matrix([FakeTrack(0, 0)], [FakeDet(3, 4), FakeDet(30, 40)], cfg)
         assert cm.gate_mask.tolist() == [[True, False]]
 
 
@@ -347,7 +359,7 @@ class TestBuildCostMatrix:
             )
             tracks = [FakeTrack(*rng.uniform(0, 300, 2), descriptor()) for _ in range(T)]
             dets = [FakeDet(*rng.uniform(0, 300, 2), descriptor()) for _ in range(D)]
-            cm = build_cost_matrix(tracks, dets, cfg)
+            cm = cost_matrix(tracks, dets, cfg)
             expected = reference_cost_matrix(tracks, dets, cfg)
             assert cm.values.shape == cm.gate_mask.shape == (T, D)
             np.testing.assert_allclose(cm.values, expected, rtol=0.0, atol=1e-12)
@@ -360,10 +372,10 @@ class TestBuildCostMatrix:
         two = AppearanceDescriptor(f_cls=unit(1, 0), f_reg=unit(1, 0))
         three = AppearanceDescriptor(f_cls=unit(1, 0, 0), f_reg=unit(1, 0))
         with pytest.raises(ValueError, match="f_cls"):
-            build_cost_matrix([FakeTrack(0, 0, two)], [FakeDet(0, 0, three)], cfg)
+            cost_matrix([FakeTrack(0, 0, two)], [FakeDet(0, 0, three)], cfg)
         # tracks disagreeing among themselves while a detection shares the kind
         with pytest.raises(ValueError, match="f_cls"):
-            build_cost_matrix(
+            cost_matrix(
                 [FakeTrack(0, 0, two), FakeTrack(5, 0, three)], [FakeDet(0, 0, two)], cfg
             )
 
@@ -375,10 +387,30 @@ class TestBuildCostMatrix:
         cfg = AssociationConfig(feature_weights=(0.5, 0.5, 0.0), gate_g=1e9)
         tracks = [FakeTrack(0, 0, two), FakeTrack(5, 0, three_head)]
         dets = [FakeDet(0, 0, two), FakeDet(4, 3, reg_only)]
-        cm = build_cost_matrix(tracks, dets, cfg)
+        cm = cost_matrix(tracks, dets, cfg)
         np.testing.assert_allclose(
             cm.values, reference_cost_matrix(tracks, dets, cfg), rtol=0.0, atol=1e-12
         )
+
+
+class TestStackDescriptors:
+    def test_rows_masks_and_left_out_kinds(self):
+        cfg = AssociationConfig(feature_weights=(0.5, 0.5, 0.0))
+        a = AppearanceDescriptor(f_cls=unit(1, 0), f_head=unit(0, 1, 0))
+        b = AppearanceDescriptor(f_cls=unit(0, 1))
+        feats = stack_descriptors([a, None, b], cfg)
+        assert list(feats) == ["f_cls"]  # f_reg is carried by none, f_head has weight 0
+        rows, has = feats["f_cls"]
+        assert has.tolist() == [True, False, True]
+        assert np.array_equal(rows, [unit(1, 0), [0.0, 0.0], unit(0, 1)])
+
+    def test_mixed_dimensions_raise(self):
+        cfg = AssociationConfig()
+        two = AppearanceDescriptor(f_cls=unit(1, 0))
+        three = AppearanceDescriptor(f_cls=unit(1, 0, 0))
+        with pytest.raises(ValueError, match="f_cls"):
+            stack_descriptors([two, three], cfg)
+        assert stack_descriptors([], cfg) == {}
 
 
 class TestSolveAssignment:
@@ -515,7 +547,22 @@ class TestSolveAssignment:
                 values = rng.uniform(0, 1, (T, D))
                 mask = values <= 0.2
             cm = CostMatrix(values=values, gate_mask=mask)
-            assert solve_assignment(cm) == reference_solve(cm), (kind, values, mask)
+            pairs = solve_assignment(cm)
+            assert pairs == reference_solve(cm), (kind, values, mask)
+            matching = maximum_bipartite_matching(csr_matrix(mask), perm_type="column")
+            assert len(pairs) == int((matching >= 0).sum()), (kind, values, mask)
+
+    def test_maximum_cardinality_on_a_long_chain(self):
+        # the diagonal (7 pairs, cost 3.5) against the subdiagonal (6 pairs,
+        # cost 0): the augmenting path from 6 to 7 pairs gains 3.5 in cost,
+        # more than twice an unmatch price of max cost + 1
+        n = 7
+        values = np.ones((n, n))
+        values[np.eye(n, dtype=bool)] = 0.5
+        values[np.eye(n, k=-1, dtype=bool)] = 0.0
+        cm = CostMatrix(values=values, gate_mask=values <= AssociationConfig().gate_g)
+        assert solve_assignment(cm) == [(i, i) for i in range(n)]
+        assert reference_solve(cm) == [(i, i) for i in range(n)]
 
     def test_dense_ties_30(self):
         # all ones: every pair is tight and the diagonal is the lexicographic minimum

@@ -1,10 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
+import struct
 
 import pytest
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headtrack import cli, lifting
@@ -248,6 +251,12 @@ class TestInterpolate:
         assert cli.main(["interpolate", "--input", inp, "--method", method, "--out", str(out)]) == 0
         assert [l.frame for l in parse_mot(out)] == [1, 2, 3, 4]
 
+    def test_non_finite_trailing_fields_written_back(self, tmp_path):
+        src = write(tmp_path / "r.txt", "1,1,10,10,20,40,1,inf,-inf,nan\n3,1,14,10,20,40,1,-1,-1,-1\n")
+        out = tmp_path / "f.txt"
+        assert cli.main(["interpolate", "--input", src, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "1,1,10,10,20,40,1,inf,-inf,nan"
+
     def test_branch_cut_names_the_track(self, tmp_path, capsys):
         # a U-turn across the gap: the anchors at frames 3 and 6 face opposite ways
         rows = [f"{f},7,{x},50,40,80,1,-1,-1,-1" for f, x in
@@ -320,6 +329,14 @@ class TestConfigHandling:
         assert "key init_score_min" in capsys.readouterr().err
         assert cli.main(track + ["--gate-g", "inf"]) == 2
         assert "key gate_g" in capsys.readouterr().err
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_h_min_rejected(self, sim_dir, tmp_path, capsys, value):
+        # a height clamp of 0 or below would let a measurement variance reach 0
+        track = ["track", "--dets", str(sim_dir / "det.txt"), "--out", str(tmp_path / "o.txt")]
+        assert cli.main(track + ["--h-min", value]) == 2
+        assert "h_min must be positive" in capsys.readouterr().err
         assert not (tmp_path / "o.txt").exists()
 
     def test_directory_path_is_data_error(self, sim_dir, tmp_path, capsys):
@@ -416,3 +433,129 @@ class TestConfigFuzz:
         cfgfile = write(fuzz_dir / "run.cfg", text)
         gt = str(fuzz_dir / "gt.txt")
         assert cli.main(["evaluate", "--gt", gt, "--result", gt, "--config", cfgfile]) in (0, 2)
+
+
+# Numeric fields come from small fixed sets and free text carries no decimal
+# digits, so no input asks for a huge scene or frame range.
+NO_DIGITS = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=16)
+# Per MOT field: in-range values, extreme values that still parse, then junk.
+MOT_VALUES = {
+    "frame": ["1", "2", "3", "5"],
+    "id": ["-1", "7"],
+    "coord": ["0", "10.5", "-30", "2000", "1e308", "-1e308", "1e-300"],
+    "size": ["40", "100.25", "1", "1e-300", "1e308"],
+    "conf": ["1", "0.3", "0.1", "-5", "1e308"],
+    "extra": ["-1", "0.5", "1e308"],
+}
+MOT_KINDS = ["frame", "id", "coord", "coord", "size", "size", "conf", "extra", "extra", "extra"]
+MOT_JUNK = ["0", "-1", "nan", "inf", "-inf", "", "x", "1e400", " 4 ", "2.5"]
+
+
+@st.composite
+def det_texts(draw):
+    """MOT detection files: every field in range, or one field or one line broken."""
+    lines = [
+        ",".join(draw(st.sampled_from(MOT_VALUES[kind])) for kind in MOT_KINDS)
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    broken = draw(st.sampled_from(["none", "none", "field", "line"]))
+    if lines and broken == "field":
+        i, k = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, 9))
+        fields = lines[i].split(",")
+        fields[k] = draw(st.sampled_from(MOT_JUNK))
+        lines[i] = ",".join(fields)
+    elif broken == "line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(NO_DIGITS))
+    return "\n".join(lines)
+
+
+F4_VALUES = st.sampled_from([1.0, -1.0, 0.0, 0.6, 0.8, float("nan"), float("inf"), 1e-45, 3e38])
+
+
+@st.composite
+def sidecar_bytes(draw):
+    """FTFV sidecars: valid, with one field off, or plain noise."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    dims = [draw(st.integers(0, 2)) for _ in range(3)]
+    count = draw(st.integers(0, 4))
+    magic = draw(st.sampled_from([b"FTFV", b"FTFX"]))
+    version = draw(st.sampled_from([1, 1, 1, 0, 2]))
+    body = b""
+    for _ in range(count):
+        frame, index = draw(st.sampled_from([0, 1, 2, 3, 2**32 - 1])), draw(st.integers(0, 3))
+        values = [draw(F4_VALUES) for _ in range(sum(dims))]
+        body += struct.pack(f"<II{sum(dims)}f", frame, index, *values)
+    count += draw(st.sampled_from([0, 0, 1, -1]))
+    return struct.pack("<4sHIIIQ", magic, version, *dims, max(count, 0)) + body
+
+
+SPEC_VALUES = {
+    "targets": ["0", "1", "2", "3", "-1", "x", "1.5"],
+    "frames": ["0", "1", "4", "-2", "y"],
+    "motion": ["linear", "crossing", "circular", "spiral", ""],
+    "seed": ["0", "7", "-1", "z"],
+    "descriptor_dim": ["0", "2", "-3", "q"],
+    "image_width": ["0", "-5", "640", "1e308", "nan", "inf", "w"],
+    "image_height": ["0", "-5", "480", "1e308", "nan", "h"],
+    "box_height": ["0", "-1", "40", "1e308", "nan"],
+    "noise_std": ["0", "1", "-1", "nan", "1e308"],
+    "feat_noise_std": ["0", "0.1", "-1", "nan", "inf"],
+    "occlusion": ["1:1-2", "1:2-1", "9:1-2", "1:0-3", "a:b-c", "1:1-2;2:2-3", ";", "1-2"],
+}
+SPEC_LINES = st.one_of(
+    st.sampled_from(sorted(SPEC_VALUES)).flatmap(
+        lambda key: st.sampled_from(SPEC_VALUES[key]).map(lambda val: f"{key} = {val}")
+    ),
+    NO_DIGITS,
+)
+SPEC_TEXTS = st.lists(SPEC_LINES, max_size=8).map("\n".join)
+
+
+class TestParserFuzz:
+    """Any detection text, sidecar or scene spec exits 0, or 2 naming its file."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("parsers")
+        write(root / "dets.txt", "".join(
+            f"{f},-1,{100 + 5 * f},100,40,100,1,-1,-1,-1\n{f},-1,400,300,40,100,0.9,-1,-1,-1\n"
+            for f in (1, 2, 3)
+        ))
+        return root
+
+    @staticmethod
+    def check(argv, path):
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = cli.main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert str(path) in err, err
+
+    @given(text=det_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_track_dets_text(self, fuzz_dir, text):
+        dets = fuzz_dir / "fuzz.txt"
+        dets.write_text(text)
+        argv = ["track", "--dets", str(dets), "--out", str(fuzz_dir / "o.txt"), "--min-hits", "1"]
+        self.check(argv + ["--emit-predictions", "1"], dets)
+
+    @given(data=sidecar_bytes())
+    @settings(max_examples=150, deadline=None)
+    def test_track_sidecar_bytes(self, fuzz_dir, data):
+        sidecar = fuzz_dir / "fuzz.ftfv"
+        sidecar.write_bytes(data)
+        argv = ["track", "--dets", str(fuzz_dir / "dets.txt"), "--features", str(sidecar),
+                "--out", str(fuzz_dir / "o.txt"), "--min-hits", "1"]
+        self.check(argv, sidecar)
+
+    @given(text=SPEC_TEXTS)
+    @example(text="noise_std = 1e308")  # noisy boxes overflow to inf; writing them exited 3
+    @settings(max_examples=150, deadline=None)
+    def test_simulate_spec_text(self, fuzz_dir, text):
+        spec = fuzz_dir / "fuzz.cfg"
+        spec.write_text(text)
+        argv = ["simulate", "--spec", str(spec), "--out-dir", str(fuzz_dir / "scene")]
+        self.check(argv, spec)

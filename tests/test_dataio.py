@@ -63,6 +63,12 @@ class TestMotText:
         firsts = [line.split(",")[:2] for line in text.strip().split("\n")]
         assert firsts == [["1", "2"], ["1", "5"], ["2", "1"]]
 
+    def test_non_finite_fields_format(self):
+        # parse_mot accepts them in the trailing fields, and interpolate writes those back
+        inf, nan = float("inf"), float("nan")
+        rows = [MotLine(frame=1, id=1, x=0, y=0, w=1, h=1, conf=1, extra=(inf, -inf, nan))]
+        assert format_mot(rows) == "1,1,0,0,1,1,1,inf,-inf,nan\n"
+
     def test_file_roundtrip(self, tmp_path):
         rows = [MotLine(frame=1, id=3, x=10.25, y=-4.5, w=33.1, h=80.0, conf=0.75)]
         path = tmp_path / "x.txt"

@@ -10,9 +10,12 @@ from headtrack.kalman import (
     KalmanState,
     constant_velocity_model,
     initiate,
+    initiate_rows,
     iterated_update,
     predict,
+    predict_rows,
     update,
+    update_rows,
 )
 
 
@@ -241,3 +244,117 @@ class TestConfigs:
         vel = (10 * cfg.vel_std_weight * 80) ** 2
         assert st.P[0, 0] == pytest.approx(pos)
         assert st.P[4, 4] == pytest.approx(vel)
+
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(h_min=0.0),
+            dict(h_min=-5.0),
+            dict(h_min=np.nan),
+            dict(h_min=np.inf),
+            dict(h_min=1e-300),  # (meas_std_weight * h_min)^2 underflows to 0
+            dict(meas_std_weight=0.0),
+            dict(pos_std_weight=-1.0),
+            dict(vel_std_weight=np.inf),
+        ],
+    )
+    def test_kalman_config_rejects_non_positive_noise(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            KalmanConfig(**kw)
+
+
+def kron_cov(pcv):
+    p, c, v = pcv
+    return np.kron(np.array([[p, c], [c, v]]), np.eye(4))
+
+
+class TestRows:
+    """The whole-array forms against the matrix forms, bit for bit."""
+
+    CONFIGS = (
+        KalmanConfig(),
+        KalmanConfig(pos_std_weight=0.08, vel_std_weight=0.013, meas_std_weight=0.031, h_min=5.0),
+    )
+
+    @staticmethod
+    def pow_sensitive_heights(rng, cfg, n):
+        """Heights where some (weight * h)^2 differs between C pow and a * a."""
+        h = rng.uniform(cfg.h_min, 400, 400_000)
+        hit = np.zeros(len(h), dtype=bool)
+        for w in (cfg.pos_std_weight, cfg.vel_std_weight, cfg.meas_std_weight):
+            s = w * h
+            hit |= np.array([v**2 for v in s.tolist()]) != s * s
+        assert hit.sum() >= n
+        return h[hit][:n]
+
+    @classmethod
+    def rows(cls, rng, n, cfg):
+        x = np.column_stack([
+            rng.uniform(-100, 4000, (n, 2)), rng.uniform(0.2, 1.0, n),
+            rng.uniform(0.3, 400, n), rng.normal(0, 3, (n, 4)),  # some heights below h_min
+        ])
+        # an eighth keep their height through the predict, at heights where
+        # squaring with a * a instead of pow would change the result
+        x[: n // 8, 3] = cls.pow_sensitive_heights(rng, cfg, n // 8)
+        x[: n // 8, 7] = 0.0
+        p, v = rng.uniform(0.01, 500, n), rng.uniform(1e-3, 50, n)
+        c = rng.uniform(-0.95, 0.95, n) * np.sqrt(p * v)
+        z = x[:, :4] + rng.normal(0, 5, (n, 4))
+        z[:, 2:] = np.abs(z[:, 2:]) + 0.01
+        return x, np.column_stack([p, c, v]), z
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_predict_and_update_rows_equal_matrix_forms(self, cfg):
+        rng = np.random.default_rng(17)
+        x, pcv, z = self.rows(rng, 2000, cfg)
+        x_pred, pcv_pred = predict_rows(x, pcv, cfg)
+        x_post, pcv_post = update_rows(x_pred, pcv_pred, z, cfg)
+        for i in range(len(x)):
+            st = KalmanState(x=x[i], P=kron_cov(pcv[i]))
+            st = predict(st, constant_velocity_model(x[i, 3], cfg), h_min=cfg.h_min)
+            assert np.array_equal(st.x, x_pred[i]) and np.array_equal(st.P, kron_cov(pcv_pred[i]))
+            st = update(st, z[i], constant_velocity_model(st.x[3], cfg), h_min=cfg.h_min)
+            assert np.array_equal(st.x, x_post[i]) and np.array_equal(st.P, kron_cov(pcv_post[i]))
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_initiate_rows_equals_diagonal_birth(self, cfg):
+        z = np.column_stack([np.full(500, 7.0), np.full(500, -3.0), np.full(500, 0.4),
+                             np.random.default_rng(3).uniform(0.1, 400, 500)])
+        x, pcv = initiate_rows(z, cfg)
+        for i in range(len(z)):
+            h = max(float(z[i, 3]), cfg.h_min)
+            pos, vel = 2.0 * cfg.meas_std_weight * h, 10.0 * cfg.vel_std_weight * h
+            P = np.diag([pos**2] * 4 + [vel**2] * 4)
+            assert np.array_equal(x[i], [7.0, -3.0, 0.4, h, 0, 0, 0, 0])
+            assert np.array_equal(kron_cov(pcv[i]), P)
+            assert np.array_equal(initiate(z[i], cfg).P, P)
+
+    def test_innovation_variance_stays_positive(self):
+        # S = p + r of every update: r >= (meas_std_weight * h_min)^2 > 0 for
+        # every accepted config, and a predicted p is never below 0, even when
+        # heights collapse towards a tiny h_min
+        rng = np.random.default_rng(9)
+        for cfg in self.CONFIGS + (KalmanConfig(h_min=1e-150), KalmanConfig(meas_std_weight=1e-3)):
+            z = np.column_stack([rng.uniform(0, 500, (200, 2)), rng.uniform(0.2, 1, 200),
+                                 rng.uniform(1e-160, 300, 200)])
+            x, pcv = initiate_rows(z, cfg)
+            for _ in range(60):
+                x, pcv = predict_rows(x, pcv, cfg)
+                r = (cfg.meas_std_weight * np.maximum(x[:, 3], cfg.h_min)) ** 2
+                assert (pcv[:, 0] >= 0).all() and (pcv[:, 0] + r > 0).all()
+                hit = rng.uniform(size=len(x)) < 0.6
+                z = x[:, :4] + rng.normal(0, 3, (len(x), 4))
+                z[:, 2:] = np.abs(z[:, 2:]) + 1e-160
+                x[hit], pcv[hit] = update_rows(x[hit], pcv[hit], z[hit], cfg)
+                assert np.isfinite(x).all() and np.isfinite(pcv).all()
+
+    def test_rounding_below_zero_keeps_innovation_positive(self):
+        # p + 2c + v one ulp below 0, as rounding leaves it, at a height whose
+        # Q cannot lift it: the predicted p is 0, not negative, so S = r > 0
+        cfg = KalmanConfig(h_min=1e-12)
+        x = np.array([[10.0, 20.0, 0.5, 1e-10, 0, 0, 0, 0]])
+        x_pred, pcv_pred = predict_rows(x, np.array([[1.0, -(1.0 + 2.0**-52), 1.0]]), cfg)
+        assert pcv_pred[0, 0] == 0.0
+        x_post, pcv_post = update_rows(x_pred, pcv_pred, np.array([[11.0, 20.0, 0.5, 1e-10]]), cfg)
+        assert np.isfinite(x_post).all() and np.isfinite(pcv_post).all()

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from headtrack import kalman
-from headtrack.association import AppearanceDescriptor, AssociationConfig
+from headtrack.association import (
+    FEATURE_KINDS,
+    AppearanceDescriptor,
+    AssociationConfig,
+    build_cost_matrix,
+    solve_assignment,
+    stack_descriptors,
+)
 from headtrack.geometry import BBox
 from headtrack.tracker import (
     Detection,
@@ -204,52 +211,190 @@ class TestInvariants:
 
 
 class TestNumericalGuards:
-    def test_diverged_filter_removes_only_that_track(self, monkeypatch):
+    def test_diverged_filter_removes_only_that_track(self):
         tr = Tracker(motion_config(min_hits=1))
         for f in (1, 2):
             assert [tid for tid, _ in tr.step(f, [det(f, 100, 100), det(f, 600, 600)])] == [1, 2]
         broken = tr.tracks[0]
-        broken.kf = kalman.KalmanState(x=np.full(8, np.nan), P=broken.kf.P)
+        tr.x[tr.live.index(broken)] = np.nan  # its state row goes non-finite
 
-        diverged = []
-        real_predict = kalman.predict
-
-        def spy(state, model, h_min=1.0):
-            try:
-                return real_predict(state, model, h_min=h_min)
-            except kalman.FilterDivergence:
-                diverged.append(state)
-                raise
-
-        monkeypatch.setattr(kalman, "predict", spy)
         emitted = {f: tr.step(f, [det(f, 100, 100), det(f, 600, 600)]) for f in range(3, 8)}
-        assert len(diverged) == 1 and diverged[0] is broken.kf
         assert broken.status == "removed"
+        assert [t.id for t in tr.live] == [2, 3]
         # the survivor keeps id 2; track 1's detections spawn id 3
         assert all([tid for tid, _ in emitted[f]] == [2, 3] for f in emitted)
 
-    def test_ill_conditioned_update_retries_with_jitter(self, monkeypatch):
+    def test_diverged_covariance_row_removes_its_track(self):
         tr = Tracker(motion_config(min_hits=1))
-        tr.step(1, [det(1, 100, 100)])
-        track = tr.tracks[0]
+        tr.step(1, [det(1, 100, 100), det(1, 600, 600)])
+        tr.pcv[1, 2] = np.inf
+        assert [tid for tid, _ in tr.step(2, [det(2, 100, 100), det(2, 600, 600)])] == [1, 3]
+        assert [t.status for t in tr.tracks] == ["confirmed", "removed", "confirmed"]
+        assert len(tr.x) == len(tr.pcv) == len(tr.hits) == len(tr.misses) == 2
 
-        seen_R = []
-        real_update = kalman.update
 
-        def flaky(state, z, model, **kw):
-            seen_R.append(model.R)
-            if len(seen_R) == 1:
-                raise kalman.IllConditionedUpdate("singular innovation covariance")
-            return real_update(state, z, model, **kw)
+def reference_ema(old, new, momentum):
+    """The per-descriptor EMA the array blend replaced, one kind at a time."""
+    merged = dict(old)
+    for kind, b in new.items():
+        a = old.get(kind)
+        if a is None:
+            merged[kind] = b
+        else:
+            v = momentum * a + (1.0 - momentum) * b
+            n = float(np.linalg.norm(v))
+            merged[kind] = b if n < 1e-9 else v / n
+    return merged
 
-        monkeypatch.setattr(kalman, "update", flaky)
-        matched = det(2, 102, 101)
-        assert tr.step(2, [matched]) == [(1, matched.bbox)]
-        assert len(seen_R) == 2
-        assert np.array_equal(seen_R[1], seen_R[0] + 1e-9 * np.eye(4))
-        assert track.hit_count == 2 and track.miss_count == 0
-        assert track.history[-1] == (2, matched.bbox)
-        assert len(tr.tracks) == 1
+
+def reference_run(cfg, frames):
+    """The per-track loop the array core replaced, on the library filter.
+
+    Each live track predicts with ``kalman.predict``, is matched through the
+    same cost matrix and solver, corrects with ``kalman.update`` and blends
+    its descriptor with ``reference_ema``. Returns the emissions per frame.
+    """
+    tracks, emitted = [], []
+    kinds = [k for k, w in zip(FEATURE_KINDS, cfg.assoc.feature_weights) if w > 0]
+    for f, dets in frames:
+        for t in tracks:
+            if t["status"] == "removed":
+                continue
+            model = kalman.constant_velocity_model(t["kf"].x[3], cfg.noise)
+            try:
+                t["kf"] = kalman.predict(t["kf"], model, h_min=cfg.noise.h_min)
+            except kalman.FilterDivergence:
+                t["status"] = "removed"
+        live = [t for t in tracks if t["status"] != "removed"]
+        descs = [AppearanceDescriptor(**t["desc"]) if t["desc"] else None for t in live]
+        trk_xy = np.array([t["kf"].x[:2] for t in live]).reshape(-1, 2)
+        det_xy = np.array([(d.bbox.cx, d.bbox.cy) for d in dets]).reshape(-1, 2)
+        cost = build_cost_matrix(
+            trk_xy, stack_descriptors(descs, cfg.assoc),
+            det_xy, stack_descriptors([d.descriptor for d in dets], cfg.assoc), cfg.assoc,
+        )
+        matched = dict(solve_assignment(cost))
+        out = []
+        for i, t in enumerate(live):
+            if i in matched:
+                d = dets[matched[i]]
+                model = kalman.constant_velocity_model(t["kf"].x[3], cfg.noise)
+                t["kf"] = kalman.update(
+                    t["kf"], measurement_from_bbox(d.bbox), model, h_min=cfg.noise.h_min
+                )
+                new = {k: getattr(d.descriptor, k) for k in kinds if d.descriptor is not None}
+                new = {k: v for k, v in new.items() if v is not None}
+                t["desc"] = reference_ema(t["desc"], new, cfg.descriptor_momentum)
+                t["misses"], t["hits"] = 0, t["hits"] + 1
+            else:
+                t["misses"] += 1
+            if t["hits"] >= cfg.min_hits and i in matched:
+                out.append((t["id"], dets[matched[i]].bbox))
+            elif t["hits"] >= cfg.min_hits and cfg.emit_predictions and t["misses"] < cfg.patience_w:
+                out.append((t["id"], bbox_from_state(t["kf"].x)))
+            if t["misses"] >= cfg.patience_w:
+                t["status"] = "removed"
+        for j, d in enumerate(dets):
+            if j in matched.values() or d.score < cfg.init_score_min:
+                continue
+            desc = {k: getattr(d.descriptor, k) for k in kinds if d.descriptor is not None}
+            tracks.append(dict(
+                id=len(tracks) + 1, status="live", hits=1, misses=0,
+                kf=kalman.initiate(measurement_from_bbox(d.bbox), cfg.noise),
+                desc={k: v for k, v in desc.items() if v is not None},
+            ))
+            if cfg.min_hits <= 1:
+                out.append((len(tracks), d.bbox))
+        emitted.append(out)
+    return emitted
+
+
+def random_frames(seed, frames=40, targets=6):
+    """Noisy walkers with dropouts, clutter, missing descriptors and kinds."""
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(100, 800, (targets, 2))
+    vel = rng.normal(0, 4, (targets, 2))
+    bases = rng.normal(size=(targets, 8))
+    out = []
+    for f in range(1, frames + 1):
+        dets = []
+        for t in rng.permutation(targets):
+            if rng.uniform() < 0.2:
+                continue
+            cx, cy = start[t] + vel[t] * f + rng.normal(0, 2, 2)
+            kinds = {}
+            if rng.uniform() < 0.8:
+                kinds["f_cls"] = unit_vec(bases[t] + rng.normal(0, 0.2, 8))
+            if rng.uniform() < 0.5:
+                kinds["f_reg"] = unit_vec(-bases[t] + rng.normal(0, 0.2, 8))
+            desc = AppearanceDescriptor(**kinds) if kinds else None
+            h = rng.uniform(40, 120)
+            dets.append(det(f, cx, cy, w=0.4 * h, h=h, score=rng.uniform(0.1, 1), descriptor=desc))
+        if rng.uniform() < 0.3:  # clutter
+            dets.append(det(f, *rng.uniform(0, 900, 2), score=rng.uniform(0.2, 1)))
+        out.append((f, dets))
+    return out
+
+
+def unit_vec(v):
+    return v / np.linalg.norm(v)
+
+
+class TestArrayCore:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_track_library_loop(self, seed):
+        cfg = TrackerConfig(
+            min_hits=1 + seed % 3,
+            patience_w=2 + seed % 4,
+            emit_predictions=True,
+            assoc=AssociationConfig(motion_scale=300.0, gate_g=0.6),
+        )
+        frames = random_frames(seed)
+        tr = Tracker(cfg)
+        got = [tr.step(f, dets) for f, dets in frames]
+        assert got == reference_run(cfg, frames)
+        assert sum(map(len, got)) > 100
+
+    def test_blend_matches_per_descriptor_ema(self):
+        cfg = TrackerConfig(
+            min_hits=1, descriptor_momentum=0.5,
+            assoc=AssociationConfig(w_app=0.5, w_mot=0.5, motion_scale=1000.0, gate_g=2.0),
+        )
+        rng = np.random.default_rng(5)
+        a, b = unit_vec(rng.normal(size=16)), unit_vec(rng.normal(size=16))
+        c = unit_vec(rng.normal(size=16))
+        tr = Tracker(cfg)
+        tr.step(1, [det(1, 100, 100, descriptor=AppearanceDescriptor(f_cls=a)),
+                    det(1, 500, 500, descriptor=AppearanceDescriptor(f_cls=c))])
+        tr.step(2, [det(2, 100, 100, descriptor=AppearanceDescriptor(f_cls=b, f_reg=c)),
+                    det(2, 500, 500, descriptor=AppearanceDescriptor(f_cls=-c))])
+        rows, has = tr.feats["f_cls"]
+        assert np.array_equal(rows[0], reference_ema({"f_cls": a}, {"f_cls": b}, 0.5)["f_cls"])
+        assert np.array_equal(rows[1], -c)  # antipodal pair cancels: the fresher vector stays
+        reg, has_reg = tr.feats["f_reg"]
+        assert has_reg.tolist() == [True, False] and np.array_equal(reg[0], c)
+
+    def test_blend_rows_equal_per_descriptor_ema(self):
+        # 40 tracks matched to drifted descriptors: every blended row equals
+        # the per-vector EMA with np.linalg.norm, bit for bit
+        cfg = TrackerConfig(min_hits=1, assoc=AssociationConfig(motion_scale=1000.0, gate_g=0.6))
+        rng = np.random.default_rng(8)
+        old = [unit_vec(rng.normal(size=128)) for _ in range(40)]
+        new = [unit_vec(v + 0.3 * unit_vec(rng.normal(size=128))) for v in old]
+        spots = [(100 + 300 * (k % 8), 100 + 300 * (k // 8)) for k in range(40)]
+        tr = Tracker(cfg)
+        for f, vecs in ((1, old), (2, new)):
+            dets = [det(f, *xy, descriptor=AppearanceDescriptor(f_cls=v)) for xy, v in zip(spots, vecs)]
+            assert len(tr.step(f, dets)) == 40
+        assert [t.id for t in tr.live] == list(range(1, 41))
+        expected = [reference_ema({"f_cls": a}, {"f_cls": b}, 0.9)["f_cls"] for a, b in zip(old, new)]
+        assert np.array_equal(tr.feats["f_cls"][0], np.array(expected))
+
+    def test_unweighted_kind_is_not_stored(self):
+        cfg = TrackerConfig(min_hits=1, assoc=AssociationConfig(feature_weights=(0.0, 0.5, 0.0)))
+        tr = Tracker(cfg)
+        tr.step(1, [det(1, 100, 100, descriptor=onehot(0))])
+        assert tr.feats == {}
 
 
 class TestFinalize:
