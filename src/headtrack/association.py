@@ -146,7 +146,6 @@ def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: Ass
     when a kind both sides carry differs in dimension.
     """
     T, D = len(trk_xy), len(det_xy)
-    motion = np.hypot(trk_xy[:, :1] - det_xy[:, 0], trk_xy[:, 1:] - det_xy[:, 1]) / cfg.motion_scale
 
     acc, total_w = np.zeros((2, T, D))
     for kind, w in zip(FEATURE_KINDS, cfg.feature_weights):
@@ -161,7 +160,11 @@ def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: Ass
         acc += np.where(shared, w * (1.0 - p @ q.T), 0.0)
         total_w += np.where(shared, w, 0.0)
     app = np.divide(acc, total_w, out=np.zeros((T, D)), where=total_w > 0.0)
-    values = cfg.w_app * app + cfg.w_mot * motion
+    # centres far apart cost inf (nan at w_mot = 0), which the gate rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy = trk_xy[:, :1] - det_xy[:, 0], trk_xy[:, 1:] - det_xy[:, 1]
+        motion = np.hypot(dx, dy) / cfg.motion_scale
+        values = cfg.w_app * app + cfg.w_mot * motion
     return CostMatrix(values=values, gate_mask=values <= cfg.gate_g)
 
 

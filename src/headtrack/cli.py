@@ -64,8 +64,8 @@ class RunConfig:
     # kalman
     h_min: float = _key(1.0, "lower clamp on the filtered target height")
     # gap filling
-    se3_process_std: float = _key(0.1, "process noise std of the twist smoother")
-    se3_meas_std: float = _key(0.01, "measurement noise std of the twist smoother")
+    se3_process_std: float = _key(0.1, "process noise std of the se3_kalman centre smoother")
+    se3_meas_std: float = _key(0.01, "measurement noise std of the se3_kalman centre smoother")
     # label assignment
     alpha: float = _key(3.0, "IoU-cost weight in the assignment cost")
     beta: float = _key(1e5, "positional penalty outside the center region")
@@ -161,12 +161,16 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
     )
     tracker = Tracker(tracker_config(cfg))
     out: list[dataio.MotLine] = []
-    last = max(frames) if frames else 0
-    for f in range(1, last + 1):
-        for tid, box in tracker.step(f, frames.get(f, [])):
-            out.append(
-                dataio.MotLine(frame=f, id=tid, x=box.x, y=box.y, w=box.w, h=box.h, conf=1.0)
-            )
+    f = 1
+    for busy in sorted(frames):
+        while f <= busy:
+            if not tracker.live:  # a step would only move the frame: skip to the detections
+                f = busy
+            for tid, box in tracker.step(f, frames.get(f, [])):
+                out.append(
+                    dataio.MotLine(frame=f, id=tid, x=box.x, y=box.y, w=box.w, h=box.h, conf=1.0)
+                )
+            f += 1
     dataio.write_mot(out_path, out)
 
 
@@ -215,7 +219,7 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
             )
         for gap in skipped:
             span = f"{gap.missing_frames[0]}-{gap.missing_frames[-1]}"
-            print(f"track {tid}: gap {span} exceeds max_gap, left unfilled", file=sys.stderr)
+            print(f"track {tid}: gap {span} left unfilled: {gap.reason}", file=sys.stderr)
     dataio.write_mot(args.out, out)
     return 0
 

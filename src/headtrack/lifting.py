@@ -6,11 +6,14 @@ Three methods, each with its own behaviour:
 * ``se3_linear`` follows the SE(3) geodesic between the two anchor poses,
   each placed at the box centre (z = 0) and turned about the z axis to
   face the direction of travel, so a track that turns is filled on an
-  arc; a turn of pi across a gap has no principal-branch geodesic and is
-  rejected;
-* ``se3_kalman`` runs a constant-velocity Kalman smoother over the 6-dim
-  twists of identity-rotation poses at the box centres, so a gap blends
-  the motion on both sides.
+  arc; a turn of pi across a gap has no principal-branch geodesic, and
+  that gap is left unfilled and reported;
+* ``se3_kalman`` runs a constant-velocity Rauch-Tung-Striebel smoother
+  over the box centre, so a gap blends the motion on both sides. It
+  equals the 12-state smoother over the twists of identity-rotation
+  poses at the box centres (z = 0): those twists are (0, 0, 0, cx, cy, 0),
+  so that smoother is six identical 2-state ones, and x and y share one
+  2x2 covariance.
 
 Box width and height are always interpolated linearly. Observed frames
 are never altered.
@@ -63,9 +66,8 @@ class Pose3:
 
 @dataclass(frozen=True)
 class LiftingConfig:
-    process_std: float = 0.1  # twist smoother noise, squared into Q and R
+    process_std: float = 0.1  # centre smoother noise, squared into Q and R
     meas_std: float = 0.01
-    max_gap: int | None = None
 
     def __post_init__(self):
         for name in ("process_std", "meas_std"):
@@ -81,6 +83,7 @@ class TrajectoryGap:
     before: tuple[int, BBox]
     after: tuple[int, BBox]
     missing_frames: tuple[int, ...]
+    reason: str = ""
 
     def __post_init__(self):
         for f in self.missing_frames:
@@ -163,10 +166,10 @@ def complete(
     """Fill the internal frame gaps of one trajectory.
 
     ``points`` is a (frame, bbox) list; frames need not be contiguous.
-    Returns the filled trajectory sorted by frame, plus the gaps that were
-    left open because they exceed ``max_gap``. Leading and trailing
-    absences have no second anchor and are never filled. Observed entries
-    pass through untouched.
+    Returns the filled trajectory sorted by frame, plus the gaps left open,
+    each with its reason: a ``se3_linear`` gap whose heading turns by pi.
+    Leading and trailing absences have no second anchor and are never
+    filled. Observed entries pass through untouched.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -175,7 +178,8 @@ def complete(
         return list(pts), []
 
     if method == "se3_kalman":
-        smoothed = _twist_smoother(pts, cfg)
+        sx, sy = _centre_smoother(pts, cfg)
+        first = pts[0][0]
 
     filled: list[tuple[int, BBox]] = []
     skipped: list[TrajectoryGap] = []
@@ -183,21 +187,16 @@ def complete(
         f1, b1 = pts[idx]
         f2, b2 = pts[idx + 1]
         filled.append((f1, b1))
-        gap = f2 - f1 - 1
-        if gap <= 0:
-            continue
-        if cfg.max_gap is not None and gap > cfg.max_gap:
-            skipped.append(
-                TrajectoryGap(
-                    before=(f1, b1),
-                    after=(f2, b2),
-                    missing_frames=tuple(range(f1 + 1, f2)),
-                )
-            )
+        if f2 - f1 <= 1:
             continue
         if method == "se3_linear":
             T1 = _heading_pose(pts, idx)
-            T2 = _heading_pose(pts, idx + 1)
+            try:
+                xi = se3_log(T1.inverse().compose(_heading_pose(pts, idx + 1)))
+            except ValueError as exc:
+                missing = tuple(range(f1 + 1, f2))
+                skipped.append(TrajectoryGap((f1, b1), (f2, b2), missing, reason=str(exc)))
+                continue
         for f in range(f1 + 1, f2):
             omega = (f - f1) / (f2 - f1)
             w = b1.w + omega * (b2.w - b1.w)
@@ -206,9 +205,9 @@ def complete(
                 cx = b1.cx + omega * (b2.cx - b1.cx)
                 cy = b1.cy + omega * (b2.cy - b1.cy)
             elif method == "se3_linear":
-                cx, cy, _ = interpolate_se3(T1, T2, omega).t
+                cx, cy, _ = T1.compose(se3_exp(omega * xi)).t
             else:  # se3_kalman
-                cx, cy, _ = smoothed[f]
+                cx, cy = sx[f - first], sy[f - first]
             filled.append((f, BBox(x=cx - 0.5 * w, y=cy - 0.5 * h, w=w, h=h)))
     filled.append(pts[-1])
     return filled, skipped
@@ -240,51 +239,62 @@ def _heading_pose(pts: list[tuple[int, BBox]], idx: int) -> Pose3:
     return Pose3(R=R, t=t)
 
 
-def _twist_smoother(pts: list[tuple[int, BBox]], cfg: LiftingConfig) -> dict[int, np.ndarray]:
-    """RTS-smoothed translations for every frame spanned by the trajectory.
+def _centre_smoother(pts: list[tuple[int, BBox]], cfg: LiftingConfig) -> tuple[list, list]:
+    """RTS-smoothed box centres for every frame spanned by the trajectory.
 
-    Runs a constant-velocity filter over the 6-dim twist of the identity-
-    rotation pose at each box centre (measurement updates at observed
-    frames, prediction only inside gaps), then smooths backward so gap
-    poses blend the motion on both sides. Returns frame -> (x, y, z)
-    translation of the smoothed pose.
+    A constant-velocity Kalman filter over (position, velocity) runs
+    forward with measurement updates at observed frames and prediction
+    only inside gaps, then a Rauch-Tung-Striebel pass smooths backward so
+    gap centres blend the motion on both sides. The covariance does not
+    depend on the data, so x and y share it: the three numbers (p, c, v)
+    of [[p, c], [c, v]], plus its determinant d, carried through the
+    recursion rather than taken as p v - c^2, which cancels badly after
+    long gaps. Returns the smoothed cx and cy lists, indexed by frame minus
+    the first frame. Raises ValueError on a singular covariance, which
+    zero process and measurement noise give.
     """
-    frames = [f for f, _ in pts]
-    observed = {f: se3_log(Pose3(R=np.eye(3), t=_centre(b))) for f, b in pts}
+    q = cfg.process_std**2
+    r = cfg.meas_std**2
+    first = pts[0][0]
+    n = pts[-1][0] - first + 1
+    obs: list = [None] * n
+    for f, b in pts:
+        obs[f - first] = (b.cx, b.cy)
 
-    dim = 6
-    F = np.eye(2 * dim)
-    F[:dim, dim:] = np.eye(dim)
-    H = np.hstack([np.eye(dim), np.zeros((dim, dim))])
-    Q = np.eye(2 * dim) * cfg.process_std**2
-    R = np.eye(dim) * cfg.meas_std**2
+    x, y = obs[0]
+    vx = vy = 0.0
+    p, c, v = 1.0, 0.0, 100.0  # velocities unobserved at the start
+    d = p * v
+    filt = []  # filtered (x, vx, y, vy, p, c, v, d) at each frame
+    try:
+        for z in obs:
+            if filt:  # F = [[1, 1], [0, 1]], Q = q I; det(A + qI) = det A + q tr A + q^2
+                x += vx
+                y += vy
+                d += q * (p + 2.0 * c + 2.0 * v) + q * q
+                p, c, v = p + 2.0 * c + v + q, c + v, v + q
+            if z is not None:  # H = [1, 0], R = r
+                s = p + r
+                k0, k1 = p / s, c / s
+                ex, ey = z[0] - x, z[1] - y
+                x, vx, y, vy = x + k0 * ex, vx + k1 * ex, y + k0 * ey, vy + k1 * ey
+                p, c, v, d = p * r / s, c * r / s, (d + r * v) / s, d * r / s
+            filt.append((x, vx, y, vy, p, c, v, d))
 
-    first, last = frames[0], frames[-1]
-    x = np.zeros(2 * dim)
-    x[:dim] = observed[first]
-    P = np.eye(2 * dim)
-    P[dim:, dim:] *= 100.0  # velocities unobserved at the start
-
-    preds, filts = [], []
-    span = list(range(first, last + 1))
-    for k, f in enumerate(span):
-        if k > 0:
-            x = F @ x
-            P = F @ P @ F.T + Q
-        preds.append((x.copy(), P.copy()))
-        if f in observed:
-            S = H @ P @ H.T + R
-            K = P @ H.T @ np.linalg.inv(S)
-            x = x + K @ (observed[f] - H @ x)
-            P = (np.eye(2 * dim) - K @ H) @ P
-        filts.append((x.copy(), P.copy()))
-
-    xs = [None] * len(span)
-    xs[-1] = filts[-1][0]
-    for k in range(len(span) - 2, -1, -1):
-        xf, Pf = filts[k]
-        xp_next, Pp_next = preds[k + 1]
-        C = Pf @ F.T @ np.linalg.inv(Pp_next)
-        xs[k] = xf + C @ (xs[k + 1] - xp_next)
-
-    return {f: se3_exp(xs[k][:dim]).t for k, f in enumerate(span)}
+        sx, sy = [0.0] * n, [0.0] * n
+        x, vx, y, vy = filt[-1][:4]
+        sx[-1], sy[-1] = x, y
+        for k in range(n - 2, -1, -1):
+            fx, fvx, fy, fvy, p, c, v, d = filt[k]
+            # gain C = Pf F^T Pp^-1, Pp the prediction into frame k + 1
+            det = d + q * (p + 2.0 * c + 2.0 * v) + q * q
+            g00, g01 = (d + q * (p + c)) / det, (q * c - d) / det
+            g10, g11 = q * (c + v) / det, (d + q * v) / det
+            ex, evx = x - (fx + fvx), vx - fvx
+            ey, evy = y - (fy + fvy), vy - fvy
+            x, vx = fx + g00 * ex + g01 * evx, fvx + g10 * ex + g11 * evx
+            y, vy = fy + g00 * ey + g01 * evy, fvy + g10 * ey + g11 * evy
+            sx[k], sy[k] = x, y
+    except ZeroDivisionError:
+        raise ValueError("singular smoother covariance; raise process_std or meas_std") from None
+    return sx, sy

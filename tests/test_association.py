@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,25 @@ class TestMotionCost:
 
 
 class TestBuildCostMatrix:
+    @pytest.mark.parametrize(
+        "w_mot, admissible, pairs",
+        [
+            (1.0, [[False, False], [False, True]], [(1, 1)]),
+            # motion weighs nothing: only the overflowing pair, inf * 0 = nan, is gated out
+            (0.0, [[False, True], [True, True]], [(0, 1), (1, 0)]),
+        ],
+    )
+    def test_far_centres_gated_out_without_warnings(self, w_mot, admissible, pairs):
+        # centres near +-1e308 are legal; the distance of (0, 0) overflows to inf
+        cfg = AssociationConfig(w_app=1.0, w_mot=w_mot, motion_scale=10.0, gate_g=0.5)
+        tracks = [FakeTrack(1e308, 1e308), FakeTrack(0, 0)]
+        dets = [FakeDet(-1e308, -1e308), FakeDet(0, 0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cm = cost_matrix(tracks, dets, cfg)
+            assert solve_assignment(cm) == pairs
+        assert cm.gate_mask.tolist() == admissible
+
     def test_motion_only_when_w_app_zero(self):
         cfg = AssociationConfig(w_app=0.0, w_mot=1.0, motion_scale=10.0, gate_g=100.0)
         tracks = [FakeTrack(0, 0), FakeTrack(10, 0)]

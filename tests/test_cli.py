@@ -92,6 +92,44 @@ class TestTrack:
         # occluded target resurfaces under a fresh id: 3 ids total
         assert len({l.id for l in lines}) == 3
 
+    def test_dead_time_is_skipped(self, tmp_path, monkeypatch):
+        # once no track is live, a step only moves the frame: jump to the next detections
+        calls = []
+        step = cli.Tracker.step
+
+        def counted(tracker, frame, detections):
+            calls.append(frame)
+            return step(tracker, frame, detections)
+
+        monkeypatch.setattr(cli.Tracker, "step", counted)
+        rows = ["1,-1,100,100,40,80,1,-1,-1,-1", f"{10**9},-1,100,100,40,80,1,-1,-1,-1"]
+        dets = write(tmp_path / "det.txt", "\n".join(rows) + "\n")
+        out = tmp_path / "res.txt"
+        assert cli.main(["track", "--dets", dets, "--out", str(out), "--min-hits", "1"]) == 0
+        patience = cli.RunConfig().patience_w
+        assert calls == list(range(1, patience + 2)) + [10**9]
+        assert [(l.frame, l.id) for l in parse_mot(out)] == [(1, 1), (10**9, 2)]
+
+    def test_dead_time_skip_keeps_output(self, tmp_path):
+        # two walkers that vanish at frames 10 and 20 and coast, then one more
+        # at frames 500-503: the same output as stepping every frame
+        rows = [f"{f},-1,{100 + 5 * f},100,40,80,1,-1,-1,-1" for f in range(1, 11)]
+        rows += [f"{f},-1,{800 - 5 * f},400,40,80,1,-1,-1,-1" for f in range(1, 21)]
+        rows += [f"{f},-1,300,300,40,80,1,-1,-1,-1" for f in range(500, 504)]
+        dets = write(tmp_path / "det.txt", "\n".join(rows) + "\n")
+        cfg = cli.RunConfig(min_hits=1, emit_predictions=True, patience_w=5)
+        out = tmp_path / "res.txt"
+        cli.run_track_file(dets, None, out, cfg)
+        tracker = cli.Tracker(cli.tracker_config(cfg))
+        frames = cli.dataio.mot_to_detections(parse_mot(dets))
+        expected = [
+            cli.dataio.MotLine(frame=f, id=tid, x=b.x, y=b.y, w=b.w, h=b.h, conf=1.0)
+            for f in range(1, max(frames) + 1)
+            for tid, b in tracker.step(f, frames.get(f, []))
+        ]
+        assert out.read_text() == cli.dataio.format_mot(expected)
+        assert {l.frame for l in parse_mot(out)} >= set(range(11, 25))  # coasted boxes
+
     def test_deterministic_output(self, sim_dir, tmp_path):
         blobs = []
         for k in range(3):
@@ -258,15 +296,42 @@ class TestInterpolate:
         assert out.read_text().splitlines()[0] == "1,1,10,10,20,40,1,inf,-inf,nan"
 
     def test_branch_cut_names_the_track(self, tmp_path, capsys):
-        # a U-turn across the gap: the anchors at frames 3 and 6 face opposite ways
+        # a U-turn across the gap: the anchors at frames 3 and 6 face opposite
+        # ways, so that gap is left open and every other track is still filled
         rows = [f"{f},7,{x},50,40,80,1,-1,-1,-1" for f, x in
                 [(1, 100), (2, 110), (3, 120), (6, 150), (7, 140)]]
+        rows += ["1,8,0,0,10,20,1,-1,-1,-1", "4,8,6,0,10,20,1,-1,-1,-1"]
         inp = write(tmp_path / "in.txt", "\n".join(rows) + "\n")
         out = tmp_path / "out.txt"
-        code = cli.main(["interpolate", "--input", inp, "--method", "se3_linear", "--out", str(out)])
-        assert code == 2
+        args = ["interpolate", "--input", inp, "--method", "se3_linear", "--out", str(out)]
+        assert cli.main(args) == 0
         err = capsys.readouterr().err
-        assert "track 7" in err and "principal branch" in err
+        assert "track 7: gap 4-5 left unfilled" in err and "principal branch" in err
+        frames = {}
+        for l in parse_mot(out):
+            frames.setdefault(l.id, []).append(l.frame)
+        assert frames == {7: [1, 2, 3, 6, 7], 8: [1, 2, 3, 4]}
+
+    def test_zero_smoother_noise_names_the_track(self, tmp_path, capsys):
+        rows = ["1,4,0,0,10,20,1,-1,-1,-1", "2,4,2,0,10,20,1,-1,-1,-1", "5,4,8,0,10,20,1,-1,-1,-1"]
+        inp = write(tmp_path / "in.txt", "\n".join(rows) + "\n")
+        out = tmp_path / "out.txt"
+        args = ["interpolate", "--input", inp, "--method", "se3_kalman", "--out", str(out)]
+        assert cli.main(args + ["--se3-process-std", "0", "--se3-meas-std", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "track 4" in err and "singular" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", lifting.METHODS)
+    def test_overflowing_centres_name_the_track(self, tmp_path, capsys, method):
+        # legal centres whose differences overflow to inf
+        rows = ["1,5,1e308,0,40,80,1,-1,-1,-1", "2,5,-1e308,0,40,80,1,-1,-1,-1",
+                "4,5,1e308,0,40,80,1,-1,-1,-1"]
+        inp = write(tmp_path / "in.txt", "\n".join(rows) + "\n")
+        out = tmp_path / "out.txt"
+        assert cli.main(["interpolate", "--input", inp, "--method", method, "--out", str(out)]) == 2
+        assert "track 5" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, name", [("--se3-meas-std", "meas_std"), ("--se3-process-std", "process_std")]

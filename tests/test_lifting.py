@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -179,16 +180,19 @@ class TestComplete:
         filled, _ = complete(gappy, method, self.cfg)
         assert [f for f, _ in filled] == list(range(1, 13))
 
-    def test_max_gap_skips_and_reports(self):
-        cfg = LiftingConfig(max_gap=2)
-        truth = linear_track(12)
-        gappy = drop_frames(truth, {4, 5, 6})
-        filled, skipped = complete(gappy, "linear2d", cfg)
+    def test_reversal_gap_skipped_and_reported(self):
+        # a U-turn across frames 3-6: the anchor poses face opposite ways, so
+        # the heading geodesic has no principal branch
+        rows = [(1, 100), (2, 110), (3, 120), (6, 150), (7, 140), (9, 120)]
+        gappy = [(f, BBox(x=x - 20, y=10, w=40, h=80)) for f, x in rows]
+        filled, skipped = complete(gappy, "se3_linear", self.cfg)
         assert len(skipped) == 1
         gap = skipped[0]
-        assert gap.missing_frames == (4, 5, 6)
-        assert gap.before[0] == 3 and gap.after[0] == 7
-        assert [f for f, _ in filled] == [f for f, _ in gappy]
+        assert gap.missing_frames == (4, 5)
+        assert gap.before[0] == 3 and gap.after[0] == 6
+        assert "principal branch" in gap.reason
+        # the other gap of the same track is still filled
+        assert [f for f, _ in filled] == [1, 2, 3, 6, 7, 8, 9]
 
     def test_short_tracks_pass_through(self):
         only = [(3, BBox(0, 0, 10, 10))]
@@ -255,3 +259,140 @@ def test_trajectory_gap_frame_ordering_enforced():
         TrajectoryGap(before=(5, b), after=(8, b), missing_frames=(9,))
     gap = TrajectoryGap(before=(5, b), after=(8, b), missing_frames=(6, 7))
     assert gap.missing_frames == (6, 7)
+
+
+def twist_smoother(pts, cfg):
+    """Reference for ``se3_kalman``: a 12-state RTS smoother over SE(3) twists.
+
+    A constant-velocity filter over the 6-dim twist of the identity-rotation
+    pose at each box centre (z = 0), with matrix products and inverses,
+    measurement updates at observed frames and prediction inside gaps, then
+    a backward Rauch-Tung-Striebel pass. Returns frame -> (x, y, z) of the
+    smoothed pose.
+    """
+    frames = [f for f, _ in pts]
+    observed = {f: se3_log(Pose3(R=np.eye(3), t=[b.cx, b.cy, 0.0])) for f, b in pts}
+
+    dim = 6
+    F = np.eye(2 * dim)
+    F[:dim, dim:] = np.eye(dim)
+    H = np.hstack([np.eye(dim), np.zeros((dim, dim))])
+    Q = np.eye(2 * dim) * cfg.process_std**2
+    R = np.eye(dim) * cfg.meas_std**2
+
+    first, last = frames[0], frames[-1]
+    x = np.zeros(2 * dim)
+    x[:dim] = observed[first]
+    P = np.eye(2 * dim)
+    P[dim:, dim:] *= 100.0
+
+    preds, filts = [], []
+    span = list(range(first, last + 1))
+    for k, f in enumerate(span):
+        if k > 0:
+            x = F @ x
+            P = F @ P @ F.T + Q
+        preds.append((x.copy(), P.copy()))
+        if f in observed:
+            S = H @ P @ H.T + R
+            K = P @ H.T @ np.linalg.inv(S)
+            x = x + K @ (observed[f] - H @ x)
+            P = (np.eye(2 * dim) - K @ H) @ P
+        filts.append((x.copy(), P.copy()))
+
+    xs = [None] * len(span)
+    xs[-1] = filts[-1][0]
+    for k in range(len(span) - 2, -1, -1):
+        xf, Pf = filts[k]
+        xp_next, Pp_next = preds[k + 1]
+        C = Pf @ F.T @ np.linalg.inv(Pp_next)
+        xs[k] = xf + C @ (xs[k + 1] - xp_next)
+
+    return {f: se3_exp(xs[k][:dim]).t for k, f in enumerate(span)}
+
+
+def decimal_smoother(pts, cfg, digits=50):
+    """The 2-state constant-velocity RTS smoother of the box centre's x, in
+    ``digits``-digit decimal arithmetic: frame -> smoothed cx."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        D = decimal.Decimal
+        q, r = D(cfg.process_std) ** 2, D(cfg.meas_std) ** 2
+        first, last = pts[0][0], pts[-1][0]
+        obs = {f: D(b.cx) for f, b in pts}
+        x, vx = obs[first], D(0)
+        P = [[D(1), D(0)], [D(0), D(100)]]
+        filts = []
+        for f in range(first, last + 1):
+            if filts:  # predict: F = [[1, 1], [0, 1]], Q = q I
+                x += vx
+                (p, c), (_, v) = P
+                P = [[p + 2 * c + v + q, c + v], [c + v, v + q]]
+            if f in obs:
+                (p, c), (_, v) = P
+                s = p + r
+                e = obs[f] - x
+                x, vx = x + p / s * e, vx + c / s * e
+                P = [[p * r / s, c * r / s], [c * r / s, v - c * c / s]]
+            filts.append((x, vx, P))
+        out = {last: x}
+        for f in range(last - 1, first - 1, -1):
+            fx, fvx, ((p, c), (_, v)) = filts[f - first]
+            pp, cp, vp = p + 2 * c + v + q, c + v, v + q
+            det = pp * vp - cp * cp
+            # C = Pf F^T Pp^-1, applied to the next frame's smoothed-minus-predicted state
+            g = [[((p + c) * vp - c * cp) / det, (c * pp - (p + c) * cp) / det],
+                 [((c + v) * vp - v * cp) / det, (v * pp - (c + v) * cp) / det]]
+            ex, evx = x - (fx + fvx), vx - fvx
+            x, vx = fx + g[0][0] * ex + g[0][1] * evx, fvx + g[1][0] * ex + g[1][1] * evx
+            out[f] = x
+        return {f: float(xf) for f, xf in out.items()}
+
+
+def random_gappy_track(rng):
+    """5-120 boxes on a turning walk, observed with gaps of up to 300 frames."""
+    n = int(rng.integers(5, 121))
+    steps = np.where(rng.random(n - 1) < 0.1, rng.integers(2, 301, n - 1), 1)
+    frames = np.concatenate([[int(rng.integers(1, 50))], steps]).cumsum()
+    heading = rng.uniform(0, 2 * math.pi) + rng.normal(0, 0.3, n).cumsum()
+    speed = rng.uniform(0, 5) * np.diff(frames, prepend=frames[0])
+    cx = rng.uniform(0, 3840) + (speed * np.cos(heading)).cumsum()
+    cy = rng.uniform(0, 2160) + (speed * np.sin(heading)).cumsum()
+    w, h = rng.uniform(10, 80, n), rng.uniform(20, 200, n)
+    return [
+        (int(f), BBox(x=float(x - wi / 2), y=float(y - hi / 2), w=float(wi), h=float(hi)))
+        for f, x, y, wi, hi in zip(frames, cx, cy, w, h)
+    ]
+
+
+@pytest.mark.parametrize(
+    "process_std, meas_std", [(0.1, 0.01), (1.0, 0.5), (0.01, 2.0), (3.0, 0.0)]
+)
+def test_se3_kalman_matches_twist_smoother(process_std, meas_std):
+    # After gaps of hundreds of frames the 12-state float smoother is up to
+    # about 2e-8 px off the 50-digit result: its (I - KH)P update and its
+    # matrix inverse lose digits once p >> r. So every gap frame must agree
+    # with it to 1e-9 px beyond that error, and with the 50-digit result to
+    # 1e-9 px.
+    cfg = LiftingConfig(process_std=process_std, meas_std=meas_std)
+    rng = np.random.default_rng(71)
+    gap_frames = 0
+    for _ in range(10):
+        pts = random_gappy_track(rng)
+        observed = {f for f, _ in pts}
+        ref = twist_smoother(pts, cfg)
+        exact = decimal_smoother(pts, cfg)
+        filled, skipped = complete(pts, "se3_kalman", cfg)
+        assert skipped == []
+        assert [f for f, _ in filled] == list(range(pts[0][0], pts[-1][0] + 1))
+        for f, box in filled:
+            if f in observed:
+                continue
+            gap_frames += 1
+            x, y, z = ref[f]
+            assert z == 0.0
+            assert abs(x - exact[f]) < 1e-7
+            assert abs(box.cx - exact[f]) < 1e-9
+            assert abs(box.cx - x) <= 1e-9 + abs(x - exact[f])
+            assert abs(box.cy - y) < 1e-7
+    assert gap_frames > 1000
