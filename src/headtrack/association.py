@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import HeadKeypoint
 
@@ -166,6 +165,17 @@ def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: Ass
         motion = np.hypot(dx, dy) / cfg.motion_scale
         values = cfg.w_app * app + cfg.w_mot * motion
     return CostMatrix(values=values, gate_mask=values <= cfg.gate_g)
+
+
+def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
+    """scipy's rectangular assignment solver, imported at the first call.
+
+    Only ``track`` and ``evaluate`` solve assignments, so the other verbs
+    never load scipy. Returns its (rows, cols) index arrays.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost, maximize=maximize)
 
 
 def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:

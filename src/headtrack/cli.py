@@ -197,6 +197,7 @@ def cmd_track(args, cfg: RunConfig) -> int:
 
 def cmd_interpolate(args, cfg: RunConfig) -> int:
     lines = _located(args.input, lambda: dataio.parse_mot(args.input))
+    _located(args.input, lambda: dataio.check_unique_ids(lines))
     lcfg = lifting.LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std)
     by_id: dict[int, list[tuple[int, BBox]]] = {}
     extras: dict[tuple[int, int], tuple[float, tuple]] = {}
@@ -227,6 +228,8 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     gt_lines = _located(args.gt, lambda: dataio.parse_mot(args.gt))
     res_lines = _located(args.result, lambda: dataio.parse_mot(args.result))
+    _located(args.gt, lambda: dataio.check_unique_ids(gt_lines))
+    _located(args.result, lambda: dataio.check_unique_ids(res_lines))
     frames = sorted({l.frame for l in gt_lines} | {l.frame for l in res_lines})
     gt_by_frame: dict[int, list] = {}
     for l in gt_lines:

@@ -11,7 +11,7 @@ regardless of host.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -47,6 +47,7 @@ class MotLine:
     h: float
     conf: float
     extra: tuple[float, float, float] = (-1.0, -1.0, -1.0)
+    lineno: int = field(default=0, compare=False, repr=False)  # 1-based; 0 if not parsed
 
     def bbox(self) -> BBox:
         return BBox(x=self.x, y=self.y, w=self.w, h=self.h)
@@ -99,11 +100,24 @@ def parse_mot(source) -> list[MotLine]:
                     h=vals[3],
                     conf=vals[4],
                     extra=(vals[5], vals[6], vals[7]),
+                    lineno=lineno,
                 )
             )
         except ValueError as exc:
             raise MotParseError(lineno, str(exc)) from None
     return out
+
+
+def check_unique_ids(lines: Iterable[MotLine]) -> None:
+    """Raise MotParseError at the first line repeating an earlier line's (frame, id)."""
+    first: dict[tuple[int, int], int] = {}
+    for l in lines:
+        key = (l.frame, l.id)
+        if key in first:
+            raise MotParseError(
+                l.lineno, f"frame {l.frame} repeats id {l.id} (first on line {first[key]})"
+            )
+        first[key] = l.lineno
 
 
 def _fmt(v: float) -> str:

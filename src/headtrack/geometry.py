@@ -103,9 +103,11 @@ def iou_matrix(boxes_a: list[BBox], boxes_b: list[BBox]) -> np.ndarray:
     bx, by, bx2, by2 = _corners(boxes_b)[:, None, :]
     ix = np.minimum(ax2, bx2) - np.maximum(ax, bx)
     iy = np.minimum(ay2, by2) - np.maximum(ay, by)
-    inter = ix * iy
-    union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
-    return np.divide(inter, union, out=np.zeros(inter.shape), where=(ix > 0.0) & (iy > 0.0))
+    # sides near 1e308 overflow to inf (nan after inf - inf) silently, as in ``iou``
+    with np.errstate(over="ignore", invalid="ignore"):
+        inter = ix * iy
+        union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
+        return np.divide(inter, union, out=np.zeros(inter.shape), where=(ix > 0.0) & (iy > 0.0))
 
 
 def _corners(boxes: list[BBox]) -> np.ndarray:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 STATE_DIM = 8
 MEAS_DIM = 4
@@ -132,6 +131,8 @@ def predict(state: KalmanState, model: KalmanModel, h_min: float = 1.0) -> Kalma
 
 def _gain(P: np.ndarray, model: KalmanModel) -> np.ndarray:
     """K = P H^T (H P H^T + R)^-1 via a Cholesky solve on the innovation covariance."""
+    import scipy.linalg  # only update and iterated_update get here, and no verb calls them
+
     S = model.H @ P @ model.H.T + model.R
     try:
         chol = scipy.linalg.cho_factor(_symmetrize(S), lower=True)
@@ -217,7 +218,10 @@ Rows = tuple[np.ndarray, np.ndarray]
 def initiate_rows(z: np.ndarray, cfg: KalmanConfig) -> Rows:
     """The filters started from the (N, 4) measurements ``z``: states and (p, c, v)."""
     h = np.maximum(z[:, 3], cfg.h_min)
-    pos2, vel2 = np.float_power([2.0 * cfg.meas_std_weight * h, 10.0 * cfg.vel_std_weight * h], 2)
+    with np.errstate(over="ignore"):  # a height near 1e308 starts with an inf variance
+        pos2, vel2 = np.float_power(
+            [2.0 * cfg.meas_std_weight * h, 10.0 * cfg.vel_std_weight * h], 2
+        )
     x = np.hstack([z[:, :3], h[:, None], np.zeros((len(z), MEAS_DIM))])
     return x, np.column_stack([pos2, np.zeros(len(z)), vel2])
 

@@ -33,6 +33,9 @@ METHODS = ("linear2d", "se3_linear", "se3_kalman")
 _ANGLE_EPS = 1e-8
 _BRANCH_MARGIN = 1e-6
 
+# centres near +-1e308 overflow to inf, and se3_exp rejects the twist that follows
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True)
 class Pose3:
@@ -60,6 +63,7 @@ class Pose3:
     def inverse(self) -> "Pose3":
         return Pose3(R=self.R.T, t=-self.R.T @ self.t)
 
+    @_quiet
     def compose(self, other: "Pose3") -> "Pose3":
         return Pose3(R=self.R @ other.R, t=self.R @ other.t + self.t)
 
@@ -132,6 +136,7 @@ def se3_exp(xi: np.ndarray) -> Pose3:
     return Pose3(R=R, t=V @ rho)
 
 
+@_quiet
 def se3_log(T: Pose3) -> np.ndarray:
     """Logarithm map (principal branch). Rejects rotations at or past pi."""
     R, t = T.R, T.t
@@ -213,6 +218,7 @@ def complete(
     return filled, skipped
 
 
+@_quiet
 def _heading_yaw(prev: np.ndarray | None, cur: np.ndarray, nxt: np.ndarray | None) -> float:
     d = None
     if nxt is not None:

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .association import CostMatrix, solve_assignment
+from .association import CostMatrix, linear_sum_assignment, solve_assignment
 from .geometry import BBox, iou_matrix
 
 

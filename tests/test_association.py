@@ -7,6 +7,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from headtrack import association
 from headtrack.association import (
     FEATURE_KINDS,
     AppearanceDescriptor,
@@ -434,6 +435,20 @@ class TestStackDescriptors:
 
 
 class TestSolveAssignment:
+    def test_solver_looked_up_at_call_time(self, monkeypatch):
+        # the name perfbench's trace wraps as association.lsa
+        shapes = []
+        solver = association.linear_sum_assignment
+
+        def counting(cost, maximize=False):
+            shapes.append(cost.shape)
+            return solver(cost, maximize=maximize)
+
+        monkeypatch.setattr(association, "linear_sum_assignment", counting)
+        c = CostMatrix(values=np.array([[0.1, 0.9], [0.9, 0.1]]), gate_mask=np.ones((2, 2), bool))
+        assert solve_assignment(c) == [(0, 0), (1, 1)]
+        assert shapes == [(4, 4)]
+
     def test_two_by_two_diagonal(self):
         cm = CostMatrix(values=np.array([[1.0, 2.0], [2.0, 1.0]]),
                         gate_mask=np.ones((2, 2), bool))

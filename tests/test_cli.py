@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import struct
+import warnings
 
 import pytest
 
@@ -256,6 +257,18 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "MOTA=1.000000" in out
 
+    @pytest.mark.parametrize("side", ["gt", "result"])
+    def test_duplicate_id_names_file_line_frame_and_id(self, tmp_path, capsys, side):
+        good = write(tmp_path / "good.txt", "1,3,0,0,10,20,1,-1,-1,-1\n2,3,1,0,10,20,1,-1,-1,-1\n")
+        rows = ["1,3,0,0,10,20,1,-1,-1,-1", "2,3,1,0,10,20,1,-1,-1,-1", "",
+                "2,3,9,0,10,20,1,-1,-1,-1"]
+        bad = write(tmp_path / "bad.txt", "\n".join(rows) + "\n")
+        files = {"gt": good, "result": good, side: bad}
+        assert cli.main(["evaluate", "--gt", files["gt"], "--result", files["result"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}: line 4: frame 2 repeats id 3 (first on line 2)" in captured.err
+
 
 class TestInterpolate:
     def test_gap_free_file_unchanged(self, sim_dir, tmp_path):
@@ -312,6 +325,16 @@ class TestInterpolate:
             frames.setdefault(l.id, []).append(l.frame)
         assert frames == {7: [1, 2, 3, 6, 7], 8: [1, 2, 3, 4]}
 
+    @pytest.mark.parametrize("method", lifting.METHODS)
+    def test_duplicate_frame_and_id_rejected(self, tmp_path, capsys, method):
+        rows = ["1,1,0,0,10,20,1,-1,-1,-1", "1,1,2,0,10,20,1,-1,-1,-1", "5,1,8,0,10,20,1,-1,-1,-1"]
+        inp = write(tmp_path / "in.txt", "\n".join(rows) + "\n")
+        out = tmp_path / "out.txt"
+        assert cli.main(["interpolate", "--input", inp, "--method", method, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{inp}: line 2: frame 1 repeats id 1 (first on line 1)" in err
+        assert not out.exists()
+
     def test_zero_smoother_noise_names_the_track(self, tmp_path, capsys):
         rows = ["1,4,0,0,10,20,1,-1,-1,-1", "2,4,2,0,10,20,1,-1,-1,-1", "5,4,8,0,10,20,1,-1,-1,-1"]
         inp = write(tmp_path / "in.txt", "\n".join(rows) + "\n")
@@ -349,6 +372,38 @@ class TestInterpolate:
             cli.main(["interpolate", "--input", str(sim_dir / "gt.txt"),
                       "--method", "linear3d", "--out", str(tmp_path / "out.txt")])
         assert e.value.code == 1
+
+
+class TestExtremeValuesQuiet:
+    """Legal values near the float limit keep their exit codes and print no numpy warning."""
+
+    def run(self, argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        assert [str(w.message) for w in caught] == []
+        return code, capsys.readouterr().err
+
+    def test_track_box_near_limit(self, tmp_path, capsys):
+        dets = write(tmp_path / "det.txt", "1,-1,100,100,40,1e308,1,-1,-1,-1\n"
+                                           "2,-1,100,100,40,1e308,1,-1,-1,-1\n")
+        out = tmp_path / "out.txt"
+        args = ["track", "--dets", dets, "--out", str(out), "--min-hits", "1"]
+        assert self.run(args, capsys) == (0, "")
+        assert len(parse_mot(out)) == 2
+
+    def test_simulate_box_near_limit(self, tmp_path, capsys):
+        spec = write(tmp_path / "scene.cfg", "targets = 2\nframes = 3\nbox_height = 1e300\n")
+        code, err = self.run(["simulate", "--spec", spec, "--out-dir", str(tmp_path)], capsys)
+        assert (code, err) == (0, "")
+        assert len(parse_mot(tmp_path / "gt.txt")) == 6
+
+    def test_se3_linear_centres_near_limit(self, tmp_path, capsys):
+        rows = ["1,5,1e308,0,40,80,1,-1,-1,-1", "2,5,-1e308,0,40,80,1,-1,-1,-1",
+                "4,5,1e308,0,40,80,1,-1,-1,-1"]
+        inp = write(tmp_path / "in.txt", "\n".join(rows) + "\n")
+        args = ["interpolate", "--input", inp, "--method", "se3_linear", "--out", str(tmp_path / "o")]
+        assert self.run(args, capsys) == (2, f"headtrack: {inp}: track 5: twist must be finite\n")
 
 
 class TestAssign:

@@ -10,6 +10,7 @@ from headtrack.dataio import (
     MotLine,
     MotParseError,
     SceneSpec,
+    check_unique_ids,
     format_mot,
     generate_scene,
     mot_to_detections,
@@ -52,6 +53,17 @@ class TestMotText:
     def test_bad_frame_index(self):
         with pytest.raises(MotParseError):
             parse_mot(["0,1,0,0,5,5,1,-1,-1,-1"])
+
+    def test_line_numbers_count_blank_lines(self):
+        lines = parse_mot(["", "1,1,0,0,1,1,1,-1,-1,-1", "", "1,2,0,0,1,1,1,-1,-1,-1"])
+        assert [l.lineno for l in lines] == [2, 4]
+        assert lines[0] == MotLine(frame=1, id=1, x=0, y=0, w=1, h=1, conf=1)
+
+    def test_repeated_frame_and_id_reported_at_second_line(self):
+        rows = ["1,1,0,0,1,1,1,-1,-1,-1", "1,2,0,0,1,1,1,-1,-1,-1", "1,1,5,0,1,1,1,-1,-1,-1"]
+        check_unique_ids(parse_mot(rows[:2]))
+        with pytest.raises(MotParseError, match=r"line 3: frame 1 repeats id 1 \(first on line 1\)"):
+            check_unique_ids(parse_mot(rows))
 
     def test_output_sorted_by_frame_then_id(self):
         rows = [
