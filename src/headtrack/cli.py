@@ -21,8 +21,11 @@ import numpy as np
 
 from . import dataio, label_assign, lifting, metrics
 from .association import AssociationConfig
+from .dataio import SceneSpec
 from .geometry import BBox, HeadKeypoint
 from .kalman import KalmanConfig
+from .label_assign import AssignConfig
+from .lifting import LiftingConfig
 from .tracker import Tracker, TrackerConfig
 
 USAGE_ERROR = 1
@@ -41,42 +44,45 @@ def _key(default, help_text: str):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every tunable of the pipeline, with module defaults.
+    """Every tunable of the pipeline.
 
     The fields are the only list of config keys: the config file, the
-    per-key flags and --help all read them.
+    per-key flags and --help all read them. Each default is read from the
+    library config that owns the key; ``motion_scale`` (0 is the image
+    diagonal) and ``iou_threshold`` (a keyword default of
+    ``metrics.evaluate``) state their own.
     """
 
     # association
-    w_app: float = _key(0.5, "appearance weight in the association cost")
-    w_mot: float = _key(0.5, "motion weight in the association cost")
-    lambda_cls: float = _key(0.5, "weight of the classification-branch feature")
-    lambda_reg: float = _key(0.5, "weight of the regression-branch feature")
-    lambda_head: float = _key(0.0, "weight of the head-branch feature")
-    gate_g: float = _key(0.5, "gating threshold on the combined association cost")
+    w_app: float = _key(AssociationConfig.w_app, "appearance weight in the association cost")
+    w_mot: float = _key(AssociationConfig.w_mot, "motion weight in the association cost")
+    lambda_cls: float = _key(AssociationConfig.feature_weights[0], "weight of the classification-branch feature")
+    lambda_reg: float = _key(AssociationConfig.feature_weights[1], "weight of the regression-branch feature")
+    lambda_head: float = _key(AssociationConfig.feature_weights[2], "weight of the head-branch feature")
+    gate_g: float = _key(AssociationConfig.gate_g, "gating threshold on the combined association cost")
     motion_scale: float = _key(0.0, "pixel normalizer for motion cost; 0 uses the image diagonal")
     # tracker lifecycle
-    patience_w: int = _key(30, "frames a track survives without a match")
-    min_hits: int = _key(3, "matches required before a track is emitted")
-    init_score_min: float = _key(0.25, "confidence threshold for spawning new tracks")
-    descriptor_momentum: float = _key(0.9, "EMA momentum for track descriptors")
-    emit_predictions: bool = _key(False, "also emit predicted boxes while a track coasts")
+    patience_w: int = _key(TrackerConfig.patience_w, "frames a track survives without a match")
+    min_hits: int = _key(TrackerConfig.min_hits, "matches required before a track is emitted")
+    init_score_min: float = _key(TrackerConfig.init_score_min, "confidence threshold for spawning new tracks")
+    descriptor_momentum: float = _key(TrackerConfig.descriptor_momentum, "EMA momentum for track descriptors")
+    emit_predictions: bool = _key(TrackerConfig.emit_predictions, "also emit predicted boxes while a track coasts")
     # kalman
-    h_min: float = _key(1.0, "lower clamp on the filtered target height")
+    h_min: float = _key(KalmanConfig.h_min, "lower clamp on the filtered target height")
     # gap filling
-    se3_process_std: float = _key(0.1, "process noise std of the se3_kalman centre smoother")
-    se3_meas_std: float = _key(0.01, "measurement noise std of the se3_kalman centre smoother")
+    se3_process_std: float = _key(LiftingConfig.process_std, "process noise std of the se3_kalman centre smoother")
+    se3_meas_std: float = _key(LiftingConfig.meas_std, "measurement noise std of the se3_kalman centre smoother")
     # label assignment
-    alpha: float = _key(3.0, "IoU-cost weight in the assignment cost")
-    beta: float = _key(1e5, "positional penalty outside the center region")
-    eps_iou: float = _key(1e-8, "epsilon inside the -log(IoU + eps) cost")
-    q_topk: int = _key(10, "candidates summed for the dynamic-k rule")
+    alpha: float = _key(AssignConfig.alpha, "IoU-cost weight in the assignment cost")
+    beta: float = _key(AssignConfig.beta, "positional penalty outside the center region")
+    eps_iou: float = _key(AssignConfig.eps_iou, "epsilon inside the -log(IoU + eps) cost")
+    q_topk: int = _key(AssignConfig.q_topk, "candidates summed for the dynamic-k rule")
     # evaluation
     iou_threshold: float = _key(0.5, "IoU threshold for evaluation matching")
     # scene geometry / determinism
-    image_width: float = _key(1920.0, "image width in pixels")
-    image_height: float = _key(1080.0, "image height in pixels")
-    seed: int = _key(0, "PRNG seed for the scene generator")
+    image_width: float = _key(SceneSpec.image_width, "image width in pixels")
+    image_height: float = _key(SceneSpec.image_height, "image height in pixels")
+    seed: int = _key(SceneSpec.seed, "PRNG seed for the scene generator")
 
 
 def _coerce(name: str, raw: str, target_type):
@@ -97,21 +103,27 @@ def _coerce(name: str, raw: str, target_type):
     return value
 
 
+def _key_values(path):
+    """Yield (lineno, key, value) for each key=value line of a file; # starts a comment."""
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        yield lineno, key, val
+
+
 def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     """Read a key=value file (optional) and apply command-line overrides."""
     types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
     if path is not None:
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
+        for lineno, key, val in _key_values(path):
             if key not in types:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, val, types[key])
+            values[key] = _located(f"{path}:{lineno}", lambda: _coerce(key, val, types[key]))
     for key, val in (overrides or {}).items():
         if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
@@ -159,6 +171,9 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
     frames = _located(
         dets_path, lambda: dataio.mot_to_detections(lines, descriptors, head_format=head_format)
     )
+    for frame, index in descriptors or ():  # every record must reach a detection line
+        if index >= len(frames.get(frame, ())):
+            raise ConfigError(f"{features_path}: record ({frame},{index}) names no detection line")
     tracker = Tracker(tracker_config(cfg))
     out: list[dataio.MotLine] = []
     f = 1
@@ -198,7 +213,7 @@ def cmd_track(args, cfg: RunConfig) -> int:
 def cmd_interpolate(args, cfg: RunConfig) -> int:
     lines = _located(args.input, lambda: dataio.parse_mot(args.input))
     _located(args.input, lambda: dataio.check_unique_ids(lines))
-    lcfg = lifting.LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std)
+    lcfg = LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std)
     by_id: dict[int, list[tuple[int, BBox]]] = {}
     extras: dict[tuple[int, int], tuple[float, tuple]] = {}
     for l in lines:
@@ -251,22 +266,17 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     return 0
 
 
-def parse_scene_spec(path, cfg: RunConfig) -> dataio.SceneSpec:
-    """Scene description: key=value lines; occlusion as tid:start-end;..."""
-    kwargs: dict = {
-        "image_width": cfg.image_width,
-        "image_height": cfg.image_height,
-        "seed": cfg.seed,
-    }
-    int_keys = {"targets", "frames", "seed", "descriptor_dim"}
-    float_keys = {"image_width", "image_height", "box_height", "noise_std", "feat_noise_std"}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, val = (s.strip() for s in line.split("=", 1))
+def parse_scene_spec(path, cfg: RunConfig) -> SceneSpec:
+    """Scene description: key=value lines, the keys being SceneSpec's fields.
+
+    ``occlusion`` lists the windows as tid:start-end;... in place of the
+    ``occlusions`` field, which is not a key.
+    """
+    types = {f.name: type(f.default) for f in dataclasses.fields(SceneSpec)}
+    del types["occlusions"]
+    types["descriptor_dim"] = int  # its default, None, means one dimension per target
+    kwargs = dict(image_width=cfg.image_width, image_height=cfg.image_height, seed=cfg.seed)
+    for lineno, key, val in _key_values(path):
         if key == "occlusion":
             windows = []
             for chunk in val.split(";"):
@@ -282,14 +292,11 @@ def parse_scene_spec(path, cfg: RunConfig) -> dataio.SceneSpec:
                         f"{path}:{lineno}: occlusion windows look like tid:start-end"
                     ) from None
             kwargs["occlusions"] = tuple(windows)
-        elif key == "motion":
-            kwargs["motion"] = val
-        elif key in int_keys or key in float_keys:
-            kind = int if key in int_keys else float
-            kwargs[key] = _located(f"{path}:{lineno}", lambda: _coerce(key, val, kind))
+        elif key in types:
+            kwargs[key] = _located(f"{path}:{lineno}", lambda: _coerce(key, val, types[key]))
         else:
             raise ConfigError(f"{path}:{lineno}: unknown scene key {key!r}")
-    return _located(path, lambda: dataio.SceneSpec(**kwargs))
+    return _located(path, lambda: SceneSpec(**kwargs))
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
@@ -336,9 +343,7 @@ def cmd_assign(args, cfg: RunConfig) -> int:
         ]
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad scene file: {exc}") from None
-    acfg = label_assign.AssignConfig(
-        alpha=cfg.alpha, beta=cfg.beta, eps_iou=cfg.eps_iou, q_topk=cfg.q_topk
-    )
+    acfg = AssignConfig(alpha=cfg.alpha, beta=cfg.beta, eps_iou=cfg.eps_iou, q_topk=cfg.q_topk)
     cost = label_assign.assign_cost_matrix(anchors, gts, acfg)
     ious = label_assign.iou_matrix(anchors, gts)
     fg = label_assign.foreground_mask(anchors, gts)
@@ -374,20 +379,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for f in dataclasses.fields(RunConfig):
         group.add_argument(
             f"--{f.name.replace('_', '-')}",
-            dest=f"cfg_{f.name}",
-            default=None,
+            dest=f.name,
+            default=argparse.SUPPRESS,
             metavar="V",
             help=f"{f.metadata['help']} (default {f.default})",
         )
-
-
-def _collect_overrides(args) -> dict[str, str]:
-    out = {}
-    for f in dataclasses.fields(RunConfig):
-        val = getattr(args, f"cfg_{f.name}", None)
-        if val is not None:
-            out[f.name] = val
-    return out
 
 
 def build_parser() -> _Parser:
@@ -437,7 +433,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, _collect_overrides(args))
+        keys = {f.name for f in dataclasses.fields(RunConfig)}
+        cfg = load_config(args.config, {k: v for k, v in vars(args).items() if k in keys})
         return _VERBS[args.verb](args, cfg)
     except (ConfigError, dataio.MotParseError, OSError, ValueError) as exc:
         print(f"headtrack: {exc}", file=sys.stderr)

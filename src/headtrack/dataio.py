@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .association import AppearanceDescriptor
+from .association import FEATURE_KINDS, AppearanceDescriptor
 from .geometry import BBox, HeadKeypoint, iou_matrix
 from .tracker import Detection
 
@@ -48,8 +48,11 @@ class MotLine:
     conf: float
     extra: tuple[float, float, float] = (-1.0, -1.0, -1.0)
     lineno: int = field(default=0, compare=False, repr=False)  # 1-based; 0 if not parsed
+    box: Optional[BBox] = field(default=None, compare=False, repr=False)  # built by parse_mot
 
     def bbox(self) -> BBox:
+        if self.box is not None:
+            return self.box
         return BBox(x=self.x, y=self.y, w=self.w, h=self.h)
 
     def head(self) -> Optional[HeadKeypoint]:
@@ -64,7 +67,8 @@ def parse_mot(source) -> list[MotLine]:
     """Parse MOT text from a path, open file, or iterable of lines.
 
     Lines may arrive in any frame order; use format_mot for canonical
-    output ordering.
+    output ordering. Each line's box is built and checked here, so a bad
+    field raises MotParseError naming its line.
     """
     if isinstance(source, (str, Path)):
         lines = Path(source).read_text().splitlines()
@@ -84,27 +88,13 @@ def parse_mot(source) -> list[MotLine]:
         try:
             frame = int(parts[0])
             track_id = int(parts[1])
-            vals = [float(p) for p in parts[2:]]
+            x, y, w, h, conf, *extra = (float(p) for p in parts[2:])
+            if frame < 1:
+                raise ValueError(f"frame index must be >= 1, got {frame}")
+            box = BBox(x=x, y=y, w=w, h=h)
         except ValueError as exc:
             raise MotParseError(lineno, str(exc)) from None
-        if frame < 1:
-            raise MotParseError(lineno, f"frame index must be >= 1, got {frame}")
-        try:
-            out.append(
-                MotLine(
-                    frame=frame,
-                    id=track_id,
-                    x=vals[0],
-                    y=vals[1],
-                    w=vals[2],
-                    h=vals[3],
-                    conf=vals[4],
-                    extra=(vals[5], vals[6], vals[7]),
-                    lineno=lineno,
-                )
-            )
-        except ValueError as exc:
-            raise MotParseError(lineno, str(exc)) from None
+        out.append(MotLine(frame, track_id, x, y, w, h, conf, tuple(extra), lineno=lineno, box=box))
     return out
 
 
@@ -161,15 +151,11 @@ def mot_to_detections(
         dets = []
         for idx, row in enumerate(rows):
             desc = descriptors.get((frame, idx)) if descriptors else None
-            dets.append(
-                Detection(
-                    frame=frame,
-                    bbox=row.bbox(),
-                    score=row.conf,
-                    head=row.head() if head_format else None,
-                    descriptor=desc,
-                )
-            )
+            try:
+                head = row.head() if head_format else None
+                dets.append(Detection(frame, row.bbox(), row.conf, head, desc))
+            except ValueError as exc:
+                raise MotParseError(row.lineno, str(exc)) from None
         out[frame] = dets
     return out
 
@@ -200,26 +186,23 @@ def write_descriptors(
     )
     for rec in records:
         buf += _RECORD_HEAD.pack(rec.frame, rec.det_index)
-        for vec, dim, name in (
-            (rec.f_cls, dim_cls, "f_cls"),
-            (rec.f_reg, dim_reg, "f_reg"),
-            (rec.f_head, dim_head, "f_head"),
-        ):
+        for kind, dim in zip(FEATURE_KINDS, (dim_cls, dim_reg, dim_head)):
+            vec = getattr(rec, kind)
             if dim == 0:
                 if vec is not None:
-                    raise ValueError(f"{name} present but header declares dimension 0")
+                    raise ValueError(f"{kind} present but header declares dimension 0")
                 continue
             if vec is None:
-                raise ValueError(f"{name} missing but header declares dimension {dim}")
+                raise ValueError(f"{kind} missing but header declares dimension {dim}")
             arr = np.asarray(vec, dtype="<f4")
             if arr.shape != (dim,):
-                raise ValueError(f"{name} has shape {arr.shape}, expected ({dim},)")
+                raise ValueError(f"{kind} has shape {arr.shape}, expected ({dim},)")
             buf += arr.tobytes()
     Path(path).write_bytes(bytes(buf))
 
 
 def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
-    """Load the sidecar into (frame, det_index) -> descriptor.
+    """Load the sidecar into (frame, det_index) -> descriptor; a key may occur once.
 
     Vectors are checked against the unit-norm contract (1e-4, the f32
     storage tolerance) and renormalized in float64 on the way in.
@@ -239,19 +222,21 @@ def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
 
     out: dict[tuple[int, int], AppearanceDescriptor] = {}
     offset = _HEADER.size
-    for _ in range(count):
+    for rec in range(1, count + 1):
         frame, det_index = _RECORD_HEAD.unpack_from(data, offset)
         offset += _RECORD_HEAD.size
+        if (frame, det_index) in out:
+            raise ValueError(f"record {rec} repeats (frame, det_index) ({frame},{det_index})")
         kinds = {}
-        for name, dim in (("f_cls", dim_cls), ("f_reg", dim_reg), ("f_head", dim_head)):
+        for kind, dim in zip(FEATURE_KINDS, (dim_cls, dim_reg, dim_head)):
             if dim == 0:
                 continue
             vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).astype(float)
             offset += 4 * dim
             n = float(np.linalg.norm(vec))
             if not abs(n - 1.0) <= 1e-4:  # also rejects a NaN norm
-                raise ValueError(f"{name} for ({frame},{det_index}) is not unit-norm: |v|={n}")
-            kinds[name] = vec / n
+                raise ValueError(f"{kind} for ({frame},{det_index}) is not unit-norm: |v|={n}")
+            kinds[kind] = vec / n
         out[(frame, det_index)] = AppearanceDescriptor(**kinds)
     return out
 

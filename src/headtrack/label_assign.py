@@ -52,6 +52,12 @@ class AssignConfig:
     eps_iou: float = 1e-8
     q_topk: int = 10
 
+    def __post_init__(self):
+        if not self.eps_iou > 0.0:  # -log(IoU + eps) must stay finite at IoU = 0
+            raise ValueError(f"eps_iou must be positive, got {self.eps_iou}")
+        if self.q_topk < 1:
+            raise ValueError(f"q_topk must be >= 1, got {self.q_topk}")
+
 
 def _center_radius(anchor: Anchor, gt: GtInstance) -> float:
     if gt.center_radius is not None:

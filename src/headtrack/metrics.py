@@ -36,8 +36,11 @@ class EvalReport:
 def evaluate(frames: list[EvalFrame], iou_threshold: float = 0.5) -> EvalReport:
     """Score a hypothesis stream against ground truth.
 
-    Raises ValueError when the ground truth is empty (MOTA undefined).
+    Raises ValueError when the ground truth is empty (MOTA undefined) or
+    ``iou_threshold`` lies outside (0, 1].
     """
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
     gt_total = sum(len(f.gt) for f in frames)
     if gt_total == 0:
         raise ValueError("empty ground truth: MOTA undefined")

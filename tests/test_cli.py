@@ -11,8 +11,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from headtrack import cli, lifting
-from headtrack.dataio import DescriptorRecord, parse_mot, read_descriptors, write_descriptors
+from headtrack import cli, label_assign, lifting
+from headtrack.association import AssociationConfig
+from headtrack.dataio import (
+    DescriptorRecord, SceneSpec, parse_mot, read_descriptors, write_descriptors,
+)
+from headtrack.tracker import TrackerConfig
 
 SCENE = """
 targets = 4
@@ -511,6 +515,206 @@ class TestConfigHandling:
             ["track", "--dets", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o.txt")]
         )
         assert code == 2
+
+
+# One non-default value per scene spec key (every SceneSpec field but the
+# raw occlusions, which the occlusion key fills).
+SCENE_VALUES = {
+    "targets": 3, "motion": "linear", "frames": 12, "image_width": 640.0,
+    "image_height": 480.0, "box_height": 40.0, "noise_std": 1.5, "feat_noise_std": 0.25,
+    "descriptor_dim": 6, "seed": 9,
+}
+
+
+class TestSettingsStatedOnce:
+    """RunConfig's defaults are those of the library configs that own the keys."""
+
+    def test_annotation_matches_default_type(self):
+        # load_config parses a key as the type of its default
+        for f in dataclasses.fields(cli.RunConfig):
+            assert type(f.default).__name__ == f.type, f.name
+
+    def test_tracker_config_defaults(self):
+        cfg = cli.RunConfig()
+        diagonal = float(np.hypot(cfg.image_width, cfg.image_height))
+        expected = TrackerConfig(assoc=AssociationConfig(motion_scale=diagonal))
+        assert cli.tracker_config(cfg) == expected
+        assert (cfg.image_width, cfg.image_height) == (1920.0, 1080.0)
+
+    def test_lifting_and_assign_defaults(self, sim_dir, tmp_path, monkeypatch):
+        seen = []
+        complete, cost_matrix = lifting.complete, label_assign.assign_cost_matrix
+        monkeypatch.setattr(lifting, "complete", lambda t, m, c: seen.append(c) or complete(t, m, c))
+        monkeypatch.setattr(label_assign, "assign_cost_matrix",
+                            lambda a, g, c: seen.append(c) or cost_matrix(a, g, c))
+        gt = str(sim_dir / "gt.txt")
+        assert cli.main(["interpolate", "--input", gt, "--out", str(tmp_path / "o.txt")]) == 0
+        doc = {"anchors": [{"cx": 5, "cy": 5, "box": [0, 0, 10, 10]}], "gts": [{"box": [0, 0, 10, 10]}]}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["assign", "--scene", write(tmp_path / "s.json", json.dumps(doc))]) == 0
+        assert seen[0] == lifting.LiftingConfig() and seen[-1] == label_assign.AssignConfig()
+
+    def test_empty_spec_is_scene_spec_defaults(self, tmp_path):
+        spec = write(tmp_path / "scene.cfg", "# no keys\n\n")
+        assert cli.parse_scene_spec(spec, cli.RunConfig()) == SceneSpec()
+
+    def test_scene_values_cover_every_key(self):
+        fields = {f.name for f in dataclasses.fields(SceneSpec)}
+        assert set(SCENE_VALUES) == fields - {"occlusions"}
+
+    @pytest.mark.parametrize("key", sorted(SCENE_VALUES))
+    def test_scene_key_round_trips(self, tmp_path, key):
+        value = SCENE_VALUES[key]
+        spec = write(tmp_path / "scene.cfg", f"{key} = {value}\n")
+        parsed = cli.parse_scene_spec(spec, cli.RunConfig())
+        assert parsed == dataclasses.replace(SceneSpec(), **{key: value})
+        assert type(getattr(parsed, key)) is type(value)
+
+    def test_occlusion_key_and_raw_field(self, tmp_path):
+        spec = write(tmp_path / "scene.cfg", "occlusion = 1:2-3; 2:4-5\n")
+        assert cli.parse_scene_spec(spec, cli.RunConfig()).occlusions == ((1, 2, 3), (2, 4, 5))
+        spec = write(tmp_path / "raw.cfg", "occlusions = 1:2-3\n")
+        with pytest.raises(cli.ConfigError, match="raw.cfg:1: unknown scene key 'occlusions'"):
+            cli.parse_scene_spec(spec, cli.RunConfig())
+
+    def test_config_file_value_survives_unset_flag(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._VERBS, "evaluate", lambda args, cfg: seen.append(cfg) or 0)
+        cfgfile = write(tmp_path / "run.cfg", "iou_threshold = 0.7\nseed = 4\n")
+        argv = ["evaluate", "--gt", "g.txt", "--result", "r.txt", "--config", cfgfile]
+        assert cli.main(argv) == 0
+        assert cli.main(argv + ["--seed", "5"]) == 0
+        assert seen[0] == dataclasses.replace(cli.RunConfig(), iou_threshold=0.7, seed=4)
+        assert seen[1] == dataclasses.replace(cli.RunConfig(), iou_threshold=0.7, seed=5)
+
+    def test_spec_value_survives_unset_flag(self, tmp_path, monkeypatch):
+        specs = []
+        generate = cli.dataio.generate_scene
+        monkeypatch.setattr(cli.dataio, "generate_scene", lambda s: specs.append(s) or generate(s))
+        spec = write(tmp_path / "scene.cfg", "targets = 2\nframes = 3\nimage_width = 640\n")
+        argv = ["simulate", "--spec", spec, "--out-dir", str(tmp_path / "o")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+            assert cli.main(argv + ["--image-height", "480", "--image-width", "800"]) == 0
+        assert (specs[0].image_width, specs[0].image_height) == (640.0, 1080.0)
+        assert (specs[1].image_width, specs[1].image_height) == (640.0, 480.0)
+
+
+ROWS = ["1,1,10,10,20,40,1,-1,-1,-1", "2,1,12,10,20,40,1,-1,-1,-1", "3,1,14,10,20,40,1,-1,-1,-1"]
+
+
+def rows_with(path, field, value):
+    """ROWS written to ``path`` with one field of its third line replaced."""
+    rows = [line.split(",") for line in ROWS]
+    rows[2][field] = value
+    return write(path, "".join(",".join(r) + "\n" for r in rows))
+
+
+class TestBadRowsNameFileAndLine:
+    VERBS = ["track", "interpolate", "evaluate --gt", "evaluate --result"]
+
+    @staticmethod
+    def argv(verb, bad, good, out):
+        return {
+            "track": ["track", "--dets", bad, "--out", out],
+            "interpolate": ["interpolate", "--input", bad, "--out", out],
+            "evaluate --gt": ["evaluate", "--gt", bad, "--result", good],
+            "evaluate --result": ["evaluate", "--gt", good, "--result", bad],
+        }[verb]
+
+    @pytest.mark.parametrize("verb", VERBS)
+    @pytest.mark.parametrize("field,value,message", [
+        (2, "nan", "box coordinates must be finite"),
+        (3, "-inf", "box coordinates must be finite"),
+        (4, "-40", "box extent must be positive, got w=-40.0, h=40.0"),
+        (5, "0", "box extent must be positive, got w=20.0, h=0.0"),
+    ])
+    def test_bad_box_field(self, tmp_path, capsys, verb, field, value, message):
+        bad = rows_with(tmp_path / "bad.txt", field, value)
+        good = write(tmp_path / "good.txt", "\n".join(ROWS))
+        out = tmp_path / "o.txt"
+        assert cli.main(self.argv(verb, bad, good, str(out))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"headtrack: {bad}: line 3: {message}" in captured.err
+        assert not out.exists()
+
+    def test_non_finite_score(self, tmp_path, capsys):
+        dets = rows_with(tmp_path / "det.txt", 6, "nan")
+        assert cli.main(["track", "--dets", dets, "--out", str(tmp_path / "o.txt")]) == 2
+        assert f"{dets}: line 3: detection score must be finite" in capsys.readouterr().err
+
+    def test_head_visibility_out_of_range(self, tmp_path, capsys):
+        dets = rows_with(tmp_path / "det.txt", 9, "1.5")
+        track = ["track", "--dets", dets, "--out", str(tmp_path / "o.txt")]
+        assert cli.main(track) == 0  # without --head-format the trailing fields are not read
+        assert cli.main(track + ["--head-format"]) == 2
+        assert f"{dets}: line 3: visibility must lie in [0, 1], got 1.5" in capsys.readouterr().err
+
+
+class TestSidecarMatchesDetections:
+    @pytest.fixture
+    def dets(self, tmp_path):
+        return write(tmp_path / "det.txt", "\n".join(ROWS))
+
+    def track(self, tmp_path, dets, keys):
+        sidecar = tmp_path / "features.ftfv"
+        records = [DescriptorRecord(f, k, f_cls=np.array([1.0, 0.0])) for f, k in keys]
+        write_descriptors(sidecar, records, dim_cls=2, dim_reg=0, dim_head=0)
+        out = tmp_path / "o.txt"
+        code = cli.main(["track", "--dets", dets, "--features", str(sidecar), "--out", str(out)])
+        return code, sidecar, out
+
+    def test_matching_sidecar_runs(self, tmp_path, dets):
+        code, _, out = self.track(tmp_path, dets, [(1, 0), (3, 0)])
+        assert code == 0 and out.exists()
+
+    def test_repeated_record(self, tmp_path, capsys, dets):
+        code, sidecar, out = self.track(tmp_path, dets, [(1, 0), (2, 0), (1, 0)])
+        assert code == 2 and not out.exists()
+        assert f"{sidecar}: record 3 repeats (frame, det_index) (1,0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("orphan", [(2, 1), (4, 0)])
+    def test_record_without_detection(self, tmp_path, capsys, dets, orphan):
+        code, sidecar, out = self.track(tmp_path, dets, [(1, 0), orphan, (3, 0)])
+        assert code == 2 and not out.exists()
+        expected = f"{sidecar}: record ({orphan[0]},{orphan[1]}) names no detection line"
+        assert expected in capsys.readouterr().err
+
+
+class TestSettingRanges:
+    """Out-of-range settings exit 2 naming the key, from the config that owns them."""
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--eps-iou", "-1", "eps_iou must be positive, got -1.0"),
+        ("--eps-iou", "0", "eps_iou must be positive, got 0.0"),
+        ("--q-topk", "0", "q_topk must be >= 1, got 0"),
+        ("--q-topk", "-3", "q_topk must be >= 1, got -3"),
+    ])
+    def test_assign(self, tmp_path, capsys, flag, value, message):
+        doc = {"anchors": [{"cx": 5, "cy": 5, "box": [0, 0, 10, 10]}], "gts": [{"box": [0, 0, 10, 10]}]}
+        scene = write(tmp_path / "scene.json", json.dumps(doc))
+        assert cli.main(["assign", "--scene", scene, f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"headtrack: {message}\n" == captured.err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "1.5"])
+    def test_evaluate_iou_threshold(self, tmp_path, capsys, value):
+        gt = write(tmp_path / "gt.txt", "\n".join(ROWS))
+        assert cli.main(["evaluate", "--gt", gt, "--result", gt, f"--iou-threshold={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"iou_threshold must lie in (0, 1], got {float(value)}" in captured.err
+
+    def test_evaluate_iou_threshold_one(self, tmp_path, capsys):
+        gt = write(tmp_path / "gt.txt", "\n".join(ROWS))
+        assert cli.main(["evaluate", "--gt", gt, "--result", gt, "--iou-threshold", "1"]) == 0
+        assert "MOTA=1.000000" in capsys.readouterr().out
+
+    def test_config_file_value_error_names_line(self, tmp_path, capsys):
+        cfgfile = write(tmp_path / "run.cfg", "# settings\nmin_hits = 2.5\n")
+        with pytest.raises(cli.ConfigError, match="run.cfg:2: key min_hits: cannot parse '2.5'"):
+            cli.load_config(cfgfile)
 
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(cli.RunConfig)]

@@ -54,6 +54,22 @@ class TestMotText:
         with pytest.raises(MotParseError):
             parse_mot(["0,1,0,0,5,5,1,-1,-1,-1"])
 
+    @pytest.mark.parametrize("row,message", [
+        ("1,1,nan,0,5,5,1,-1,-1,-1", "box coordinates must be finite"),
+        ("1,1,0,inf,5,5,1,-1,-1,-1", "box coordinates must be finite"),
+        ("1,1,0,0,-40,5,1,-1,-1,-1", "box extent must be positive"),
+        ("1,1,0,0,5,0,1,-1,-1,-1", "box extent must be positive"),
+    ])
+    def test_bad_box_reports_number(self, row, message):
+        with pytest.raises(MotParseError, match=f"line 3: {message}") as e:
+            parse_mot(["1,2,0,0,5,5,1,-1,-1,-1", "", row])
+        assert e.value.lineno == 3
+
+    def test_box_built_once_at_parse(self):
+        (line,) = parse_mot(["1,2,3,4,5,6,1,-1,-1,-1"])
+        assert line.bbox() is line.bbox()
+        assert line.bbox() == MotLine(frame=1, id=2, x=3, y=4, w=5, h=6, conf=1).bbox()
+
     def test_line_numbers_count_blank_lines(self):
         lines = parse_mot(["", "1,1,0,0,1,1,1,-1,-1,-1", "", "1,2,0,0,1,1,1,-1,-1,-1"])
         assert [l.lineno for l in lines] == [2, 4]
@@ -172,6 +188,14 @@ class TestDescriptorFile:
         rec = DescriptorRecord(frame=2, det_index=0, f_cls=np.array([0.6, np.nan, 0.8]))
         write_descriptors(path, [rec], dim_cls=3, dim_reg=0, dim_head=0)
         with pytest.raises(ValueError, match=r"f_cls for \(2,0\) is not unit-norm"):
+            read_descriptors(path)
+
+    def test_repeated_record_rejected(self, tmp_path):
+        path = tmp_path / "d.ftfv"
+        recs = [DescriptorRecord(frame=f, det_index=k, f_cls=np.array([1.0]))
+                for f, k in [(1, 0), (1, 1), (2, 0), (1, 1)]]
+        write_descriptors(path, recs, dim_cls=1, dim_reg=0, dim_head=0)
+        with pytest.raises(ValueError, match=r"record 4 repeats \(frame, det_index\) \(1,1\)"):
             read_descriptors(path)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -314,6 +338,15 @@ class TestMotToDetections:
             assert np.array_equal(det.descriptor.f_cls, basis[k])
         assert frames[2][0].descriptor is None
         assert np.array_equal(frames[2][1].descriptor.f_cls, basis[2])
+
+    @pytest.mark.parametrize("row,message", [
+        ("1,-1,0,0,10,20,nan,-1,-1,-1", "detection score must be finite"),
+        ("1,-1,0,0,10,20,0.9,5,3,1.5", r"visibility must lie in \[0, 1\]"),
+    ])
+    def test_bad_detection_reports_number(self, row, message):
+        lines = parse_mot(["1,-1,0,0,10,20,0.9,5,3,0.6", row])
+        with pytest.raises(MotParseError, match=f"line 2: {message}"):
+            mot_to_detections(lines, head_format=True)
 
     def test_head_format_flag(self):
         lines = parse_mot(["1,-1,0,0,10,20,0.9,5,3,0.6"])

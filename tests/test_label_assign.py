@@ -106,6 +106,19 @@ class TestCosts:
         assert assign_cost(a, g, cfg) == pytest.approx(2.7725886622397815, abs=1e-9)
 
 
+class TestAssignConfig:
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_non_positive_eps_rejected(self, eps):
+        # -log(IoU + eps) is undefined at IoU = 0 unless eps > 0
+        with pytest.raises(ValueError, match="eps_iou must be positive"):
+            AssignConfig(eps_iou=eps)
+
+    @pytest.mark.parametrize("q", [0, -3])
+    def test_q_topk_below_one_rejected(self, q):
+        with pytest.raises(ValueError, match="q_topk must be >= 1"):
+            AssignConfig(q_topk=q)
+
+
 class TestDynamicK:
     def toy_instance(self):
         g = gt(BBox(0, 0, 100, 100))

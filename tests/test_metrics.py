@@ -114,6 +114,16 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             evaluate([EvalFrame(gt=[(1, b), (1, b)], hyp=[])])
 
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        # -1 would match disjoint boxes; 1.5 would match nothing, not even gt to itself
+        frames = [EvalFrame(gt=[(1, box(0, 0))], hyp=[(1, box(500, 0))])]
+        with pytest.raises(ValueError, match=r"iou_threshold must lie in \(0, 1\]"):
+            evaluate(frames, iou_threshold=threshold)
+
+    def test_threshold_one_matches_identical_boxes(self):
+        assert evaluate(ten_by_ten(), iou_threshold=1.0).mota == 1.0
+
     def test_below_threshold_overlap_not_matched(self):
         g = box(100, 100)
         h = box(140, 100)  # IoU well under 0.5
