@@ -9,6 +9,10 @@ and maximizes match cardinality before minimizing total cost.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -167,15 +171,39 @@ def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: Ass
     return CostMatrix(values=values, gate_mask=values <= cfg.gate_g)
 
 
+@functools.cache
+def _lsap():
+    """The solver function, loaded once (see ``linear_sum_assignment``)."""
+    import scipy
+
+    name = "scipy.optimize._lsap"
+    module = sys.modules.get(name)
+    if module is None:
+        optimize_dir = os.path.join(scipy.__path__[0], "optimize")
+        found = importlib.machinery.PathFinder.find_spec("_lsap", [optimize_dir])
+        if found is None or not isinstance(found.loader, importlib.machinery.ExtensionFileLoader):
+            from scipy.optimize import linear_sum_assignment
+
+            return linear_sum_assignment
+        spec = importlib.util.spec_from_file_location(name, found.origin)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.linear_sum_assignment
+
+
 def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
-    """scipy's rectangular assignment solver, imported at the first call.
+    """scipy's rectangular assignment solver, loaded at the first call.
 
     Only ``track`` and ``evaluate`` solve assignments, so the other verbs
-    never load scipy. Returns its (rows, cols) index arrays.
+    never load scipy. The first call loads ``scipy`` and then only the
+    ``scipy/optimize/_lsap`` extension that holds the solver, under its
+    real name in ``sys.modules`` (a later ``import scipy.optimize`` reuses
+    it), not the ``scipy.optimize`` package, which brings in
+    ``scipy.sparse`` and ``scipy.linalg``. Without that extension file it
+    imports ``scipy.optimize``. Returns the (rows, cols) index arrays.
     """
-    from scipy.optimize import linear_sum_assignment as solve
-
-    return solve(cost, maximize=maximize)
+    return _lsap()(cost, maximize=maximize)
 
 
 def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:

@@ -318,31 +318,43 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _scene_entries(doc: dict, key: str, build) -> list:
+    """``build`` of each entry of ``doc[key]``; an error names the entry by its index."""
+    built = []
+    for i, entry in enumerate(doc[key]):
+        try:
+            built.append(build(entry))
+        except KeyError as exc:
+            raise ValueError(f"{key[:-1]} {i}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key[:-1]} {i}: {exc}") from None
+    return built
+
+
+def parse_assign_scene(path) -> tuple[list, list]:
+    """The anchors and gt instances of an ``assign`` JSON scene file."""
+    doc = json.loads(Path(path).read_text())
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(k), list) for k in ("anchors", "gts"))):
+        raise ValueError("scene must be a JSON object with 'anchors' and 'gts' lists")
+    anchors = _scene_entries(doc, "anchors", lambda a: label_assign.Anchor(
+        cx=a["cx"],
+        cy=a["cy"],
+        stride=a.get("stride", 8),
+        pred_box=BBox(*a["box"]),
+        pred_cls=a.get("cls", 0.5),
+        pred_obj=a.get("obj", 0.5),
+        pred_head=HeadKeypoint(*a.get("head", (a["cx"], a["cy"], 1.0))),
+    ))
+    gts = _scene_entries(doc, "gts", lambda g: label_assign.GtInstance(
+        box=BBox(*g["box"]),
+        head=HeadKeypoint(*g.get("head", (0.0, 0.0, 1.0))),
+        center_radius=g.get("center_radius"),
+    ))
+    return anchors, gts
+
+
 def cmd_assign(args, cfg: RunConfig) -> int:
-    try:
-        doc = json.loads(Path(args.scene).read_text())
-        anchors = [
-            label_assign.Anchor(
-                cx=a["cx"],
-                cy=a["cy"],
-                stride=a.get("stride", 8),
-                pred_box=BBox(*a["box"]),
-                pred_cls=a.get("cls", 0.5),
-                pred_obj=a.get("obj", 0.5),
-                pred_head=HeadKeypoint(*a.get("head", (a["cx"], a["cy"], 1.0))),
-            )
-            for a in doc["anchors"]
-        ]
-        gts = [
-            label_assign.GtInstance(
-                box=BBox(*g["box"]),
-                head=HeadKeypoint(*g.get("head", (0.0, 0.0, 1.0))),
-                center_radius=g.get("center_radius"),
-            )
-            for g in doc["gts"]
-        ]
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"bad scene file: {exc}") from None
+    anchors, gts = _located(args.scene, lambda: parse_assign_scene(args.scene))
     acfg = AssignConfig(alpha=cfg.alpha, beta=cfg.beta, eps_iou=cfg.eps_iou, q_topk=cfg.q_topk)
     cost = label_assign.assign_cost_matrix(anchors, gts, acfg)
     ious = label_assign.iou_matrix(anchors, gts)

@@ -427,9 +427,20 @@ class TestAssign:
         rows = [line.split() for line in out[1:]]
         assert [(r[0], r[1]) for r in rows] == [("0", "0"), ("0", "1")]
 
-    def test_bad_scene_is_data_error(self, tmp_path):
-        scene = write(tmp_path / "scene.json", "{not json")
+    @pytest.mark.parametrize("text,message", [
+        ("{not json", "Expecting property name enclosed in double quotes"),
+        ('[{"anchors": []}]', "scene must be a JSON object with 'anchors' and 'gts' lists"),
+        ('{"anchors": [{"cx": 5, "cy": 5, "box": [0, 0, -10, 10]}], "gts": []}',
+         "anchor 0: box extent must be positive, got w=-10, h=10"),
+        ('{"anchors": [], "gts": [{"box": [0, 0, 10, 10]}, {"box": [0, 0, 10]}]}',
+         "gt 1: BBox.__init__() missing 1 required positional argument"),
+        ('{"anchors": [{"cy": 5, "box": [0, 0, 10, 10]}], "gts": []}', "anchor 0: missing key 'cx'"),
+    ])
+    def test_bad_scene_is_data_error_naming_the_file(self, tmp_path, capsys, text, message):
+        scene = write(tmp_path / "scene.json", text)
         assert cli.main(["assign", "--scene", scene]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"headtrack: {scene}: {message}")
 
 
 class TestConfigHandling:

@@ -1,21 +1,25 @@
-"""Only the verbs that solve an assignment load scipy.
+"""Only the verbs that solve an assignment load scipy, and only its solver.
 
 ``track`` (at its first non-empty assignment) and ``evaluate`` (at its
-first matching) need scipy's solver; importing the package and every
-other verb must not pay for it. Each case runs in a fresh interpreter,
+first matching) need scipy's assignment solver. They load ``scipy`` and
+the ``scipy.optimize._lsap`` extension that holds it, not the
+``scipy.optimize`` package; importing the package and every other verb
+must not load scipy at all. Each case runs in a fresh interpreter,
 because a module once imported stays in ``sys.modules``.
 """
 
+import importlib.machinery
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import headtrack
-from headtrack import cli, lifting
+from headtrack import association, cli, lifting
 
 SCENE = """
 targets = 3
@@ -41,20 +45,24 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
 """
 
 
+def python(code: str, *args: str) -> str:
+    """The standard output of ``code`` run with ``args`` in a new interpreter."""
+    src = str(Path(headtrack.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True,
+    )
+    return proc.stdout
+
+
 def fresh(module: str, *argvs: list[str]) -> tuple[list[int], list[str], list[str]]:
     """Import ``module`` in a new interpreter and run ``module.main`` on each argv.
 
     Returns the exit codes, the scipy modules loaded afterwards and the
     lines the verbs printed.
     """
-    src = str(Path(headtrack.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, module, json.dumps(argvs)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    *printed, last = proc.stdout.splitlines()
+    *printed, last = python(PROBE, module, json.dumps(argvs)).splitlines()
     codes, scipy_modules = json.loads(last)
     return codes, scipy_modules, printed
 
@@ -96,14 +104,78 @@ def test_failing_track_loads_no_scipy(tmp_path):
     assert fresh("headtrack.cli", argv)[:2] == ([2], [])
 
 
-def test_track_and_evaluate_load_scipy_and_report_as_before(scene, tmp_path):
+def assert_solver_only(scipy_modules):
+    """The scipy modules of a verb that solved assignments with the extension alone."""
+    assert "scipy.optimize._lsap" in scipy_modules
+    assert "scipy.optimize" not in scipy_modules
+    assert not [m for m in scipy_modules if m.startswith(("scipy.sparse", "scipy.linalg"))]
+
+
+def test_track_and_evaluate_load_only_the_solver_and_report_as_before(scene, tmp_path):
     track = ["track", "--dets", str(scene / "det.txt"), "--features", str(scene / "features.ftfv"),
              "--out", str(tmp_path / "result.txt"), "--min-hits", "1"]
     codes, scipy_modules, _ = fresh("headtrack.cli", track)
-    assert codes == [0] and "scipy.optimize" in scipy_modules
+    assert codes == [0]
+    assert_solver_only(scipy_modules)
     assert (tmp_path / "result.txt").read_bytes() == (scene / "result.txt").read_bytes()
 
     evaluate = ["evaluate", "--gt", str(scene / "gt.txt"), "--result", str(tmp_path / "result.txt")]
     codes, scipy_modules, printed = fresh("headtrack.cli", evaluate)
-    assert codes == [0] and "scipy.optimize" in scipy_modules
+    assert codes == [0]
+    assert_solver_only(scipy_modules)
     assert printed == REPORT
+
+
+ORDER_PROBE = """
+import sys
+import numpy as np
+if sys.argv[1] == "scipy.optimize first":
+    import scipy.optimize
+from headtrack import association
+association.linear_sum_assignment(np.eye(2))
+extension = sys.modules["scipy.optimize._lsap"]
+import scipy.optimize
+print(association._lsap() is scipy.optimize.linear_sum_assignment is extension.linear_sum_assignment,
+      sys.modules["scipy.optimize._lsap"] is extension)
+"""
+
+
+@pytest.mark.parametrize("order", ["headtrack first", "scipy.optimize first"])
+def test_solver_is_scipy_optimize_linear_sum_assignment(order):
+    """Either import order ends with one extension module and one solver function."""
+    assert python(ORDER_PROBE, order).split() == ["True", "True"]
+
+
+@pytest.fixture(params=[None, importlib.machinery.ModuleSpec("_lsap", None)],
+                ids=["no spec", "not an extension"])
+def hidden_extension(request, monkeypatch):
+    """A scipy whose ``optimize`` directory offers no ``_lsap`` extension file.
+
+    Yields the paths the loader searched for it.
+    """
+    import scipy.optimize  # noqa: F401 - the fallback's import is then a lookup
+
+    find_spec = importlib.machinery.PathFinder.find_spec
+    searched = []
+
+    def find_spec_without_lsap(name, path=None, target=None):
+        if name != "_lsap":
+            return find_spec(name, path, target)
+        searched.append(path)
+        return request.param
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", find_spec_without_lsap)
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+    association._lsap.cache_clear()
+    yield searched
+    association._lsap.cache_clear()
+
+
+@pytest.mark.parametrize("cost,maximize,expected", [
+    ([[4.0, 1.0, 3.0], [0.0, 2.0, 5.0]], False, ([0, 1], [1, 0])),
+    ([[2.0, 9.0], [8.0, 1.0], [7.0, 6.0]], True, ([0, 1], [1, 0])),
+])
+def test_fallback_without_the_extension_file(hidden_extension, cost, maximize, expected):
+    rows, cols = association.linear_sum_assignment(np.array(cost), maximize=maximize)
+    assert len(hidden_extension) == 1 and hidden_extension[0][0].endswith("optimize")
+    assert (rows.tolist(), cols.tolist()) == expected
