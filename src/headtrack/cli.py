@@ -133,7 +133,9 @@ def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
 
 def tracker_config(cfg: RunConfig) -> TrackerConfig:
     scale = cfg.motion_scale
-    if scale <= 0.0:
+    if scale < 0.0:
+        raise ConfigError(f"key motion_scale: expected >= 0 (0 is the image diagonal), got {scale}")
+    if scale == 0.0:
         scale = float(np.hypot(cfg.image_width, cfg.image_height))
     return TrackerConfig(
         patience_w=cfg.patience_w,
@@ -181,10 +183,7 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
         while f <= busy:
             if not tracker.live:  # a step would only move the frame: skip to the detections
                 f = busy
-            for tid, box in tracker.step(f, frames.get(f, [])):
-                out.append(
-                    dataio.MotLine(frame=f, id=tid, x=box.x, y=box.y, w=box.w, h=box.h, conf=1.0)
-                )
+            out += [dataio.MotLine(f, tid, box) for tid, box in tracker.step(f, frames.get(f, []))]
             f += 1
     dataio.write_mot(out_path, out)
 
@@ -215,24 +214,16 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
     _located(args.input, lambda: dataio.check_unique_ids(lines))
     lcfg = LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std)
     by_id: dict[int, list[tuple[int, BBox]]] = {}
-    extras: dict[tuple[int, int], tuple[float, tuple]] = {}
     for l in lines:
-        by_id.setdefault(l.id, []).append((l.frame, l.bbox()))
-        extras[(l.frame, l.id)] = (l.conf, l.extra)
+        by_id.setdefault(l.id, []).append((l.frame, l.box))
+    observed = {(l.frame, l.id): l for l in lines}  # written back as parsed
     out: list[dataio.MotLine] = []
     for tid in sorted(by_id):
         try:
             filled, skipped = lifting.complete(by_id[tid], args.method, lcfg)
         except ValueError as exc:
             raise ValueError(f"{args.input}: track {tid}: {exc}") from None
-        for frame, box in filled:
-            conf, extra = extras.get((frame, tid), (1.0, (-1.0, -1.0, -1.0)))
-            out.append(
-                dataio.MotLine(
-                    frame=frame, id=tid, x=box.x, y=box.y, w=box.w, h=box.h,
-                    conf=conf, extra=extra,
-                )
-            )
+        out += [observed.get((frame, tid)) or dataio.MotLine(frame, tid, box) for frame, box in filled]
         for gap in skipped:
             span = f"{gap.missing_frames[0]}-{gap.missing_frames[-1]}"
             print(f"track {tid}: gap {span} left unfilled: {gap.reason}", file=sys.stderr)
@@ -248,10 +239,10 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     frames = sorted({l.frame for l in gt_lines} | {l.frame for l in res_lines})
     gt_by_frame: dict[int, list] = {}
     for l in gt_lines:
-        gt_by_frame.setdefault(l.frame, []).append((l.id, l.bbox()))
+        gt_by_frame.setdefault(l.frame, []).append((l.id, l.box))
     res_by_frame: dict[int, list] = {}
     for l in res_lines:
-        res_by_frame.setdefault(l.frame, []).append((l.id, l.bbox()))
+        res_by_frame.setdefault(l.frame, []).append((l.id, l.box))
     eval_frames = [
         metrics.EvalFrame(gt=gt_by_frame.get(f, []), hyp=res_by_frame.get(f, []))
         for f in frames
@@ -266,16 +257,19 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     return 0
 
 
-def parse_scene_spec(path, cfg: RunConfig) -> SceneSpec:
+def parse_scene_spec(path, cfg: RunConfig, flags=()) -> SceneSpec:
     """Scene description: key=value lines, the keys being SceneSpec's fields.
 
     ``occlusion`` lists the windows as tid:start-end;... in place of the
-    ``occlusions`` field, which is not a key.
+    ``occlusions`` field, which is not a key. A key that is also a RunConfig
+    key takes ``cfg``'s value unless the spec sets it, and always when it is
+    among ``flags``, the keys given on the command line.
     """
     types = {f.name: type(f.default) for f in dataclasses.fields(SceneSpec)}
     del types["occlusions"]
     types["descriptor_dim"] = int  # its default, None, means one dimension per target
-    kwargs = dict(image_width=cfg.image_width, image_height=cfg.image_height, seed=cfg.seed)
+    shared = [f.name for f in dataclasses.fields(RunConfig) if f.name in types]
+    kwargs = {key: getattr(cfg, key) for key in shared}
     for lineno, key, val in _key_values(path):
         if key == "occlusion":
             windows = []
@@ -296,11 +290,12 @@ def parse_scene_spec(path, cfg: RunConfig) -> SceneSpec:
             kwargs[key] = _located(f"{path}:{lineno}", lambda: _coerce(key, val, types[key]))
         else:
             raise ConfigError(f"{path}:{lineno}: unknown scene key {key!r}")
+    kwargs.update({key: getattr(cfg, key) for key in shared if key in flags})
     return _located(path, lambda: SceneSpec(**kwargs))
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
-    spec = parse_scene_spec(args.spec, cfg)
+    spec = parse_scene_spec(args.spec, cfg, flags=vars(args))  # unset flags are not in args
     scene = _located(args.spec, lambda: dataio.generate_scene(spec))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,11 +1,12 @@
 """File formats and the synthetic scene generator.
 
 Text I/O follows the MOTChallenge comma-separated convention
-(frame,id,x,y,w,h,conf and three trailing fields). Head keypoints ride in
-the trailing fields when head mode is on; plain files keep -1 placeholders
-there. High-dimensional appearance descriptors live in a binary sidecar
-keyed by (frame, detection index); everything in it is little-endian
-regardless of host.
+(frame,id,x,y,w,h,conf and three trailing fields); a row holds its
+x,y,w,h once, as a checked BBox. Head keypoints ride in the trailing
+fields when head mode is on; plain files keep -1 placeholders there.
+High-dimensional appearance descriptors live in a binary sidecar keyed by
+(frame, detection index); everything in it is little-endian regardless of
+host.
 """
 
 from __future__ import annotations
@@ -41,19 +42,13 @@ class MotParseError(ValueError):
 class MotLine:
     frame: int
     id: int
-    x: float
-    y: float
-    w: float
-    h: float
-    conf: float
+    box: BBox
+    conf: float = 1.0
     extra: tuple[float, float, float] = (-1.0, -1.0, -1.0)
     lineno: int = field(default=0, compare=False, repr=False)  # 1-based; 0 if not parsed
-    box: Optional[BBox] = field(default=None, compare=False, repr=False)  # built by parse_mot
 
-    def bbox(self) -> BBox:
-        if self.box is not None:
-            return self.box
-        return BBox(x=self.x, y=self.y, w=self.w, h=self.h)
+    def bbox(self) -> BBox:  # kept for perfbench/test_perfbench.py, which reads rows through it
+        return self.box
 
     def head(self) -> Optional[HeadKeypoint]:
         """Trailing fields as a head keypoint; None for -1 placeholders."""
@@ -94,7 +89,7 @@ def parse_mot(source) -> list[MotLine]:
             box = BBox(x=x, y=y, w=w, h=h)
         except ValueError as exc:
             raise MotParseError(lineno, str(exc)) from None
-        out.append(MotLine(frame, track_id, x, y, w, h, conf, tuple(extra), lineno=lineno, box=box))
+        out.append(MotLine(frame, track_id, box, conf, tuple(extra), lineno=lineno))
     return out
 
 
@@ -123,7 +118,7 @@ def format_mot(lines: Iterable[MotLine]) -> str:
     out = []
     for l in rows:
         fields = [str(l.frame), str(l.id)] + [
-            _fmt(v) for v in (l.x, l.y, l.w, l.h, l.conf, *l.extra)
+            _fmt(v) for v in (l.box.x, l.box.y, l.box.w, l.box.h, l.conf, *l.extra)
         ]
         out.append(",".join(fields))
     return "\n".join(out) + ("\n" if out else "")
@@ -153,7 +148,7 @@ def mot_to_detections(
             desc = descriptors.get((frame, idx)) if descriptors else None
             try:
                 head = row.head() if head_format else None
-                dets.append(Detection(frame, row.bbox(), row.conf, head, desc))
+                dets.append(Detection(row.box, row.conf, head, desc))
             except ValueError as exc:
                 raise MotParseError(row.lineno, str(exc)) from None
         out[frame] = dets
@@ -273,6 +268,14 @@ class SceneSpec:
             raise ValueError(f"motion must be one of {MOTION_MODELS}, got {self.motion!r}")
         if self.frames < 1:
             raise ValueError("need at least one frame")
+        for name in ("image_width", "image_height", "box_height"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("noise_std", "feat_noise_std", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.descriptor_dim is not None and self.descriptor_dim < 0:
+            raise ValueError(f"descriptor_dim must be >= 0, got {self.descriptor_dim}")
         for tid, start, end in self.occlusions:
             if not (1 <= start <= end <= self.frames):
                 raise ValueError(f"occlusion window {start}-{end} outside 1..{self.frames}")
@@ -370,25 +373,14 @@ def generate_scene(spec: SceneSpec) -> SceneData:
         for t in range(spec.targets):
             box = paths[t][f - 1]
             tid = t + 1
-            gt.append(
-                MotLine(frame=f, id=tid, x=box.x, y=box.y, w=box.w, h=box.h, conf=1.0)
-            )
+            gt.append(MotLine(frame=f, id=tid, box=box))
             if (tid, f) in occluded:
                 continue
             noise = rng.normal(0.0, spec.noise_std, size=4) if spec.noise_std > 0 else np.zeros(4)
             w = max(box.w + noise[2], 1.0)
             h = max(box.h + noise[3], 1.0)
-            dets.append(
-                MotLine(
-                    frame=f,
-                    id=-1,
-                    x=box.x + noise[0],
-                    y=box.y + noise[1],
-                    w=w,
-                    h=h,
-                    conf=1.0,
-                )
-            )
+            noisy = BBox(x=box.x + noise[0], y=box.y + noise[1], w=w, h=h)
+            dets.append(MotLine(frame=f, id=-1, box=noisy))
             if dim > 0:
                 v = bases[t].copy()
                 if spec.feat_noise_std > 0:

@@ -7,6 +7,8 @@ closed-form Kalman update (the (u, v, a, h) measurement is linear, so
 descriptors. A row that turns non-finite is a diverged filter: only that
 track is removed. Unmatched tracks coast on prediction and are eliminated
 after ``patience_w`` consecutive misses; tracks are emitted from ``min_hits`` matches.
+The emissions of ``step`` are the only output: a track keeps no boxes, and
+a detection no frame (it is the frame of the ``step`` it is passed to).
 """
 
 from __future__ import annotations
@@ -28,28 +30,24 @@ REMOVED = "removed"
 
 @dataclass(frozen=True)
 class Detection:
-    """One per-frame observation handed to the tracker."""
+    """One observation of the frame it is handed to ``Tracker.step`` with."""
 
-    frame: int
     bbox: BBox
     score: float
     head: Optional[HeadKeypoint] = None
     descriptor: Optional[AppearanceDescriptor] = None
 
     def __post_init__(self):
-        if self.frame < 1:
-            raise ValueError(f"frame index must be >= 1, got {self.frame}")
         if not np.isfinite(self.score):
             raise ValueError("detection score must be finite")
 
 
 @dataclass
 class Track:
-    """One identity and its matched boxes; while live, its filter is a Tracker row."""
+    """One identity; while live, its filter is a Tracker row."""
 
     id: int
     status: str = TENTATIVE
-    history: list[tuple[int, BBox]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -106,17 +104,14 @@ class Tracker:
     def step(self, frame: int, detections: list[Detection]) -> list[tuple[int, BBox]]:
         """Advance one frame and return (track_id, bbox) emissions.
 
-        Frames must be strictly increasing across calls; all detections
-        must belong to ``frame``. Only confirmed tracks are emitted, and
-        coasting (unmatched) tracks only with ``emit_predictions``.
+        Frames must be strictly increasing across calls. Only confirmed
+        tracks are emitted, and coasting (unmatched) tracks only with
+        ``emit_predictions``.
         """
         if self._last_frame is not None and frame <= self._last_frame:
             raise ValueError(
                 f"frames must be strictly increasing (got {frame} after {self._last_frame})"
             )
-        for det in detections:
-            if det.frame != frame:
-                raise ValueError(f"detection for frame {det.frame} passed to step({frame})")
         self._last_frame = frame
         if not (self.live or detections):  # nothing to predict, match or spawn
             return []
@@ -139,8 +134,6 @@ class Tracker:
         self.misses += 1
         self.misses[rows] = 0
         self.hits[rows] += 1
-        for i, j in matched.items():
-            self.live[i].history.append((frame, detections[j].bbox))
         for i in rows[self.hits[rows] == cfg.min_hits].tolist():
             self.live[i].status = CONFIRMED
 
@@ -155,13 +148,10 @@ class Tracker:
         fresh = np.array([d.score >= cfg.init_score_min for d in detections], dtype=bool)
         fresh[cols] = False
         if fresh.any():
-            born = self._spawn(frame, detections, np.flatnonzero(fresh), z, det_feats)
-            out += [(t.id, t.history[-1][1]) for t in born if t.status == CONFIRMED]
+            new = np.flatnonzero(fresh)
+            born = self._spawn(new, z, det_feats)
+            out += [(t.id, detections[j].bbox) for t, j in zip(born, new) if t.status == CONFIRMED]
         return out
-
-    def finalize(self) -> list[tuple[int, list[tuple[int, BBox]]]]:
-        """All trajectories that ever reached confirmation, sorted by id."""
-        return [(t.id, list(t.history)) for t in self.tracks if len(t.history) >= self.cfg.min_hits]
 
     # -- internals ---------------------------------------------------------
 
@@ -191,14 +181,14 @@ class Tracker:
             m[rows] = np.where((has[rows] & new)[:, None], mixed, np.where(new[:, None], b, a))
             has[rows] |= new
 
-    def _spawn(self, frame: int, detections: list[Detection], fresh, z, det_feats) -> list[Track]:
+    def _spawn(self, fresh, z, det_feats) -> list[Track]:
         """Start one track per detection index in ``fresh``; ``z`` holds all measurements."""
         for kind, (m, has) in list(self.feats.items()):
             q, has_q = det_feats.get(kind, (np.zeros((len(z), m.shape[1])), np.zeros(len(z), bool)))
             self.feats[kind] = (np.vstack([m, q[fresh]]), np.concatenate([has, has_q[fresh]]))
         status = CONFIRMED if self.cfg.min_hits <= 1 else TENTATIVE
         ids = range(self._next_id, self._next_id + len(fresh))
-        born = [Track(i, status, [(frame, detections[j].bbox)]) for i, j in zip(ids, fresh)]
+        born = [Track(i, status) for i in ids]
         self._next_id = ids.stop
         self.tracks += born
         self.live += born

@@ -128,7 +128,7 @@ class TestTrack:
         tracker = cli.Tracker(cli.tracker_config(cfg))
         frames = cli.dataio.mot_to_detections(parse_mot(dets))
         expected = [
-            cli.dataio.MotLine(frame=f, id=tid, x=b.x, y=b.y, w=b.w, h=b.h, conf=1.0)
+            cli.dataio.MotLine(frame=f, id=tid, box=b)
             for f in range(1, max(frames) + 1)
             for tid, b in tracker.step(f, frames.get(f, []))
         ]
@@ -295,7 +295,7 @@ class TestInterpolate:
         cli.main(["interpolate", "--input", inp, "--method", "linear2d", "--out", str(out)])
         lines = parse_mot(out)
         assert [l.frame for l in lines] == [1, 2, 3, 4, 5]
-        assert lines[2].x == pytest.approx(4.0)
+        assert lines[2].box.x == pytest.approx(4.0)
 
     @pytest.mark.parametrize("method", lifting.METHODS)
     def test_box_above_image_is_filled(self, tmp_path, method):
@@ -311,6 +311,16 @@ class TestInterpolate:
         out = tmp_path / "f.txt"
         assert cli.main(["interpolate", "--input", src, "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "1,1,10,10,20,40,1,inf,-inf,nan"
+
+    @pytest.mark.parametrize("method", lifting.METHODS)
+    def test_observed_rows_written_as_parsed(self, tmp_path, method):
+        rows = ["1,1,0,0,10,20,0.5,1,2,3", "3,1,8,0,10,20,0.25,-1,-1,7"]
+        inp = write(tmp_path / "in.txt", "\n".join(rows) + "\n")
+        out = tmp_path / "out.txt"
+        assert cli.main(["interpolate", "--input", inp, "--method", method, "--out", str(out)]) == 0
+        first, gap, last = out.read_text().splitlines()
+        assert (first, last) == tuple(rows)
+        assert gap.startswith("2,1,") and gap.split(",")[6:] == ["1", "-1", "-1", "-1"]
 
     def test_branch_cut_names_the_track(self, tmp_path, capsys):
         # a U-turn across the gap: the anchors at frames 3 and 6 face opposite
@@ -474,6 +484,17 @@ class TestConfigHandling:
         assert "h_min must be positive" in capsys.readouterr().err
         assert not (tmp_path / "o.txt").exists()
 
+    def test_negative_motion_scale_rejected(self, sim_dir, tmp_path, capsys):
+        # only 0 means the image diagonal; a negative scale used to run as 0
+        track = ["track", "--dets", str(sim_dir / "det.txt")]
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert cli.main(track + ["--out", str(a), "--motion-scale", "-5"]) == 2
+        assert "key motion_scale: expected >= 0" in capsys.readouterr().err
+        assert not a.exists()
+        assert cli.main(track + ["--out", str(a), "--motion-scale", "0"]) == 0
+        assert cli.main(track + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_directory_path_is_data_error(self, sim_dir, tmp_path, capsys):
         gt = str(sim_dir / "gt.txt")
         evaluate = ["evaluate", "--gt", gt, "--result", gt]
@@ -486,10 +507,12 @@ class TestConfigHandling:
 
     def test_negative_exponent_flag_value(self, sim_dir, tmp_path, capsys):
         track = ["track", "--dets", str(sim_dir / "det.txt")]
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        assert cli.main(track + ["--out", str(a), "--motion-scale", "-1e-3"]) == 0
-        assert cli.main(track + ["--out", str(b), "--motion-scale=-1e-3"]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        a = tmp_path / "a.txt"
+        for flag in (["--motion-scale", "-1e-3"], ["--motion-scale=-1e-3"]):
+            # read as a value, it reaches the range check (exit 2), not the parser (exit 1)
+            assert cli.main(track + ["--out", str(a)] + flag) == 2
+            assert "key motion_scale: expected >= 0" in capsys.readouterr().err
+        assert not a.exists()
         assert cli.main(track + ["--out", str(a), "--gate-g", "-1e-3"]) == 2
         assert "gate must be positive" in capsys.readouterr().err
 
@@ -608,7 +631,7 @@ class TestSettingsStatedOnce:
             assert cli.main(argv) == 0
             assert cli.main(argv + ["--image-height", "480", "--image-width", "800"]) == 0
         assert (specs[0].image_width, specs[0].image_height) == (640.0, 1080.0)
-        assert (specs[1].image_width, specs[1].image_height) == (640.0, 480.0)
+        assert (specs[1].image_width, specs[1].image_height) == (800.0, 480.0)
 
 
 ROWS = ["1,1,10,10,20,40,1,-1,-1,-1", "2,1,12,10,20,40,1,-1,-1,-1", "3,1,14,10,20,40,1,-1,-1,-1"]

@@ -19,6 +19,7 @@ from headtrack.dataio import (
     write_descriptors,
     write_mot,
 )
+from headtrack.geometry import BBox
 
 
 class TestMotText:
@@ -27,7 +28,7 @@ class TestMotText:
         assert len(lines) == 1
         l = lines[0]
         assert (l.frame, l.id) == (1, 2)
-        assert (l.x, l.y, l.w, l.h) == (100.0, 200.0, 50.0, 150.0)
+        assert l.box == BBox(100.0, 200.0, 50.0, 150.0)
         assert l.conf == 1.0
         assert l.head() is None
 
@@ -67,13 +68,13 @@ class TestMotText:
 
     def test_box_built_once_at_parse(self):
         (line,) = parse_mot(["1,2,3,4,5,6,1,-1,-1,-1"])
-        assert line.bbox() is line.bbox()
-        assert line.bbox() == MotLine(frame=1, id=2, x=3, y=4, w=5, h=6, conf=1).bbox()
+        assert line.bbox() is line.box
+        assert line == MotLine(frame=1, id=2, box=BBox(3, 4, 5, 6), conf=1)
 
     def test_line_numbers_count_blank_lines(self):
         lines = parse_mot(["", "1,1,0,0,1,1,1,-1,-1,-1", "", "1,2,0,0,1,1,1,-1,-1,-1"])
         assert [l.lineno for l in lines] == [2, 4]
-        assert lines[0] == MotLine(frame=1, id=1, x=0, y=0, w=1, h=1, conf=1)
+        assert lines[0] == MotLine(frame=1, id=1, box=BBox(0, 0, 1, 1), conf=1)
 
     def test_repeated_frame_and_id_reported_at_second_line(self):
         rows = ["1,1,0,0,1,1,1,-1,-1,-1", "1,2,0,0,1,1,1,-1,-1,-1", "1,1,5,0,1,1,1,-1,-1,-1"]
@@ -83,9 +84,9 @@ class TestMotText:
 
     def test_output_sorted_by_frame_then_id(self):
         rows = [
-            MotLine(frame=2, id=1, x=0, y=0, w=1, h=1, conf=1),
-            MotLine(frame=1, id=5, x=0, y=0, w=1, h=1, conf=1),
-            MotLine(frame=1, id=2, x=0, y=0, w=1, h=1, conf=1),
+            MotLine(frame=2, id=1, box=BBox(0, 0, 1, 1), conf=1),
+            MotLine(frame=1, id=5, box=BBox(0, 0, 1, 1), conf=1),
+            MotLine(frame=1, id=2, box=BBox(0, 0, 1, 1), conf=1),
         ]
         text = format_mot(rows)
         firsts = [line.split(",")[:2] for line in text.strip().split("\n")]
@@ -94,11 +95,11 @@ class TestMotText:
     def test_non_finite_fields_format(self):
         # parse_mot accepts them in the trailing fields, and interpolate writes those back
         inf, nan = float("inf"), float("nan")
-        rows = [MotLine(frame=1, id=1, x=0, y=0, w=1, h=1, conf=1, extra=(inf, -inf, nan))]
+        rows = [MotLine(frame=1, id=1, box=BBox(0, 0, 1, 1), conf=1, extra=(inf, -inf, nan))]
         assert format_mot(rows) == "1,1,0,0,1,1,1,inf,-inf,nan\n"
 
     def test_file_roundtrip(self, tmp_path):
-        rows = [MotLine(frame=1, id=3, x=10.25, y=-4.5, w=33.1, h=80.0, conf=0.75)]
+        rows = [MotLine(frame=1, id=3, box=BBox(10.25, -4.5, 33.1, 80.0), conf=0.75)]
         path = tmp_path / "x.txt"
         write_mot(path, rows)
         assert parse_mot(path) == rows
@@ -109,10 +110,13 @@ class TestMotText:
                 MotLine,
                 frame=st.integers(1, 5000),
                 id=st.integers(-1, 5000),
-                x=st.floats(-1e5, 1e5),
-                y=st.floats(-1e5, 1e5),
-                w=st.floats(0.01, 1e4),
-                h=st.floats(0.01, 1e4),
+                box=st.builds(
+                    BBox,
+                    x=st.floats(-1e5, 1e5),
+                    y=st.floats(-1e5, 1e5),
+                    w=st.floats(0.01, 1e4),
+                    h=st.floats(0.01, 1e4),
+                ),
                 conf=st.floats(0, 1),
                 extra=st.tuples(
                     st.floats(-1e4, 1e4), st.floats(-1e4, 1e4), st.floats(0, 1)
@@ -221,8 +225,8 @@ class TestGenerateScene:
     def test_noiseless_linear_detections_equal_gt(self):
         spec = SceneSpec(targets=1, motion="linear", frames=20, noise_std=0.0)
         scene = generate_scene(spec)
-        gt_boxes = [(l.frame, l.x, l.y, l.w, l.h) for l in scene.gt]
-        det_boxes = [(l.frame, l.x, l.y, l.w, l.h) for l in scene.detections]
+        gt_boxes = [(l.frame, l.box) for l in scene.gt]
+        det_boxes = [(l.frame, l.box) for l in scene.detections]
         assert gt_boxes == det_boxes
 
     def test_occlusion_drops_exactly_window_lines(self):
@@ -260,7 +264,7 @@ class TestGenerateScene:
         other = SceneSpec(targets=3, frames=10, noise_std=1.0, seed=2)
         a = generate_scene(base)
         b = generate_scene(other)
-        assert [(l.x, l.y) for l in a.detections] != [(l.x, l.y) for l in b.detections]
+        assert [l.box for l in a.detections] != [l.box for l in b.detections]
 
     def test_one_hot_descriptors_by_default(self):
         scene = generate_scene(SceneSpec(targets=4, frames=2))
@@ -283,12 +287,30 @@ class TestGenerateScene:
         with pytest.raises(ValueError):
             SceneSpec(targets=2, occlusions=((3, 1, 2),))
 
+    @pytest.mark.parametrize("field,value", [
+        ("noise_std", -1.0),
+        ("feat_noise_std", -0.5),
+        ("noise_std", float("nan")),
+        ("descriptor_dim", -2),
+        ("image_width", 0.0),
+        ("image_height", 0.0),
+        ("box_height", -80.0),
+        ("seed", -1),
+    ])
+    def test_out_of_range_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SceneSpec(**{field: value})
+
+    def test_zero_descriptor_dim_makes_no_descriptors(self):
+        scene = generate_scene(SceneSpec(targets=2, frames=3, descriptor_dim=0))
+        assert (scene.descriptor_dim, scene.descriptors) == (0, [])
+
     def test_circular_motion_stays_in_frame(self):
         spec = SceneSpec(targets=6, motion="circular", frames=50)
         scene = generate_scene(spec)
         for l in scene.gt:
-            assert -200 < l.x < spec.image_width + 200
-            assert -200 < l.y < spec.image_height + 200
+            assert -200 < l.box.x < spec.image_width + 200
+            assert -200 < l.box.y < spec.image_height + 200
 
 
 class TestMotToDetections:

@@ -20,9 +20,8 @@ from headtrack.tracker import (
 )
 
 
-def det(frame, cx, cy, w=40.0, h=100.0, score=1.0, descriptor=None):
+def det(cx, cy, w=40.0, h=100.0, score=1.0, descriptor=None):
     return Detection(
-        frame=frame,
         bbox=BBox(x=cx - w / 2, y=cy - h / 2, w=w, h=h),
         score=score,
         descriptor=descriptor,
@@ -48,7 +47,7 @@ class TestLifecycle:
         tr = Tracker(motion_config(min_hits=3))
         emitted = {}
         for f in range(1, 6):
-            emitted[f] = tr.step(f, [det(f, 100, 100)])
+            emitted[f] = tr.step(f, [det(100, 100)])
         assert emitted[1] == [] and emitted[2] == []
         ids = {tid for f in (3, 4, 5) for tid, _ in emitted[f]}
         assert len(ids) == 1
@@ -56,19 +55,19 @@ class TestLifecycle:
 
     def test_elimination_after_patience(self):
         tr = Tracker(motion_config(min_hits=1, patience_w=3))
-        tr.step(1, [det(1, 100, 100)])
+        tr.step(1, [det(100, 100)])
         for f in range(2, 6):
             tr.step(f, [])  # vanish for patience_w and beyond
-        out = tr.step(6, [det(6, 100, 100)])
+        out = tr.step(6, [det(100, 100)])
         assert len(out) == 1
         assert out[0][0] == 2  # reappearance spawns a fresh id
 
     def test_survives_shorter_gap(self):
         tr = Tracker(motion_config(min_hits=1, patience_w=5))
-        tr.step(1, [det(1, 100, 100)])
+        tr.step(1, [det(100, 100)])
         for f in range(2, 6):
             tr.step(f, [])  # four misses < patience
-        out = tr.step(6, [det(6, 100, 100)])
+        out = tr.step(6, [det(100, 100)])
         assert out[0][0] == 1
 
     def test_crossing_targets_kept_apart_by_appearance(self):
@@ -83,8 +82,8 @@ class TestLifecycle:
         for f in range(1, 21):
             # paths cross between frames so the boxes never coincide exactly
             dets = [
-                det(f, 50 + 10 * f, 100, descriptor=onehot(0)),
-                det(f, 305 - 10 * f, 104, descriptor=onehot(1)),
+                det(50 + 10 * f, 100, descriptor=onehot(0)),
+                det(305 - 10 * f, 104, descriptor=onehot(1)),
             ]
             for tid, box in tr.step(f, dets):
                 truth = 1 if abs(box.cy - 100) < 1.0 else 2
@@ -95,14 +94,14 @@ class TestLifecycle:
 
     def test_low_score_detections_do_not_spawn(self):
         tr = Tracker(motion_config(min_hits=1, init_score_min=0.25))
-        out = tr.step(1, [det(1, 100, 100, score=0.1)])
+        out = tr.step(1, [det(100, 100, score=0.1)])
         assert out == []
         assert tr.tracks == []
 
     def test_spawned_track_matches_next_frame(self):
         tr = Tracker(motion_config(min_hits=1))
-        first = tr.step(1, [det(1, 100, 100)])
-        second = tr.step(2, [det(2, 102, 100)])
+        first = tr.step(1, [det(100, 100)])
+        second = tr.step(2, [det(102, 100)])
         assert [tid for tid, _ in first] == [tid for tid, _ in second] == [1]
 
 
@@ -119,25 +118,20 @@ class TestStepContracts:
         with pytest.raises(ValueError):
             tr.step(1, [])
 
-    def test_rejects_foreign_frame_detections(self):
-        tr = Tracker(motion_config())
-        with pytest.raises(ValueError):
-            tr.step(2, [det(1, 0, 0)])
-
     def test_emitted_boxes_are_matched_detections(self):
         tr = Tracker(motion_config(min_hits=1))
-        d = det(1, 123.5, 67.25)
+        d = det(123.5, 67.25)
         out = tr.step(1, [d])
         assert out == [(1, d.bbox)]
 
     def test_coasting_suppressed_by_default(self):
         tr = Tracker(motion_config(min_hits=1, patience_w=10))
-        tr.step(1, [det(1, 100, 100)])
+        tr.step(1, [det(100, 100)])
         assert tr.step(2, []) == []
 
     def test_coasting_emitted_with_flag(self):
         tr = Tracker(motion_config(min_hits=1, patience_w=10, emit_predictions=True))
-        tr.step(1, [det(1, 100, 100)])
+        tr.step(1, [det(100, 100)])
         out = tr.step(2, [])
         assert len(out) == 1
         assert out[0][0] == 1
@@ -152,7 +146,7 @@ class TestInvariants:
         for f in range(1, 40):
             dets = []
             for k in range(int(rng.integers(0, 5))):
-                dets.append(det(f, rng.uniform(0, 900), rng.uniform(0, 900)))
+                dets.append(det(rng.uniform(0, 900), rng.uniform(0, 900)))
             for tid, box in tr.step(f, dets):
                 emissions.append((f, tid, box))
         return tr, emissions
@@ -167,20 +161,20 @@ class TestInvariants:
 
     def test_histories_strictly_increasing(self):
         for seed in range(5):
-            tr, _ = self.run_random_scene(seed)
-            for t in tr.tracks:
-                frames = [f for f, _ in t.history]
+            _, emissions = self.run_random_scene(seed)
+            for _, points in by_track(emissions):
+                frames = [f for f, _ in points]
                 assert all(a < b for a, b in zip(frames, frames[1:]))
 
     def test_patience_contract_absence(self):
         w = 4
         tr = Tracker(motion_config(min_hits=1, patience_w=w))
-        tr.step(1, [det(1, 100, 100)])
+        tr.step(1, [det(100, 100)])
         for f in range(2, 2 + w):
             tr.step(f, [])
         # far-away detections afterwards: the dead track may never resurface
         for f in range(2 + w, 10 + w):
-            for tid, _ in tr.step(f, [det(f, 100, 100)]):
+            for tid, _ in tr.step(f, [det(100, 100)]):
                 assert tid != 1
 
     def test_determinism(self):
@@ -191,7 +185,7 @@ class TestInvariants:
             rng = np.random.default_rng(99)
             for f in range(1, 30):
                 dets = [
-                    det(f, float(rng.uniform(0, 500)), float(rng.uniform(0, 500)))
+                    det(float(rng.uniform(0, 500)), float(rng.uniform(0, 500)))
                     for _ in range(3)
                 ]
                 out.append(tr.step(f, dets))
@@ -200,12 +194,12 @@ class TestInvariants:
 
     def test_removed_tracks_never_revive(self):
         tr = Tracker(motion_config(min_hits=1, patience_w=2))
-        tr.step(1, [det(1, 100, 100)])
+        tr.step(1, [det(100, 100)])
         tr.step(2, [])
         tr.step(3, [])
         dead = tr.tracks[0]
         assert dead.status == "removed"
-        tr.step(4, [det(4, 100, 100)])
+        tr.step(4, [det(100, 100)])
         assert dead.status == "removed"
         assert tr.tracks[1].id == 2
 
@@ -214,11 +208,11 @@ class TestNumericalGuards:
     def test_diverged_filter_removes_only_that_track(self):
         tr = Tracker(motion_config(min_hits=1))
         for f in (1, 2):
-            assert [tid for tid, _ in tr.step(f, [det(f, 100, 100), det(f, 600, 600)])] == [1, 2]
+            assert [tid for tid, _ in tr.step(f, [det(100, 100), det(600, 600)])] == [1, 2]
         broken = tr.tracks[0]
         tr.x[tr.live.index(broken)] = np.nan  # its state row goes non-finite
 
-        emitted = {f: tr.step(f, [det(f, 100, 100), det(f, 600, 600)]) for f in range(3, 8)}
+        emitted = {f: tr.step(f, [det(100, 100), det(600, 600)]) for f in range(3, 8)}
         assert broken.status == "removed"
         assert [t.id for t in tr.live] == [2, 3]
         # the survivor keeps id 2; track 1's detections spawn id 3
@@ -226,9 +220,9 @@ class TestNumericalGuards:
 
     def test_diverged_covariance_row_removes_its_track(self):
         tr = Tracker(motion_config(min_hits=1))
-        tr.step(1, [det(1, 100, 100), det(1, 600, 600)])
+        tr.step(1, [det(100, 100), det(600, 600)])
         tr.pcv[1, 2] = np.inf
-        assert [tid for tid, _ in tr.step(2, [det(2, 100, 100), det(2, 600, 600)])] == [1, 3]
+        assert [tid for tid, _ in tr.step(2, [det(100, 100), det(600, 600)])] == [1, 3]
         assert [t.status for t in tr.tracks] == ["confirmed", "removed", "confirmed"]
         assert len(tr.x) == len(tr.pcv) == len(tr.hits) == len(tr.misses) == 2
 
@@ -329,9 +323,9 @@ def random_frames(seed, frames=40, targets=6):
                 kinds["f_reg"] = unit_vec(-bases[t] + rng.normal(0, 0.2, 8))
             desc = AppearanceDescriptor(**kinds) if kinds else None
             h = rng.uniform(40, 120)
-            dets.append(det(f, cx, cy, w=0.4 * h, h=h, score=rng.uniform(0.1, 1), descriptor=desc))
+            dets.append(det(cx, cy, w=0.4 * h, h=h, score=rng.uniform(0.1, 1), descriptor=desc))
         if rng.uniform() < 0.3:  # clutter
-            dets.append(det(f, *rng.uniform(0, 900, 2), score=rng.uniform(0.2, 1)))
+            dets.append(det(*rng.uniform(0, 900, 2), score=rng.uniform(0.2, 1)))
         out.append((f, dets))
     return out
 
@@ -364,10 +358,10 @@ class TestArrayCore:
         a, b = unit_vec(rng.normal(size=16)), unit_vec(rng.normal(size=16))
         c = unit_vec(rng.normal(size=16))
         tr = Tracker(cfg)
-        tr.step(1, [det(1, 100, 100, descriptor=AppearanceDescriptor(f_cls=a)),
-                    det(1, 500, 500, descriptor=AppearanceDescriptor(f_cls=c))])
-        tr.step(2, [det(2, 100, 100, descriptor=AppearanceDescriptor(f_cls=b, f_reg=c)),
-                    det(2, 500, 500, descriptor=AppearanceDescriptor(f_cls=-c))])
+        tr.step(1, [det(100, 100, descriptor=AppearanceDescriptor(f_cls=a)),
+                    det(500, 500, descriptor=AppearanceDescriptor(f_cls=c))])
+        tr.step(2, [det(100, 100, descriptor=AppearanceDescriptor(f_cls=b, f_reg=c)),
+                    det(500, 500, descriptor=AppearanceDescriptor(f_cls=-c))])
         rows, has = tr.feats["f_cls"]
         assert np.array_equal(rows[0], reference_ema({"f_cls": a}, {"f_cls": b}, 0.5)["f_cls"])
         assert np.array_equal(rows[1], -c)  # antipodal pair cancels: the fresher vector stays
@@ -384,7 +378,7 @@ class TestArrayCore:
         spots = [(100 + 300 * (k % 8), 100 + 300 * (k // 8)) for k in range(40)]
         tr = Tracker(cfg)
         for f, vecs in ((1, old), (2, new)):
-            dets = [det(f, *xy, descriptor=AppearanceDescriptor(f_cls=v)) for xy, v in zip(spots, vecs)]
+            dets = [det(*xy, descriptor=AppearanceDescriptor(f_cls=v)) for xy, v in zip(spots, vecs)]
             assert len(tr.step(f, dets)) == 40
         assert [t.id for t in tr.live] == list(range(1, 41))
         expected = [reference_ema({"f_cls": a}, {"f_cls": b}, 0.9)["f_cls"] for a, b in zip(old, new)]
@@ -393,19 +387,30 @@ class TestArrayCore:
     def test_unweighted_kind_is_not_stored(self):
         cfg = TrackerConfig(min_hits=1, assoc=AssociationConfig(feature_weights=(0.0, 0.5, 0.0)))
         tr = Tracker(cfg)
-        tr.step(1, [det(1, 100, 100, descriptor=onehot(0))])
+        tr.step(1, [det(100, 100, descriptor=onehot(0))])
         assert tr.feats == {}
 
 
-class TestFinalize:
+def by_track(emissions):
+    """(frame, track_id, bbox) emissions as (track_id, [(frame, bbox), ...]) sorted by id."""
+    out = {}
+    for f, tid, box in emissions:
+        out.setdefault(tid, []).append((f, box))
+    return sorted(out.items())
+
+
+def trajectories(tr, frames):
+    """Step ``tr`` through (frame, detections) pairs; its emissions grouped by track."""
+    return by_track([(f, tid, box) for f, dets in frames for tid, box in tr.step(f, dets)])
+
+
+class TestEmittedTrajectories:
     def test_empty_run(self):
-        assert Tracker(motion_config()).finalize() == []
+        assert trajectories(Tracker(motion_config()), [(f, []) for f in range(1, 5)]) == []
 
     def test_single_confirmed_track(self):
         tr = Tracker(motion_config(min_hits=1))
-        for f in range(1, 8):
-            tr.step(f, [det(f, 100 + f, 100)])
-        trajs = tr.finalize()
+        trajs = trajectories(tr, [(f, [det(100 + f, 100)]) for f in range(1, 8)])
         assert len(trajs) == 1
         tid, points = trajs[0]
         assert tid == 1
@@ -414,9 +419,8 @@ class TestFinalize:
 
     def test_tentative_tracks_discarded(self):
         tr = Tracker(motion_config(min_hits=3))
-        tr.step(1, [det(1, 100, 100)])
-        tr.step(2, [det(2, 100, 100)])
-        assert tr.finalize() == []
+        assert trajectories(tr, [(f, [det(100, 100)]) for f in (1, 2)]) == []
+        assert [t.status for t in tr.tracks] == ["tentative"]
 
     def test_ten_target_scene_coverage(self):
         # generator-backed scene: the generator knows the true spans
@@ -433,10 +437,7 @@ class TestFinalize:
             min_hits=1,
             assoc=AssociationConfig(w_app=0.5, w_mot=0.5, motion_scale=2203.0, gate_g=0.5),
         )
-        tr = Tracker(cfg)
-        for f in range(1, spec.frames + 1):
-            tr.step(f, frames.get(f, []))
-        trajs = tr.finalize()
+        trajs = trajectories(Tracker(cfg), [(f, frames.get(f, [])) for f in range(1, spec.frames + 1)])
         assert len(trajs) == 10
         for _, points in trajs:
             assert len(points) >= 0.95 * spec.frames
