@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ def _as_unit(v, kind: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{kind} must be a 1-d vector")
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(v @ v)  # bit for bit as np.linalg.norm of a 1-d vector
     if not abs(n - 1.0) <= _UNIT_NORM_TOL:  # also rejects a NaN norm
         raise ValueError(f"{kind} must be unit-norm (got |v| = {n})")
     return v

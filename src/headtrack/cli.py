@@ -132,6 +132,9 @@ def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
 
 
 def tracker_config(cfg: RunConfig) -> TrackerConfig:
+    for key in ("image_width", "image_height"):
+        if not getattr(cfg, key) > 0.0:
+            raise ConfigError(f"key {key}: expected > 0, got {getattr(cfg, key)}")
     scale = cfg.motion_scale
     if scale < 0.0:
         raise ConfigError(f"key motion_scale: expected >= 0 (0 is the image diagonal), got {scale}")
@@ -166,26 +169,26 @@ def _located(path, read):
 
 
 def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_format=False) -> None:
-    lines = _located(dets_path, lambda: dataio.parse_mot(dets_path))
+    table = _located(dets_path, lambda: dataio.parse_mot(dets_path))
     descriptors = None
     if features_path:
         descriptors = _located(features_path, lambda: dataio.read_descriptors(features_path))
     frames = _located(
-        dets_path, lambda: dataio.mot_to_detections(lines, descriptors, head_format=head_format)
+        dets_path, lambda: dataio.mot_to_detections(table, descriptors, head_format=head_format)
     )
     for frame, index in descriptors or ():  # every record must reach a detection line
         if index >= len(frames.get(frame, ())):
             raise ConfigError(f"{features_path}: record ({frame},{index}) names no detection line")
     tracker = Tracker(tracker_config(cfg))
-    out: list[dataio.MotLine] = []
+    out: list[tuple[int, int, BBox]] = []
     f = 1
     for busy in sorted(frames):
         while f <= busy:
             if not tracker.live:  # a step would only move the frame: skip to the detections
                 f = busy
-            out += [dataio.MotLine(f, tid, box) for tid, box in tracker.step(f, frames.get(f, []))]
+            out += [(f, tid, box) for tid, box in tracker.step(f, frames.get(f, []))]
             f += 1
-    dataio.write_mot(out_path, out)
+    dataio.write_mot(out_path, dataio.MotTable.from_rows(out))
 
 
 def cmd_track(args, cfg: RunConfig) -> int:
@@ -210,42 +213,41 @@ def cmd_track(args, cfg: RunConfig) -> int:
 
 
 def cmd_interpolate(args, cfg: RunConfig) -> int:
-    lines = _located(args.input, lambda: dataio.parse_mot(args.input))
-    _located(args.input, lambda: dataio.check_unique_ids(lines))
+    table = _located(args.input, lambda: dataio.parse_mot(args.input))
+    _located(args.input, lambda: dataio.check_unique_ids(table))
     lcfg = LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std)
-    by_id: dict[int, list[tuple[int, BBox]]] = {}
-    for l in lines:
-        by_id.setdefault(l.id, []).append((l.frame, l.box))
-    observed = {(l.frame, l.id): l for l in lines}  # written back as parsed
-    out: list[dataio.MotLine] = []
-    for tid in sorted(by_id):
+    frames, boxes = table.frame.tolist(), table.bboxes()
+    filled_rows: list[tuple[int, int, BBox]] = []  # observed rows are written back as parsed
+    for tid, rows in table.groups("id"):
+        points = [(frames[r], boxes[r]) for r in rows.tolist()]
         try:
-            filled, skipped = lifting.complete(by_id[tid], args.method, lcfg)
+            filled, skipped = lifting.complete(points, args.method, lcfg)
         except ValueError as exc:
             raise ValueError(f"{args.input}: track {tid}: {exc}") from None
-        out += [observed.get((frame, tid)) or dataio.MotLine(frame, tid, box) for frame, box in filled]
+        observed = {frame for frame, _ in points}
+        filled_rows += [(frame, tid, box) for frame, box in filled if frame not in observed]
         for gap in skipped:
             span = f"{gap.missing_frames[0]}-{gap.missing_frames[-1]}"
             print(f"track {tid}: gap {span} left unfilled: {gap.reason}", file=sys.stderr)
-    dataio.write_mot(args.out, out)
+    dataio.write_mot(args.out, dataio.MotTable.concat([table, dataio.MotTable.from_rows(filled_rows)]))
     return 0
 
 
+def _boxes_by_frame(table: dataio.MotTable) -> dict[int, list[tuple[int, BBox]]]:
+    """Each frame's (id, box) pairs in file order."""
+    ids, boxes = table.id.tolist(), table.bboxes()
+    return {frame: [(ids[r], boxes[r]) for r in rows.tolist()] for frame, rows in table.groups("frame")}
+
+
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    gt_lines = _located(args.gt, lambda: dataio.parse_mot(args.gt))
-    res_lines = _located(args.result, lambda: dataio.parse_mot(args.result))
-    _located(args.gt, lambda: dataio.check_unique_ids(gt_lines))
-    _located(args.result, lambda: dataio.check_unique_ids(res_lines))
-    frames = sorted({l.frame for l in gt_lines} | {l.frame for l in res_lines})
-    gt_by_frame: dict[int, list] = {}
-    for l in gt_lines:
-        gt_by_frame.setdefault(l.frame, []).append((l.id, l.box))
-    res_by_frame: dict[int, list] = {}
-    for l in res_lines:
-        res_by_frame.setdefault(l.frame, []).append((l.id, l.box))
+    gt_table = _located(args.gt, lambda: dataio.parse_mot(args.gt))
+    res_table = _located(args.result, lambda: dataio.parse_mot(args.result))
+    _located(args.gt, lambda: dataio.check_unique_ids(gt_table))
+    _located(args.result, lambda: dataio.check_unique_ids(res_table))
+    gt_by_frame, res_by_frame = _boxes_by_frame(gt_table), _boxes_by_frame(res_table)
     eval_frames = [
         metrics.EvalFrame(gt=gt_by_frame.get(f, []), hyp=res_by_frame.get(f, []))
-        for f in frames
+        for f in sorted(gt_by_frame.keys() | res_by_frame.keys())
     ]
     report = metrics.evaluate(eval_frames, iou_threshold=cfg.iou_threshold)
     print(f"MOTA={report.mota:.6f}")
@@ -263,13 +265,15 @@ def parse_scene_spec(path, cfg: RunConfig, flags=()) -> SceneSpec:
     ``occlusion`` lists the windows as tid:start-end;... in place of the
     ``occlusions`` field, which is not a key. A key that is also a RunConfig
     key takes ``cfg``'s value unless the spec sets it, and always when it is
-    among ``flags``, the keys given on the command line.
+    among ``flags``, the keys given on the command line. An out-of-range
+    value taken from ``cfg`` is reported by key, one from the spec by file.
     """
     types = {f.name: type(f.default) for f in dataclasses.fields(SceneSpec)}
     del types["occlusions"]
     types["descriptor_dim"] = int  # its default, None, means one dimension per target
     shared = [f.name for f in dataclasses.fields(RunConfig) if f.name in types]
     kwargs = {key: getattr(cfg, key) for key in shared}
+    spec_keys = set()
     for lineno, key, val in _key_values(path):
         if key == "occlusion":
             windows = []
@@ -288,10 +292,16 @@ def parse_scene_spec(path, cfg: RunConfig, flags=()) -> SceneSpec:
             kwargs["occlusions"] = tuple(windows)
         elif key in types:
             kwargs[key] = _located(f"{path}:{lineno}", lambda: _coerce(key, val, types[key]))
+            spec_keys.add(key)
         else:
             raise ConfigError(f"{path}:{lineno}: unknown scene key {key!r}")
     kwargs.update({key: getattr(cfg, key) for key in shared if key in flags})
-    return _located(path, lambda: SceneSpec(**kwargs))
+    from_cfg = {key for key in shared if key in flags or key not in spec_keys}
+    try:
+        return SceneSpec(**kwargs)
+    except ValueError as exc:  # a field's message starts with its name
+        name = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"key {name}: {exc}" if name in from_cfg else f"{path}: {exc}") from None
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:

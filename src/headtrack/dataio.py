@@ -1,20 +1,24 @@
 """File formats and the synthetic scene generator.
 
 Text I/O follows the MOTChallenge comma-separated convention
-(frame,id,x,y,w,h,conf and three trailing fields); a row holds its
-x,y,w,h once, as a checked BBox. Head keypoints ride in the trailing
-fields when head mode is on; plain files keep -1 placeholders there.
-High-dimensional appearance descriptors live in a binary sidecar keyed by
-(frame, detection index); everything in it is little-endian regardless of
-host.
+(frame,id,x,y,w,h,conf and three trailing fields). A file is held as one
+MotTable of columns, parsed, checked and written a bounded chunk of rows
+at a time; iterating a table yields MotLine rows. Head keypoints ride in
+the trailing fields when head mode is on; plain files keep -1
+placeholders there. High-dimensional appearance descriptors live in a
+binary sidecar keyed by (frame, detection index); everything in it is
+little-endian regardless of host.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -29,6 +33,8 @@ _RECORD_HEAD = struct.Struct("<II")
 
 MOTION_MODELS = ("linear", "crossing", "circular")
 
+_CHUNK = 1024  # rows parsed or written at once: bounds the lists of field strings
+
 
 class MotParseError(ValueError):
     """Malformed MOT text input; carries the offending line number."""
@@ -40,6 +46,8 @@ class MotParseError(ValueError):
 
 @dataclass(frozen=True)
 class MotLine:
+    """One row of a MotTable."""
+
     frame: int
     id: int
     box: BBox
@@ -50,20 +58,86 @@ class MotLine:
     def bbox(self) -> BBox:  # kept for perfbench/test_perfbench.py, which reads rows through it
         return self.box
 
-    def head(self) -> Optional[HeadKeypoint]:
-        """Trailing fields as a head keypoint; None for -1 placeholders."""
-        xh, yh, vh = self.extra
-        if xh == -1.0 and yh == -1.0 and vh == -1.0:
-            return None
-        return HeadKeypoint(x_head=xh, y_head=yh, v_head=vh)
+
+@dataclass(eq=False)
+class MotTable:
+    """MOT rows as columns, in file order.
+
+    ``frame`` and ``id`` are int64; ``box`` (n x 4: x, y, w, h), ``conf``
+    and ``extra`` (n x 3) are float64; ``lineno`` is each row's 1-based
+    source line, 0 for rows not read from text. Omitted columns take a
+    result row's placeholders: conf 1, trailing fields -1.
+    """
+
+    frame: np.ndarray
+    id: np.ndarray
+    box: np.ndarray
+    conf: Optional[np.ndarray] = None
+    extra: Optional[np.ndarray] = None
+    lineno: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.frame = np.asarray(self.frame, dtype=np.int64).reshape(-1)
+        n = len(self.frame)
+        self.id = np.asarray(self.id, dtype=np.int64).reshape(n)
+        self.box = np.asarray(self.box, dtype=float).reshape(n, 4)
+        self.conf = np.ones(n) if self.conf is None else np.asarray(self.conf, dtype=float).reshape(n)
+        self.extra = (
+            np.full((n, 3), -1.0) if self.extra is None
+            else np.asarray(self.extra, dtype=float).reshape(n, 3)
+        )
+        self.lineno = (
+            np.zeros(n, dtype=np.int64) if self.lineno is None
+            else np.asarray(self.lineno, dtype=np.int64).reshape(n)
+        )
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[int, int, BBox]]) -> MotTable:
+        """A table of result rows ``(frame, id, box)``."""
+        rows = list(rows)
+        frames, ids, boxes = zip(*rows) if rows else ((), (), ())
+        return cls(frames, ids, list(map(attrgetter("x", "y", "w", "h"), boxes)))
+
+    @classmethod
+    def concat(cls, tables: Iterable[MotTable]) -> MotTable:
+        tables = list(tables)
+        if not tables:
+            return cls((), (), ())
+        return cls(*(
+            np.concatenate([getattr(t, f.name) for t in tables]) for f in dataclasses.fields(cls)
+        ))
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __iter__(self) -> Iterator[MotLine]:
+        return map(
+            MotLine, self.frame.tolist(), self.id.tolist(), self.bboxes(),
+            self.conf.tolist(), map(tuple, self.extra.tolist()), self.lineno.tolist(),
+        )
+
+    def bboxes(self) -> list[BBox]:
+        """Every row's box, built from Python floats."""
+        return list(map(BBox, *self.box.T.tolist()))
+
+    def groups(self, column: str) -> list[tuple[int, np.ndarray]]:
+        """(value, its rows in table order) per distinct value of ``column``, ascending."""
+        keys = getattr(self, column)
+        if not len(keys):
+            return []
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        return list(zip(ordered[np.r_[0, cuts]].tolist(), np.split(order, cuts)))
 
 
-def parse_mot(source) -> list[MotLine]:
+def parse_mot(source) -> MotTable:
     """Parse MOT text from a path, open file, or iterable of lines.
 
     Lines may arrive in any frame order; use format_mot for canonical
-    output ordering. Each line's box is built and checked here, so a bad
-    field raises MotParseError naming its line.
+    output ordering. Every field is read with Python's ``int`` and
+    ``float``, and every box checked as a BBox would check it; the first
+    failing line raises MotParseError naming it.
     """
     if isinstance(source, (str, Path)):
         lines = Path(source).read_text().splitlines()
@@ -71,86 +145,140 @@ def parse_mot(source) -> list[MotLine]:
         lines = source.read().splitlines()
     else:
         lines = [str(l).rstrip("\n") for l in source]
+    return MotTable.concat(
+        _parse_chunk(lines[start:start + _CHUNK], start + 1)
+        for start in range(0, len(lines), _CHUNK)
+    )
 
-    out: list[MotLine] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 10:
-            raise MotParseError(lineno, f"expected 10 comma-separated fields, got {len(parts)}")
+
+def _parse_chunk(raw: list[str], first: int) -> MotTable:
+    """The rows of consecutive source lines, ``first`` being the first line's number.
+
+    Each check runs over the whole chunk. The first failing row is then
+    the lowest row any check names, and among the checks naming it the
+    first in a line's reading order: field count, the ten fields left to
+    right, frame >= 1, the box.
+    """
+    stripped = list(map(str.strip, raw))
+    lines = list(filter(None, stripped))
+    lineno = np.flatnonzero(np.fromiter(map(bool, stripped), bool, len(stripped))) + first
+    stop, error = len(lines), None  # rows before ``stop`` passed every check run so far
+    commas = np.fromiter(map(str.count, lines, repeat(",")), np.int64, len(lines))
+    short = np.flatnonzero(commas != 9)
+    if short.size:
+        stop = int(short[0])
+        error = f"expected 10 comma-separated fields, got {commas[stop] + 1}"
+    fields = ",".join(lines[:stop]).split(",") if stop else []
+    cols = []
+    for k in range(10):
+        col = fields[k:10 * stop:10]
+        read, check, dtype = (int, _int64, np.int64) if k < 2 else (float, float, float)
         try:
-            frame = int(parts[0])
-            track_id = int(parts[1])
-            x, y, w, h, conf, *extra = (float(p) for p in parts[2:])
-            if frame < 1:
-                raise ValueError(f"frame index must be >= 1, got {frame}")
-            box = BBox(x=x, y=y, w=w, h=h)
+            cols.append(np.fromiter(map(read, col), dtype, len(col)))
+        except (ValueError, OverflowError):
+            stop, error = _first_failure(check, col)
+            cols.append(np.fromiter(map(read, col[:stop]), dtype, stop))
+    frame, ids, box = cols[0][:stop], cols[1][:stop], np.stack([c[:stop] for c in cols[2:6]], axis=1)
+    low = frame < 1
+    bad_box = ~(np.isfinite(box).all(axis=1) & (box[:, 2] > 0.0) & (box[:, 3] > 0.0))
+    bad = np.flatnonzero(low | bad_box)
+    if bad.size:
+        stop = int(bad[0])
+        if low[stop]:
+            error = f"frame index must be >= 1, got {frame[stop]}"
+        else:
+            try:
+                BBox(*box[stop].tolist())
+            except ValueError as exc:
+                error = str(exc)
+    if error is not None:
+        raise MotParseError(int(lineno[stop]), error)
+    extra = np.stack(cols[7:], axis=1)
+    return MotTable(frame, ids, box, cols[6], extra, lineno)
+
+
+def _int64(text: str) -> int:
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} does not fit in 64 bits")
+    return value
+
+
+def _first_failure(check, texts: list[str]) -> tuple[int, str]:
+    """Index and message of the first of ``texts`` that ``check`` rejects."""
+    for i, text in enumerate(texts):
+        try:
+            check(text)
         except ValueError as exc:
-            raise MotParseError(lineno, str(exc)) from None
-        out.append(MotLine(frame, track_id, box, conf, tuple(extra), lineno=lineno))
-    return out
+            return i, str(exc)
+    raise AssertionError("no field fails")  # pragma: no cover - callers saw one fail
 
 
-def check_unique_ids(lines: Iterable[MotLine]) -> None:
-    """Raise MotParseError at the first line repeating an earlier line's (frame, id)."""
-    first: dict[tuple[int, int], int] = {}
-    for l in lines:
-        key = (l.frame, l.id)
-        if key in first:
-            raise MotParseError(
-                l.lineno, f"frame {l.frame} repeats id {l.id} (first on line {first[key]})"
-            )
-        first[key] = l.lineno
+def check_unique_ids(table: MotTable) -> None:
+    """Raise MotParseError at the first row repeating an earlier row's (frame, id)."""
+    order = np.lexsort((table.id, table.frame))  # stable: a key's rows stay in table order
+    frame, ids = table.frame[order], table.id[order]
+    repeats = order[1:][(frame[1:] == frame[:-1]) & (ids[1:] == ids[:-1])]
+    if repeats.size:
+        row = repeats.min()
+        f, i = table.frame[row], table.id[row]
+        first = table.lineno[np.flatnonzero((table.frame == f) & (table.id == i))[0]]
+        raise MotParseError(int(table.lineno[row]), f"frame {f} repeats id {i} (first on line {first})")
 
 
-def _fmt(v: float) -> str:
-    """Shortest exact decimal for a float; integers drop the trailing .0."""
-    if abs(v) < 1e15 and v == int(v):  # inf and nan fail the first test
-        return str(int(v))
-    return repr(float(v))
+def format_mot(table: MotTable) -> str:
+    """Serialize rows sorted by (frame, id); values round-trip exactly."""
+    return "".join(_mot_text(table))
 
 
-def format_mot(lines: Iterable[MotLine]) -> str:
-    """Serialize lines sorted by (frame, id); values round-trip exactly."""
-    rows = sorted(lines, key=lambda l: (l.frame, l.id))
-    out = []
-    for l in rows:
-        fields = [str(l.frame), str(l.id)] + [
-            _fmt(v) for v in (l.box.x, l.box.y, l.box.w, l.box.h, l.conf, *l.extra)
-        ]
-        out.append(",".join(fields))
-    return "\n".join(out) + ("\n" if out else "")
+def write_mot(path, table: MotTable) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(_mot_text(table))
 
 
-def write_mot(path, lines: Iterable[MotLine]) -> None:
-    Path(path).write_text(format_mot(lines))
+def _mot_text(table: MotTable) -> Iterator[str]:
+    """The table's text a chunk of rows at a time, rows sorted by (frame, id), ties in table order.
+
+    Frame and id print as integers. A float prints as an integer when it
+    is integer-valued and below 1e15 in magnitude, else as its shortest
+    exact decimal (``%s`` of a Python float is its ``repr``).
+    """
+    order = np.lexsort((table.id, table.frame))
+    for start in range(0, len(order), _CHUNK):
+        rows = order[start:start + _CHUNK]
+        values = np.concatenate([table.box[rows], table.conf[rows, None], table.extra[rows]], axis=1)
+        whole = (np.abs(values) < 1e15) & (values == np.trunc(values))  # inf and nan fail the first test
+        floats = values.astype(object)  # Python floats
+        floats[whole] = values[whole].astype(np.int64).tolist()
+        keys = np.stack([table.frame[rows], table.id[rows]], axis=1).astype(object)  # Python ints
+        cells = np.concatenate([keys, floats], axis=1).ravel().tolist()
+        yield ("%s," * 9 + "%s\n") * len(rows) % tuple(cells)
 
 
 def mot_to_detections(
-    lines: list[MotLine],
+    table: MotTable,
     descriptors: Optional[dict[tuple[int, int], AppearanceDescriptor]] = None,
     head_format: bool = False,
 ) -> dict[int, list[Detection]]:
-    """Group parsed detection lines by frame, attaching sidecar descriptors.
+    """Group detection rows by frame, attaching sidecar descriptors.
 
-    Descriptor keys are (frame, index within that frame's line order):
-    frames come out ascending, each frame's lines in file order.
+    Descriptor keys are (frame, index within that frame's rows in file
+    order): frames come out ascending, each frame's rows in file order.
     """
-    by_frame: dict[int, list[MotLine]] = {}
-    for line in sorted(lines, key=lambda l: l.frame):
-        by_frame.setdefault(line.frame, []).append(line)
+    boxes, conf = table.bboxes(), table.conf.tolist()
+    extra = table.extra.tolist() if head_format else None
     out: dict[int, list[Detection]] = {}
-    for frame, rows in by_frame.items():
+    for frame, rows in table.groups("frame"):
         dets = []
-        for idx, row in enumerate(rows):
+        for idx, row in enumerate(rows.tolist()):
             desc = descriptors.get((frame, idx)) if descriptors else None
             try:
-                head = row.head() if head_format else None
-                dets.append(Detection(row.box, row.conf, head, desc))
+                head = None
+                if extra is not None and extra[row] != [-1.0, -1.0, -1.0]:
+                    head = HeadKeypoint(*extra[row])
+                dets.append(Detection(boxes[row], conf[row], head, desc))
             except ValueError as exc:
-                raise MotParseError(row.lineno, str(exc)) from None
+                raise MotParseError(int(table.lineno[row]), str(exc)) from None
         out[frame] = dets
     return out
 
@@ -200,7 +328,10 @@ def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
     """Load the sidecar into (frame, det_index) -> descriptor; a key may occur once.
 
     Vectors are checked against the unit-norm contract (1e-4, the f32
-    storage tolerance) and renormalized in float64 on the way in.
+    storage tolerance) and renormalized in float64 on the way in. The
+    records are decoded and checked as columns; the first failing record
+    is named, its (frame, det_index) repeat checked before its kinds in
+    order.
     """
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
@@ -214,26 +345,37 @@ def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
     expected = _HEADER.size + rec_size * count
     if len(data) != expected:
         raise ValueError(f"file size {len(data)} does not match header (expected {expected})")
+    if not count:
+        return {}
+    kinds = [(kind, dim) for kind, dim in zip(FEATURE_KINDS, (dim_cls, dim_reg, dim_head)) if dim]
+    if not kinds:
+        raise ValueError("descriptor needs at least one feature kind")
 
-    out: dict[tuple[int, int], AppearanceDescriptor] = {}
-    offset = _HEADER.size
-    for rec in range(1, count + 1):
-        frame, det_index = _RECORD_HEAD.unpack_from(data, offset)
-        offset += _RECORD_HEAD.size
-        if (frame, det_index) in out:
-            raise ValueError(f"record {rec} repeats (frame, det_index) ({frame},{det_index})")
-        kinds = {}
-        for kind, dim in zip(FEATURE_KINDS, (dim_cls, dim_reg, dim_head)):
-            if dim == 0:
-                continue
-            vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).astype(float)
-            offset += 4 * dim
-            n = float(np.linalg.norm(vec))
-            if not abs(n - 1.0) <= 1e-4:  # also rejects a NaN norm
-                raise ValueError(f"{kind} for ({frame},{det_index}) is not unit-norm: |v|={n}")
-            kinds[kind] = vec / n
-        out[(frame, det_index)] = AppearanceDescriptor(**kinds)
-    return out
+    layout = [("frame", "<u4"), ("det_index", "<u4")] + [(k, "<f4", (d,)) for k, d in kinds]
+    records = np.frombuffer(data, np.dtype(layout), count, _HEADER.size)
+    frame, index = records["frame"].astype(np.int64), records["det_index"].astype(np.int64)
+    vecs = {kind: records[kind].astype(float) for kind, _ in kinds}
+    # row by row, bit for bit as np.linalg.norm
+    norms = {kind: np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0, 0] for kind, m in vecs.items()}
+
+    order = np.lexsort((index, frame))  # stable: a key's records stay in file order
+    same = (frame[order][1:] == frame[order][:-1]) & (index[order][1:] == index[order][:-1])
+    failures = [order[1:][same]]
+    failures += [np.flatnonzero(~(np.abs(n - 1.0) <= 1e-4)) for n in norms.values()]  # NaN fails
+    firsts = [int(rows.min()) if rows.size else count for rows in failures]
+    rec = min(firsts)
+    if rec < count:
+        check = firsts.index(rec)
+        key = f"({frame[rec]},{index[rec]})"
+        if check == 0:
+            raise ValueError(f"record {rec + 1} repeats (frame, det_index) {key}")
+        kind = kinds[check - 1][0]
+        raise ValueError(f"{kind} for {key} is not unit-norm: |v|={float(norms[kind][rec])}")
+
+    for kind, m in vecs.items():
+        m /= norms[kind][:, None]
+    columns = [vecs.get(kind, repeat(None)) for kind in FEATURE_KINDS]
+    return dict(zip(zip(frame.tolist(), index.tolist()), map(AppearanceDescriptor, *columns)))
 
 
 # -- synthetic scenes ---------------------------------------------------------
@@ -285,8 +427,8 @@ class SceneSpec:
 
 @dataclass
 class SceneData:
-    gt: list[MotLine]
-    detections: list[MotLine]
+    gt: MotTable
+    detections: MotTable
     descriptors: list[DescriptorRecord]
     descriptor_dim: int
 
@@ -365,22 +507,22 @@ def generate_scene(spec: SceneSpec) -> SceneData:
                 v = rng.normal(size=dim)
                 bases.append(v / np.linalg.norm(v))
 
-    gt: list[MotLine] = []
-    dets: list[MotLine] = []
+    gt: list[tuple[int, int, BBox]] = []
+    dets: list[tuple[int, int, BBox]] = []
     records: list[DescriptorRecord] = []
     for f in range(1, spec.frames + 1):
         det_index = 0
         for t in range(spec.targets):
             box = paths[t][f - 1]
             tid = t + 1
-            gt.append(MotLine(frame=f, id=tid, box=box))
+            gt.append((f, tid, box))
             if (tid, f) in occluded:
                 continue
             noise = rng.normal(0.0, spec.noise_std, size=4) if spec.noise_std > 0 else np.zeros(4)
             w = max(box.w + noise[2], 1.0)
             h = max(box.h + noise[3], 1.0)
             noisy = BBox(x=box.x + noise[0], y=box.y + noise[1], w=w, h=h)
-            dets.append(MotLine(frame=f, id=-1, box=noisy))
+            dets.append((f, -1, noisy))
             if dim > 0:
                 v = bases[t].copy()
                 if spec.feat_noise_std > 0:
@@ -393,4 +535,9 @@ def generate_scene(spec: SceneSpec) -> SceneData:
                     DescriptorRecord(frame=f, det_index=det_index, f_cls=v / n)
                 )
             det_index += 1
-    return SceneData(gt=gt, detections=dets, descriptors=records, descriptor_dim=dim)
+    return SceneData(
+        gt=MotTable.from_rows(gt),
+        detections=MotTable.from_rows(dets),
+        descriptors=records,
+        descriptor_dim=dim,
+    )

@@ -128,11 +128,9 @@ class TestTrack:
         tracker = cli.Tracker(cli.tracker_config(cfg))
         frames = cli.dataio.mot_to_detections(parse_mot(dets))
         expected = [
-            cli.dataio.MotLine(frame=f, id=tid, box=b)
-            for f in range(1, max(frames) + 1)
-            for tid, b in tracker.step(f, frames.get(f, []))
+            (f, tid, b) for f in range(1, max(frames) + 1) for tid, b in tracker.step(f, frames.get(f, []))
         ]
-        assert out.read_text() == cli.dataio.format_mot(expected)
+        assert out.read_text() == cli.dataio.format_mot(cli.dataio.MotTable.from_rows(expected))
         assert {l.frame for l in parse_mot(out)} >= set(range(11, 25))  # coasted boxes
 
     def test_deterministic_output(self, sim_dir, tmp_path):
@@ -293,7 +291,7 @@ class TestInterpolate:
         inp = write(tmp_path / "in.txt", "\n".join(rows) + "\n")
         out = tmp_path / "out.txt"
         cli.main(["interpolate", "--input", inp, "--method", "linear2d", "--out", str(out)])
-        lines = parse_mot(out)
+        lines = list(parse_mot(out))
         assert [l.frame for l in lines] == [1, 2, 3, 4, 5]
         assert lines[2].box.x == pytest.approx(4.0)
 
@@ -749,6 +747,32 @@ class TestSettingRanges:
         cfgfile = write(tmp_path / "run.cfg", "# settings\nmin_hits = 2.5\n")
         with pytest.raises(cli.ConfigError, match="run.cfg:2: key min_hits: cannot parse '2.5'"):
             cli.load_config(cfgfile)
+
+    def test_simulate_flag_value_named_by_key(self, tmp_path, capsys):
+        spec = write(tmp_path / "s.cfg", "targets = 2\nframes = 3\n")
+        out = tmp_path / "scene"
+        assert cli.main(["simulate", "--spec", spec, "--out-dir", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "headtrack: key seed: seed must be >= 0, got -1\n"
+        assert not out.exists()
+        write(tmp_path / "s.cfg", "targets = 2\nframes = 3\nseed = -1\n")  # the spec's own value is the spec's fault
+        assert cli.main(["simulate", "--spec", spec, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"headtrack: {spec}: seed must be >= 0, got -1\n"
+
+    def test_track_zero_image_size_named_by_key(self, tmp_path, capsys):
+        dets = write(tmp_path / "det.txt", "\n".join(ROWS))
+        out = tmp_path / "o.txt"
+        argv = ["track", "--dets", dets, "--out", str(out), "--image-width", "0", "--image-height", "0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "headtrack: key image_width: expected > 0, got 0.0\n"
+        assert not out.exists()
+
+    def test_track_negative_image_width_rejected(self, tmp_path, capsys):
+        # the diagonal of a negative width is still positive; it used to track with it
+        dets = write(tmp_path / "det.txt", "\n".join(ROWS))
+        out = tmp_path / "o.txt"
+        assert cli.main(["track", "--dets", dets, "--out", str(out), "--image-width", "-5"]) == 2
+        assert capsys.readouterr().err == "headtrack: key image_width: expected > 0, got -5.0\n"
+        assert not out.exists()
 
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(cli.RunConfig)]

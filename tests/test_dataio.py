@@ -1,14 +1,19 @@
+import io
 import struct
 
+import mot_oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_cli import det_texts, sidecar_bytes
 
+from headtrack import dataio
 from headtrack.dataio import (
     DescriptorRecord,
     MotLine,
     MotParseError,
+    MotTable,
     SceneSpec,
     check_unique_ids,
     format_mot,
@@ -24,23 +29,24 @@ from headtrack.geometry import BBox
 
 class TestMotText:
     def test_canonical_detection_line(self):
-        lines = parse_mot(["1,2,100,200,50,150,1,-1,-1,-1"])
-        assert len(lines) == 1
-        l = lines[0]
+        (l,) = parse_mot(["1,2,100,200,50,150,1,-1,-1,-1"])
         assert (l.frame, l.id) == (1, 2)
         assert l.box == BBox(100.0, 200.0, 50.0, 150.0)
         assert l.conf == 1.0
-        assert l.head() is None
+        assert l.extra == (-1.0, -1.0, -1.0)
 
     def test_empty_input(self):
-        assert parse_mot([]) == []
-        assert format_mot([]) == ""
+        assert len(parse_mot([])) == 0
+        assert format_mot(MotTable((), (), ())) == ""
 
-    def test_head_extended_line(self):
-        lines = parse_mot(["1,-1,100,200,50,150,0.9,120,210,0.8"])
-        head = lines[0].head()
-        assert head is not None
-        assert (head.x_head, head.y_head, head.v_head) == (120.0, 210.0, 0.8)
+    def test_columns(self):
+        table = parse_mot(["1,-1,100,200,50,150,0.9,120,210,0.8", "", "3,4,1,2,3,4,1,-1,-1,-1"])
+        assert (table.frame.dtype, table.id.dtype) == (np.int64, np.int64)
+        assert table.frame.tolist() == [1, 3] and table.id.tolist() == [-1, 4]
+        assert table.box.tolist() == [[100, 200, 50, 150], [1, 2, 3, 4]]
+        assert table.conf.tolist() == [0.9, 1.0]
+        assert table.extra.tolist() == [[120, 210, 0.8], [-1, -1, -1]]
+        assert table.lineno.tolist() == [1, 3]
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(MotParseError) as e:
@@ -66,15 +72,21 @@ class TestMotText:
             parse_mot(["1,2,0,0,5,5,1,-1,-1,-1", "", row])
         assert e.value.lineno == 3
 
-    def test_box_built_once_at_parse(self):
+    def test_iteration_yields_rows(self):
         (line,) = parse_mot(["1,2,3,4,5,6,1,-1,-1,-1"])
         assert line.bbox() is line.box
         assert line == MotLine(frame=1, id=2, box=BBox(3, 4, 5, 6), conf=1)
 
     def test_line_numbers_count_blank_lines(self):
-        lines = parse_mot(["", "1,1,0,0,1,1,1,-1,-1,-1", "", "1,2,0,0,1,1,1,-1,-1,-1"])
+        lines = list(parse_mot(["", "1,1,0,0,1,1,1,-1,-1,-1", "", "1,2,0,0,1,1,1,-1,-1,-1"]))
         assert [l.lineno for l in lines] == [2, 4]
         assert lines[0] == MotLine(frame=1, id=1, box=BBox(0, 0, 1, 1), conf=1)
+
+    def test_out_of_range_integer_named(self):
+        big = str(2**63)
+        with pytest.raises(MotParseError, match=f"line 2: {big} does not fit in 64 bits"):
+            parse_mot(["1,1,0,0,1,1,1,-1,-1,-1", f"1,{big},0,0,1,1,1,-1,-1,-1"])
+        assert parse_mot([f"1,{-(2**63)},0,0,1,1,1,-1,-1,-1"]).id.tolist() == [-(2**63)]
 
     def test_repeated_frame_and_id_reported_at_second_line(self):
         rows = ["1,1,0,0,1,1,1,-1,-1,-1", "1,2,0,0,1,1,1,-1,-1,-1", "1,1,5,0,1,1,1,-1,-1,-1"]
@@ -83,11 +95,7 @@ class TestMotText:
             check_unique_ids(parse_mot(rows))
 
     def test_output_sorted_by_frame_then_id(self):
-        rows = [
-            MotLine(frame=2, id=1, box=BBox(0, 0, 1, 1), conf=1),
-            MotLine(frame=1, id=5, box=BBox(0, 0, 1, 1), conf=1),
-            MotLine(frame=1, id=2, box=BBox(0, 0, 1, 1), conf=1),
-        ]
+        rows = MotTable.from_rows([(2, 1, BBox(0, 0, 1, 1)), (1, 5, BBox(0, 0, 1, 1)), (1, 2, BBox(0, 0, 1, 1))])
         text = format_mot(rows)
         firsts = [line.split(",")[:2] for line in text.strip().split("\n")]
         assert firsts == [["1", "2"], ["1", "5"], ["2", "1"]]
@@ -95,14 +103,14 @@ class TestMotText:
     def test_non_finite_fields_format(self):
         # parse_mot accepts them in the trailing fields, and interpolate writes those back
         inf, nan = float("inf"), float("nan")
-        rows = [MotLine(frame=1, id=1, box=BBox(0, 0, 1, 1), conf=1, extra=(inf, -inf, nan))]
+        rows = MotTable([1], [1], [(0, 0, 1, 1)], extra=[(inf, -inf, nan)])
         assert format_mot(rows) == "1,1,0,0,1,1,1,inf,-inf,nan\n"
 
     def test_file_roundtrip(self, tmp_path):
         rows = [MotLine(frame=1, id=3, box=BBox(10.25, -4.5, 33.1, 80.0), conf=0.75)]
         path = tmp_path / "x.txt"
-        write_mot(path, rows)
-        assert parse_mot(path) == rows
+        write_mot(path, MotTable([1], [3], [(10.25, -4.5, 33.1, 80.0)], conf=[0.75]))
+        assert list(parse_mot(path)) == rows
 
     @given(
         st.lists(
@@ -127,7 +135,12 @@ class TestMotText:
     )
     @settings(max_examples=200)
     def test_parse_format_identity(self, rows):
-        parsed = parse_mot(format_mot(rows).splitlines())
+        table = MotTable(
+            [l.frame for l in rows], [l.id for l in rows],
+            [(l.box.x, l.box.y, l.box.w, l.box.h) for l in rows],
+            [l.conf for l in rows], [l.extra for l in rows],
+        )
+        parsed = parse_mot(format_mot(table).splitlines())
         assert sorted(parsed, key=lambda l: (l.frame, l.id)) == sorted(
             rows, key=lambda l: (l.frame, l.id)
         )
@@ -377,3 +390,119 @@ class TestMotToDetections:
         assert with_head[1][0].head is not None
         assert with_head[1][0].head.v_head == 0.6
         assert without[1][0].head is None
+
+
+def _outcome(read, *args):
+    """What ``read`` returns, or the type, text and line of what it raises."""
+    try:
+        return "ok", read(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "lineno", None)
+
+
+def _rows(lines):
+    return [repr((l.frame, l.id, l.box, l.conf, tuple(l.extra), l.lineno)) for l in lines]
+
+
+def _vectors(descriptors):
+    return [
+        (key, [None if getattr(d, k) is None else getattr(d, k).tobytes() for k in ("f_cls", "f_reg", "f_head")])
+        for key, d in descriptors.items()
+    ]
+
+
+MIXED_FAULTS = [
+    # frame 0 on line 2 beats a bad float on line 3
+    "1,1,0,0,5,5,1,-1,-1,-1\n0,1,0,0,5,5,1,-1,-1,-1\n1,2,x,0,5,5,1,-1,-1,-1",
+    # within a line: a bad id before frame 0, frame 0 before a bad box
+    "0,x,0,0,5,5,1,-1,-1,-1",
+    "0,1,nan,0,-5,5,1,-1,-1,-1",
+    # a non-finite box before a non-positive extent, and a late field before the box
+    "1,1,nan,0,-5,5,1,-1,-1,-1",
+    "1,1,0,0,-5,5,1,-1,-1,y",
+    # a short line after a bad field, and before one
+    "1,1,0,0,5,5,z,-1,-1,-1\n1,2,3",
+    "\n1,2,3\n1,1,0,0,5,5,z,-1,-1,-1",
+    " 4 ,1_0, 1e3 ,0,5,5,Infinity,-1,-1,-1\n\x0c\n2,2,0,0,5,5,1,nan,-inf,1",
+]
+
+
+class TestOracles:
+    """Column-wise codecs against the row-at-a-time ones in ``mot_oracle``."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("oracles")
+
+    @staticmethod
+    def same_parse(text):
+        got, want = (_outcome(read, io.StringIO(text)) for read in (parse_mot, mot_oracle.parse_mot))
+        if want[0] == "ok":
+            want = ("ok", _rows(want[1]))
+            got = (got[0], _rows(got[1])) if got[0] == "ok" else got
+        assert got == want
+
+    @given(text=det_texts())
+    @example(text=MIXED_FAULTS[0])
+    @settings(max_examples=300, deadline=None)
+    def test_parse_mot(self, text):
+        self.same_parse(text)
+        with pytest.MonkeyPatch.context() as patch:  # chunk borders between lines
+            patch.setattr(dataio, "_CHUNK", 2)
+            self.same_parse(text)
+
+    @pytest.mark.parametrize("text", MIXED_FAULTS)
+    def test_parse_mot_fault_order(self, text):
+        self.same_parse(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_CHUNK", 1)
+            self.same_parse(text)
+
+    def test_parse_mot_long_file(self):
+        rows = [f"{1 + k // 7},{k % 7},{k * 0.5},{-k},{1 + k % 5},{2.25 * (1 + k % 3)},1,-1,-1,-1" for k in range(5000)]
+        rows[300] = ""
+        self.same_parse("\n".join(rows))
+        rows[4321] = rows[4321].replace(",1,-1,", ",1,q,")
+        self.same_parse("\n".join(rows))
+
+    SPECIAL = [0.0, -0.0, 0.5, 1e15, -1e15, np.nextafter(1e15, 0), np.nextafter(1e15, 2e15),
+               999999999999999.0, -999999999999999.0, 1e308, -1e308, 5e-324, 123456789.0]
+    finite = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+    extent = st.one_of(
+        st.sampled_from([s for s in SPECIAL if s > 0]), st.floats(min_value=5e-324, allow_infinity=False)
+    )
+    anything = st.one_of(st.sampled_from(SPECIAL + [np.inf, -np.inf, np.nan]), st.floats())
+    key = st.one_of(st.integers(1, 3), st.integers(-(2**63), 2**63 - 1))
+
+    @given(st.lists(st.tuples(key, key, finite, finite, extent, extent, anything, anything, anything, anything),
+                    max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_format_mot(self, rows):
+        want = mot_oracle.format_mot(
+            mot_oracle.MotLine(f, i, BBox(x, y, w, h), c, (e1, e2, e3))
+            for f, i, x, y, w, h, c, e1, e2, e3 in rows
+        )
+        cols = list(zip(*rows)) or [()] * 10
+        table = MotTable(cols[0], cols[1], list(zip(*cols[2:6])), cols[6], list(zip(*cols[7:])))
+        assert format_mot(table) == want
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_CHUNK", 3)
+            assert format_mot(table) == want
+
+    @given(data=sidecar_bytes())
+    @example(data=struct.pack("<4sHIIIQ", b"FTFV", 1, 2**32 - 1, 0, 0, 0))  # no records, huge dimension
+    @example(data=struct.pack("<4sHIIIQ", b"FTFV", 1, 0, 0, 0, 2) + struct.pack("<IIII", 1, 0, 1, 0))
+    @example(data=struct.pack("<4sHIIIQ", b"FTFV", 1, 1, 1, 0, 3)
+             + struct.pack("<IIff", 1, 0, 1.0, 1.0) + struct.pack("<IIff", 1, 1, 1.0, 3.0)
+             + struct.pack("<IIff", 1, 0, 2.0, 1.0))  # f_reg of record 2 before the repeat at 3
+    @example(data=struct.pack("<4sHIIIQ", b"FTFV", 1, 1, 0, 1, 2)
+             + struct.pack("<IIff", 2, 0, 1.0, 1.0) + struct.pack("<IIff", 2, 0, 0.5, 1.0))  # repeat first
+    @settings(max_examples=300, deadline=None)
+    def test_read_descriptors(self, work, data):
+        path = work / "d.ftfv"
+        path.write_bytes(data)
+        got, want = (_outcome(read, path) for read in (read_descriptors, mot_oracle.read_descriptors))
+        if want[0] == "ok":
+            want = ("ok", _vectors(want[1]))
+            got = (got[0], _vectors(got[1])) if got[0] == "ok" else got
+        assert got == want

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from headtrack.geometry import (
@@ -83,11 +83,19 @@ class TestIou:
         assert iou(a, b) == iou(b, a)
 
     @given(finite_boxes, finite_boxes, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+    @example(a=BBox(0, 4096, 0.25, 0.25), b=BBox(0, 4096, 0.25, 0.1), dx=0, dy=-1)
     @settings(max_examples=200)
     def test_translation_invariance(self, a, b, dx, dy):
         a2 = BBox(a.x + dx, a.y + dy, a.w, a.h)
         b2 = BBox(b.x + dx, b.y + dy, b.w, b.h)
-        assert iou(a2, b2) == pytest.approx(iou(a, b), abs=1e-12)
+        # Translating and adding an extent each round a corner by half a spacing
+        # of the largest coordinate; IoU moves by at most about 2/extent per unit
+        # of a side's error, over eight sides, so the bound is 16 spacings over
+        # the smallest extent (plus a few of 1.0 for IoU's own arithmetic).
+        corners = [v for box in (a, b, a2, b2) for v in (box.x, box.y, box.x2, box.y2)]
+        spacing = np.spacing(max(abs(v) for v in corners))
+        bound = 16 * spacing / min(a.w, a.h, b.w, b.h) + 4 * np.spacing(1.0)
+        assert abs(iou(a2, b2) - iou(a, b)) <= bound
 
     def test_range(self):
         rng = np.random.default_rng(1)
