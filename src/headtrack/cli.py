@@ -311,14 +311,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_mot(out_dir / "gt.txt", scene.gt)
     dataio.write_mot(out_dir / "det.txt", scene.detections)
-    if scene.descriptor_dim > 0:
-        dataio.write_descriptors(
-            out_dir / "features.ftfv",
-            scene.descriptors,
-            dim_cls=scene.descriptor_dim,
-            dim_reg=0,
-            dim_head=0,
-        )
+    if scene.descriptors is not None:
+        dataio.write_descriptors(out_dir / "features.ftfv", scene.descriptors)
     print(f"wrote {len(scene.gt)} gt lines, {len(scene.detections)} detections to {out_dir}")
     return 0
 

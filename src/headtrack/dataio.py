@@ -29,7 +29,6 @@ from .tracker import Detection
 DESCRIPTOR_MAGIC = b"FTFV"
 DESCRIPTOR_VERSION = 1
 _HEADER = struct.Struct("<4sHIIIQ")
-_RECORD_HEAD = struct.Struct("<II")
 
 MOTION_MODELS = ("linear", "crossing", "circular")
 
@@ -180,8 +179,7 @@ def _parse_chunk(raw: list[str], first: int) -> MotTable:
             cols.append(np.fromiter(map(read, col[:stop]), dtype, stop))
     frame, ids, box = cols[0][:stop], cols[1][:stop], np.stack([c[:stop] for c in cols[2:6]], axis=1)
     low = frame < 1
-    bad_box = ~(np.isfinite(box).all(axis=1) & (box[:, 2] > 0.0) & (box[:, 3] > 0.0))
-    bad = np.flatnonzero(low | bad_box)
+    bad = np.flatnonzero(low | _bad_boxes(box))
     if bad.size:
         stop = int(bad[0])
         if low[stop]:
@@ -195,6 +193,11 @@ def _parse_chunk(raw: list[str], first: int) -> MotTable:
         raise MotParseError(int(lineno[stop]), error)
     extra = np.stack(cols[7:], axis=1)
     return MotTable(frame, ids, box, cols[6], extra, lineno)
+
+
+def _bad_boxes(box: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an n x 4 box array that a BBox rejects: non-finite or non-positive extent."""
+    return ~(np.isfinite(box).all(axis=1) & (box[:, 2] > 0.0) & (box[:, 3] > 0.0))
 
 
 def _int64(text: str) -> int:
@@ -286,42 +289,44 @@ def mot_to_detections(
 # -- descriptor sidecar ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DescriptorRecord:
-    frame: int
-    det_index: int
-    f_cls: Optional[np.ndarray] = None
-    f_reg: Optional[np.ndarray] = None
-    f_head: Optional[np.ndarray] = None
+def _record_dtype(dims) -> np.dtype:
+    """A sidecar record: frame and det_index, then each kind of nonzero dimension in ``dims``."""
+    kinds = [(kind, "<f4", (dim,)) for kind, dim in zip(FEATURE_KINDS, dims) if dim]
+    return np.dtype([("frame", "<u4"), ("det_index", "<u4")] + kinds)
 
 
-def write_descriptors(
-    path,
-    records: list[DescriptorRecord],
-    dim_cls: int,
-    dim_reg: int,
-    dim_head: int,
-) -> None:
-    """Write the binary sidecar; a dimension of zero marks an absent kind."""
-    buf = bytearray()
-    buf += _HEADER.pack(
-        DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, dim_cls, dim_reg, dim_head, len(records)
-    )
-    for rec in records:
-        buf += _RECORD_HEAD.pack(rec.frame, rec.det_index)
-        for kind, dim in zip(FEATURE_KINDS, (dim_cls, dim_reg, dim_head)):
-            vec = getattr(rec, kind)
-            if dim == 0:
-                if vec is not None:
-                    raise ValueError(f"{kind} present but header declares dimension 0")
-                continue
-            if vec is None:
-                raise ValueError(f"{kind} missing but header declares dimension {dim}")
-            arr = np.asarray(vec, dtype="<f4")
-            if arr.shape != (dim,):
-                raise ValueError(f"{kind} has shape {arr.shape}, expected ({dim},)")
-            buf += arr.tobytes()
-    Path(path).write_bytes(bytes(buf))
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit as np.linalg.norm of that row."""
+    return np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0, 0]
+
+
+def write_descriptors(path, descriptors: dict[tuple[int, int], AppearanceDescriptor]) -> None:
+    """Write (frame, det_index) -> descriptor as the binary sidecar, records in mapping order.
+
+    A kind's header dimension is the length of its vectors, 0 when no
+    record carries it. A kind carried by only some records, vectors of
+    one kind that differ in length, or a key outside u4 raise ValueError.
+    """
+    outside = next((key for key in descriptors if not 0 <= min(key) <= max(key) < 2**32), None)
+    if outside is not None:
+        raise ValueError(f"key {outside} does not fit in u4")
+    columns = {}
+    for kind in FEATURE_KINDS:
+        vecs = [getattr(d, kind) for d in descriptors.values()]
+        carried = [v for v in vecs if v is not None]
+        if carried and len(carried) < len(vecs):
+            raise ValueError(f"{kind} carried by {len(carried)} of {len(vecs)} records")
+        if len({len(v) for v in carried}) > 1:
+            raise ValueError(f"{kind} vectors differ in length")
+        if carried:
+            columns[kind] = np.stack(carried)
+    dims = [columns[kind].shape[1] if kind in columns else 0 for kind in FEATURE_KINDS]
+    records = np.zeros(len(descriptors), _record_dtype(dims))
+    records["frame"], records["det_index"] = np.array(list(descriptors), np.int64).reshape(-1, 2).T
+    for kind, m in columns.items():
+        records[kind] = m
+    header = _HEADER.pack(DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, *dims, len(records))
+    Path(path).write_bytes(header + records.tobytes())
 
 
 def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
@@ -341,22 +346,20 @@ def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
         raise ValueError(f"bad magic {magic!r}")
     if version != DESCRIPTOR_VERSION:
         raise ValueError(f"unsupported version {version}")
-    rec_size = _RECORD_HEAD.size + 4 * (dim_cls + dim_reg + dim_head)
-    expected = _HEADER.size + rec_size * count
+    # by arithmetic: numpy builds no record dtype of a dimension near 2**32
+    expected = _HEADER.size + 4 * (2 + dim_cls + dim_reg + dim_head) * count
     if len(data) != expected:
         raise ValueError(f"file size {len(data)} does not match header (expected {expected})")
     if not count:
         return {}
-    kinds = [(kind, dim) for kind, dim in zip(FEATURE_KINDS, (dim_cls, dim_reg, dim_head)) if dim]
-    if not kinds:
+    if not dim_cls + dim_reg + dim_head:
         raise ValueError("descriptor needs at least one feature kind")
 
-    layout = [("frame", "<u4"), ("det_index", "<u4")] + [(k, "<f4", (d,)) for k, d in kinds]
-    records = np.frombuffer(data, np.dtype(layout), count, _HEADER.size)
+    records = np.frombuffer(data, _record_dtype((dim_cls, dim_reg, dim_head)), count, _HEADER.size)
     frame, index = records["frame"].astype(np.int64), records["det_index"].astype(np.int64)
-    vecs = {kind: records[kind].astype(float) for kind, _ in kinds}
-    # row by row, bit for bit as np.linalg.norm
-    norms = {kind: np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0, 0] for kind, m in vecs.items()}
+    kinds = records.dtype.names[2:]
+    vecs = {kind: records[kind].astype(float) for kind in kinds}
+    norms = {kind: _row_norms(m) for kind, m in vecs.items()}
 
     order = np.lexsort((index, frame))  # stable: a key's records stay in file order
     same = (frame[order][1:] == frame[order][:-1]) & (index[order][1:] == index[order][:-1])
@@ -369,7 +372,7 @@ def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
         key = f"({frame[rec]},{index[rec]})"
         if check == 0:
             raise ValueError(f"record {rec + 1} repeats (frame, det_index) {key}")
-        kind = kinds[check - 1][0]
+        kind = kinds[check - 1]
         raise ValueError(f"{kind} for {key} is not unit-norm: |v|={float(norms[kind][rec])}")
 
     for kind, m in vecs.items():
@@ -429,115 +432,90 @@ class SceneSpec:
 class SceneData:
     gt: MotTable
     detections: MotTable
-    descriptors: list[DescriptorRecord]
-    descriptor_dim: int
+    descriptors: Optional[dict[tuple[int, int], AppearanceDescriptor]]  # None: descriptor_dim 0
 
 
-def _gt_paths(spec: SceneSpec) -> list[list[BBox]]:
-    """Per-target box paths over all frames, by closed-form motion models."""
-    W, H, F = spec.image_width, spec.image_height, spec.frames
-    cxm, cym = W / 2.0, H / 2.0
-    paths: list[list[BBox]] = []
-    for t in range(spec.targets):
-        h = spec.box_height * (1.0 + 0.05 * t)
-        w = 0.5 * h
-        boxes = []
-        if spec.motion == "linear":
-            y = (t + 1) * H / (spec.targets + 1)
-            speed = 2.0 + 0.5 * t
-            x0 = 0.05 * W
-            for f in range(F):
-                boxes.append(BBox(x=x0 + speed * f, y=y, w=w, h=h))
-        elif spec.motion == "crossing":
+def _gt_paths(spec: SceneSpec) -> np.ndarray:
+    """Each target's box (x, y, w, h) in each frame, (targets, frames, 4), by closed-form motion."""
+    W, H, T, F = spec.image_width, spec.image_height, spec.targets, spec.frames
+    t, f = np.arange(T)[:, None], np.arange(F)
+    h = spec.box_height * (1.0 + 0.05 * t)
+    w = 0.5 * h
+    if spec.motion == "linear":
+        x, y = 0.05 * W + (2.0 + 0.5 * t) * f, (t + 1) * H / (T + 1)
+    else:
+        if spec.motion == "crossing":
             # start on a ring, drive through the center; staggered radii and
             # speeds keep any two targets from ever coinciding exactly
-            angle = 2.0 * np.pi * t / spec.targets
+            angle = 2.0 * np.pi * t / T
             radius = 0.35 * min(W, H) * (1.0 + 0.04 * t)
-            speed = (2.0 * radius) / (F - 1) if F > 1 else 0.0
-            dx, dy = -np.cos(angle), -np.sin(angle)
-            x0 = cxm + radius * np.cos(angle)
-            y0 = cym + radius * np.sin(angle)
-            for f in range(F):
-                cx = x0 + dx * speed * f
-                cy = y0 + dy * speed * f
-                boxes.append(BBox(x=cx - w / 2, y=cy - h / 2, w=w, h=h))
+            speed = 2.0 * radius / (F - 1) if F > 1 else 0.0
+            cx = W / 2.0 + radius * np.cos(angle) - np.cos(angle) * speed * f
+            cy = H / 2.0 + radius * np.sin(angle) - np.sin(angle) * speed * f
         else:  # circular
-            angle0 = 2.0 * np.pi * t / spec.targets
+            angle = 2.0 * np.pi * t / T + 2.0 * np.pi / max(F * 1.5, 2.0) * f
             radius = 0.15 * min(W, H) * (1.0 + 0.1 * t)
-            rate = 2.0 * np.pi / max(F * 1.5, 2.0)
-            for f in range(F):
-                a = angle0 + rate * f
-                cx = cxm + radius * np.cos(a)
-                cy = cym + radius * np.sin(a)
-                boxes.append(BBox(x=cx - w / 2, y=cy - h / 2, w=w, h=h))
-        paths.append(boxes)
-    return paths
+            cx, cy = W / 2.0 + radius * np.cos(angle), H / 2.0 + radius * np.sin(angle)
+        x, y = cx - w / 2, cy - h / 2
+    return np.stack(np.broadcast_arrays(x, y, w, h), axis=-1)
 
 
+def _check_boxes(boxes: np.ndarray) -> None:
+    """Raise the BBox error of the first row that is not a valid box."""
+    bad = _bad_boxes(boxes)
+    if bad.any():
+        BBox(*boxes[bad.argmax()].tolist())
+
+
+@np.errstate(over="ignore", invalid="ignore")  # boxes and vectors near 1e308 turn inf: checked below
 def generate_scene(spec: SceneSpec) -> SceneData:
     """Build ground truth, noisy detections, and identity descriptors.
 
     Fully deterministic for a fixed spec: the PCG64 generator seeded with
-    ``spec.seed`` drives all randomness (documented in the README config
-    table). Raises when spawn boxes overlap.
+    ``spec.seed`` drives all randomness, in the draw order the README
+    states. Raises when a box is not a valid BBox (ground truth target by
+    target, then detections in file order), when spawn boxes overlap, or
+    when a descriptor is not unit-norm.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
+    T, F = spec.targets, spec.frames
     paths = _gt_paths(spec)
-
-    starts = [path[0] for path in paths]
+    _check_boxes(paths.reshape(-1, 4))
+    starts = list(map(BBox, *paths[:, 0].T.tolist()))
     clashes = np.argwhere(np.triu(iou_matrix(starts, starts) > 0.0, k=1))
     if clashes.size:
         raise ValueError(f"targets {clashes[0, 0] + 1} and {clashes[0, 1] + 1} overlap at spawn")
 
-    occluded: set[tuple[int, int]] = set()
+    visible = np.ones((F, T), dtype=bool)
     for tid, start, end in spec.occlusions:
-        for f in range(start, end + 1):
-            occluded.add((tid, f))
+        visible[start - 1:end, tid - 1] = False
+    frame, target = np.nonzero(visible)  # frame-major, the detections' file order
+    dim = T if spec.descriptor_dim is None else spec.descriptor_dim
+    if 0 < dim < T:
+        bases = rng.normal(size=(T, dim))
+        bases /= _row_norms(bases)[:, None]
+    else:
+        bases = np.eye(T, dim)
+    # one row of draws per detection: 4 for its box, then dim for its descriptor, each if its std > 0
+    scales = ([spec.noise_std] * 4 * (spec.noise_std > 0)
+              + [spec.feat_noise_std] * dim * (spec.feat_noise_std > 0))
+    noise = rng.normal(0.0, scales, size=(len(frame), len(scales)))
 
-    dim = spec.descriptor_dim if spec.descriptor_dim is not None else spec.targets
-    bases = []
+    boxes = paths[target, frame] + (noise[:, :4] if spec.noise_std > 0 else 0.0)
+    boxes[:, 2:] = np.maximum(boxes[:, 2:], 1.0)
+    _check_boxes(boxes)
+    descriptors = None
     if dim > 0:
-        if dim >= spec.targets:
-            for t in range(spec.targets):
-                e = np.zeros(dim)
-                e[t] = 1.0
-                bases.append(e)
-        else:
-            for _ in range(spec.targets):
-                v = rng.normal(size=dim)
-                bases.append(v / np.linalg.norm(v))
-
-    gt: list[tuple[int, int, BBox]] = []
-    dets: list[tuple[int, int, BBox]] = []
-    records: list[DescriptorRecord] = []
-    for f in range(1, spec.frames + 1):
-        det_index = 0
-        for t in range(spec.targets):
-            box = paths[t][f - 1]
-            tid = t + 1
-            gt.append((f, tid, box))
-            if (tid, f) in occluded:
-                continue
-            noise = rng.normal(0.0, spec.noise_std, size=4) if spec.noise_std > 0 else np.zeros(4)
-            w = max(box.w + noise[2], 1.0)
-            h = max(box.h + noise[3], 1.0)
-            noisy = BBox(x=box.x + noise[0], y=box.y + noise[1], w=w, h=h)
-            dets.append((f, -1, noisy))
-            if dim > 0:
-                v = bases[t].copy()
-                if spec.feat_noise_std > 0:
-                    v = v + rng.normal(0.0, spec.feat_noise_std, size=dim)
-                n = float(np.linalg.norm(v))
-                if n <= 0.0:
-                    v = bases[t]
-                    n = 1.0
-                records.append(
-                    DescriptorRecord(frame=f, det_index=det_index, f_cls=v / n)
-                )
-            det_index += 1
+        v = bases[target] + (noise[:, -dim:] if spec.feat_noise_std > 0 else 0.0)
+        norms = _row_norms(v)
+        zero = norms <= 0.0
+        v[zero], norms[zero] = bases[target[zero]], 1.0
+        det_index = (np.cumsum(visible, axis=1) - 1)[visible]
+        keys = zip((frame + 1).tolist(), det_index.tolist())
+        descriptors = dict(zip(keys, map(AppearanceDescriptor, v / norms[:, None])))
+    gt = paths.transpose(1, 0, 2).reshape(-1, 4)
     return SceneData(
-        gt=MotTable.from_rows(gt),
-        detections=MotTable.from_rows(dets),
-        descriptors=records,
-        descriptor_dim=dim,
+        gt=MotTable(np.repeat(np.arange(1, F + 1), T), np.tile(np.arange(1, T + 1), F), gt),
+        detections=MotTable(frame + 1, np.full(len(frame), -1), boxes),
+        descriptors=descriptors,
     )

@@ -25,7 +25,8 @@ class BBox:
     h: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.w)
+                and math.isfinite(self.h)):
             raise ValueError(f"box coordinates must be finite, got {self}")
         if self.w <= 0.0 or self.h <= 0.0:
             raise ValueError(f"box extent must be positive, got w={self.w}, h={self.h}")

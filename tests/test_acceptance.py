@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from headtrack import cli, dataio, label_assign, lifting, metrics
-from headtrack.association import AppearanceDescriptor, CostMatrix, solve_assignment
+from headtrack.association import CostMatrix, solve_assignment
 from headtrack.geometry import BBox, HeadKeypoint
 from headtrack.kalman import KalmanState, constant_velocity_model, iterated_update, update
 from headtrack.tracker import Tracker
@@ -53,11 +53,7 @@ def permutation_minimum(values, mask):
 
 def run_scene(spec, run_cfg):
     scene = dataio.generate_scene(spec)
-    desc = {
-        (r.frame, r.det_index): AppearanceDescriptor(f_cls=r.f_cls)
-        for r in scene.descriptors
-    }
-    frames = dataio.mot_to_detections(scene.detections, desc)
+    frames = dataio.mot_to_detections(scene.detections, scene.descriptors)
     tracker = Tracker(cli.tracker_config(run_cfg))
     hyp = {f: tracker.step(f, frames.get(f, [])) for f in range(1, spec.frames + 1)}
     gt = {}

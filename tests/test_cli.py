@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import shutil
 import struct
 import warnings
 
@@ -12,10 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headtrack import cli, label_assign, lifting
-from headtrack.association import AssociationConfig
-from headtrack.dataio import (
-    DescriptorRecord, SceneSpec, parse_mot, read_descriptors, write_descriptors,
-)
+from headtrack.association import AppearanceDescriptor, AssociationConfig
+from headtrack.dataio import SceneSpec, parse_mot, read_descriptors, write_descriptors
 from headtrack.tracker import TrackerConfig
 
 SCENE = """
@@ -37,6 +36,18 @@ occlusion = 1:10-21
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def raw_sidecar(path, *records):
+    """An f_cls-only sidecar written byte by byte from (frame, det_index, *f_cls) tuples.
+
+    For records the writer does not take: a repeated key, a vector that
+    is not unit-norm.
+    """
+    dim = len(records[0]) - 2 if records else 0
+    path.write_bytes(struct.pack("<4sHIIIQ", b"FTFV", 1, dim, 0, 0, len(records))
+                     + b"".join(struct.pack(f"<II{dim}f", *r) for r in records))
+    return path
 
 
 @pytest.fixture
@@ -171,12 +182,8 @@ class TestTrack:
         dets = write(tmp_path / "det.txt", "".join(
             f"{f},-1,100,100,40,100,1,-1,-1,-1\n" for f in (1, 2, 3)
         ))
-        records = [
-            DescriptorRecord(f, 0, f_cls=np.array([np.nan if f == 2 else 1.0, 0.0]))
-            for f in (1, 2, 3)
-        ]
-        sidecar = tmp_path / "features.ftfv"
-        write_descriptors(sidecar, records, dim_cls=2, dim_reg=0, dim_head=0)
+        vectors = [(1.0, 0.0), (np.nan, 0.0), (1.0, 0.0)]
+        sidecar = raw_sidecar(tmp_path / "features.ftfv", *((f, 0, *v) for f, v in zip((1, 2, 3), vectors)))
         out = tmp_path / "res.txt"
         code = cli.main(["track", "--dets", dets, "--features", str(sidecar), "--out", str(out)])
         assert code == 2
@@ -194,11 +201,11 @@ class TestDirectorySidecars:
         for name in ("a", "b"):
             (dets_dir / f"{name}.txt").write_bytes((sim_dir / "det.txt").read_bytes())
         (feats_dir / "a.ftfv").write_bytes((sim_dir / "features.ftfv").read_bytes())
-        records = [
-            DescriptorRecord(f, k, f_cls=np.roll(d.f_cls, 1) if f >= 15 else d.f_cls)
-            for (f, k), d in sorted(read_descriptors(sim_dir / "features.ftfv").items())
-        ]
-        write_descriptors(feats_dir / "b.ftfv", records, dim_cls=4, dim_reg=0, dim_head=0)
+        swapped = {
+            (f, k): AppearanceDescriptor(f_cls=np.roll(d.f_cls, 1)) if f >= 15 else d
+            for (f, k), d in read_descriptors(sim_dir / "features.ftfv").items()
+        }
+        write_descriptors(feats_dir / "b.ftfv", swapped)
         return dets_dir, feats_dir
 
     def test_each_sequence_reads_its_own_sidecar(self, seq_dirs, tmp_path):
@@ -409,6 +416,13 @@ class TestExtremeValuesQuiet:
         code, err = self.run(["simulate", "--spec", spec, "--out-dir", str(tmp_path)], capsys)
         assert (code, err) == (0, "")
         assert len(parse_mot(tmp_path / "gt.txt")) == 6
+
+    def test_simulate_descriptor_noise_near_limit(self, tmp_path, capsys):
+        # the vectors' norms overflow: simulate wrote zero vectors, which track rejected
+        spec = write(tmp_path / "scene.cfg", "targets = 2\nframes = 3\nfeat_noise_std = 1e300\n")
+        code, err = self.run(["simulate", "--spec", spec, "--out-dir", str(tmp_path / "o")], capsys)
+        assert (code, err) == (2, f"headtrack: {spec}: f_cls must be unit-norm (got |v| = 0.0)\n")
+        assert not (tmp_path / "o").exists()
 
     def test_se3_linear_centres_near_limit(self, tmp_path, capsys):
         rows = ["1,5,1e308,0,40,80,1,-1,-1,-1", "2,5,-1e308,0,40,80,1,-1,-1,-1",
@@ -690,9 +704,7 @@ class TestSidecarMatchesDetections:
         return write(tmp_path / "det.txt", "\n".join(ROWS))
 
     def track(self, tmp_path, dets, keys):
-        sidecar = tmp_path / "features.ftfv"
-        records = [DescriptorRecord(f, k, f_cls=np.array([1.0, 0.0])) for f, k in keys]
-        write_descriptors(sidecar, records, dim_cls=2, dim_reg=0, dim_head=0)
+        sidecar = raw_sidecar(tmp_path / "features.ftfv", *((f, k, 1.0, 0.0) for f, k in keys))
         out = tmp_path / "o.txt"
         code = cli.main(["track", "--dets", dets, "--features", str(sidecar), "--out", str(out)])
         return code, sidecar, out
@@ -882,7 +894,7 @@ SPEC_VALUES = {
     "image_height": ["0", "-5", "480", "1e308", "nan", "h"],
     "box_height": ["0", "-1", "40", "1e308", "nan"],
     "noise_std": ["0", "1", "-1", "nan", "1e308"],
-    "feat_noise_std": ["0", "0.1", "-1", "nan", "inf"],
+    "feat_noise_std": ["0", "0.1", "-1", "nan", "inf", "1e300"],
     "occlusion": ["1:1-2", "1:2-1", "9:1-2", "1:0-3", "a:b-c", "1:1-2;2:2-3", ";", "1-2"],
 }
 SPEC_LINES = st.one_of(
@@ -915,6 +927,7 @@ class TestParserFuzz:
         assert "Traceback" not in err
         if code == 2:
             assert str(path) in err, err
+        return code
 
     @given(text=det_texts())
     @settings(max_examples=150, deadline=None)
@@ -941,3 +954,22 @@ class TestParserFuzz:
         spec.write_text(text)
         argv = ["simulate", "--spec", str(spec), "--out-dir", str(fuzz_dir / "scene")]
         self.check(argv, spec)
+
+    @given(text=SPEC_TEXTS)
+    @example(text="feat_noise_std = 1e300")  # its descriptors overflowed to zero vectors
+    @settings(max_examples=30, deadline=None)
+    def test_track_reads_simulate_output(self, fuzz_dir, text):
+        spec = fuzz_dir / "fuzz.cfg"
+        spec.write_text(text)
+        scene = fuzz_dir / "tracked_scene"
+        shutil.rmtree(scene, ignore_errors=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = self.check(["simulate", "--spec", str(spec), "--out-dir", str(scene)], spec)
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            argv = ["track", "--dets", str(scene / "det.txt"), "--out", str(fuzz_dir / "o.txt")]
+            if (scene / "features.ftfv").exists():
+                argv += ["--features", str(scene / "features.ftfv")]
+            with contextlib.redirect_stderr(io.StringIO()) as stderr:
+                assert cli.main(argv) == 0, stderr.getvalue()

@@ -1,16 +1,20 @@
 import io
 import struct
 
+import itertools
+import re
+
 import mot_oracle
 import numpy as np
 import pytest
+import scene_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_cli import det_texts, sidecar_bytes
+from test_cli import det_texts, raw_sidecar, sidecar_bytes
 
 from headtrack import dataio
+from headtrack.association import AppearanceDescriptor
 from headtrack.dataio import (
-    DescriptorRecord,
     MotLine,
     MotParseError,
     MotTable,
@@ -153,28 +157,23 @@ class TestDescriptorFile:
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)
-        recs = [
-            DescriptorRecord(
-                frame=f,
-                det_index=i,
-                f_cls=self.unit(rng, 16),
-                f_reg=self.unit(rng, 8),
-            )
+        descs = {
+            (f, i): AppearanceDescriptor(f_cls=self.unit(rng, 16), f_reg=self.unit(rng, 8))
             for f in (1, 2)
             for i in (0, 1)
-        ]
+        }
         path = tmp_path / "d.ftfv"
-        write_descriptors(path, recs, dim_cls=16, dim_reg=8, dim_head=0)
+        write_descriptors(path, descs)
         first = path.read_bytes()
+        assert struct.unpack_from("<HIIIQ", first, 4) == (1, 16, 8, 0, 4)  # dimensions from the vectors
         loaded = read_descriptors(path)
-        assert set(loaded) == {(1, 0), (1, 1), (2, 0), (2, 1)}
-        write_descriptors(path, recs, dim_cls=16, dim_reg=8, dim_head=0)
+        assert list(loaded) == [(1, 0), (1, 1), (2, 0), (2, 1)]
+        write_descriptors(path, loaded)
         assert path.read_bytes() == first
 
     def test_little_endian_layout(self, tmp_path):
         path = tmp_path / "d.ftfv"
-        rec = DescriptorRecord(frame=7, det_index=3, f_cls=np.array([1.0]))
-        write_descriptors(path, [rec], dim_cls=1, dim_reg=0, dim_head=0)
+        write_descriptors(path, {(7, 3): AppearanceDescriptor(f_cls=np.array([1.0]))})
         raw = path.read_bytes()
         assert raw[:4] == b"FTFV"
         version, dim_cls, dim_reg, dim_head, count = struct.unpack_from("<HIIIQ", raw, 4)
@@ -184,34 +183,31 @@ class TestDescriptorFile:
         frame, det_index, value = struct.unpack_from("<IIf", raw, 26)
         assert (frame, det_index, value) == (7, 3, 1.0)
 
+    def test_no_records(self, tmp_path):
+        path = tmp_path / "d.ftfv"
+        write_descriptors(path, {})
+        assert path.read_bytes() == struct.pack("<4sHIIIQ", b"FTFV", 1, 0, 0, 0, 0)
+        assert read_descriptors(path) == {}
+
     def test_loaded_vectors_unit_norm(self, tmp_path):
         rng = np.random.default_rng(3)
-        recs = [DescriptorRecord(frame=1, det_index=0, f_cls=self.unit(rng, 64))]
         path = tmp_path / "d.ftfv"
-        write_descriptors(path, recs, dim_cls=64, dim_reg=0, dim_head=0)
+        write_descriptors(path, {(1, 0): AppearanceDescriptor(f_cls=self.unit(rng, 64))})
         desc = read_descriptors(path)[(1, 0)]
         assert abs(np.linalg.norm(desc.f_cls) - 1.0) < 1e-9
 
     def test_non_unit_vector_rejected_on_read(self, tmp_path):
-        path = tmp_path / "d.ftfv"
-        buf = struct.pack("<4sHIIIQ", b"FTFV", 1, 1, 0, 0, 1)
-        buf += struct.pack("<IIf", 1, 0, 3.0)  # |v| = 3
-        path.write_bytes(buf)
+        path = raw_sidecar(tmp_path / "d.ftfv", (1, 0, 3.0))  # |v| = 3
         with pytest.raises(ValueError):
             read_descriptors(path)
 
     def test_nan_vector_rejected_on_read(self, tmp_path):
-        path = tmp_path / "d.ftfv"
-        rec = DescriptorRecord(frame=2, det_index=0, f_cls=np.array([0.6, np.nan, 0.8]))
-        write_descriptors(path, [rec], dim_cls=3, dim_reg=0, dim_head=0)
+        path = raw_sidecar(tmp_path / "d.ftfv", (2, 0, 0.6, np.nan, 0.8))
         with pytest.raises(ValueError, match=r"f_cls for \(2,0\) is not unit-norm"):
             read_descriptors(path)
 
     def test_repeated_record_rejected(self, tmp_path):
-        path = tmp_path / "d.ftfv"
-        recs = [DescriptorRecord(frame=f, det_index=k, f_cls=np.array([1.0]))
-                for f, k in [(1, 0), (1, 1), (2, 0), (1, 1)]]
-        write_descriptors(path, recs, dim_cls=1, dim_reg=0, dim_head=0)
+        path = raw_sidecar(tmp_path / "d.ftfv", (1, 0, 1.0), (1, 1, 1.0), (2, 0, 1.0), (1, 1, 1.0))
         with pytest.raises(ValueError, match=r"record 4 repeats \(frame, det_index\) \(1,1\)"):
             read_descriptors(path)
 
@@ -228,10 +224,20 @@ class TestDescriptorFile:
         with pytest.raises(ValueError):
             read_descriptors(path)
 
-    def test_dimension_mismatch_on_write(self, tmp_path):
-        rec = DescriptorRecord(frame=1, det_index=0, f_cls=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            write_descriptors(tmp_path / "d.ftfv", [rec], dim_cls=3, dim_reg=0, dim_head=0)
+    @pytest.mark.parametrize("descs,message", [
+        ({(1, 0): [1.0], (1, 1): [0.0, 1.0]}, "f_cls vectors differ in length"),
+        ({(1, 0): [1.0], (2, 0): None}, "f_cls carried by 1 of 2 records"),
+        ({(1, -1): [1.0]}, r"key \(1, -1\) does not fit in u4"),
+        ({(2**32, 0): [1.0]}, r"key \(4294967296, 0\) does not fit in u4"),
+    ])
+    def test_unwritable_mapping_rejected(self, tmp_path, descs, message):
+        descs = {
+            key: AppearanceDescriptor(f_cls=v) if v is not None else AppearanceDescriptor(f_reg=[1.0])
+            for key, v in descs.items()
+        }
+        with pytest.raises(ValueError, match=message):
+            write_descriptors(tmp_path / "d.ftfv", descs)
+        assert not (tmp_path / "d.ftfv").exists()
 
 
 class TestGenerateScene:
@@ -264,9 +270,7 @@ class TestGenerateScene:
             feat_path = tmp_path / f"f{run}.ftfv"
             write_mot(gt_path, scene.gt)
             write_mot(det_path, scene.detections)
-            write_descriptors(
-                feat_path, scene.descriptors, scene.descriptor_dim, 0, 0
-            )
+            write_descriptors(feat_path, scene.descriptors)
             outputs.append(
                 (gt_path.read_bytes(), det_path.read_bytes(), feat_path.read_bytes())
             )
@@ -281,9 +285,9 @@ class TestGenerateScene:
 
     def test_one_hot_descriptors_by_default(self):
         scene = generate_scene(SceneSpec(targets=4, frames=2))
-        assert scene.descriptor_dim == 4
-        rec = scene.descriptors[0]
-        assert np.count_nonzero(rec.f_cls) == 1
+        assert list(scene.descriptors) == [(f, k) for f in (1, 2) for k in range(4)]
+        for (f, k), desc in scene.descriptors.items():
+            assert np.array_equal(desc.f_cls, np.eye(4)[k])
 
     def test_overlapping_spawn_rejected(self):
         spec = SceneSpec(targets=8, motion="crossing", frames=10, box_height=900.0)
@@ -316,7 +320,7 @@ class TestGenerateScene:
 
     def test_zero_descriptor_dim_makes_no_descriptors(self):
         scene = generate_scene(SceneSpec(targets=2, frames=3, descriptor_dim=0))
-        assert (scene.descriptor_dim, scene.descriptors) == (0, [])
+        assert scene.descriptors is None
 
     def test_circular_motion_stays_in_frame(self):
         spec = SceneSpec(targets=6, motion="circular", frames=50)
@@ -324,6 +328,79 @@ class TestGenerateScene:
         for l in scene.gt:
             assert -200 < l.box.x < spec.image_width + 200
             assert -200 < l.box.y < spec.image_height + 200
+
+
+def _scene_outcome(generate, write_sidecar, spec, path):
+    """A scene's table columns and sidecar bytes, or the type and text of what generating it raises.
+
+    Equal columns, bit for bit, print the same MOT text. A message's
+    ``np.float64(v)`` reads as ``v``: the row-at-a-time generator built
+    boxes from numpy scalars, the column-wise one from Python floats.
+    """
+    try:
+        scene = generate(spec)
+    except ValueError as exc:
+        return type(exc).__name__, re.sub(r"np\.float64\(([^)]*)\)", r"\1", str(exc))
+    columns = [getattr(t, c).tobytes() for t in (scene.gt, scene.detections) for c in ("frame", "id", "box")]
+    return "ok", columns, path.read_bytes() if write_sidecar(path, scene) else None
+
+
+def _write_old(path, scene):
+    if scene.descriptor_dim:
+        scene_oracle.write_descriptors(path, scene.descriptors, scene.descriptor_dim, 0, 0)
+        return True
+    return False
+
+
+def _write_new(path, scene):
+    if scene.descriptors is not None:
+        write_descriptors(path, scene.descriptors)
+        return True
+    return False
+
+
+class TestSceneOracle:
+    """The column-wise generator and writer against the row-at-a-time ones in ``scene_oracle``."""
+
+    # targets, frames, noise_std, feat_noise_std, descriptor_dim, seed
+    GRID = list(itertools.product((1, 3, 10, 25), (1, 2, 40, 101), (0.0, 1.5), (0.0, 0.1),
+                                  (None, 0, 4, 64), (0, 7)))
+
+    @staticmethod
+    def same(spec, tmp_path):
+        want = _scene_outcome(scene_oracle.generate_scene, _write_old, spec, tmp_path / "old.ftfv")
+        got = _scene_outcome(generate_scene, _write_new, spec, tmp_path / "new.ftfv")
+        if want[0] == "ok" and want[2] is not None and want[2][18:26] == bytes(8):
+            # no records: the old header kept dim_cls, the new one reads it from no vectors
+            want = (*want[:2], want[2][:6] + bytes(12) + want[2][18:])
+        assert got == want, spec
+
+    @pytest.mark.parametrize("motion", dataio.MOTION_MODELS)
+    def test_grid(self, tmp_path, motion):
+        # 4 descriptor dims: one-hot (None, 64 when it is >= targets), none, random bases (4 < targets)
+        for targets, frames, noise, feat_noise, dim, seed in self.GRID:
+            spec = SceneSpec(
+                targets=targets, motion=motion, frames=frames, box_height=8.0, noise_std=noise,
+                feat_noise_std=feat_noise, descriptor_dim=dim, seed=seed,
+                occlusions=((1, (frames + 3) // 4, (frames + 1) // 2),),
+            )
+            self.same(spec, tmp_path)
+
+    @pytest.mark.parametrize("spec", [
+        SceneSpec(targets=8, motion="crossing", frames=10, box_height=900.0),  # spawn overlap
+        SceneSpec(targets=25, motion="linear"),
+        SceneSpec(targets=10, motion="circular", box_height=400.0),
+        SceneSpec(targets=3, motion="crossing", box_height=1e308),
+        SceneSpec(targets=20, motion="linear", box_height=1e308),  # box overflow: h is inf from target 17
+        SceneSpec(targets=3, motion="linear", image_height=1e308),
+        SceneSpec(targets=2, motion="circular", image_width=1e308, image_height=1e308),
+        SceneSpec(targets=3, motion="crossing", frames=5, noise_std=1e308, seed=3),  # detection overflow
+        SceneSpec(targets=3, motion="linear", frames=5, noise_std=1e300, feat_noise_std=1e100),
+        SceneSpec(targets=2, motion="linear", box_height=5e-324),  # w rounds to 0
+        SceneSpec(targets=2, motion="crossing", frames=4, box_height=1.0, occlusions=((1, 1, 4), (2, 1, 4))),
+    ])
+    def test_extremes_and_errors(self, tmp_path, spec):
+        self.same(spec, tmp_path)
 
 
 class TestMotToDetections:
@@ -360,11 +437,10 @@ class TestMotToDetections:
             ]
         )
         basis = np.eye(3)
-        records = [
-            DescriptorRecord(frame=1, det_index=k, f_cls=basis[k]) for k in range(3)
-        ] + [DescriptorRecord(frame=2, det_index=1, f_cls=basis[2])]
+        descs = {(1, k): AppearanceDescriptor(f_cls=basis[k]) for k in range(3)}
+        descs[2, 1] = AppearanceDescriptor(f_cls=basis[2])
         path = tmp_path / "dets.ftfv"
-        write_descriptors(path, records, dim_cls=3, dim_reg=0, dim_head=0)
+        write_descriptors(path, descs)
         frames = mot_to_detections(lines, read_descriptors(path))
         assert list(frames) == [1, 2]
         assert [d.bbox.x for d in frames[1]] == [0.0, 50.0, 30.0]

@@ -428,11 +428,7 @@ class TestEmittedTrajectories:
 
         spec = SceneSpec(targets=10, frames=60, motion="crossing", seed=13)
         scene = generate_scene(spec)
-        desc = {
-            (r.frame, r.det_index): AppearanceDescriptor(f_cls=r.f_cls)
-            for r in scene.descriptors
-        }
-        frames = mot_to_detections(scene.detections, desc)
+        frames = mot_to_detections(scene.detections, scene.descriptors)
         cfg = TrackerConfig(
             min_hits=1,
             assoc=AssociationConfig(w_app=0.5, w_mot=0.5, motion_scale=2203.0, gate_g=0.5),
