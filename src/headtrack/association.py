@@ -19,9 +19,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import FEATURE_KINDS, AssociationConfig
 from .geometry import HeadKeypoint
-
-FEATURE_KINDS = ("f_cls", "f_reg", "f_head")
 
 _UNIT_NORM_TOL = 1e-6
 
@@ -55,33 +54,6 @@ class AppearanceDescriptor:
                 object.__setattr__(self, kind, _as_unit(v, kind))
         if all(getattr(self, k) is None for k in FEATURE_KINDS):
             raise ValueError("descriptor needs at least one feature kind")
-
-
-@dataclass(frozen=True)
-class AssociationConfig:
-    """Weights and gate for cost-matrix construction.
-
-    ``feature_weights`` follows the FEATURE_KINDS order (cls, reg, head)
-    and is renormalized over whichever kinds a pair actually shares.
-    ``motion_scale`` should be set to the image diagonal so appearance and
-    motion terms are commensurate across resolutions.
-    """
-
-    w_app: float = 0.5
-    w_mot: float = 0.5
-    feature_weights: tuple[float, float, float] = (0.5, 0.5, 0.0)
-    gate_g: float = 0.5
-    motion_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.w_app < 0.0 or self.w_mot < 0.0 or self.w_app + self.w_mot <= 0.0:
-            raise ValueError("need w_app, w_mot >= 0 with a positive sum")
-        if any(w < 0.0 for w in self.feature_weights):
-            raise ValueError("feature weights must be non-negative")
-        if self.gate_g <= 0.0:
-            raise ValueError(f"gate must be positive, got {self.gate_g}")
-        if self.motion_scale <= 0.0:
-            raise ValueError(f"motion_scale must be positive, got {self.motion_scale}")
 
 
 @dataclass

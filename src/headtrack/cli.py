@@ -19,14 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, label_assign, lifting, metrics
-from .association import AssociationConfig
+# the library modules a verb runs are imported by that verb, when it runs
+from . import dataio
+from .config import METHODS, AssignConfig, AssociationConfig, KalmanConfig, LiftingConfig, TrackerConfig
 from .dataio import SceneSpec
 from .geometry import BBox, HeadKeypoint
-from .kalman import KalmanConfig
-from .label_assign import AssignConfig
-from .lifting import LiftingConfig
-from .tracker import Tracker, TrackerConfig
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -169,6 +166,7 @@ def _located(path, read):
 
 
 def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_format=False) -> None:
+    from . import tracker
     table = _located(dets_path, lambda: dataio.parse_mot(dets_path))
     descriptors = None
     if features_path:
@@ -179,14 +177,14 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
     for frame, index in descriptors or ():  # every record must reach a detection line
         if index >= len(frames.get(frame, ())):
             raise ConfigError(f"{features_path}: record ({frame},{index}) names no detection line")
-    tracker = Tracker(tracker_config(cfg))
+    tracking = tracker.Tracker(tracker_config(cfg))
     out: list[tuple[int, int, BBox]] = []
     f = 1
     for busy in sorted(frames):
         while f <= busy:
-            if not tracker.live:  # a step would only move the frame: skip to the detections
+            if not tracking.live:  # a step would only move the frame: skip to the detections
                 f = busy
-            out += [(f, tid, box) for tid, box in tracker.step(f, frames.get(f, []))]
+            out += [(f, tid, box) for tid, box in tracking.step(f, frames.get(f, []))]
             f += 1
     dataio.write_mot(out_path, dataio.MotTable.from_rows(out))
 
@@ -213,6 +211,7 @@ def cmd_track(args, cfg: RunConfig) -> int:
 
 
 def cmd_interpolate(args, cfg: RunConfig) -> int:
+    from . import lifting
     table = _located(args.input, lambda: dataio.parse_mot(args.input))
     _located(args.input, lambda: dataio.check_unique_ids(table))
     lcfg = LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std)
@@ -240,6 +239,7 @@ def _boxes_by_frame(table: dataio.MotTable) -> dict[int, list[tuple[int, BBox]]]
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
+    from . import metrics
     gt_table = _located(args.gt, lambda: dataio.parse_mot(args.gt))
     res_table = _located(args.result, lambda: dataio.parse_mot(args.result))
     _located(args.gt, lambda: dataio.check_unique_ids(gt_table))
@@ -332,6 +332,7 @@ def _scene_entries(doc: dict, key: str, build) -> list:
 
 def parse_assign_scene(path) -> tuple[list, list]:
     """The anchors and gt instances of an ``assign`` JSON scene file."""
+    from . import label_assign
     doc = json.loads(Path(path).read_text())
     if not (isinstance(doc, dict) and all(isinstance(doc.get(k), list) for k in ("anchors", "gts"))):
         raise ValueError("scene must be a JSON object with 'anchors' and 'gts' lists")
@@ -353,6 +354,7 @@ def parse_assign_scene(path) -> tuple[list, list]:
 
 
 def cmd_assign(args, cfg: RunConfig) -> int:
+    from . import label_assign
     anchors, gts = _located(args.scene, lambda: parse_assign_scene(args.scene))
     acfg = AssignConfig(alpha=cfg.alpha, beta=cfg.beta, eps_iou=cfg.eps_iou, q_topk=cfg.q_topk)
     cost = label_assign.assign_cost_matrix(anchors, gts, acfg)
@@ -410,7 +412,7 @@ def build_parser() -> _Parser:
 
     p_interp = sub.add_parser("interpolate", help="fill trajectory gaps in a result file")
     p_interp.add_argument("--input", required=True)
-    p_interp.add_argument("--method", choices=lifting.METHODS, default="linear2d")
+    p_interp.add_argument("--method", choices=METHODS, default="linear2d")
     p_interp.add_argument("--out", required=True)
     _add_config_flags(p_interp)
 

@@ -18,13 +18,16 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .association import FEATURE_KINDS, AppearanceDescriptor
+from .config import FEATURE_KINDS
 from .geometry import BBox, HeadKeypoint, iou_matrix
-from .tracker import Detection
+
+if TYPE_CHECKING:  # imported where they are built, so only the verbs that build them load them
+    from .association import AppearanceDescriptor
+    from .tracker import Detection
 
 DESCRIPTOR_MAGIC = b"FTFV"
 DESCRIPTOR_VERSION = 1
@@ -268,6 +271,7 @@ def mot_to_detections(
     Descriptor keys are (frame, index within that frame's rows in file
     order): frames come out ascending, each frame's rows in file order.
     """
+    from .tracker import Detection
     boxes, conf = table.bboxes(), table.conf.tolist()
     extra = table.extra.tolist() if head_format else None
     out: dict[int, list[Detection]] = {}
@@ -338,6 +342,7 @@ def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
     is named, its (frame, det_index) repeat checked before its kinds in
     order.
     """
+    from .association import AppearanceDescriptor
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise ValueError("descriptor file truncated before header")
@@ -477,12 +482,13 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     target, then detections in file order), when spawn boxes overlap, or
     when a descriptor is not unit-norm.
     """
+    from .association import AppearanceDescriptor
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     T, F = spec.targets, spec.frames
     paths = _gt_paths(spec)
     _check_boxes(paths.reshape(-1, 4))
     starts = list(map(BBox, *paths[:, 0].T.tolist()))
-    clashes = np.argwhere(np.triu(iou_matrix(starts, starts) > 0.0, k=1))
+    clashes = np.argwhere(np.triu(iou_matrix(starts, starts) != 0.0, k=1))  # nan: areas overflow
     if clashes.size:
         raise ValueError(f"targets {clashes[0, 0] + 1} and {clashes[0, 1] + 1} overlap at spawn")
 

@@ -8,11 +8,12 @@ convention, so small and large targets get comparable relative uncertainty.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .config import KalmanConfig
 
 STATE_DIM = 8
 MEAS_DIM = 4
@@ -24,28 +25,6 @@ class FilterDivergence(RuntimeError):
 
 class IllConditionedUpdate(RuntimeError):
     """Innovation covariance is not positive definite."""
-
-
-@dataclass(frozen=True)
-class KalmanConfig:
-    """Noise scaling and clamping knobs.
-
-    Standard deviations are fractions of the current target height:
-    position-like terms use ``pos_std_weight * h``, velocity terms
-    ``vel_std_weight * h``, measurements ``meas_std_weight * h``.
-    """
-
-    pos_std_weight: float = 1.0 / 20
-    vel_std_weight: float = 1.0 / 160
-    meas_std_weight: float = 1.0 / 20
-    h_min: float = 1.0
-
-    def __post_init__(self):
-        for name in ("pos_std_weight", "vel_std_weight", "meas_std_weight", "h_min"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if (self.meas_std_weight * self.h_min) ** 2 == 0.0:
-            raise ValueError(f"h_min {self.h_min} is so small that the measurement variance is 0")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import geometry
+from .config import AssignConfig
 from .geometry import BBox, HeadKeypoint, iou, ciou_loss
 
 _PROB_CLAMP = 1e-7
@@ -43,20 +44,6 @@ class GtInstance:
     box: BBox
     head: HeadKeypoint
     center_radius: Optional[float] = None  # None: 2.5 x the anchor's stride
-
-
-@dataclass(frozen=True)
-class AssignConfig:
-    alpha: float = 3.0
-    beta: float = 1e5
-    eps_iou: float = 1e-8
-    q_topk: int = 10
-
-    def __post_init__(self):
-        if not self.eps_iou > 0.0:  # -log(IoU + eps) must stay finite at IoU = 0
-            raise ValueError(f"eps_iou must be positive, got {self.eps_iou}")
-        if self.q_topk < 1:
-            raise ValueError(f"q_topk must be >= 1, got {self.q_topk}")
 
 
 def _center_radius(anchor: Anchor, gt: GtInstance) -> float:

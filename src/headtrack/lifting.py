@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import METHODS, LiftingConfig
 from .geometry import BBox
-
-METHODS = ("linear2d", "se3_linear", "se3_kalman")
 
 _ANGLE_EPS = 1e-8
 _BRANCH_MARGIN = 1e-6
@@ -66,18 +65,6 @@ class Pose3:
     @_quiet
     def compose(self, other: "Pose3") -> "Pose3":
         return Pose3(R=self.R @ other.R, t=self.R @ other.t + self.t)
-
-
-@dataclass(frozen=True)
-class LiftingConfig:
-    process_std: float = 0.1  # centre smoother noise, squared into Q and R
-    meas_std: float = 0.01
-
-    def __post_init__(self):
-        for name in ("process_std", "meas_std"):
-            std = getattr(self, name)
-            if not math.isfinite(std * std):
-                raise ValueError(f"{name} must have a finite square, got {std}")
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,14 @@ a detection no frame (it is the frame of the ``step`` it is passed to).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import kalman
-from .association import AppearanceDescriptor, AssociationConfig, build_cost_matrix
-from .association import solve_assignment, stack_descriptors
+from .association import AppearanceDescriptor, build_cost_matrix, solve_assignment, stack_descriptors
+from .config import TrackerConfig
 from .geometry import BBox, HeadKeypoint
 
 TENTATIVE = "tentative"
@@ -48,25 +48,6 @@ class Track:
 
     id: int
     status: str = TENTATIVE
-
-
-@dataclass(frozen=True)
-class TrackerConfig:
-    patience_w: int = 30
-    init_score_min: float = 0.25
-    min_hits: int = 3
-    emit_predictions: bool = False
-    descriptor_momentum: float = 0.9
-    assoc: AssociationConfig = field(default_factory=AssociationConfig)
-    noise: kalman.KalmanConfig = field(default_factory=kalman.KalmanConfig)
-
-    def __post_init__(self):
-        if self.patience_w < 1:
-            raise ValueError(f"patience_w must be >= 1, got {self.patience_w}")
-        if self.min_hits < 1:
-            raise ValueError(f"min_hits must be >= 1, got {self.min_hits}")
-        if not 0.0 <= self.descriptor_momentum < 1.0:
-            raise ValueError("descriptor_momentum must lie in [0, 1)")
 
 
 def measurement_from_bbox(bbox: BBox) -> np.ndarray:

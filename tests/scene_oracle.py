@@ -121,7 +121,7 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     paths = _gt_paths(spec)
 
     starts = [path[0] for path in paths]
-    clashes = np.argwhere(np.triu(iou_matrix(starts, starts) > 0.0, k=1))
+    clashes = np.argwhere(np.triu(iou_matrix(starts, starts) != 0.0, k=1))  # nan: areas overflow
     if clashes.size:
         raise ValueError(f"targets {clashes[0, 0] + 1} and {clashes[0, 1] + 1} overlap at spawn")
 

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from headtrack import cli, label_assign, lifting
+from headtrack import cli, label_assign, lifting, tracker
 from headtrack.association import AppearanceDescriptor, AssociationConfig
 from headtrack.dataio import SceneSpec, parse_mot, read_descriptors, write_descriptors
 from headtrack.tracker import TrackerConfig
@@ -111,13 +111,13 @@ class TestTrack:
     def test_dead_time_is_skipped(self, tmp_path, monkeypatch):
         # once no track is live, a step only moves the frame: jump to the next detections
         calls = []
-        step = cli.Tracker.step
+        step = tracker.Tracker.step
 
-        def counted(tracker, frame, detections):
+        def counted(self, frame, detections):
             calls.append(frame)
-            return step(tracker, frame, detections)
+            return step(self, frame, detections)
 
-        monkeypatch.setattr(cli.Tracker, "step", counted)
+        monkeypatch.setattr(tracker.Tracker, "step", counted)
         rows = ["1,-1,100,100,40,80,1,-1,-1,-1", f"{10**9},-1,100,100,40,80,1,-1,-1,-1"]
         dets = write(tmp_path / "det.txt", "\n".join(rows) + "\n")
         out = tmp_path / "res.txt"
@@ -136,10 +136,10 @@ class TestTrack:
         cfg = cli.RunConfig(min_hits=1, emit_predictions=True, patience_w=5)
         out = tmp_path / "res.txt"
         cli.run_track_file(dets, None, out, cfg)
-        tracker = cli.Tracker(cli.tracker_config(cfg))
+        tracking = tracker.Tracker(cli.tracker_config(cfg))
         frames = cli.dataio.mot_to_detections(parse_mot(dets))
         expected = [
-            (f, tid, b) for f in range(1, max(frames) + 1) for tid, b in tracker.step(f, frames.get(f, []))
+            (f, tid, b) for f in range(1, max(frames) + 1) for tid, b in tracking.step(f, frames.get(f, []))
         ]
         assert out.read_text() == cli.dataio.format_mot(cli.dataio.MotTable.from_rows(expected))
         assert {l.frame for l in parse_mot(out)} >= set(range(11, 25))  # coasted boxes
@@ -412,10 +412,15 @@ class TestExtremeValuesQuiet:
         assert len(parse_mot(out)) == 2
 
     def test_simulate_box_near_limit(self, tmp_path, capsys):
-        spec = write(tmp_path / "scene.cfg", "targets = 2\nframes = 3\nbox_height = 1e300\n")
+        spec = write(tmp_path / "scene.cfg", "targets = 1\nframes = 3\nbox_height = 1e300\n")
         code, err = self.run(["simulate", "--spec", spec, "--out-dir", str(tmp_path)], capsys)
         assert (code, err) == (0, "")
-        assert len(parse_mot(tmp_path / "gt.txt")) == 6
+        assert len(parse_mot(tmp_path / "gt.txt")) == 3
+        # two such boxes: their areas overflow, so their IoU is nan, which is a clash
+        spec = write(tmp_path / "two.cfg", "targets = 2\nframes = 3\nbox_height = 1e300\n")
+        code, err = self.run(["simulate", "--spec", spec, "--out-dir", str(tmp_path / "o")], capsys)
+        assert (code, err) == (2, f"headtrack: {spec}: targets 1 and 2 overlap at spawn\n")
+        assert not (tmp_path / "o").exists()
 
     def test_simulate_descriptor_noise_near_limit(self, tmp_path, capsys):
         # the vectors' norms overflow: simulate wrote zero vectors, which track rejected

@@ -1,19 +1,24 @@
-"""Only the verbs that solve an assignment load scipy, and only its solver.
+"""Each verb loads the headtrack modules it runs, and only the verbs that
+solve an assignment load scipy, and only its solver.
 
-``track`` (at its first non-empty assignment) and ``evaluate`` (at its
-first matching) need scipy's assignment solver. They load ``scipy`` and
-the ``scipy.optimize._lsap`` extension that holds it, not the
-``scipy.optimize`` package; importing the package and every other verb
-must not load scipy at all. Each case runs in a fresh interpreter,
+``import headtrack`` loads no submodule, and ``import headtrack.cli`` only
+the configs, the file formats and the geometry; each verb then loads the
+modules it runs. ``track`` (at its first non-empty assignment) and
+``evaluate`` (at its first matching) need scipy's assignment solver. They
+load ``scipy`` and the ``scipy.optimize._lsap`` extension that holds it,
+not the ``scipy.optimize`` package; importing the package and every other
+verb must not load scipy at all. Each case runs in a fresh interpreter,
 because a module once imported stays in ``sys.modules``.
 """
 
+import importlib
 import importlib.machinery
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -41,8 +46,17 @@ PROBE = """
 import importlib, json, sys
 module = importlib.import_module(sys.argv[1])
 codes = [module.main(argv) for argv in json.loads(sys.argv[2])]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([codes, *(sorted(m for m in sys.modules if m.split(".")[0] == top)
+                           for top in ("scipy", "headtrack"))]))
 """
+
+# the headtrack modules that `import headtrack.cli` loads, and those loaded once a verb has run
+CLI_MODULES = ["headtrack", "headtrack.cli", "headtrack.config", "headtrack.dataio", "headtrack.geometry"]
+VERB_MODULES = {
+    "track": CLI_MODULES + ["headtrack.association", "headtrack.kalman", "headtrack.tracker"],
+    "interpolate": CLI_MODULES + ["headtrack.lifting"],
+    "evaluate": CLI_MODULES + ["headtrack.association", "headtrack.metrics"],
+}
 
 
 def python(code: str, *args: str) -> str:
@@ -56,15 +70,22 @@ def python(code: str, *args: str) -> str:
     return proc.stdout
 
 
-def fresh(module: str, *argvs: list[str]) -> tuple[list[int], list[str], list[str]]:
+class Run(NamedTuple):
+    codes: list[int]
+    scipy_modules: list[str]
+    printed: list[str]
+    headtrack_modules: list[str]
+
+
+def fresh(module: str, *argvs: list[str]) -> Run:
     """Import ``module`` in a new interpreter and run ``module.main`` on each argv.
 
-    Returns the exit codes, the scipy modules loaded afterwards and the
-    lines the verbs printed.
+    Returns the exit codes, the scipy modules loaded afterwards, the lines
+    the verbs printed and the headtrack modules loaded afterwards.
     """
     *printed, last = python(PROBE, module, json.dumps(argvs)).splitlines()
-    codes, scipy_modules = json.loads(last)
-    return codes, scipy_modules, printed
+    codes, scipy_modules, headtrack_modules = json.loads(last)
+    return Run(codes, scipy_modules, printed, headtrack_modules)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +102,35 @@ def scene(tmp_path_factory):
 @pytest.mark.parametrize("module", ["headtrack", "headtrack.cli"])
 def test_import_loads_no_scipy(module):
     assert fresh(module)[:2] == ([], [])
+
+
+@pytest.mark.parametrize("module,loaded", [("headtrack", ["headtrack"]), ("headtrack.cli", CLI_MODULES)],
+                         ids=["headtrack", "headtrack.cli"])
+def test_import_loads_no_verb_module(module, loaded):
+    assert sorted(fresh(module).headtrack_modules) == sorted(loaded)
+
+
+@pytest.mark.parametrize("verb", VERB_MODULES)
+def test_verb_loads_only_the_modules_it_runs(scene, tmp_path, verb):
+    argv = {
+        "track": ["track", "--dets", str(scene / "det.txt"), "--features", str(scene / "features.ftfv"),
+                  "--out", str(tmp_path / "result.txt")],
+        "interpolate": ["interpolate", "--input", str(scene / "result.txt"), "--method", "se3_kalman",
+                        "--out", str(tmp_path / "filled.txt")],
+        "evaluate": ["evaluate", "--gt", str(scene / "gt.txt"), "--result", str(scene / "result.txt")],
+    }[verb]
+    run = fresh("headtrack.cli", argv)
+    assert run.codes == [0]
+    assert sorted(run.headtrack_modules) == sorted(VERB_MODULES[verb])
+
+
+def test_package_names_resolve_to_their_home_modules():
+    for name in headtrack.__all__:
+        value = getattr(headtrack, name)
+        assert value is getattr(importlib.import_module(value.__module__), name), name
+    assert set(headtrack.__all__) <= set(dir(headtrack))
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        headtrack.missing
 
 
 @pytest.mark.parametrize("method", lifting.METHODS)
@@ -114,16 +164,16 @@ def assert_solver_only(scipy_modules):
 def test_track_and_evaluate_load_only_the_solver_and_report_as_before(scene, tmp_path):
     track = ["track", "--dets", str(scene / "det.txt"), "--features", str(scene / "features.ftfv"),
              "--out", str(tmp_path / "result.txt"), "--min-hits", "1"]
-    codes, scipy_modules, _ = fresh("headtrack.cli", track)
-    assert codes == [0]
-    assert_solver_only(scipy_modules)
+    run = fresh("headtrack.cli", track)
+    assert run.codes == [0]
+    assert_solver_only(run.scipy_modules)
     assert (tmp_path / "result.txt").read_bytes() == (scene / "result.txt").read_bytes()
 
     evaluate = ["evaluate", "--gt", str(scene / "gt.txt"), "--result", str(tmp_path / "result.txt")]
-    codes, scipy_modules, printed = fresh("headtrack.cli", evaluate)
-    assert codes == [0]
-    assert_solver_only(scipy_modules)
-    assert printed == REPORT
+    run = fresh("headtrack.cli", evaluate)
+    assert run.codes == [0]
+    assert_solver_only(run.scipy_modules)
+    assert run.printed == REPORT
 
 
 ORDER_PROBE = """
