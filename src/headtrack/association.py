@@ -35,6 +35,11 @@ def _as_unit(v, kind: str) -> np.ndarray:
     return v
 
 
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``m``, bit for bit as np.linalg.norm of that row."""
+    return np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class AppearanceDescriptor:
     """Unit-norm feature vectors from the detector's output branches.

@@ -21,7 +21,8 @@ import numpy as np
 
 # the library modules a verb runs are imported by that verb, when it runs
 from . import dataio
-from .config import METHODS, AssignConfig, AssociationConfig, KalmanConfig, LiftingConfig, TrackerConfig
+from .config import (EVAL_IOU_THRESHOLD, METHODS, AssignConfig, AssociationConfig, KalmanConfig, LiftingConfig,
+                     TrackerConfig)
 from .dataio import SceneSpec
 from .geometry import BBox, HeadKeypoint
 
@@ -45,9 +46,8 @@ class RunConfig:
 
     The fields are the only list of config keys: the config file, the
     per-key flags and --help all read them. Each default is read from the
-    library config that owns the key; ``motion_scale`` (0 is the image
-    diagonal) and ``iou_threshold`` (a keyword default of
-    ``metrics.evaluate``) state their own.
+    library config or constant that owns the key; only ``motion_scale``
+    (0 is the image diagonal) states its own.
     """
 
     # association
@@ -75,7 +75,7 @@ class RunConfig:
     eps_iou: float = _key(AssignConfig.eps_iou, "epsilon inside the -log(IoU + eps) cost")
     q_topk: int = _key(AssignConfig.q_topk, "candidates summed for the dynamic-k rule")
     # evaluation
-    iou_threshold: float = _key(0.5, "IoU threshold for evaluation matching")
+    iou_threshold: float = _key(EVAL_IOU_THRESHOLD, "IoU threshold for evaluation matching")
     # scene geometry / determinism
     image_width: float = _key(SceneSpec.image_width, "image width in pixels")
     image_height: float = _key(SceneSpec.image_height, "image height in pixels")

@@ -1,8 +1,8 @@
-"""The library configs. Every library default lives here, once.
+"""The library configs, and the constants that config keys read.
 
-``cli.RunConfig`` reads its defaults from these classes, and each module
-that uses one imports it from here. This module imports no other headtrack
-module, so reading a default loads none of the modules that use it.
+``cli.RunConfig`` and the library modules read their defaults from here;
+only ``kalman.IteratedUpdateConfig``, which no key sets, stays in its module.
+This module imports no other headtrack module, so reading a default loads none of the modules that use it.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 FEATURE_KINDS = ("f_cls", "f_reg", "f_head")  # the appearance branches, in sidecar order
 METHODS = ("linear2d", "se3_linear", "se3_kalman")  # the gap-filling methods of lifting.complete
+EVAL_IOU_THRESHOLD = 0.5  # the evaluation matching threshold of metrics.evaluate
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,9 @@ class KalmanConfig:
         for name in ("pos_std_weight", "vel_std_weight", "meas_std_weight", "h_min"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if (self.meas_std_weight * self.h_min) ** 2 == 0.0:
-            raise ValueError(f"h_min {self.h_min} is so small that the measurement variance is 0")
+        meas = self.meas_std_weight * self.h_min
+        if not 0.0 < meas * meas < math.inf:
+            raise ValueError(f"h_min {self.h_min} makes the measurement variance {meas * meas}, outside (0, inf)")
 
 
 @dataclass(frozen=True)

@@ -299,11 +299,6 @@ def _record_dtype(dims) -> np.dtype:
     return np.dtype([("frame", "<u4"), ("det_index", "<u4")] + kinds)
 
 
-def _row_norms(m: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit as np.linalg.norm of that row."""
-    return np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0, 0]
-
-
 def write_descriptors(path, descriptors: dict[tuple[int, int], AppearanceDescriptor]) -> None:
     """Write (frame, det_index) -> descriptor as the binary sidecar, records in mapping order.
 
@@ -342,7 +337,7 @@ def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
     is named, its (frame, det_index) repeat checked before its kinds in
     order.
     """
-    from .association import AppearanceDescriptor
+    from .association import AppearanceDescriptor, row_norms
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise ValueError("descriptor file truncated before header")
@@ -364,7 +359,7 @@ def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
     frame, index = records["frame"].astype(np.int64), records["det_index"].astype(np.int64)
     kinds = records.dtype.names[2:]
     vecs = {kind: records[kind].astype(float) for kind in kinds}
-    norms = {kind: _row_norms(m) for kind, m in vecs.items()}
+    norms = {kind: row_norms(m) for kind, m in vecs.items()}
 
     order = np.lexsort((index, frame))  # stable: a key's records stay in file order
     same = (frame[order][1:] == frame[order][:-1]) & (index[order][1:] == index[order][:-1])
@@ -482,7 +477,7 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     target, then detections in file order), when spawn boxes overlap, or
     when a descriptor is not unit-norm.
     """
-    from .association import AppearanceDescriptor
+    from .association import AppearanceDescriptor, row_norms
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     T, F = spec.targets, spec.frames
     paths = _gt_paths(spec)
@@ -499,7 +494,7 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     dim = T if spec.descriptor_dim is None else spec.descriptor_dim
     if 0 < dim < T:
         bases = rng.normal(size=(T, dim))
-        bases /= _row_norms(bases)[:, None]
+        bases /= row_norms(bases)[:, None]
     else:
         bases = np.eye(T, dim)
     # one row of draws per detection: 4 for its box, then dim for its descriptor, each if its std > 0
@@ -513,7 +508,7 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     descriptors = None
     if dim > 0:
         v = bases[target] + (noise[:, -dim:] if spec.feat_noise_std > 0 else 0.0)
-        norms = _row_norms(v)
+        norms = row_norms(v)
         zero = norms <= 0.0
         v[zero], norms[zero] = bases[target[zero]], 1.0
         det_index = (np.cumsum(visible, axis=1) - 1)[visible]

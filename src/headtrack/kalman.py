@@ -87,25 +87,22 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def _clamp_height(x: np.ndarray, h_min: float) -> np.ndarray:
+def _state(x: np.ndarray, P: np.ndarray, h_min: float) -> KalmanState:
+    """(x, P) with the height clamped to ``h_min``; FilterDivergence if either is not finite."""
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(P))):
+        raise FilterDivergence("non-finite state or covariance")
     if x[3] < h_min:
         x = x.copy()
         x[3] = h_min
-    return x
+    return KalmanState(x=x, P=P)
 
 
-def _check_finite(x: np.ndarray, P: np.ndarray) -> None:
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(P))):
-        raise FilterDivergence("non-finite state or covariance")
-
-
-def predict(state: KalmanState, model: KalmanModel, h_min: float = 1.0) -> KalmanState:
+def predict(state: KalmanState, model: KalmanModel, h_min: float = KalmanConfig.h_min) -> KalmanState:
     """Propagate one frame: x' = F x, P' = F P F^T + Q."""
     with np.errstate(invalid="ignore", over="ignore"):
         x = model.F @ state.x
         P = _symmetrize(model.F @ state.P @ model.F.T + model.Q)
-    _check_finite(x, P)
-    return KalmanState(x=_clamp_height(x, h_min), P=P)
+    return _state(x, P, h_min)
 
 
 def _gain(P: np.ndarray, model: KalmanModel) -> np.ndarray:
@@ -120,7 +117,7 @@ def _gain(P: np.ndarray, model: KalmanModel) -> np.ndarray:
     return scipy.linalg.cho_solve(chol, model.H @ P.T).T
 
 
-def update(state: KalmanState, z: np.ndarray, model: KalmanModel, h_min: float = 1.0) -> KalmanState:
+def update(state: KalmanState, z: np.ndarray, model: KalmanModel, h_min: float = KalmanConfig.h_min) -> KalmanState:
     """Standard measurement update with (u, v, a, h) observation ``z``."""
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
@@ -128,8 +125,7 @@ def update(state: KalmanState, z: np.ndarray, model: KalmanModel, h_min: float =
     K = _gain(state.P, model)
     x = state.x + K @ (z - model.H @ state.x)
     P = _symmetrize((np.eye(STATE_DIM) - K @ model.H) @ state.P)
-    _check_finite(x, P)
-    return KalmanState(x=_clamp_height(x, h_min), P=P)
+    return _state(x, P, h_min)
 
 
 def iterated_update(
@@ -138,7 +134,7 @@ def iterated_update(
     model: KalmanModel,
     h_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     cfg: IteratedUpdateConfig = IteratedUpdateConfig(),
-    h_min: float = 1.0,
+    h_min: float = KalmanConfig.h_min,
 ) -> IteratedResult:
     """Measurement update that re-evaluates the residual around the corrected state.
 
@@ -178,11 +174,8 @@ def iterated_update(
             converged = True
             break
 
-    x_post = x + delta
     P_post = _symmetrize((np.eye(STATE_DIM) - K @ model.H) @ P)
-    _check_finite(x_post, P_post)
-    new_state = KalmanState(x=_clamp_height(x_post, h_min), P=P_post)
-    return IteratedResult(state=new_state, iterations=iterations, converged=converged)
+    return IteratedResult(_state(x + delta, P_post, h_min), iterations=iterations, converged=converged)
 
 
 # -- whole-array forms ---------------------------------------------------------

@@ -35,6 +35,10 @@ class Anchor:
     pred_head: HeadKeypoint
 
     def __post_init__(self):
+        if not (_finite(self.cx) and _finite(self.cy)):
+            raise ValueError(f"cx and cy must be finite numbers, got ({self.cx!r}, {self.cy!r})")
+        if not (_finite(self.stride) and self.stride > 0):
+            raise ValueError(f"stride must be a positive finite number, got {self.stride!r}")
         if not 0.0 <= self.pred_cls <= 1.0 or not 0.0 <= self.pred_obj <= 1.0:
             raise ValueError("predicted probabilities must lie in [0, 1]")
 
@@ -45,31 +49,38 @@ class GtInstance:
     head: HeadKeypoint
     center_radius: Optional[float] = None  # None: 2.5 x the anchor's stride
 
-
-def _center_radius(anchor: Anchor, gt: GtInstance) -> float:
-    if gt.center_radius is not None:
-        return gt.center_radius
-    return CENTER_RADIUS_STRIDES * anchor.stride
+    def __post_init__(self):
+        if not (self.center_radius is None or _finite(self.center_radius) and self.center_radius >= 0):
+            raise ValueError(f"center_radius must be None or a finite number >= 0, got {self.center_radius!r}")
 
 
-def in_box(anchor: Anchor, gt: GtInstance) -> bool:
-    b = gt.box
-    return b.x <= anchor.cx <= b.x2 and b.y <= anchor.cy <= b.y2
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+        return False
+
+
+def _region_masks(anchors: list[Anchor], gts: list[GtInstance]) -> tuple[np.ndarray, np.ndarray]:
+    """(A, G) booleans: anchor center inside the target box, and inside its center region: the
+    square of half-width ``center_radius`` around the target center, or 2.5 anchor strides if None."""
+    cx, cy, stride = np.array([(a.cx, a.cy, a.stride) for a in anchors], dtype=float).reshape(-1, 3).T[..., None]
+    targets = [(g.box.x, g.box.y, g.box.w, g.box.h, g.center_radius) for g in gts]  # None reads as nan
+    x, y, w, h, r = np.array(targets, dtype=float).reshape(-1, 5).T
+    r = np.where(np.isnan(r), CENTER_RADIUS_STRIDES * stride, r)
+    inside = (x <= cx) & (cx <= x + w) & (y <= cy) & (cy <= y + h)
+    return inside, (np.abs(cx - (x + 0.5 * w)) <= r) & (np.abs(cy - (y + 0.5 * h)) <= r)
 
 
 def in_center_region(anchor: Anchor, gt: GtInstance) -> bool:
     """Square region of half-width center_radius around the target center."""
-    r = _center_radius(anchor, gt)
-    return abs(anchor.cx - gt.box.cx) <= r and abs(anchor.cy - gt.box.cy) <= r
+    return bool(_region_masks([anchor], [gt])[1][0, 0])
 
 
 def foreground_mask(anchors: list[Anchor], gts: list[GtInstance]) -> np.ndarray:
     """(A, G) booleans: anchor center inside the target box or its center region."""
-    mask = np.zeros((len(anchors), len(gts)), dtype=bool)
-    for i, a in enumerate(anchors):
-        for j, g in enumerate(gts):
-            mask[i, j] = in_box(a, g) or in_center_region(a, g)
-    return mask
+    inside, centred = _region_masks(anchors, gts)
+    return inside | centred
 
 
 def bce(p: float, y: float) -> float:
@@ -78,26 +89,25 @@ def bce(p: float, y: float) -> float:
     return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
 
 
-def iou_cost(pred: BBox, gt: BBox, eps_iou: float = 1e-8) -> float:
+def iou_cost(pred: BBox, gt: BBox, eps_iou: float = AssignConfig.eps_iou) -> float:
     """-log(IoU + eps); large for poorly overlapping pairs, ~0 for perfect ones."""
     return -math.log(iou(pred, gt) + eps_iou)
 
 
 def assign_cost(anchor: Anchor, gt: GtInstance, cfg: AssignConfig = AssignConfig()) -> float:
     """Matching cost: classification BCE + alpha * IoU cost + beta outside the center region."""
-    cost = bce(anchor.pred_cls, 1.0) + cfg.alpha * iou_cost(anchor.pred_box, gt.box, cfg.eps_iou)
-    if not in_center_region(anchor, gt):
-        cost += cfg.beta
-    return cost
+    return float(assign_cost_matrix([anchor], [gt], cfg)[0, 0])
 
 
 def assign_cost_matrix(
     anchors: list[Anchor], gts: list[GtInstance], cfg: AssignConfig = AssignConfig()
 ) -> np.ndarray:
-    cost = np.empty((len(anchors), len(gts)))
-    for i, a in enumerate(anchors):
-        for j, g in enumerate(gts):
-            cost[i, j] = assign_cost(a, g, cfg)
+    """(A, G) ``assign_cost``; logs go entry by entry through ``math.log``, whose last bit np.log may miss."""
+    cls = np.array([bce(a.pred_cls, 1.0) for a in anchors]).reshape(-1, 1)
+    shifted = iou_matrix(anchors, gts) + cfg.eps_iou
+    iou_term = -np.array([math.log(v) for v in shifted.ravel().tolist()]).reshape(shifted.shape)
+    cost = cls + cfg.alpha * iou_term
+    cost[~_region_masks(anchors, gts)[1]] += cfg.beta
     return cost
 
 
@@ -167,11 +177,10 @@ class LabeledBatch:
 
     def __post_init__(self):
         seen: set[int] = set()
-        for sel in self.positives:
-            for a in sel:
-                if a in seen:
-                    raise ValueError(f"anchor {a} assigned to more than one target")
-                seen.add(a)
+        for a, _ in self.pairs():
+            if a in seen:
+                raise ValueError(f"anchor {a} assigned to more than one target")
+            seen.add(a)
 
     @property
     def n_fg(self) -> int:

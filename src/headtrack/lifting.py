@@ -73,15 +73,11 @@ class TrajectoryGap:
 
     before: tuple[int, BBox]
     after: tuple[int, BBox]
-    missing_frames: tuple[int, ...]
     reason: str = ""
 
-    def __post_init__(self):
-        for f in self.missing_frames:
-            if not self.before[0] < f < self.after[0]:
-                raise ValueError(
-                    f"missing frame {f} outside ({self.before[0]}, {self.after[0]})"
-                )
+    @property
+    def missing_frames(self) -> range:
+        return range(self.before[0] + 1, self.after[0])
 
 
 def _skew(w: np.ndarray) -> np.ndarray:
@@ -186,8 +182,7 @@ def complete(
             try:
                 xi = se3_log(T1.inverse().compose(_heading_pose(pts, idx + 1)))
             except ValueError as exc:
-                missing = tuple(range(f1 + 1, f2))
-                skipped.append(TrajectoryGap((f1, b1), (f2, b2), missing, reason=str(exc)))
+                skipped.append(TrajectoryGap((f1, b1), (f2, b2), reason=str(exc)))
                 continue
         for f in range(f1 + 1, f2):
             omega = (f - f1) / (f2 - f1)

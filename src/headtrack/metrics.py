@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import CostMatrix, linear_sum_assignment, solve_assignment
+from .config import EVAL_IOU_THRESHOLD
 from .geometry import BBox, iou_matrix
 
 
@@ -33,7 +34,7 @@ class EvalReport:
     gt_total: int
 
 
-def evaluate(frames: list[EvalFrame], iou_threshold: float = 0.5) -> EvalReport:
+def evaluate(frames: list[EvalFrame], iou_threshold: float = EVAL_IOU_THRESHOLD) -> EvalReport:
     """Score a hypothesis stream against ground truth.
 
     Raises ValueError when the ground truth is empty (MOTA undefined) or

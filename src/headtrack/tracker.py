@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import kalman
-from .association import AppearanceDescriptor, build_cost_matrix, solve_assignment, stack_descriptors
+from .association import AppearanceDescriptor, build_cost_matrix, row_norms, solve_assignment, stack_descriptors
 from .config import TrackerConfig
 from .geometry import BBox, HeadKeypoint
 
@@ -79,15 +79,16 @@ class Tracker:
         self.x, self.pcv = np.zeros((0, kalman.STATE_DIM)), np.zeros((0, 3))
         self.hits, self.misses = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
         self.feats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._next_id = 1
         self._last_frame: Optional[int] = None
 
+    @np.errstate(invalid="ignore", over="ignore")  # a row that overflows turns non-finite: predict removes it
     def step(self, frame: int, detections: list[Detection]) -> list[tuple[int, BBox]]:
         """Advance one frame and return (track_id, bbox) emissions.
 
-        Frames must be strictly increasing across calls. Only confirmed
-        tracks are emitted, and coasting (unmatched) tracks only with
-        ``emit_predictions``.
+        Frames must be strictly increasing across calls. A track is confirmed
+        and emitted from ``min_hits`` matches on: with its detection's box
+        when it has one this frame, else with its predicted box, and then only
+        with ``emit_predictions``. Emissions are in id order.
         """
         if self._last_frame is not None and frame <= self._last_frame:
             raise ValueError(
@@ -98,40 +99,39 @@ class Tracker:
             return []
         cfg = self.cfg
 
-        with np.errstate(invalid="ignore", over="ignore"):
-            self.x, self.pcv = kalman.predict_rows(self.x, self.pcv, cfg.noise)
+        self.x, self.pcv = kalman.predict_rows(self.x, self.pcv, cfg.noise)
         self._keep(np.isfinite(self.x).all(axis=1) & np.isfinite(self.pcv).all(axis=1))
 
         z = np.array([measurement_from_bbox(d.bbox) for d in detections]).reshape(-1, 4)
         det_feats = stack_descriptors([d.descriptor for d in detections], cfg.assoc)
         cost = build_cost_matrix(self.x[:, :2], self.feats, z[:, :2], det_feats, cfg.assoc)
         rows, cols = np.array(solve_assignment(cost), dtype=int).reshape(-1, 2).T
-        matched = dict(zip(rows.tolist(), cols.tolist()))
 
-        if matched:
-            x, pcv = kalman.update_rows(self.x[rows], self.pcv[rows], z[cols], cfg.noise)
-            self.x[rows], self.pcv[rows] = x, pcv
+        if rows.size:
+            self.x[rows], self.pcv[rows] = kalman.update_rows(self.x[rows], self.pcv[rows], z[cols], cfg.noise)
         self._blend(rows, det_feats, cols)
         self.misses += 1
         self.misses[rows] = 0
         self.hits[rows] += 1
-        for i in rows[self.hits[rows] == cfg.min_hits].tolist():
-            self.live[i].status = CONFIRMED
 
-        out = []
-        for i in np.flatnonzero(self.hits >= cfg.min_hits).tolist():
-            if i in matched:
-                out.append((self.live[i].id, detections[matched[i]].bbox))
-            elif cfg.emit_predictions and self.misses[i] < cfg.patience_w:
-                out.append((self.live[i].id, bbox_from_state(self.x[i])))
-        self._keep(self.misses < cfg.patience_w)
-
+        det = np.full(len(self.live), -1)  # each row's detection this frame, -1 for none
+        det[rows] = cols
         fresh = np.array([d.score >= cfg.init_score_min for d in detections], dtype=bool)
         fresh[cols] = False
         if fresh.any():
             new = np.flatnonzero(fresh)
-            born = self._spawn(new, z, det_feats)
-            out += [(t.id, detections[j].bbox) for t, j in zip(born, new) if t.status == CONFIRMED]
+            self._spawn(new, z, det_feats)
+            det = np.concatenate([det, new])
+
+        out = []
+        emit = np.flatnonzero(self.hits >= cfg.min_hits)
+        for i, j in zip(emit.tolist(), det[emit].tolist()):
+            if j >= 0:
+                self.live[i].status = CONFIRMED
+                out.append((self.live[i].id, detections[j].bbox))
+            elif cfg.emit_predictions and self.misses[i] < cfg.patience_w:
+                out.append((self.live[i].id, bbox_from_state(self.x[i])))
+        self._keep(self.misses < cfg.patience_w)
         return out
 
     # -- internals ---------------------------------------------------------
@@ -156,25 +156,21 @@ class Tracker:
                 m, has = self.feats[kind] = (np.zeros((n, q.shape[1])), np.zeros(n, dtype=bool))
             a, b, new = m[rows], q[cols], has_q[cols]
             v = mom * a + (1.0 - mom) * b
-            norm = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]  # row by row, as np.linalg.norm
+            norm = row_norms(v)[:, None]
             # antipodal vectors can cancel; keep the fresher observation then
             mixed = np.where(norm < 1e-9, b, v / np.maximum(norm, 1e-9))
             m[rows] = np.where((has[rows] & new)[:, None], mixed, np.where(new[:, None], b, a))
             has[rows] |= new
 
-    def _spawn(self, fresh, z, det_feats) -> list[Track]:
+    def _spawn(self, fresh, z, det_feats) -> None:
         """Start one track per detection index in ``fresh``; ``z`` holds all measurements."""
         for kind, (m, has) in list(self.feats.items()):
             q, has_q = det_feats.get(kind, (np.zeros((len(z), m.shape[1])), np.zeros(len(z), bool)))
             self.feats[kind] = (np.vstack([m, q[fresh]]), np.concatenate([has, has_q[fresh]]))
-        status = CONFIRMED if self.cfg.min_hits <= 1 else TENTATIVE
-        ids = range(self._next_id, self._next_id + len(fresh))
-        born = [Track(i, status) for i in ids]
-        self._next_id = ids.stop
+        born = [Track(len(self.tracks) + k) for k in range(1, len(fresh) + 1)]
         self.tracks += born
         self.live += born
         x, pcv = kalman.initiate_rows(z[fresh], self.cfg.noise)
         self.x, self.pcv = np.vstack([self.x, x]), np.vstack([self.pcv, pcv])
         self.hits = np.append(self.hits, np.ones(len(born), dtype=int))
         self.misses = np.append(self.misses, np.zeros(len(born), dtype=int))
-        return born

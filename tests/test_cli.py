@@ -429,12 +429,30 @@ class TestExtremeValuesQuiet:
         assert (code, err) == (2, f"headtrack: {spec}: f_cls must be unit-norm (got |v| = 0.0)\n")
         assert not (tmp_path / "o").exists()
 
+    def test_track_h_min_near_limit(self, sim_dir, tmp_path, capsys):
+        # (meas_std_weight * h_min)^2 is finite: the rows it diverges are removed quietly
+        out = tmp_path / "o.txt"
+        args = ["track", "--dets", str(sim_dir / "det.txt"), "--out", str(out), "--h-min", "1e155"]
+        assert self.run(args, capsys) == (0, "")
+        assert out.exists()
+
+    def test_track_h_min_whose_variance_overflows(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "o.txt"
+        args = ["track", "--dets", str(sim_dir / "det.txt"), "--out", str(out), "--h-min", "1e156"]
+        assert self.run(args, capsys) == (
+            2, "headtrack: h_min 1e+156 makes the measurement variance inf, outside (0, inf)\n")
+        assert not out.exists()
+
     def test_se3_linear_centres_near_limit(self, tmp_path, capsys):
         rows = ["1,5,1e308,0,40,80,1,-1,-1,-1", "2,5,-1e308,0,40,80,1,-1,-1,-1",
                 "4,5,1e308,0,40,80,1,-1,-1,-1"]
         inp = write(tmp_path / "in.txt", "\n".join(rows) + "\n")
         args = ["interpolate", "--input", inp, "--method", "se3_linear", "--out", str(tmp_path / "o")]
         assert self.run(args, capsys) == (2, f"headtrack: {inp}: track 5: twist must be finite\n")
+
+
+# one anchor and one target; the two %s add fields to the anchor, then to the target
+ASSIGN_ONE = '{"anchors": [{"cx": 5, "cy": 5, "box": [0, 0, 10, 10]%s}], "gts": [{"box": [0, 0, 10, 10]%s}]}'
 
 
 class TestAssign:
@@ -462,6 +480,16 @@ class TestAssign:
         ('{"anchors": [], "gts": [{"box": [0, 0, 10, 10]}, {"box": [0, 0, 10]}]}',
          "gt 1: BBox.__init__() missing 1 required positional argument"),
         ('{"anchors": [{"cy": 5, "box": [0, 0, 10, 10]}], "gts": []}', "anchor 0: missing key 'cx'"),
+        # fields that are not numbers, or not finite, name their entry
+        (ASSIGN_ONE % (', "stride": "x"', ""), "anchor 0: stride must be a positive finite number, got 'x'"),
+        (ASSIGN_ONE % (', "stride": null', ""), "anchor 0: stride must be a positive finite number, got None"),
+        (ASSIGN_ONE % (', "stride": 1e400', ""), "anchor 0: stride must be a positive finite number, got inf"),
+        ('{"anchors": [{"cx": 5, "cy": [50], "head": [5, 5, 1], "box": [0, 0, 10, 10]}], "gts": []}',
+         "anchor 0: cx and cy must be finite numbers, got (5, [50])"),
+        (ASSIGN_ONE % ("", ', "center_radius": "r"'),
+         "gt 0: center_radius must be None or a finite number >= 0, got 'r'"),
+        (ASSIGN_ONE % ("", ', "center_radius": [1]'),
+         "gt 0: center_radius must be None or a finite number >= 0, got [1]"),
     ])
     def test_bad_scene_is_data_error_naming_the_file(self, tmp_path, capsys, text, message):
         scene = write(tmp_path / "scene.json", text)

@@ -1,7 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
+
+import assign_oracle
 
 from headtrack.geometry import BBox, HeadKeypoint
 from headtrack.label_assign import (
@@ -14,6 +17,7 @@ from headtrack.label_assign import (
     bce,
     dynamic_k_match,
     foreground_mask,
+    in_center_region,
     iou_cost,
     iou_matrix,
     loss_box,
@@ -104,6 +108,70 @@ class TestCosts:
         a = anchor(50, 50, box=pred, cls=0.5)
         cfg = AssignConfig(alpha=3.0)
         assert assign_cost(a, g, cfg) == pytest.approx(2.7725886622397815, abs=1e-9)
+
+
+def random_case(rng):
+    """Anchors and targets on a coarse grid, so centers also fall on box edges and region borders."""
+    def coord():
+        return rng.choice([rng.randint(0, 40) * 5, rng.uniform(0, 200)])
+
+    gts = []
+    for _ in range(rng.randint(0, 8)):
+        box = BBox(rng.randint(0, 30) * 5, rng.randint(0, 30) * 5, rng.randint(1, 16) * 5, rng.randint(1, 16) * 5)
+        gts.append(gt(box, radius=rng.choice([None, 0, 0.0, rng.randint(0, 6) * 5, rng.uniform(0, 30)])))
+    anchors = []
+    for _ in range(rng.randint(0, 40)):
+        cx, cy = coord(), coord()
+        box = BBox(cx - rng.uniform(1, 40), cy - rng.uniform(1, 40), rng.uniform(2, 80), rng.uniform(2, 80))
+        if gts and rng.random() < 0.5:  # a prediction near a target: IoUs spread over (0, 1]
+            b = rng.choice(gts).box
+            box = BBox(b.x + rng.uniform(-8, 8), b.y + rng.uniform(-8, 8),
+                       b.w * rng.uniform(0.5, 1.5), b.h * rng.uniform(0.5, 1.5))
+        anchors.append(anchor(cx, cy, box=box, cls=rng.random(), stride=rng.choice([4, 8, 16, 32, 4.5])))
+    cfg = AssignConfig(alpha=rng.uniform(0.5, 5), beta=rng.choice([1e5, rng.uniform(0, 10)]),
+                       eps_iou=rng.choice([1e-8, 1e-3, rng.uniform(1e-9, 0.5)]), q_topk=rng.randint(1, 12))
+    return anchors, gts, cfg
+
+
+class TestArraysMatchPairOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_masks_costs_and_matches_bit_identical(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            anchors, gts, cfg = random_case(rng)
+            fg = foreground_mask(anchors, gts)
+            cost = assign_cost_matrix(anchors, gts, cfg)
+            want_fg = assign_oracle.foreground_mask(anchors, gts)
+            want_cost = assign_oracle.assign_cost_matrix(anchors, gts, cfg)
+            assert fg.shape == cost.shape == (len(anchors), len(gts))
+            assert np.array_equal(fg, want_fg)
+            assert cost.tobytes() == want_cost.tobytes()
+            ious = iou_matrix(anchors, gts)
+            assert dynamic_k_match(cost, ious, fg, cfg) == dynamic_k_match(want_cost, ious, want_fg, cfg)
+            for a, g in zip(anchors, gts):  # the scalar names are the 1 x 1 case
+                assert in_center_region(a, g) == assign_oracle.in_center_region(a, g)
+                assert assign_cost(a, g, cfg) == assign_oracle.assign_cost(a, g, cfg)
+
+
+class TestRecordChecks:
+    @pytest.mark.parametrize("field,value", [
+        ("cx", "5"), ("cy", [5]), ("cx", math.nan), ("cy", math.inf), ("cx", None),
+        ("stride", "x"), ("stride", None), ("stride", math.inf), ("stride", 0), ("stride", -8),
+    ])
+    def test_anchor_rejects_non_numbers(self, field, value):
+        kwargs = dict(cx=5, cy=5, stride=8, box=BBox(0, 0, 10, 10))
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="must be"):
+            anchor(**kwargs)
+
+    @pytest.mark.parametrize("radius", ["r", [1], -1, math.nan, math.inf])
+    def test_gt_rejects_bad_radius(self, radius):
+        with pytest.raises(ValueError, match="center_radius must be None or a finite number >= 0"):
+            gt(BBox(0, 0, 10, 10), radius=radius)
+
+    def test_gt_accepts_none_and_zero(self):
+        assert gt(BBox(0, 0, 10, 10), radius=0).center_radius == 0
+        assert gt(BBox(0, 0, 10, 10)).center_radius is None
 
 
 class TestAssignConfig:

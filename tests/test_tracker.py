@@ -241,12 +241,14 @@ def reference_ema(old, new, momentum):
     return merged
 
 
-def reference_run(cfg, frames):
+def reference_run(cfg, frames, statuses=None):
     """The per-track loop the array core replaced, on the library filter.
 
     Each live track predicts with ``kalman.predict``, is matched through the
     same cost matrix and solver, corrects with ``kalman.update`` and blends
-    its descriptor with ``reference_ema``. Returns the emissions per frame.
+    its descriptor with ``reference_ema``. Returns the emissions per frame;
+    a ``statuses`` list gets each frame's track statuses appended: removed
+    once gone, else confirmed iff hits >= ``min_hits``.
     """
     tracks, emitted = [], []
     kinds = [k for k, w in zip(FEATURE_KINDS, cfg.assoc.feature_weights) if w > 0]
@@ -300,6 +302,9 @@ def reference_run(cfg, frames):
             if cfg.min_hits <= 1:
                 out.append((len(tracks), d.bbox))
         emitted.append(out)
+        if statuses is not None:
+            statuses.append([t["status"] if t["status"] == "removed"
+                             else "confirmed" if t["hits"] >= cfg.min_hits else "tentative" for t in tracks])
     return emitted
 
 
@@ -344,10 +349,16 @@ class TestArrayCore:
             assoc=AssociationConfig(motion_scale=300.0, gate_g=0.6),
         )
         frames = random_frames(seed)
-        tr = Tracker(cfg)
-        got = [tr.step(f, dets) for f, dets in frames]
-        assert got == reference_run(cfg, frames)
+        statuses = []
+        want = reference_run(cfg, frames, statuses)
+        tr, got = Tracker(cfg), []
+        for (f, dets), status in zip(frames, statuses):
+            got.append(tr.step(f, dets))
+            assert [t.status for t in tr.tracks] == status
+        assert got == want
         assert sum(map(len, got)) > 100
+        seen = set().union(*statuses)
+        assert seen == {"confirmed", "removed"} | ({"tentative"} if cfg.min_hits > 1 else set())
 
     def test_blend_matches_per_descriptor_ema(self):
         cfg = TrackerConfig(
