@@ -104,15 +104,16 @@ def stack_descriptors(descriptors: Sequence, cfg: AssociationConfig) -> dict:
     """
     out = {}
     for kind, w in zip(FEATURE_KINDS, cfg.feature_weights):
-        vecs = [None if d is None else getattr(d, kind) for d in descriptors]
-        has = np.array([v is not None for v in vecs], dtype=bool)
-        if w == 0.0 or not has.any():
+        if w == 0.0:
             continue
+        vecs = [None if d is None else getattr(d, kind) for d in descriptors]
         dims = {v.shape for v in vecs if v is not None}
+        if not dims:
+            continue
         if len(dims) > 1:
             raise ValueError(f"{kind} dimension mismatch: {sorted(dims)}")
         absent = np.zeros(dims.pop())
-        out[kind] = (np.array([absent if v is None else v for v in vecs]), has)
+        out[kind] = (np.array([absent if v is None else v for v in vecs]), np.array([v is not None for v in vecs]))
     return out
 
 

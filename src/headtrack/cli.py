@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import re
 import sys
@@ -171,20 +170,21 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
     descriptors = None
     if features_path:
         descriptors = _located(features_path, lambda: dataio.read_descriptors(features_path))
-    frames = _located(
-        dets_path, lambda: dataio.mot_to_detections(table, descriptors, head_format=head_format)
-    )
-    for frame, index in descriptors or ():  # every record must reach a detection line
-        if index >= len(frames.get(frame, ())):
-            raise ConfigError(f"{features_path}: record ({frame},{index}) names no detection line")
+    try:
+        frames = dataio.split_frames(table, descriptors, head_format=head_format)
+    except dataio.MotParseError as exc:  # a detection row
+        raise ConfigError(f"{dets_path}: {exc}") from None
+    except ValueError as exc:  # parse_mot checked the boxes, so a sidecar record
+        raise ConfigError(f"{features_path}: {exc}") from None
     tracking = tracker.Tracker(tracker_config(cfg))
+    empty = tracker.Detections(np.zeros((0, 4)), np.zeros(0))
     out: list[tuple[int, int, BBox]] = []
     f = 1
-    for busy in sorted(frames):
+    for busy in frames:
         while f <= busy:
             if not tracking.live:  # a step would only move the frame: skip to the detections
                 f = busy
-            out += [(f, tid, box) for tid, box in tracking.step(f, frames.get(f, []))]
+            out += [(f, tid, box) for tid, box in tracking.step(f, frames.get(f, empty))]
             f += 1
     dataio.write_mot(out_path, dataio.MotTable.from_rows(out))
 
@@ -332,6 +332,8 @@ def _scene_entries(doc: dict, key: str, build) -> list:
 
 def parse_assign_scene(path) -> tuple[list, list]:
     """The anchors and gt instances of an ``assign`` JSON scene file."""
+    import json  # only this verb reads JSON
+
     from . import label_assign
     doc = json.loads(Path(path).read_text())
     if not (isinstance(doc, dict) and all(isinstance(doc.get(k), list) for k in ("anchors", "gts"))):
@@ -357,9 +359,7 @@ def cmd_assign(args, cfg: RunConfig) -> int:
     from . import label_assign
     anchors, gts = _located(args.scene, lambda: parse_assign_scene(args.scene))
     acfg = AssignConfig(alpha=cfg.alpha, beta=cfg.beta, eps_iou=cfg.eps_iou, q_topk=cfg.q_topk)
-    cost = label_assign.assign_cost_matrix(anchors, gts, acfg)
-    ious = label_assign.iou_matrix(anchors, gts)
-    fg = label_assign.foreground_mask(anchors, gts)
+    cost, ious, fg = label_assign.assign_tables(anchors, gts, acfg)
     positives = label_assign.dynamic_k_match(cost, ious, fg, acfg)
     print("gt anchor cost iou")
     for g, selected in enumerate(positives):

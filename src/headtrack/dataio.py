@@ -7,13 +7,16 @@ at a time; iterating a table yields MotLine rows. Head keypoints ride in
 the trailing fields when head mode is on; plain files keep -1
 placeholders there. High-dimensional appearance descriptors live in a
 binary sidecar keyed by (frame, detection index); everything in it is
-little-endian regardless of host.
+little-endian regardless of host, and it is read into Descriptors columns.
+split_frames cuts a table and its sidecar into one tracker.Detections
+batch of columns per frame; mot_to_detections is its list form.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
@@ -27,7 +30,7 @@ from .geometry import BBox, HeadKeypoint, iou_matrix
 
 if TYPE_CHECKING:  # imported where they are built, so only the verbs that build them load them
     from .association import AppearanceDescriptor
-    from .tracker import Detection
+    from .tracker import Detection, Detections
 
 DESCRIPTOR_MAGIC = b"FTFV"
 DESCRIPTOR_VERSION = 1
@@ -261,33 +264,102 @@ def _mot_text(table: MotTable) -> Iterator[str]:
         yield ("%s," * 9 + "%s\n") * len(rows) % tuple(cells)
 
 
-def mot_to_detections(
-    table: MotTable,
-    descriptors: Optional[dict[tuple[int, int], AppearanceDescriptor]] = None,
-    head_format: bool = False,
-) -> dict[int, list[Detection]]:
-    """Group detection rows by frame, attaching sidecar descriptors.
+def _frame_split(table: MotTable, descriptors: Optional[Mapping], head_format: bool):
+    """Check the rows and sidecar keys as columns, then cut the rows by frame.
+
+    Returns ``order`` (the table's rows sorted by frame, file order within a
+    frame), ``bounds`` (each frame's slice of ``order`` runs from one bound
+    to the next), the frames ascending, each sorted row's sidecar record
+    (its index in ``descriptors``' order, -1 for none), and which sorted
+    rows carry a head (head mode, trailing fields not all -1).
+
+    Raises the first error of a row-by-row build: any row whose box a BBox
+    rejects, in file order; then, frames ascending and rows in file order,
+    a head that a HeadKeypoint rejects before a non-finite score, as
+    MotParseError naming the line; then the first record, in
+    ``descriptors``' order, whose det_index its frame lacks, as ValueError.
+    """
+    _check_boxes(table.box)
+    order = np.argsort(table.frame, kind="stable")
+    bad = ~np.isfinite(table.conf[order])
+    worn = np.zeros(len(order), bool)
+    if head_format:
+        extra = table.extra[order]
+        worn = ~(extra == -1.0).all(axis=1)
+        bad |= worn & ~(np.isfinite(extra[:, :2]).all(axis=1) & (extra[:, 2] >= 0.0) & (extra[:, 2] <= 1.0))
+    if bad.any():  # the first bad row, built as a Detection, names its first fault
+        from .tracker import Detection
+        first = int(bad.argmax())
+        row = int(order[first])
+        try:
+            head = HeadKeypoint(*table.extra[row].tolist()) if worn[first] else None
+            Detection(BBox(*table.box[row].tolist()), float(table.conf[row]), head)
+        except ValueError as exc:
+            raise MotParseError(int(table.lineno[row]), str(exc)) from None
+
+    ordered = table.frame[order]
+    bounds = np.append(np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])[:len(order)], len(order))
+    frames = ordered[bounds[:-1]]
+    record = np.full(len(order), -1)
+    if descriptors:
+        keys = Descriptors.of(descriptors)
+        key_frame, key_index = keys.frame, keys.det_index
+        group = np.searchsorted(frames, key_frame)
+        found = group < len(frames)
+        size = np.diff(bounds)[group[found]]
+        found[found] = (frames[group[found]] == key_frame[found]) & (0 <= key_index[found]) & (key_index[found] < size)
+        if not found.all():
+            rec = int(found.argmin())
+            raise ValueError(f"record ({key_frame[rec]},{key_index[rec]}) names no detection line")
+        record[bounds[group] + key_index] = np.arange(len(group))
+    return order, bounds, frames.tolist(), record, worn
+
+
+def split_frames(
+    table: MotTable, descriptors: Optional[Mapping] = None, head_format: bool = False,
+) -> dict[int, Detections]:
+    """One ``tracker.Detections`` batch per frame, frames ascending, each frame's rows in file order.
 
     Descriptor keys are (frame, index within that frame's rows in file
-    order): frames come out ascending, each frame's rows in file order.
+    order). A batch carries a kind of feature when one of its rows has a
+    record, as ``association.stack_descriptors`` would stack it; a row
+    without a record is zero there. Checks as ``_frame_split`` states.
     """
-    from .tracker import Detection
-    boxes, conf = table.bboxes(), table.conf.tolist()
-    extra = table.extra.tolist() if head_format else None
-    out: dict[int, list[Detection]] = {}
-    for frame, rows in table.groups("frame"):
-        dets = []
-        for idx, row in enumerate(rows.tolist()):
-            desc = descriptors.get((frame, idx)) if descriptors else None
-            try:
-                head = None
-                if extra is not None and extra[row] != [-1.0, -1.0, -1.0]:
-                    head = HeadKeypoint(*extra[row])
-                dets.append(Detection(boxes[row], conf[row], head, desc))
-            except ValueError as exc:
-                raise MotParseError(int(table.lineno[row]), str(exc)) from None
-        out[frame] = dets
+    from .tracker import Detections
+    descriptors = Descriptors.of(descriptors) if descriptors else None
+    order, bounds, frames, record, _ = _frame_split(table, descriptors, head_format)
+    cuts = bounds[1:-1]
+    boxes, scores = np.split(table.box[order], cuts), np.split(table.conf[order], cuts)
+    has = record >= 0
+    features, present, masks = {}, np.zeros(len(frames), bool), []
+    if has.any():
+        present = np.logical_or.reduceat(has, bounds[:-1])
+        features = {
+            kind: np.split(np.where(has[:, None], m[record], 0.0), cuts)
+            for kind, m in descriptors.vectors.items()
+        }
+        masks = np.split(has, cuts)
+    out = {}
+    for i, frame in enumerate(frames):
+        feats = {kind: (parts[i], masks[i]) for kind, parts in features.items()} if present[i] else {}
+        out[frame] = Detections(boxes[i], scores[i], feats)
     return out
+
+
+def mot_to_detections(
+    table: MotTable, descriptors: Optional[Mapping] = None, head_format: bool = False,
+) -> dict[int, list[Detection]]:
+    """``split_frames`` as lists of Detection, each with its head and the mapping's own descriptor."""
+    from .tracker import Detection
+    order, bounds, frames, record, worn = _frame_split(table, descriptors, head_format)
+    boxes = list(map(BBox, *table.box[order].T.tolist()))
+    heads = [None] * len(order)
+    for i in np.flatnonzero(worn).tolist():
+        heads[i] = HeadKeypoint(*table.extra[order[i]].tolist())
+    values = list(descriptors.values()) if descriptors else []
+    descs = [values[r] if r >= 0 else None for r in record.tolist()]
+    dets = list(map(Detection, boxes, table.conf[order].tolist(), heads, descs))
+    return {frame: dets[a:b] for frame, a, b in zip(frames, bounds[:-1].tolist(), bounds[1:].tolist())}
 
 
 # -- descriptor sidecar ------------------------------------------------------
@@ -299,37 +371,84 @@ def _record_dtype(dims) -> np.dtype:
     return np.dtype([("frame", "<u4"), ("det_index", "<u4")] + kinds)
 
 
-def write_descriptors(path, descriptors: dict[tuple[int, int], AppearanceDescriptor]) -> None:
+class Descriptors(Mapping):
+    """A sidecar's records as columns: a read-only (frame, det_index) -> AppearanceDescriptor mapping.
+
+    ``frame`` and ``det_index`` are the int64 keys in record order, and
+    ``vectors`` maps each kind the records carry to its (n x d) float64
+    matrix of unit rows in the same order. Iteration follows record order;
+    a record's AppearanceDescriptor is built when its key is looked up.
+    """
+
+    def __init__(self, frame: np.ndarray, det_index: np.ndarray, vectors: dict[str, np.ndarray]):
+        self.frame, self.det_index, self.vectors = frame, det_index, vectors
+        self._records: Optional[dict[tuple[int, int], int]] = None  # key -> record, at the first lookup
+
+    @classmethod
+    def of(cls, descriptors: Mapping) -> Descriptors:
+        """The columns of a (frame, det_index) -> AppearanceDescriptor mapping, in its order.
+
+        A kind carried by only some records, or vectors of one kind that
+        differ in length, raise ValueError.
+        """
+        if isinstance(descriptors, Descriptors):
+            return descriptors
+        vectors = {}
+        for kind in FEATURE_KINDS:
+            vecs = [getattr(d, kind) for d in descriptors.values()]
+            carried = [v for v in vecs if v is not None]
+            if carried and len(carried) < len(vecs):
+                raise ValueError(f"{kind} carried by {len(carried)} of {len(vecs)} records")
+            if len({len(v) for v in carried}) > 1:
+                raise ValueError(f"{kind} vectors differ in length")
+            if carried:
+                vectors[kind] = np.stack(carried)
+        keys = np.array(list(descriptors), np.int64).reshape(-1, 2)
+        return cls(keys[:, 0], keys[:, 1], vectors)
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.frame.tolist(), self.det_index.tolist())
+
+    def __getitem__(self, key) -> AppearanceDescriptor:
+        from .association import AppearanceDescriptor
+        if self._records is None:
+            self._records = dict(zip(self, range(len(self))))
+        rec = self._records[key]
+        return AppearanceDescriptor(**{kind: m[rec] for kind, m in self.vectors.items()})
+
+    def values(self) -> list[AppearanceDescriptor]:
+        """Every record's descriptor in record order, built without the key index."""
+        from .association import AppearanceDescriptor
+        if not self.vectors:  # no records
+            return []
+        return list(map(AppearanceDescriptor, *(self.vectors.get(kind, repeat(None)) for kind in FEATURE_KINDS)))
+
+
+def write_descriptors(path, descriptors: Mapping) -> None:
     """Write (frame, det_index) -> descriptor as the binary sidecar, records in mapping order.
 
     A kind's header dimension is the length of its vectors, 0 when no
-    record carries it. A kind carried by only some records, vectors of
-    one kind that differ in length, or a key outside u4 raise ValueError.
+    record carries it. A key outside u4, then the faults ``Descriptors.of``
+    names, raise ValueError.
     """
     outside = next((key for key in descriptors if not 0 <= min(key) <= max(key) < 2**32), None)
     if outside is not None:
         raise ValueError(f"key {outside} does not fit in u4")
-    columns = {}
-    for kind in FEATURE_KINDS:
-        vecs = [getattr(d, kind) for d in descriptors.values()]
-        carried = [v for v in vecs if v is not None]
-        if carried and len(carried) < len(vecs):
-            raise ValueError(f"{kind} carried by {len(carried)} of {len(vecs)} records")
-        if len({len(v) for v in carried}) > 1:
-            raise ValueError(f"{kind} vectors differ in length")
-        if carried:
-            columns[kind] = np.stack(carried)
-    dims = [columns[kind].shape[1] if kind in columns else 0 for kind in FEATURE_KINDS]
-    records = np.zeros(len(descriptors), _record_dtype(dims))
-    records["frame"], records["det_index"] = np.array(list(descriptors), np.int64).reshape(-1, 2).T
-    for kind, m in columns.items():
+    columns = Descriptors.of(descriptors)
+    dims = [columns.vectors[kind].shape[1] if kind in columns.vectors else 0 for kind in FEATURE_KINDS]
+    records = np.zeros(len(columns), _record_dtype(dims))
+    records["frame"], records["det_index"] = columns.frame, columns.det_index
+    for kind, m in columns.vectors.items():
         records[kind] = m
     header = _HEADER.pack(DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, *dims, len(records))
     Path(path).write_bytes(header + records.tobytes())
 
 
-def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
-    """Load the sidecar into (frame, det_index) -> descriptor; a key may occur once.
+def read_descriptors(path) -> Descriptors:
+    """Load the sidecar as Descriptors columns; a (frame, det_index) key may occur once.
 
     Vectors are checked against the unit-norm contract (1e-4, the f32
     storage tolerance) and renormalized in float64 on the way in. The
@@ -337,7 +456,7 @@ def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
     is named, its (frame, det_index) repeat checked before its kinds in
     order.
     """
-    from .association import AppearanceDescriptor, row_norms
+    from .association import row_norms
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise ValueError("descriptor file truncated before header")
@@ -351,7 +470,7 @@ def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
     if len(data) != expected:
         raise ValueError(f"file size {len(data)} does not match header (expected {expected})")
     if not count:
-        return {}
+        return Descriptors(np.zeros(0, np.int64), np.zeros(0, np.int64), {})
     if not dim_cls + dim_reg + dim_head:
         raise ValueError("descriptor needs at least one feature kind")
 
@@ -377,8 +496,7 @@ def read_descriptors(path) -> dict[tuple[int, int], AppearanceDescriptor]:
 
     for kind, m in vecs.items():
         m /= norms[kind][:, None]
-    columns = [vecs.get(kind, repeat(None)) for kind in FEATURE_KINDS]
-    return dict(zip(zip(frame.tolist(), index.tolist()), map(AppearanceDescriptor, *columns)))
+    return Descriptors(frame, index, vecs)
 
 
 # -- synthetic scenes ---------------------------------------------------------

@@ -102,13 +102,25 @@ def assign_cost(anchor: Anchor, gt: GtInstance, cfg: AssignConfig = AssignConfig
 def assign_cost_matrix(
     anchors: list[Anchor], gts: list[GtInstance], cfg: AssignConfig = AssignConfig()
 ) -> np.ndarray:
-    """(A, G) ``assign_cost``; logs go entry by entry through ``math.log``, whose last bit np.log may miss."""
+    """(A, G) ``assign_cost``."""
+    return assign_tables(anchors, gts, cfg)[0]
+
+
+def assign_tables(
+    anchors: list[Anchor], gts: list[GtInstance], cfg: AssignConfig = AssignConfig()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, G) ``assign_cost_matrix``, ``iou_matrix`` and ``foreground_mask``, from one IoU and region pass.
+
+    Logs go entry by entry through ``math.log``, whose last bit np.log may miss.
+    """
+    ious = iou_matrix(anchors, gts)
+    inside, centred = _region_masks(anchors, gts)
     cls = np.array([bce(a.pred_cls, 1.0) for a in anchors]).reshape(-1, 1)
-    shifted = iou_matrix(anchors, gts) + cfg.eps_iou
+    shifted = ious + cfg.eps_iou
     iou_term = -np.array([math.log(v) for v in shifted.ravel().tolist()]).reshape(shifted.shape)
     cost = cls + cfg.alpha * iou_term
-    cost[~_region_masks(anchors, gts)[1]] += cfg.beta
-    return cost
+    cost[~centred] += cfg.beta
+    return cost, ious, inside | centred
 
 
 def iou_matrix(anchors: list[Anchor], gts: list[GtInstance]) -> np.ndarray:

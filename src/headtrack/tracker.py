@@ -9,18 +9,20 @@ track is removed. Unmatched tracks coast on prediction and are eliminated
 after ``patience_w`` consecutive misses; tracks are emitted from ``min_hits`` matches.
 The emissions of ``step`` are the only output: a track keeps no boxes, and
 a detection no frame (it is the frame of the ``step`` it is passed to).
+A frame's detections arrive as one Detections batch of columns, or as a
+list of Detection, which ``step`` stacks into one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 import numpy as np
 
 from . import kalman
 from .association import AppearanceDescriptor, build_cost_matrix, row_norms, solve_assignment, stack_descriptors
-from .config import TrackerConfig
+from .config import FEATURE_KINDS, AssociationConfig, TrackerConfig
 from .geometry import BBox, HeadKeypoint
 
 TENTATIVE = "tentative"
@@ -42,6 +44,34 @@ class Detection:
             raise ValueError("detection score must be finite")
 
 
+@dataclass(frozen=True)
+class Detections:
+    """One frame's detections as columns, in the order ``step`` matches them.
+
+    ``boxes`` is (D, 4) x, y, w, h and ``scores`` (D,), both float64; ``feats``
+    maps kinds to (D x d matrix, D presence mask) as ``stack_descriptors``
+    gives them. The values are checked where the batch is made:
+    ``dataio.split_frames`` checks its rows as a Detection checks itself.
+    """
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    feats: dict = field(default_factory=dict)
+
+    @classmethod
+    def stack(cls, detections: list[Detection], cfg: AssociationConfig) -> Detections:
+        """The batch of a list of Detection, features stacked by ``stack_descriptors``."""
+        boxes = [(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in detections]
+        return cls(
+            np.array(boxes, dtype=float).reshape(-1, 4),
+            np.array([d.score for d in detections], dtype=float),
+            stack_descriptors([d.descriptor for d in detections], cfg),
+        )
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+
 @dataclass
 class Track:
     """One identity; while live, its filter is a Tracker row."""
@@ -50,9 +80,17 @@ class Track:
     status: str = TENTATIVE
 
 
+def measurements(boxes: np.ndarray) -> np.ndarray:
+    """(D, 4) observations (u, v, a, h) of (D, 4) boxes (x, y, w, h): centre, aspect w / h, height."""
+    z = np.array(boxes, dtype=float)
+    z[:, :2] += 0.5 * z[:, 2:]
+    z[:, 2] = z[:, 2] / z[:, 3]
+    return z
+
+
 def measurement_from_bbox(bbox: BBox) -> np.ndarray:
     """(u, v, a, h) observation vector for the filter."""
-    return np.array([bbox.cx, bbox.cy, bbox.aspect, bbox.h])
+    return measurements([[bbox.x, bbox.y, bbox.w, bbox.h]])[0]
 
 
 def bbox_from_state(x: np.ndarray) -> BBox:
@@ -79,31 +117,35 @@ class Tracker:
         self.x, self.pcv = np.zeros((0, kalman.STATE_DIM)), np.zeros((0, 3))
         self.hits, self.misses = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
         self.feats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._weights = dict(zip(FEATURE_KINDS, cfg.assoc.feature_weights))
         self._last_frame: Optional[int] = None
 
     @np.errstate(invalid="ignore", over="ignore")  # a row that overflows turns non-finite: predict removes it
-    def step(self, frame: int, detections: list[Detection]) -> list[tuple[int, BBox]]:
+    def step(self, frame: int, detections: Union[Detections, list[Detection]]) -> list[tuple[int, BBox]]:
         """Advance one frame and return (track_id, bbox) emissions.
 
         Frames must be strictly increasing across calls. A track is confirmed
         and emitted from ``min_hits`` matches on: with its detection's box
-        when it has one this frame, else with its predicted box, and then only
-        with ``emit_predictions``. Emissions are in id order.
+        when it has one this frame (a listed Detection's own ``bbox``), else
+        with its predicted box, and then only with ``emit_predictions``.
+        Emissions are in id order.
         """
         if self._last_frame is not None and frame <= self._last_frame:
             raise ValueError(
                 f"frames must be strictly increasing (got {frame} after {self._last_frame})"
             )
         self._last_frame = frame
-        if not (self.live or detections):  # nothing to predict, match or spawn
+        if not (self.live or len(detections)):  # nothing to predict, match or spawn
             return []
         cfg = self.cfg
+        listed = None if isinstance(detections, Detections) else detections
+        batch = Detections.stack(listed, cfg.assoc) if listed is not None else detections
 
         self.x, self.pcv = kalman.predict_rows(self.x, self.pcv, cfg.noise)
         self._keep(np.isfinite(self.x).all(axis=1) & np.isfinite(self.pcv).all(axis=1))
 
-        z = np.array([measurement_from_bbox(d.bbox) for d in detections]).reshape(-1, 4)
-        det_feats = stack_descriptors([d.descriptor for d in detections], cfg.assoc)
+        z = measurements(batch.boxes)
+        det_feats = {kind: f for kind, f in batch.feats.items() if self._weights[kind]}
         cost = build_cost_matrix(self.x[:, :2], self.feats, z[:, :2], det_feats, cfg.assoc)
         rows, cols = np.array(solve_assignment(cost), dtype=int).reshape(-1, 2).T
 
@@ -116,7 +158,7 @@ class Tracker:
 
         det = np.full(len(self.live), -1)  # each row's detection this frame, -1 for none
         det[rows] = cols
-        fresh = np.array([d.score >= cfg.init_score_min for d in detections], dtype=bool)
+        fresh = batch.scores >= cfg.init_score_min
         fresh[cols] = False
         if fresh.any():
             new = np.flatnonzero(fresh)
@@ -128,7 +170,8 @@ class Tracker:
         for i, j in zip(emit.tolist(), det[emit].tolist()):
             if j >= 0:
                 self.live[i].status = CONFIRMED
-                out.append((self.live[i].id, detections[j].bbox))
+                box = listed[j].bbox if listed is not None else BBox(*batch.boxes[j].tolist())
+                out.append((self.live[i].id, box))
             elif cfg.emit_predictions and self.misses[i] < cfg.patience_w:
                 out.append((self.live[i].id, bbox_from_state(self.x[i])))
         self._keep(self.misses < cfg.patience_w)

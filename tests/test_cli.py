@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import io
@@ -12,9 +13,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from headtrack import cli, label_assign, lifting, tracker
+from headtrack import cli, dataio, label_assign, lifting, tracker
 from headtrack.association import AppearanceDescriptor, AssociationConfig
 from headtrack.dataio import SceneSpec, parse_mot, read_descriptors, write_descriptors
+from headtrack.geometry import HeadKeypoint
 from headtrack.tracker import TrackerConfig
 
 SCENE = """
@@ -622,10 +624,9 @@ class TestSettingsStatedOnce:
 
     def test_lifting_and_assign_defaults(self, sim_dir, tmp_path, monkeypatch):
         seen = []
-        complete, cost_matrix = lifting.complete, label_assign.assign_cost_matrix
+        complete, tables = lifting.complete, label_assign.assign_tables
         monkeypatch.setattr(lifting, "complete", lambda t, m, c: seen.append(c) or complete(t, m, c))
-        monkeypatch.setattr(label_assign, "assign_cost_matrix",
-                            lambda a, g, c: seen.append(c) or cost_matrix(a, g, c))
+        monkeypatch.setattr(label_assign, "assign_tables", lambda a, g, c: seen.append(c) or tables(a, g, c))
         gt = str(sim_dir / "gt.txt")
         assert cli.main(["interpolate", "--input", gt, "--out", str(tmp_path / "o.txt")]) == 0
         doc = {"anchors": [{"cx": 5, "cy": 5, "box": [0, 0, 10, 10]}], "gts": [{"box": [0, 0, 10, 10]}]}
@@ -757,6 +758,86 @@ class TestSidecarMatchesDetections:
         assert code == 2 and not out.exists()
         expected = f"{sidecar}: record ({orphan[0]},{orphan[1]}) names no detection line"
         assert expected in capsys.readouterr().err
+
+
+TWO_BAD_FRAMES = (  # line 2 holds frame 2 and line 3 frame 1, both with a bad score
+    "1,-1,10,10,20,40,1,-1,-1,-1\n2,-1,10,10,20,40,nan,-1,-1,-1\n1,-1,50,10,20,40,inf,-1,-1,-1\n"
+)
+
+
+class TestColumnChecksNameTheFirstError:
+    """The row and record checks run on whole columns, and exit as the row-by-row checks did."""
+
+    @pytest.mark.parametrize("text,flags,message", [
+        (TWO_BAD_FRAMES, [], "line 3: detection score must be finite"),
+        (TWO_BAD_FRAMES, ["--head-format"], "line 3: detection score must be finite"),
+        ("1,-1,10,10,20,40,1,5,3,0.5\n1,-1,50,10,20,40,nan,5,3,1.5\n", ["--head-format"],
+         "line 2: visibility must lie in [0, 1], got 1.5"),
+        ("1,-1,10,10,20,40,1,5,3,0.5\n1,-1,50,10,20,40,nan,inf,3,0.5\n", ["--head-format"],
+         "line 2: head coordinates must be finite"),
+        ("1,-1,10,10,20,40,1,5,3,0.5\n1,-1,50,10,20,40,nan,5,3,1.5\n", [], "line 2: detection score must be finite"),
+    ], ids=["frames", "frames, head format", "head visibility", "head coordinates", "score"])
+    @pytest.mark.parametrize("orphan", [False, True], ids=["rows", "rows and orphan record"])
+    def test_first_error(self, tmp_path, capsys, text, flags, message, orphan):
+        dets = write(tmp_path / "det.txt", text)
+        out = tmp_path / "o.txt"
+        argv = ["track", "--dets", dets, "--out", str(out), *flags]
+        if orphan:  # record (2,1) names no line either way, and the bad row is still named
+            sidecar = raw_sidecar(tmp_path / "f.ftfv", (1, 0, 1.0), (2, 1, 1.0))
+            argv += ["--features", str(sidecar)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"headtrack: {dets}: {message}\n"
+        assert not out.exists()
+
+    def test_track_builds_no_row_objects(self, tmp_path, monkeypatch):
+        dets, features = heads_scene(tmp_path)
+        built = collections.Counter()
+        for cls in (tracker.Detection, AppearanceDescriptor, HeadKeypoint):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda obj, check=check: built.update([type(obj)]) or check(obj))
+        argv = ["track", "--dets", str(dets), "--features", str(features), "--out", str(tmp_path / "o.txt")]
+        assert cli.main(argv + ["--head-format", "--min-hits", "1"]) == 0
+        assert built == {} and (tmp_path / "o.txt").stat().st_size
+        frames = dataio.mot_to_detections(parse_mot(dets), read_descriptors(features), head_format=True)
+        lines = sum(map(len, frames.values()))  # the hooks count what the list form builds
+        assert built[tracker.Detection] == built[AppearanceDescriptor] == lines
+        assert 0 < built[HeadKeypoint] < lines
+
+
+def heads_scene(tmp_path):
+    """A scene's detection file and sidecar; half its lines carry heads, and frames run backwards in the file."""
+    scene = dataio.generate_scene(SceneSpec(
+        targets=6, motion="crossing", frames=40, noise_std=1.0, feat_noise_std=0.1, seed=7, occlusions=((2, 10, 16),),
+    ))
+    t = scene.detections
+    extra = np.full((len(t), 3), -1.0)
+    extra[::2] = np.stack([t.box[::2, 0] + t.box[::2, 2] / 2, t.box[::2, 1], np.linspace(0, 1, len(extra[::2]))], axis=1)
+    lines = dataio.format_mot(dataio.MotTable(t.frame, t.id, t.box, t.conf, extra)).splitlines(keepends=True)
+    dets = tmp_path / "det.txt"
+    dets.write_text("".join(sorted(lines, key=lambda l: -int(l.split(",")[0]))))  # stable: rows keep their order
+    write_descriptors(tmp_path / "features.ftfv", scene.descriptors)
+    return dets, tmp_path / "features.ftfv"
+
+
+class TestTrackFileEqualsListPath:
+    @pytest.mark.parametrize("case", ["sidecar", "no sidecar", "head format"])
+    @pytest.mark.parametrize("emit", [False, True], ids=["emit detections", "emit predictions"])
+    def test_same_emissions(self, tmp_path, case, emit):
+        dets, features = heads_scene(tmp_path)
+        features = None if case == "no sidecar" else features
+        head_format = case == "head format"
+        cfg = cli.RunConfig(min_hits=1 if emit else 3, emit_predictions=emit, patience_w=4)
+        out = tmp_path / "res.txt"
+        cli.run_track_file(dets, features, out, cfg, head_format)
+        frames = dataio.mot_to_detections(
+            parse_mot(dets), read_descriptors(features) if features else None, head_format=head_format
+        )
+        tracking = tracker.Tracker(cli.tracker_config(cfg))
+        expected = [
+            (f, tid, b) for f in range(1, max(frames) + 1) for tid, b in tracking.step(f, frames.get(f, []))
+        ]
+        assert len(expected) > 150
+        assert out.read_text() == dataio.format_mot(dataio.MotTable.from_rows(expected))
 
 
 class TestSettingRanges:

@@ -15,6 +15,7 @@ from test_cli import det_texts, raw_sidecar, sidecar_bytes
 from headtrack import dataio
 from headtrack.association import AppearanceDescriptor
 from headtrack.dataio import (
+    Descriptors,
     MotLine,
     MotParseError,
     MotTable,
@@ -25,6 +26,7 @@ from headtrack.dataio import (
     mot_to_detections,
     parse_mot,
     read_descriptors,
+    split_frames,
     write_descriptors,
     write_mot,
 )
@@ -188,6 +190,7 @@ class TestDescriptorFile:
         write_descriptors(path, {})
         assert path.read_bytes() == struct.pack("<4sHIIIQ", b"FTFV", 1, 0, 0, 0, 0)
         assert read_descriptors(path) == {}
+        assert read_descriptors(path).values() == []
 
     def test_loaded_vectors_unit_norm(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -195,6 +198,27 @@ class TestDescriptorFile:
         write_descriptors(path, {(1, 0): AppearanceDescriptor(f_cls=self.unit(rng, 64))})
         desc = read_descriptors(path)[(1, 0)]
         assert abs(np.linalg.norm(desc.f_cls) - 1.0) < 1e-9
+
+    def test_loaded_mapping_is_columns(self, tmp_path):
+        rng = np.random.default_rng(4)
+        descs = {(3, 1): AppearanceDescriptor(f_cls=self.unit(rng, 4), f_head=self.unit(rng, 2)),
+                 (1, 0): AppearanceDescriptor(f_cls=self.unit(rng, 4), f_head=self.unit(rng, 2))}
+        path = tmp_path / "d.ftfv"
+        write_descriptors(path, descs)
+        loaded = read_descriptors(path)
+        assert isinstance(loaded, Descriptors) and len(loaded) == 2
+        assert list(loaded) == [(3, 1), (1, 0)]  # record order
+        assert loaded.frame.tolist() == [3, 1] and loaded.det_index.tolist() == [1, 0]
+        assert sorted(loaded.vectors) == ["f_cls", "f_head"]
+        assert loaded.vectors["f_cls"].shape == (2, 4) and loaded.vectors["f_head"].shape == (2, 2)
+        assert (3, 1) in loaded and (1, 1) not in loaded and loaded.get((1, 1)) is None
+        desc = loaded[(1, 0)]  # built on lookup, from its row
+        assert desc.f_reg is None and np.array_equal(desc.f_head, loaded.vectors["f_head"][1])
+        with pytest.raises(KeyError):
+            loaded[(2, 0)]
+        assert [d.f_cls.tolist() for d in loaded.values()] == loaded.vectors["f_cls"].tolist()
+        assert Descriptors.of(loaded) is loaded
+        assert _vectors(Descriptors.of(descs)) == _vectors(descs)
 
     def test_non_unit_vector_rejected_on_read(self, tmp_path):
         path = raw_sidecar(tmp_path / "d.ftfv", (1, 0, 3.0))  # |v| = 3
@@ -450,14 +474,54 @@ class TestMotToDetections:
         assert frames[2][0].descriptor is None
         assert np.array_equal(frames[2][1].descriptor.f_cls, basis[2])
 
+    def test_batches_are_the_lists_as_columns(self, tmp_path):
+        lines = parse_mot(
+            [
+                "3,4,1,0,10,20,0.3,-1,-1,-1",
+                "2,7,90,0,10,20,0.6,-1,-1,-1",
+                "1,9,0,0,10,20,0.9,-1,-1,-1",
+                "2,3,70,0,10,20,0.5,-1,-1,-1",
+                "1,1,30,0,10,20,0.7,-1,-1,-1",
+            ]
+        )
+        basis = np.eye(3)
+        path = tmp_path / "dets.ftfv"
+        write_descriptors(path, {(2, 1): AppearanceDescriptor(f_cls=basis[2]),
+                                 (1, 0): AppearanceDescriptor(f_cls=basis[0])})
+        descriptors = read_descriptors(path)
+        batches, lists = split_frames(lines, descriptors), mot_to_detections(lines, descriptors)
+        assert list(batches) == list(lists) == [1, 2, 3]
+        for frame, batch in batches.items():
+            dets = lists[frame]
+            assert batch.boxes.tolist() == [[d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h] for d in dets]
+            assert batch.scores.tolist() == [d.score for d in dets]
+        assert batches[3].feats == {}  # no record in frame 3
+        for frame, has in ((1, [True, False]), (2, [False, True])):
+            m, mask = batches[frame].feats["f_cls"]
+            assert mask.tolist() == has
+            assert m.tolist() == [d.descriptor.f_cls.tolist() if d.descriptor else [0.0] * 3 for d in lists[frame]]
+
+    @pytest.mark.parametrize("keys", [[(1, 0), (2, 2)], [(4, 0)], [(0, 0)], [(2, -1)]])
+    def test_record_without_detection_rejected(self, keys):
+        lines = parse_mot(["1,-1,0,0,10,20,0.9,-1,-1,-1", "2,-1,2,0,10,20,0.7,-1,-1,-1", "2,-1,9,0,10,20,0.7,-1,-1,-1"])
+        descs = {key: AppearanceDescriptor(f_cls=[1.0]) for key in keys}
+        orphan = keys[-1]
+        for split in (split_frames, mot_to_detections):
+            with pytest.raises(ValueError, match=rf"record \({orphan[0]},{orphan[1]}\) names no detection line"):
+                split(lines, descs)
+        first = keys[0]  # a table without rows: every record is an orphan
+        with pytest.raises(ValueError, match=rf"record \({first[0]},{first[1]}\) names no detection line"):
+            split_frames(MotTable((), (), ()), descs)
+
     @pytest.mark.parametrize("row,message", [
         ("1,-1,0,0,10,20,nan,-1,-1,-1", "detection score must be finite"),
         ("1,-1,0,0,10,20,0.9,5,3,1.5", r"visibility must lie in \[0, 1\]"),
     ])
     def test_bad_detection_reports_number(self, row, message):
         lines = parse_mot(["1,-1,0,0,10,20,0.9,5,3,0.6", row])
-        with pytest.raises(MotParseError, match=f"line 2: {message}"):
-            mot_to_detections(lines, head_format=True)
+        for split in (split_frames, mot_to_detections):
+            with pytest.raises(MotParseError, match=f"line 2: {message}"):
+                split(lines, head_format=True)
 
     def test_head_format_flag(self):
         lines = parse_mot(["1,-1,0,0,10,20,0.9,5,3,0.6"])

@@ -110,6 +110,27 @@ def test_import_loads_no_verb_module(module, loaded):
     assert sorted(fresh(module).headtrack_modules) == sorted(loaded)
 
 
+# PROBE imports json itself, so whether headtrack does needs a probe of its own
+JSON_PROBE = """
+import sys
+from headtrack import cli
+imported = "json" in sys.modules
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else None
+print(imported, "json" in sys.modules, code)
+"""
+
+
+def test_cli_and_track_load_no_json(scene, tmp_path):
+    """Only ``assign`` reads JSON, so only it imports the json module."""
+    assert python(JSON_PROBE).split() == ["False", "False", "None"]
+    track = ["track", "--dets", str(scene / "det.txt"), "--features", str(scene / "features.ftfv"),
+             "--out", str(tmp_path / "result.txt")]
+    assert python(JSON_PROBE, *track).split() == ["False", "False", "0"]
+    (tmp_path / "assign.json").write_text(json.dumps(ASSIGN_SCENE))
+    assert python(JSON_PROBE, "assign", "--scene", str(tmp_path / "assign.json")).split()[-3:] == [
+        "False", "True", "0"]
+
+
 @pytest.mark.parametrize("verb", VERB_MODULES)
 def test_verb_loads_only_the_modules_it_runs(scene, tmp_path, verb):
     argv = {

@@ -14,6 +14,7 @@ from headtrack.label_assign import (
     LabeledBatch,
     assign_cost,
     assign_cost_matrix,
+    assign_tables,
     bce,
     dynamic_k_match,
     foreground_mask,
@@ -148,6 +149,8 @@ class TestArraysMatchPairOracle:
             assert cost.tobytes() == want_cost.tobytes()
             ious = iou_matrix(anchors, gts)
             assert dynamic_k_match(cost, ious, fg, cfg) == dynamic_k_match(want_cost, ious, want_fg, cfg)
+            shared = assign_tables(anchors, gts, cfg)  # one IoU and region pass for all three
+            assert [m.tobytes() for m in shared] == [want_cost.tobytes(), ious.tobytes(), want_fg.tobytes()]
             for a, g in zip(anchors, gts):  # the scalar names are the 1 x 1 case
                 assert in_center_region(a, g) == assign_oracle.in_center_region(a, g)
                 assert assign_cost(a, g, cfg) == assign_oracle.assign_cost(a, g, cfg)

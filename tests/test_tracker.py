@@ -13,6 +13,7 @@ from headtrack.association import (
 from headtrack.geometry import BBox
 from headtrack.tracker import (
     Detection,
+    Detections,
     Tracker,
     TrackerConfig,
     bbox_from_state,
@@ -400,6 +401,50 @@ class TestArrayCore:
         tr = Tracker(cfg)
         tr.step(1, [det(100, 100, descriptor=onehot(0))])
         assert tr.feats == {}
+
+
+def as_batch(dets):
+    """The Detections of a list built column by column, apart from ``Detections.stack``.
+
+    It carries every kind some detection has, weighted or not, zero where a detection lacks it.
+    """
+    feats = {}
+    for kind in FEATURE_KINDS:
+        vecs = [None if d.descriptor is None else getattr(d.descriptor, kind) for d in dets]
+        dims = {len(v) for v in vecs if v is not None}
+        if dims:
+            (dim,) = dims
+            feats[kind] = (np.array([np.zeros(dim) if v is None else v for v in vecs]),
+                           np.array([v is not None for v in vecs]))
+    boxes = np.array([[d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h] for d in dets]).reshape(-1, 4)
+    return Detections(boxes, np.array([d.score for d in dets]), feats)
+
+
+class TestBatchInput:
+    @pytest.mark.parametrize("emit", [False, True], ids=["emit detections", "emit predictions"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_equals_list_after_every_step(self, seed, emit):
+        cfg = TrackerConfig(
+            min_hits=1 + seed % 3,
+            patience_w=2 + seed % 4,
+            emit_predictions=emit,
+            assoc=AssociationConfig(motion_scale=300.0, gate_g=0.6, feature_weights=(0.5, 0.5 * (seed % 2), 0.0)),
+        )
+        listed, batched = Tracker(cfg), Tracker(cfg)
+        emitted = 0
+        for f, dets in random_frames(seed):
+            want = listed.step(f, dets)
+            assert batched.step(f, as_batch(dets)) == want
+            assert [t.id for t in batched.live] == [t.id for t in listed.live]
+            assert [t.status for t in batched.tracks] == [t.status for t in listed.tracks]
+            assert batched.feats.keys() == listed.feats.keys()  # an unweighted kind is not stored
+            emitted += len(want)
+        assert emitted > 100
+
+    def test_empty_batch_only_moves_the_frame(self):
+        tr = Tracker(motion_config(min_hits=1))
+        assert tr.step(1, Detections(np.zeros((0, 4)), np.zeros(0))) == []
+        assert tr.step(2, as_batch([det(100, 100)])) == [(1, BBox(80.0, 50.0, 40.0, 100.0))]
 
 
 def by_track(emissions):
