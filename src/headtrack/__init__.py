@@ -15,7 +15,7 @@ _HOMES = {  # name -> the submodule that defines it
         "geometry": ("BBox", "GridIndex", "HeadKeypoint"),
         "kalman": ("IteratedUpdateConfig", "KalmanModel", "KalmanState"),
         "lifting": ("Pose3", "TrajectoryGap"),
-        "metrics": ("EvalFrame", "EvalReport", "evaluate"),
+        "metrics": ("EvalReport", "EvalTables", "evaluate"),
         "tracker": ("Detection", "Track", "Tracker"),
     }.items()
     for name in names

@@ -232,24 +232,13 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _boxes_by_frame(table: dataio.MotTable) -> dict[int, list[tuple[int, BBox]]]:
-    """Each frame's (id, box) pairs in file order."""
-    ids, boxes = table.id.tolist(), table.bboxes()
-    return {frame: [(ids[r], boxes[r]) for r in rows.tolist()] for frame, rows in table.groups("frame")}
-
-
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     from . import metrics
     gt_table = _located(args.gt, lambda: dataio.parse_mot(args.gt))
     res_table = _located(args.result, lambda: dataio.parse_mot(args.result))
     _located(args.gt, lambda: dataio.check_unique_ids(gt_table))
     _located(args.result, lambda: dataio.check_unique_ids(res_table))
-    gt_by_frame, res_by_frame = _boxes_by_frame(gt_table), _boxes_by_frame(res_table)
-    eval_frames = [
-        metrics.EvalFrame(gt=gt_by_frame.get(f, []), hyp=res_by_frame.get(f, []))
-        for f in sorted(gt_by_frame.keys() | res_by_frame.keys())
-    ]
-    report = metrics.evaluate(eval_frames, iou_threshold=cfg.iou_threshold)
+    report = metrics.evaluate(metrics.EvalTables(gt_table, res_table), iou_threshold=cfg.iou_threshold)
     print(f"MOTA={report.mota:.6f}")
     print(f"IDF1={report.idf1:.6f}")
     print(f"FP={report.fp}")

@@ -600,8 +600,7 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     T, F = spec.targets, spec.frames
     paths = _gt_paths(spec)
     _check_boxes(paths.reshape(-1, 4))
-    starts = list(map(BBox, *paths[:, 0].T.tolist()))
-    clashes = np.argwhere(np.triu(iou_matrix(starts, starts) != 0.0, k=1))  # nan: areas overflow
+    clashes = np.argwhere(np.triu(iou_matrix(paths[:, 0], paths[:, 0]) != 0.0, k=1))  # nan: areas overflow
     if clashes.size:
         raise ValueError(f"targets {clashes[0, 0] + 1} and {clashes[0, 1] + 1} overlap at spawn")
 

@@ -98,22 +98,26 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def iou_matrix(boxes_a: list[BBox], boxes_b: list[BBox]) -> np.ndarray:
-    """Pairwise ``iou``, shape (len(boxes_a), len(boxes_b)), with bit-identical entries."""
-    ax, ay, ax2, ay2 = _corners(boxes_a)[..., None]
-    bx, by, bx2, by2 = _corners(boxes_b)[:, None, :]
-    ix = np.minimum(ax2, bx2) - np.maximum(ax, bx)
-    iy = np.minimum(ay2, by2) - np.maximum(ay, by)
+def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """Pairwise ``iou`` of (n, 4) and (m, 4) x, y, w, h arrays, shape (n, m), with bit-identical entries."""
+    a = np.asarray(boxes_a, dtype=float).reshape(-1, 4)
+    b = np.asarray(boxes_b, dtype=float).reshape(-1, 4)
+    return iou_pairs(a[:, None, :], b[None, :, :])
+
+
+def iou_pairs(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """``iou`` of each pair of boxes in two float x, y, w, h arrays whose last axis is 4 and
+    whose other axes broadcast, with bit-identical entries."""
+    ax, ay, aw, ah = np.moveaxis(boxes_a, -1, 0)
+    bx, by, bw, bh = np.moveaxis(boxes_b, -1, 0)
     # sides near 1e308 overflow to inf (nan after inf - inf) silently, as in ``iou``
     with np.errstate(over="ignore", invalid="ignore"):
+        ax2, ay2, bx2, by2 = ax + aw, ay + ah, bx + bw, by + bh
+        ix = np.minimum(ax2, bx2) - np.maximum(ax, bx)
+        iy = np.minimum(ay2, by2) - np.maximum(ay, by)
         inter = ix * iy
         union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
         return np.divide(inter, union, out=np.zeros(inter.shape), where=(ix > 0.0) & (iy > 0.0))
-
-
-def _corners(boxes: list[BBox]) -> np.ndarray:
-    """Rows x, y, x2, y2 of the boxes, shape (4, n)."""
-    return np.array([(b.x, b.y, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4).T
 
 
 def ciou_loss(pred: BBox, gt: BBox) -> float:

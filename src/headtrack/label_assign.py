@@ -124,7 +124,10 @@ def assign_tables(
 
 
 def iou_matrix(anchors: list[Anchor], gts: list[GtInstance]) -> np.ndarray:
-    return geometry.iou_matrix([a.pred_box for a in anchors], [g.box for g in gts])
+    return geometry.iou_matrix(
+        [(a.pred_box.x, a.pred_box.y, a.pred_box.w, a.pred_box.h) for a in anchors],
+        [(g.box.x, g.box.y, g.box.w, g.box.h) for g in gts],
+    )
 
 
 def dynamic_k_match(

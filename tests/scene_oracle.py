@@ -120,7 +120,7 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     paths = _gt_paths(spec)
 
-    starts = [path[0] for path in paths]
+    starts = [(b.x, b.y, b.w, b.h) for b in (path[0] for path in paths)]
     clashes = np.argwhere(np.triu(iou_matrix(starts, starts) != 0.0, k=1))  # nan: areas overflow
     if clashes.size:
         raise ValueError(f"targets {clashes[0, 0] + 1} and {clashes[0, 1] + 1} overlap at spawn")

@@ -17,6 +17,7 @@ from headtrack.association import CostMatrix, solve_assignment
 from headtrack.geometry import BBox, HeadKeypoint
 from headtrack.kalman import KalmanState, constant_velocity_model, iterated_update, update
 from headtrack.tracker import Tracker
+from metrics_oracle import EvalFrame, tables
 
 
 @contextmanager
@@ -60,10 +61,10 @@ def run_scene(spec, run_cfg):
     for l in scene.gt:
         gt.setdefault(l.frame, []).append((l.id, l.bbox()))
     eval_frames = [
-        metrics.EvalFrame(gt=gt.get(f, []), hyp=hyp.get(f, []))
+        EvalFrame(gt=gt.get(f, []), hyp=hyp.get(f, []))
         for f in range(1, spec.frames + 1)
     ]
-    return metrics.evaluate(eval_frames), tracker
+    return metrics.evaluate(metrics.EvalTables(*tables(eval_frames))), tracker
 
 
 # -- criteria ------------------------------------------------------------------
@@ -304,33 +305,33 @@ def test_c10_metrics_hand_oracles():
 
         # perfect
         frames = [
-            metrics.EvalFrame(
+            EvalFrame(
                 gt=[(k, box(100 * k + 50, 200)) for k in range(10)],
                 hyp=[(k, box(100 * k + 50, 200)) for k in range(10)],
             )
             for _ in range(10)
         ]
-        rep = metrics.evaluate(frames)
+        rep = metrics.evaluate(metrics.EvalTables(*tables(frames)))
         assert (rep.mota, rep.idf1, rep.fp, rep.fn, rep.ids) == (1.0, 1.0, 0, 0, 0)
 
         # one spurious box over gt_total 100
         spoiled = list(frames)
-        spoiled[0] = metrics.EvalFrame(
+        spoiled[0] = EvalFrame(
             gt=spoiled[0].gt, hyp=spoiled[0].hyp + [(77, box(5000, 5000))]
         )
-        rep = metrics.evaluate(spoiled)
+        rep = metrics.evaluate(metrics.EvalTables(*tables(spoiled)))
         assert rep.mota == pytest.approx(0.99, abs=1e-12)
         assert (rep.fp, rep.fn, rep.ids) == (1, 0, 0)
 
         # one identity flip at frame 6: IDF1 = 2*5/(10+10)
         flip = [
-            metrics.EvalFrame(
+            EvalFrame(
                 gt=[(1, box(100 + 2 * f, 300))],
                 hyp=[(7 if f <= 5 else 8, box(100 + 2 * f, 300))],
             )
             for f in range(1, 11)
         ]
-        rep = metrics.evaluate(flip)
+        rep = metrics.evaluate(metrics.EvalTables(*tables(flip)))
         assert rep.ids == 1
         assert rep.mota == pytest.approx(0.9, abs=1e-12)
         assert rep.idf1 == pytest.approx(0.5, abs=1e-12)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from headtrack import cli, dataio, label_assign, lifting, tracker
 from headtrack.association import AppearanceDescriptor, AssociationConfig
 from headtrack.dataio import SceneSpec, parse_mot, read_descriptors, write_descriptors
-from headtrack.geometry import HeadKeypoint
+from headtrack.geometry import BBox, HeadKeypoint
 from headtrack.tracker import TrackerConfig
 
 SCENE = """
@@ -24,6 +24,15 @@ targets = 4
 motion = crossing
 frames = 30
 seed = 42
+"""
+
+QUICK_START = """
+targets = 10
+motion = crossing
+frames = 100
+noise_std = 1.0
+seed = 42
+occlusion = 3:40-44;7:60-64
 """
 
 SCENE_OCCLUDED = """
@@ -279,6 +288,33 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{bad}: line 4: frame 2 repeats id 3 (first on line 2)" in captured.err
+
+    def test_evaluate_builds_no_row_objects(self, sim_dir, monkeypatch, capsys):
+        built = []
+        check = BBox.__post_init__
+        monkeypatch.setattr(BBox, "__post_init__", lambda box: built.append(box) or check(box))
+        gt = str(sim_dir / "gt.txt")
+        assert cli.main(["evaluate", "--gt", gt, "--result", gt]) == 0
+        assert built == [] and "MOTA=1.000000" in capsys.readouterr().out
+
+    def test_edited_quick_start_ground_truth_report(self, tmp_path, capsys):
+        """The quick-start gt scored against itself with ids 3 and 7 swapped from frame 50, id 5
+        dropped in frames 20-29 and id 2 shifted by 0.6 w in frames 60-69: both matching passes act."""
+        spec = write(tmp_path / "scene.cfg", QUICK_START)
+        assert cli.main(["simulate", "--spec", spec, "--out-dir", str(tmp_path / "scene")]) == 0
+        gt = tmp_path / "scene" / "gt.txt"
+        t = dataio.parse_mot(gt)
+        keep = ~((t.id == 5) & (t.frame >= 20) & (t.frame <= 29))
+        swap = (t.frame >= 50) & ((t.id == 3) | (t.id == 7))
+        ids = np.where(swap, 10 - t.id, t.id)
+        shift = (t.id == 2) & (t.frame >= 60) & (t.frame <= 69)
+        box = t.box.copy()
+        box[shift, 0] += 0.6 * box[shift, 2]
+        res = tmp_path / "res.txt"
+        dataio.write_mot(res, dataio.MotTable(t.frame[keep], ids[keep], box[keep]))
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--gt", str(gt), "--result", str(res)]) == 0
+        assert capsys.readouterr().out == "MOTA=0.968000\nIDF1=0.886432\nFP=10\nFN=20\nIDS=2\nGT=1000\n"
 
 
 class TestInterpolate:

@@ -14,6 +14,7 @@ from headtrack.geometry import (
     grid_map,
     iou,
     iou_matrix,
+    iou_pairs,
 )
 
 
@@ -105,6 +106,11 @@ class TestIou:
             assert 0.0 <= iou(a, b) <= 1.0
 
 
+def xywh(boxes):
+    """The (n, 4) x, y, w, h array ``iou_matrix`` takes."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+
+
 class TestIouMatrix:
     def test_equals_scalar_iou_bit_for_bit(self):
         rng = np.random.default_rng(3)
@@ -113,7 +119,7 @@ class TestIouMatrix:
             na, nb = (int(n) for n in rng.integers(1, 30, 2))
             boxes_a = [BBox(*rng.uniform(0, 200, 2), *rng.uniform(0.5, 60, 2)) for _ in range(na)]
             boxes_b = [BBox(*rng.uniform(0, 200, 2), *rng.uniform(0.5, 60, 2)) for _ in range(nb)]
-            m = iou_matrix(boxes_a, boxes_b)
+            m = iou_matrix(xywh(boxes_a), xywh(boxes_b))
             expected = np.array([[iou(a, b) for b in boxes_b] for a in boxes_a])
             assert m.shape == (na, nb)
             assert np.array_equal(m, expected)
@@ -123,18 +129,36 @@ class TestIouMatrix:
 
     def test_identical_boxes_are_exactly_one(self):
         boxes = [BBox(0.1, 0.2, 10.3, 7.7), BBox(1e3 / 3, 2e3 / 7, 0.3, 1e3 / 9)]
-        assert np.diag(iou_matrix(boxes, boxes)).tolist() == [1.0, 1.0]
+        assert np.diag(iou_matrix(xywh(boxes), xywh(boxes))).tolist() == [1.0, 1.0]
 
     def test_touching_edges_are_zero(self):
         a = [BBox(0, 0, 10, 10)]
         touching = [BBox(10, 0, 5, 5), BBox(0, 10, 5, 5), BBox(-5, -5, 5, 5), BBox(10, 10, 1, 1)]
-        assert iou_matrix(a, touching).tolist() == [[0.0, 0.0, 0.0, 0.0]]
+        assert iou_matrix(xywh(a), xywh(touching)).tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
     def test_empty_sides(self):
         boxes = [BBox(0, 0, 1, 1), BBox(2, 2, 1, 1), BBox(4, 4, 1, 1)]
-        assert iou_matrix([], boxes).shape == (0, 3)
-        assert iou_matrix(boxes, []).shape == (3, 0)
-        assert iou_matrix([], []).shape == (0, 0)
+        assert iou_matrix(xywh([]), xywh(boxes)).shape == (0, 3)
+        assert iou_matrix(xywh(boxes), xywh([])).shape == (3, 0)
+        assert iou_matrix(xywh([]), xywh([])).shape == (0, 0)
+
+
+class TestIouPairs:
+    def test_rows_and_blocks_equal_scalar_iou_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        a = xywh([BBox(*rng.uniform(0, 100, 2), *rng.uniform(0.5, 60, 2)) for _ in range(60)])
+        b = xywh([BBox(*rng.uniform(0, 100, 2), *rng.uniform(0.5, 60, 2)) for _ in range(60)])
+        rows = iou_pairs(a, b)
+        assert rows.tolist() == [iou(BBox(*p), BBox(*q)) for p, q in zip(a.tolist(), b.tolist())]
+        assert (rows > 0.0).sum() > 10
+        blocks = iou_pairs(a.reshape(3, 20, 1, 4), b.reshape(3, 1, 20, 4))  # (frames, a rows, b rows)
+        for f in range(3):
+            assert np.array_equal(blocks[f], iou_matrix(a[20 * f:20 * f + 20], b[20 * f:20 * f + 20]))
+
+    def test_overflowing_sides_give_nan_silently(self):
+        with np.errstate(all="raise"):
+            out = iou_pairs(np.array([[0.0, 0.0, 1e308, 1e308]]), np.array([[-1e308, 0.0, 1.5e308, 1e308]]))
+        assert np.isnan(out).tolist() == [True]
 
 
 class TestCiouLoss:

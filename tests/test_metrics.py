@@ -1,11 +1,28 @@
 import itertools
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import metrics_oracle
+from headtrack import metrics
+from headtrack.dataio import MotTable
 from headtrack.geometry import BBox
-from headtrack.metrics import EvalFrame, EvalReport, _idf1, evaluate
+from headtrack.metrics import EvalReport, _idf1
+from metrics_oracle import EvalFrame
+
+
+def score(gt, hyp, *args, **kwargs):
+    """``metrics.evaluate`` of a ground-truth and a hypothesis table."""
+    return metrics.evaluate(metrics.EvalTables(gt, hyp), *args, **kwargs)
+
+
+def evaluate(frames, **kwargs):
+    """``metrics.evaluate`` of the tables of ``frames``."""
+    return score(*metrics_oracle.tables(frames), **kwargs)
 
 
 def box(cx, cy, w=40.0, h=100.0):
@@ -162,6 +179,24 @@ class TestEdgeCases:
         assert isinstance(rep.idf1, float)
 
 
+class TestEvalTables:
+    def test_iterates_each_frame_of_either_table_with_its_rows_by_id(self):
+        gt = MotTable([3, 1, 1], [7, 2, 1], [(0, 0, 1, 1), (1, 1, 2, 2), (2, 2, 3, 3)])
+        hyp = MotTable([2], [5], [(4, 4, 5, 5)])
+        assert list(metrics.EvalTables(gt, hyp)) == [
+            (1, [(1, (2.0, 2.0, 3.0, 3.0)), (2, (1.0, 1.0, 2.0, 2.0))], []),
+            (2, [], [(5, (4.0, 4.0, 5.0, 5.0))]),
+            (3, [(7, (0.0, 0.0, 1.0, 1.0))], []),
+        ]
+
+
+def counts_of(overlap):
+    """``_overlap_counts`` of the matching pairs that ``overlap`` counts per (gt id, hyp id)."""
+    pairs = [key for key, n in overlap.items() for _ in range(n)]
+    g, h = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return metrics._overlap_counts(g, h)
+
+
 class TestIdf1Matching:
     def test_equals_brute_force(self):
         # exhaustive search over every injective gt -> hyp identity map
@@ -176,7 +211,7 @@ class TestIdf1Matching:
             else:
                 best = max(sum(counts[p[h], h] for h in range(H))
                            for p in itertools.permutations(range(G), H))
-            assert _idf1(overlap, 300, 250) == 2.0 * best / 550
+            assert _idf1(counts_of(overlap), 300, 250) == 2.0 * best / 550
 
     def test_thousands_of_ids_are_fast(self):
         # gt g overlaps hyp g in 50 frames and two other hyps in fewer, so
@@ -187,10 +222,86 @@ class TestIdf1Matching:
             overlap[(g, g)] = 50
             for h in rng.choice(np.arange(1000, 1500), size=2, replace=False):
                 overlap[(g, int(h))] = int(rng.integers(1, 50))
+        counts = counts_of(overlap)
         elapsed = []
         for _ in range(3):
             start = time.perf_counter()
-            score = _idf1(overlap, 60000, 65000)
+            score = _idf1(counts, 60000, 65000)
             elapsed.append(time.perf_counter() - start)
         assert min(elapsed) < 1.0
         assert score == 2.0 * 50000 / 125000
+
+
+# ids either side of zero and past 32 bits; frames too
+IDS = (-(2**40), -7, -1, 0, 1, 2, 3, 2**40, 2**40 + 1, 2**62)
+FRAMES = (1, 2, 3, 4, 5, 7, 2**40)
+# a coarse grid makes IoU ties and IoU exactly 1/3 or 0.5; sides near 1e308 overflow to a nan IoU
+GRID_BOX = st.tuples(*(st.sampled_from(v) for v in ((0.0, 5.0, 10.0, 15.0), (0.0, 5.0), (5.0, 10.0, 20.0), (10.0, 20.0))))
+HUGE_BOX = st.sampled_from([(0.0, 0.0, 1e308, 1e308), (1e307, 0.0, 1.7e308, 1e308), (-1e308, 5.0, 1.5e308, 1e308)])
+BOX = st.one_of(GRID_BOX, GRID_BOX, GRID_BOX, HUGE_BOX)
+
+
+@st.composite
+def mot_table(draw, frames, unique=True):
+    """Rows of ``frames`` (any frame may get none), ids from a few of IDS, rows in drawn order."""
+    ids = st.sampled_from(draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=4, unique=True)))
+    rows = [(f, i, draw(BOX)) for f in frames for i in draw(st.lists(ids, max_size=4, unique=unique))]
+    rows = draw(st.permutations(rows))
+    return MotTable([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+
+
+@st.composite
+def streams(draw, unique=True):
+    frames = draw(st.lists(st.sampled_from(FRAMES), min_size=1, max_size=6, unique=True))
+    return draw(mot_table(frames, unique)), draw(mot_table(frames, unique))
+
+
+def outcome(score, *args):
+    try:
+        return score(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestEqualsFrameOracle:
+    """``evaluate`` on tables reports what the frame-at-a-time loop it replaced reports."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        tables=streams(),
+        threshold=st.sampled_from([1 / 3, 0.5, 1.0]),
+        chunk=st.sampled_from([1, 5, metrics.PAIR_CHUNK]),  # small chunks split blocks of frames
+    )
+    def test_all_six_fields(self, tables, threshold, chunk):
+        gt, hyp = tables
+        expected = outcome(metrics_oracle.evaluate, metrics_oracle.frames_of(gt, hyp), threshold)
+        with mock.patch.object(metrics, "PAIR_CHUNK", chunk):
+            assert outcome(score, gt, hyp, threshold) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables=streams(unique=False))
+    def test_repeated_ids_raise_as_the_oracle_does(self, tables):
+        gt, hyp = tables
+        expected = outcome(metrics_oracle.evaluate, metrics_oracle.frames_of(gt, hyp))
+        assert outcome(score, gt, hyp) == expected
+
+    def test_first_claim_wins_in_gt_id_order(self):
+        # gts 1 and 2 both last matched hyp 9 when frame 3 offers it to both: gt 1 keeps it and
+        # gt 2 switches to hyp 8, so gt 1 still holds hyp 9 in frame 4
+        b = box(100, 100)
+        frames = [
+            EvalFrame(gt=[(1, b)], hyp=[(9, b)]),
+            EvalFrame(gt=[(2, b)], hyp=[(9, b)]),
+            EvalFrame(gt=[(2, b), (1, b)], hyp=[(8, b), (9, b)]),
+            EvalFrame(gt=[(1, b)], hyp=[(9, b)]),
+        ]
+        rep = evaluate(frames)
+        assert (rep.fp, rep.fn, rep.ids) == (0, 0, 1)
+        assert rep == metrics_oracle.evaluate(frames)
+
+    def test_frames_held_by_one_table_count_as_fp_or_fn(self):
+        b = box(100, 100)
+        frames = [EvalFrame(gt=[(1, b)], hyp=[]), EvalFrame(gt=[], hyp=[(4, b), (5, box(900, 100))])]
+        rep = evaluate(frames)
+        assert (rep.fp, rep.fn, rep.ids, rep.idf1) == (2, 1, 0, 0.0)
+        assert rep == metrics_oracle.evaluate(frames)
