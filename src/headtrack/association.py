@@ -194,10 +194,15 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     broken toward the lexicographically smallest (track, detection) list.
     Returned pairs never violate the gate.
 
-    One LSA solve gives an optimal matching; its duals mark the tight
+    One LSA solve gives an optimal matching. When each of its pairs is
+    cheaper than every other admissible entry of its row and of its column
+    by more than ``_UNIQUE_MARGIN`` times T + D times the solve's tolerance,
+    that matching is the only optimum and is returned as it is
+    (``_unique_optimum``). Otherwise its duals mark the tight
     (zero-reduced-cost) pairs, whose perfect matchings are exactly the
     optimal ones, and the tie-break walks the tracks in order, moving each
-    to the smallest tight detection an alternating path can free.
+    to the smallest tight detection an alternating path can free
+    (``_tie_break``).
     """
     T, D = c.values.shape
     if T == 0 or D == 0:
@@ -229,7 +234,49 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     rows, col = linear_sum_assignment(enc)
     base = enc[rows, col]
     tol = 1e-9 * max(1.0, abs(float(base.sum())))
+    if _unique_optimum(enc[:T, :D], col[:T], base[:T], _UNIQUE_MARGIN * n * tol):
+        col = col.tolist()
+    else:
+        col = _tie_break(enc, col, base, T, D, tol)
+    return [(i, col[i]) for i in range(T) if col[i] < D]
 
+
+# delta = _UNIQUE_MARGIN * n * tol; any margin >= 1 is exact, 4 leaves room for rounding
+_UNIQUE_MARGIN = 4.0
+
+
+def _unique_optimum(real: np.ndarray, col: np.ndarray, base: np.ndarray, delta: float) -> bool:
+    """Whether the LSA's real pairs are the only optimal matching, with room to spare.
+
+    ``real`` is the encoded tracks x detections block, whose barred entries
+    lie far above any pair plus ``delta``; ``col`` and ``base`` are each track
+    row's LSA column and cost. True when every real pair undercuts every
+    other entry of its row and of its column by more than ``delta``. Any
+    other matching of the same size then costs more than ``delta`` extra: it
+    differs by alternating cycles and even paths (maximality rules out odd
+    ones), and each of its edges in them shares a column, or a row for paths
+    that start at a column, with a distinct pair of ours. The tie-break only
+    flips alternating cycles of tight pairs, which cost at most n * tol
+    extra, so for delta >= n * tol it would move nothing.
+    """
+    if not math.isfinite(delta):
+        return False
+    matched = (col < real.shape[1]).nonzero()[0]
+    near = base[matched] + delta
+    # each pair counts itself once in its row and once in its column
+    in_rows = (real[matched] <= near[:, None]).sum()
+    in_cols = (real[:, col[matched]] <= near).sum()
+    return int(in_rows + in_cols) == 2 * len(matched)
+
+
+def _tie_break(enc: np.ndarray, col: np.ndarray, base: np.ndarray, T: int, D: int, tol: float) -> list:
+    """The lexicographically smallest optimal matching, as each row's column.
+
+    Starts from the LSA's optimum ``col`` on the square encoding ``enc``,
+    whose pair costs are ``base``; pairs whose reduced costs are within
+    ``tol`` of zero count as tight.
+    """
+    n = len(col)
     # Column potentials v are shortest distances over columns, where moving
     # row i from col[i] to j costs enc[i, j] - base[i]; the optimum has no
     # negative cycle, so Bellman-Ford reaches a fixpoint within n passes.
@@ -257,7 +304,7 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
             if not fixed[j] and _reroute(i, j, adj, col, owner, fixed):
                 break
         fixed[col[i]] = True
-    return [(i, col[i]) for i in range(T) if col[i] < D]
+    return col
 
 
 def _reroute(i: int, j: int, adj: Callable, col: list, owner: list, fixed: list) -> bool:

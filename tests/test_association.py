@@ -110,6 +110,29 @@ def reference_solve(c):
     return pairs
 
 
+NEAR_TIE_OFFSETS = 10.0 ** -np.arange(3, 16)  # 1e-3 down to 1e-15
+# Offsets within about 100x of the solver's tol (1e-9 times the optimum's
+# encoded total) are ties to the walk, which allows tol per tight pair, but
+# not to reference_solve, which allows tol on the total: the two differ there.
+OUTSIDE_TOL_BAND = NEAR_TIE_OFFSETS[(NEAR_TIE_OFFSETS > 1e-7) | (NEAR_TIE_OFFSETS < 1e-9)]
+
+
+def near_ties(rng, shape, offsets):
+    """Costs 0.1 and 0.2, each raised by 0, 1 or 2 times one of ``offsets``."""
+    values = rng.choice([0.1, 0.2], size=shape)
+    return values + rng.choice(offsets, size=shape) * rng.integers(0, 3, shape)
+
+
+def clear_optimum(rng, T, D):
+    """Costs whose one optimum, a random matching of pairs in [0, 0.5], beats
+    every other entry, in [1, 2], by at least 0.5; with that matching's pairs."""
+    k = min(T, D)
+    rows, cols = rng.permutation(T)[:k], rng.permutation(D)[:k]
+    values = rng.uniform(1.0, 2.0, (T, D))
+    values[rows, cols] = rng.uniform(0.0, 0.5, k)
+    return values, sorted(zip(rows.tolist(), cols.tolist()))
+
+
 def reference_cost_matrix(tracks, detections, cfg):
     """Tracks x detections costs filled one pair at a time.
 
@@ -560,12 +583,12 @@ class TestSolveAssignment:
             assert sum(values[i, j] for i, j in pairs) == pytest.approx(cost, abs=1e-9)
 
     def test_equals_reference_solver(self):
-        # continuous, tie-heavy, negative, fully admissible and sparse-gate
-        # instances up to 12 x 12: identical pair lists, not just equal cost
+        # continuous, tie-heavy, negative, fully admissible, sparse-gate and
+        # near-tie instances up to 12 x 12: identical pair lists, not just equal cost
         rng = np.random.default_rng(2025)
-        for k in range(2000):
+        for k in range(2400):
             T, D = (int(x) for x in rng.integers(1, 13, 2))
-            kind = k % 5
+            kind = k % 6
             if kind == 0:
                 values = rng.uniform(0, 1, (T, D))
                 mask = rng.uniform(size=(T, D)) < 0.8
@@ -578,9 +601,12 @@ class TestSolveAssignment:
             elif kind == 3:
                 values = rng.integers(0, 3, (T, D)).astype(float)
                 mask = np.ones((T, D), bool)
-            else:
+            elif kind == 4:
                 values = rng.uniform(0, 1, (T, D))
                 mask = values <= 0.2
+            else:
+                values = near_ties(rng, (T, D), OUTSIDE_TOL_BAND)
+                mask = rng.uniform(size=(T, D)) < 0.8
             cm = CostMatrix(values=values, gate_mask=mask)
             pairs = solve_assignment(cm)
             assert pairs == reference_solve(cm), (kind, values, mask)
@@ -609,6 +635,91 @@ class TestSolveAssignment:
         values = np.random.default_rng(0).integers(0, 3, (n, n)).astype(float)
         cm = CostMatrix(values=values, gate_mask=np.ones((n, n), bool))
         assert solve_assignment(cm) == reference_solve(cm)
+
+    def test_certificate_equals_full_path(self, monkeypatch):
+        # certified or not, the pair list is the one the Bellman-Ford pass and
+        # the walk give, near ties inside the tolerance band included, and
+        # reference_solve's outside that band
+        rng = np.random.default_rng(31)
+        certify = association._unique_optimum
+        held = []
+        for k in range(1600):
+            T, D = (int(x) for x in rng.integers(1, 10, 2))
+            kind = k % 4
+            if kind == 0:
+                values = rng.uniform(0, 1, (T, D))
+            elif kind == 1:
+                values = near_ties(rng, (T, D), NEAR_TIE_OFFSETS)
+            elif kind == 2:
+                values = near_ties(rng, (T, D), OUTSIDE_TOL_BAND)
+            else:
+                values = rng.uniform(-5, 5, (T, D)).round(1)
+            cm = CostMatrix(values=values, gate_mask=rng.uniform(size=(T, D)) < 0.8)
+            monkeypatch.setattr(association, "_unique_optimum", lambda *a: held.append(certify(*a)) or held[-1])
+            pairs = solve_assignment(cm)
+            monkeypatch.setattr(association, "_unique_optimum", lambda *a: False)
+            assert pairs == solve_assignment(cm), (values, cm.gate_mask)
+            if kind != 1:
+                assert pairs == reference_solve(cm), (values, cm.gate_mask)
+        assert 0.2 < sum(held) / len(held) < 0.8
+
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_certificate_margin(self, side, monkeypatch):
+        # a unique optimum with one rival entry of a matched pair's row or
+        # column placed at 0.5 to 2 times the margin delta above it: the
+        # certificate holds exactly when the rival is more than delta away,
+        # and the pairs are the same either way
+        rng = np.random.default_rng(41 if side == "row" else 43)
+        certify = association._unique_optimum
+        calls = []
+
+        def spy(real, col, base, delta):
+            calls.append((delta, certify(real, col, base, delta)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(association, "_unique_optimum", spy)
+        for _ in range(200):
+            T, D = (int(x) for x in rng.integers(2, 9, 2))
+            values, want = clear_optimum(rng, T, D)
+            # the pair the rival undercuts costs the most of all pairs, so the
+            # rival stays clear of the pair that holds its other line
+            i, j = max(want, key=lambda p: values[p])
+            cm = CostMatrix(values=values, gate_mask=np.ones((T, D), bool))
+            assert solve_assignment(cm) == want
+            assert calls[-1][1]
+            if side == "row":
+                rival = (i, int(rng.choice([c for c in range(D) if c != j])))
+            else:
+                rival = (int(rng.choice([r for r in range(T) if r != i])), j)
+            values[rival] = values[i, j] + 0.25  # delta moves with the largest cost, which may be this one
+            assert solve_assignment(cm) == want
+            delta = calls[-1][0]
+            for factor in (0.5, 0.9, 1.1, 2.0):
+                values[rival] = values[i, j] + factor * delta
+                assert solve_assignment(cm) == want
+                assert calls[-1] == (delta, factor > 1.0)
+                assert reference_solve(cm) == want
+
+    def test_unique_optimum_skips_the_walk(self, monkeypatch):
+        # one clear optimum never reaches the walk; all-ones ties, as in c01's
+        # tie-break, do and still give the diagonal
+        def walk_not_expected(*args):
+            raise AssertionError("tie-break walk reached")
+
+        tie_break = association._tie_break
+        monkeypatch.setattr(association, "_tie_break", walk_not_expected)
+        c = CostMatrix(values=np.array([[0.1, 0.9, 0.5], [0.9, 0.1, 0.5]]), gate_mask=np.ones((2, 3), bool))
+        assert solve_assignment(c) == [(0, 0), (1, 1)]
+        rng = np.random.default_rng(9)
+        for T, D in [(12, 10), (10, 12), (30, 30)]:
+            values, want = clear_optimum(rng, T, D)
+            cm = CostMatrix(values=values, gate_mask=values < 1.8)
+            assert solve_assignment(cm) == want == reference_solve(cm)
+        walks = []
+        monkeypatch.setattr(association, "_tie_break", lambda *a: walks.append(a) or tie_break(*a))
+        cm = CostMatrix(values=np.ones((3, 3)), gate_mask=np.ones((3, 3), bool))
+        assert solve_assignment(cm) == [(0, 0), (1, 1), (2, 2)]
+        assert len(walks) == 1
 
     def test_fully_admissible_100_is_fast(self):
         values = np.random.default_rng(8).uniform(0, 1, (100, 100))

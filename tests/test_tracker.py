@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from headtrack import kalman
+from headtrack import association, kalman
 from headtrack.association import (
     FEATURE_KINDS,
     AppearanceDescriptor,
@@ -493,6 +493,59 @@ class TestEmittedTrajectories:
         assert len(trajs) == 10
         for _, points in trajs:
             assert len(points) >= 0.95 * spec.frames
+
+
+class TestUniqueOptimumGuard:
+    """Emissions are the same whether or not solve_assignment certifies its optimum."""
+
+    SCENES = {
+        "c05": (dict(targets=10, frames=100, motion="crossing", seed=7), {}),
+        "c06": (dict(targets=10, frames=100, motion="crossing", seed=3, noise_std=1.0,
+                     occlusions=tuple((t + 1, 40 + 2 * t, 43 + 2 * t) for t in range(10))), {}),
+        "c07": (dict(targets=3, frames=60, motion="linear", seed=11, occlusions=((2, 20, 50),)),
+                dict(patience_w=30, w_app=0.0, w_mot=1.0)),
+        "quick start": (dict(targets=10, frames=100, motion="crossing", seed=42, noise_std=1.0,
+                             occlusions=((3, 40, 44), (7, 60, 64))), {}),
+        "shared descriptors": (dict(targets=12, frames=80, motion="circular", seed=5, noise_std=2.0,
+                                    feat_noise_std=0.3, descriptor_dim=4), {}),
+    }
+
+    @staticmethod
+    def run(cfg, frames, monkeypatch, certify):
+        """Every frame's emissions, and the certificate's outcome on each solve."""
+        held = []
+        monkeypatch.setattr(association, "_unique_optimum", lambda *a: held.append(certify(*a)) or held[-1])
+        tr = Tracker(cfg)
+        return [tr.step(f, dets) for f, dets in frames], held
+
+    @pytest.mark.parametrize("emit", [False, True], ids=["emit detections", "emit predictions"])
+    @pytest.mark.parametrize("name", list(SCENES))
+    def test_generated_scene(self, name, emit, monkeypatch):
+        from headtrack.cli import RunConfig, tracker_config
+        from headtrack.dataio import SceneSpec, generate_scene, mot_to_detections
+
+        spec, keys = self.SCENES[name]
+        spec = SceneSpec(**spec)
+        scene = generate_scene(spec)
+        by_frame = mot_to_detections(scene.detections, scene.descriptors)
+        frames = [(f, by_frame.get(f, [])) for f in range(1, spec.frames + 1)]
+        cfg = tracker_config(RunConfig(min_hits=1, emit_predictions=emit, **keys))
+        certified, held = self.run(cfg, frames, monkeypatch, association._unique_optimum)
+        assert any(held)
+        assert self.run(cfg, frames, monkeypatch, lambda *a: False)[0] == certified
+        assert sum(map(len, certified)) > 100
+
+    @pytest.mark.parametrize("emit", [False, True], ids=["emit detections", "emit predictions"])
+    def test_shuffled_walkers(self, emit, monkeypatch):
+        # clutter, dropouts and detections in random order: both sides of the certificate
+        cfg = TrackerConfig(min_hits=2, patience_w=3, emit_predictions=emit,
+                            assoc=AssociationConfig(motion_scale=300.0, gate_g=0.6))
+        certify = association._unique_optimum
+        for seed in range(4):
+            frames = random_frames(seed)
+            certified, held = self.run(cfg, frames, monkeypatch, certify)
+            assert True in held and False in held
+            assert self.run(cfg, frames, monkeypatch, lambda *a: False)[0] == certified
 
 
 def test_measurement_roundtrip():
