@@ -22,7 +22,7 @@ import numpy as np
 from .config import FEATURE_KINDS, AssociationConfig
 from .geometry import HeadKeypoint
 
-_UNIT_NORM_TOL = 1e-6
+UNIT_NORM_TOL = 1e-6  # how far a unit vector's norm may be from 1
 
 
 def _as_unit(v, kind: str) -> np.ndarray:
@@ -30,7 +30,7 @@ def _as_unit(v, kind: str) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"{kind} must be a 1-d vector")
     n = math.sqrt(v @ v)  # bit for bit as np.linalg.norm of a 1-d vector
-    if not abs(n - 1.0) <= _UNIT_NORM_TOL:  # also rejects a NaN norm
+    if not abs(n - 1.0) <= UNIT_NORM_TOL:  # also rejects a NaN norm
         raise ValueError(f"{kind} must be unit-norm (got |v| = {n})")
     return v
 
@@ -193,6 +193,14 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     maximizes the number of matches, then minimizes total cost; ties are
     broken toward the lexicographically smallest (track, detection) list.
     Returned pairs never violate the gate.
+
+    A tie is judged pair by pair, not on the total. The solve's tolerance
+    is tol = 1e-9 * max(1, |encoded total of the LSA optimum|); a pair is
+    tight when its reduced cost under the optimum's duals is within tol of
+    zero, and the matchings tied with the LSA's are those of tight pairs
+    only. Such a matching may cost up to (T + D) * tol more than the LSA's,
+    so near ties of about tol are looser here than a bound of tol on the
+    total would make them.
 
     One LSA solve gives an optimal matching. When each of its pairs is
     cheaper than every other admissible entry of its row and of its column

@@ -7,16 +7,16 @@ at a time; iterating a table yields MotLine rows. Head keypoints ride in
 the trailing fields when head mode is on; plain files keep -1
 placeholders there. High-dimensional appearance descriptors live in a
 binary sidecar keyed by (frame, detection index); everything in it is
-little-endian regardless of host, and it is read into Descriptors columns.
-split_frames cuts a table and its sidecar into one tracker.Detections
-batch of columns per frame; mot_to_detections is its list form.
+little-endian regardless of host, and it is held as Descriptors columns,
+written, read and generated alike. split_frames cuts a table and its
+sidecar into one tracker.Detections batch of columns per frame;
+mot_to_detections is its list form.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import struct
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
@@ -29,7 +29,6 @@ from .config import FEATURE_KINDS
 from .geometry import BBox, HeadKeypoint, iou_matrix
 
 if TYPE_CHECKING:  # imported where they are built, so only the verbs that build them load them
-    from .association import AppearanceDescriptor
     from .tracker import Detection, Detections
 
 DESCRIPTOR_MAGIC = b"FTFV"
@@ -223,11 +222,16 @@ def _first_failure(check, texts: list[str]) -> tuple[int, str]:
     raise AssertionError("no field fails")  # pragma: no cover - callers saw one fail
 
 
+def _repeats(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """The rows whose (major, minor) key an earlier row already has, in no particular order."""
+    order = np.lexsort((minor, major))  # stable: a key's rows stay in row order
+    a, b = major[order], minor[order]
+    return order[1:][(a[1:] == a[:-1]) & (b[1:] == b[:-1])]
+
+
 def check_unique_ids(table: MotTable) -> None:
     """Raise MotParseError at the first row repeating an earlier row's (frame, id)."""
-    order = np.lexsort((table.id, table.frame))  # stable: a key's rows stay in table order
-    frame, ids = table.frame[order], table.id[order]
-    repeats = order[1:][(frame[1:] == frame[:-1]) & (ids[1:] == ids[:-1])]
+    repeats = _repeats(table.frame, table.id)
     if repeats.size:
         row = repeats.min()
         f, i = table.frame[row], table.id[row]
@@ -264,20 +268,20 @@ def _mot_text(table: MotTable) -> Iterator[str]:
         yield ("%s," * 9 + "%s\n") * len(rows) % tuple(cells)
 
 
-def _frame_split(table: MotTable, descriptors: Optional[Mapping], head_format: bool):
+def _frame_split(table: MotTable, descriptors: Optional[Descriptors], head_format: bool):
     """Check the rows and sidecar keys as columns, then cut the rows by frame.
 
     Returns ``order`` (the table's rows sorted by frame, file order within a
     frame), ``bounds`` (each frame's slice of ``order`` runs from one bound
     to the next), the frames ascending, each sorted row's sidecar record
-    (its index in ``descriptors``' order, -1 for none), and which sorted
+    (its row in ``descriptors``, -1 for none), and which sorted
     rows carry a head (head mode, trailing fields not all -1).
 
     Raises the first error of a row-by-row build: any row whose box a BBox
     rejects, in file order; then, frames ascending and rows in file order,
     a head that a HeadKeypoint rejects before a non-finite score, as
     MotParseError naming the line; then the first record, in
-    ``descriptors``' order, whose det_index its frame lacks, as ValueError.
+    ``descriptors``' row order, whose det_index its frame lacks, as ValueError.
     """
     _check_boxes(table.box)
     order = np.argsort(table.frame, kind="stable")
@@ -302,8 +306,7 @@ def _frame_split(table: MotTable, descriptors: Optional[Mapping], head_format: b
     frames = ordered[bounds[:-1]]
     record = np.full(len(order), -1)
     if descriptors:
-        keys = Descriptors.of(descriptors)
-        key_frame, key_index = keys.frame, keys.det_index
+        key_frame, key_index = descriptors.frame, descriptors.det_index
         group = np.searchsorted(frames, key_frame)
         found = group < len(frames)
         size = np.diff(bounds)[group[found]]
@@ -316,7 +319,7 @@ def _frame_split(table: MotTable, descriptors: Optional[Mapping], head_format: b
 
 
 def split_frames(
-    table: MotTable, descriptors: Optional[Mapping] = None, head_format: bool = False,
+    table: MotTable, descriptors: Optional[Descriptors] = None, head_format: bool = False,
 ) -> dict[int, Detections]:
     """One ``tracker.Detections`` batch per frame, frames ascending, each frame's rows in file order.
 
@@ -326,7 +329,6 @@ def split_frames(
     without a record is zero there. Checks as ``_frame_split`` states.
     """
     from .tracker import Detections
-    descriptors = Descriptors.of(descriptors) if descriptors else None
     order, bounds, frames, record, _ = _frame_split(table, descriptors, head_format)
     cuts = bounds[1:-1]
     boxes, scores = np.split(table.box[order], cuts), np.split(table.conf[order], cuts)
@@ -347,16 +349,20 @@ def split_frames(
 
 
 def mot_to_detections(
-    table: MotTable, descriptors: Optional[Mapping] = None, head_format: bool = False,
+    table: MotTable, descriptors: Optional[Descriptors] = None, head_format: bool = False,
 ) -> dict[int, list[Detection]]:
-    """``split_frames`` as lists of Detection, each with its head and the mapping's own descriptor."""
+    """``split_frames`` as lists of Detection, each with its head and an AppearanceDescriptor of its record."""
+    from .association import AppearanceDescriptor
     from .tracker import Detection
     order, bounds, frames, record, worn = _frame_split(table, descriptors, head_format)
     boxes = list(map(BBox, *table.box[order].T.tolist()))
     heads = [None] * len(order)
     for i in np.flatnonzero(worn).tolist():
         heads[i] = HeadKeypoint(*table.extra[order[i]].tolist())
-    values = list(descriptors.values()) if descriptors else []
+    values = []
+    if descriptors and descriptors.vectors:  # one AppearanceDescriptor per record, its kinds' rows
+        kinds = (descriptors.vectors.get(kind, repeat(None)) for kind in FEATURE_KINDS)
+        values = list(map(AppearanceDescriptor, *kinds))
     descs = [values[r] if r >= 0 else None for r in record.tolist()]
     dets = list(map(Detection, boxes, table.conf[order].tolist(), heads, descs))
     return {frame: dets[a:b] for frame, a, b in zip(frames, bounds[:-1].tolist(), bounds[1:].tolist())}
@@ -371,79 +377,72 @@ def _record_dtype(dims) -> np.dtype:
     return np.dtype([("frame", "<u4"), ("det_index", "<u4")] + kinds)
 
 
-class Descriptors(Mapping):
-    """A sidecar's records as columns: a read-only (frame, det_index) -> AppearanceDescriptor mapping.
+class Descriptors:
+    """A sidecar's records as columns.
 
     ``frame`` and ``det_index`` are the int64 keys in record order, and
     ``vectors`` maps each kind the records carry to its (n x d) float64
-    matrix of unit rows in the same order. Iteration follows record order;
-    a record's AppearanceDescriptor is built when its key is looked up.
+    matrix of unit rows in the same order.
     """
 
-    def __init__(self, frame: np.ndarray, det_index: np.ndarray, vectors: dict[str, np.ndarray]):
-        self.frame, self.det_index, self.vectors = frame, det_index, vectors
-        self._records: Optional[dict[tuple[int, int], int]] = None  # key -> record, at the first lookup
-
-    @classmethod
-    def of(cls, descriptors: Mapping) -> Descriptors:
-        """The columns of a (frame, det_index) -> AppearanceDescriptor mapping, in its order.
-
-        A kind carried by only some records, or vectors of one kind that
-        differ in length, raise ValueError.
-        """
-        if isinstance(descriptors, Descriptors):
-            return descriptors
-        vectors = {}
-        for kind in FEATURE_KINDS:
-            vecs = [getattr(d, kind) for d in descriptors.values()]
-            carried = [v for v in vecs if v is not None]
-            if carried and len(carried) < len(vecs):
-                raise ValueError(f"{kind} carried by {len(carried)} of {len(vecs)} records")
-            if len({len(v) for v in carried}) > 1:
-                raise ValueError(f"{kind} vectors differ in length")
-            if carried:
-                vectors[kind] = np.stack(carried)
-        keys = np.array(list(descriptors), np.int64).reshape(-1, 2)
-        return cls(keys[:, 0], keys[:, 1], vectors)
+    def __init__(self, frame, det_index, vectors: dict[str, np.ndarray]):
+        self.frame, self.det_index = np.asarray(frame, np.int64), np.asarray(det_index, np.int64)
+        self.vectors = {kind: np.asarray(m, dtype=float) for kind, m in vectors.items()}
+        n = len(self.frame)
+        if self.frame.shape != (n,) or self.det_index.shape != (n,) or any(
+            kind not in FEATURE_KINDS or m.shape != (n, m.shape[-1]) for kind, m in self.vectors.items()
+        ):
+            raise ValueError(f"{n} records need {n} det_index values and a {n} x d matrix per kind of "
+                             f"{FEATURE_KINDS}")
 
     def __len__(self) -> int:
         return len(self.frame)
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(self.frame.tolist(), self.det_index.tolist())
 
-    def __getitem__(self, key) -> AppearanceDescriptor:
-        from .association import AppearanceDescriptor
-        if self._records is None:
-            self._records = dict(zip(self, range(len(self))))
-        rec = self._records[key]
-        return AppearanceDescriptor(**{kind: m[rec] for kind, m in self.vectors.items()})
+def _check_records(frame: np.ndarray, index: np.ndarray, norms: dict[str, np.ndarray], tol: float) -> None:
+    """Raise ValueError at the first record that repeats a key or holds a vector off unit norm.
 
-    def values(self) -> list[AppearanceDescriptor]:
-        """Every record's descriptor in record order, built without the key index."""
-        from .association import AppearanceDescriptor
-        if not self.vectors:  # no records
-            return []
-        return list(map(AppearanceDescriptor, *(self.vectors.get(kind, repeat(None)) for kind in FEATURE_KINDS)))
-
-
-def write_descriptors(path, descriptors: Mapping) -> None:
-    """Write (frame, det_index) -> descriptor as the binary sidecar, records in mapping order.
-
-    A kind's header dimension is the length of its vectors, 0 when no
-    record carries it. A key outside u4, then the faults ``Descriptors.of``
-    names, raise ValueError.
+    A vector fails when its norm is more than ``tol`` from 1. A record's
+    repeat is named before its kinds, and its kinds in order.
     """
-    outside = next((key for key in descriptors if not 0 <= min(key) <= max(key) < 2**32), None)
-    if outside is not None:
-        raise ValueError(f"key {outside} does not fit in u4")
-    columns = Descriptors.of(descriptors)
-    dims = [columns.vectors[kind].shape[1] if kind in columns.vectors else 0 for kind in FEATURE_KINDS]
-    records = np.zeros(len(columns), _record_dtype(dims))
-    records["frame"], records["det_index"] = columns.frame, columns.det_index
-    for kind, m in columns.vectors.items():
-        records[kind] = m
-    header = _HEADER.pack(DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, *dims, len(records))
+    faults = [_repeats(frame, index)]
+    faults += [np.flatnonzero(~(np.abs(n - 1.0) <= tol)) for n in norms.values()]  # NaN fails
+    firsts = [int(rows.min()) if rows.size else len(frame) for rows in faults]
+    rec = min(firsts)
+    if rec < len(frame):
+        check = firsts.index(rec)
+        key = f"({frame[rec]},{index[rec]})"
+        if check == 0:
+            raise ValueError(f"record {rec + 1} repeats (frame, det_index) {key}")
+        kind = list(norms)[check - 1]
+        raise ValueError(f"{kind} for {key} is not unit-norm: |v|={float(norms[kind][rec])}")
+
+
+def write_descriptors(path, descriptors: Descriptors) -> None:
+    """Write the columns as the binary sidecar, records in row order.
+
+    A kind's header dimension is its matrix's width, 0 when there are no
+    records. What ``read_descriptors`` would reject raises ValueError and
+    writes nothing: the first key outside u4; records without a kind; then
+    the first record that repeats a key or whose vector is not unit-norm
+    within ``association.UNIT_NORM_TOL``.
+    """
+    from .association import UNIT_NORM_TOL, row_norms
+    frame, index, vectors = descriptors.frame, descriptors.det_index, descriptors.vectors
+    outside = (np.minimum(frame, index) < 0) | (np.maximum(frame, index) >= 2**32)
+    if outside.any():
+        rec = int(outside.argmax())
+        raise ValueError(f"key {(int(frame[rec]), int(index[rec]))} does not fit in u4")
+    n = len(descriptors)
+    if n and not vectors:
+        raise ValueError("descriptor needs at least one feature kind")
+    _check_records(frame, index, {kind: row_norms(m) for kind, m in vectors.items()}, UNIT_NORM_TOL)
+    dims = [vectors[kind].shape[1] if n and kind in vectors else 0 for kind in FEATURE_KINDS]
+    records = np.zeros(n, _record_dtype(dims))
+    records["frame"], records["det_index"] = frame, index
+    for kind in records.dtype.names[2:]:
+        records[kind] = vectors[kind]
+    header = _HEADER.pack(DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, *dims, n)
     Path(path).write_bytes(header + records.tobytes())
 
 
@@ -476,24 +475,9 @@ def read_descriptors(path) -> Descriptors:
 
     records = np.frombuffer(data, _record_dtype((dim_cls, dim_reg, dim_head)), count, _HEADER.size)
     frame, index = records["frame"].astype(np.int64), records["det_index"].astype(np.int64)
-    kinds = records.dtype.names[2:]
-    vecs = {kind: records[kind].astype(float) for kind in kinds}
+    vecs = {kind: records[kind].astype(float) for kind in records.dtype.names[2:]}
     norms = {kind: row_norms(m) for kind, m in vecs.items()}
-
-    order = np.lexsort((index, frame))  # stable: a key's records stay in file order
-    same = (frame[order][1:] == frame[order][:-1]) & (index[order][1:] == index[order][:-1])
-    failures = [order[1:][same]]
-    failures += [np.flatnonzero(~(np.abs(n - 1.0) <= 1e-4)) for n in norms.values()]  # NaN fails
-    firsts = [int(rows.min()) if rows.size else count for rows in failures]
-    rec = min(firsts)
-    if rec < count:
-        check = firsts.index(rec)
-        key = f"({frame[rec]},{index[rec]})"
-        if check == 0:
-            raise ValueError(f"record {rec + 1} repeats (frame, det_index) {key}")
-        kind = kinds[check - 1]
-        raise ValueError(f"{kind} for {key} is not unit-norm: |v|={float(norms[kind][rec])}")
-
+    _check_records(frame, index, norms, 1e-4)
     for kind, m in vecs.items():
         m /= norms[kind][:, None]
     return Descriptors(frame, index, vecs)
@@ -550,7 +534,7 @@ class SceneSpec:
 class SceneData:
     gt: MotTable
     detections: MotTable
-    descriptors: Optional[dict[tuple[int, int], AppearanceDescriptor]]  # None: descriptor_dim 0
+    descriptors: Optional[Descriptors]  # None: descriptor_dim 0
 
 
 def _gt_paths(spec: SceneSpec) -> np.ndarray:
@@ -595,7 +579,7 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     target, then detections in file order), when spawn boxes overlap, or
     when a descriptor is not unit-norm.
     """
-    from .association import AppearanceDescriptor, row_norms
+    from .association import UNIT_NORM_TOL, row_norms
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     T, F = spec.targets, spec.frames
     paths = _gt_paths(spec)
@@ -628,9 +612,13 @@ def generate_scene(spec: SceneSpec) -> SceneData:
         norms = row_norms(v)
         zero = norms <= 0.0
         v[zero], norms[zero] = bases[target[zero]], 1.0
+        v /= norms[:, None]
+        unit = row_norms(v)
+        off = ~(np.abs(unit - 1.0) <= UNIT_NORM_TOL)  # NaN fails
+        if off.any():
+            raise ValueError(f"f_cls must be unit-norm (got |v| = {float(unit[off][0])})")
         det_index = (np.cumsum(visible, axis=1) - 1)[visible]
-        keys = zip((frame + 1).tolist(), det_index.tolist())
-        descriptors = dict(zip(keys, map(AppearanceDescriptor, v / norms[:, None])))
+        descriptors = Descriptors(frame + 1, det_index, {"f_cls": v})
     gt = paths.transpose(1, 0, 2).reshape(-1, 4)
     return SceneData(
         gt=MotTable(np.repeat(np.arange(1, F + 1), T), np.tile(np.arange(1, T + 1), F), gt),

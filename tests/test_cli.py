@@ -212,10 +212,9 @@ class TestDirectorySidecars:
         for name in ("a", "b"):
             (dets_dir / f"{name}.txt").write_bytes((sim_dir / "det.txt").read_bytes())
         (feats_dir / "a.ftfv").write_bytes((sim_dir / "features.ftfv").read_bytes())
-        swapped = {
-            (f, k): AppearanceDescriptor(f_cls=np.roll(d.f_cls, 1)) if f >= 15 else d
-            for (f, k), d in read_descriptors(sim_dir / "features.ftfv").items()
-        }
+        swapped = read_descriptors(sim_dir / "features.ftfv")
+        late, f_cls = swapped.frame >= 15, swapped.vectors["f_cls"]
+        f_cls[late] = np.roll(f_cls[late], 1, axis=1)
         write_descriptors(feats_dir / "b.ftfv", swapped)
         return dets_dir, feats_dir
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from test_cli import det_texts, raw_sidecar, sidecar_bytes
 
 from headtrack import dataio
-from headtrack.association import AppearanceDescriptor
+from headtrack.association import FEATURE_KINDS, AppearanceDescriptor
 from headtrack.dataio import (
     Descriptors,
     MotLine,
@@ -153,29 +153,27 @@ class TestMotText:
 
 
 class TestDescriptorFile:
-    def unit(self, rng, dim):
-        v = rng.normal(size=dim)
-        return (v / np.linalg.norm(v)).astype("<f4").astype(float)
+    def units(self, rng, n, dim):
+        """``n`` random unit rows of ``dim``, each exact in f32."""
+        v = rng.normal(size=(n, dim))
+        return (v / np.linalg.norm(v, axis=1, keepdims=True)).astype("<f4").astype(float)
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)
-        descs = {
-            (f, i): AppearanceDescriptor(f_cls=self.unit(rng, 16), f_reg=self.unit(rng, 8))
-            for f in (1, 2)
-            for i in (0, 1)
-        }
+        vectors = {"f_cls": self.units(rng, 4, 16), "f_reg": self.units(rng, 4, 8)}
+        descs = Descriptors([1, 1, 2, 2], [0, 1, 0, 1], vectors)
         path = tmp_path / "d.ftfv"
         write_descriptors(path, descs)
         first = path.read_bytes()
         assert struct.unpack_from("<HIIIQ", first, 4) == (1, 16, 8, 0, 4)  # dimensions from the vectors
         loaded = read_descriptors(path)
-        assert list(loaded) == [(1, 0), (1, 1), (2, 0), (2, 1)]
+        assert loaded.frame.tolist() == [1, 1, 2, 2] and loaded.det_index.tolist() == [0, 1, 0, 1]
         write_descriptors(path, loaded)
         assert path.read_bytes() == first
 
     def test_little_endian_layout(self, tmp_path):
         path = tmp_path / "d.ftfv"
-        write_descriptors(path, {(7, 3): AppearanceDescriptor(f_cls=np.array([1.0]))})
+        write_descriptors(path, Descriptors([7], [3], {"f_cls": [[1.0]]}))
         raw = path.read_bytes()
         assert raw[:4] == b"FTFV"
         version, dim_cls, dim_reg, dim_head, count = struct.unpack_from("<HIIIQ", raw, 4)
@@ -185,40 +183,35 @@ class TestDescriptorFile:
         frame, det_index, value = struct.unpack_from("<IIf", raw, 26)
         assert (frame, det_index, value) == (7, 3, 1.0)
 
-    def test_no_records(self, tmp_path):
+    @pytest.mark.parametrize("vectors", [{}, {"f_cls": np.zeros((0, 4))}])
+    def test_no_records(self, tmp_path, vectors):
+        # a kind without records declares dimension 0, however wide its empty matrix
         path = tmp_path / "d.ftfv"
-        write_descriptors(path, {})
+        write_descriptors(path, Descriptors([], [], vectors))
         assert path.read_bytes() == struct.pack("<4sHIIIQ", b"FTFV", 1, 0, 0, 0, 0)
-        assert read_descriptors(path) == {}
-        assert read_descriptors(path).values() == []
+        loaded = read_descriptors(path)
+        assert len(loaded) == 0 and loaded.vectors == {}
+        assert mot_to_detections(MotTable((), (), ()), loaded) == {}
 
     def test_loaded_vectors_unit_norm(self, tmp_path):
         rng = np.random.default_rng(3)
         path = tmp_path / "d.ftfv"
-        write_descriptors(path, {(1, 0): AppearanceDescriptor(f_cls=self.unit(rng, 64))})
-        desc = read_descriptors(path)[(1, 0)]
-        assert abs(np.linalg.norm(desc.f_cls) - 1.0) < 1e-9
+        write_descriptors(path, Descriptors([1], [0], {"f_cls": self.units(rng, 1, 64)}))
+        (v,) = read_descriptors(path).vectors["f_cls"]
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-9
 
     def test_loaded_mapping_is_columns(self, tmp_path):
         rng = np.random.default_rng(4)
-        descs = {(3, 1): AppearanceDescriptor(f_cls=self.unit(rng, 4), f_head=self.unit(rng, 2)),
-                 (1, 0): AppearanceDescriptor(f_cls=self.unit(rng, 4), f_head=self.unit(rng, 2))}
+        descs = Descriptors([3, 1], [1, 0], {"f_cls": self.units(rng, 2, 4), "f_head": self.units(rng, 2, 2)})
         path = tmp_path / "d.ftfv"
         write_descriptors(path, descs)
         loaded = read_descriptors(path)
         assert isinstance(loaded, Descriptors) and len(loaded) == 2
-        assert list(loaded) == [(3, 1), (1, 0)]  # record order
-        assert loaded.frame.tolist() == [3, 1] and loaded.det_index.tolist() == [1, 0]
+        assert loaded.frame.tolist() == [3, 1] and loaded.det_index.tolist() == [1, 0]  # record order
         assert sorted(loaded.vectors) == ["f_cls", "f_head"]
         assert loaded.vectors["f_cls"].shape == (2, 4) and loaded.vectors["f_head"].shape == (2, 2)
-        assert (3, 1) in loaded and (1, 1) not in loaded and loaded.get((1, 1)) is None
-        desc = loaded[(1, 0)]  # built on lookup, from its row
-        assert desc.f_reg is None and np.array_equal(desc.f_head, loaded.vectors["f_head"][1])
-        with pytest.raises(KeyError):
-            loaded[(2, 0)]
-        assert [d.f_cls.tolist() for d in loaded.values()] == loaded.vectors["f_cls"].tolist()
-        assert Descriptors.of(loaded) is loaded
-        assert _vectors(Descriptors.of(descs)) == _vectors(descs)
+        for kind, m in descs.vectors.items():  # renormalized in float64 on the way in
+            np.testing.assert_allclose(loaded.vectors[kind], m, rtol=0, atol=1e-7)
 
     def test_non_unit_vector_rejected_on_read(self, tmp_path):
         path = raw_sidecar(tmp_path / "d.ftfv", (1, 0, 3.0))  # |v| = 3
@@ -248,20 +241,44 @@ class TestDescriptorFile:
         with pytest.raises(ValueError):
             read_descriptors(path)
 
-    @pytest.mark.parametrize("descs,message", [
-        ({(1, 0): [1.0], (1, 1): [0.0, 1.0]}, "f_cls vectors differ in length"),
-        ({(1, 0): [1.0], (2, 0): None}, "f_cls carried by 1 of 2 records"),
-        ({(1, -1): [1.0]}, r"key \(1, -1\) does not fit in u4"),
-        ({(2**32, 0): [1.0]}, r"key \(4294967296, 0\) does not fit in u4"),
+    @pytest.mark.parametrize("keys,message", [
+        ([(1, 0), (1, -1)], r"key \(1, -1\) does not fit in u4"),
+        ([(2**32, 0)], r"key \(4294967296, 0\) does not fit in u4"),
     ])
-    def test_unwritable_mapping_rejected(self, tmp_path, descs, message):
-        descs = {
-            key: AppearanceDescriptor(f_cls=v) if v is not None else AppearanceDescriptor(f_reg=[1.0])
-            for key, v in descs.items()
-        }
+    def test_unwritable_mapping_rejected(self, tmp_path, keys, message):
+        frame, det_index = zip(*keys)
+        with pytest.raises(ValueError, match=message):
+            write_descriptors(tmp_path / "d.ftfv", Descriptors(frame, det_index, {"f_cls": np.ones((len(keys), 1))}))
+        assert not (tmp_path / "d.ftfv").exists()
+
+    @pytest.mark.parametrize("keys,vectors,message", [
+        # the first failing record is named, its repeat before its kinds in order
+        ([(1, 0), (1, 1), (1, 2)], {"f_cls": [[1, 0], [0.6, 0.9], [0, 1]]},
+         r"f_cls for \(1,1\) is not unit-norm: \|v\|=1.08"),
+        ([(1, 0), (1, 1), (1, 2)], {"f_cls": [[1, 0], [0, 1], [1, 0]], "f_head": [[1, 0], [1, 0], [0.5, 0.5]]},
+         r"f_head for \(1,2\) is not unit-norm"),
+        ([(1, 0), (2, 0), (1, 0)], {"f_cls": [[1, 0], [0, 1], [0.5, 0.5]]},
+         r"record 3 repeats \(frame, det_index\) \(1,0\)"),
+        ([(1, 0), (1, 1)], {"f_cls": [[1, 0], [np.nan, 0]]}, r"f_cls for \(1,1\) is not unit-norm: \|v\|=nan"),
+        ([(1, 0)], {"f_cls": np.zeros((1, 0))}, r"f_cls for \(1,0\) is not unit-norm: \|v\|=0.0"),
+        ([(1, 0)], {}, "descriptor needs at least one feature kind"),
+    ])
+    def test_unreadable_records_not_written(self, tmp_path, keys, vectors, message):
+        frame, det_index = zip(*keys)
+        descs = Descriptors(frame, det_index, vectors)
         with pytest.raises(ValueError, match=message):
             write_descriptors(tmp_path / "d.ftfv", descs)
         assert not (tmp_path / "d.ftfv").exists()
+
+    @pytest.mark.parametrize("frame,det_index,vectors", [
+        ([1, 1], [0], {"f_cls": np.eye(2)}),
+        ([1, 1], [0, 1], {"f_cls": np.eye(2)[:1]}),  # one row would broadcast to both records
+        ([1, 1], [0, 1], {"f_cls": [1.0, 0.0]}),
+        ([1, 1], [0, 1], {"f_body": np.eye(2)}),
+    ])
+    def test_columns_checked_on_construction(self, frame, det_index, vectors):
+        with pytest.raises(ValueError, match=r"2 records need 2 det_index values and a 2 x d matrix per kind of"):
+            Descriptors(frame, det_index, vectors)
 
 
 class TestGenerateScene:
@@ -308,10 +325,36 @@ class TestGenerateScene:
         assert [l.box for l in a.detections] != [l.box for l in b.detections]
 
     def test_one_hot_descriptors_by_default(self):
-        scene = generate_scene(SceneSpec(targets=4, frames=2))
-        assert list(scene.descriptors) == [(f, k) for f in (1, 2) for k in range(4)]
-        for (f, k), desc in scene.descriptors.items():
-            assert np.array_equal(desc.f_cls, np.eye(4)[k])
+        descs = generate_scene(SceneSpec(targets=4, frames=2)).descriptors
+        assert descs.frame.tolist() == [1] * 4 + [2] * 4 and descs.det_index.tolist() == [0, 1, 2, 3] * 2
+        assert list(descs.vectors) == ["f_cls"]
+        assert np.array_equal(descs.vectors["f_cls"], np.tile(np.eye(4), (2, 1)))
+
+    @pytest.mark.parametrize("spec", [
+        SceneSpec(targets=5, motion="crossing", frames=30, noise_std=1.0, feat_noise_std=0.2, descriptor_dim=16,
+                  seed=9, occlusions=((2, 5, 12), (4, 1, 30))),
+        SceneSpec(targets=3, frames=6, feat_noise_std=0.1, seed=2),  # one-hot
+        SceneSpec(targets=2, motion="crossing", frames=4, box_height=1.0, occlusions=((1, 1, 4), (2, 1, 4))),
+    ], ids=["occluded", "one-hot", "all occluded"])
+    def test_sidecar_round_trip(self, tmp_path, spec):
+        scene = generate_scene(spec)
+        path = tmp_path / "features.ftfv"
+        write_descriptors(path, scene.descriptors)
+        loaded = read_descriptors(path)
+        # each record of the file is one detection line of its frame, in file order
+        lines = scene.detections.frame
+        assert loaded.frame.tolist() == scene.descriptors.frame.tolist() == lines.tolist()
+        assert loaded.det_index.tolist() == scene.descriptors.det_index.tolist()
+        assert loaded.det_index.tolist() == [int((lines[:k] == f).sum()) for k, f in enumerate(lines)]
+        if not len(lines):
+            assert path.stat().st_size == 26 and loaded.vectors == {}
+            return
+        want = scene.descriptors.vectors["f_cls"]
+        assert list(loaded.vectors) == ["f_cls"]
+        np.testing.assert_allclose(loaded.vectors["f_cls"], want, rtol=0, atol=1e-7)
+        record = np.dtype([("frame", "<u4"), ("det_index", "<u4"), ("f_cls", "<f4", (want.shape[1],))])
+        stored = np.frombuffer(path.read_bytes(), record, offset=26)["f_cls"]
+        assert np.array_equal(stored, want.astype("<f4"))
 
     def test_overlapping_spawn_rejected(self):
         spec = SceneSpec(targets=8, motion="crossing", frames=10, box_height=900.0)
@@ -438,14 +481,13 @@ class TestMotToDetections:
         )
         e = np.zeros(4)
         e[1] = 1.0
-        from headtrack.association import AppearanceDescriptor
-
-        desc = {(1, 1): AppearanceDescriptor(f_cls=e)}
-        frames = mot_to_detections(lines, desc)
+        frames = mot_to_detections(lines, Descriptors([1], [1], {"f_cls": [e]}))
         assert sorted(frames) == [1, 2]
         assert len(frames[1]) == 2
         assert frames[1][0].descriptor is None
-        assert frames[1][1].descriptor is desc[(1, 1)]
+        desc = frames[1][1].descriptor
+        assert isinstance(desc, AppearanceDescriptor) and np.array_equal(desc.f_cls, e)
+        assert desc.f_reg is None and desc.f_head is None
         assert frames[2][0].score == 0.7
 
     def test_file_order_kept_with_real_ids(self, tmp_path):
@@ -461,8 +503,7 @@ class TestMotToDetections:
             ]
         )
         basis = np.eye(3)
-        descs = {(1, k): AppearanceDescriptor(f_cls=basis[k]) for k in range(3)}
-        descs[2, 1] = AppearanceDescriptor(f_cls=basis[2])
+        descs = Descriptors([1, 1, 1, 2], [0, 1, 2, 1], {"f_cls": basis[[0, 1, 2, 2]]})
         path = tmp_path / "dets.ftfv"
         write_descriptors(path, descs)
         frames = mot_to_detections(lines, read_descriptors(path))
@@ -486,8 +527,7 @@ class TestMotToDetections:
         )
         basis = np.eye(3)
         path = tmp_path / "dets.ftfv"
-        write_descriptors(path, {(2, 1): AppearanceDescriptor(f_cls=basis[2]),
-                                 (1, 0): AppearanceDescriptor(f_cls=basis[0])})
+        write_descriptors(path, Descriptors([2, 1], [1, 0], {"f_cls": basis[[2, 0]]}))
         descriptors = read_descriptors(path)
         batches, lists = split_frames(lines, descriptors), mot_to_detections(lines, descriptors)
         assert list(batches) == list(lists) == [1, 2, 3]
@@ -504,7 +544,8 @@ class TestMotToDetections:
     @pytest.mark.parametrize("keys", [[(1, 0), (2, 2)], [(4, 0)], [(0, 0)], [(2, -1)]])
     def test_record_without_detection_rejected(self, keys):
         lines = parse_mot(["1,-1,0,0,10,20,0.9,-1,-1,-1", "2,-1,2,0,10,20,0.7,-1,-1,-1", "2,-1,9,0,10,20,0.7,-1,-1,-1"])
-        descs = {key: AppearanceDescriptor(f_cls=[1.0]) for key in keys}
+        frame, det_index = zip(*keys)
+        descs = Descriptors(frame, det_index, {"f_cls": np.ones((len(keys), 1))})
         orphan = keys[-1]
         for split in (split_frames, mot_to_detections):
             with pytest.raises(ValueError, match=rf"record \({orphan[0]},{orphan[1]}\) names no detection line"):
@@ -544,11 +585,17 @@ def _rows(lines):
     return [repr((l.frame, l.id, l.box, l.conf, tuple(l.extra), l.lineno)) for l in lines]
 
 
-def _vectors(descriptors):
-    return [
-        (key, [None if getattr(d, k) is None else getattr(d, k).tobytes() for k in ("f_cls", "f_reg", "f_head")])
-        for key, d in descriptors.items()
-    ]
+def _vectors(descriptors: Descriptors):
+    """Each record's key and the bytes of its kinds' rows, None for a kind the records lack."""
+    kinds = [descriptors.vectors.get(k) for k in FEATURE_KINDS]
+    keys = zip(descriptors.frame.tolist(), descriptors.det_index.tolist())
+    return [(key, [None if m is None else m[r].tobytes() for m in kinds]) for r, key in enumerate(keys)]
+
+
+def _record_vectors(records: dict):
+    """``_vectors`` of the oracle's (frame, det_index) -> AppearanceDescriptor dict."""
+    return [(key, [None if getattr(d, k) is None else getattr(d, k).tobytes() for k in FEATURE_KINDS])
+            for key, d in records.items()]
 
 
 MIXED_FAULTS = [
@@ -643,6 +690,6 @@ class TestOracles:
         path.write_bytes(data)
         got, want = (_outcome(read, path) for read in (read_descriptors, mot_oracle.read_descriptors))
         if want[0] == "ok":
-            want = ("ok", _vectors(want[1]))
+            want = ("ok", _record_vectors(want[1]))
             got = (got[0], _vectors(got[1])) if got[0] == "ok" else got
         assert got == want
