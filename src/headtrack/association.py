@@ -188,29 +188,35 @@ def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
 def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     """Minimum-cost one-to-one matching restricted to admissible pairs.
 
-    Gated-out pairs keep their matrix slot but are encoded as forbidden,
-    so index mapping is preserved. Among admissible pairs the solver first
-    maximizes the number of matches, then minimizes total cost; ties are
-    broken toward the lexicographically smallest (track, detection) list.
-    Returned pairs never violate the gate.
+    Among admissible pairs the solver first maximizes the number of
+    matches, then minimizes total cost; ties are broken toward the
+    lexicographically smallest (track, detection) list. Returned pairs
+    never violate the gate.
+
+    Admissible costs are shifted to [0, span]. Gated-out slots of the
+    tracks x detections block cost ``barred``, more than all admissible
+    pairs together, so one LSA solve on the block holds as few of them as
+    it can: its admissible pairs are a maximum-cardinality matching of
+    least cost. Raises ValueError when the span is too wide for ``barred``
+    to stay finite.
 
     A tie is judged pair by pair, not on the total. The solve's tolerance
-    is tol = 1e-9 * max(1, |encoded total of the LSA optimum|); a pair is
-    tight when its reduced cost under the optimum's duals is within tol of
-    zero, and the matchings tied with the LSA's are those of tight pairs
-    only. Such a matching may cost up to (T + D) * tol more than the LSA's,
-    so near ties of about tol are looser here than a bound of tol on the
-    total would make them.
+    is tol = 1e-9 * max(1, |total|), where the total is the shifted cost
+    of the matched pairs plus ``unmatch`` = min(T, D) * span + 1 per
+    unmatched track and per unmatched detection. A pair is tight when its
+    reduced cost under the optimum's duals is within tol of zero, and the
+    matchings tied with the LSA's are those of tight pairs only. Such a
+    matching may cost up to (T + D) * tol more than the LSA's, so near ties
+    of about tol are looser here than a bound of tol on the total would
+    make them.
 
-    One LSA solve gives an optimal matching. When each of its pairs is
-    cheaper than every other admissible entry of its row and of its column
-    by more than ``_UNIQUE_MARGIN`` times T + D times the solve's tolerance,
-    that matching is the only optimum and is returned as it is
-    (``_unique_optimum``). Otherwise its duals mark the tight
-    (zero-reduced-cost) pairs, whose perfect matchings are exactly the
-    optimal ones, and the tie-break walks the tracks in order, moving each
-    to the smallest tight detection an alternating path can free
-    (``_tie_break``).
+    When each matched pair is cheaper than every other admissible entry of
+    its row and of its column by more than ``_UNIQUE_MARGIN`` times T + D
+    times tol, the LSA's matching is the only optimum and is returned as it
+    is (``_unique_optimum``). Otherwise the tie-break runs on the square
+    (T + D) encoding, whose per-track and per-detection dummy slots cost
+    ``unmatch`` and make "leave unmatched" explicit, starting from the
+    LSA's optimum carried over to it (``_tie_break``).
     """
     T, D = c.values.shape
     if T == 0 or D == 0:
@@ -219,33 +225,42 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     if not admissible.any():
         return []
 
-    # Square encoding: per-row / per-column dummy slots make "leave
-    # unmatched" explicit, so forbidden pairs need no huge sentinels.
-    # Admissible costs are shifted to [0, span]. One more match saves two
-    # dummy slots and adds at most min(T, D) * span of pair cost along its
-    # augmenting path, so with unmatch above that every optimum has maximum
-    # cardinality; among equal cardinalities the shift changes nothing.
     values = c.values
     kept = values[admissible]
     lo = min(float(kept.min()), 0.0)
-    if lo < 0.0:
-        values = values - lo
-    unmatch = min(T, D) * (float(kept.max()) - lo) + 1.0
+    hi = float(kept.max())
+    # one more match saves two unmatch costs and adds at most min(T, D) * span of
+    # pair cost along its augmenting path; barred outweighs every admissible matching
+    unmatch = min(T, D) * (hi - lo) + 1.0
     barred = (T + D + 1.0) * (unmatch + 1.0)
-    n = T + D
-    enc = np.full((n, n), barred)
-    enc[:T, :D] = np.where(admissible, values, barred)
-    np.fill_diagonal(enc[:T, D:], unmatch)
-    np.fill_diagonal(enc[T:, :D], unmatch)
-    enc[T:, D:] = 0.0
+    if not math.isfinite(barred):  # a finite barred bounds unmatch, the total and tol
+        raise ValueError(f"admissible costs span {lo} to {hi}, too wide to encode as a {T} x {D} assignment")
+    if lo < 0.0:
+        with np.errstate(over="ignore"):  # gated-out costs may overflow; they are barred
+            values = values - lo
+    block = np.where(admissible, values, barred)
 
-    rows, col = linear_sum_assignment(enc)
-    base = enc[rows, col]
+    rows, cols = linear_sum_assignment(block)
+    paired = admissible[rows, cols]
+    rows, cols = rows[paired], cols[paired]
+    # the square encoding's optimum and its costs, row by row: tracks, then detection slots
+    col = np.arange(D, D + T)  # an unmatched track takes its own slot
+    col[rows] = cols
+    base = np.full(T + D, unmatch)
+    base[rows] = block[rows, cols]
+    base[T + cols] = 0.0  # a matched detection's slot row takes its track's slot
     tol = 1e-9 * max(1.0, abs(float(base.sum())))
-    if _unique_optimum(enc[:T, :D], col[:T], base[:T], _UNIQUE_MARGIN * n * tol):
+    if _unique_optimum(block, col, base[:T], _UNIQUE_MARGIN * (T + D) * tol):
         col = col.tolist()
     else:
-        col = _tie_break(enc, col, base, T, D, tol)
+        slot = np.arange(D)  # an unmatched detection's slot row takes its own column,
+        slot[cols] = D + rows  # a matched one its track's slot
+        enc = np.full((T + D, T + D), barred)
+        enc[:T, :D] = block
+        np.fill_diagonal(enc[:T, D:], unmatch)
+        np.fill_diagonal(enc[T:, :D], unmatch)
+        enc[T:, D:] = 0.0
+        col = _tie_break(enc, np.concatenate([col, slot]), base, T, D, tol)
     return [(i, col[i]) for i in range(T) if col[i] < D]
 
 
@@ -254,21 +269,20 @@ _UNIQUE_MARGIN = 4.0
 
 
 def _unique_optimum(real: np.ndarray, col: np.ndarray, base: np.ndarray, delta: float) -> bool:
-    """Whether the LSA's real pairs are the only optimal matching, with room to spare.
+    """Whether the LSA's pairs are the only optimal matching, with room to spare.
 
-    ``real`` is the encoded tracks x detections block, whose barred entries
-    lie far above any pair plus ``delta``; ``col`` and ``base`` are each track
-    row's LSA column and cost. True when every real pair undercuts every
-    other entry of its row and of its column by more than ``delta``. Any
-    other matching of the same size then costs more than ``delta`` extra: it
-    differs by alternating cycles and even paths (maximality rules out odd
-    ones), and each of its edges in them shares a column, or a row for paths
-    that start at a column, with a distinct pair of ours. The tie-break only
+    ``real`` is the shifted tracks x detections block, whose barred entries
+    lie far above any pair plus ``delta``; ``col`` holds each track's
+    detection, or a value of at least D when it is unmatched, and ``base``
+    each track's cost. True when every pair undercuts every other entry of
+    its row and of its column by more than ``delta``. Any other matching of
+    the same size then costs more than ``delta`` extra: it differs by
+    alternating cycles and even paths (maximality rules out odd ones), and
+    each of its edges in them shares a column, or a row for paths that
+    start at a column, with a distinct pair of ours. The tie-break only
     flips alternating cycles of tight pairs, which cost at most n * tol
     extra, so for delta >= n * tol it would move nothing.
     """
-    if not math.isfinite(delta):
-        return False
     matched = (col < real.shape[1]).nonzero()[0]
     near = base[matched] + delta
     # each pair counts itself once in its row and once in its column
@@ -280,9 +294,11 @@ def _unique_optimum(real: np.ndarray, col: np.ndarray, base: np.ndarray, delta: 
 def _tie_break(enc: np.ndarray, col: np.ndarray, base: np.ndarray, T: int, D: int, tol: float) -> list:
     """The lexicographically smallest optimal matching, as each row's column.
 
-    Starts from the LSA's optimum ``col`` on the square encoding ``enc``,
-    whose pair costs are ``base``; pairs whose reduced costs are within
-    ``tol`` of zero count as tight.
+    Starts from an optimum ``col`` of the square encoding ``enc``, whose
+    rows are the T tracks and then the D detection slots, and whose pair
+    costs are ``base``; pairs whose reduced costs are within ``tol`` of zero
+    count as tight. In exact arithmetic every optimum gives the same tight
+    matchings: the optimal ones.
     """
     n = len(col)
     # Column potentials v are shortest distances over columns, where moving

@@ -184,7 +184,10 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
         while f <= busy:
             if not tracking.live:  # a step would only move the frame: skip to the detections
                 f = busy
-            out += [(f, tid, box) for tid, box in tracking.step(f, frames.get(f, empty))]
+            try:
+                out += [(f, tid, box) for tid, box in tracking.step(f, frames.get(f, empty))]
+            except ValueError as exc:  # costs the assignment cannot encode
+                raise ConfigError(f"{dets_path}: frame {f}: {exc}") from None
             f += 1
     dataio.write_mot(out_path, dataio.MotTable.from_rows(out))
 

@@ -480,6 +480,17 @@ class TestExtremeValuesQuiet:
             2, "headtrack: h_min 1e+156 makes the measurement variance inf, outside (0, inf)\n")
         assert not out.exists()
 
+    def test_track_cost_span_too_wide(self, sim_dir, tmp_path, capsys):
+        # a gate near the float limit admits motion costs whose span the assignment cannot encode
+        out = tmp_path / "o.txt"
+        det = sim_dir / "det.txt"
+        args = ["track", "--dets", str(det), "--out", str(out), "--gate-g", "1e308", "--motion-scale", "1e-306"]
+        code, err = self.run(args, capsys)
+        assert code == 2
+        assert err.startswith(f"headtrack: {det}: frame 2: admissible costs span 0.0 to ")
+        assert err.endswith(", too wide to encode as a 4 x 4 assignment\n")
+        assert not out.exists()
+
     def test_se3_linear_centres_near_limit(self, tmp_path, capsys):
         rows = ["1,5,1e308,0,40,80,1,-1,-1,-1", "2,5,-1e308,0,40,80,1,-1,-1,-1",
                 "4,5,1e308,0,40,80,1,-1,-1,-1"]
