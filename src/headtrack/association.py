@@ -129,19 +129,27 @@ def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: Ass
     """
     T, D = len(trk_xy), len(det_xy)
 
-    acc, total_w = np.zeros((2, T, D))
+    acc = total_w = 0.0  # scalars until a kind both sides carry adds its (T, D) terms
     for kind, w in zip(FEATURE_KINDS, cfg.feature_weights):
         if w == 0.0 or kind not in trk_feats or kind not in det_feats:
             continue
         (p, has_p), (q, has_q) = trk_feats[kind], det_feats[kind]
-        if not (has_p.any() and has_q.any()):
+        n_p, n_q = np.count_nonzero(has_p), np.count_nonzero(has_q)
+        if not (n_p and n_q):
             continue
         if p.shape[1] != q.shape[1]:
             raise ValueError(f"{kind} dimension mismatch: {sorted({p.shape[1:], q.shape[1:]})}")
-        shared = has_p[:, None] & has_q
-        acc += np.where(shared, w * (1.0 - p @ q.T), 0.0)
-        total_w += np.where(shared, w, 0.0)
-    app = np.divide(acc, total_w, out=np.zeros((T, D)), where=total_w > 0.0)
+        cos = w * (1.0 - p @ q.T)
+        if n_p == T and n_q == D:  # every pair shares the kind
+            acc, total_w = acc + cos, total_w + w
+        else:
+            shared = has_p[:, None] & has_q
+            acc = acc + np.where(shared, cos, 0.0)
+            total_w = total_w + np.where(shared, w, 0.0)
+    if np.ndim(total_w):  # pairs share different kinds; one that shares none keeps app = 0
+        app = np.divide(acc, total_w, out=np.zeros((T, D)), where=total_w > 0.0)
+    else:  # every pair shares the same kinds, or none
+        app = acc / total_w if total_w else 0.0
     # centres far apart cost inf (nan at w_mot = 0), which the gate rejects
     with np.errstate(over="ignore", invalid="ignore"):
         dx, dy = trk_xy[:, :1] - det_xy[:, 0], trk_xy[:, 1:] - det_xy[:, 1]
@@ -185,13 +193,16 @@ def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
     return _lsap()(cost, maximize=maximize)
 
 
-def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
+def solve_assignment(c: CostMatrix, as_array: bool = False) -> list[tuple[int, int]] | np.ndarray:
     """Minimum-cost one-to-one matching restricted to admissible pairs.
 
-    Among admissible pairs the solver first maximizes the number of
-    matches, then minimizes total cost; ties are broken toward the
-    lexicographically smallest (track, detection) list. Returned pairs
-    never violate the gate.
+    Returns the (track, detection) pairs in track order: a list of tuples,
+    or with ``as_array`` the same pairs as a (K, 2) index array, whose
+    transpose is the tracks and their detections as two arrays (the form
+    ``Tracker.step`` uses). Among admissible pairs the solver first
+    maximizes the number of matches, then minimizes total cost; ties are
+    broken toward the lexicographically smallest (track, detection) list.
+    Returned pairs never violate the gate.
 
     Admissible costs are shifted to [0, span]. Gated-out slots of the
     tracks x detections block cost ``barred``, more than all admissible
@@ -218,12 +229,16 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     ``unmatch`` and make "leave unmatched" explicit, starting from the
     LSA's optimum carried over to it (``_tie_break``).
     """
+    rows, cols = _solve(c)
+    return np.array((rows, cols)).T if as_array else list(zip(rows.tolist(), cols.tolist()))
+
+
+def _solve(c: CostMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_assignment``'s matched tracks, ascending, and their detections."""
     T, D = c.values.shape
-    if T == 0 or D == 0:
-        return []
     admissible = c.gate_mask & np.isfinite(c.values)
-    if not admissible.any():
-        return []
+    if not np.count_nonzero(admissible):  # no tracks, no detections, or nothing passes the gate
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
 
     values = c.values
     kept = values[admissible]
@@ -241,27 +256,29 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     block = np.where(admissible, values, barred)
 
     rows, cols = linear_sum_assignment(block)
-    paired = admissible[rows, cols]
-    rows, cols = rows[paired], cols[paired]
+    cost = block[rows, cols]
+    paired = cost < barred  # every admissible cost lies below barred
+    if np.count_nonzero(paired) < len(paired):
+        rows, cols, cost = rows[paired], cols[paired], cost[paired]
     # the square encoding's optimum and its costs, row by row: tracks, then detection slots
     col = np.arange(D, D + T)  # an unmatched track takes its own slot
     col[rows] = cols
     base = np.full(T + D, unmatch)
-    base[rows] = block[rows, cols]
+    base[rows] = cost
     base[T + cols] = 0.0  # a matched detection's slot row takes its track's slot
     tol = 1e-9 * max(1.0, abs(float(base.sum())))
     if _unique_optimum(block, col, base[:T], _UNIQUE_MARGIN * (T + D) * tol):
-        col = col.tolist()
-    else:
-        slot = np.arange(D)  # an unmatched detection's slot row takes its own column,
-        slot[cols] = D + rows  # a matched one its track's slot
-        enc = np.full((T + D, T + D), barred)
-        enc[:T, :D] = block
-        np.fill_diagonal(enc[:T, D:], unmatch)
-        np.fill_diagonal(enc[T:, :D], unmatch)
-        enc[T:, D:] = 0.0
-        col = _tie_break(enc, np.concatenate([col, slot]), base, T, D, tol)
-    return [(i, col[i]) for i in range(T) if col[i] < D]
+        return rows, cols
+    slot = np.arange(D)  # an unmatched detection's slot row takes its own column,
+    slot[cols] = D + rows  # a matched one its track's slot
+    enc = np.full((T + D, T + D), barred)
+    enc[:T, :D] = block
+    np.fill_diagonal(enc[:T, D:], unmatch)
+    np.fill_diagonal(enc[T:, :D], unmatch)
+    enc[T:, D:] = 0.0
+    col = np.array(_tie_break(enc, np.concatenate([col, slot]), base, T, D, tol)[:T])
+    rows = np.flatnonzero(col < D)
+    return rows, col[rows]
 
 
 # delta = _UNIQUE_MARGIN * n * tol; any margin >= 1 is exact, 4 leaves room for rounding
@@ -271,24 +288,26 @@ _UNIQUE_MARGIN = 4.0
 def _unique_optimum(real: np.ndarray, col: np.ndarray, base: np.ndarray, delta: float) -> bool:
     """Whether the LSA's pairs are the only optimal matching, with room to spare.
 
-    ``real`` is the shifted tracks x detections block, whose barred entries
-    lie far above any pair plus ``delta``; ``col`` holds each track's
-    detection, or a value of at least D when it is unmatched, and ``base``
-    each track's cost. True when every pair undercuts every other entry of
-    its row and of its column by more than ``delta``. Any other matching of
-    the same size then costs more than ``delta`` extra: it differs by
-    alternating cycles and even paths (maximality rules out odd ones), and
-    each of its edges in them shares a column, or a row for paths that
-    start at a column, with a distinct pair of ours. The tie-break only
-    flips alternating cycles of tight pairs, which cost at most n * tol
-    extra, so for delta >= n * tol it would move nothing.
+    ``real`` is the shifted tracks x detections block, finite, whose barred
+    entries lie far above any pair plus ``delta``; ``col`` holds each
+    track's detection, or a distinct value in [D, D + T) when it is
+    unmatched, and ``base`` each track's cost. True when every pair
+    undercuts every other entry of its row and of its column by more than
+    ``delta``. Any other matching of the same size then costs more than
+    ``delta`` extra: it differs by alternating cycles and even paths
+    (maximality rules out odd ones), and each of its edges in them shares a
+    column, or a row for paths that start at a column, with a distinct pair
+    of ours. The tie-break only flips alternating cycles of tight pairs,
+    which cost at most n * tol extra, so for delta >= n * tol it would move
+    nothing.
     """
-    matched = (col < real.shape[1]).nonzero()[0]
-    near = base[matched] + delta
-    # each pair counts itself once in its row and once in its column
-    in_rows = (real[matched] <= near[:, None]).sum()
-    in_cols = (real[:, col[matched]] <= near).sum()
-    return int(in_rows + in_cols) == 2 * len(matched)
+    T, D = real.shape
+    matched = col < D
+    near = np.where(matched, base + delta, -np.inf)  # each row's bound, none for an unmatched track
+    bound = np.full(T + D, -np.inf)
+    bound[col] = near  # each column's bound: its track's; slots past D are never read
+    # an entry within the bound of its row or of its column: only the pairs themselves may be
+    return np.count_nonzero(real <= np.maximum(near[:, None], bound[:D])) == np.count_nonzero(matched)
 
 
 def _tie_break(enc: np.ndarray, col: np.ndarray, base: np.ndarray, T: int, D: int, tol: float) -> list:

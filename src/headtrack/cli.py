@@ -136,21 +136,28 @@ def tracker_config(cfg: RunConfig) -> TrackerConfig:
         raise ConfigError(f"key motion_scale: expected >= 0 (0 is the image diagonal), got {scale}")
     if scale == 0.0:
         scale = float(np.hypot(cfg.image_width, cfg.image_height))
+    keys = _keys_set(cfg, "w_app w_mot lambda_cls lambda_reg lambda_head gate_g")
+    assoc = _located(keys, lambda: AssociationConfig(
+        w_app=cfg.w_app,
+        w_mot=cfg.w_mot,
+        feature_weights=(cfg.lambda_cls, cfg.lambda_reg, cfg.lambda_head),
+        gate_g=cfg.gate_g,
+        motion_scale=scale,
+    ))
     return TrackerConfig(
         patience_w=cfg.patience_w,
         init_score_min=cfg.init_score_min,
         min_hits=cfg.min_hits,
         emit_predictions=cfg.emit_predictions,
         descriptor_momentum=cfg.descriptor_momentum,
-        assoc=AssociationConfig(
-            w_app=cfg.w_app,
-            w_mot=cfg.w_mot,
-            feature_weights=(cfg.lambda_cls, cfg.lambda_reg, cfg.lambda_head),
-            gate_g=cfg.gate_g,
-            motion_scale=scale,
-        ),
+        assoc=assoc,
         noise=KalmanConfig(h_min=cfg.h_min),
     )
+
+
+def _keys_set(cfg: RunConfig, keys: str) -> str:
+    """Those of ``keys`` that ``cfg`` sets away from their defaults, as an error names them."""
+    return "key " + ", ".join(k for k in keys.split() if getattr(cfg, k) != getattr(RunConfig, k))
 
 
 # -- verbs ---------------------------------------------------------------------
@@ -217,7 +224,8 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
     from . import lifting
     table = _located(args.input, lambda: dataio.parse_mot(args.input))
     _located(args.input, lambda: dataio.check_unique_ids(table))
-    lcfg = LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std)
+    lcfg = _located(_keys_set(cfg, "se3_process_std se3_meas_std"),
+                    lambda: LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std))
     frames, boxes = table.frame.tolist(), table.bboxes()
     filled_rows: list[tuple[int, int, BBox]] = []  # observed rows are written back as parsed
     for tid, rows in table.groups("id"):
@@ -241,6 +249,8 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     res_table = _located(args.result, lambda: dataio.parse_mot(args.result))
     _located(args.gt, lambda: dataio.check_unique_ids(gt_table))
     _located(args.result, lambda: dataio.check_unique_ids(res_table))
+    if not len(gt_table):
+        raise ConfigError(f"{args.gt}: empty ground truth: MOTA undefined")
     report = metrics.evaluate(metrics.EvalTables(gt_table, res_table), iou_threshold=cfg.iou_threshold)
     print(f"MOTA={report.mota:.6f}")
     print(f"IDF1={report.idf1:.6f}")
@@ -369,8 +379,12 @@ def cmd_assign(args, cfg: RunConfig) -> int:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # read signed float literals, exponents included, as values
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # read what float() reads after a minus as a value: digits (with single
+        # underscores between them), an exponent, or inf, infinity and nan in any case
+        digits = r"\d(?:_?\d)*"
+        self._negative_number_matcher = re.compile(
+            rf"^-(?:(?:{digits}(?:\.(?:{digits})?)?|\.{digits})(?:[eE][-+]?{digits})?|(?i:inf|infinity|nan))$"
+        )
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -183,7 +183,8 @@ def iterated_update(
 # coordinate with its own velocity, and Q, R and the birth covariance repeat one
 # number on all four. So N filters are (N, 8) states and (N, 3) rows (p, c, v);
 # the forms below redo the matrix forms' arithmetic in order, bit for bit (C pow
-# squares, ``np.float_power``, as ``**`` on a Python float).
+# squares, ``np.float_power``, as ``**`` on a Python float), each writing its
+# results once into new arrays.
 Rows = tuple[np.ndarray, np.ndarray]
 
 
@@ -201,20 +202,32 @@ def initiate_rows(z: np.ndarray, cfg: KalmanConfig) -> Rows:
 def predict_rows(x: np.ndarray, pcv: np.ndarray, cfg: KalmanConfig) -> Rows:
     """``predict`` of each row with its own model; a p rounded below 0 becomes 0."""
     h = np.maximum(x[:, 3], cfg.h_min)
-    p, c, v = pcv.T
-    x = np.hstack([x[:, :MEAS_DIM] + x[:, MEAS_DIM:], x[:, MEAS_DIM:]])
-    x[:, 3] = np.maximum(x[:, 3], cfg.h_min)
-    pos2, vel2 = np.float_power([cfg.pos_std_weight * h, cfg.vel_std_weight * h], 2)
-    return x, np.column_stack([np.maximum(((p + c) + (c + v)) + pos2, 0.0), c + v, v + vel2])
+    p, c, v = pcv[:, 0], pcv[:, 1], pcv[:, 2]
+    x_out, pcv_out = x.copy(), np.empty_like(pcv)
+    x_out[:, :MEAS_DIM] += x[:, MEAS_DIM:]
+    np.maximum(x_out[:, 3], cfg.h_min, out=x_out[:, 3])
+    pp = np.add(p, c, out=pcv_out[:, 0])
+    pp += np.add(c, v, out=pcv_out[:, 1])
+    pp += np.float_power(cfg.pos_std_weight * h, 2)
+    np.maximum(pp, 0.0, out=pp)
+    np.add(v, np.float_power(cfg.vel_std_weight * h, 2), out=pcv_out[:, 2])
+    return x_out, pcv_out
 
 
 def update_rows(x: np.ndarray, pcv: np.ndarray, z: np.ndarray, cfg: KalmanConfig) -> Rows:
     """``update`` of each row by its row of ``z``; S = p + r >= (meas * h_min)^2 > 0."""
-    p, c, v = pcv.T
-    l = np.sqrt(p + np.float_power(cfg.meas_std_weight * np.maximum(x[:, 3], cfg.h_min), 2))
-    k_pos, k_vel = p * (1 / l) * (1 / l), c * (1 / l) * (1 / l)
+    p, c, v = pcv[:, 0], pcv[:, 1], pcv[:, 2]
+    il = 1 / np.sqrt(p + np.float_power(cfg.meas_std_weight * np.maximum(x[:, 3], cfg.h_min), 2))
+    k_pos, k_vel = p * il * il, c * il * il
     y = z - x[:, :MEAS_DIM]
-    x = np.hstack([x[:, :MEAS_DIM] + k_pos[:, None] * y, x[:, MEAS_DIM:] + k_vel[:, None] * y])
-    x[:, 3] = np.maximum(x[:, 3], cfg.h_min)
-    c_post = 0.5 * ((1 - k_pos) * c + (c - k_vel * p))
-    return x, np.column_stack([(1 - k_pos) * p, c_post, v - k_vel * c])
+    x_out, pcv_out = x.copy(), np.empty_like(pcv)
+    x_out[:, :MEAS_DIM] += k_pos[:, None] * y
+    x_out[:, MEAS_DIM:] += k_vel[:, None] * y
+    np.maximum(x_out[:, 3], cfg.h_min, out=x_out[:, 3])
+    kept = 1 - k_pos
+    np.multiply(kept, p, out=pcv_out[:, 0])
+    c_post = np.multiply(kept, c, out=pcv_out[:, 1])
+    c_post += c - k_vel * p
+    c_post *= 0.5
+    np.subtract(v, k_vel * c, out=pcv_out[:, 2])
+    return x_out, pcv_out

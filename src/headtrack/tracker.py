@@ -15,6 +15,7 @@ list of Detection, which ``step`` stacks into one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -142,12 +143,13 @@ class Tracker:
         batch = Detections.stack(listed, cfg.assoc) if listed is not None else detections
 
         self.x, self.pcv = kalman.predict_rows(self.x, self.pcv, cfg.noise)
-        self._keep(np.isfinite(self.x).all(axis=1) & np.isfinite(self.pcv).all(axis=1))
+        if not math.isfinite(self.x.sum() + self.pcv.sum()):  # a finite sum has finite terms only
+            self._keep(np.isfinite(self.x).all(axis=1) & np.isfinite(self.pcv).all(axis=1))
 
         z = measurements(batch.boxes)
         det_feats = {kind: f for kind, f in batch.feats.items() if self._weights[kind]}
         cost = build_cost_matrix(self.x[:, :2], self.feats, z[:, :2], det_feats, cfg.assoc)
-        rows, cols = np.array(solve_assignment(cost), dtype=int).reshape(-1, 2).T
+        rows, cols = solve_assignment(cost, as_array=True).T
 
         if rows.size:
             self.x[rows], self.pcv[rows] = kalman.update_rows(self.x[rows], self.pcv[rows], z[cols], cfg.noise)
@@ -160,18 +162,18 @@ class Tracker:
         det[rows] = cols
         fresh = batch.scores >= cfg.init_score_min
         fresh[cols] = False
-        if fresh.any():
+        if np.count_nonzero(fresh):
             new = np.flatnonzero(fresh)
             self._spawn(new, z, det_feats)
             det = np.concatenate([det, new])
 
         out = []
         emit = np.flatnonzero(self.hits >= cfg.min_hits)
+        xywh = batch.boxes.tolist() if listed is None else None
         for i, j in zip(emit.tolist(), det[emit].tolist()):
             if j >= 0:
                 self.live[i].status = CONFIRMED
-                box = listed[j].bbox if listed is not None else BBox(*batch.boxes[j].tolist())
-                out.append((self.live[i].id, box))
+                out.append((self.live[i].id, listed[j].bbox if xywh is None else BBox(*xywh[j])))
             elif cfg.emit_predictions and self.misses[i] < cfg.patience_w:
                 out.append((self.live[i].id, bbox_from_state(self.x[i])))
         self._keep(self.misses < cfg.patience_w)
@@ -181,7 +183,7 @@ class Tracker:
 
     def _keep(self, keep: np.ndarray) -> None:
         """Remove the live rows where ``keep`` is False."""
-        if keep.all():
+        if np.count_nonzero(keep) == len(keep):
             return
         for i in np.flatnonzero(~keep).tolist():
             self.live[i].status = REMOVED
@@ -197,12 +199,18 @@ class Tracker:
             m, has = self.feats.get(kind, (None, None))
             if m is None or (m.shape[1] != q.shape[1] and not has.any()):  # take q's dimension
                 m, has = self.feats[kind] = (np.zeros((n, q.shape[1])), np.zeros(n, dtype=bool))
+            if not rows.size:
+                continue
             a, b, new = m[rows], q[cols], has_q[cols]
             v = mom * a + (1.0 - mom) * b
             norm = row_norms(v)[:, None]
+            both = has[rows] & new
+            if np.count_nonzero(both) == len(both) and norm.min() >= 1e-9:  # every row blends, and none cancels
+                m[rows] = v / norm
+                continue
             # antipodal vectors can cancel; keep the fresher observation then
             mixed = np.where(norm < 1e-9, b, v / np.maximum(norm, 1e-9))
-            m[rows] = np.where((has[rows] & new)[:, None], mixed, np.where(new[:, None], b, a))
+            m[rows] = np.where(both[:, None], mixed, np.where(new[:, None], b, a))
             has[rows] |= new
 
     def _spawn(self, fresh, z, det_feats) -> None:

@@ -118,6 +118,14 @@ NEAR_TIE_OFFSETS = 10.0 ** -np.arange(3, 16)  # 1e-3 down to 1e-15
 OUTSIDE_TOL_BAND = NEAR_TIE_OFFSETS[(NEAR_TIE_OFFSETS > 1e-7) | (NEAR_TIE_OFFSETS < 1e-9)]
 
 
+def zipped_array_form(cm):
+    """``solve_assignment(cm, as_array=True)`` zipped into the pair list ``solve_assignment(cm)`` returns."""
+    pairs = solve_assignment(cm, as_array=True)
+    assert pairs.dtype.kind == "i" and pairs.shape == (len(pairs), 2)
+    rows, cols = pairs.T
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def near_ties(rng, shape, offsets):
     """Costs 0.1 and 0.2, each raised by 0, 1 or 2 times one of ``offsets``."""
     values = rng.choice([0.1, 0.2], size=shape)
@@ -700,7 +708,7 @@ class TestSolveAssignment:
             monkeypatch.setattr(association, "_unique_optimum", lambda *a: held.append(certify(*a)) or held[-1])
             pairs = solve_assignment(cm)
             monkeypatch.setattr(association, "_unique_optimum", lambda *a: False)
-            assert pairs == solve_assignment(cm), (values, cm.gate_mask)
+            assert pairs == solve_assignment(cm) == zipped_array_form(cm), (values, cm.gate_mask)
             if kind != 1:
                 assert pairs == reference_solve(cm), (values, cm.gate_mask)
         assert 0.2 < sum(held) / len(held) < 0.8
@@ -762,6 +770,22 @@ class TestSolveAssignment:
         cm = CostMatrix(values=np.ones((3, 3)), gate_mask=np.ones((3, 3), bool))
         assert solve_assignment(cm) == [(0, 0), (1, 1), (2, 2)]
         assert len(walks) == 1
+
+    def test_array_form_is_fresh(self, monkeypatch):
+        # on the certificate's path and the walk's: the cost matrix stays as it
+        # was, and each call returns a new array that shares no memory with it
+        walks = []
+        tie_break = association._tie_break
+        monkeypatch.setattr(association, "_tie_break", lambda *a: walks.append(a) or tie_break(*a))
+        rng = np.random.default_rng(12)
+        for values in (clear_optimum(rng, 5, 6)[0] - 0.5, np.ones((4, 4)), np.zeros((0, 3))):
+            cm = CostMatrix(values=values, gate_mask=np.ones(values.shape, bool))
+            before = cm.values.copy(), cm.gate_mask.copy()
+            pairs, again = solve_assignment(cm, as_array=True), solve_assignment(cm, as_array=True)
+            assert np.array_equal(cm.values, before[0]) and np.array_equal(cm.gate_mask, before[1])
+            assert np.array_equal(pairs, again)
+            assert not any(np.shares_memory(pairs, a) for a in (again, cm.values, cm.gate_mask))
+        assert len(walks) == 2  # the all-ones matrix, twice
 
     def test_fully_admissible_100_is_fast(self):
         values = np.random.default_rng(8).uniform(0, 1, (100, 100))
@@ -828,5 +852,7 @@ class TestBlockSolve:
             warnings.simplefilter("error")
             for k in range(4300):
                 cm = self.instance(rng, kind, k)
-                assert solve_assignment(cm) == square_solve(cm), (kind, k, cm.values, cm.gate_mask)
+                pairs = solve_assignment(cm)
+                assert pairs == square_solve(cm), (kind, k, cm.values, cm.gate_mask)
+                assert zipped_array_form(cm) == pairs
         assert True in held and False in held

@@ -420,7 +420,7 @@ class TestInterpolate:
         out = tmp_path / "out.txt"
         args = ["interpolate", "--input", str(sim_dir / "gt.txt"), "--method", "se3_kalman"]
         assert cli.main(args + ["--out", str(out), flag, "1e200"]) == 2
-        assert name in capsys.readouterr().err
+        assert f"headtrack: key se3_{name}: {name} must have a finite square" in capsys.readouterr().err
         assert not out.exists()
 
     def test_deleted_method_is_usage_error(self, sim_dir, tmp_path):
@@ -607,7 +607,34 @@ class TestConfigHandling:
             assert "key motion_scale: expected >= 0" in capsys.readouterr().err
         assert not a.exists()
         assert cli.main(track + ["--out", str(a), "--gate-g", "-1e-3"]) == 2
-        assert "gate must be positive" in capsys.readouterr().err
+        assert "key gate_g: gate must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity", "-INF", "-NaN"])
+    def test_non_digit_negative_flag_values(self, sim_dir, tmp_path, capsys, value):
+        # float() reads these; as a separate argument they are values too, not
+        # options (an argparse usage error, exit 1), and every key rejects them
+        # as --key=value does
+        track = ["track", "--dets", str(sim_dir / "det.txt"), "--out", str(tmp_path / "o.txt")]
+        for f in dataclasses.fields(cli.RunConfig):
+            flag = f"--{f.name.replace('_', '-')}"
+            runs = []
+            for form in ([flag, value], [f"{flag}={value}"]):
+                runs.append((cli.main(track + form), capsys.readouterr().err))
+            assert runs[0] == runs[1]
+            code, err = runs[0]
+            assert code == 2 and err.startswith(f"headtrack: key {f.name}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("flags,line", [
+        (["--lambda-reg", "-1"], "key lambda_reg: feature weights must be non-negative"),
+        (["--w-app", "0", "--w-mot", "0"], "key w_app, w_mot: need w_app, w_mot >= 0 with a positive sum"),
+        (["--gate-g", "0", "--image-width", "640"], "key gate_g: gate must be positive, got 0.0"),
+    ])
+    def test_association_range_names_the_key(self, sim_dir, tmp_path, capsys, flags, line):
+        # the keys named are those the association config reads and the run sets
+        track = ["track", "--dets", str(sim_dir / "det.txt"), "--out", str(tmp_path / "o.txt")]
+        assert cli.main(track + flags) == 2
+        assert capsys.readouterr().err == f"headtrack: {line}\n"
 
     def test_config_file_and_override_precedence(self, tmp_path):
         cfgfile = write(tmp_path / "run.cfg", "seed = 7\nimage_width = 640\n")
@@ -1006,10 +1033,11 @@ MOT_JUNK = ["0", "-1", "nan", "inf", "-inf", "", "x", "1e400", " 4 ", "2.5"]
 
 
 @st.composite
-def det_texts(draw):
-    """MOT detection files: every field in range, or one field or one line broken."""
+def det_texts(draw, ids=MOT_VALUES["id"]):
+    """MOT files with ids from ``ids``: every field in range, or one field or one line broken."""
+    values = dict(MOT_VALUES, id=ids)
     lines = [
-        ",".join(draw(st.sampled_from(MOT_VALUES[kind])) for kind in MOT_KINDS)
+        ",".join(draw(st.sampled_from(values[kind])) for kind in MOT_KINDS)
         for _ in range(draw(st.integers(0, 8)))
     ]
     broken = draw(st.sampled_from(["none", "none", "field", "line"]))
@@ -1066,8 +1094,23 @@ SPEC_LINES = st.one_of(
 SPEC_TEXTS = st.lists(SPEC_LINES, max_size=8).map("\n".join)
 
 
+# Flag values: numbers float() reads, extreme or out of range for some key, then junk.
+FLAG_VALUES = ["-inf", "-nan", "-Infinity", "inf", "nan", "-1", "-0.5", "0", "0.5", "2", "7", "1e308", "-1e308",
+               "1e-320", "1_0", "-1_0", "-1e-3", "true", "x", "", "-", "-x", " 4 ", "1e400"]
+
+
+# Each verb on fuzz_dir inputs: its flags and file names, in pairs.
+FLAG_VERBS = {
+    "track": ("--dets", "dets.txt", "--out", "o.txt"),
+    "interpolate": ("--input", "gt.txt", "--out", "filled.txt"),
+    "evaluate": ("--gt", "gt.txt", "--result", "dets_ids.txt"),
+    "simulate": ("--spec", "spec.cfg", "--out-dir", "scene"),
+    "assign": ("--scene", "assign.json"),
+}
+
+
 class TestParserFuzz:
-    """Any detection text, sidecar or scene spec exits 0, or 2 naming its file."""
+    """Any input text, sidecar, scene spec or flag value exits 0, or 2 naming its file or key."""
 
     @pytest.fixture(scope="class")
     def fuzz_dir(self, tmp_path_factory):
@@ -1076,17 +1119,26 @@ class TestParserFuzz:
             f"{f},-1,{100 + 5 * f},100,40,100,1,-1,-1,-1\n{f},-1,400,300,40,100,0.9,-1,-1,-1\n"
             for f in (1, 2, 3)
         ))
+        write(root / "gt.txt", "".join(f"{f},1,{100 + 5 * f},100,40,100,1,-1,-1,-1\n" for f in (1, 2, 3, 6)))
+        write(root / "dets_ids.txt", "1,1,105,100,40,100,1,-1,-1,-1\n3,2,115,100,40,100,1,-1,-1,-1\n")
+        write(root / "spec.cfg", "targets = 2\nframes = 3\n")
+        write(root / "assign.json", json.dumps({"anchors": [{"cx": 5, "cy": 5, "stride": 8, "box": [0, 0, 10, 10]}],
+                                                "gts": [{"box": [0, 0, 10, 10]}]}))
         return root
 
     @staticmethod
-    def check(argv, path):
-        with contextlib.redirect_stderr(io.StringIO()) as stderr:
-            code = cli.main(argv)
+    def check(argv, *names):
+        """Exit 0, or 2 with an error naming one of ``names``; never 1 or 3, nor a traceback."""
+        with contextlib.redirect_stderr(io.StringIO()) as stderr, contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # an argparse usage error
+                code = exc.code
         err = stderr.getvalue()
         assert code in (0, 2), err
         assert "Traceback" not in err
         if code == 2:
-            assert str(path) in err, err
+            assert any(str(name) in err for name in names), err
         return code
 
     @given(text=det_texts())
@@ -1096,6 +1148,38 @@ class TestParserFuzz:
         dets.write_text(text)
         argv = ["track", "--dets", str(dets), "--out", str(fuzz_dir / "o.txt"), "--min-hits", "1"]
         self.check(argv + ["--emit-predictions", "1"], dets)
+
+    @given(text=det_texts(ids=["1", "2", "7", "-1"]), method=st.sampled_from(lifting.METHODS))
+    @settings(max_examples=150, deadline=None)
+    def test_interpolate_input_text(self, fuzz_dir, text, method):
+        result = fuzz_dir / "fuzz_result.txt"
+        result.write_text(text)
+        self.check(["interpolate", "--input", str(result), "--method", method,
+                    "--out", str(fuzz_dir / "filled.txt")], result)
+
+    @given(text=det_texts(ids=["1", "2", "7", "-1"]), side=st.sampled_from(["--gt", "--result"]))
+    @settings(max_examples=150, deadline=None)
+    def test_evaluate_text(self, fuzz_dir, text, side):
+        fuzzed = fuzz_dir / "fuzz_eval.txt"
+        fuzzed.write_text(text)
+        files = {"--gt": fuzz_dir / "gt.txt", "--result": fuzz_dir / "gt.txt", side: fuzzed}
+        self.check(["evaluate", "--gt", str(files["--gt"]), "--result", str(files["--result"])], fuzzed)
+
+    @given(verb=st.sampled_from(sorted(FLAG_VERBS)), key=st.sampled_from(CONFIG_KEYS),
+           value=st.sampled_from(FLAG_VALUES), joined=st.booleans())
+    @example(verb="track", key="gate_g", value="-inf", joined=False)  # once read as an option: exit 1
+    @settings(max_examples=300, deadline=None)
+    def test_flag_value(self, fuzz_dir, verb, key, value, joined):
+        # a value float() reads, or any value joined to its flag by "=", is a value
+        if not joined and value.startswith("-"):
+            try:
+                float(value)
+            except ValueError:
+                joined = True
+        files = [fuzz_dir / name for name in FLAG_VERBS[verb][1::2]]
+        argv = [verb] + [a for flag, path in zip(FLAG_VERBS[verb][::2], files) for a in (flag, str(path))]
+        flag = f"--{key.replace('_', '-')}"
+        self.check(argv + ([f"{flag}={value}"] if joined else [flag, value]), key, *files)
 
     @given(data=sidecar_bytes())
     @settings(max_examples=150, deadline=None)

@@ -317,6 +317,18 @@ class TestRows:
             st = update(st, z[i], constant_velocity_model(st.x[3], cfg), h_min=cfg.h_min)
             assert np.array_equal(st.x, x_post[i]) and np.array_equal(st.P, kron_cov(pcv_post[i]))
 
+    def test_rows_forms_return_fresh_arrays(self):
+        # the forms write their results through out=: every input stays as it
+        # was, and no result shares memory with an input or with the other result
+        cfg = self.CONFIGS[0]
+        x, pcv, z = self.rows(np.random.default_rng(5), 64, cfg)
+        inputs = (x, pcv, z)
+        before = [a.copy() for a in inputs]
+        for out in (predict_rows(x, pcv, cfg), update_rows(x, pcv, z, cfg), initiate_rows(z, cfg)):
+            assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+            assert not any(np.shares_memory(o, a) for o in out for a in inputs)
+            assert not np.shares_memory(*out)
+
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_initiate_rows_equals_diagonal_birth(self, cfg):
         z = np.column_stack([np.full(500, 7.0), np.full(500, -3.0), np.full(500, 0.4),
