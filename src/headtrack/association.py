@@ -134,22 +134,14 @@ def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: Ass
         if w == 0.0 or kind not in trk_feats or kind not in det_feats:
             continue
         (p, has_p), (q, has_q) = trk_feats[kind], det_feats[kind]
-        n_p, n_q = np.count_nonzero(has_p), np.count_nonzero(has_q)
-        if not (n_p and n_q):
+        if not (np.count_nonzero(has_p) and np.count_nonzero(has_q)):
             continue
         if p.shape[1] != q.shape[1]:
             raise ValueError(f"{kind} dimension mismatch: {sorted({p.shape[1:], q.shape[1:]})}")
-        cos = w * (1.0 - p @ q.T)
-        if n_p == T and n_q == D:  # every pair shares the kind
-            acc, total_w = acc + cos, total_w + w
-        else:
-            shared = has_p[:, None] & has_q
-            acc = acc + np.where(shared, cos, 0.0)
-            total_w = total_w + np.where(shared, w, 0.0)
-    if np.ndim(total_w):  # pairs share different kinds; one that shares none keeps app = 0
-        app = np.divide(acc, total_w, out=np.zeros((T, D)), where=total_w > 0.0)
-    else:  # every pair shares the same kinds, or none
-        app = acc / total_w if total_w else 0.0
+        shared = has_p[:, None] & has_q
+        acc = acc + np.where(shared, w * (1.0 - p @ q.T), 0.0)
+        total_w = total_w + np.where(shared, w, 0.0)
+    app = np.divide(acc, total_w, out=np.zeros((T, D)), where=total_w > 0.0)
     # centres far apart cost inf (nan at w_mot = 0), which the gate rejects
     with np.errstate(over="ignore", invalid="ignore"):
         dx, dy = trk_xy[:, :1] - det_xy[:, 0], trk_xy[:, 1:] - det_xy[:, 1]
@@ -193,16 +185,14 @@ def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
     return _lsap()(cost, maximize=maximize)
 
 
-def solve_assignment(c: CostMatrix, as_array: bool = False) -> list[tuple[int, int]] | np.ndarray:
+def solve_assignment(c: CostMatrix) -> np.ndarray:
     """Minimum-cost one-to-one matching restricted to admissible pairs.
 
-    Returns the (track, detection) pairs in track order: a list of tuples,
-    or with ``as_array`` the same pairs as a (K, 2) index array, whose
-    transpose is the tracks and their detections as two arrays (the form
-    ``Tracker.step`` uses). Among admissible pairs the solver first
-    maximizes the number of matches, then minimizes total cost; ties are
-    broken toward the lexicographically smallest (track, detection) list.
-    Returned pairs never violate the gate.
+    Returns the (track, detection) pairs in track order as a (K, 2) index
+    array, whose transpose is the tracks and their detections. Among
+    admissible pairs the solver first maximizes the number of matches, then
+    minimizes total cost; ties are broken toward the lexicographically
+    smallest (track, detection) list. Returned pairs never violate the gate.
 
     Admissible costs are shifted to [0, span]. Gated-out slots of the
     tracks x detections block cost ``barred``, more than all admissible
@@ -229,16 +219,10 @@ def solve_assignment(c: CostMatrix, as_array: bool = False) -> list[tuple[int, i
     ``unmatch`` and make "leave unmatched" explicit, starting from the
     LSA's optimum carried over to it (``_tie_break``).
     """
-    rows, cols = _solve(c)
-    return np.array((rows, cols)).T if as_array else list(zip(rows.tolist(), cols.tolist()))
-
-
-def _solve(c: CostMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """``solve_assignment``'s matched tracks, ascending, and their detections."""
     T, D = c.values.shape
     admissible = c.gate_mask & np.isfinite(c.values)
     if not np.count_nonzero(admissible):  # no tracks, no detections, or nothing passes the gate
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        return np.zeros((0, 2), dtype=np.intp)
 
     values = c.values
     kept = values[admissible]
@@ -267,18 +251,18 @@ def _solve(c: CostMatrix) -> tuple[np.ndarray, np.ndarray]:
     base[rows] = cost
     base[T + cols] = 0.0  # a matched detection's slot row takes its track's slot
     tol = 1e-9 * max(1.0, abs(float(base.sum())))
-    if _unique_optimum(block, col, base[:T], _UNIQUE_MARGIN * (T + D) * tol):
-        return rows, cols
-    slot = np.arange(D)  # an unmatched detection's slot row takes its own column,
-    slot[cols] = D + rows  # a matched one its track's slot
-    enc = np.full((T + D, T + D), barred)
-    enc[:T, :D] = block
-    np.fill_diagonal(enc[:T, D:], unmatch)
-    np.fill_diagonal(enc[T:, :D], unmatch)
-    enc[T:, D:] = 0.0
-    col = np.array(_tie_break(enc, np.concatenate([col, slot]), base, T, D, tol)[:T])
-    rows = np.flatnonzero(col < D)
-    return rows, col[rows]
+    if not _unique_optimum(block, col, base[:T], _UNIQUE_MARGIN * (T + D) * tol):
+        slot = np.arange(D)  # an unmatched detection's slot row takes its own column,
+        slot[cols] = D + rows  # a matched one its track's slot
+        enc = np.full((T + D, T + D), barred)
+        enc[:T, :D] = block
+        np.fill_diagonal(enc[:T, D:], unmatch)
+        np.fill_diagonal(enc[T:, :D], unmatch)
+        enc[T:, D:] = 0.0
+        col = np.array(_tie_break(enc, np.concatenate([col, slot]), base, T, D, tol)[:T])
+        rows = np.flatnonzero(col < D)
+        cols = col[rows]
+    return np.array((rows, cols)).T
 
 
 # delta = _UNIQUE_MARGIN * n * tol; any margin >= 1 is exact, 4 leaves room for rounding

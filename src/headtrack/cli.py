@@ -136,28 +136,28 @@ def tracker_config(cfg: RunConfig) -> TrackerConfig:
         raise ConfigError(f"key motion_scale: expected >= 0 (0 is the image diagonal), got {scale}")
     if scale == 0.0:
         scale = float(np.hypot(cfg.image_width, cfg.image_height))
-    keys = _keys_set(cfg, "w_app w_mot lambda_cls lambda_reg lambda_head gate_g")
-    assoc = _located(keys, lambda: AssociationConfig(
-        w_app=cfg.w_app,
-        w_mot=cfg.w_mot,
-        feature_weights=(cfg.lambda_cls, cfg.lambda_reg, cfg.lambda_head),
-        gate_g=cfg.gate_g,
-        motion_scale=scale,
-    ))
+    if cfg.w_app < 0.0 or cfg.w_mot < 0.0 or cfg.w_app + cfg.w_mot <= 0.0:
+        raise ConfigError("key w_app, w_mot: need w_app, w_mot >= 0 with a positive sum")
+    for key in ("lambda_cls", "lambda_reg", "lambda_head"):
+        if getattr(cfg, key) < 0.0:
+            raise ConfigError(f"key {key}: feature weights must be non-negative")
+    if cfg.gate_g <= 0.0:
+        raise ConfigError(f"key gate_g: gate must be positive, got {cfg.gate_g}")
     return TrackerConfig(
         patience_w=cfg.patience_w,
         init_score_min=cfg.init_score_min,
         min_hits=cfg.min_hits,
         emit_predictions=cfg.emit_predictions,
         descriptor_momentum=cfg.descriptor_momentum,
-        assoc=assoc,
+        assoc=AssociationConfig(
+            w_app=cfg.w_app,
+            w_mot=cfg.w_mot,
+            feature_weights=(cfg.lambda_cls, cfg.lambda_reg, cfg.lambda_head),
+            gate_g=cfg.gate_g,
+            motion_scale=scale,
+        ),
         noise=KalmanConfig(h_min=cfg.h_min),
     )
-
-
-def _keys_set(cfg: RunConfig, keys: str) -> str:
-    """Those of ``keys`` that ``cfg`` sets away from their defaults, as an error names them."""
-    return "key " + ", ".join(k for k in keys.split() if getattr(cfg, k) != getattr(RunConfig, k))
 
 
 # -- verbs ---------------------------------------------------------------------
@@ -224,8 +224,9 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
     from . import lifting
     table = _located(args.input, lambda: dataio.parse_mot(args.input))
     _located(args.input, lambda: dataio.check_unique_ids(table))
-    lcfg = _located(_keys_set(cfg, "se3_process_std se3_meas_std"),
-                    lambda: LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std))
+    for key in ("se3_process_std", "se3_meas_std"):  # LiftingConfig checks each std alone
+        _located(f"key {key}", lambda: LiftingConfig(**{key.removeprefix("se3_"): getattr(cfg, key)}))
+    lcfg = LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std)
     frames, boxes = table.frame.tolist(), table.bboxes()
     filled_rows: list[tuple[int, int, BBox]] = []  # observed rows are written back as parsed
     for tid, rows in table.groups("id"):

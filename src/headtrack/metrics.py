@@ -119,7 +119,7 @@ def evaluate(tables: EvalTables, iou_threshold: float = EVAL_IOU_THRESHOLD) -> E
             rem_g = [g for g in range(*_rows_of(g_frame, frame)) if g not in match]
             rem_h = [h for h in range(*_rows_of(h_frame, frame)) if h not in used]
             sub = iou_matrix(g_box[rem_g], h_box[rem_h])
-            for r, c in solve_assignment(CostMatrix(values=1.0 - sub, gate_mask=sub >= iou_threshold)):
+            for r, c in solve_assignment(CostMatrix(values=1.0 - sub, gate_mask=sub >= iou_threshold)).tolist():
                 match[rem_g[r]] = rem_h[c]
 
         matched += len(match)

@@ -149,7 +149,7 @@ class Tracker:
         z = measurements(batch.boxes)
         det_feats = {kind: f for kind, f in batch.feats.items() if self._weights[kind]}
         cost = build_cost_matrix(self.x[:, :2], self.feats, z[:, :2], det_feats, cfg.assoc)
-        rows, cols = solve_assignment(cost, as_array=True).T
+        rows, cols = solve_assignment(cost).T
 
         if rows.size:
             self.x[rows], self.pcv[rows] = kalman.update_rows(self.x[rows], self.pcv[rows], z[cols], cfg.noise)

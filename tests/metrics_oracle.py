@@ -95,7 +95,7 @@ def evaluate(frames: list[EvalFrame], iou_threshold: float = EVAL_IOU_THRESHOLD)
         if rem_g and rem_h:
             sub = ious[np.ix_(rem_g, rem_h)]
             cm = CostMatrix(values=1.0 - sub, gate_mask=sub >= iou_threshold)
-            for ri, rj in solve_assignment(cm):
+            for ri, rj in solve_assignment(cm).tolist():
                 matched_g[rem_g[ri]] = rem_h[rj]
                 used_h.add(rem_h[rj])
 

@@ -118,12 +118,11 @@ NEAR_TIE_OFFSETS = 10.0 ** -np.arange(3, 16)  # 1e-3 down to 1e-15
 OUTSIDE_TOL_BAND = NEAR_TIE_OFFSETS[(NEAR_TIE_OFFSETS > 1e-7) | (NEAR_TIE_OFFSETS < 1e-9)]
 
 
-def zipped_array_form(cm):
-    """``solve_assignment(cm, as_array=True)`` zipped into the pair list ``solve_assignment(cm)`` returns."""
-    pairs = solve_assignment(cm, as_array=True)
-    assert pairs.dtype.kind == "i" and pairs.shape == (len(pairs), 2)
-    rows, cols = pairs.T
-    return list(zip(rows.tolist(), cols.tolist()))
+def solve_pairs(cm):
+    """``solve_assignment(cm)``'s (K, 2) index array as a list of (track, detection) tuples."""
+    pairs = solve_assignment(cm)
+    assert pairs.dtype == np.intp and pairs.shape == (len(pairs), 2)
+    return [tuple(p) for p in pairs.tolist()]
 
 
 def near_ties(rng, shape, offsets):
@@ -339,7 +338,7 @@ class TestBuildCostMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cm = cost_matrix(tracks, dets, cfg)
-            assert solve_assignment(cm) == pairs
+            assert solve_pairs(cm) == pairs
         assert cm.gate_mask.tolist() == admissible
 
     def test_motion_only_when_w_app_zero(self):
@@ -356,10 +355,10 @@ class TestBuildCostMatrix:
         cfg = AssociationConfig()
         cm = cost_matrix([], [FakeDet(0, 0)], cfg)
         assert cm.values.shape == (0, 1)
-        assert solve_assignment(cm) == []
+        assert solve_pairs(cm) == []
         cm = cost_matrix([FakeTrack(0, 0)], [], cfg)
         assert cm.values.shape == (1, 0)
-        assert solve_assignment(cm) == []
+        assert solve_pairs(cm) == []
 
     def test_hand_built_two_by_two(self):
         cfg = AssociationConfig(w_app=0.5, w_mot=0.5, motion_scale=1.0, gate_g=1e9)
@@ -478,7 +477,7 @@ class TestSolveAssignment:
 
         monkeypatch.setattr(association, "linear_sum_assignment", counting)
         c = CostMatrix(values=np.array([[0.1, 0.9], [0.9, 0.1]]), gate_mask=np.ones((2, 2), bool))
-        assert solve_assignment(c) == [(0, 0), (1, 1)]
+        assert solve_pairs(c) == [(0, 0), (1, 1)]
         assert shapes == [(2, 2)]
 
     @pytest.mark.parametrize("certify", [True, False], ids=["certificate", "tie-break"])
@@ -495,7 +494,7 @@ class TestSolveAssignment:
             values = rng.choice([0.1, 0.2], size=(T, D)) if k % 2 else rng.uniform(0, 1, (T, D))
             mask = rng.uniform(size=(T, D)) < 0.6
             shapes.clear()
-            pairs = solve_assignment(CostMatrix(values=values, gate_mask=mask))
+            pairs = solve_pairs(CostMatrix(values=values, gate_mask=mask))
             assert shapes == ([(T, D)] if mask.any() else [])
             assert pairs == square_solve(CostMatrix(values=values, gate_mask=mask))
 
@@ -518,18 +517,18 @@ class TestSolveAssignment:
             warnings.simplefilter("error")
             if want is ValueError:
                 with pytest.raises(ValueError, match=r"admissible costs span .* too wide to encode as a \d+ x \d+ assignment"):
-                    solve_assignment(CostMatrix(values=values, gate_mask=gate))
+                    solve_pairs(CostMatrix(values=values, gate_mask=gate))
             else:
-                assert solve_assignment(CostMatrix(values=values, gate_mask=gate)) == want
+                assert solve_pairs(CostMatrix(values=values, gate_mask=gate)) == want
 
     def test_two_by_two_diagonal(self):
         cm = CostMatrix(values=np.array([[1.0, 2.0], [2.0, 1.0]]),
                         gate_mask=np.ones((2, 2), bool))
-        assert solve_assignment(cm) == [(0, 0), (1, 1)]
+        assert solve_pairs(cm) == [(0, 0), (1, 1)]
 
     def test_gated_singleton(self):
         cm = CostMatrix(values=np.array([[5.0]]), gate_mask=np.array([[False]]))
-        assert solve_assignment(cm) == []
+        assert solve_pairs(cm) == []
 
     def test_gate_respected(self):
         rng = np.random.default_rng(2)
@@ -537,7 +536,7 @@ class TestSolveAssignment:
             T, D = rng.integers(1, 6, 2)
             values = rng.uniform(0, 1, (T, D))
             mask = values <= 0.5
-            for i, j in solve_assignment(CostMatrix(values=values, gate_mask=mask)):
+            for i, j in solve_pairs(CostMatrix(values=values, gate_mask=mask)):
                 assert mask[i, j]
 
     def test_matches_brute_force(self):
@@ -548,7 +547,7 @@ class TestSolveAssignment:
             values = rng.uniform(0, 10, (T, D))
             mask = rng.uniform(size=(T, D)) < 0.75
             cm = CostMatrix(values=values, gate_mask=mask)
-            pairs = solve_assignment(cm)
+            pairs = solve_pairs(cm)
             card, cost = brute_force_matching(values, mask)
             assert len(pairs) == card
             assert sum(values[i, j] for i, j in pairs) == pytest.approx(cost, abs=1e-9)
@@ -559,7 +558,7 @@ class TestSolveAssignment:
             values = rng.uniform(0, 5, (5, 5))
             mask = rng.uniform(size=(5, 5)) < 0.8
             k = float(rng.uniform(0.1, 50))
-            pairs = solve_assignment(CostMatrix(values=values, gate_mask=mask))
+            pairs = solve_pairs(CostMatrix(values=values, gate_mask=mask))
             card, cost = brute_force_matching(values * k, mask)
             assert len(pairs) == card
             assert sum(values[i, j] * k for i, j in pairs) == pytest.approx(cost, abs=1e-9)
@@ -568,7 +567,7 @@ class TestSolveAssignment:
         # every matching of an all-ones matrix is optimal; the smallest
         # (track, det) list wins
         cm = CostMatrix(values=np.ones((3, 3)), gate_mask=np.ones((3, 3), bool))
-        assert solve_assignment(cm) == [(0, 0), (1, 1), (2, 2)]
+        assert solve_pairs(cm) == [(0, 0), (1, 1), (2, 2)]
 
     def test_lexicographic_on_tie_heavy_instances(self):
         # quantized costs produce many optimal matchings; the solver must
@@ -599,26 +598,26 @@ class TestSolveAssignment:
             D = int(rng.integers(1, 6))
             values = rng.choice([0.1, 0.2, 0.3], size=(T, D))
             mask = rng.uniform(size=(T, D)) < 0.8
-            got = solve_assignment(CostMatrix(values=values, gate_mask=mask))
+            got = solve_pairs(CostMatrix(values=values, gate_mask=mask))
             assert got == brute_force_lex(values, mask)
 
     def test_lexicographic_among_equal_totals(self):
         values = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
         cm = CostMatrix(values=values, gate_mask=values < 2.0)
-        assert solve_assignment(cm) == [(0, 0), (1, 1)]
+        assert solve_pairs(cm) == [(0, 0), (1, 1)]
 
     def test_rectangular_shapes(self):
         values = np.array([[1.0, 9.0, 2.0]])
         cm = CostMatrix(values=values, gate_mask=np.ones((1, 3), bool))
-        assert solve_assignment(cm) == [(0, 0)]
+        assert solve_pairs(cm) == [(0, 0)]
         cm = CostMatrix(values=values.T, gate_mask=np.ones((3, 1), bool))
-        assert solve_assignment(cm) == [(0, 0)]
+        assert solve_pairs(cm) == [(0, 0)]
 
     def test_infeasible_rows_left_unmatched(self):
         values = np.array([[0.1, 0.1], [0.1, 0.1]])
         mask = np.array([[True, False], [False, False]])
         cm = CostMatrix(values=values, gate_mask=mask)
-        assert solve_assignment(cm) == [(0, 0)]
+        assert solve_pairs(cm) == [(0, 0)]
 
     def test_negative_costs_still_maximize_cardinality(self):
         rng = np.random.default_rng(13)
@@ -627,7 +626,7 @@ class TestSolveAssignment:
             D = int(rng.integers(1, 6))
             values = rng.uniform(-10, 2, (T, D))
             mask = rng.uniform(size=(T, D)) < 0.7
-            pairs = solve_assignment(CostMatrix(values=values, gate_mask=mask))
+            pairs = solve_pairs(CostMatrix(values=values, gate_mask=mask))
             card, cost = brute_force_matching(values, mask)
             assert len(pairs) == card
             assert sum(values[i, j] for i, j in pairs) == pytest.approx(cost, abs=1e-9)
@@ -658,7 +657,7 @@ class TestSolveAssignment:
                 values = near_ties(rng, (T, D), OUTSIDE_TOL_BAND)
                 mask = rng.uniform(size=(T, D)) < 0.8
             cm = CostMatrix(values=values, gate_mask=mask)
-            pairs = solve_assignment(cm)
+            pairs = solve_pairs(cm)
             assert pairs == reference_solve(cm), (kind, values, mask)
             matching = maximum_bipartite_matching(csr_matrix(mask), perm_type="column")
             assert len(pairs) == int((matching >= 0).sum()), (kind, values, mask)
@@ -672,19 +671,19 @@ class TestSolveAssignment:
         values[np.eye(n, dtype=bool)] = 0.5
         values[np.eye(n, k=-1, dtype=bool)] = 0.0
         cm = CostMatrix(values=values, gate_mask=values <= AssociationConfig().gate_g)
-        assert solve_assignment(cm) == [(i, i) for i in range(n)]
+        assert solve_pairs(cm) == [(i, i) for i in range(n)]
         assert reference_solve(cm) == [(i, i) for i in range(n)]
 
     def test_dense_ties_30(self):
         # all ones: every pair is tight and the diagonal is the lexicographic minimum
         n = 30
         cm = CostMatrix(values=np.ones((n, n)), gate_mask=np.ones((n, n), bool))
-        assert solve_assignment(cm) == [(i, i) for i in range(n)]
+        assert solve_pairs(cm) == [(i, i) for i in range(n)]
         # three cost levels: the LSA's own optimum is not the lexicographic
         # minimum here, so the walk flips alternating paths in a dense tight graph
         values = np.random.default_rng(0).integers(0, 3, (n, n)).astype(float)
         cm = CostMatrix(values=values, gate_mask=np.ones((n, n), bool))
-        assert solve_assignment(cm) == reference_solve(cm)
+        assert solve_pairs(cm) == reference_solve(cm)
 
     def test_certificate_equals_full_path(self, monkeypatch):
         # certified or not, the pair list is the one the Bellman-Ford pass and
@@ -706,9 +705,9 @@ class TestSolveAssignment:
                 values = rng.uniform(-5, 5, (T, D)).round(1)
             cm = CostMatrix(values=values, gate_mask=rng.uniform(size=(T, D)) < 0.8)
             monkeypatch.setattr(association, "_unique_optimum", lambda *a: held.append(certify(*a)) or held[-1])
-            pairs = solve_assignment(cm)
+            pairs = solve_pairs(cm)
             monkeypatch.setattr(association, "_unique_optimum", lambda *a: False)
-            assert pairs == solve_assignment(cm) == zipped_array_form(cm), (values, cm.gate_mask)
+            assert pairs == solve_pairs(cm), (values, cm.gate_mask)
             if kind != 1:
                 assert pairs == reference_solve(cm), (values, cm.gate_mask)
         assert 0.2 < sum(held) / len(held) < 0.8
@@ -735,18 +734,18 @@ class TestSolveAssignment:
             # rival stays clear of the pair that holds its other line
             i, j = max(want, key=lambda p: values[p])
             cm = CostMatrix(values=values, gate_mask=np.ones((T, D), bool))
-            assert solve_assignment(cm) == want
+            assert solve_pairs(cm) == want
             assert calls[-1][1]
             if side == "row":
                 rival = (i, int(rng.choice([c for c in range(D) if c != j])))
             else:
                 rival = (int(rng.choice([r for r in range(T) if r != i])), j)
             values[rival] = values[i, j] + 0.25  # delta moves with the largest cost, which may be this one
-            assert solve_assignment(cm) == want
+            assert solve_pairs(cm) == want
             delta = calls[-1][0]
             for factor in (0.5, 0.9, 1.1, 2.0):
                 values[rival] = values[i, j] + factor * delta
-                assert solve_assignment(cm) == want
+                assert solve_pairs(cm) == want
                 assert calls[-1] == (delta, factor > 1.0)
                 assert reference_solve(cm) == want
 
@@ -759,16 +758,16 @@ class TestSolveAssignment:
         tie_break = association._tie_break
         monkeypatch.setattr(association, "_tie_break", walk_not_expected)
         c = CostMatrix(values=np.array([[0.1, 0.9, 0.5], [0.9, 0.1, 0.5]]), gate_mask=np.ones((2, 3), bool))
-        assert solve_assignment(c) == [(0, 0), (1, 1)]
+        assert solve_pairs(c) == [(0, 0), (1, 1)]
         rng = np.random.default_rng(9)
         for T, D in [(12, 10), (10, 12), (30, 30)]:
             values, want = clear_optimum(rng, T, D)
             cm = CostMatrix(values=values, gate_mask=values < 1.8)
-            assert solve_assignment(cm) == want == reference_solve(cm)
+            assert solve_pairs(cm) == want == reference_solve(cm)
         walks = []
         monkeypatch.setattr(association, "_tie_break", lambda *a: walks.append(a) or tie_break(*a))
         cm = CostMatrix(values=np.ones((3, 3)), gate_mask=np.ones((3, 3), bool))
-        assert solve_assignment(cm) == [(0, 0), (1, 1), (2, 2)]
+        assert solve_pairs(cm) == [(0, 0), (1, 1), (2, 2)]
         assert len(walks) == 1
 
     def test_array_form_is_fresh(self, monkeypatch):
@@ -781,7 +780,7 @@ class TestSolveAssignment:
         for values in (clear_optimum(rng, 5, 6)[0] - 0.5, np.ones((4, 4)), np.zeros((0, 3))):
             cm = CostMatrix(values=values, gate_mask=np.ones(values.shape, bool))
             before = cm.values.copy(), cm.gate_mask.copy()
-            pairs, again = solve_assignment(cm, as_array=True), solve_assignment(cm, as_array=True)
+            pairs, again = solve_assignment(cm), solve_assignment(cm)
             assert np.array_equal(cm.values, before[0]) and np.array_equal(cm.gate_mask, before[1])
             assert np.array_equal(pairs, again)
             assert not any(np.shares_memory(pairs, a) for a in (again, cm.values, cm.gate_mask))
@@ -793,7 +792,7 @@ class TestSolveAssignment:
         elapsed = []
         for _ in range(3):
             start = time.perf_counter()
-            pairs = solve_assignment(cm)
+            pairs = solve_pairs(cm)
             elapsed.append(time.perf_counter() - start)
         assert min(elapsed) < 0.1
         rows, cols = linear_sum_assignment(values)
@@ -852,7 +851,6 @@ class TestBlockSolve:
             warnings.simplefilter("error")
             for k in range(4300):
                 cm = self.instance(rng, kind, k)
-                pairs = solve_assignment(cm)
+                pairs = solve_pairs(cm)
                 assert pairs == square_solve(cm), (kind, k, cm.values, cm.gate_mask)
-                assert zipped_array_form(cm) == pairs
         assert True in held and False in held

@@ -422,6 +422,10 @@ class TestInterpolate:
         assert cli.main(args + ["--out", str(out), flag, "1e200"]) == 2
         assert f"headtrack: key se3_{name}: {name} must have a finite square" in capsys.readouterr().err
         assert not out.exists()
+        # beside a valid std set to another value, only the overflowing one is named
+        other = "--se3-process-std" if flag == "--se3-meas-std" else "--se3-meas-std"
+        assert cli.main(args + ["--out", str(out), other, "0.2", flag, "1e200"]) == 2
+        assert capsys.readouterr().err.startswith(f"headtrack: key se3_{name}: {name} must have a finite square")
 
     def test_deleted_method_is_usage_error(self, sim_dir, tmp_path):
         with pytest.raises(SystemExit) as e:
@@ -629,9 +633,11 @@ class TestConfigHandling:
         (["--lambda-reg", "-1"], "key lambda_reg: feature weights must be non-negative"),
         (["--w-app", "0", "--w-mot", "0"], "key w_app, w_mot: need w_app, w_mot >= 0 with a positive sum"),
         (["--gate-g", "0", "--image-width", "640"], "key gate_g: gate must be positive, got 0.0"),
+        (["--w-app", "0.3", "--gate-g", "-1"], "key gate_g: gate must be positive, got -1.0"),
+        (["--lambda-cls", "0.2", "--lambda-head", "-0.5"], "key lambda_head: feature weights must be non-negative"),
     ])
     def test_association_range_names_the_key(self, sim_dir, tmp_path, capsys, flags, line):
-        # the keys named are those the association config reads and the run sets
+        # a failed check names the keys it reads, not other keys the run sets
         track = ["track", "--dets", str(sim_dir / "det.txt"), "--out", str(tmp_path / "o.txt")]
         assert cli.main(track + flags) == 2
         assert capsys.readouterr().err == f"headtrack: {line}\n"

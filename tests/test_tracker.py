@@ -270,7 +270,7 @@ def reference_run(cfg, frames, statuses=None):
             trk_xy, stack_descriptors(descs, cfg.assoc),
             det_xy, stack_descriptors([d.descriptor for d in dets], cfg.assoc), cfg.assoc,
         )
-        matched = dict(solve_assignment(cost))
+        matched = dict(solve_assignment(cost).tolist())
         out = []
         for i, t in enumerate(live):
             if i in matched:
