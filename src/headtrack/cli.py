@@ -227,20 +227,10 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
     for key in ("se3_process_std", "se3_meas_std"):  # LiftingConfig checks each std alone
         _located(f"key {key}", lambda: LiftingConfig(**{key.removeprefix("se3_"): getattr(cfg, key)}))
     lcfg = LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std)
-    frames, boxes = table.frame.tolist(), table.bboxes()
-    filled_rows: list[tuple[int, int, BBox]] = []  # observed rows are written back as parsed
-    for tid, rows in table.groups("id"):
-        points = [(frames[r], boxes[r]) for r in rows.tolist()]
-        try:
-            filled, skipped = lifting.complete(points, args.method, lcfg)
-        except ValueError as exc:
-            raise ValueError(f"{args.input}: track {tid}: {exc}") from None
-        observed = {frame for frame, _ in points}
-        filled_rows += [(frame, tid, box) for frame, box in filled if frame not in observed]
-        for gap in skipped:
-            span = f"{gap.missing_frames[0]}-{gap.missing_frames[-1]}"
-            print(f"track {tid}: gap {span} left unfilled: {gap.reason}", file=sys.stderr)
-    dataio.write_mot(args.out, dataio.MotTable.concat([table, dataio.MotTable.from_rows(filled_rows)]))
+    filled, skipped = _located(args.input, lambda: lifting.complete(table, args.method, lcfg))
+    for gap in skipped:
+        print(f"track {gap.id}: gap {gap.before + 1}-{gap.after - 1} left unfilled: {gap.reason}", file=sys.stderr)
+    dataio.write_mot(args.out, filled)
     return 0
 
 
@@ -309,7 +299,9 @@ def parse_scene_spec(path, cfg: RunConfig, flags=()) -> SceneSpec:
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
     spec = parse_scene_spec(args.spec, cfg, flags=vars(args))  # unset flags are not in args
-    scene = _located(args.spec, lambda: dataio.generate_scene(spec))
+    flagged = [key for key in ("image_width", "image_height") if key in vars(args)]  # a failure names them too
+    where = f"key {', '.join(flagged)} and {args.spec}" if flagged else args.spec
+    scene = _located(where, lambda: dataio.generate_scene(spec))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_mot(out_dir / "gt.txt", scene.gt)

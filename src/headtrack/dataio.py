@@ -116,23 +116,9 @@ class MotTable:
 
     def __iter__(self) -> Iterator[MotLine]:
         return map(
-            MotLine, self.frame.tolist(), self.id.tolist(), self.bboxes(),
+            MotLine, self.frame.tolist(), self.id.tolist(), map(BBox, *self.box.T.tolist()),
             self.conf.tolist(), map(tuple, self.extra.tolist()), self.lineno.tolist(),
         )
-
-    def bboxes(self) -> list[BBox]:
-        """Every row's box, built from Python floats."""
-        return list(map(BBox, *self.box.T.tolist()))
-
-    def groups(self, column: str) -> list[tuple[int, np.ndarray]]:
-        """(value, its rows in table order) per distinct value of ``column``, ascending."""
-        keys = getattr(self, column)
-        if not len(keys):
-            return []
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-        return list(zip(ordered[np.r_[0, cuts]].tolist(), np.split(order, cuts)))
 
 
 def parse_mot(source) -> MotTable:
@@ -184,7 +170,7 @@ def _parse_chunk(raw: list[str], first: int) -> MotTable:
             cols.append(np.fromiter(map(read, col[:stop]), dtype, stop))
     frame, ids, box = cols[0][:stop], cols[1][:stop], np.stack([c[:stop] for c in cols[2:6]], axis=1)
     low = frame < 1
-    bad = np.flatnonzero(low | _bad_boxes(box))
+    bad = np.flatnonzero(low | bad_boxes(box))
     if bad.size:
         stop = int(bad[0])
         if low[stop]:
@@ -200,7 +186,7 @@ def _parse_chunk(raw: list[str], first: int) -> MotTable:
     return MotTable(frame, ids, box, cols[6], extra, lineno)
 
 
-def _bad_boxes(box: np.ndarray) -> np.ndarray:
+def bad_boxes(box: np.ndarray) -> np.ndarray:
     """Mask of the rows of an n x 4 box array that a BBox rejects: non-finite or non-positive extent."""
     return ~(np.isfinite(box).all(axis=1) & (box[:, 2] > 0.0) & (box[:, 3] > 0.0))
 
@@ -283,7 +269,7 @@ def _frame_split(table: MotTable, descriptors: Optional[Descriptors], head_forma
     MotParseError naming the line; then the first record, in
     ``descriptors``' row order, whose det_index its frame lacks, as ValueError.
     """
-    _check_boxes(table.box)
+    check_boxes(table.box)
     order = np.argsort(table.frame, kind="stable")
     bad = ~np.isfinite(table.conf[order])
     worn = np.zeros(len(order), bool)
@@ -562,9 +548,9 @@ def _gt_paths(spec: SceneSpec) -> np.ndarray:
     return np.stack(np.broadcast_arrays(x, y, w, h), axis=-1)
 
 
-def _check_boxes(boxes: np.ndarray) -> None:
+def check_boxes(boxes: np.ndarray) -> None:
     """Raise the BBox error of the first row that is not a valid box."""
-    bad = _bad_boxes(boxes)
+    bad = bad_boxes(boxes)
     if bad.any():
         BBox(*boxes[bad.argmax()].tolist())
 
@@ -583,7 +569,7 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     T, F = spec.targets, spec.frames
     paths = _gt_paths(spec)
-    _check_boxes(paths.reshape(-1, 4))
+    check_boxes(paths.reshape(-1, 4))
     clashes = np.argwhere(np.triu(iou_matrix(paths[:, 0], paths[:, 0]) != 0.0, k=1))  # nan: areas overflow
     if clashes.size:
         raise ValueError(f"targets {clashes[0, 0] + 1} and {clashes[0, 1] + 1} overlap at spawn")
@@ -605,7 +591,7 @@ def generate_scene(spec: SceneSpec) -> SceneData:
 
     boxes = paths[target, frame] + (noise[:, :4] if spec.noise_std > 0 else 0.0)
     boxes[:, 2:] = np.maximum(boxes[:, 2:], 1.0)
-    _check_boxes(boxes)
+    check_boxes(boxes)
     descriptors = None
     if dim > 0:
         v = bases[target] + (noise[:, -dim:] if spec.feat_noise_std > 0 else 0.0)

@@ -1,4 +1,4 @@
-"""Offline trajectory completion: fill the frame gaps of one track.
+"""Offline trajectory completion: fill the frame gaps of every track of a table.
 
 Three methods, each with its own behaviour:
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import METHODS, LiftingConfig
-from .geometry import BBox
+from .dataio import MotTable, bad_boxes, check_boxes
 
 _ANGLE_EPS = 1e-8
 _BRANCH_MARGIN = 1e-6
@@ -69,15 +69,12 @@ class Pose3:
 
 @dataclass(frozen=True)
 class TrajectoryGap:
-    """A run of missing frames between two observed anchors."""
+    """A run of missing frames of track ``id``, between its observed frames ``before`` and ``after``."""
 
-    before: tuple[int, BBox]
-    after: tuple[int, BBox]
+    id: int
+    before: int
+    after: int
     reason: str = ""
-
-    @property
-    def missing_frames(self) -> range:
-        return range(self.before[0] + 1, self.after[0])
 
 
 def _skew(w: np.ndarray) -> np.ndarray:
@@ -146,89 +143,88 @@ def interpolate_se3(T1: Pose3, T2: Pose3, omega: float) -> Pose3:
     return T1.compose(se3_exp(omega * se3_log(rel)))
 
 
+@_quiet
 def complete(
-    points: list[tuple[int, BBox]],
+    table: MotTable,
     method: str,
     cfg: LiftingConfig = LiftingConfig(),
-) -> tuple[list[tuple[int, BBox]], list[TrajectoryGap]]:
-    """Fill the internal frame gaps of one trajectory.
+) -> tuple[MotTable, list[TrajectoryGap]]:
+    """Fill the internal frame gaps of every track of ``table``.
 
-    ``points`` is a (frame, bbox) list; frames need not be contiguous.
-    Returns the filled trajectory sorted by frame, plus the gaps left open,
-    each with its reason: a ``se3_linear`` gap whose heading turns by pi.
-    Leading and trailing absences have no second anchor and are never
-    filled. Observed entries pass through untouched.
+    A track is the rows of one id, in any row order. Returns ``table`` with
+    one row appended per filled frame (conf 1, trailing fields -1), plus
+    the gaps left open, by track id and then frame, each with its reason:
+    a ``se3_linear`` gap whose heading turns by pi. Leading and trailing
+    absences have no second anchor and are never filled; observed rows
+    pass through untouched. A failure raises ValueError naming the first
+    failing track by id, and within it the first fault in frame order.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    pts = sorted(points, key=lambda p: p[0])
-    if len(pts) < 2:
-        return list(pts), []
-
-    if method == "se3_kalman":
-        sx, sy = _centre_smoother(pts, cfg)
-        first = pts[0][0]
-
-    filled: list[tuple[int, BBox]] = []
-    skipped: list[TrajectoryGap] = []
-    for idx in range(len(pts) - 1):
-        f1, b1 = pts[idx]
-        f2, b2 = pts[idx + 1]
-        filled.append((f1, b1))
-        if f2 - f1 <= 1:
-            continue
-        if method == "se3_linear":
-            T1 = _heading_pose(pts, idx)
-            try:
-                xi = se3_log(T1.inverse().compose(_heading_pose(pts, idx + 1)))
-            except ValueError as exc:
-                skipped.append(TrajectoryGap((f1, b1), (f2, b2), reason=str(exc)))
-                continue
-        for f in range(f1 + 1, f2):
-            omega = (f - f1) / (f2 - f1)
-            w = b1.w + omega * (b2.w - b1.w)
-            h = b1.h + omega * (b2.h - b1.h)
-            if method == "linear2d":
-                cx = b1.cx + omega * (b2.cx - b1.cx)
-                cy = b1.cy + omega * (b2.cy - b1.cy)
-            elif method == "se3_linear":
-                cx, cy, _ = T1.compose(se3_exp(omega * xi)).t
-            else:  # se3_kalman
-                cx, cy = sx[f - first], sy[f - first]
-            filled.append((f, BBox(x=cx - 0.5 * w, y=cy - 0.5 * h, w=w, h=h)))
-    filled.append(pts[-1])
-    return filled, skipped
-
-
-@_quiet
-def _heading_yaw(prev: np.ndarray | None, cur: np.ndarray, nxt: np.ndarray | None) -> float:
-    d = None
-    if nxt is not None:
-        d = nxt[:2] - cur[:2]
-    if (d is None or np.linalg.norm(d) < 1e-12) and prev is not None:
-        d = cur[:2] - prev[:2]
-    if d is None or np.linalg.norm(d) < 1e-12:
-        return 0.0
-    return math.atan2(float(d[1]), float(d[0]))
+    order = np.lexsort((table.frame, table.id))
+    ids, frames, box = table.id[order], table.frame[order], table.box[order]
+    centres = box[:, :2] + 0.5 * box[:, 2:]
+    gaps = np.flatnonzero((ids[1:] == ids[:-1]) & (frames[1:] - frames[:-1] > 1))  # row before each gap
+    c, skipped, error = [], [], None  # c: the filled rows' centres, until a failure stops se3_*
+    try:
+        if method == "se3_kalman":  # every track of two rows or more, in id order
+            cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+            for lo, hi in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(ids)].tolist()):
+                if hi - lo > 1:
+                    tid = ids[lo]
+                    c += _centre_smoother(frames[lo:hi].tolist(), centres[lo:hi].tolist(), cfg)
+        elif method == "se3_linear":  # gaps becomes the gaps it fills; the others are skipped
+            gaps, open_gaps = [], gaps
+            for i in open_gaps.tolist():
+                tid, f1, f2 = ids[i].item(), frames[i].item(), frames[i + 1].item()
+                lo = np.searchsorted(ids, tid)
+                track = centres[lo:np.searchsorted(ids, tid, "right")]
+                T1 = _heading_pose(track, i - lo)
+                try:
+                    xi = se3_log(T1.inverse().compose(_heading_pose(track, i + 1 - lo)))
+                except ValueError as exc:
+                    skipped.append(TrajectoryGap(tid, f1, f2, reason=str(exc)))
+                    continue
+                gaps.append(i)
+                for omega in np.arange(1, f2 - f1) / (f2 - f1):
+                    c.append(T1.compose(se3_exp(omega * xi)).t[:2])
+    except ValueError as exc:
+        error = f"track {tid}: {exc}"
+    gaps = np.asarray(gaps, dtype=np.int64)
+    # one row per missing frame, gap after gap: its gap's first anchor, and its frame minus the anchor's
+    count = frames[gaps + 1] - frames[gaps] - 1
+    lo = np.repeat(gaps, count)
+    step = np.arange(len(lo)) - np.repeat(np.cumsum(count) - count, count) + 1
+    omega = step / np.repeat(count + 1, count)
+    if method == "linear2d":
+        c = centres[lo] + omega[:, None] * (centres[lo + 1] - centres[lo])
+    c = np.reshape(c, (-1, 2))
+    wh = (box[lo, 2:] + omega[:, None] * (box[lo + 1, 2:] - box[lo, 2:]))[:len(c)]
+    filled = np.concatenate([c - 0.5 * wh, wh], axis=1)
+    try:  # a bad box in the rows before a failure comes first
+        check_boxes(filled)
+    except ValueError as exc:
+        raise ValueError(f"track {ids[lo[bad_boxes(filled).argmax()]]}: {exc}") from None
+    if error is not None:
+        raise ValueError(error)
+    return MotTable.concat([table, MotTable(frames[lo] + step, ids[lo], filled)]), skipped
 
 
-def _centre(box: BBox) -> np.ndarray:
-    return np.array([box.cx, box.cy, 0.0])
-
-
-def _heading_pose(pts: list[tuple[int, BBox]], idx: int) -> Pose3:
-    """Pose at the box centre, turned about z to face the direction of travel."""
-    t = _centre(pts[idx][1])
-    prev_t = _centre(pts[idx - 1][1]) if idx > 0 else None
-    next_t = _centre(pts[idx + 1][1]) if idx + 1 < len(pts) else None
-    yaw = _heading_yaw(prev_t, t, next_t)
+def _heading_pose(centres: np.ndarray, idx: int) -> Pose3:
+    """Pose at row ``idx`` of a track's (n, 2) centres (z = 0), turned about z to face the
+    direction of travel: to the next centre, else from the previous one, else +x."""
+    cur = centres[idx]
+    d = centres[idx + 1] - cur if idx + 1 < len(centres) else None
+    if (d is None or np.linalg.norm(d) < 1e-12) and idx > 0:
+        d = cur - centres[idx - 1]
+    yaw = 0.0 if d is None or np.linalg.norm(d) < 1e-12 else math.atan2(d[1], d[0])
     c, s = math.cos(yaw), math.sin(yaw)
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return Pose3(R=R, t=t)
+    return Pose3(R=R, t=np.append(cur, 0.0))
 
 
-def _centre_smoother(pts: list[tuple[int, BBox]], cfg: LiftingConfig) -> tuple[list, list]:
-    """RTS-smoothed box centres for every frame spanned by the trajectory.
+def _centre_smoother(frames: list[int], centres: list, cfg: LiftingConfig) -> list[tuple[float, float]]:
+    """RTS-smoothed box centres at the frames a track misses.
 
     A constant-velocity Kalman filter over (position, velocity) runs
     forward with measurement updates at observed frames and prediction
@@ -237,17 +233,18 @@ def _centre_smoother(pts: list[tuple[int, BBox]], cfg: LiftingConfig) -> tuple[l
     depend on the data, so x and y share it: the three numbers (p, c, v)
     of [[p, c], [c, v]], plus its determinant d, carried through the
     recursion rather than taken as p v - c^2, which cancels badly after
-    long gaps. Returns the smoothed cx and cy lists, indexed by frame minus
-    the first frame. Raises ValueError on a singular covariance, which
-    zero process and measurement noise give.
+    long gaps. ``frames`` ascend, ``centres`` holds their (cx, cy) pairs.
+    Returns the smoothed (cx, cy) of each frame between the first and the
+    last that ``frames`` lacks, in frame order. Raises ValueError on a
+    singular covariance, which zero process and measurement noise give.
     """
     q = cfg.process_std**2
     r = cfg.meas_std**2
-    first = pts[0][0]
-    n = pts[-1][0] - first + 1
+    first = frames[0]
+    n = frames[-1] - first + 1
     obs: list = [None] * n
-    for f, b in pts:
-        obs[f - first] = (b.cx, b.cy)
+    for f, z in zip(frames, centres):
+        obs[f - first] = z
 
     x, y = obs[0]
     vx = vy = 0.0
@@ -285,4 +282,4 @@ def _centre_smoother(pts: list[tuple[int, BBox]], cfg: LiftingConfig) -> tuple[l
             sx[k], sy[k] = x, y
     except ZeroDivisionError:
         raise ValueError("singular smoother covariance; raise process_std or meas_std") from None
-    return sx, sy
+    return [(x, y) for x, y, z in zip(sx, sy, obs) if z is None]

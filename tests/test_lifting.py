@@ -1,19 +1,26 @@
+import contextlib
 import decimal
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import lifting_oracle
+from headtrack import cli
+from headtrack.dataio import format_mot, parse_mot
 from headtrack.geometry import BBox
 from headtrack.lifting import (
     LiftingConfig,
     METHODS,
     Pose3,
-    complete,
     interpolate_se3,
     se3_exp,
     se3_log,
 )
+from lifting_oracle import complete_track
 
 
 def rodrigues(axis, angle):
@@ -148,7 +155,7 @@ class TestComplete:
     def test_constant_velocity_gap_recovered_exactly(self):
         truth = linear_track(20)
         gap = set(range(8, 13))
-        filled, skipped = complete(drop_frames(truth, gap), "linear2d", self.cfg)
+        filled, skipped = complete_track(drop_frames(truth, gap), "linear2d", self.cfg)
         assert skipped == []
         got = dict(filled)
         for f, b in truth:
@@ -158,8 +165,8 @@ class TestComplete:
     def test_translation_only_methods_agree(self):
         truth = linear_track(15)
         gappy = drop_frames(truth, set(range(5, 10)))
-        a, _ = complete(gappy, "linear2d", self.cfg)
-        b, _ = complete(gappy, "se3_linear", self.cfg)
+        a, _ = complete_track(gappy, "linear2d", self.cfg)
+        b, _ = complete_track(gappy, "se3_linear", self.cfg)
         for (fa, ba), (fb, bb) in zip(a, b):
             assert fa == fb
             assert max(abs(ba.x - bb.x), abs(ba.y - bb.y)) < 1e-9
@@ -168,7 +175,7 @@ class TestComplete:
     def test_observed_frames_untouched(self, method):
         truth = linear_track(12)
         gappy = drop_frames(truth, {4, 5, 6})
-        filled, _ = complete(gappy, method, self.cfg)
+        filled, _ = complete_track(gappy, method, self.cfg)
         got = dict(filled)
         for f, b in gappy:
             assert got[f] is b or got[f] == b
@@ -177,7 +184,7 @@ class TestComplete:
     def test_all_methods_fill_all_gap_frames(self, method):
         truth = linear_track(12)
         gappy = drop_frames(truth, {4, 5, 6})
-        filled, _ = complete(gappy, method, self.cfg)
+        filled, _ = complete_track(gappy, method, self.cfg)
         assert [f for f, _ in filled] == list(range(1, 13))
 
     def test_reversal_gap_skipped_and_reported(self):
@@ -185,23 +192,22 @@ class TestComplete:
         # the heading geodesic has no principal branch
         rows = [(1, 100), (2, 110), (3, 120), (6, 150), (7, 140), (9, 120)]
         gappy = [(f, BBox(x=x - 20, y=10, w=40, h=80)) for f, x in rows]
-        filled, skipped = complete(gappy, "se3_linear", self.cfg)
+        filled, skipped = complete_track(gappy, "se3_linear", self.cfg)
         assert len(skipped) == 1
         gap = skipped[0]
-        assert tuple(gap.missing_frames) == (4, 5)
-        assert gap.before[0] == 3 and gap.after[0] == 6
+        assert (gap.id, gap.before, gap.after) == (1, 3, 6)  # frames 4 and 5 missing
         assert "principal branch" in gap.reason
         # the other gap of the same track is still filled
         assert [f for f, _ in filled] == [1, 2, 3, 6, 7, 8, 9]
 
     def test_short_tracks_pass_through(self):
         only = [(3, BBox(0, 0, 10, 10))]
-        filled, skipped = complete(only, "linear2d", self.cfg)
+        filled, skipped = complete_track(only, "linear2d", self.cfg)
         assert filled == only and skipped == []
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            complete(linear_track(5), "cubic", self.cfg)
+            complete_track(linear_track(5), "cubic", self.cfg)
 
     def arc_track(self, n=41, radius=200.0, rate=0.05):
         pts = []
@@ -213,7 +219,7 @@ class TestComplete:
         return pts
 
     def fill_error(self, method, truth, missing):
-        filled, _ = complete(drop_frames(truth, missing), method, self.cfg)
+        filled, _ = complete_track(drop_frames(truth, missing), method, self.cfg)
         got = dict(filled)
         t = dict(truth)
         errs = [
@@ -237,7 +243,7 @@ class TestComplete:
     def test_heading_mode_still_exact_at_endpoints(self):
         truth = self.arc_track(n=20)
         gappy = drop_frames(truth, {8, 9, 10})
-        filled, _ = complete(gappy, "se3_linear", self.cfg)
+        filled, _ = complete_track(gappy, "se3_linear", self.cfg)
         got = dict(filled)
         for f, b in gappy:
             assert got[f] == b
@@ -372,7 +378,7 @@ def test_se3_kalman_matches_twist_smoother(process_std, meas_std):
         observed = {f for f, _ in pts}
         ref = twist_smoother(pts, cfg)
         exact = decimal_smoother(pts, cfg)
-        filled, skipped = complete(pts, "se3_kalman", cfg)
+        filled, skipped = complete_track(pts, "se3_kalman", cfg)
         assert skipped == []
         assert [f for f, _ in filled] == list(range(pts[0][0], pts[-1][0] + 1))
         for f, box in filled:
@@ -386,3 +392,80 @@ def test_se3_kalman_matches_twist_smoother(process_std, meas_std):
             assert abs(box.cx - x) <= 1e-9 + abs(x - exact[f])
             assert abs(box.cy - y) < 1e-7
     assert gap_frames > 1000
+
+
+INT64_MAX = 2**63 - 1
+# few distinct centres, so tracks often turn back across a gap
+COORDS = st.one_of(st.floats(-2000, 2000), st.sampled_from([0.0, 100.0, 110.0, 120.0, 150.0]))
+SIZES = st.one_of(st.floats(1, 200), st.sampled_from([40.0, 1e-300]))
+NEAR_LIMIT = st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308])
+
+
+@st.composite
+def track_files(draw):
+    """MOT text of 0-4 tracks, rows shuffled: ids and frames up to the int64 limits,
+    single-row tracks, gaps of 1-20 frames, tracks that keep one y (so they turn back
+    by exactly pi); in one file of four, centres and sizes near 1e308."""
+    coords, sizes = COORDS, SIZES
+    if draw(st.integers(0, 3)) == 0:
+        coords, sizes = st.one_of(COORDS, NEAR_LIMIT), st.one_of(SIZES, st.just(1e308))
+    rows = []
+    for tid in draw(st.lists(st.sampled_from([-2**63, -1, 0, 5, 7, INT64_MAX]), max_size=4, unique=True)):
+        frames = np.cumsum([0] + draw(st.lists(st.one_of(st.just(1), st.integers(2, 21)), max_size=5))).tolist()
+        first = draw(st.sampled_from([1, 3, INT64_MAX - frames[-1]]))
+        ys = st.just(draw(coords)) if draw(st.booleans()) else coords
+        rows += [f"{first + f},{tid},{draw(coords)!r},{draw(ys)!r},{draw(sizes)!r},{draw(sizes)!r},1,-1,-1,-1"
+                 for f in frames]
+    return "\n".join(draw(st.permutations(rows))) + "\n"
+
+
+@pytest.fixture(scope="module")
+def oracle_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("lifting_oracle")
+
+
+def rows(tid, *boxes):
+    """MOT lines of track ``tid`` from (frame, x, y, w, h) tuples."""
+    return "".join(f"{f},{tid},{x},{y},{w},{h},1,-1,-1,-1\n" for f, x, y, w, h in boxes)
+
+
+@pytest.mark.parametrize("method", METHODS)
+# (0, 1e-160): r underflows, so the smoother fails on tracks of three rows or more, not on two
+@given(text=track_files(), stds=st.sampled_from([(0.1, 0.01), (1.0, 0.5), (0.0, 0.3), (0.0, 0.0), (0.0, 1e-160)]))
+# a U-turn across frames 3-6
+@example(text=rows(7, *((f, x, 50, 40, 80) for f, x in [(1, 100), (2, 110), (3, 120), (6, 150), (7, 140)])),
+         stds=(0.1, 0.01))
+# centres 20, inf, inf, 20: the direction from frame 2 to 4 is nan, and the heading keeps it,
+# so the twist is not finite; falling back to the previous row would face +x, and the gap
+# would be skipped as a turn of pi
+@example(text=rows(5, (1, 0, 0, 40, 80), (2, 1.7e308, 0, 1e308, 80), (4, 1.7e308, 0, 1e308, 80), (5, 0, 0, 40, 80)),
+         stds=(0.1, 0.01))
+# a bad filled box in track 5 comes before a failure of track 7: its twist (se3_linear), or
+# its smoother, which the gap-free three-row track 7 fails (se3_kalman)
+@example(text=rows(5, (1, 5.0, 1e308, 1e308, 80), (2, 1e308, 1e308, 1e308, 1e308), (4, 5.0, 1e308, 1.0, 1e308),
+                   (6, 5.0, 3.0, 1e308, 1e308)) + rows(7, (1, 1e308, 0, 40, 80), (2, -1e308, 0, 40, 80), (4, 1e308, 0, 40, 80)),
+         stds=(0.1, 0.01))
+@example(text=rows(5, (1, 1e308, 0, 40, 80), (4, -1e308, 0, 40, 80)) + rows(7, *((f, 4 * f, 0, 40, 80) for f in (1, 2, 3))),
+         stds=(0.0, 1e-160))
+# zero noise: the smoother fails on the gap-free track 4 before track 7, which has a gap
+@example(text=rows(4, (1, 0, 0, 10, 20), (2, 2, 0, 10, 20)) + rows(7, (1, 0, 0, 10, 20), (3, 4, 0, 10, 20)),
+         stds=(0.0, 0.0))
+@settings(max_examples=150, deadline=None)
+def test_interpolate_matches_track_at_a_time_oracle(oracle_dir, text, method, stds):
+    """The written file, the open gaps and the error line of ``interpolate`` are the oracle's."""
+    src, out = oracle_dir / "in.txt", oracle_dir / "out.txt"
+    src.write_text(text)
+    out.unlink(missing_ok=True)
+    argv = ["interpolate", "--input", str(src), "--method", method, "--out", str(out),
+            "--se3-process-std", str(stds[0]), "--se3-meas-std", str(stds[1])]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    try:
+        filled, skipped = lifting_oracle.interpolate(parse_mot(src), method, LiftingConfig(*stds))
+    except ValueError as exc:
+        assert (code, err.getvalue(), out.exists()) == (2, f"headtrack: {src}: {exc}\n", False)
+        return
+    gaps = [f"track {tid}: gap {g.before[0] + 1}-{g.after[0] - 1} left unfilled: {g.reason}\n" for tid, g in skipped]
+    assert (code, err.getvalue()) == (0, "".join(gaps))
+    assert out.read_text() == format_mot(filled)
