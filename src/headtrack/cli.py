@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -81,14 +82,12 @@ class RunConfig:
     seed: int = _key(SceneSpec.seed, "PRNG seed for the scene generator")
 
 
-def _coerce(name: str, raw: str, target_type):
+def _coerce(name: str, target_type, raw: str):
     raw = raw.strip()
     if target_type is bool:
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
+        words = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+        if raw.lower() in words:
+            return words[raw.lower()]
         raise ConfigError(f"key {name}: expected a boolean, got {raw!r}")
     try:
         value = target_type(raw)
@@ -99,31 +98,39 @@ def _coerce(name: str, raw: str, target_type):
     return value
 
 
-def _key_values(path):
-    """Yield (lineno, key, value) for each key=value line of a file; # starts a comment."""
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+def _parsers(cls) -> dict:
+    """A value parser per field of dataclass ``cls``, reading the type of the field's default."""
+    return {f.name: functools.partial(_coerce, f.name, type(f.default)) for f in dataclasses.fields(cls)}
+
+
+def _read_settings(path, parsers: dict, unknown: str) -> dict:
+    """The values of a key=value file, each read by its key's parser; a later line wins.
+
+    # starts a comment. Undecodable text, a line without =, an ``unknown`` key and a
+    value its parser rejects are errors naming the file, and the line where there is one.
+    """
+    values = {}
+    for lineno, raw in enumerate(_located(path, Path(path).read_text).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        yield lineno, key, val
+        if key not in parsers:
+            raise ConfigError(f"{path}:{lineno}: {unknown} {key!r}")
+        values[key] = _located(f"{path}:{lineno}", lambda: parsers[key](val))
+    return values
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     """Read a key=value file (optional) and apply command-line overrides."""
-    types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
-    values: dict[str, object] = {}
-    if path is not None:
-        for lineno, key, val in _key_values(path):
-            if key not in types:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _located(f"{path}:{lineno}", lambda: _coerce(key, val, types[key]))
+    parsers = _parsers(RunConfig)
+    values = {} if path is None else _read_settings(path, parsers, "unknown key")
     for key, val in (overrides or {}).items():
-        if key not in types:
+        if key not in parsers:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, val, types[key]) if isinstance(val, str) else val
+        values[key] = parsers[key](val) if isinstance(val, str) else val
     return RunConfig(**values)
 
 
@@ -252,61 +259,53 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     return 0
 
 
-def parse_scene_spec(path, cfg: RunConfig, flags=()) -> SceneSpec:
-    """Scene description: key=value lines, the keys being SceneSpec's fields.
-
-    ``occlusion`` lists the windows as tid:start-end;... in place of the
-    ``occlusions`` field, which is not a key. A key that is also a RunConfig
-    key takes ``cfg``'s value unless the spec sets it, and always when it is
-    among ``flags``, the keys given on the command line. An out-of-range
-    value taken from ``cfg`` is reported by key, one from the spec by file.
-    """
-    types = {f.name: type(f.default) for f in dataclasses.fields(SceneSpec)}
-    del types["occlusions"]
-    types["descriptor_dim"] = int  # its default, None, means one dimension per target
-    shared = [f.name for f in dataclasses.fields(RunConfig) if f.name in types]
-    kwargs = {key: getattr(cfg, key) for key in shared}
-    spec_keys = set()
-    for lineno, key, val in _key_values(path):
-        if key == "occlusion":
-            windows = []
-            for chunk in val.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                try:
-                    tid, span = chunk.split(":")
-                    start, end = span.split("-")
-                    windows.append((int(tid), int(start), int(end)))
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}:{lineno}: occlusion windows look like tid:start-end"
-                    ) from None
-            kwargs["occlusions"] = tuple(windows)
-        elif key in types:
-            kwargs[key] = _located(f"{path}:{lineno}", lambda: _coerce(key, val, types[key]))
-            spec_keys.add(key)
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown scene key {key!r}")
-    kwargs.update({key: getattr(cfg, key) for key in shared if key in flags})
-    from_cfg = {key for key in shared if key in flags or key not in spec_keys}
+def _occlusions(raw: str) -> tuple:
+    """The windows of an ``occlusion`` value, tid:start-end separated by ;."""
+    windows = []
     try:
-        return SceneSpec(**kwargs)
+        for tid, span in (chunk.split(":") for chunk in raw.split(";") if chunk.strip()):
+            start, end = span.split("-")
+            windows.append((int(tid), int(start), int(end)))
+    except ValueError:
+        raise ValueError("occlusion windows look like tid:start-end") from None
+    return tuple(windows)
+
+
+def parse_scene_spec(path, cfg: RunConfig, flags=()) -> tuple[SceneSpec, list[str]]:
+    """A scene spec file, whose keys are SceneSpec's fields, and the keys that took ``cfg``'s value.
+
+    ``occlusion`` lists the windows as tid:start-end;... in place of the ``occlusions``
+    field. A RunConfig key takes ``cfg``'s value when it is in ``flags``, the keys given on
+    the command line, or when the spec leaves it out and ``cfg``'s value is not the
+    default; an out-of-range value of such a key is reported by key, any other by file.
+    """
+    parsers = _parsers(SceneSpec)
+    del parsers["occlusions"]
+    parsers["descriptor_dim"] = functools.partial(_coerce, "descriptor_dim", int)  # its default, None, is no type
+    parsers["occlusion"] = _occlusions
+    spec = _read_settings(path, parsers, "unknown scene key")
+    from_cfg = [f.name for f in dataclasses.fields(RunConfig) if f.name in parsers and (
+        f.name in flags or (f.name not in spec and getattr(cfg, f.name) != f.default))]
+    kwargs = {"occlusions": spec.pop("occlusion", ()), **spec, **{key: getattr(cfg, key) for key in from_cfg}}
+    try:
+        return SceneSpec(**kwargs), from_cfg
     except ValueError as exc:  # a field's message starts with its name
         name = str(exc).split(" ", 1)[0]
         raise ConfigError(f"key {name}: {exc}" if name in from_cfg else f"{path}: {exc}") from None
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
-    spec = parse_scene_spec(args.spec, cfg, flags=vars(args))  # unset flags are not in args
-    flagged = [key for key in ("image_width", "image_height") if key in vars(args)]  # a failure names them too
-    where = f"key {', '.join(flagged)} and {args.spec}" if flagged else args.spec
+    spec, from_cfg = parse_scene_spec(args.spec, cfg, flags=vars(args))  # unset flags are not in args
+    sized = [key for key in ("image_width", "image_height") if key in from_cfg]  # a failure names them too
+    where = f"key {', '.join(sized)} and {args.spec}" if sized else args.spec
     scene = _located(where, lambda: dataio.generate_scene(spec))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_mot(out_dir / "gt.txt", scene.gt)
     dataio.write_mot(out_dir / "det.txt", scene.detections)
-    if scene.descriptors is not None:
+    if scene.descriptors is None:  # track would read an earlier scene's sidecar as these detections'
+        (out_dir / "features.ftfv").unlink(missing_ok=True)
+    else:
         dataio.write_descriptors(out_dir / "features.ftfv", scene.descriptors)
     print(f"wrote {len(scene.gt)} gt lines, {len(scene.detections)} detections to {out_dir}")
     return 0

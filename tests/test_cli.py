@@ -3,7 +3,6 @@ import contextlib
 import dataclasses
 import io
 import json
-import shutil
 import struct
 import warnings
 
@@ -78,6 +77,20 @@ class TestSimulate:
     def test_bad_scene_key_is_data_error(self, tmp_path, capsys):
         spec = write(tmp_path / "scene.cfg", "walls = 5\n")
         assert cli.main(["simulate", "--spec", spec, "--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_scene_without_descriptors_removes_an_earlier_sidecar(self, tmp_path):
+        # the old sidecar would give the new detections the old scene's identities
+        first = write(tmp_path / "first.cfg", "targets = 3\nframes = 10\nseed = 1\n")
+        second = write(tmp_path / "second.cfg",
+                       "targets = 3\nframes = 10\nseed = 2\nnoise_std = 3\ndescriptor_dim = 0\n")
+        out, fresh = tmp_path / "scene", tmp_path / "fresh"
+        assert cli.main(["simulate", "--spec", first, "--out-dir", str(out)]) == 0
+        assert (out / "features.ftfv").exists()
+        for out_dir in (out, fresh):
+            assert cli.main(["simulate", "--spec", second, "--out-dir", str(out_dir)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["det.txt", "gt.txt"]
+        for name in ("gt.txt", "det.txt"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
 
 class TestTrack:
@@ -728,7 +741,7 @@ class TestSettingsStatedOnce:
 
     def test_empty_spec_is_scene_spec_defaults(self, tmp_path):
         spec = write(tmp_path / "scene.cfg", "# no keys\n\n")
-        assert cli.parse_scene_spec(spec, cli.RunConfig()) == SceneSpec()
+        assert cli.parse_scene_spec(spec, cli.RunConfig()) == (SceneSpec(), [])
 
     def test_scene_values_cover_every_key(self):
         fields = {f.name for f in dataclasses.fields(SceneSpec)}
@@ -738,16 +751,37 @@ class TestSettingsStatedOnce:
     def test_scene_key_round_trips(self, tmp_path, key):
         value = SCENE_VALUES[key]
         spec = write(tmp_path / "scene.cfg", f"{key} = {value}\n")
-        parsed = cli.parse_scene_spec(spec, cli.RunConfig())
+        parsed, from_cfg = cli.parse_scene_spec(spec, cli.RunConfig())
+        assert from_cfg == []
         assert parsed == dataclasses.replace(SceneSpec(), **{key: value})
         assert type(getattr(parsed, key)) is type(value)
 
     def test_occlusion_key_and_raw_field(self, tmp_path):
         spec = write(tmp_path / "scene.cfg", "occlusion = 1:2-3; 2:4-5\n")
-        assert cli.parse_scene_spec(spec, cli.RunConfig()).occlusions == ((1, 2, 3), (2, 4, 5))
+        assert cli.parse_scene_spec(spec, cli.RunConfig())[0].occlusions == ((1, 2, 3), (2, 4, 5))
         spec = write(tmp_path / "raw.cfg", "occlusions = 1:2-3\n")
         with pytest.raises(cli.ConfigError, match="raw.cfg:1: unknown scene key 'occlusions'"):
             cli.parse_scene_spec(spec, cli.RunConfig())
+
+    def test_keys_taken_from_cfg(self, tmp_path):
+        # a flag (even at its default), or --config where the spec is silent and the value is not the default
+        spec = write(tmp_path / "scene.cfg", "image_height = 480\n")
+        cfg = dataclasses.replace(cli.RunConfig(), image_width=640.0, image_height=720.0)
+        assert cli.parse_scene_spec(spec, cfg) == (SceneSpec(image_width=640.0, image_height=480.0), ["image_width"])
+        default = dataclasses.replace(cli.RunConfig(), image_width=640.0, image_height=1080.0, seed=3)
+        assert cli.parse_scene_spec(spec, default, flags={"image_height", "seed"}) == (
+            SceneSpec(image_width=640.0, image_height=1080.0, seed=3), ["image_width", "image_height", "seed"])
+        assert cli.parse_scene_spec(spec, cli.RunConfig()) == (SceneSpec(image_height=480.0), [])
+
+    def test_undecodable_file_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"seed = 1\n\xff\n")
+        spec = write(tmp_path / "scene.cfg", "targets = 2\nframes = 3\n")
+        decode = "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"
+        for argv in (["--spec", str(bad)], ["--spec", spec, "--config", str(bad)]):
+            assert cli.main(["simulate", "--out-dir", str(tmp_path / "o"), *argv]) == 2
+            assert capsys.readouterr().err == f"headtrack: {bad}: {decode}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_config_file_value_survives_unset_flag(self, tmp_path, monkeypatch):
         seen = []
@@ -988,6 +1022,17 @@ class TestSettingRanges:
             f"headtrack: key image_width, image_height and {spec}: targets 1 and 2 overlap at spawn\n")
         assert not out.exists()
 
+    def test_simulate_generation_error_names_config_image_size(self, tmp_path, capsys):
+        spec = write(tmp_path / "s.cfg", "targets = 2\nframes = 3\n")
+        cfgfile = write(tmp_path / "c.cfg", "image_width = 1e-320\n")
+        out = tmp_path / "scene"
+        argv = ["simulate", "--spec", spec, "--out-dir", str(out), "--config", cfgfile]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"headtrack: key image_width and {spec}: targets 1 and 2 overlap at spawn\n"
+        assert not out.exists()
+        write(tmp_path / "s.cfg", "targets = 2\nframes = 3\nimage_width = 640\n")  # the spec beats --config
+        assert cli.main(argv) == 0
+
     def test_simulate_generation_error_names_the_spec_image_size(self, tmp_path, capsys):
         spec = write(tmp_path / "s.cfg", "targets = 2\nframes = 3\nimage_height = 1e-320\n")
         out = tmp_path / "scene"
@@ -1028,11 +1073,22 @@ CONFIG_LINES = st.one_of(
     ),
     st.text(max_size=20),
 )
-CONFIG_TEXTS = st.lists(CONFIG_LINES, max_size=6).map("\n".join)
+
+
+def raw_texts(lines, max_size):
+    """Files of up to ``max_size`` ``lines`` in UTF-8, or raw byte lines that need not decode.
+
+    A raw line carries no ASCII digit, so it asks for no huge scene.
+    """
+    raw = st.binary(max_size=16).map(lambda b: b.translate(None, b"0123456789"))
+    return st.lists(st.one_of(lines.map(str.encode), raw), max_size=max_size).map(b"\n".join)
+
+
+CONFIG_TEXTS = raw_texts(CONFIG_LINES, max_size=6)
 
 
 class TestConfigFuzz:
-    """Any key=value text gives a RunConfig or a ConfigError, and exit 0 or 2."""
+    """Any key=value file gives a RunConfig or a ConfigError, and exits 0, or 2 naming the file or a key."""
 
     @pytest.fixture(scope="class")
     def fuzz_dir(self, tmp_path_factory):
@@ -1043,18 +1099,21 @@ class TestConfigFuzz:
     @given(text=CONFIG_TEXTS)
     @settings(max_examples=40, deadline=None)
     def test_load_config(self, fuzz_dir, text):
-        cfgfile = write(fuzz_dir / "run.cfg", text)
+        cfgfile = fuzz_dir / "run.cfg"
+        cfgfile.write_bytes(text)
         try:
             assert isinstance(cli.load_config(cfgfile), cli.RunConfig)
         except cli.ConfigError:
             pass
 
     @given(text=CONFIG_TEXTS)
+    @example(text=b"seed = 1\n\xff = 2")  # not UTF-8: the decode error named no file
     @settings(max_examples=20, deadline=None)
     def test_evaluate_exit_code(self, fuzz_dir, text):
-        cfgfile = write(fuzz_dir / "run.cfg", text)
+        cfgfile = fuzz_dir / "run.cfg"
+        cfgfile.write_bytes(text)
         gt = str(fuzz_dir / "gt.txt")
-        assert cli.main(["evaluate", "--gt", gt, "--result", gt, "--config", cfgfile]) in (0, 2)
+        TestParserFuzz.check(["evaluate", "--gt", gt, "--result", gt, "--config", str(cfgfile)], cfgfile, *CONFIG_KEYS)
 
 
 # Numeric fields come from small fixed sets and free text carries no decimal
@@ -1132,7 +1191,7 @@ SPEC_LINES = st.one_of(
     ),
     NO_DIGITS,
 )
-SPEC_TEXTS = st.lists(SPEC_LINES, max_size=8).map("\n".join)
+SPEC_TEXTS = raw_texts(SPEC_LINES, max_size=8)
 
 
 # Flag values: numbers float() reads, extreme or out of range for some key, then junk.
@@ -1232,22 +1291,23 @@ class TestParserFuzz:
         self.check(argv, sidecar)
 
     @given(text=SPEC_TEXTS)
-    @example(text="noise_std = 1e308")  # noisy boxes overflow to inf; writing them exited 3
+    @example(text=b"noise_std = 1e308")  # noisy boxes overflow to inf; writing them exited 3
+    @example(text=b"targets = 2\n\xff\xfe")  # not UTF-8: the decode error named no file
     @settings(max_examples=150, deadline=None)
     def test_simulate_spec_text(self, fuzz_dir, text):
         spec = fuzz_dir / "fuzz.cfg"
-        spec.write_text(text)
+        spec.write_bytes(text)
         argv = ["simulate", "--spec", str(spec), "--out-dir", str(fuzz_dir / "scene")]
         self.check(argv, spec)
 
     @given(text=SPEC_TEXTS)
-    @example(text="feat_noise_std = 1e300")  # its descriptors overflowed to zero vectors
+    @example(text=b"feat_noise_std = 1e300")  # its descriptors overflowed to zero vectors
     @settings(max_examples=30, deadline=None)
     def test_track_reads_simulate_output(self, fuzz_dir, text):
+        # every run writes into one directory: simulate leaves no file of an earlier scene
         spec = fuzz_dir / "fuzz.cfg"
-        spec.write_text(text)
+        spec.write_bytes(text)
         scene = fuzz_dir / "tracked_scene"
-        shutil.rmtree(scene, ignore_errors=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = self.check(["simulate", "--spec", str(spec), "--out-dir", str(scene)], spec)

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 import lifting_oracle
 from headtrack import cli
-from headtrack.dataio import format_mot, parse_mot
+from headtrack.dataio import MotTable, SceneSpec, format_mot, generate_scene, parse_mot
 from headtrack.geometry import BBox
 from headtrack.lifting import (
     LiftingConfig,
     METHODS,
     Pose3,
+    complete,
     interpolate_se3,
     se3_exp,
     se3_log,
@@ -239,6 +240,27 @@ class TestComplete:
         missing = set(range(16, 26))
         err_geodesic = self.fill_error("se3_linear", truth, missing)
         assert err_geodesic < 0.5 * self.fill_error("linear2d", truth, missing)
+
+    def test_heading_geodesic_beats_linear_on_a_circular_scene(self):
+        # why se3_linear stays: on a turning scene it fills closer to the truth than linear2d
+        windows = ((1, 20, 30), (3, 40, 55), (5, 60, 66), (7, 10, 25), (9, 70, 85), (10, 30, 35))
+        gt = generate_scene(SceneSpec(motion="circular", frames=100, occlusions=windows)).gt
+        hidden = np.zeros(len(gt), dtype=bool)
+        for tid, first, last in windows:
+            hidden |= (gt.id == tid) & (gt.frame >= first) & (gt.frame <= last)
+        truth = {(f, i): c for f, i, c in zip(gt.frame[hidden].tolist(), gt.id[hidden].tolist(),
+                                               gt.box[hidden, :2] + 0.5 * gt.box[hidden, 2:])}
+        observed = MotTable(gt.frame[~hidden], gt.id[~hidden], gt.box[~hidden])
+        error = {}
+        for method in ("linear2d", "se3_linear"):
+            table, skipped = complete(observed, method, self.cfg)
+            assert skipped == []
+            new = slice(len(observed), None)
+            centres = table.box[new, :2] + 0.5 * table.box[new, 2:]
+            keys = list(zip(table.frame[new].tolist(), table.id[new].tolist()))
+            assert sorted(keys) == sorted(truth)
+            error[method] = np.mean([np.hypot(*(c - truth[k])) for k, c in zip(keys, centres)])
+        assert error["se3_linear"] < error["linear2d"], error
 
     def test_heading_mode_still_exact_at_endpoints(self):
         truth = self.arc_track(n=20)
