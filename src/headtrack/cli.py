@@ -16,15 +16,18 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 # the library modules a verb runs are imported by that verb, when it runs
 from . import dataio
-from .config import (EVAL_IOU_THRESHOLD, METHODS, AssignConfig, AssociationConfig, KalmanConfig, LiftingConfig,
-                     TrackerConfig)
-from .dataio import SceneSpec
+from .config import (EVAL_IOU_THRESHOLD, IMAGE_HEIGHT, IMAGE_WIDTH, METHODS, SCENE_SEED, AssignConfig,
+                     AssociationConfig, KalmanConfig, LiftingConfig, TrackerConfig)
 from .geometry import BBox, HeadKeypoint
+
+if TYPE_CHECKING:
+    from .simulate import SceneSpec
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -77,9 +80,9 @@ class RunConfig:
     # evaluation
     iou_threshold: float = _key(EVAL_IOU_THRESHOLD, "IoU threshold for evaluation matching")
     # scene geometry / determinism
-    image_width: float = _key(SceneSpec.image_width, "image width in pixels")
-    image_height: float = _key(SceneSpec.image_height, "image height in pixels")
-    seed: int = _key(SceneSpec.seed, "PRNG seed for the scene generator")
+    image_width: float = _key(IMAGE_WIDTH, "image width in pixels")
+    image_height: float = _key(IMAGE_HEIGHT, "image height in pixels")
+    seed: int = _key(SCENE_SEED, "PRNG seed for the scene generator")
 
 
 def _coerce(name: str, target_type, raw: str):
@@ -279,6 +282,7 @@ def parse_scene_spec(path, cfg: RunConfig, flags=()) -> tuple[SceneSpec, list[st
     the command line, or when the spec leaves it out and ``cfg``'s value is not the
     default; an out-of-range value of such a key is reported by key, any other by file.
     """
+    from .simulate import SceneSpec
     parsers = _parsers(SceneSpec)
     del parsers["occlusions"]
     parsers["descriptor_dim"] = functools.partial(_coerce, "descriptor_dim", int)  # its default, None, is no type
@@ -295,10 +299,11 @@ def parse_scene_spec(path, cfg: RunConfig, flags=()) -> tuple[SceneSpec, list[st
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
+    from . import simulate
     spec, from_cfg = parse_scene_spec(args.spec, cfg, flags=vars(args))  # unset flags are not in args
     sized = [key for key in ("image_width", "image_height") if key in from_cfg]  # a failure names them too
     where = f"key {', '.join(sized)} and {args.spec}" if sized else args.spec
-    scene = _located(where, lambda: dataio.generate_scene(spec))
+    scene = _located(where, lambda: simulate.generate_scene(spec))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_mot(out_dir / "gt.txt", scene.gt)
@@ -447,7 +452,7 @@ def main(argv=None) -> int:
         keys = {f.name for f in dataclasses.fields(RunConfig)}
         cfg = load_config(args.config, {k: v for k, v in vars(args).items() if k in keys})
         return _VERBS[args.verb](args, cfg)
-    except (ConfigError, dataio.MotParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and dataio.MotParseError among them
         print(f"headtrack: {exc}", file=sys.stderr)
         return DATA_ERROR
     except Exception as exc:  # pragma: no cover - defensive

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 FEATURE_KINDS = ("f_cls", "f_reg", "f_head")  # the appearance branches, in sidecar order
 METHODS = ("linear2d", "se3_linear", "se3_kalman")  # the gap-filling methods of lifting.complete
 EVAL_IOU_THRESHOLD = 0.5  # the evaluation matching threshold of metrics.evaluate
+IMAGE_WIDTH, IMAGE_HEIGHT = 1920.0, 1080.0  # the image size of a simulated scene, whose diagonal scales motion
+SCENE_SEED = 0  # the PRNG seed of simulate.generate_scene
 
 
 @dataclass(frozen=True)

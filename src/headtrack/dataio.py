@@ -1,10 +1,11 @@
-"""File formats and the synthetic scene generator.
+"""File formats.
 
 Text I/O follows the MOTChallenge comma-separated convention
 (frame,id,x,y,w,h,conf and three trailing fields). A file is held as one
-MotTable of columns, parsed, checked and written a bounded chunk of rows
-at a time; iterating a table yields MotLine rows. Head keypoints ride in
-the trailing fields when head mode is on; plain files keep -1
+MotTable of columns. Clean text is read in one pass of numpy's C reader;
+other text is parsed and checked, and any table written, a bounded chunk
+of rows at a time. Iterating a table yields MotLine rows. Head keypoints
+ride in the trailing fields when head mode is on; plain files keep -1
 placeholders there. High-dimensional appearance descriptors live in a
 binary sidecar keyed by (frame, detection index); everything in it is
 little-endian regardless of host, and it is held as Descriptors columns,
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
@@ -26,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 import numpy as np
 
 from .config import FEATURE_KINDS
-from .geometry import BBox, HeadKeypoint, iou_matrix
+from .geometry import BBox, HeadKeypoint
 
 if TYPE_CHECKING:  # imported where they are built, so only the verbs that build them load them
     from .tracker import Detection, Detections
@@ -34,8 +36,6 @@ if TYPE_CHECKING:  # imported where they are built, so only the verbs that build
 DESCRIPTOR_MAGIC = b"FTFV"
 DESCRIPTOR_VERSION = 1
 _HEADER = struct.Struct("<4sHIIIQ")
-
-MOTION_MODELS = ("linear", "crossing", "circular")
 
 _CHUNK = 1024  # rows parsed or written at once: bounds the lists of field strings
 
@@ -125,9 +125,9 @@ def parse_mot(source) -> MotTable:
     """Parse MOT text from a path, open file, or iterable of lines.
 
     Lines may arrive in any frame order; use format_mot for canonical
-    output ordering. Every field is read with Python's ``int`` and
-    ``float``, and every box checked as a BBox would check it; the first
-    failing line raises MotParseError naming it.
+    output ordering. Every field is read as Python's ``int`` and
+    ``float`` read it, and every box checked as a BBox would check it; the
+    first failing line raises MotParseError naming it.
     """
     if isinstance(source, (str, Path)):
         lines = Path(source).read_text().splitlines()
@@ -135,10 +135,39 @@ def parse_mot(source) -> MotTable:
         lines = source.read().splitlines()
     else:
         lines = [str(l).rstrip("\n") for l in source]
+    table = _read_clean(lines)
+    if table is not None:
+        return table
     return MotTable.concat(
         _parse_chunk(lines[start:start + _CHUNK], start + 1)
         for start in range(0, len(lines), _CHUNK)
     )
+
+
+# a MotTable row as numpy's text reader fills it: ten comma-separated columns
+_ROW = np.dtype([("frame", np.int64), ("id", np.int64), ("box", float, 4), ("conf", float), ("extra", float, 3)])
+
+
+def _read_clean(lines: list[str]) -> Optional[MotTable]:
+    """The table of ``lines`` from one pass of numpy's C reader, or None for the checked parser.
+
+    The C reader takes a subset of what Python's ``int`` and ``float``
+    take (not ``1_0`` or non-ASCII digits) and reads each field it takes to
+    the same value. Lines it rejects, blank lines (which it skips, so line
+    numbers would shift) and a frame or box the checked parser rejects all
+    go to that parser, which names the fault.
+    """
+    if not lines or not lines[0].strip():  # no row to read first: the reader would warn of empty input
+        return None
+    try:
+        with warnings.catch_warnings():  # older numpy reads 1.0 into an int column with only this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(lines, _ROW, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None
+    if len(rows) != len(lines) or (rows["frame"] < 1).any() or bad_boxes(rows["box"]).any():
+        return None
+    return MotTable(*(rows[name].copy() for name in _ROW.names), np.arange(1, len(rows) + 1))
 
 
 def _parse_chunk(raw: list[str], first: int) -> MotTable:
@@ -189,6 +218,13 @@ def _parse_chunk(raw: list[str], first: int) -> MotTable:
 def bad_boxes(box: np.ndarray) -> np.ndarray:
     """Mask of the rows of an n x 4 box array that a BBox rejects: non-finite or non-positive extent."""
     return ~(np.isfinite(box).all(axis=1) & (box[:, 2] > 0.0) & (box[:, 3] > 0.0))
+
+
+def check_boxes(boxes: np.ndarray) -> None:
+    """Raise the BBox error of the first row that is not a valid box."""
+    bad = bad_boxes(boxes)
+    if bad.any():
+        BBox(*boxes[bad.argmax()].tolist())
 
 
 def _int64(text: str) -> int:
@@ -467,147 +503,3 @@ def read_descriptors(path) -> Descriptors:
     for kind, m in vecs.items():
         m /= norms[kind][:, None]
     return Descriptors(frame, index, vecs)
-
-
-# -- synthetic scenes ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SceneSpec:
-    """Deterministic synthetic pedestrian scene.
-
-    ``occlusions`` lists (target_id, first_frame, last_frame) windows,
-    inclusive, during which that target's detections are dropped (ground
-    truth keeps running). ``descriptor_dim`` of zero disables descriptors;
-    None uses one basis dimension per target (exact one-hot identities).
-    """
-
-    targets: int = 10
-    motion: str = "crossing"
-    frames: int = 100
-    image_width: float = 1920.0
-    image_height: float = 1080.0
-    box_height: float = 80.0
-    noise_std: float = 0.0
-    feat_noise_std: float = 0.0
-    descriptor_dim: Optional[int] = None
-    seed: int = 0
-    occlusions: tuple[tuple[int, int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.targets < 1:
-            raise ValueError("need at least one target")
-        if self.motion not in MOTION_MODELS:
-            raise ValueError(f"motion must be one of {MOTION_MODELS}, got {self.motion!r}")
-        if self.frames < 1:
-            raise ValueError("need at least one frame")
-        for name in ("image_width", "image_height", "box_height"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("noise_std", "feat_noise_std", "seed"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.descriptor_dim is not None and self.descriptor_dim < 0:
-            raise ValueError(f"descriptor_dim must be >= 0, got {self.descriptor_dim}")
-        for tid, start, end in self.occlusions:
-            if not (1 <= start <= end <= self.frames):
-                raise ValueError(f"occlusion window {start}-{end} outside 1..{self.frames}")
-            if not (1 <= tid <= self.targets):
-                raise ValueError(f"occlusion references unknown target {tid}")
-
-
-@dataclass
-class SceneData:
-    gt: MotTable
-    detections: MotTable
-    descriptors: Optional[Descriptors]  # None: descriptor_dim 0
-
-
-def _gt_paths(spec: SceneSpec) -> np.ndarray:
-    """Each target's box (x, y, w, h) in each frame, (targets, frames, 4), by closed-form motion."""
-    W, H, T, F = spec.image_width, spec.image_height, spec.targets, spec.frames
-    t, f = np.arange(T)[:, None], np.arange(F)
-    h = spec.box_height * (1.0 + 0.05 * t)
-    w = 0.5 * h
-    if spec.motion == "linear":
-        x, y = 0.05 * W + (2.0 + 0.5 * t) * f, (t + 1) * H / (T + 1)
-    else:
-        if spec.motion == "crossing":
-            # start on a ring, drive through the center; staggered radii and
-            # speeds keep any two targets from ever coinciding exactly
-            angle = 2.0 * np.pi * t / T
-            radius = 0.35 * min(W, H) * (1.0 + 0.04 * t)
-            speed = 2.0 * radius / (F - 1) if F > 1 else 0.0
-            cx = W / 2.0 + radius * np.cos(angle) - np.cos(angle) * speed * f
-            cy = H / 2.0 + radius * np.sin(angle) - np.sin(angle) * speed * f
-        else:  # circular
-            angle = 2.0 * np.pi * t / T + 2.0 * np.pi / max(F * 1.5, 2.0) * f
-            radius = 0.15 * min(W, H) * (1.0 + 0.1 * t)
-            cx, cy = W / 2.0 + radius * np.cos(angle), H / 2.0 + radius * np.sin(angle)
-        x, y = cx - w / 2, cy - h / 2
-    return np.stack(np.broadcast_arrays(x, y, w, h), axis=-1)
-
-
-def check_boxes(boxes: np.ndarray) -> None:
-    """Raise the BBox error of the first row that is not a valid box."""
-    bad = bad_boxes(boxes)
-    if bad.any():
-        BBox(*boxes[bad.argmax()].tolist())
-
-
-@np.errstate(over="ignore", invalid="ignore")  # boxes and vectors near 1e308 turn inf: checked below
-def generate_scene(spec: SceneSpec) -> SceneData:
-    """Build ground truth, noisy detections, and identity descriptors.
-
-    Fully deterministic for a fixed spec: the PCG64 generator seeded with
-    ``spec.seed`` drives all randomness, in the draw order the README
-    states. Raises when a box is not a valid BBox (ground truth target by
-    target, then detections in file order), when spawn boxes overlap, or
-    when a descriptor is not unit-norm.
-    """
-    from .association import UNIT_NORM_TOL, row_norms
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    T, F = spec.targets, spec.frames
-    paths = _gt_paths(spec)
-    check_boxes(paths.reshape(-1, 4))
-    clashes = np.argwhere(np.triu(iou_matrix(paths[:, 0], paths[:, 0]) != 0.0, k=1))  # nan: areas overflow
-    if clashes.size:
-        raise ValueError(f"targets {clashes[0, 0] + 1} and {clashes[0, 1] + 1} overlap at spawn")
-
-    visible = np.ones((F, T), dtype=bool)
-    for tid, start, end in spec.occlusions:
-        visible[start - 1:end, tid - 1] = False
-    frame, target = np.nonzero(visible)  # frame-major, the detections' file order
-    dim = T if spec.descriptor_dim is None else spec.descriptor_dim
-    if 0 < dim < T:
-        bases = rng.normal(size=(T, dim))
-        bases /= row_norms(bases)[:, None]
-    else:
-        bases = np.eye(T, dim)
-    # one row of draws per detection: 4 for its box, then dim for its descriptor, each if its std > 0
-    scales = ([spec.noise_std] * 4 * (spec.noise_std > 0)
-              + [spec.feat_noise_std] * dim * (spec.feat_noise_std > 0))
-    noise = rng.normal(0.0, scales, size=(len(frame), len(scales)))
-
-    boxes = paths[target, frame] + (noise[:, :4] if spec.noise_std > 0 else 0.0)
-    boxes[:, 2:] = np.maximum(boxes[:, 2:], 1.0)
-    check_boxes(boxes)
-    descriptors = None
-    if dim > 0:
-        v = bases[target] + (noise[:, -dim:] if spec.feat_noise_std > 0 else 0.0)
-        norms = row_norms(v)
-        zero = norms <= 0.0
-        v[zero], norms[zero] = bases[target[zero]], 1.0
-        v /= norms[:, None]
-        unit = row_norms(v)
-        off = ~(np.abs(unit - 1.0) <= UNIT_NORM_TOL)  # NaN fails
-        if off.any():
-            raise ValueError(f"f_cls must be unit-norm (got |v| = {float(unit[off][0])})")
-        det_index = (np.cumsum(visible, axis=1) - 1)[visible]
-        descriptors = Descriptors(frame + 1, det_index, {"f_cls": v})
-    gt = paths.transpose(1, 0, 2).reshape(-1, 4)
-    return SceneData(
-        gt=MotTable(np.repeat(np.arange(1, F + 1), T), np.tile(np.arange(1, T + 1), F), gt),
-        detections=MotTable(frame + 1, np.full(len(frame), -1), boxes),
-        descriptors=descriptors,
-    )

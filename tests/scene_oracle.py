@@ -1,8 +1,8 @@
 """Row-at-a-time scene generator and sidecar writer, kept as test oracles.
 
 These are the per-target, per-frame ``_gt_paths`` and ``generate_scene``
-and the per-record ``write_descriptors`` that ``headtrack.dataio``
-replaced with column-wise code. The tests hold the column-wise versions
+and the per-record ``write_descriptors`` that ``headtrack.simulate``
+and ``headtrack.dataio`` replaced with column-wise code. The tests hold the column-wise versions
 to the same files and error texts.
 """
 
@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from headtrack.association import FEATURE_KINDS
-from headtrack.dataio import DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, MotTable, SceneSpec
+from headtrack.dataio import DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, MotTable
+from headtrack.simulate import SceneSpec
 from headtrack.geometry import BBox, iou_matrix
 
 _HEADER = struct.Struct("<4sHIIIQ")

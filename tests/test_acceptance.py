@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from headtrack import cli, dataio, label_assign, lifting, metrics
+from headtrack import cli, dataio, label_assign, lifting, metrics, simulate
 from headtrack.association import CostMatrix, solve_assignment
 from headtrack.geometry import BBox, HeadKeypoint
 from headtrack.kalman import KalmanState, constant_velocity_model, iterated_update, update
@@ -54,7 +54,7 @@ def permutation_minimum(values, mask):
 
 
 def run_scene(spec, run_cfg):
-    scene = dataio.generate_scene(spec)
+    scene = simulate.generate_scene(spec)
     frames = dataio.mot_to_detections(scene.detections, scene.descriptors)
     tracker = Tracker(cli.tracker_config(run_cfg))
     hyp = {f: tracker.step(f, frames.get(f, [])) for f in range(1, spec.frames + 1)}
@@ -171,7 +171,7 @@ def test_c04_se3_roundtrip_and_endpoints():
 def test_c05_perfect_input_tracking():
     with criterion(5, "perfect input: MOTA 1.0, zero switches, IDF1 1.0"):
         t0 = time.perf_counter()
-        spec = dataio.SceneSpec(targets=10, frames=100, motion="crossing", seed=7)
+        spec = simulate.SceneSpec(targets=10, frames=100, motion="crossing", seed=7)
         report, _ = run_scene(spec, cli.RunConfig(min_hits=1))
         elapsed = time.perf_counter() - t0
         assert report.mota == 1.0
@@ -186,7 +186,7 @@ def test_c06_occlusion_robustness():
         cfg = cli.RunConfig(min_hits=1)  # patience_w stays at its default 30
         for seed in range(20):
             windows = tuple((t + 1, 40 + 2 * t, 43 + 2 * t) for t in range(10))
-            spec = dataio.SceneSpec(
+            spec = simulate.SceneSpec(
                 targets=10, frames=100, motion="crossing", seed=seed,
                 noise_std=1.0, occlusions=windows,
             )
@@ -201,13 +201,13 @@ def test_c07_patience_contract():
     with criterion(7, "window one past patience forces exactly one new id"):
         patience = 5
         window = (2, 20, 20 + patience)  # length patience + 1
-        spec = dataio.SceneSpec(
+        spec = simulate.SceneSpec(
             targets=3, frames=60, motion="linear", seed=11, occlusions=(window,)
         )
         cfg = cli.RunConfig(min_hits=1, patience_w=patience, w_app=0.0, w_mot=1.0)
         runs = []
         for _ in range(2):
-            scene = dataio.generate_scene(spec)
+            scene = simulate.generate_scene(spec)
             frames = dataio.mot_to_detections(scene.detections)
             tracker = Tracker(cli.tracker_config(cfg))
             emitted = {

@@ -12,10 +12,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from headtrack import cli, dataio, label_assign, lifting, tracker
+from headtrack import cli, dataio, label_assign, lifting, simulate, tracker
 from headtrack.association import AppearanceDescriptor, AssociationConfig
-from headtrack.dataio import SceneSpec, parse_mot, read_descriptors, write_descriptors
+from headtrack.dataio import parse_mot, read_descriptors, write_descriptors
 from headtrack.geometry import BBox, HeadKeypoint
+from headtrack.simulate import SceneSpec
 from headtrack.tracker import TrackerConfig
 
 SCENE = """
@@ -288,6 +289,17 @@ class TestEvaluate:
         cli.main(["evaluate", "--gt", str(sim_dir / "gt.txt"), "--result", str(res)])
         out = capsys.readouterr().out
         assert "MOTA=1.000000" in out
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_result_warns_nothing(self, sim_dir, tmp_path, capsys, text):
+        """No text to read gives no reader warning: evaluate's stderr stays empty."""
+        empty = write(tmp_path / "empty.txt", text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["evaluate", "--gt", str(sim_dir / "gt.txt"), "--result", empty]) == 0
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert err == "" and "FP=0" in out
 
     @pytest.mark.parametrize("side", ["gt", "result"])
     def test_duplicate_id_names_file_line_frame_and_id(self, tmp_path, capsys, side):
@@ -795,8 +807,8 @@ class TestSettingsStatedOnce:
 
     def test_spec_value_survives_unset_flag(self, tmp_path, monkeypatch):
         specs = []
-        generate = cli.dataio.generate_scene
-        monkeypatch.setattr(cli.dataio, "generate_scene", lambda s: specs.append(s) or generate(s))
+        generate = simulate.generate_scene
+        monkeypatch.setattr(simulate, "generate_scene", lambda s: specs.append(s) or generate(s))
         spec = write(tmp_path / "scene.cfg", "targets = 2\nframes = 3\nimage_width = 640\n")
         argv = ["simulate", "--spec", spec, "--out-dir", str(tmp_path / "o")]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -932,7 +944,7 @@ class TestColumnChecksNameTheFirstError:
 
 def heads_scene(tmp_path):
     """A scene's detection file and sidecar; half its lines carry heads, and frames run backwards in the file."""
-    scene = dataio.generate_scene(SceneSpec(
+    scene = simulate.generate_scene(SceneSpec(
         targets=6, motion="crossing", frames=40, noise_std=1.0, feat_noise_std=0.1, seed=7, occlusions=((2, 10, 16),),
     ))
     t = scene.detections

@@ -1,5 +1,6 @@
 import io
 import struct
+import warnings
 
 import itertools
 import re
@@ -19,10 +20,8 @@ from headtrack.dataio import (
     MotLine,
     MotParseError,
     MotTable,
-    SceneSpec,
     check_unique_ids,
     format_mot,
-    generate_scene,
     mot_to_detections,
     parse_mot,
     read_descriptors,
@@ -31,6 +30,7 @@ from headtrack.dataio import (
     write_mot,
 )
 from headtrack.geometry import BBox
+from headtrack.simulate import MOTION_MODELS, SceneSpec, generate_scene
 
 
 class TestMotText:
@@ -442,7 +442,7 @@ class TestSceneOracle:
             want = (*want[:2], want[2][:6] + bytes(12) + want[2][18:])
         assert got == want, spec
 
-    @pytest.mark.parametrize("motion", dataio.MOTION_MODELS)
+    @pytest.mark.parametrize("motion", MOTION_MODELS)
     def test_grid(self, tmp_path, motion):
         # 4 descriptor dims: one-hot (None, 64 when it is >= targets), none, random bases (4 < targets)
         for targets, frames, noise, feat_noise, dim, seed in self.GRID:
@@ -585,6 +585,20 @@ def _rows(lines):
     return [repr((l.frame, l.id, l.box, l.conf, tuple(l.extra), l.lineno)) for l in lines]
 
 
+def _bits(table: MotTable):
+    """Each column's dtype, shape and bytes, so that equal results are equal bit for bit."""
+    cols = (table.frame, table.id, table.box, table.conf, table.extra, table.lineno)
+    return [(c.dtype.str, c.shape, c.tobytes()) for c in cols]
+
+
+def _oracle_bits(lines):
+    """``_bits`` of the oracle's rows as a table."""
+    lines = list(lines)
+    boxes = [(l.box.x, l.box.y, l.box.w, l.box.h) for l in lines]
+    return _bits(MotTable([l.frame for l in lines], [l.id for l in lines], boxes, [l.conf for l in lines],
+                          [l.extra for l in lines], [l.lineno for l in lines]))
+
+
 def _vectors(descriptors: Descriptors):
     """Each record's key and the bytes of its kinds' rows, None for a kind the records lack."""
     kinds = [descriptors.vectors.get(k) for k in FEATURE_KINDS]
@@ -651,6 +665,81 @@ class TestOracles:
         self.same_parse("\n".join(rows))
         rows[4321] = rows[4321].replace(",1,-1,", ",1,q,")
         self.same_parse("\n".join(rows))
+
+    @staticmethod
+    def same_bits(text):
+        """parse_mot's table equals the oracle's rows bit for bit, line numbers and dtypes included."""
+        assert _bits(parse_mot(io.StringIO(text))) == _oracle_bits(mot_oracle.parse_mot(io.StringIO(text)))
+
+    @staticmethod
+    def one_pass(text):
+        """``same_bits``, with the checked parser made to fail: clean text never reaches it."""
+        def checked(*_):
+            raise AssertionError("clean text reached the checked parser")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_parse_chunk", checked)
+            TestOracles.same_bits(text)
+
+    def test_clean_file_takes_one_pass(self):
+        rows = [f"{1 + k // 7},{k % 7},{k * 0.5},{-k},{1 + k % 5},{2.25 * (1 + k % 3)},0.{k},-1,{k}e-3,nan"
+                for k in range(5000)]
+        self.one_pass("\n".join(rows) + "\n")
+        self.one_pass(" +4 , 007 ,\t1e3\u3000,.5,5.,5\xa0,Infinity,-nan,-0.0,1e-400\r\n")
+
+    @pytest.mark.parametrize("line", [
+        "1_0,1,0,0,5,5,1,-1,-1,-1",  # Python reads an underscore between digits; the C reader does not
+        "\u0661,1,0,0,5,5,1,-1,-1,-1",  # Arabic-Indic one
+        "1,\uff11,0,0,5,5,1,-1,-1,-1",  # fullwidth one
+        "1,1,1_0.5,0,5,5,1,-1,-1,-1",
+        "1,1,0,0,\u0665,5,1,-1,-1,-1",
+        "1,-9223372036854775808,0,0,5,5,1,-1,-1,-1",
+        "",
+        " \t",
+        "1.0,1,0,0,5,5,1,-1,-1,-1",
+        "1,1,0x10,0,5,5,1,-1,-1,-1",
+    ])
+    def test_tokens_only_python_reads(self, line):
+        text = f"1,2,0,0,5,5,1,-1,-1,-1\n{line}\n3,4,1,2,3,4,1,-1,-1,-1"
+        self.same_parse(text)
+        if _outcome(mot_oracle.parse_mot, io.StringIO(text))[0] == "ok":
+            self.same_bits(text)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \n\t\n", "\x0c"])
+    def test_no_rows_warn_nothing(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(parse_mot(io.StringIO(text))) == 0
+            assert len(parse_mot(text.splitlines())) == 0
+
+    def test_float_spellings(self):
+        """A seeded fuzz of the spellings of random doubles reads each to the oracle's bits, in one pass."""
+        rng = np.random.default_rng(25)
+        doubles = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+        doubles = np.concatenate([doubles[np.isfinite(doubles)], rng.normal(0, 1e3, 2000), rng.uniform(-1, 1, 2000)])
+        specials = ["nan", "-nan", "NaN", "+nan", "Infinity", "-Infinity", "inf", "-inf", "1e-400", "-1e-400",
+                    "-0.0", "-0", "0e0", "1e400", "-1E+400"]
+
+        def spell(v: float, exact: bool = False) -> str:
+            """A spelling of ``v``; an exact one reads back to ``v`` itself."""
+            style = rng.integers(3 if exact else 6)
+            if style == 0:
+                return repr(v)
+            if style == 1:
+                return f"%.{17 if exact else rng.integers(1, 18)}g" % v
+            if style == 2:
+                return f"%.{16 if exact else rng.integers(0, 18)}E" % v
+            if style == 3 and abs(v) < 1e20:
+                return f"%.{rng.integers(0, 25)}f" % v
+            return str(rng.choice(specials))
+
+        lines = []
+        for k in range(0, len(doubles) - 8, 8):
+            v = doubles[k:k + 8].tolist()
+            # a box the checked parser takes (finite, positive extent), so the line stays clean
+            box = ",".join(spell(a, exact=True) for a in v[:2] + [abs(a) or 1.0 for a in v[2:4]])
+            tail = ",".join(spell(a) for a in v[4:])
+            lines.append(f"{1 + k},{k - 500},{box},{tail}")
+        self.one_pass("\n".join(lines))
 
     SPECIAL = [0.0, -0.0, 0.5, 1e15, -1e15, np.nextafter(1e15, 0), np.nextafter(1e15, 2e15),
                999999999999999.0, -999999999999999.0, 1e308, -1e308, 5e-324, 123456789.0]

@@ -3,11 +3,12 @@ solve an assignment load scipy, and only its solver.
 
 ``import headtrack`` loads no submodule, and ``import headtrack.cli`` only
 the configs, the file formats and the geometry; each verb then loads the
-modules it runs. ``track`` (at its first non-empty assignment) and
-``evaluate`` (at its first matching) need scipy's assignment solver. They
-load ``scipy`` and the ``scipy.optimize._lsap`` extension that holds it,
-not the ``scipy.optimize`` package; importing the package and every other
-verb must not load scipy at all. Each case runs in a fresh interpreter,
+modules it runs, and only ``simulate`` loads the scene generator.
+``track`` (at its first non-empty assignment) and ``evaluate`` (at its
+first matching) need scipy's assignment solver. They load ``scipy`` and
+the ``scipy.optimize._lsap`` extension that holds it, not the
+``scipy.optimize`` package; importing the package and every other verb
+must not load scipy at all. Each case runs in a fresh interpreter,
 because a module once imported stays in ``sys.modules``.
 """
 
@@ -56,6 +57,7 @@ VERB_MODULES = {
     "track": CLI_MODULES + ["headtrack.association", "headtrack.kalman", "headtrack.tracker"],
     "interpolate": CLI_MODULES + ["headtrack.lifting"],
     "evaluate": CLI_MODULES + ["headtrack.association", "headtrack.metrics"],
+    "simulate": CLI_MODULES + ["headtrack.association", "headtrack.simulate"],
 }
 
 
@@ -139,10 +141,23 @@ def test_verb_loads_only_the_modules_it_runs(scene, tmp_path, verb):
         "interpolate": ["interpolate", "--input", str(scene / "result.txt"), "--method", "se3_kalman",
                         "--out", str(tmp_path / "filled.txt")],
         "evaluate": ["evaluate", "--gt", str(scene / "gt.txt"), "--result", str(scene / "result.txt")],
+        "simulate": ["simulate", "--spec", str(scene / "scene.cfg"), "--out-dir", str(tmp_path)],
     }[verb]
     run = fresh("headtrack.cli", argv)
     assert run.codes == [0]
     assert sorted(run.headtrack_modules) == sorted(VERB_MODULES[verb])
+
+
+SCENE_SPEC_PROBE = """
+import sys
+from headtrack import cli
+print(sorted(name for name, module in sys.modules.items() if name.startswith("headtrack") and hasattr(module, "SceneSpec")))
+"""
+
+
+def test_cli_builds_no_scene_spec():
+    """No module that ``import headtrack.cli`` loads holds the scene generator's SceneSpec."""
+    assert python(SCENE_SPEC_PROBE).strip() == "[]"
 
 
 def test_package_names_resolve_to_their_home_modules():

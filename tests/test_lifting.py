@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import lifting_oracle
 from headtrack import cli
-from headtrack.dataio import MotTable, SceneSpec, format_mot, generate_scene, parse_mot
+from headtrack.dataio import MotTable, format_mot, parse_mot
+from headtrack.simulate import SceneSpec, generate_scene
 from headtrack.geometry import BBox
 from headtrack.lifting import (
     LiftingConfig,

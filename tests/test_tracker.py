@@ -480,7 +480,8 @@ class TestEmittedTrajectories:
 
     def test_ten_target_scene_coverage(self):
         # generator-backed scene: the generator knows the true spans
-        from headtrack.dataio import SceneSpec, generate_scene, mot_to_detections
+        from headtrack.dataio import mot_to_detections
+        from headtrack.simulate import SceneSpec, generate_scene
 
         spec = SceneSpec(targets=10, frames=60, motion="crossing", seed=13)
         scene = generate_scene(spec)
@@ -522,7 +523,8 @@ class TestUniqueOptimumGuard:
     @pytest.mark.parametrize("name", list(SCENES))
     def test_generated_scene(self, name, emit, monkeypatch):
         from headtrack.cli import RunConfig, tracker_config
-        from headtrack.dataio import SceneSpec, generate_scene, mot_to_detections
+        from headtrack.dataio import mot_to_detections
+        from headtrack.simulate import SceneSpec, generate_scene
 
         spec, keys = self.SCENES[name]
         spec = SceneSpec(**spec)
