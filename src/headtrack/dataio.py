@@ -2,11 +2,12 @@
 
 Text I/O follows the MOTChallenge comma-separated convention
 (frame,id,x,y,w,h,conf and three trailing fields). A file is held as one
-MotTable of columns. Clean text is read in one pass of numpy's C reader;
-other text is parsed and checked, and any table written, a bounded chunk
-of rows at a time. Iterating a table yields MotLine rows. Head keypoints
-ride in the trailing fields when head mode is on; plain files keep -1
-placeholders there. High-dimensional appearance descriptors live in a
+MotTable of columns. Text that numpy's C reader takes, empty lines
+included, is read in one pass of that reader. Other text is read and
+checked line by line, and any table written, a bounded chunk at a time.
+Iterating a table yields MotLine rows. Head keypoints ride in the
+trailing fields when head mode is on; plain files keep -1 placeholders
+there. High-dimensional appearance descriptors live in a
 binary sidecar keyed by (frame, detection index); everything in it is
 little-endian regardless of host, and it is held as Descriptors columns,
 written, read and generated alike. split_frames cuts a table and its
@@ -37,7 +38,7 @@ DESCRIPTOR_MAGIC = b"FTFV"
 DESCRIPTOR_VERSION = 1
 _HEADER = struct.Struct("<4sHIIIQ")
 
-_CHUNK = 1024  # rows parsed or written at once: bounds the lists of field strings
+_CHUNK = 1024  # lines checked or rows written at once: bounds the Python rows and strings held
 
 
 class MotParseError(ValueError):
@@ -139,7 +140,7 @@ def parse_mot(source) -> MotTable:
     if table is not None:
         return table
     return MotTable.concat(
-        _parse_chunk(lines[start:start + _CHUNK], start + 1)
+        _read_checked(lines[start:start + _CHUNK], start + 1)
         for start in range(0, len(lines), _CHUNK)
     )
 
@@ -153,11 +154,12 @@ def _read_clean(lines: list[str]) -> Optional[MotTable]:
 
     The C reader takes a subset of what Python's ``int`` and ``float``
     take (not ``1_0`` or non-ASCII digits) and reads each field it takes to
-    the same value. Lines it rejects, blank lines (which it skips, so line
-    numbers would shift) and a frame or box the checked parser rejects all
-    go to that parser, which names the fault.
+    the same value. It skips empty lines, and the rows keep their own line
+    numbers. Lines it rejects (whitespace-only ones among them), a line it
+    skips that is not empty (a lone ``\r``), and a frame or box the
+    checked parser rejects all go to that parser, which names the fault.
     """
-    if not lines or not lines[0].strip():  # no row to read first: the reader would warn of empty input
+    if not any(map(str.strip, lines)):  # no row to read: the reader would warn of empty input
         return None
     try:
         with warnings.catch_warnings():  # older numpy reads 1.0 into an int column with only this warning
@@ -165,54 +167,39 @@ def _read_clean(lines: list[str]) -> Optional[MotTable]:
             rows = np.loadtxt(lines, _ROW, delimiter=",", comments=None, ndmin=1)
     except (ValueError, DeprecationWarning):
         return None
-    if len(rows) != len(lines) or (rows["frame"] < 1).any() or bad_boxes(rows["box"]).any():
+    if len(rows) == len(lines):
+        lineno = np.arange(1, len(rows) + 1)
+    else:
+        lineno = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines))) + 1
+    if len(rows) != len(lineno) or (rows["frame"] < 1).any() or bad_boxes(rows["box"]).any():
         return None
-    return MotTable(*(rows[name].copy() for name in _ROW.names), np.arange(1, len(rows) + 1))
+    return MotTable(*(rows[name].copy() for name in _ROW.names), lineno)
 
 
-def _parse_chunk(raw: list[str], first: int) -> MotTable:
+def _read_checked(raw: list[str], first: int) -> MotTable:
     """The rows of consecutive source lines, ``first`` being the first line's number.
 
-    Each check runs over the whole chunk. The first failing row is then
-    the lowest row any check names, and among the checks naming it the
-    first in a line's reading order: field count, the ten fields left to
-    right, frame >= 1, the box.
+    Blank lines are skipped. A line's checks run in its reading order, and
+    the first to fail raises MotParseError: ten fields, frame and id as
+    64-bit integers, the other eight as floats, frame >= 1, the box.
     """
-    stripped = list(map(str.strip, raw))
-    lines = list(filter(None, stripped))
-    lineno = np.flatnonzero(np.fromiter(map(bool, stripped), bool, len(stripped))) + first
-    stop, error = len(lines), None  # rows before ``stop`` passed every check run so far
-    commas = np.fromiter(map(str.count, lines, repeat(",")), np.int64, len(lines))
-    short = np.flatnonzero(commas != 9)
-    if short.size:
-        stop = int(short[0])
-        error = f"expected 10 comma-separated fields, got {commas[stop] + 1}"
-    fields = ",".join(lines[:stop]).split(",") if stop else []
-    cols = []
-    for k in range(10):
-        col = fields[k:10 * stop:10]
-        read, check, dtype = (int, _int64, np.int64) if k < 2 else (float, float, float)
+    rows = []
+    for n, line in enumerate(map(str.strip, raw), first):
+        if not line:
+            continue
+        fields = line.split(",")
         try:
-            cols.append(np.fromiter(map(read, col), dtype, len(col)))
-        except (ValueError, OverflowError):
-            stop, error = _first_failure(check, col)
-            cols.append(np.fromiter(map(read, col[:stop]), dtype, stop))
-    frame, ids, box = cols[0][:stop], cols[1][:stop], np.stack([c[:stop] for c in cols[2:6]], axis=1)
-    low = frame < 1
-    bad = np.flatnonzero(low | bad_boxes(box))
-    if bad.size:
-        stop = int(bad[0])
-        if low[stop]:
-            error = f"frame index must be >= 1, got {frame[stop]}"
-        else:
-            try:
-                BBox(*box[stop].tolist())
-            except ValueError as exc:
-                error = str(exc)
-    if error is not None:
-        raise MotParseError(int(lineno[stop]), error)
-    extra = np.stack(cols[7:], axis=1)
-    return MotTable(frame, ids, box, cols[6], extra, lineno)
+            if len(fields) != 10:
+                raise ValueError(f"expected 10 comma-separated fields, got {len(fields)}")
+            frame, ident = _int64(fields[0]), _int64(fields[1])
+            x, y, w, h, conf, *extra = map(float, fields[2:])
+            if frame < 1:
+                raise ValueError(f"frame index must be >= 1, got {frame}")
+            BBox(x, y, w, h)
+        except ValueError as exc:
+            raise MotParseError(n, str(exc)) from None
+        rows.append((frame, ident, (x, y, w, h), conf, extra, n))
+    return MotTable(*(zip(*rows) if rows else [()] * 6))
 
 
 def bad_boxes(box: np.ndarray) -> np.ndarray:
@@ -232,16 +219,6 @@ def _int64(text: str) -> int:
     if not -(2**63) <= value < 2**63:
         raise ValueError(f"{value} does not fit in 64 bits")
     return value
-
-
-def _first_failure(check, texts: list[str]) -> tuple[int, str]:
-    """Index and message of the first of ``texts`` that ``check`` rejects."""
-    for i, text in enumerate(texts):
-        try:
-            check(text)
-        except ValueError as exc:
-            return i, str(exc)
-    raise AssertionError("no field fails")  # pragma: no cover - callers saw one fail
 
 
 def _repeats(major: np.ndarray, minor: np.ndarray) -> np.ndarray:

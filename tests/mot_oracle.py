@@ -31,6 +31,13 @@ class MotLine:
     lineno: int = field(default=0, compare=False, repr=False)
 
 
+def _int64(text: str) -> int:
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} does not fit in 64 bits")
+    return value
+
+
 def parse_mot(source) -> list[MotLine]:
     if isinstance(source, (str, Path)):
         lines = Path(source).read_text().splitlines()
@@ -48,8 +55,8 @@ def parse_mot(source) -> list[MotLine]:
         if len(parts) != 10:
             raise MotParseError(lineno, f"expected 10 comma-separated fields, got {len(parts)}")
         try:
-            frame = int(parts[0])
-            track_id = int(parts[1])
+            frame = _int64(parts[0])
+            track_id = _int64(parts[1])
             x, y, w, h, conf, *extra = (float(p) for p in parts[2:])
             if frame < 1:
                 raise ValueError(f"frame index must be >= 1, got {frame}")

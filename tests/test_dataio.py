@@ -617,6 +617,7 @@ MIXED_FAULTS = [
     "1,1,0,0,5,5,1,-1,-1,-1\n0,1,0,0,5,5,1,-1,-1,-1\n1,2,x,0,5,5,1,-1,-1,-1",
     # within a line: a bad id before frame 0, frame 0 before a bad box
     "0,x,0,0,5,5,1,-1,-1,-1",
+    "0,1,0,0,5,5,1,-1,-1,z",  # the last field is read before frame 0 is named
     "0,1,nan,0,-5,5,1,-1,-1,-1",
     # a non-finite box before a non-positive extent, and a late field before the box
     "1,1,nan,0,-5,5,1,-1,-1,-1",
@@ -677,7 +678,7 @@ class TestOracles:
         def checked(*_):
             raise AssertionError("clean text reached the checked parser")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dataio, "_parse_chunk", checked)
+            patch.setattr(dataio, "_read_checked", checked)
             TestOracles.same_bits(text)
 
     def test_clean_file_takes_one_pass(self):
@@ -685,6 +686,11 @@ class TestOracles:
                 for k in range(5000)]
         self.one_pass("\n".join(rows) + "\n")
         self.one_pass(" +4 , 007 ,\t1e3\u3000,.5,5.,5\xa0,Infinity,-nan,-0.0,1e-400\r\n")
+        # empty lines: the C reader skips them, and the table keeps the other lines' numbers
+        self.one_pass("\n" + "\n".join(rows[:40]))
+        self.one_pass("\n".join(rows[:20] + [""] + rows[20:40]))
+        self.one_pass("\n".join(rows) + "\n\n\n")
+        self.one_pass("\r\n".join(rows[:10] + ["", ""] + rows[10:40] + ["", ""]))
 
     @pytest.mark.parametrize("line", [
         "1_0,1,0,0,5,5,1,-1,-1,-1",  # Python reads an underscore between digits; the C reader does not
@@ -693,6 +699,10 @@ class TestOracles:
         "1,1,1_0.5,0,5,5,1,-1,-1,-1",
         "1,1,0,0,\u0665,5,1,-1,-1,-1",
         "1,-9223372036854775808,0,0,5,5,1,-1,-1,-1",
+        "9223372036854775808,1,0,0,5,5,1,-1,-1,-1",  # outside int64: an error, as a frame and as an id
+        "-9223372036854775809,1,0,0,5,5,1,-1,-1,-1",
+        "1,9223372036854775808,0,0,5,5,1,-1,-1,-1",
+        "1,-9223372036854775809,0,0,5,5,1,-1,-1,-1",
         "",
         " \t",
         "1.0,1,0,0,5,5,1,-1,-1,-1",
@@ -704,12 +714,13 @@ class TestOracles:
         if _outcome(mot_oracle.parse_mot, io.StringIO(text))[0] == "ok":
             self.same_bits(text)
 
-    @pytest.mark.parametrize("text", ["", "\n\n", " \n\t\n", "\x0c"])
+    @pytest.mark.parametrize("text", ["", "\n\n", " \n\t\n", "\x0c", "\r\n", "\n\r\n"])
     def test_no_rows_warn_nothing(self, text):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert len(parse_mot(io.StringIO(text))) == 0
             assert len(parse_mot(text.splitlines())) == 0
+            assert len(parse_mot(text.splitlines(keepends=True))) == 0  # "\r\n" lines arrive as "\r"
 
     def test_float_spellings(self):
         """A seeded fuzz of the spellings of random doubles reads each to the oracle's bits, in one pass."""
