@@ -3,14 +3,17 @@
 All tunables live in one RunConfig loaded from an optional key=value file
 and overridable per key on the command line; --help lists every key with
 its default. Exit codes: 0 success, 1 usage error, 2 data/config error,
-3 internal invariant violation.
+3 internal invariant violation. A process that ran ``main`` freezes the
+garbage collector at exit; importing this module changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import functools
+import gc
 import math
 import re
 import sys
@@ -209,9 +212,20 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
     dataio.write_mot(out_path, dataio.MotTable.from_rows(out))
 
 
+def _same_path(a: Path, b: Path) -> bool:
+    """Whether ``a`` and ``b`` name one file or directory: the same file if both exist, else the same resolved path."""
+    try:
+        return a.samefile(b)
+    except FileNotFoundError:
+        return a.resolve() == b.resolve()
+
+
 def cmd_track(args, cfg: RunConfig) -> int:
     dets = Path(args.dets)
-    if not dets.is_dir():
+    kind = "directory" if dets.is_dir() else "file"
+    if _same_path(dets, Path(args.out)):
+        raise ConfigError(f"{args.out}: --out is the --dets {kind}; the tracks would overwrite the detections")
+    if kind == "file":
         run_track_file(dets, args.features, args.out, cfg, args.head_format)
         return 0
     seq_files = sorted(dets.glob("*.txt"))
@@ -446,6 +460,12 @@ _VERBS = {
 
 
 def main(argv=None) -> int:
+    # At exit the process discards every object it holds: freezing them first leaves the
+    # interpreter's shutdown collections nothing to walk. Files are closed by then, and
+    # reference counting still frees what module teardown releases. Registered here, not
+    # at import, and at most once however often main runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -3,8 +3,12 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +207,27 @@ class TestTrack:
         assert code == 0
         assert (out_dir / "a.txt").read_bytes() == (out_dir / "b.txt").read_bytes()
 
+    def test_out_that_is_the_dets_file_is_data_error(self, sim_dir, tmp_path, capsys):
+        dets = tmp_path / "det.txt"
+        dets.write_bytes((sim_dir / "det.txt").read_bytes())
+        (tmp_path / "link.txt").hardlink_to(dets)
+        for out in (str(dets), f"{tmp_path}/./det.txt", str(tmp_path / "link.txt")):
+            assert cli.main(["track", "--dets", str(dets), "--out", out]) == 2
+            assert capsys.readouterr().err == (
+                f"headtrack: {out}: --out is the --dets file; the tracks would overwrite the detections\n")
+        assert dets.read_bytes() == (sim_dir / "det.txt").read_bytes()
+
+    def test_out_that_is_the_dets_directory_is_data_error(self, sim_dir, tmp_path, capsys):
+        seqs = tmp_path / "seqs"
+        seqs.mkdir()
+        (seqs / "a.txt").write_bytes((sim_dir / "det.txt").read_bytes())
+        for out in (f"{seqs}/", str(tmp_path / "seqs" / ".." / "seqs")):
+            assert cli.main(["track", "--dets", str(seqs), "--out", out]) == 2
+            assert capsys.readouterr().err == (
+                f"headtrack: {out}: --out is the --dets directory; the tracks would overwrite the detections\n")
+        assert sorted(p.name for p in seqs.iterdir()) == ["a.txt"]
+        assert (seqs / "a.txt").read_bytes() == (sim_dir / "det.txt").read_bytes()
+
     def test_nan_descriptor_is_data_error(self, tmp_path, capsys):
         dets = write(tmp_path / "det.txt", "".join(
             f"{f},-1,100,100,40,100,1,-1,-1,-1\n" for f in (1, 2, 3)
@@ -363,6 +388,9 @@ class TestInterpolate:
         lines = list(parse_mot(out))
         assert [l.frame for l in lines] == [1, 2, 3, 4, 5]
         assert lines[2].box.x == pytest.approx(4.0)
+        # the whole table is read before the filled one is written, so a file may fill itself
+        assert cli.main(["interpolate", "--input", inp, "--method", "linear2d", "--out", inp]) == 0
+        assert (tmp_path / "in.txt").read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("method", lifting.METHODS)
     def test_box_above_image_is_filled(self, tmp_path, method):
@@ -713,6 +741,57 @@ class TestConfigHandling:
             ["track", "--dets", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o.txt")]
         )
         assert code == 2
+
+
+def console(argv, cwd):
+    """Exit code, stdout and stderr of ``python -m headtrack.cli argv`` run in ``cwd``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "headtrack.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def in_process(argv, capsys):
+    """Exit code, stdout and stderr of ``cli.main(argv)`` run in this process."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_console_path_writes_what_main_writes(tmp_path, monkeypatch, capsys):
+    """The console script writes the files, streams and exit codes of ``main``, up to interpreter exit."""
+    steps = [
+        ["simulate", "--spec", "scene.cfg", "--out-dir", "scene"],
+        ["track", "--dets", "scene/det.txt", "--features", "scene/features.ftfv", "--out", "result.txt",
+         "--min-hits", "1"],
+        *(["interpolate", "--input", "result.txt", "--method", method, "--out", f"{method}.txt"]
+          for method in lifting.METHODS),
+        ["evaluate", "--gt", "scene/gt.txt", "--result", "result.txt"],
+        ["track"],  # a usage error
+        ["track", "--dets", "bad.txt", "--out", "bad_result.txt"],  # a bad box on line 2
+    ]
+    roots = tmp_path / "console", tmp_path / "main"
+    for root in roots:
+        root.mkdir()
+        write(root / "scene.cfg", QUICK_START)
+        write(root / "bad.txt", "1,-1,10,10,20,40,1,-1,-1,-1\n2,-1,10,10,-20,40,1,-1,-1,-1\n")
+    monkeypatch.chdir(roots[1])
+    codes = []
+    for argv in steps:
+        run = console(argv, roots[0])
+        assert run == in_process(argv, capsys), argv
+        codes.append(run[0])
+    assert codes == [0] * 6 + [1, 2]
+    files = tree_bytes(roots[0])
+    assert files == tree_bytes(roots[1])
+    assert len(files) == 9
 
 
 # One non-default value per scene spec key (every SceneSpec field but the

@@ -10,8 +10,13 @@ the ``scipy.optimize._lsap`` extension that holds it, not the
 ``scipy.optimize`` package; importing the package and every other verb
 must not load scipy at all. Each case runs in a fresh interpreter,
 because a module once imported stays in ``sys.modules``.
+
+The same goes for exit: a process that ran ``cli.main`` freezes the
+garbage collector once, at exit; the import alone, and ``main`` run in
+process, freeze nothing.
 """
 
+import gc
 import importlib
 import importlib.machinery
 import json
@@ -101,6 +106,18 @@ def scene(tmp_path_factory):
     return root
 
 
+def verb_argvs(scene, tmp_path) -> dict[str, list[str]]:
+    """An argv per verb that runs on ``scene`` and writes into ``tmp_path``."""
+    return {
+        "track": ["track", "--dets", str(scene / "det.txt"), "--features", str(scene / "features.ftfv"),
+                  "--out", str(tmp_path / "result.txt")],
+        "interpolate": ["interpolate", "--input", str(scene / "result.txt"), "--method", "se3_kalman",
+                        "--out", str(tmp_path / "filled.txt")],
+        "evaluate": ["evaluate", "--gt", str(scene / "gt.txt"), "--result", str(scene / "result.txt")],
+        "simulate": ["simulate", "--spec", str(scene / "scene.cfg"), "--out-dir", str(tmp_path)],
+    }
+
+
 @pytest.mark.parametrize("module", ["headtrack", "headtrack.cli"])
 def test_import_loads_no_scipy(module):
     assert fresh(module)[:2] == ([], [])
@@ -135,17 +152,41 @@ def test_cli_and_track_load_no_json(scene, tmp_path):
 
 @pytest.mark.parametrize("verb", VERB_MODULES)
 def test_verb_loads_only_the_modules_it_runs(scene, tmp_path, verb):
-    argv = {
-        "track": ["track", "--dets", str(scene / "det.txt"), "--features", str(scene / "features.ftfv"),
-                  "--out", str(tmp_path / "result.txt")],
-        "interpolate": ["interpolate", "--input", str(scene / "result.txt"), "--method", "se3_kalman",
-                        "--out", str(tmp_path / "filled.txt")],
-        "evaluate": ["evaluate", "--gt", str(scene / "gt.txt"), "--result", str(scene / "result.txt")],
-        "simulate": ["simulate", "--spec", str(scene / "scene.cfg"), "--out-dir", str(tmp_path)],
-    }[verb]
-    run = fresh("headtrack.cli", argv)
+    run = fresh("headtrack.cli", verb_argvs(scene, tmp_path)[verb])
     assert run.codes == [0]
     assert sorted(run.headtrack_modules) == sorted(VERB_MODULES[verb])
+
+
+# The probe's own exit hook, registered before headtrack's, runs after it. gc.freeze is
+# wrapped to count its calls; headtrack.cli looks it up when main runs.
+EXIT_PROBE = """
+import atexit, gc, json, sys
+freeze, calls = gc.freeze, []
+gc.freeze = lambda: calls.append(freeze())
+atexit.register(lambda: print(len(calls), gc.get_freeze_count() > 0))
+from headtrack import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(codes)
+"""
+
+
+def test_import_freezes_nothing_at_exit():
+    assert python(EXIT_PROBE, "[]").splitlines() == ["[]", "0 False"]
+
+
+@pytest.mark.parametrize("verbs", [["track"], ["interpolate"], ["evaluate"], ["track", "interpolate", "evaluate"]],
+                         ids=["track", "interpolate", "evaluate", "all three"])
+def test_main_freezes_the_collector_once_at_exit(scene, tmp_path, verbs):
+    argvs = [verb_argvs(scene, tmp_path)[verb] for verb in verbs]
+    *_, codes, frozen = python(EXIT_PROBE, json.dumps(argvs)).splitlines()
+    assert (codes, frozen) == (str([0] * len(verbs)), "1 True")
+
+
+def test_main_in_process_freezes_nothing(scene, tmp_path, capsys):
+    before = gc.get_freeze_count()
+    for argv in verb_argvs(scene, tmp_path).values():
+        assert cli.main(argv) == 0
+    assert gc.get_freeze_count() == before
 
 
 SCENE_SPEC_PROBE = """
