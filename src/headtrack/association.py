@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -97,35 +97,16 @@ def gaussian_weighted_descriptor(
     return flat / n
 
 
-def stack_descriptors(descriptors: Sequence, cfg: AssociationConfig) -> dict:
-    """Map each weighted kind some descriptor carries to (N x d matrix, N presence mask).
-
-    Rows without the kind are zero. Raises ValueError on a kind of several dimensions.
-    """
-    out = {}
-    for kind, w in zip(FEATURE_KINDS, cfg.feature_weights):
-        if w == 0.0:
-            continue
-        vecs = [None if d is None else getattr(d, kind) for d in descriptors]
-        dims = {v.shape for v in vecs if v is not None}
-        if not dims:
-            continue
-        if len(dims) > 1:
-            raise ValueError(f"{kind} dimension mismatch: {sorted(dims)}")
-        absent = np.zeros(dims.pop())
-        out[kind] = (np.array([absent if v is None else v for v in vecs]), np.array([v is not None for v in vecs]))
-    return out
-
-
 def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: AssociationConfig):
     """Gated tracks x detections CostMatrix of appearance and motion costs.
 
-    Centres are (T, 2) predictions and (D, 2) detections; feats come from
-    ``stack_descriptors``. Motion is the centre distance over
-    ``motion_scale``; appearance the cosine cost 1 - <p, q> averaged over
-    the weighted kinds a pair shares, weights renormalized over them (motion
-    alone if none). One (T x d)(d x D) product per kind. Raises ValueError
-    when a kind both sides carry differs in dimension.
+    Centres are (T, 2) predictions and (D, 2) detections; feats map kinds
+    to (n x d matrix, n presence mask), a row without the kind zero. Motion
+    is the centre distance over ``motion_scale``; appearance the cosine cost
+    1 - <p, q> averaged over the weighted kinds a pair shares, weights
+    renormalized over them (motion alone if none). One (T x d)(d x D)
+    product per kind. Raises ValueError when a kind both sides carry
+    differs in dimension.
     """
     T, D = len(trk_xy), len(det_xy)
 

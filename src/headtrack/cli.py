@@ -197,7 +197,6 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
     except ValueError as exc:  # parse_mot checked the boxes, so a sidecar record
         raise ConfigError(f"{features_path}: {exc}") from None
     tracking = tracker.Tracker(tracker_config(cfg))
-    empty = tracker.Detections(np.zeros((0, 4)), np.zeros(0))
     out: list[tuple[int, int, BBox]] = []
     f = 1
     for busy in frames:
@@ -205,7 +204,7 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
             if not tracking.live:  # a step would only move the frame: skip to the detections
                 f = busy
             try:
-                out += [(f, tid, box) for tid, box in tracking.step(f, frames.get(f, empty))]
+                out += [(f, tid, box) for tid, box in tracking.step(f, frames.get(f, ()))]
             except ValueError as exc:  # costs the assignment cannot encode
                 raise ConfigError(f"{dets_path}: frame {f}: {exc}") from None
             f += 1
@@ -220,12 +219,21 @@ def _same_path(a: Path, b: Path) -> bool:
         return a.resolve() == b.resolve()
 
 
+def _refuse_overwrite(out, output: str, inputs) -> None:
+    """Raise ConfigError naming ``out`` when it is the file of one of ``inputs``: (flag, path or None, what it holds)."""
+    for flag, path, held in inputs:
+        if path is not None and _same_path(Path(path), Path(out)):
+            raise ConfigError(f"{out}: --out is the {flag} file; the {output} would overwrite the {held}")
+
+
 def cmd_track(args, cfg: RunConfig) -> int:
     dets = Path(args.dets)
     kind = "directory" if dets.is_dir() else "file"
     if _same_path(dets, Path(args.out)):
         raise ConfigError(f"{args.out}: --out is the --dets {kind}; the tracks would overwrite the detections")
+    settings = ("--config", args.config, "settings")
     if kind == "file":
+        _refuse_overwrite(args.out, "tracks", [("--features", args.features, "descriptors"), settings])
         run_track_file(dets, args.features, args.out, cfg, args.head_format)
         return 0
     seq_files = sorted(dets.glob("*.txt"))
@@ -238,6 +246,9 @@ def cmd_track(args, cfg: RunConfig) -> int:
             if not sidecar.is_file():
                 raise ConfigError(f"{sidecar}: missing descriptor sidecar")
     out_dir = Path(args.out)
+    for seq, sidecar in zip(seq_files, sidecars):  # <out>/<stem>.txt is written over none of its run's inputs
+        inputs = [("--dets", seq, "detections"), ("--features", sidecar, "descriptors"), settings]
+        _refuse_overwrite(out_dir / seq.name, "tracks", inputs)
     out_dir.mkdir(parents=True, exist_ok=True)
     for seq, sidecar in zip(seq_files, sidecars):
         run_track_file(seq, sidecar, out_dir / seq.name, cfg, args.head_format)
@@ -246,6 +257,7 @@ def cmd_track(args, cfg: RunConfig) -> int:
 
 def cmd_interpolate(args, cfg: RunConfig) -> int:
     from . import lifting
+    _refuse_overwrite(args.out, "filled rows", [("--config", args.config, "settings")])  # --input may be --out
     table = _located(args.input, lambda: dataio.parse_mot(args.input))
     _located(args.input, lambda: dataio.check_unique_ids(table))
     for key in ("se3_process_std", "se3_meas_std"):  # LiftingConfig checks each std alone

@@ -11,8 +11,7 @@ there. High-dimensional appearance descriptors live in a
 binary sidecar keyed by (frame, detection index); everything in it is
 little-endian regardless of host, and it is held as Descriptors columns,
 written, read and generated alike. split_frames cuts a table and its
-sidecar into one tracker.Detections batch of columns per frame;
-mot_to_detections is its list form.
+sidecar into one tracker.Detections batch of columns per frame.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import dataclasses
 import struct
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
@@ -31,8 +29,8 @@ import numpy as np
 from .config import FEATURE_KINDS
 from .geometry import BBox, HeadKeypoint
 
-if TYPE_CHECKING:  # imported where they are built, so only the verbs that build them load them
-    from .tracker import Detection, Detections
+if TYPE_CHECKING:  # imported where it is built, so only the verb that builds it loads it
+    from .tracker import Detections
 
 DESCRIPTOR_MAGIC = b"FTFV"
 DESCRIPTOR_VERSION = 1
@@ -267,36 +265,38 @@ def _mot_text(table: MotTable) -> Iterator[str]:
         yield ("%s," * 9 + "%s\n") * len(rows) % tuple(cells)
 
 
-def _frame_split(table: MotTable, descriptors: Optional[Descriptors], head_format: bool):
-    """Check the rows and sidecar keys as columns, then cut the rows by frame.
+def split_frames(
+    table: MotTable, descriptors: Optional[Descriptors] = None, head_format: bool = False,
+) -> dict[int, Detections]:
+    """One ``tracker.Detections`` batch per frame, frames ascending, each frame's rows in file order.
 
-    Returns ``order`` (the table's rows sorted by frame, file order within a
-    frame), ``bounds`` (each frame's slice of ``order`` runs from one bound
-    to the next), the frames ascending, each sorted row's sidecar record
-    (its row in ``descriptors``, -1 for none), and which sorted
-    rows carry a head (head mode, trailing fields not all -1).
+    Descriptor keys are (frame, index within that frame's rows in file
+    order). A batch carries every kind of the sidecar when one of its rows
+    has a record; a row without a record is zero there.
 
-    Raises the first error of a row-by-row build: any row whose box a BBox
-    rejects, in file order; then, frames ascending and rows in file order,
-    a head that a HeadKeypoint rejects before a non-finite score, as
-    MotParseError naming the line; then the first record, in
-    ``descriptors``' row order, whose det_index its frame lacks, as ValueError.
+    Checks the rows and sidecar keys as columns and raises the first error
+    of a row-by-row build: any row whose box a BBox rejects, in file order;
+    then, frames ascending and rows in file order, a head that a
+    HeadKeypoint rejects (head mode, trailing fields not all -1) before a
+    non-finite score, as MotParseError naming the line; then the first
+    record, in ``descriptors``' row order, whose det_index its frame lacks,
+    as ValueError.
     """
+    from .tracker import Detection, Detections
     check_boxes(table.box)
     order = np.argsort(table.frame, kind="stable")
     bad = ~np.isfinite(table.conf[order])
-    worn = np.zeros(len(order), bool)
     if head_format:
         extra = table.extra[order]
         worn = ~(extra == -1.0).all(axis=1)
         bad |= worn & ~(np.isfinite(extra[:, :2]).all(axis=1) & (extra[:, 2] >= 0.0) & (extra[:, 2] <= 1.0))
-    if bad.any():  # the first bad row, built as a Detection, names its first fault
-        from .tracker import Detection
+    if bad.any():  # the first bad row names its first fault: its head, then its score
         first = int(bad.argmax())
         row = int(order[first])
         try:
-            head = HeadKeypoint(*table.extra[row].tolist()) if worn[first] else None
-            Detection(BBox(*table.box[row].tolist()), float(table.conf[row]), head)
+            if head_format and worn[first]:
+                HeadKeypoint(*table.extra[row].tolist())
+            Detection(BBox(*table.box[row].tolist()), float(table.conf[row]))
         except ValueError as exc:
             raise MotParseError(int(table.lineno[row]), str(exc)) from None
 
@@ -314,57 +314,26 @@ def _frame_split(table: MotTable, descriptors: Optional[Descriptors], head_forma
             rec = int(found.argmin())
             raise ValueError(f"record ({key_frame[rec]},{key_index[rec]}) names no detection line")
         record[bounds[group] + key_index] = np.arange(len(group))
-    return order, bounds, frames.tolist(), record, worn
 
-
-def split_frames(
-    table: MotTable, descriptors: Optional[Descriptors] = None, head_format: bool = False,
-) -> dict[int, Detections]:
-    """One ``tracker.Detections`` batch per frame, frames ascending, each frame's rows in file order.
-
-    Descriptor keys are (frame, index within that frame's rows in file
-    order). A batch carries a kind of feature when one of its rows has a
-    record, as ``association.stack_descriptors`` would stack it; a row
-    without a record is zero there. Checks as ``_frame_split`` states.
-    """
-    from .tracker import Detections
-    order, bounds, frames, record, _ = _frame_split(table, descriptors, head_format)
     cuts = bounds[1:-1]
     boxes, scores = np.split(table.box[order], cuts), np.split(table.conf[order], cuts)
     has = record >= 0
     features, present, masks = {}, np.zeros(len(frames), bool), []
     if has.any():
         present = np.logical_or.reduceat(has, bounds[:-1])
-        features = {
-            kind: np.split(np.where(has[:, None], m[record], 0.0), cuts)
-            for kind, m in descriptors.vectors.items()
-        }
+        for kind, m in descriptors.vectors.items():
+            rows = m[record]  # one copy per kind: a row without a record (-1) reads the last record, then is zeroed
+            rows[~has] = 0.0
+            features[kind] = np.split(rows, cuts)
         masks = np.split(has, cuts)
     out = {}
-    for i, frame in enumerate(frames):
+    for i, frame in enumerate(frames.tolist()):
         feats = {kind: (parts[i], masks[i]) for kind, parts in features.items()} if present[i] else {}
         out[frame] = Detections(boxes[i], scores[i], feats)
     return out
 
 
-def mot_to_detections(
-    table: MotTable, descriptors: Optional[Descriptors] = None, head_format: bool = False,
-) -> dict[int, list[Detection]]:
-    """``split_frames`` as lists of Detection, each with its head and an AppearanceDescriptor of its record."""
-    from .association import AppearanceDescriptor
-    from .tracker import Detection
-    order, bounds, frames, record, worn = _frame_split(table, descriptors, head_format)
-    boxes = list(map(BBox, *table.box[order].T.tolist()))
-    heads = [None] * len(order)
-    for i in np.flatnonzero(worn).tolist():
-        heads[i] = HeadKeypoint(*table.extra[order[i]].tolist())
-    values = []
-    if descriptors and descriptors.vectors:  # one AppearanceDescriptor per record, its kinds' rows
-        kinds = (descriptors.vectors.get(kind, repeat(None)) for kind in FEATURE_KINDS)
-        values = list(map(AppearanceDescriptor, *kinds))
-    descs = [values[r] if r >= 0 else None for r in record.tolist()]
-    dets = list(map(Detection, boxes, table.conf[order].tolist(), heads, descs))
-    return {frame: dets[a:b] for frame, a, b in zip(frames, bounds[:-1].tolist(), bounds[1:].tolist())}
+mot_to_detections = split_frames  # kept for perfbench/, which calls and wraps it by this name
 
 
 # -- descriptor sidecar ------------------------------------------------------

@@ -9,22 +9,22 @@ track is removed. Unmatched tracks coast on prediction and are eliminated
 after ``patience_w`` consecutive misses; tracks are emitted from ``min_hits`` matches.
 The emissions of ``step`` are the only output: a track keeps no boxes, and
 a detection no frame (it is the frame of the ``step`` it is passed to).
-A frame's detections arrive as one Detections batch of columns, or as a
-list of Detection, which ``step`` stacks into one.
+A frame's detections arrive as one Detections batch of columns; iterating
+a batch yields its rows as Detection.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import kalman
-from .association import AppearanceDescriptor, build_cost_matrix, row_norms, solve_assignment, stack_descriptors
-from .config import FEATURE_KINDS, AssociationConfig, TrackerConfig
-from .geometry import BBox, HeadKeypoint
+from .association import AppearanceDescriptor, build_cost_matrix, row_norms, solve_assignment
+from .config import FEATURE_KINDS, TrackerConfig
+from .geometry import BBox
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
@@ -33,11 +33,10 @@ REMOVED = "removed"
 
 @dataclass(frozen=True)
 class Detection:
-    """One observation of the frame it is handed to ``Tracker.step`` with."""
+    """One row of a Detections batch."""
 
     bbox: BBox
     score: float
-    head: Optional[HeadKeypoint] = None
     descriptor: Optional[AppearanceDescriptor] = None
 
     def __post_init__(self):
@@ -50,8 +49,8 @@ class Detections:
     """One frame's detections as columns, in the order ``step`` matches them.
 
     ``boxes`` is (D, 4) x, y, w, h and ``scores`` (D,), both float64; ``feats``
-    maps kinds to (D x d matrix, D presence mask) as ``stack_descriptors``
-    gives them. The values are checked where the batch is made:
+    maps kinds to (D x d matrix, D presence mask), a row without the kind
+    zero. The values are checked where the batch is made:
     ``dataio.split_frames`` checks its rows as a Detection checks itself.
     """
 
@@ -59,18 +58,18 @@ class Detections:
     scores: np.ndarray
     feats: dict = field(default_factory=dict)
 
-    @classmethod
-    def stack(cls, detections: list[Detection], cfg: AssociationConfig) -> Detections:
-        """The batch of a list of Detection, features stacked by ``stack_descriptors``."""
-        boxes = [(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in detections]
-        return cls(
-            np.array(boxes, dtype=float).reshape(-1, 4),
-            np.array([d.score for d in detections], dtype=float),
-            stack_descriptors([d.descriptor for d in detections], cfg),
-        )
-
     def __len__(self) -> int:
         return len(self.scores)
+
+    def __iter__(self) -> Iterator[Detection]:  # kept for perfbench/test_perfbench.py, which reads rows through it
+        """Each row as a Detection, its descriptor the kinds present in that row, or None."""
+        kinds = [(kind, m, has.tolist()) for kind, (m, has) in self.feats.items()]
+        for j, (box, score) in enumerate(zip(self.boxes.tolist(), self.scores.tolist())):
+            vectors = {kind: m[j] for kind, m, has in kinds if has[j]}
+            yield Detection(BBox(*box), score, AppearanceDescriptor(**vectors) if vectors else None)
+
+
+_NO_DETECTIONS = Detections(np.zeros((0, 4)), np.zeros(0))
 
 
 @dataclass
@@ -87,11 +86,6 @@ def measurements(boxes: np.ndarray) -> np.ndarray:
     z[:, :2] += 0.5 * z[:, 2:]
     z[:, 2] = z[:, 2] / z[:, 3]
     return z
-
-
-def measurement_from_bbox(bbox: BBox) -> np.ndarray:
-    """(u, v, a, h) observation vector for the filter."""
-    return measurements([[bbox.x, bbox.y, bbox.w, bbox.h]])[0]
 
 
 def bbox_from_state(x: np.ndarray) -> BBox:
@@ -122,15 +116,20 @@ class Tracker:
         self._last_frame: Optional[int] = None
 
     @np.errstate(invalid="ignore", over="ignore")  # a row that overflows turns non-finite: predict removes it
-    def step(self, frame: int, detections: Union[Detections, list[Detection]]) -> list[tuple[int, BBox]]:
+    def step(self, frame: int, detections: Detections) -> list[tuple[int, BBox]]:
         """Advance one frame and return (track_id, bbox) emissions.
 
-        Frames must be strictly increasing across calls. A track is confirmed
-        and emitted from ``min_hits`` matches on: with its detection's box
-        when it has one this frame (a listed Detection's own ``bbox``), else
-        with its predicted box, and then only with ``emit_predictions``.
-        Emissions are in id order.
+        ``detections`` is the frame's batch; an empty list or tuple is a frame
+        without detections, and any other input raises TypeError. Frames must
+        be strictly increasing across calls. A track is confirmed and emitted
+        from ``min_hits`` matches on: with its detection's box when it has
+        one this frame, else with its predicted box, and then only with
+        ``emit_predictions``. Emissions are in id order.
         """
+        if not isinstance(detections, Detections):
+            if not (isinstance(detections, (list, tuple)) and not detections):
+                raise TypeError(f"detections must be a Detections batch, got {type(detections).__name__}")
+            detections = _NO_DETECTIONS
         if self._last_frame is not None and frame <= self._last_frame:
             raise ValueError(
                 f"frames must be strictly increasing (got {frame} after {self._last_frame})"
@@ -139,15 +138,13 @@ class Tracker:
         if not (self.live or len(detections)):  # nothing to predict, match or spawn
             return []
         cfg = self.cfg
-        listed = None if isinstance(detections, Detections) else detections
-        batch = Detections.stack(listed, cfg.assoc) if listed is not None else detections
 
         self.x, self.pcv = kalman.predict_rows(self.x, self.pcv, cfg.noise)
         if not math.isfinite(self.x.sum() + self.pcv.sum()):  # a finite sum has finite terms only
             self._keep(np.isfinite(self.x).all(axis=1) & np.isfinite(self.pcv).all(axis=1))
 
-        z = measurements(batch.boxes)
-        det_feats = {kind: f for kind, f in batch.feats.items() if self._weights[kind]}
+        z = measurements(detections.boxes)
+        det_feats = {kind: f for kind, f in detections.feats.items() if self._weights[kind]}
         cost = build_cost_matrix(self.x[:, :2], self.feats, z[:, :2], det_feats, cfg.assoc)
         rows, cols = solve_assignment(cost).T
 
@@ -160,7 +157,7 @@ class Tracker:
 
         det = np.full(len(self.live), -1)  # each row's detection this frame, -1 for none
         det[rows] = cols
-        fresh = batch.scores >= cfg.init_score_min
+        fresh = detections.scores >= cfg.init_score_min
         fresh[cols] = False
         if np.count_nonzero(fresh):
             new = np.flatnonzero(fresh)
@@ -169,11 +166,11 @@ class Tracker:
 
         out = []
         emit = np.flatnonzero(self.hits >= cfg.min_hits)
-        xywh = batch.boxes.tolist() if listed is None else None
+        xywh = detections.boxes.tolist()
         for i, j in zip(emit.tolist(), det[emit].tolist()):
             if j >= 0:
                 self.live[i].status = CONFIRMED
-                out.append((self.live[i].id, listed[j].bbox if xywh is None else BBox(*xywh[j])))
+                out.append((self.live[i].id, BBox(*xywh[j])))
             elif cfg.emit_predictions and self.misses[i] < cfg.patience_w:
                 out.append((self.live[i].id, bbox_from_state(self.x[i])))
         self._keep(self.misses < cfg.patience_w)

@@ -55,7 +55,7 @@ def permutation_minimum(values, mask):
 
 def run_scene(spec, run_cfg):
     scene = simulate.generate_scene(spec)
-    frames = dataio.mot_to_detections(scene.detections, scene.descriptors)
+    frames = dataio.split_frames(scene.detections, scene.descriptors)
     tracker = Tracker(cli.tracker_config(run_cfg))
     hyp = {f: tracker.step(f, frames.get(f, [])) for f in range(1, spec.frames + 1)}
     gt = {}
@@ -208,7 +208,7 @@ def test_c07_patience_contract():
         runs = []
         for _ in range(2):
             scene = simulate.generate_scene(spec)
-            frames = dataio.mot_to_detections(scene.detections)
+            frames = dataio.split_frames(scene.detections)
             tracker = Tracker(cli.tracker_config(cfg))
             emitted = {
                 f: tracker.step(f, frames.get(f, [])) for f in range(1, spec.frames + 1)

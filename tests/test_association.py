@@ -16,7 +16,6 @@ from headtrack.association import (
     build_cost_matrix,
     gaussian_weighted_descriptor,
     solve_assignment,
-    stack_descriptors,
 )
 from headtrack.geometry import BBox, HeadKeypoint
 from headtrack.kalman import KalmanState
@@ -186,12 +185,25 @@ class FakeDet:
         self.descriptor = descriptor
 
 
+def stacked(descriptors, cfg):
+    """Each weighted kind some descriptor carries: (matrix, presence mask), zero where one lacks it."""
+    feats = {}
+    for kind, w in zip(FEATURE_KINDS, cfg.feature_weights):
+        vecs = [None if d is None else getattr(d, kind) for d in descriptors]
+        dims = {len(v) for v in vecs if v is not None}
+        if w and dims:
+            (dim,) = dims
+            feats[kind] = (np.array([np.zeros(dim) if v is None else v for v in vecs]),
+                           np.array([v is not None for v in vecs]))
+    return feats
+
+
 def cost_matrix(tracks, detections, cfg):
     """``build_cost_matrix`` on object lists: predicted centres and stacked descriptors."""
     trk_xy = np.array([t.kf.x[:2] for t in tracks], dtype=float).reshape(-1, 2)
     det_xy = np.array([(d.bbox.cx, d.bbox.cy) for d in detections], dtype=float).reshape(-1, 2)
-    trk_feats = stack_descriptors([t.descriptor for t in tracks], cfg)
-    det_feats = stack_descriptors([d.descriptor for d in detections], cfg)
+    trk_feats = stacked([t.descriptor for t in tracks], cfg)
+    det_feats = stacked([d.descriptor for d in detections], cfg)
     return build_cost_matrix(trk_xy, trk_feats, det_xy, det_feats, cfg)
 
 
@@ -425,11 +437,6 @@ class TestBuildCostMatrix:
         three = AppearanceDescriptor(f_cls=unit(1, 0, 0), f_reg=unit(1, 0))
         with pytest.raises(ValueError, match="f_cls"):
             cost_matrix([FakeTrack(0, 0, two)], [FakeDet(0, 0, three)], cfg)
-        # tracks disagreeing among themselves while a detection shares the kind
-        with pytest.raises(ValueError, match="f_cls"):
-            cost_matrix(
-                [FakeTrack(0, 0, two), FakeTrack(5, 0, three)], [FakeDet(0, 0, two)], cfg
-            )
 
     def test_dimension_mismatch_ignored_when_not_shared_or_unweighted(self):
         # the per-pair formulas never compare such vectors, so neither may the matrix
@@ -443,26 +450,6 @@ class TestBuildCostMatrix:
         np.testing.assert_allclose(
             cm.values, reference_cost_matrix(tracks, dets, cfg), rtol=0.0, atol=1e-12
         )
-
-
-class TestStackDescriptors:
-    def test_rows_masks_and_left_out_kinds(self):
-        cfg = AssociationConfig(feature_weights=(0.5, 0.5, 0.0))
-        a = AppearanceDescriptor(f_cls=unit(1, 0), f_head=unit(0, 1, 0))
-        b = AppearanceDescriptor(f_cls=unit(0, 1))
-        feats = stack_descriptors([a, None, b], cfg)
-        assert list(feats) == ["f_cls"]  # f_reg is carried by none, f_head has weight 0
-        rows, has = feats["f_cls"]
-        assert has.tolist() == [True, False, True]
-        assert np.array_equal(rows, [unit(1, 0), [0.0, 0.0], unit(0, 1)])
-
-    def test_mixed_dimensions_raise(self):
-        cfg = AssociationConfig()
-        two = AppearanceDescriptor(f_cls=unit(1, 0))
-        three = AppearanceDescriptor(f_cls=unit(1, 0, 0))
-        with pytest.raises(ValueError, match="f_cls"):
-            stack_descriptors([two, three], cfg)
-        assert stack_descriptors([], cfg) == {}
 
 
 class TestSolveAssignment:

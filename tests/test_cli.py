@@ -166,9 +166,9 @@ class TestTrack:
         out = tmp_path / "res.txt"
         cli.run_track_file(dets, None, out, cfg)
         tracking = tracker.Tracker(cli.tracker_config(cfg))
-        frames = cli.dataio.mot_to_detections(parse_mot(dets))
+        frames = cli.dataio.split_frames(parse_mot(dets))
         expected = [
-            (f, tid, b) for f in range(1, max(frames) + 1) for tid, b in tracking.step(f, frames.get(f, []))
+            (f, tid, b) for f in range(1, max(frames) + 1) for tid, b in tracking.step(f, frames.get(f, ()))
         ]
         assert out.read_text() == cli.dataio.format_mot(cli.dataio.MotTable.from_rows(expected))
         assert {l.frame for l in parse_mot(out)} >= set(range(11, 25))  # coasted boxes
@@ -226,6 +226,44 @@ class TestTrack:
             assert capsys.readouterr().err == (
                 f"headtrack: {out}: --out is the --dets directory; the tracks would overwrite the detections\n")
         assert sorted(p.name for p in seqs.iterdir()) == ["a.txt"]
+        assert (seqs / "a.txt").read_bytes() == (sim_dir / "det.txt").read_bytes()
+
+    @pytest.mark.parametrize("flag,name,held", [
+        ("--features", "features.ftfv", "descriptors"), ("--config", "run.cfg", "settings"),
+    ])
+    def test_out_that_is_a_read_file_is_data_error(self, sim_dir, tmp_path, capsys, flag, name, held):
+        (tmp_path / "features.ftfv").write_bytes((sim_dir / "features.ftfv").read_bytes())
+        (tmp_path / "run.cfg").write_text("min_hits = 1\n")
+        read = tmp_path / name
+        before = read.read_bytes()
+        (tmp_path / "link").hardlink_to(read)
+        argv = ["track", "--dets", str(sim_dir / "det.txt"), "--features", str(tmp_path / "features.ftfv"),
+                "--config", str(tmp_path / "run.cfg")]
+        for out in (str(read), f"{tmp_path}/./{name}", str(tmp_path / "link")):
+            assert cli.main(argv + ["--out", out]) == 2
+            assert capsys.readouterr().err == (
+                f"headtrack: {out}: --out is the {flag} file; the tracks would overwrite the {held}\n")
+        assert read.read_bytes() == before
+
+    def test_directory_output_that_is_an_input_is_data_error(self, sim_dir, tmp_path, capsys):
+        seqs, feats, res = tmp_path / "seqs", tmp_path / "feats", tmp_path / "res"
+        for d in (seqs, feats, res):
+            d.mkdir()
+        (seqs / "a.txt").write_bytes((sim_dir / "det.txt").read_bytes())
+        (feats / "a.ftfv").write_bytes((sim_dir / "features.ftfv").read_bytes())
+        config = res / "a.txt"  # the config file is where a.txt's tracks would go
+        config.write_text("min_hits = 1\n")
+        argv = ["track", "--dets", str(seqs), "--features", str(feats), "--out", str(res)]
+        for spelling in (str(config), f"{res}/./a.txt"):
+            assert cli.main(argv + ["--config", spelling]) == 2
+            assert capsys.readouterr().err == (
+                f"headtrack: {res / 'a.txt'}: --out is the --config file; the tracks would overwrite the settings\n")
+        config.unlink()
+        (res / "a.txt").hardlink_to(feats / "a.ftfv")  # a hard link to the sidecar
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"headtrack: {res / 'a.txt'}: --out is the --features file; the tracks would overwrite the descriptors\n")
+        assert (feats / "a.ftfv").read_bytes() == (sim_dir / "features.ftfv").read_bytes()
         assert (seqs / "a.txt").read_bytes() == (sim_dir / "det.txt").read_bytes()
 
     def test_nan_descriptor_is_data_error(self, tmp_path, capsys):
@@ -391,6 +429,16 @@ class TestInterpolate:
         # the whole table is read before the filled one is written, so a file may fill itself
         assert cli.main(["interpolate", "--input", inp, "--method", "linear2d", "--out", inp]) == 0
         assert (tmp_path / "in.txt").read_bytes() == out.read_bytes()
+
+    def test_out_that_is_the_config_file_is_data_error(self, sim_dir, tmp_path, capsys):
+        config = tmp_path / "i.cfg"
+        config.write_text("se3_meas_std = 2\n")
+        (tmp_path / "link.cfg").hardlink_to(config)
+        for out in (str(config), f"{tmp_path}/./i.cfg", str(tmp_path / "link.cfg")):
+            assert cli.main(["interpolate", "--input", str(sim_dir / "gt.txt"), "--config", str(config), "--out", out]) == 2
+            assert capsys.readouterr().err == (
+                f"headtrack: {out}: --out is the --config file; the filled rows would overwrite the settings\n")
+        assert config.read_text() == "se3_meas_std = 2\n"
 
     @pytest.mark.parametrize("method", lifting.METHODS)
     def test_box_above_image_is_filled(self, tmp_path, method):
@@ -1015,10 +1063,12 @@ class TestColumnChecksNameTheFirstError:
         argv = ["track", "--dets", str(dets), "--features", str(features), "--out", str(tmp_path / "o.txt")]
         assert cli.main(argv + ["--head-format", "--min-hits", "1"]) == 0
         assert built == {} and (tmp_path / "o.txt").stat().st_size
-        frames = dataio.mot_to_detections(parse_mot(dets), read_descriptors(features), head_format=True)
-        lines = sum(map(len, frames.values()))  # the hooks count what the list form builds
-        assert built[tracker.Detection] == built[AppearanceDescriptor] == lines
-        assert 0 < built[HeadKeypoint] < lines
+        frames = dataio.split_frames(parse_mot(dets), read_descriptors(features), head_format=True)
+        lines = sum(map(len, frames.values()))
+        assert built == {}  # splitting builds no row either
+        rows = [d for batch in frames.values() for d in batch]  # the hooks count what iterating the batches builds
+        assert built[tracker.Detection] == built[AppearanceDescriptor] == len(rows) == lines > 0
+        assert built[HeadKeypoint] == 0  # a batch carries no head
 
 
 def heads_scene(tmp_path):
@@ -1036,7 +1086,7 @@ def heads_scene(tmp_path):
     return dets, tmp_path / "features.ftfv"
 
 
-class TestTrackFileEqualsListPath:
+class TestTrackFileEqualsSteppedBatches:
     @pytest.mark.parametrize("case", ["sidecar", "no sidecar", "head format"])
     @pytest.mark.parametrize("emit", [False, True], ids=["emit detections", "emit predictions"])
     def test_same_emissions(self, tmp_path, case, emit):
@@ -1046,12 +1096,12 @@ class TestTrackFileEqualsListPath:
         cfg = cli.RunConfig(min_hits=1 if emit else 3, emit_predictions=emit, patience_w=4)
         out = tmp_path / "res.txt"
         cli.run_track_file(dets, features, out, cfg, head_format)
-        frames = dataio.mot_to_detections(
+        frames = dataio.split_frames(
             parse_mot(dets), read_descriptors(features) if features else None, head_format=head_format
         )
         tracking = tracker.Tracker(cli.tracker_config(cfg))
         expected = [
-            (f, tid, b) for f in range(1, max(frames) + 1) for tid, b in tracking.step(f, frames.get(f, []))
+            (f, tid, b) for f in range(1, max(frames) + 1) for tid, b in tracking.step(f, frames.get(f, ()))
         ]
         assert len(expected) > 150
         assert out.read_text() == dataio.format_mot(dataio.MotTable.from_rows(expected))

@@ -191,7 +191,7 @@ class TestDescriptorFile:
         assert path.read_bytes() == struct.pack("<4sHIIIQ", b"FTFV", 1, 0, 0, 0, 0)
         loaded = read_descriptors(path)
         assert len(loaded) == 0 and loaded.vectors == {}
-        assert mot_to_detections(MotTable((), (), ()), loaded) == {}
+        assert split_frames(MotTable((), (), ()), loaded) == {}
 
     def test_loaded_vectors_unit_norm(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -470,7 +470,7 @@ class TestSceneOracle:
         self.same(spec, tmp_path)
 
 
-class TestMotToDetections:
+class TestSplitFrames:
     def test_grouping_and_descriptors(self):
         lines = parse_mot(
             [
@@ -481,14 +481,14 @@ class TestMotToDetections:
         )
         e = np.zeros(4)
         e[1] = 1.0
-        frames = mot_to_detections(lines, Descriptors([1], [1], {"f_cls": [e]}))
+        frames = split_frames(lines, Descriptors([1], [1], {"f_cls": [e]}))
         assert sorted(frames) == [1, 2]
-        assert len(frames[1]) == 2
-        assert frames[1][0].descriptor is None
-        desc = frames[1][1].descriptor
+        (first, second), (third,) = frames[1], frames[2]
+        assert first.descriptor is None
+        desc = second.descriptor
         assert isinstance(desc, AppearanceDescriptor) and np.array_equal(desc.f_cls, e)
         assert desc.f_reg is None and desc.f_head is None
-        assert frames[2][0].score == 0.7
+        assert third.score == 0.7 and third.descriptor is None  # frame 2 has no record
 
     def test_file_order_kept_with_real_ids(self, tmp_path):
         # descending ids must not reorder a frame: sidecar records are keyed
@@ -506,16 +506,17 @@ class TestMotToDetections:
         descs = Descriptors([1, 1, 1, 2], [0, 1, 2, 1], {"f_cls": basis[[0, 1, 2, 2]]})
         path = tmp_path / "dets.ftfv"
         write_descriptors(path, descs)
-        frames = mot_to_detections(lines, read_descriptors(path))
+        frames = split_frames(lines, read_descriptors(path))
         assert list(frames) == [1, 2]
         assert [d.bbox.x for d in frames[1]] == [0.0, 50.0, 30.0]
         assert [d.bbox.x for d in frames[2]] == [90.0, 70.0]
         for k, det in enumerate(frames[1]):
             assert np.array_equal(det.descriptor.f_cls, basis[k])
-        assert frames[2][0].descriptor is None
-        assert np.array_equal(frames[2][1].descriptor.f_cls, basis[2])
+        without, with_record = frames[2]
+        assert without.descriptor is None
+        assert np.array_equal(with_record.descriptor.f_cls, basis[2])
 
-    def test_batches_are_the_lists_as_columns(self, tmp_path):
+    def test_batches_are_their_rows_as_columns(self, tmp_path):
         lines = parse_mot(
             [
                 "3,4,1,0,10,20,0.3,-1,-1,-1",
@@ -528,18 +529,46 @@ class TestMotToDetections:
         basis = np.eye(3)
         path = tmp_path / "dets.ftfv"
         write_descriptors(path, Descriptors([2, 1], [1, 0], {"f_cls": basis[[2, 0]]}))
-        descriptors = read_descriptors(path)
-        batches, lists = split_frames(lines, descriptors), mot_to_detections(lines, descriptors)
+        batches = split_frames(lines, read_descriptors(path))
+        lists = {frame: list(batch) for frame, batch in batches.items()}
         assert list(batches) == list(lists) == [1, 2, 3]
         for frame, batch in batches.items():
             dets = lists[frame]
             assert batch.boxes.tolist() == [[d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h] for d in dets]
             assert batch.scores.tolist() == [d.score for d in dets]
         assert batches[3].feats == {}  # no record in frame 3
+        assert [d.descriptor for d in lists[3]] == [None]
         for frame, has in ((1, [True, False]), (2, [False, True])):
             m, mask = batches[frame].feats["f_cls"]
             assert mask.tolist() == has
             assert m.tolist() == [d.descriptor.f_cls.tolist() if d.descriptor else [0.0] * 3 for d in lists[frame]]
+
+    def test_rows_carry_each_kind_their_record_has(self):
+        lines = parse_mot([f"1,-1,{10 * k},0,10,20,0.5,-1,-1,-1" for k in range(3)])
+        cls, head = np.eye(2), np.eye(3)[[2, 0]]
+        frames = split_frames(lines, Descriptors([1, 1], [2, 0], {"f_cls": cls, "f_head": head}))
+        (batch,) = frames.values()
+        assert list(batch.feats) == ["f_cls", "f_head"]
+        last, middle, first = list(batch)[::-1]
+        assert middle.descriptor is None
+        assert np.array_equal(first.descriptor.f_cls, cls[1]) and np.array_equal(first.descriptor.f_head, head[1])
+        assert np.array_equal(last.descriptor.f_cls, cls[0]) and np.array_equal(last.descriptor.f_head, head[0])
+        assert first.descriptor.f_reg is None and last.descriptor.f_reg is None
+        assert batch.feats["f_head"][0].tolist() == [head[1].tolist(), [0.0] * 3, head[0].tolist()]
+
+    def test_mot_to_detections_is_split_frames(self, tmp_path):
+        scene = generate_scene(SceneSpec(targets=4, frames=12, seed=3, occlusions=((2, 4, 6),)))
+        for descriptors in (scene.descriptors, None):
+            want = split_frames(scene.detections, descriptors)
+            got = mot_to_detections(scene.detections, descriptors)
+            assert list(got) == list(want)
+            for frame, batch in want.items():
+                assert np.array_equal(got[frame].boxes, batch.boxes)
+                assert np.array_equal(got[frame].scores, batch.scores)
+                assert got[frame].feats.keys() == batch.feats.keys()
+                for kind, (m, has) in batch.feats.items():
+                    assert np.array_equal(got[frame].feats[kind][0], m)
+                    assert np.array_equal(got[frame].feats[kind][1], has)
 
     @pytest.mark.parametrize("keys", [[(1, 0), (2, 2)], [(4, 0)], [(0, 0)], [(2, -1)]])
     def test_record_without_detection_rejected(self, keys):
@@ -547,9 +576,8 @@ class TestMotToDetections:
         frame, det_index = zip(*keys)
         descs = Descriptors(frame, det_index, {"f_cls": np.ones((len(keys), 1))})
         orphan = keys[-1]
-        for split in (split_frames, mot_to_detections):
-            with pytest.raises(ValueError, match=rf"record \({orphan[0]},{orphan[1]}\) names no detection line"):
-                split(lines, descs)
+        with pytest.raises(ValueError, match=rf"record \({orphan[0]},{orphan[1]}\) names no detection line"):
+            split_frames(lines, descs)
         first = keys[0]  # a table without rows: every record is an orphan
         with pytest.raises(ValueError, match=rf"record \({first[0]},{first[1]}\) names no detection line"):
             split_frames(MotTable((), (), ()), descs)
@@ -557,20 +585,12 @@ class TestMotToDetections:
     @pytest.mark.parametrize("row,message", [
         ("1,-1,0,0,10,20,nan,-1,-1,-1", "detection score must be finite"),
         ("1,-1,0,0,10,20,0.9,5,3,1.5", r"visibility must lie in \[0, 1\]"),
+        ("1,-1,0,0,10,20,nan,5,3,1.5", r"visibility must lie in \[0, 1\]"),  # the head before the score
     ])
     def test_bad_detection_reports_number(self, row, message):
         lines = parse_mot(["1,-1,0,0,10,20,0.9,5,3,0.6", row])
-        for split in (split_frames, mot_to_detections):
-            with pytest.raises(MotParseError, match=f"line 2: {message}"):
-                split(lines, head_format=True)
-
-    def test_head_format_flag(self):
-        lines = parse_mot(["1,-1,0,0,10,20,0.9,5,3,0.6"])
-        with_head = mot_to_detections(lines, head_format=True)
-        without = mot_to_detections(lines, head_format=False)
-        assert with_head[1][0].head is not None
-        assert with_head[1][0].head.v_head == 0.6
-        assert without[1][0].head is None
+        with pytest.raises(MotParseError, match=f"line 2: {message}"):
+            split_frames(lines, head_format=True)
 
 
 def _outcome(read, *args):

@@ -8,7 +8,6 @@ from headtrack.association import (
     AssociationConfig,
     build_cost_matrix,
     solve_assignment,
-    stack_descriptors,
 )
 from headtrack.geometry import BBox
 from headtrack.tracker import (
@@ -17,7 +16,7 @@ from headtrack.tracker import (
     Tracker,
     TrackerConfig,
     bbox_from_state,
-    measurement_from_bbox,
+    measurements,
 )
 
 
@@ -48,7 +47,7 @@ class TestLifecycle:
         tr = Tracker(motion_config(min_hits=3))
         emitted = {}
         for f in range(1, 6):
-            emitted[f] = tr.step(f, [det(100, 100)])
+            emitted[f] = tr.step(f, as_batch([det(100, 100)]))
         assert emitted[1] == [] and emitted[2] == []
         ids = {tid for f in (3, 4, 5) for tid, _ in emitted[f]}
         assert len(ids) == 1
@@ -56,19 +55,19 @@ class TestLifecycle:
 
     def test_elimination_after_patience(self):
         tr = Tracker(motion_config(min_hits=1, patience_w=3))
-        tr.step(1, [det(100, 100)])
+        tr.step(1, as_batch([det(100, 100)]))
         for f in range(2, 6):
             tr.step(f, [])  # vanish for patience_w and beyond
-        out = tr.step(6, [det(100, 100)])
+        out = tr.step(6, as_batch([det(100, 100)]))
         assert len(out) == 1
         assert out[0][0] == 2  # reappearance spawns a fresh id
 
     def test_survives_shorter_gap(self):
         tr = Tracker(motion_config(min_hits=1, patience_w=5))
-        tr.step(1, [det(100, 100)])
+        tr.step(1, as_batch([det(100, 100)]))
         for f in range(2, 6):
             tr.step(f, [])  # four misses < patience
-        out = tr.step(6, [det(100, 100)])
+        out = tr.step(6, as_batch([det(100, 100)]))
         assert out[0][0] == 1
 
     def test_crossing_targets_kept_apart_by_appearance(self):
@@ -86,7 +85,7 @@ class TestLifecycle:
                 det(50 + 10 * f, 100, descriptor=onehot(0)),
                 det(305 - 10 * f, 104, descriptor=onehot(1)),
             ]
-            for tid, box in tr.step(f, dets):
+            for tid, box in tr.step(f, as_batch(dets)):
                 truth = 1 if abs(box.cy - 100) < 1.0 else 2
                 history[truth].append(tid)
         assert len(set(history[1])) == 1
@@ -95,14 +94,14 @@ class TestLifecycle:
 
     def test_low_score_detections_do_not_spawn(self):
         tr = Tracker(motion_config(min_hits=1, init_score_min=0.25))
-        out = tr.step(1, [det(100, 100, score=0.1)])
+        out = tr.step(1, as_batch([det(100, 100, score=0.1)]))
         assert out == []
         assert tr.tracks == []
 
     def test_spawned_track_matches_next_frame(self):
         tr = Tracker(motion_config(min_hits=1))
-        first = tr.step(1, [det(100, 100)])
-        second = tr.step(2, [det(102, 100)])
+        first = tr.step(1, as_batch([det(100, 100)]))
+        second = tr.step(2, as_batch([det(102, 100)]))
         assert [tid for tid, _ in first] == [tid for tid, _ in second] == [1]
 
 
@@ -122,17 +121,17 @@ class TestStepContracts:
     def test_emitted_boxes_are_matched_detections(self):
         tr = Tracker(motion_config(min_hits=1))
         d = det(123.5, 67.25)
-        out = tr.step(1, [d])
+        out = tr.step(1, as_batch([d]))
         assert out == [(1, d.bbox)]
 
     def test_coasting_suppressed_by_default(self):
         tr = Tracker(motion_config(min_hits=1, patience_w=10))
-        tr.step(1, [det(100, 100)])
+        tr.step(1, as_batch([det(100, 100)]))
         assert tr.step(2, []) == []
 
     def test_coasting_emitted_with_flag(self):
         tr = Tracker(motion_config(min_hits=1, patience_w=10, emit_predictions=True))
-        tr.step(1, [det(100, 100)])
+        tr.step(1, as_batch([det(100, 100)]))
         out = tr.step(2, [])
         assert len(out) == 1
         assert out[0][0] == 1
@@ -148,7 +147,7 @@ class TestInvariants:
             dets = []
             for k in range(int(rng.integers(0, 5))):
                 dets.append(det(rng.uniform(0, 900), rng.uniform(0, 900)))
-            for tid, box in tr.step(f, dets):
+            for tid, box in tr.step(f, as_batch(dets)):
                 emissions.append((f, tid, box))
         return tr, emissions
 
@@ -170,12 +169,12 @@ class TestInvariants:
     def test_patience_contract_absence(self):
         w = 4
         tr = Tracker(motion_config(min_hits=1, patience_w=w))
-        tr.step(1, [det(100, 100)])
+        tr.step(1, as_batch([det(100, 100)]))
         for f in range(2, 2 + w):
             tr.step(f, [])
         # far-away detections afterwards: the dead track may never resurface
         for f in range(2 + w, 10 + w):
-            for tid, _ in tr.step(f, [det(100, 100)]):
+            for tid, _ in tr.step(f, as_batch([det(100, 100)])):
                 assert tid != 1
 
     def test_determinism(self):
@@ -189,18 +188,18 @@ class TestInvariants:
                     det(float(rng.uniform(0, 500)), float(rng.uniform(0, 500)))
                     for _ in range(3)
                 ]
-                out.append(tr.step(f, dets))
+                out.append(tr.step(f, as_batch(dets)))
             runs.append(out)
         assert runs[0] == runs[1]
 
     def test_removed_tracks_never_revive(self):
         tr = Tracker(motion_config(min_hits=1, patience_w=2))
-        tr.step(1, [det(100, 100)])
+        tr.step(1, as_batch([det(100, 100)]))
         tr.step(2, [])
         tr.step(3, [])
         dead = tr.tracks[0]
         assert dead.status == "removed"
-        tr.step(4, [det(100, 100)])
+        tr.step(4, as_batch([det(100, 100)]))
         assert dead.status == "removed"
         assert tr.tracks[1].id == 2
 
@@ -209,11 +208,11 @@ class TestNumericalGuards:
     def test_diverged_filter_removes_only_that_track(self):
         tr = Tracker(motion_config(min_hits=1))
         for f in (1, 2):
-            assert [tid for tid, _ in tr.step(f, [det(100, 100), det(600, 600)])] == [1, 2]
+            assert [tid for tid, _ in tr.step(f, as_batch([det(100, 100), det(600, 600)]))] == [1, 2]
         broken = tr.tracks[0]
         tr.x[tr.live.index(broken)] = np.nan  # its state row goes non-finite
 
-        emitted = {f: tr.step(f, [det(100, 100), det(600, 600)]) for f in range(3, 8)}
+        emitted = {f: tr.step(f, as_batch([det(100, 100), det(600, 600)])) for f in range(3, 8)}
         assert broken.status == "removed"
         assert [t.id for t in tr.live] == [2, 3]
         # the survivor keeps id 2; track 1's detections spawn id 3
@@ -221,9 +220,9 @@ class TestNumericalGuards:
 
     def test_diverged_covariance_row_removes_its_track(self):
         tr = Tracker(motion_config(min_hits=1))
-        tr.step(1, [det(100, 100), det(600, 600)])
+        tr.step(1, as_batch([det(100, 100), det(600, 600)]))
         tr.pcv[1, 2] = np.inf
-        assert [tid for tid, _ in tr.step(2, [det(100, 100), det(600, 600)])] == [1, 3]
+        assert [tid for tid, _ in tr.step(2, as_batch([det(100, 100), det(600, 600)]))] == [1, 3]
         assert [t.status for t in tr.tracks] == ["confirmed", "removed", "confirmed"]
         assert len(tr.x) == len(tr.pcv) == len(tr.hits) == len(tr.misses) == 2
 
@@ -240,6 +239,11 @@ def reference_ema(old, new, momentum):
             n = float(np.linalg.norm(v))
             merged[kind] = b if n < 1e-9 else v / n
     return merged
+
+
+def measurement(b):
+    """The (u, v, a, h) observation of one box."""
+    return measurements([[b.x, b.y, b.w, b.h]])[0]
 
 
 def reference_run(cfg, frames, statuses=None):
@@ -266,10 +270,7 @@ def reference_run(cfg, frames, statuses=None):
         descs = [AppearanceDescriptor(**t["desc"]) if t["desc"] else None for t in live]
         trk_xy = np.array([t["kf"].x[:2] for t in live]).reshape(-1, 2)
         det_xy = np.array([(d.bbox.cx, d.bbox.cy) for d in dets]).reshape(-1, 2)
-        cost = build_cost_matrix(
-            trk_xy, stack_descriptors(descs, cfg.assoc),
-            det_xy, stack_descriptors([d.descriptor for d in dets], cfg.assoc), cfg.assoc,
-        )
+        cost = build_cost_matrix(trk_xy, stacked(descs), det_xy, stacked([d.descriptor for d in dets]), cfg.assoc)
         matched = dict(solve_assignment(cost).tolist())
         out = []
         for i, t in enumerate(live):
@@ -277,7 +278,7 @@ def reference_run(cfg, frames, statuses=None):
                 d = dets[matched[i]]
                 model = kalman.constant_velocity_model(t["kf"].x[3], cfg.noise)
                 t["kf"] = kalman.update(
-                    t["kf"], measurement_from_bbox(d.bbox), model, h_min=cfg.noise.h_min
+                    t["kf"], measurement(d.bbox), model, h_min=cfg.noise.h_min
                 )
                 new = {k: getattr(d.descriptor, k) for k in kinds if d.descriptor is not None}
                 new = {k: v for k, v in new.items() if v is not None}
@@ -297,7 +298,7 @@ def reference_run(cfg, frames, statuses=None):
             desc = {k: getattr(d.descriptor, k) for k in kinds if d.descriptor is not None}
             tracks.append(dict(
                 id=len(tracks) + 1, status="live", hits=1, misses=0,
-                kf=kalman.initiate(measurement_from_bbox(d.bbox), cfg.noise),
+                kf=kalman.initiate(measurement(d.bbox), cfg.noise),
                 desc={k: v for k, v in desc.items() if v is not None},
             ))
             if cfg.min_hits <= 1:
@@ -354,7 +355,7 @@ class TestArrayCore:
         want = reference_run(cfg, frames, statuses)
         tr, got = Tracker(cfg), []
         for (f, dets), status in zip(frames, statuses):
-            got.append(tr.step(f, dets))
+            got.append(tr.step(f, as_batch(dets)))
             assert [t.status for t in tr.tracks] == status
         assert got == want
         assert sum(map(len, got)) > 100
@@ -370,10 +371,10 @@ class TestArrayCore:
         a, b = unit_vec(rng.normal(size=16)), unit_vec(rng.normal(size=16))
         c = unit_vec(rng.normal(size=16))
         tr = Tracker(cfg)
-        tr.step(1, [det(100, 100, descriptor=AppearanceDescriptor(f_cls=a)),
-                    det(500, 500, descriptor=AppearanceDescriptor(f_cls=c))])
-        tr.step(2, [det(100, 100, descriptor=AppearanceDescriptor(f_cls=b, f_reg=c)),
-                    det(500, 500, descriptor=AppearanceDescriptor(f_cls=-c))])
+        tr.step(1, as_batch([det(100, 100, descriptor=AppearanceDescriptor(f_cls=a)),
+                             det(500, 500, descriptor=AppearanceDescriptor(f_cls=c))]))
+        tr.step(2, as_batch([det(100, 100, descriptor=AppearanceDescriptor(f_cls=b, f_reg=c)),
+                             det(500, 500, descriptor=AppearanceDescriptor(f_cls=-c))]))
         rows, has = tr.feats["f_cls"]
         assert np.array_equal(rows[0], reference_ema({"f_cls": a}, {"f_cls": b}, 0.5)["f_cls"])
         assert np.array_equal(rows[1], -c)  # antipodal pair cancels: the fresher vector stays
@@ -391,7 +392,7 @@ class TestArrayCore:
         tr = Tracker(cfg)
         for f, vecs in ((1, old), (2, new)):
             dets = [det(*xy, descriptor=AppearanceDescriptor(f_cls=v)) for xy, v in zip(spots, vecs)]
-            assert len(tr.step(f, dets)) == 40
+            assert len(tr.step(f, as_batch(dets))) == 40
         assert [t.id for t in tr.live] == list(range(1, 41))
         expected = [reference_ema({"f_cls": a}, {"f_cls": b}, 0.9)["f_cls"] for a, b in zip(old, new)]
         assert np.array_equal(tr.feats["f_cls"][0], np.array(expected))
@@ -399,52 +400,88 @@ class TestArrayCore:
     def test_unweighted_kind_is_not_stored(self):
         cfg = TrackerConfig(min_hits=1, assoc=AssociationConfig(feature_weights=(0.0, 0.5, 0.0)))
         tr = Tracker(cfg)
-        tr.step(1, [det(100, 100, descriptor=onehot(0))])
+        tr.step(1, as_batch([det(100, 100, descriptor=onehot(0))]))
         assert tr.feats == {}
+        # random frames carry f_cls and f_reg; with f_reg unweighted only f_cls is kept
+        cfg = TrackerConfig(min_hits=2, assoc=AssociationConfig(motion_scale=300.0, feature_weights=(0.5, 0.0, 0.0)))
+        tr = Tracker(cfg)
+        for f, dets in random_frames(1):
+            tr.step(f, as_batch(dets))
+            assert tr.feats.keys() <= {"f_cls"}
+        assert tr.feats.keys() == {"f_cls"}
 
 
-def as_batch(dets):
-    """The Detections of a list built column by column, apart from ``Detections.stack``.
-
-    It carries every kind some detection has, weighted or not, zero where a detection lacks it.
-    """
+def stacked(descriptors):
+    """Each kind some descriptor carries, weighted or not: (matrix, presence mask), zero where one lacks it."""
     feats = {}
     for kind in FEATURE_KINDS:
-        vecs = [None if d.descriptor is None else getattr(d.descriptor, kind) for d in dets]
+        vecs = [None if d is None else getattr(d, kind) for d in descriptors]
         dims = {len(v) for v in vecs if v is not None}
         if dims:
             (dim,) = dims
             feats[kind] = (np.array([np.zeros(dim) if v is None else v for v in vecs]),
                            np.array([v is not None for v in vecs]))
+    return feats
+
+
+def as_batch(dets):
+    """The Detections of a list of Detection, built column by column."""
     boxes = np.array([[d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h] for d in dets]).reshape(-1, 4)
-    return Detections(boxes, np.array([d.score for d in dets]), feats)
+    return Detections(boxes, np.array([d.score for d in dets], dtype=float), stacked([d.descriptor for d in dets]))
 
 
 class TestBatchInput:
-    @pytest.mark.parametrize("emit", [False, True], ids=["emit detections", "emit predictions"])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_batch_equals_list_after_every_step(self, seed, emit):
-        cfg = TrackerConfig(
-            min_hits=1 + seed % 3,
-            patience_w=2 + seed % 4,
-            emit_predictions=emit,
-            assoc=AssociationConfig(motion_scale=300.0, gate_g=0.6, feature_weights=(0.5, 0.5 * (seed % 2), 0.0)),
-        )
-        listed, batched = Tracker(cfg), Tracker(cfg)
-        emitted = 0
-        for f, dets in random_frames(seed):
-            want = listed.step(f, dets)
-            assert batched.step(f, as_batch(dets)) == want
-            assert [t.id for t in batched.live] == [t.id for t in listed.live]
-            assert [t.status for t in batched.tracks] == [t.status for t in listed.tracks]
-            assert batched.feats.keys() == listed.feats.keys()  # an unweighted kind is not stored
-            emitted += len(want)
-        assert emitted > 100
-
     def test_empty_batch_only_moves_the_frame(self):
         tr = Tracker(motion_config(min_hits=1))
         assert tr.step(1, Detections(np.zeros((0, 4)), np.zeros(0))) == []
         assert tr.step(2, as_batch([det(100, 100)])) == [(1, BBox(80.0, 50.0, 40.0, 100.0))]
+
+    @pytest.mark.parametrize("empty", [[], ()], ids=["list", "tuple"])
+    def test_empty_sequence_coasts_as_an_empty_batch(self, empty):
+        cfg = motion_config(min_hits=1, patience_w=3, emit_predictions=True)
+        frames = random_frames(2, frames=12)
+        batch, seq = Tracker(cfg), Tracker(cfg)
+        for f, dets in frames:
+            assert seq.step(f, as_batch(dets)) == batch.step(f, as_batch(dets))
+        for f in range(13, 18):  # every track coasts, then ages out
+            want = batch.step(f, Detections(np.zeros((0, 4)), np.zeros(0)))
+            assert seq.step(f, empty) == want
+            assert np.array_equal(seq.x, batch.x) and np.array_equal(seq.pcv, batch.pcv)
+            assert [t.status for t in seq.tracks] == [t.status for t in batch.tracks]
+        assert not batch.live and want == []
+
+    @pytest.mark.parametrize("dets", [[det(100, 100)], (det(100, 100),), None, np.zeros((1, 4))],
+                             ids=["list", "tuple", "None", "array"])
+    def test_other_input_is_a_type_error(self, dets):
+        tr = Tracker(motion_config(min_hits=1))
+        with pytest.raises(TypeError, match="Detections batch, got"):
+            tr.step(1, dets)
+        assert tr.step(1, as_batch([det(100, 100)])) == [(1, BBox(80.0, 50.0, 40.0, 100.0))]
+
+
+class TestBatchRows:
+    def test_rows_equal_the_columns(self):
+        frames = random_frames(3)
+        for _, dets in frames:
+            batch = as_batch(dets)
+            rows = list(batch)
+            assert all(isinstance(d, Detection) for d in rows)
+            assert [(d.bbox, d.score) for d in rows] == [(d.bbox, d.score) for d in dets]
+            for d, want in zip(rows, dets):
+                if want.descriptor is None:
+                    assert d.descriptor is None
+                    continue
+                for kind in FEATURE_KINDS:
+                    v, w = getattr(d.descriptor, kind), getattr(want.descriptor, kind)
+                    assert (v is None) == (w is None)
+                    assert w is None or np.array_equal(v, w)
+        assert any(d.descriptor is None for _, dets in frames for d in dets)
+        assert any(d.descriptor is not None and d.descriptor.f_reg is None for _, dets in frames for d in dets)
+
+    def test_batch_without_features_yields_no_descriptor(self):
+        batch = Detections(np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]), np.array([0.5, 0.25]))
+        assert list(batch) == [Detection(BBox(1.0, 2.0, 3.0, 4.0), 0.5), Detection(BBox(5.0, 6.0, 7.0, 8.0), 0.25)]
+        assert list(Detections(np.zeros((0, 4)), np.zeros(0))) == []
 
 
 def by_track(emissions):
@@ -466,7 +503,7 @@ class TestEmittedTrajectories:
 
     def test_single_confirmed_track(self):
         tr = Tracker(motion_config(min_hits=1))
-        trajs = trajectories(tr, [(f, [det(100 + f, 100)]) for f in range(1, 8)])
+        trajs = trajectories(tr, [(f, as_batch([det(100 + f, 100)])) for f in range(1, 8)])
         assert len(trajs) == 1
         tid, points = trajs[0]
         assert tid == 1
@@ -475,17 +512,17 @@ class TestEmittedTrajectories:
 
     def test_tentative_tracks_discarded(self):
         tr = Tracker(motion_config(min_hits=3))
-        assert trajectories(tr, [(f, [det(100, 100)]) for f in (1, 2)]) == []
+        assert trajectories(tr, [(f, as_batch([det(100, 100)])) for f in (1, 2)]) == []
         assert [t.status for t in tr.tracks] == ["tentative"]
 
     def test_ten_target_scene_coverage(self):
         # generator-backed scene: the generator knows the true spans
-        from headtrack.dataio import mot_to_detections
+        from headtrack.dataio import split_frames
         from headtrack.simulate import SceneSpec, generate_scene
 
         spec = SceneSpec(targets=10, frames=60, motion="crossing", seed=13)
         scene = generate_scene(spec)
-        frames = mot_to_detections(scene.detections, scene.descriptors)
+        frames = split_frames(scene.detections, scene.descriptors)
         cfg = TrackerConfig(
             min_hits=1,
             assoc=AssociationConfig(w_app=0.5, w_mot=0.5, motion_scale=2203.0, gate_g=0.5),
@@ -523,13 +560,13 @@ class TestUniqueOptimumGuard:
     @pytest.mark.parametrize("name", list(SCENES))
     def test_generated_scene(self, name, emit, monkeypatch):
         from headtrack.cli import RunConfig, tracker_config
-        from headtrack.dataio import mot_to_detections
+        from headtrack.dataio import split_frames
         from headtrack.simulate import SceneSpec, generate_scene
 
         spec, keys = self.SCENES[name]
         spec = SceneSpec(**spec)
         scene = generate_scene(spec)
-        by_frame = mot_to_detections(scene.detections, scene.descriptors)
+        by_frame = split_frames(scene.detections, scene.descriptors)
         frames = [(f, by_frame.get(f, [])) for f in range(1, spec.frames + 1)]
         cfg = tracker_config(RunConfig(min_hits=1, emit_predictions=emit, **keys))
         certified, held = self.run(cfg, frames, monkeypatch, association._unique_optimum)
@@ -544,7 +581,7 @@ class TestUniqueOptimumGuard:
                             assoc=AssociationConfig(motion_scale=300.0, gate_g=0.6))
         certify = association._unique_optimum
         for seed in range(4):
-            frames = random_frames(seed)
+            frames = [(f, as_batch(dets)) for f, dets in random_frames(seed)]
             certified, held = self.run(cfg, frames, monkeypatch, certify)
             assert True in held and False in held
             assert self.run(cfg, frames, monkeypatch, lambda *a: False)[0] == certified
@@ -552,7 +589,7 @@ class TestUniqueOptimumGuard:
 
 def test_measurement_roundtrip():
     b = BBox(x=10, y=20, w=30, h=60)
-    z = measurement_from_bbox(b)
+    z = measurement(b)
     assert np.allclose(z, [25, 50, 0.5, 60])
     back = bbox_from_state(np.array([25, 50, 0.5, 60, 0, 0, 0, 0]))
     assert abs(back.x - b.x) < 1e-12 and abs(back.w - b.w) < 1e-12
