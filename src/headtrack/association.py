@@ -40,7 +40,7 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # vectors compare and hash by identity
 class AppearanceDescriptor:
     """Unit-norm feature vectors from the detector's output branches.
 

@@ -201,7 +201,7 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
     f = 1
     for busy in frames:
         while f <= busy:
-            if not tracking.live:  # a step would only move the frame: skip to the detections
+            if not len(tracking.ids):  # a step would only move the frame: skip to the detections
                 f = busy
             try:
                 out += [(f, tid, box) for tid, box in tracking.step(f, frames.get(f, ()))]
@@ -215,15 +215,15 @@ def _same_path(a: Path, b: Path) -> bool:
     """Whether ``a`` and ``b`` name one file or directory: the same file if both exist, else the same resolved path."""
     try:
         return a.samefile(b)
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):  # a path under a file names nothing either
         return a.resolve() == b.resolve()
 
 
-def _refuse_overwrite(out, output: str, inputs) -> None:
+def _refuse_overwrite(out, output: str, inputs, writer="--out is") -> None:
     """Raise ConfigError naming ``out`` when it is the file of one of ``inputs``: (flag, path or None, what it holds)."""
     for flag, path, held in inputs:
         if path is not None and _same_path(Path(path), Path(out)):
-            raise ConfigError(f"{out}: --out is the {flag} file; the {output} would overwrite the {held}")
+            raise ConfigError(f"{out}: {writer} the {flag} file; the {output} would overwrite the {held}")
 
 
 def cmd_track(args, cfg: RunConfig) -> int:
@@ -326,11 +326,14 @@ def parse_scene_spec(path, cfg: RunConfig, flags=()) -> tuple[SceneSpec, list[st
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
     from . import simulate
+    out_dir = Path(args.out_dir)
+    inputs = [("--spec", args.spec, "scene spec"), ("--config", args.config, "settings")]
+    for name, output in (("gt.txt", "ground truth"), ("det.txt", "detections"), ("features.ftfv", "descriptors")):
+        _refuse_overwrite(out_dir / name, output, inputs, writer="--out-dir writes")
     spec, from_cfg = parse_scene_spec(args.spec, cfg, flags=vars(args))  # unset flags are not in args
     sized = [key for key in ("image_width", "image_height") if key in from_cfg]  # a failure names them too
     where = f"key {', '.join(sized)} and {args.spec}" if sized else args.spec
     scene = _located(where, lambda: simulate.generate_scene(spec))
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_mot(out_dir / "gt.txt", scene.gt)
     dataio.write_mot(out_dir / "det.txt", scene.detections)

@@ -7,8 +7,9 @@ closed-form Kalman update (the (u, v, a, h) measurement is linear, so
 descriptors. A row that turns non-finite is a diverged filter: only that
 track is removed. Unmatched tracks coast on prediction and are eliminated
 after ``patience_w`` consecutive misses; tracks are emitted from ``min_hits`` matches.
-The emissions of ``step`` are the only output: a track keeps no boxes, and
-a detection no frame (it is the frame of the ``step`` it is passed to).
+A live track is only its row, id included; its status is read from the row,
+not stored. ``step``'s emissions are the only output: a track keeps no boxes,
+and a detection no frame (it is the frame of the ``step`` it is passed to).
 A frame's detections arrive as one Detections batch of columns; iterating
 a batch yields its rows as Detection.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class Detection:
             raise ValueError("detection score must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # columns compare and hash by identity, as MotTable does
 class Detections:
     """One frame's detections as columns, in the order ``step`` matches them.
 
@@ -72,12 +73,11 @@ class Detections:
 _NO_DETECTIONS = Detections(np.zeros((0, 4)), np.zeros(0))
 
 
-@dataclass
-class Track:
-    """One identity; while live, its filter is a Tracker row."""
+class Track(NamedTuple):
+    """One identity and the status its Tracker row gives it."""
 
     id: int
-    status: str = TENTATIVE
+    status: str
 
 
 def measurements(boxes: np.ndarray) -> np.ndarray:
@@ -99,21 +99,26 @@ def bbox_from_state(x: np.ndarray) -> BBox:
 class Tracker:
     """Stateful per-sequence tracker. Use one instance per sequence.
 
-    ``tracks`` holds every track ever spawned; ``live`` the ones not removed,
-    in id order, aligned with the rows of the states ``x`` (N x 8), their
-    covariances ``pcv`` (N x 3, see ``kalman.predict_rows``), ``hits``, ``misses``
-    and ``feats`` (weighted kind -> (N x d matrix, zero where absent; N mask)).
+    Each live track is one row, in id order, of its ``ids``, the states ``x``
+    (N x 8), their covariances ``pcv`` (N x 3, see ``kalman.predict_rows``),
+    ``hits``, ``misses`` and ``feats`` (weighted kind -> (N x d matrix, zero
+    where absent; N mask)). ``spawned`` is the last id handed out.
     """
 
     def __init__(self, cfg: TrackerConfig = TrackerConfig()):
         self.cfg = cfg
-        self.tracks: list[Track] = []
-        self.live: list[Track] = []
+        self.ids, self.spawned = np.zeros(0, dtype=int), 0
         self.x, self.pcv = np.zeros((0, kalman.STATE_DIM)), np.zeros((0, 3))
         self.hits, self.misses = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
         self.feats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._weights = dict(zip(FEATURE_KINDS, cfg.assoc.feature_weights))
         self._last_frame: Optional[int] = None
+
+    @property
+    def tracks(self) -> list[Track]:  # kept for perfbench/trace_cli.py, which counts statuses through it
+        """Every track spawned so far, in id order: removed once it has no row, confirmed from ``min_hits`` hits."""
+        live = dict(zip(self.ids.tolist(), np.where(self.hits >= self.cfg.min_hits, CONFIRMED, TENTATIVE).tolist()))
+        return [Track(k, live.get(k, REMOVED)) for k in range(1, self.spawned + 1)]
 
     @np.errstate(invalid="ignore", over="ignore")  # a row that overflows turns non-finite: predict removes it
     def step(self, frame: int, detections: Detections) -> list[tuple[int, BBox]]:
@@ -135,7 +140,7 @@ class Tracker:
                 f"frames must be strictly increasing (got {frame} after {self._last_frame})"
             )
         self._last_frame = frame
-        if not (self.live or len(detections)):  # nothing to predict, match or spawn
+        if not (len(self.ids) or len(detections)):  # nothing to predict, match or spawn
             return []
         cfg = self.cfg
 
@@ -155,7 +160,7 @@ class Tracker:
         self.misses[rows] = 0
         self.hits[rows] += 1
 
-        det = np.full(len(self.live), -1)  # each row's detection this frame, -1 for none
+        det = np.full(len(self.ids), -1)  # each row's detection this frame, -1 for none
         det[rows] = cols
         fresh = detections.scores >= cfg.init_score_min
         fresh[cols] = False
@@ -167,12 +172,11 @@ class Tracker:
         out = []
         emit = np.flatnonzero(self.hits >= cfg.min_hits)
         xywh = detections.boxes.tolist()
-        for i, j in zip(emit.tolist(), det[emit].tolist()):
+        for i, tid, j in zip(emit.tolist(), self.ids[emit].tolist(), det[emit].tolist()):
             if j >= 0:
-                self.live[i].status = CONFIRMED
-                out.append((self.live[i].id, BBox(*xywh[j])))
+                out.append((tid, BBox(*xywh[j])))
             elif cfg.emit_predictions and self.misses[i] < cfg.patience_w:
-                out.append((self.live[i].id, bbox_from_state(self.x[i])))
+                out.append((tid, bbox_from_state(self.x[i])))
         self._keep(self.misses < cfg.patience_w)
         return out
 
@@ -182,16 +186,13 @@ class Tracker:
         """Remove the live rows where ``keep`` is False."""
         if np.count_nonzero(keep) == len(keep):
             return
-        for i in np.flatnonzero(~keep).tolist():
-            self.live[i].status = REMOVED
-        self.live = [t for t, k in zip(self.live, keep.tolist()) if k]
-        self.x, self.pcv = self.x[keep], self.pcv[keep]
+        self.ids, self.x, self.pcv = self.ids[keep], self.x[keep], self.pcv[keep]
         self.hits, self.misses = self.hits[keep], self.misses[keep]
         self.feats = {kind: (m[keep], has[keep]) for kind, (m, has) in self.feats.items()}
 
     def _blend(self, rows: np.ndarray, det_feats: dict, cols: np.ndarray) -> None:
         """Renormalized per-kind EMA of matched descriptors; a lacking side takes the other's."""
-        mom, n = self.cfg.descriptor_momentum, len(self.live)
+        mom, n = self.cfg.descriptor_momentum, len(self.ids)
         for kind, (q, has_q) in det_feats.items():
             m, has = self.feats.get(kind, (None, None))
             if m is None or (m.shape[1] != q.shape[1] and not has.any()):  # take q's dimension
@@ -215,10 +216,9 @@ class Tracker:
         for kind, (m, has) in list(self.feats.items()):
             q, has_q = det_feats.get(kind, (np.zeros((len(z), m.shape[1])), np.zeros(len(z), bool)))
             self.feats[kind] = (np.vstack([m, q[fresh]]), np.concatenate([has, has_q[fresh]]))
-        born = [Track(len(self.tracks) + k) for k in range(1, len(fresh) + 1)]
-        self.tracks += born
-        self.live += born
+        self.ids = np.append(self.ids, np.arange(self.spawned + 1, self.spawned + 1 + len(fresh)))
+        self.spawned += len(fresh)
         x, pcv = kalman.initiate_rows(z[fresh], self.cfg.noise)
         self.x, self.pcv = np.vstack([self.x, x]), np.vstack([self.pcv, pcv])
-        self.hits = np.append(self.hits, np.ones(len(born), dtype=int))
-        self.misses = np.append(self.misses, np.zeros(len(born), dtype=int))
+        self.hits = np.append(self.hits, np.ones(len(fresh), dtype=int))
+        self.misses = np.append(self.misses, np.zeros(len(fresh), dtype=int))

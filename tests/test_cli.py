@@ -97,6 +97,37 @@ class TestSimulate:
         for name in ("gt.txt", "det.txt"):
             assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
+    @pytest.mark.parametrize("name,output", [
+        ("gt.txt", "ground truth"), ("det.txt", "detections"), ("features.ftfv", "descriptors"),
+    ])
+    @pytest.mark.parametrize("flag,held", [("--spec", "scene spec"), ("--config", "settings")])
+    def test_out_dir_file_that_is_a_read_file_is_data_error(self, tmp_path, capsys, name, output, flag, held):
+        # a scene without descriptors would delete features.ftfv, as a stale sidecar
+        out = tmp_path / "sim"
+        out.mkdir()
+        spec = write(tmp_path / "scene.cfg", "targets = 3\nframes = 10\nseed = 1\ndescriptor_dim = 0\n")
+        read = out / name
+        read.write_text(Path(spec).read_text() if flag == "--spec" else "seed = 2\n")
+        before = read.read_bytes()
+        (tmp_path / "link").hardlink_to(read)
+        for spelling in (str(read), f"{out}/./{name}", str(tmp_path / "link")):
+            given = ["--spec", spelling] if flag == "--spec" else ["--spec", spec, "--config", spelling]
+            assert cli.main(["simulate", "--out-dir", str(out)] + given) == 2
+            assert capsys.readouterr().err == (
+                f"headtrack: {read}: --out-dir writes the {flag} file; the {output} would overwrite the {held}\n")
+        assert read.read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == [name]
+
+    @pytest.mark.parametrize("under,error", [("", "[Errno 17] File exists"), ("/sub", "[Errno 20] Not a directory")])
+    def test_out_dir_that_is_a_file_is_os_error(self, tmp_path, capsys, under, error):
+        # a path under a file names no file: the overwrite check passes it, and making the directory fails
+        spec = write(tmp_path / "scene.cfg", "targets = 3\nframes = 10\nseed = 1\n")
+        (tmp_path / "file").write_text("kept\n")
+        out = f"{tmp_path / 'file'}{under}"
+        assert cli.main(["simulate", "--spec", spec, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"headtrack: {error}: '{out}'\n"
+        assert (tmp_path / "file").read_text() == "kept\n"
+
 
 class TestTrack:
     def test_single_target_single_id(self, tmp_path):
@@ -1060,6 +1091,8 @@ class TestColumnChecksNameTheFirstError:
         for cls in (tracker.Detection, AppearanceDescriptor, HeadKeypoint):
             check = cls.__post_init__
             monkeypatch.setattr(cls, "__post_init__", lambda obj, check=check: built.update([type(obj)]) or check(obj))
+        track = tracker.Track  # a live track is its row: the verb builds no Track, not even one per spawn
+        monkeypatch.setattr(tracker, "Track", lambda *a, track=track: built.update([track]) or track(*a))
         argv = ["track", "--dets", str(dets), "--features", str(features), "--out", str(tmp_path / "o.txt")]
         assert cli.main(argv + ["--head-format", "--min-hits", "1"]) == 0
         assert built == {} and (tmp_path / "o.txt").stat().st_size

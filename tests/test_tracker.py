@@ -197,10 +197,9 @@ class TestInvariants:
         tr.step(1, as_batch([det(100, 100)]))
         tr.step(2, [])
         tr.step(3, [])
-        dead = tr.tracks[0]
-        assert dead.status == "removed"
+        assert tr.tracks[0].status == "removed"
         tr.step(4, as_batch([det(100, 100)]))
-        assert dead.status == "removed"
+        assert tr.tracks[0].status == "removed"  # a view row is a snapshot: read the view again
         assert tr.tracks[1].id == 2
 
 
@@ -210,11 +209,11 @@ class TestNumericalGuards:
         for f in (1, 2):
             assert [tid for tid, _ in tr.step(f, as_batch([det(100, 100), det(600, 600)]))] == [1, 2]
         broken = tr.tracks[0]
-        tr.x[tr.live.index(broken)] = np.nan  # its state row goes non-finite
+        tr.x[tr.ids.tolist().index(broken.id)] = np.nan  # its state row goes non-finite
 
         emitted = {f: tr.step(f, as_batch([det(100, 100), det(600, 600)])) for f in range(3, 8)}
-        assert broken.status == "removed"
-        assert [t.id for t in tr.live] == [2, 3]
+        assert tr.tracks[broken.id - 1].status == "removed"
+        assert tr.ids.tolist() == [2, 3]
         # the survivor keeps id 2; track 1's detections spawn id 3
         assert all([tid for tid, _ in emitted[f]] == [2, 3] for f in emitted)
 
@@ -393,7 +392,7 @@ class TestArrayCore:
         for f, vecs in ((1, old), (2, new)):
             dets = [det(*xy, descriptor=AppearanceDescriptor(f_cls=v)) for xy, v in zip(spots, vecs)]
             assert len(tr.step(f, as_batch(dets))) == 40
-        assert [t.id for t in tr.live] == list(range(1, 41))
+        assert tr.ids.tolist() == list(range(1, 41))
         expected = [reference_ema({"f_cls": a}, {"f_cls": b}, 0.9)["f_cls"] for a, b in zip(old, new)]
         assert np.array_equal(tr.feats["f_cls"][0], np.array(expected))
 
@@ -448,7 +447,7 @@ class TestBatchInput:
             assert seq.step(f, empty) == want
             assert np.array_equal(seq.x, batch.x) and np.array_equal(seq.pcv, batch.pcv)
             assert [t.status for t in seq.tracks] == [t.status for t in batch.tracks]
-        assert not batch.live and want == []
+        assert not len(batch.ids) and want == []
 
     @pytest.mark.parametrize("dets", [[det(100, 100)], (det(100, 100),), None, np.zeros((1, 4))],
                              ids=["list", "tuple", "None", "array"])
@@ -482,6 +481,13 @@ class TestBatchRows:
         batch = Detections(np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]), np.array([0.5, 0.25]))
         assert list(batch) == [Detection(BBox(1.0, 2.0, 3.0, 4.0), 0.5), Detection(BBox(5.0, 6.0, 7.0, 8.0), 0.25)]
         assert list(Detections(np.zeros((0, 4)), np.zeros(0))) == []
+
+    def test_batches_and_descriptors_compare_and_hash_by_identity(self):
+        dets = [det(100, 100, descriptor=onehot(0)), det(300, 100, descriptor=onehot(1))]
+        for one, twin in ((as_batch(dets), as_batch(dets)), (onehot(0), onehot(0))):
+            assert one == one and one != twin
+            assert hash(one) == hash(one)
+            assert one in {one} and twin not in {one} and len({one, twin}) == 2
 
 
 def by_track(emissions):
