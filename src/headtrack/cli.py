@@ -197,18 +197,19 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
     except ValueError as exc:  # parse_mot checked the boxes, so a sidecar record
         raise ConfigError(f"{features_path}: {exc}") from None
     tracking = tracker.Tracker(tracker_config(cfg))
-    out: list[tuple[int, int, BBox]] = []
+    emitted = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 4)))]  # each step's frame, id, box columns
     f = 1
     for busy in frames:
         while f <= busy:
             if not len(tracking.ids):  # a step would only move the frame: skip to the detections
                 f = busy
             try:
-                out += [(f, tid, box) for tid, box in tracking.step(f, frames.get(f, ()))]
-            except ValueError as exc:  # costs the assignment cannot encode
+                out = tracking.step(f, frames.get(f, ()))
+            except ValueError as exc:  # costs the assignment cannot encode, or a coasting box no BBox holds
                 raise ConfigError(f"{dets_path}: frame {f}: {exc}") from None
+            emitted.append((np.full(len(out.ids), f), out.ids, out.boxes))
             f += 1
-    dataio.write_mot(out_path, dataio.MotTable.from_rows(out))
+    dataio.write_mot(out_path, dataio.MotTable(*map(np.concatenate, zip(*emitted))))
 
 
 def _same_path(a: Path, b: Path) -> bool:
@@ -363,7 +364,10 @@ def parse_assign_scene(path) -> tuple[list, list]:
     import json  # only this verb reads JSON
 
     from . import label_assign
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError as exc:  # nesting deeper than the decoder recurses
+        raise ValueError(str(exc)) from None
     if not (isinstance(doc, dict) and all(isinstance(doc.get(k), list) for k in ("anchors", "gts"))):
         raise ValueError("scene must be a JSON object with 'anchors' and 'gts' lists")
     anchors = _scene_entries(doc, "anchors", lambda a: label_assign.Anchor(

@@ -20,14 +20,13 @@ import dataclasses
 import struct
 import warnings
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .config import FEATURE_KINDS
-from .geometry import BBox, HeadKeypoint
+from .geometry import BBox, HeadKeypoint, bad_boxes, check_boxes
 
 if TYPE_CHECKING:  # imported where it is built, so only the verb that builds it loads it
     from .tracker import Detections
@@ -93,13 +92,6 @@ class MotTable:
             np.zeros(n, dtype=np.int64) if self.lineno is None
             else np.asarray(self.lineno, dtype=np.int64).reshape(n)
         )
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[int, int, BBox]]) -> MotTable:
-        """A table of result rows ``(frame, id, box)``."""
-        rows = list(rows)
-        frames, ids, boxes = zip(*rows) if rows else ((), (), ())
-        return cls(frames, ids, list(map(attrgetter("x", "y", "w", "h"), boxes)))
 
     @classmethod
     def concat(cls, tables: Iterable[MotTable]) -> MotTable:
@@ -198,18 +190,6 @@ def _read_checked(raw: list[str], first: int) -> MotTable:
             raise MotParseError(n, str(exc)) from None
         rows.append((frame, ident, (x, y, w, h), conf, extra, n))
     return MotTable(*(zip(*rows) if rows else [()] * 6))
-
-
-def bad_boxes(box: np.ndarray) -> np.ndarray:
-    """Mask of the rows of an n x 4 box array that a BBox rejects: non-finite or non-positive extent."""
-    return ~(np.isfinite(box).all(axis=1) & (box[:, 2] > 0.0) & (box[:, 3] > 0.0))
-
-
-def check_boxes(boxes: np.ndarray) -> None:
-    """Raise the BBox error of the first row that is not a valid box."""
-    bad = bad_boxes(boxes)
-    if bad.any():
-        BBox(*boxes[bad.argmax()].tolist())
 
 
 def _int64(text: str) -> int:

@@ -57,6 +57,18 @@ class BBox:
         return self.w / self.h
 
 
+def bad_boxes(box: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an n x 4 box array that a BBox rejects: non-finite or non-positive extent."""
+    return ~(np.isfinite(box).all(axis=1) & (box[:, 2] > 0.0) & (box[:, 3] > 0.0))
+
+
+def check_boxes(boxes: np.ndarray) -> None:
+    """Raise the BBox error of the first row that is not a valid box."""
+    bad = bad_boxes(boxes)
+    if bad.any():
+        BBox(*boxes[bad.argmax()].tolist())
+
+
 @dataclass(frozen=True)
 class HeadKeypoint:
     """Head center location plus a visibility score in [0, 1]."""

@@ -41,6 +41,7 @@ class Anchor:
             raise ValueError(f"stride must be a positive finite number, got {self.stride!r}")
         if not 0.0 <= self.pred_cls <= 1.0 or not 0.0 <= self.pred_obj <= 1.0:
             raise ValueError("predicted probabilities must lie in [0, 1]")
+        _check_span(self.pred_box)
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,13 @@ class GtInstance:
     def __post_init__(self):
         if not (self.center_radius is None or _finite(self.center_radius) and self.center_radius >= 0):
             raise ValueError(f"center_radius must be None or a finite number >= 0, got {self.center_radius!r}")
+        _check_span(self.box)
+
+
+def _check_span(box: BBox) -> None:
+    """Raise ValueError unless the far corner and the area of ``box``, which the IoU and region sums take, are finite."""
+    if not (math.isfinite(box.x2) and math.isfinite(box.y2) and math.isfinite(box.area)):
+        raise ValueError(f"box far corner and area must be finite, got {box}")
 
 
 def _finite(v) -> bool:

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import METHODS, LiftingConfig
-from .dataio import MotTable, bad_boxes, check_boxes
+from .dataio import MotTable
+from .geometry import bad_boxes, check_boxes
 
 _ANGLE_EPS = 1e-8
 _BRANCH_MARGIN = 1e-6

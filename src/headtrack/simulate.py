@@ -15,8 +15,8 @@ import numpy as np
 
 from .association import UNIT_NORM_TOL, row_norms
 from .config import IMAGE_HEIGHT, IMAGE_WIDTH, SCENE_SEED
-from .dataio import Descriptors, MotTable, check_boxes
-from .geometry import iou_matrix
+from .dataio import Descriptors, MotTable
+from .geometry import check_boxes, iou_matrix
 
 MOTION_MODELS = ("linear", "crossing", "circular")
 

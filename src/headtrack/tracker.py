@@ -10,8 +10,9 @@ after ``patience_w`` consecutive misses; tracks are emitted from ``min_hits`` ma
 A live track is only its row, id included; its status is read from the row,
 not stored. ``step``'s emissions are the only output: a track keeps no boxes,
 and a detection no frame (it is the frame of the ``step`` it is passed to).
-A frame's detections arrive as one Detections batch of columns; iterating
-a batch yields its rows as Detection.
+A frame's detections arrive as one Detections batch of columns, and its
+emissions leave as Emissions columns; iterating a batch yields its rows as
+Detection, and iterating emissions yields (id, BBox) pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import kalman
 from .association import AppearanceDescriptor, build_cost_matrix, row_norms, solve_assignment
 from .config import FEATURE_KINDS, TrackerConfig
-from .geometry import BBox
+from .geometry import BBox, check_boxes
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
@@ -73,6 +74,17 @@ class Detections:
 _NO_DETECTIONS = Detections(np.zeros((0, 4)), np.zeros(0))
 
 
+@dataclass(frozen=True, eq=False)
+class Emissions:
+    """One frame's emitted tracks as columns: (E,) ``ids`` in id order and their (E, 4) x, y, w, h ``boxes``."""
+
+    ids: np.ndarray
+    boxes: np.ndarray
+
+    def __iter__(self) -> Iterator[tuple[int, BBox]]:  # kept for perfbench/run.py, which reads rows through it
+        return zip(self.ids.tolist(), map(BBox, *self.boxes.T.tolist()))
+
+
 class Track(NamedTuple):
     """One identity and the status its Tracker row gives it."""
 
@@ -88,12 +100,14 @@ def measurements(boxes: np.ndarray) -> np.ndarray:
     return z
 
 
-def bbox_from_state(x: np.ndarray) -> BBox:
-    """Invert the measurement mapping; degenerate aspect/height are floored."""
-    a = max(float(x[2]), 1e-6)
-    h = max(float(x[3]), 1e-6)
-    w = a * h
-    return BBox(x=float(x[0]) - 0.5 * w, y=float(x[1]) - 0.5 * h, w=w, h=h)
+def boxes_from_states(x: np.ndarray) -> np.ndarray:
+    """(N, 4) boxes of (N, 8) states, checked as a BBox checks one; degenerate aspect/height are floored."""
+    wh = np.maximum(x[:, 2:4], 1e-6)  # aspect and height
+    wh[:, 0] *= wh[:, 1]
+    boxes = np.concatenate([x[:, :2] - 0.5 * wh, wh], axis=1)
+    if not np.isfinite(boxes).all():  # the extents are floored positive: only a non-finite box fails
+        check_boxes(boxes)
+    return boxes
 
 
 class Tracker:
@@ -121,8 +135,8 @@ class Tracker:
         return [Track(k, live.get(k, REMOVED)) for k in range(1, self.spawned + 1)]
 
     @np.errstate(invalid="ignore", over="ignore")  # a row that overflows turns non-finite: predict removes it
-    def step(self, frame: int, detections: Detections) -> list[tuple[int, BBox]]:
-        """Advance one frame and return (track_id, bbox) emissions.
+    def step(self, frame: int, detections: Detections) -> Emissions:
+        """Advance one frame and return its emissions.
 
         ``detections`` is the frame's batch; an empty list or tuple is a frame
         without detections, and any other input raises TypeError. Frames must
@@ -141,7 +155,7 @@ class Tracker:
             )
         self._last_frame = frame
         if not (len(self.ids) or len(detections)):  # nothing to predict, match or spawn
-            return []
+            return Emissions(np.zeros(0, dtype=int), np.zeros((0, 4)))
         cfg = self.cfg
 
         self.x, self.pcv = kalman.predict_rows(self.x, self.pcv, cfg.noise)
@@ -169,14 +183,14 @@ class Tracker:
             self._spawn(new, z, det_feats)
             det = np.concatenate([det, new])
 
-        out = []
-        emit = np.flatnonzero(self.hits >= cfg.min_hits)
-        xywh = detections.boxes.tolist()
-        for i, tid, j in zip(emit.tolist(), self.ids[emit].tolist(), det[emit].tolist()):
-            if j >= 0:
-                out.append((tid, BBox(*xywh[j])))
-            elif cfg.emit_predictions and self.misses[i] < cfg.patience_w:
-                out.append((tid, bbox_from_state(self.x[i])))
+        seen = det >= 0  # with emit_predictions, a row that is not seen shows until it ages out
+        emit = (self.hits >= cfg.min_hits) & ((seen | (self.misses < cfg.patience_w)) if cfg.emit_predictions else seen)
+        j = det[emit]
+        coast = j < 0
+        boxes = detections.boxes[j] if len(detections) else np.empty((len(j), 4))  # coasting rows are filled in next
+        if coast.any():  # only coasting rows build a box from their state
+            boxes[coast] = boxes_from_states(self.x[emit][coast])
+        out = Emissions(self.ids[emit], boxes)
         self._keep(self.misses < cfg.patience_w)
         return out
 

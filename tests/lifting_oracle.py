@@ -39,7 +39,8 @@ def complete_track(points, method, cfg=LiftingConfig()):
 
     Returns the filled points by frame and the open gaps.
     """
-    filled, skipped = lifting.complete(MotTable.from_rows((f, 1, b) for f, b in points), method, cfg)
+    table = MotTable([f for f, _ in points], [1] * len(points), [(b.x, b.y, b.w, b.h) for _, b in points])
+    filled, skipped = lifting.complete(table, method, cfg)
     return sorted(((row.frame, row.box) for row in filled), key=lambda p: p[0]), skipped
 
 
@@ -54,9 +55,10 @@ def interpolate(table: MotTable, method: str, cfg: LiftingConfig = LiftingConfig
         except ValueError as exc:
             raise ValueError(f"track {tid}: {exc}") from None
         observed = {frame for frame, _ in points}
-        filled_rows += [(frame, tid, box) for frame, box in filled if frame not in observed]
+        filled_rows += [(frame, tid, (box.x, box.y, box.w, box.h)) for frame, box in filled if frame not in observed]
         skipped += [(tid, gap) for gap in gaps]
-    return MotTable.concat([table, MotTable.from_rows(filled_rows)]), skipped
+    filled = MotTable(*([row[k] for row in filled_rows] for k in range(3)))
+    return MotTable.concat([table, filled]), skipped
 
 
 @_quiet

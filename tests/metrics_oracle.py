@@ -28,7 +28,8 @@ class EvalFrame:
 def tables(frames: list[EvalFrame]) -> tuple[MotTable, MotTable]:
     """The ground-truth and hypothesis tables of ``frames``, the i-th frame numbered i + 1."""
     def table(side):
-        return MotTable.from_rows((f, i, b) for f, frame in enumerate(frames, 1) for i, b in getattr(frame, side))
+        rows = [(f, i, (b.x, b.y, b.w, b.h)) for f, frame in enumerate(frames, 1) for i, b in getattr(frame, side)]
+        return MotTable(*([row[k] for row in rows] for k in range(3)))
     return table("gt"), table("hyp")
 
 

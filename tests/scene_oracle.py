@@ -144,22 +144,22 @@ def generate_scene(spec: SceneSpec) -> SceneData:
                 v = rng.normal(size=dim)
                 bases.append(v / np.linalg.norm(v))
 
-    gt: list[tuple[int, int, BBox]] = []
-    dets: list[tuple[int, int, BBox]] = []
+    gt: list[tuple[int, int, tuple]] = []  # (frame, id, (x, y, w, h)) rows
+    dets: list[tuple[int, int, tuple]] = []
     records: list[DescriptorRecord] = []
     for f in range(1, spec.frames + 1):
         det_index = 0
         for t in range(spec.targets):
             box = paths[t][f - 1]
             tid = t + 1
-            gt.append((f, tid, box))
+            gt.append((f, tid, (box.x, box.y, box.w, box.h)))
             if (tid, f) in occluded:
                 continue
             noise = rng.normal(0.0, spec.noise_std, size=4) if spec.noise_std > 0 else np.zeros(4)
             w = max(box.w + noise[2], 1.0)
             h = max(box.h + noise[3], 1.0)
             noisy = BBox(x=box.x + noise[0], y=box.y + noise[1], w=w, h=h)
-            dets.append((f, -1, noisy))
+            dets.append((f, -1, (noisy.x, noisy.y, noisy.w, noisy.h)))
             if dim > 0:
                 v = bases[t].copy()
                 if spec.feat_noise_std > 0:
@@ -173,8 +173,8 @@ def generate_scene(spec: SceneSpec) -> SceneData:
                 )
             det_index += 1
     return SceneData(
-        gt=MotTable.from_rows(gt),
-        detections=MotTable.from_rows(dets),
+        gt=MotTable(*([row[k] for row in gt] for k in range(3))),
+        detections=MotTable(*([row[k] for row in dets] for k in range(3))),
         descriptors=records,
         descriptor_dim=dim,
     )

@@ -57,7 +57,7 @@ def run_scene(spec, run_cfg):
     scene = simulate.generate_scene(spec)
     frames = dataio.split_frames(scene.detections, scene.descriptors)
     tracker = Tracker(cli.tracker_config(run_cfg))
-    hyp = {f: tracker.step(f, frames.get(f, [])) for f in range(1, spec.frames + 1)}
+    hyp = {f: list(tracker.step(f, frames.get(f, []))) for f in range(1, spec.frames + 1)}
     gt = {}
     for l in scene.gt:
         gt.setdefault(l.frame, []).append((l.id, l.bbox()))
@@ -211,7 +211,7 @@ def test_c07_patience_contract():
             frames = dataio.split_frames(scene.detections)
             tracker = Tracker(cli.tracker_config(cfg))
             emitted = {
-                f: tracker.step(f, frames.get(f, [])) for f in range(1, spec.frames + 1)
+                f: list(tracker.step(f, frames.get(f, []))) for f in range(1, spec.frames + 1)
             }
             runs.append(emitted)
         assert runs[0] == runs[1]  # deterministic

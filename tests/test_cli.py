@@ -196,12 +196,8 @@ class TestTrack:
         cfg = cli.RunConfig(min_hits=1, emit_predictions=True, patience_w=5)
         out = tmp_path / "res.txt"
         cli.run_track_file(dets, None, out, cfg)
-        tracking = tracker.Tracker(cli.tracker_config(cfg))
-        frames = cli.dataio.split_frames(parse_mot(dets))
-        expected = [
-            (f, tid, b) for f in range(1, max(frames) + 1) for tid, b in tracking.step(f, frames.get(f, ()))
-        ]
-        assert out.read_text() == cli.dataio.format_mot(cli.dataio.MotTable.from_rows(expected))
+        expected = stepped_table(cfg, cli.dataio.split_frames(parse_mot(dets)))
+        assert out.read_text() == cli.dataio.format_mot(expected)
         assert {l.frame for l in parse_mot(out)} >= set(range(11, 25))  # coasted boxes
 
     def test_deterministic_output(self, sim_dir, tmp_path):
@@ -640,6 +636,18 @@ class TestExtremeValuesQuiet:
         assert err.endswith(", too wide to encode as a 4 x 4 assignment\n")
         assert not out.exists()
 
+    def test_track_coasting_box_not_finite(self, tmp_path, capsys):
+        # a track that grows towards the float limit coasts at frame 4 to a box whose width overflows
+        rows = ["1,-1,10,10,1e308,1e154,1,-1,-1,-1", "2,-1,10,10,1.69e308,1.3e154,1,-1,-1,-1",
+                "3,-1,10,10,1.7e308,1.5e154,1,-1,-1,-1", "9,-1,10,10,1e3,1e3,1,-1,-1,-1"]
+        dets = write(tmp_path / "det.txt", "\n".join(rows) + "\n")
+        out = tmp_path / "o.txt"
+        args = ["track", "--dets", dets, "--out", str(out), "--min-hits", "1", "--motion-scale", "1e308",
+                "--emit-predictions", "1"]
+        assert self.run(args, capsys) == (2, f"headtrack: {dets}: frame 4: box coordinates must be finite, "
+                                             "got BBox(x=-inf, y=0.0, w=inf, h=1.5533125586706647e+154)\n")
+        assert not out.exists()
+
     def test_se3_linear_centres_near_limit(self, tmp_path, capsys):
         rows = ["1,5,1e308,0,40,80,1,-1,-1,-1", "2,5,-1e308,0,40,80,1,-1,-1,-1",
                 "4,5,1e308,0,40,80,1,-1,-1,-1"]
@@ -687,12 +695,30 @@ class TestAssign:
          "gt 0: center_radius must be None or a finite number >= 0, got 'r'"),
         (ASSIGN_ONE % ("", ', "center_radius": [1]'),
          "gt 0: center_radius must be None or a finite number >= 0, got [1]"),
+        pytest.param("[" * 200000 + "]" * 200000, "maximum recursion depth exceeded", id="nested too deeply"),
     ])
     def test_bad_scene_is_data_error_naming_the_file(self, tmp_path, capsys, text, message):
         scene = write(tmp_path / "scene.json", text)
         assert cli.main(["assign", "--scene", scene]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"headtrack: {scene}: {message}")
+
+    @pytest.mark.parametrize("anchor,gt,message", [
+        ([0, 0, 1e308, 1e308], [0, 0, 1e308, 1e308],  # the area overflows: the IoU would be nan
+         "anchor 0: box far corner and area must be finite, got BBox(x=0, y=0, w=1e+308, h=1e+308)"),
+        ([-1e308, 0, 1e308, 10], [1e308, 0, 1e308, 10],  # the anchor's area overflows, and the gt's far corner
+         "anchor 0: box far corner and area must be finite, got BBox(x=-1e+308, y=0, w=1e+308, h=10)"),
+        ([0, 0, 10, 10], [1e308, 0, 1e308, 10],
+         "gt 0: box far corner and area must be finite, got BBox(x=1e+308, y=0, w=1e+308, h=10)"),
+    ], ids=["area", "anchor then gt corner", "gt corner"])
+    def test_box_overflow_is_data_error_naming_the_entry(self, tmp_path, capsys, anchor, gt, message):
+        doc = {"anchors": [{"cx": 5, "cy": 5, "box": anchor}], "gts": [{"box": gt}]}
+        scene = write(tmp_path / "scene.json", json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["assign", "--scene", scene]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr() == ("", f"headtrack: {scene}: {message}\n")
 
 
 class TestConfigHandling:
@@ -1088,7 +1114,7 @@ class TestColumnChecksNameTheFirstError:
     def test_track_builds_no_row_objects(self, tmp_path, monkeypatch):
         dets, features = heads_scene(tmp_path)
         built = collections.Counter()
-        for cls in (tracker.Detection, AppearanceDescriptor, HeadKeypoint):
+        for cls in (tracker.Detection, AppearanceDescriptor, HeadKeypoint, BBox):
             check = cls.__post_init__
             monkeypatch.setattr(cls, "__post_init__", lambda obj, check=check: built.update([type(obj)]) or check(obj))
         track = tracker.Track  # a live track is its row: the verb builds no Track, not even one per spawn
@@ -1096,11 +1122,14 @@ class TestColumnChecksNameTheFirstError:
         argv = ["track", "--dets", str(dets), "--features", str(features), "--out", str(tmp_path / "o.txt")]
         assert cli.main(argv + ["--head-format", "--min-hits", "1"]) == 0
         assert built == {} and (tmp_path / "o.txt").stat().st_size
+        coasted = tmp_path / "coasted.txt"  # emitted boxes of coasting tracks are columns too
+        assert cli.main(argv[:-1] + [str(coasted), "--head-format", "--min-hits", "1", "--emit-predictions", "1"]) == 0
+        assert built == {} and len(parse_mot(coasted)) > len(parse_mot(tmp_path / "o.txt"))
         frames = dataio.split_frames(parse_mot(dets), read_descriptors(features), head_format=True)
         lines = sum(map(len, frames.values()))
         assert built == {}  # splitting builds no row either
         rows = [d for batch in frames.values() for d in batch]  # the hooks count what iterating the batches builds
-        assert built[tracker.Detection] == built[AppearanceDescriptor] == len(rows) == lines > 0
+        assert built[tracker.Detection] == built[AppearanceDescriptor] == built[BBox] == len(rows) == lines > 0
         assert built[HeadKeypoint] == 0  # a batch carries no head
 
 
@@ -1132,12 +1161,20 @@ class TestTrackFileEqualsSteppedBatches:
         frames = dataio.split_frames(
             parse_mot(dets), read_descriptors(features) if features else None, head_format=head_format
         )
-        tracking = tracker.Tracker(cli.tracker_config(cfg))
-        expected = [
-            (f, tid, b) for f in range(1, max(frames) + 1) for tid, b in tracking.step(f, frames.get(f, ()))
-        ]
+        expected = stepped_table(cfg, frames)
         assert len(expected) > 150
-        assert out.read_text() == dataio.format_mot(dataio.MotTable.from_rows(expected))
+        assert out.read_text() == dataio.format_mot(expected)
+
+
+def stepped_table(cfg, frames):
+    """The concatenated Emissions columns of a Tracker stepped through every frame up to the last of ``frames``."""
+    tracking = tracker.Tracker(cli.tracker_config(cfg))
+    steps = [(f, tracking.step(f, frames.get(f, ()))) for f in range(1, max(frames) + 1)]
+    return dataio.MotTable(
+        np.concatenate([np.full(len(out.ids), f) for f, out in steps]),
+        np.concatenate([out.ids for _, out in steps]),
+        np.concatenate([out.boxes for _, out in steps]),
+    )
 
 
 class TestSettingRanges:

@@ -101,7 +101,7 @@ class TestMotText:
             check_unique_ids(parse_mot(rows))
 
     def test_output_sorted_by_frame_then_id(self):
-        rows = MotTable.from_rows([(2, 1, BBox(0, 0, 1, 1)), (1, 5, BBox(0, 0, 1, 1)), (1, 2, BBox(0, 0, 1, 1))])
+        rows = MotTable([2, 1, 1], [1, 5, 2], [(0, 0, 1, 1)] * 3)
         text = format_mot(rows)
         firsts = [line.split(",")[:2] for line in text.strip().split("\n")]
         assert firsts == [["1", "2"], ["1", "5"], ["2", "1"]]

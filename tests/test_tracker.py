@@ -15,7 +15,7 @@ from headtrack.tracker import (
     Detections,
     Tracker,
     TrackerConfig,
-    bbox_from_state,
+    boxes_from_states,
     measurements,
 )
 
@@ -47,7 +47,7 @@ class TestLifecycle:
         tr = Tracker(motion_config(min_hits=3))
         emitted = {}
         for f in range(1, 6):
-            emitted[f] = tr.step(f, as_batch([det(100, 100)]))
+            emitted[f] = list(tr.step(f, as_batch([det(100, 100)])))
         assert emitted[1] == [] and emitted[2] == []
         ids = {tid for f in (3, 4, 5) for tid, _ in emitted[f]}
         assert len(ids) == 1
@@ -58,7 +58,7 @@ class TestLifecycle:
         tr.step(1, as_batch([det(100, 100)]))
         for f in range(2, 6):
             tr.step(f, [])  # vanish for patience_w and beyond
-        out = tr.step(6, as_batch([det(100, 100)]))
+        out = list(tr.step(6, as_batch([det(100, 100)])))
         assert len(out) == 1
         assert out[0][0] == 2  # reappearance spawns a fresh id
 
@@ -67,7 +67,7 @@ class TestLifecycle:
         tr.step(1, as_batch([det(100, 100)]))
         for f in range(2, 6):
             tr.step(f, [])  # four misses < patience
-        out = tr.step(6, as_batch([det(100, 100)]))
+        out = list(tr.step(6, as_batch([det(100, 100)])))
         assert out[0][0] == 1
 
     def test_crossing_targets_kept_apart_by_appearance(self):
@@ -94,7 +94,7 @@ class TestLifecycle:
 
     def test_low_score_detections_do_not_spawn(self):
         tr = Tracker(motion_config(min_hits=1, init_score_min=0.25))
-        out = tr.step(1, as_batch([det(100, 100, score=0.1)]))
+        out = list(tr.step(1, as_batch([det(100, 100, score=0.1)])))
         assert out == []
         assert tr.tracks == []
 
@@ -121,18 +121,18 @@ class TestStepContracts:
     def test_emitted_boxes_are_matched_detections(self):
         tr = Tracker(motion_config(min_hits=1))
         d = det(123.5, 67.25)
-        out = tr.step(1, as_batch([d]))
+        out = list(tr.step(1, as_batch([d])))
         assert out == [(1, d.bbox)]
 
     def test_coasting_suppressed_by_default(self):
         tr = Tracker(motion_config(min_hits=1, patience_w=10))
         tr.step(1, as_batch([det(100, 100)]))
-        assert tr.step(2, []) == []
+        assert list(tr.step(2, [])) == []
 
     def test_coasting_emitted_with_flag(self):
         tr = Tracker(motion_config(min_hits=1, patience_w=10, emit_predictions=True))
         tr.step(1, as_batch([det(100, 100)]))
-        out = tr.step(2, [])
+        out = list(tr.step(2, []))
         assert len(out) == 1
         assert out[0][0] == 1
         assert out[0][1].cx == pytest.approx(100, abs=1.0)
@@ -188,7 +188,7 @@ class TestInvariants:
                     det(float(rng.uniform(0, 500)), float(rng.uniform(0, 500)))
                     for _ in range(3)
                 ]
-                out.append(tr.step(f, as_batch(dets)))
+                out.append(list(tr.step(f, as_batch(dets))))
             runs.append(out)
         assert runs[0] == runs[1]
 
@@ -245,6 +245,13 @@ def measurement(b):
     return measurements([[b.x, b.y, b.w, b.h]])[0]
 
 
+def box_of_state(x):
+    """The box of one state, the inverse of ``measurement``, its degenerate aspect and height floored at 1e-6."""
+    a, h = max(float(x[2]), 1e-6), max(float(x[3]), 1e-6)
+    w = a * h
+    return BBox(x=float(x[0]) - 0.5 * w, y=float(x[1]) - 0.5 * h, w=w, h=h)
+
+
 def reference_run(cfg, frames, statuses=None):
     """The per-track loop the array core replaced, on the library filter.
 
@@ -288,7 +295,7 @@ def reference_run(cfg, frames, statuses=None):
             if t["hits"] >= cfg.min_hits and i in matched:
                 out.append((t["id"], dets[matched[i]].bbox))
             elif t["hits"] >= cfg.min_hits and cfg.emit_predictions and t["misses"] < cfg.patience_w:
-                out.append((t["id"], bbox_from_state(t["kf"].x)))
+                out.append((t["id"], box_of_state(t["kf"].x)))
             if t["misses"] >= cfg.patience_w:
                 t["status"] = "removed"
         for j, d in enumerate(dets):
@@ -354,7 +361,7 @@ class TestArrayCore:
         want = reference_run(cfg, frames, statuses)
         tr, got = Tracker(cfg), []
         for (f, dets), status in zip(frames, statuses):
-            got.append(tr.step(f, as_batch(dets)))
+            got.append(list(tr.step(f, as_batch(dets))))
             assert [t.status for t in tr.tracks] == status
         assert got == want
         assert sum(map(len, got)) > 100
@@ -391,7 +398,7 @@ class TestArrayCore:
         tr = Tracker(cfg)
         for f, vecs in ((1, old), (2, new)):
             dets = [det(*xy, descriptor=AppearanceDescriptor(f_cls=v)) for xy, v in zip(spots, vecs)]
-            assert len(tr.step(f, as_batch(dets))) == 40
+            assert len(list(tr.step(f, as_batch(dets)))) == 40
         assert tr.ids.tolist() == list(range(1, 41))
         expected = [reference_ema({"f_cls": a}, {"f_cls": b}, 0.9)["f_cls"] for a, b in zip(old, new)]
         assert np.array_equal(tr.feats["f_cls"][0], np.array(expected))
@@ -432,8 +439,8 @@ def as_batch(dets):
 class TestBatchInput:
     def test_empty_batch_only_moves_the_frame(self):
         tr = Tracker(motion_config(min_hits=1))
-        assert tr.step(1, Detections(np.zeros((0, 4)), np.zeros(0))) == []
-        assert tr.step(2, as_batch([det(100, 100)])) == [(1, BBox(80.0, 50.0, 40.0, 100.0))]
+        assert list(tr.step(1, Detections(np.zeros((0, 4)), np.zeros(0)))) == []
+        assert list(tr.step(2, as_batch([det(100, 100)]))) == [(1, BBox(80.0, 50.0, 40.0, 100.0))]
 
     @pytest.mark.parametrize("empty", [[], ()], ids=["list", "tuple"])
     def test_empty_sequence_coasts_as_an_empty_batch(self, empty):
@@ -441,10 +448,10 @@ class TestBatchInput:
         frames = random_frames(2, frames=12)
         batch, seq = Tracker(cfg), Tracker(cfg)
         for f, dets in frames:
-            assert seq.step(f, as_batch(dets)) == batch.step(f, as_batch(dets))
+            assert list(seq.step(f, as_batch(dets))) == list(batch.step(f, as_batch(dets)))
         for f in range(13, 18):  # every track coasts, then ages out
-            want = batch.step(f, Detections(np.zeros((0, 4)), np.zeros(0)))
-            assert seq.step(f, empty) == want
+            want = list(batch.step(f, Detections(np.zeros((0, 4)), np.zeros(0))))
+            assert list(seq.step(f, empty)) == want
             assert np.array_equal(seq.x, batch.x) and np.array_equal(seq.pcv, batch.pcv)
             assert [t.status for t in seq.tracks] == [t.status for t in batch.tracks]
         assert not len(batch.ids) and want == []
@@ -455,7 +462,7 @@ class TestBatchInput:
         tr = Tracker(motion_config(min_hits=1))
         with pytest.raises(TypeError, match="Detections batch, got"):
             tr.step(1, dets)
-        assert tr.step(1, as_batch([det(100, 100)])) == [(1, BBox(80.0, 50.0, 40.0, 100.0))]
+        assert list(tr.step(1, as_batch([det(100, 100)]))) == [(1, BBox(80.0, 50.0, 40.0, 100.0))]
 
 
 class TestBatchRows:
@@ -560,7 +567,7 @@ class TestUniqueOptimumGuard:
         held = []
         monkeypatch.setattr(association, "_unique_optimum", lambda *a: held.append(certify(*a)) or held[-1])
         tr = Tracker(cfg)
-        return [tr.step(f, dets) for f, dets in frames], held
+        return [list(tr.step(f, dets)) for f, dets in frames], held
 
     @pytest.mark.parametrize("emit", [False, True], ids=["emit detections", "emit predictions"])
     @pytest.mark.parametrize("name", list(SCENES))
@@ -597,8 +604,24 @@ def test_measurement_roundtrip():
     b = BBox(x=10, y=20, w=30, h=60)
     z = measurement(b)
     assert np.allclose(z, [25, 50, 0.5, 60])
-    back = bbox_from_state(np.array([25, 50, 0.5, 60, 0, 0, 0, 0]))
-    assert abs(back.x - b.x) < 1e-12 and abs(back.w - b.w) < 1e-12
+    back = boxes_from_states(np.array([[25, 50, 0.5, 60, 0, 0, 0, 0]]))[0]
+    assert abs(back[0] - b.x) < 1e-12 and abs(back[2] - b.w) < 1e-12
+
+
+def test_boxes_from_states_equal_scalar_inverse():
+    # floored aspects and heights, and a box near the float limit, bit for bit
+    states = np.zeros((5, 8))
+    states[:, :4] = [[25, 50, 0.5, 60], [1.5, -2, -3, 0], [7, 7, 1e-7, 2e-9], [0.1, 0.2, 0.3, 0.4], [1e308, 0, 1, 1e308]]
+    assert boxes_from_states(states).tolist() == [list(vars(box_of_state(x)).values()) for x in states]
+
+
+def test_boxes_from_states_raise_the_first_bbox_error():
+    states = np.zeros((3, 8))
+    states[:, 2:4] = [[1, 1], [1e300, 1e300], [np.inf, 1]]
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match=r"box coordinates must be finite, got BBox\(x=-inf, y=-5e\+299, w=inf, h=1e\+300\)"
+    ):
+        boxes_from_states(states)
 
 
 def test_config_validation():
