@@ -51,11 +51,6 @@ class BBox:
     def area(self) -> float:
         return self.w * self.h
 
-    @property
-    def aspect(self) -> float:
-        """Width over height."""
-        return self.w / self.h
-
 
 def bad_boxes(box: np.ndarray) -> np.ndarray:
     """Mask of the rows of an n x 4 box array that a BBox rejects: non-finite or non-positive extent."""
@@ -130,24 +125,6 @@ def iou_pairs(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
         inter = ix * iy
         union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
         return np.divide(inter, union, out=np.zeros(inter.shape), where=(ix > 0.0) & (iy > 0.0))
-
-
-def ciou_loss(pred: BBox, gt: BBox) -> float:
-    """Complete-IoU loss between a predicted and a target box.
-
-    1 - IoU, plus the squared center distance over the squared diagonal of
-    the smallest enclosing box, plus an aspect-consistency penalty. Zero
-    exactly when the boxes coincide.
-    """
-    overlap = iou(pred, gt)
-    rho2 = (pred.cx - gt.cx) ** 2 + (pred.cy - gt.cy) ** 2
-    cw = max(pred.x2, gt.x2) - min(pred.x, gt.x)
-    ch = max(pred.y2, gt.y2) - min(pred.y, gt.y)
-    diag2 = cw * cw + ch * ch
-    v = (4.0 / math.pi**2) * (math.atan(gt.aspect) - math.atan(pred.aspect)) ** 2
-    # trade-off weight; v == 0 makes the whole aspect term vanish
-    alpha = v / ((1.0 - overlap) + v) if v > 0.0 else 0.0
-    return (1.0 - overlap) + rho2 / diag2 + alpha * v
 
 
 def grid_map(x_c: float, y_c: float, s: int) -> GridIndex:

@@ -1,4 +1,4 @@
-"""Training-time anchor matching and loss math, as standalone functions.
+"""Anchor matching for ``assign``, as standalone functions.
 
 These operate on synthetic anchor/ground-truth records, not on network
 outputs: anchors arrive as data with their predicted box, class and
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry
 from .config import AssignConfig
-from .geometry import BBox, HeadKeypoint, iou, ciou_loss
+from .geometry import BBox, HeadKeypoint
 
 _PROB_CLAMP = 1e-7
 CENTER_RADIUS_STRIDES = 2.5
@@ -75,20 +75,11 @@ def _region_masks(anchors: list[Anchor], gts: list[GtInstance]) -> tuple[np.ndar
     cx, cy, stride = np.array([(a.cx, a.cy, a.stride) for a in anchors], dtype=float).reshape(-1, 3).T[..., None]
     targets = [(g.box.x, g.box.y, g.box.w, g.box.h, g.center_radius) for g in gts]  # None reads as nan
     x, y, w, h, r = np.array(targets, dtype=float).reshape(-1, 5).T
-    r = np.where(np.isnan(r), CENTER_RADIUS_STRIDES * stride, r)
     inside = (x <= cx) & (cx <= x + w) & (y <= cy) & (cy <= y + h)
-    return inside, (np.abs(cx - (x + 0.5 * w)) <= r) & (np.abs(cy - (y + 0.5 * h)) <= r)
-
-
-def in_center_region(anchor: Anchor, gt: GtInstance) -> bool:
-    """Square region of half-width center_radius around the target center."""
-    return bool(_region_masks([anchor], [gt])[1][0, 0])
-
-
-def foreground_mask(anchors: list[Anchor], gts: list[GtInstance]) -> np.ndarray:
-    """(A, G) booleans: anchor center inside the target box or its center region."""
-    inside, centred = _region_masks(anchors, gts)
-    return inside | centred
+    # a radius or centre distance past the float limit is inf, as in scalar float arithmetic
+    with np.errstate(over="ignore"):
+        r = np.where(np.isnan(r), CENTER_RADIUS_STRIDES * stride, r)
+        return inside, (np.abs(cx - (x + 0.5 * w)) <= r) & (np.abs(cy - (y + 0.5 * h)) <= r)
 
 
 def bce(p: float, y: float) -> float:
@@ -97,29 +88,14 @@ def bce(p: float, y: float) -> float:
     return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
 
 
-def iou_cost(pred: BBox, gt: BBox, eps_iou: float = AssignConfig.eps_iou) -> float:
-    """-log(IoU + eps); large for poorly overlapping pairs, ~0 for perfect ones."""
-    return -math.log(iou(pred, gt) + eps_iou)
-
-
-def assign_cost(anchor: Anchor, gt: GtInstance, cfg: AssignConfig = AssignConfig()) -> float:
-    """Matching cost: classification BCE + alpha * IoU cost + beta outside the center region."""
-    return float(assign_cost_matrix([anchor], [gt], cfg)[0, 0])
-
-
-def assign_cost_matrix(
-    anchors: list[Anchor], gts: list[GtInstance], cfg: AssignConfig = AssignConfig()
-) -> np.ndarray:
-    """(A, G) ``assign_cost``."""
-    return assign_tables(anchors, gts, cfg)[0]
-
-
 def assign_tables(
     anchors: list[Anchor], gts: list[GtInstance], cfg: AssignConfig = AssignConfig()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, G) ``assign_cost_matrix``, ``iou_matrix`` and ``foreground_mask``, from one IoU and region pass.
+    """(A, G) matching costs, ``iou_matrix`` and foreground mask, from one IoU and region pass.
 
-    Logs go entry by entry through ``math.log``, whose last bit np.log may miss.
+    Cost: classification BCE + alpha * -log(IoU + eps), + beta outside the center region.
+    Foreground: the anchor center lies in the target box or its center region. Logs go
+    entry by entry through ``math.log``, whose last bit np.log may miss.
     """
     ious = iou_matrix(anchors, gts)
     inside, centred = _region_masks(anchors, gts)
@@ -189,83 +165,3 @@ def dynamic_k_match(
                 if g != winner:
                     lost[g].add(a)
 
-
-@dataclass
-class LabeledBatch:
-    """Anchors, targets, and the positive sets tying them together."""
-
-    anchors: list[Anchor]
-    gts: list[GtInstance]
-    positives: list[list[int]]  # per target, anchor indices
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for a, _ in self.pairs():
-            if a in seen:
-                raise ValueError(f"anchor {a} assigned to more than one target")
-            seen.add(a)
-
-    @property
-    def n_fg(self) -> int:
-        return sum(len(sel) for sel in self.positives)
-
-    def pairs(self):
-        for g, sel in enumerate(self.positives):
-            for a in sel:
-                yield a, g
-
-
-def loss_cls(batch: LabeledBatch) -> float:
-    """Mean classification BCE over foreground anchors (single-class targets)."""
-    if batch.n_fg == 0:
-        return 0.0
-    total = sum(bce(batch.anchors[a].pred_cls, 1.0) for a, _ in batch.pairs())
-    return total / batch.n_fg
-
-
-def loss_box(batch: LabeledBatch) -> float:
-    """CIoU over foreground plus objectness BCE over all anchors.
-
-    Both terms share the foreground normalizer, including the objectness
-    sum that ranges over every anchor.
-    """
-    n = max(batch.n_fg, 1)
-    fg_anchors = {a for a, _ in batch.pairs()}
-    box_term = sum(
-        ciou_loss(batch.anchors[a].pred_box, batch.gts[g].box) for a, g in batch.pairs()
-    )
-    obj_term = sum(
-        bce(anc.pred_obj, 1.0 if i in fg_anchors else 0.0)
-        for i, anc in enumerate(batch.anchors)
-    )
-    return (box_term if batch.n_fg else 0.0) / n + obj_term / n
-
-
-def loss_l1(batch: LabeledBatch) -> float:
-    """Mean L1 over the four box parameters of foreground anchors."""
-    if batch.n_fg == 0:
-        return 0.0
-    total = 0.0
-    for a, g in batch.pairs():
-        p, t = batch.anchors[a].pred_box, batch.gts[g].box
-        total += abs(p.x - t.x) + abs(p.y - t.y) + abs(p.w - t.w) + abs(p.h - t.h)
-    return total / batch.n_fg
-
-
-def loss_head(batch: LabeledBatch) -> float:
-    """Squared keypoint error plus visibility BCE, averaged over foreground."""
-    if batch.n_fg == 0:
-        return 0.0
-    total = 0.0
-    for a, g in batch.pairs():
-        kp, kt = batch.anchors[a].pred_head, batch.gts[g].head
-        total += (kp.x_head - kt.x_head) ** 2 + (kp.y_head - kt.y_head) ** 2
-        total += bce(kp.v_head, kt.v_head)
-    return total / batch.n_fg
-
-
-def loss_total(batch: LabeledBatch, use_l1: bool = False) -> float:
-    total = loss_cls(batch) + loss_box(batch) + loss_head(batch)
-    if use_l1:
-        total += loss_l1(batch)
-    return total

@@ -1,9 +1,8 @@
 """Pair-at-a-time label assignment, kept as a test oracle.
 
-These are the per-anchor, per-target ``foreground_mask`` and
-``assign_cost_matrix`` that ``headtrack.label_assign`` replaced with
-(A, G) array expressions. The tests hold the array versions to the same
-matrices, bit for bit.
+These are the foreground mask and matching costs of
+``headtrack.label_assign.assign_tables``, one anchor and one target at a
+time. The tests hold its (A, G) arrays to the same matrices, bit for bit.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from headtrack.association import CostMatrix, solve_assignment
 from headtrack.geometry import BBox, HeadKeypoint
 from headtrack.kalman import KalmanState, constant_velocity_model, iterated_update, update
 from headtrack.tracker import Tracker
+import assign_oracle
 from lifting_oracle import complete_track
 from metrics_oracle import EvalFrame, tables
 
@@ -270,13 +271,11 @@ def test_c09_label_assignment_penalty_and_dynamic_k():
                 )
                 for _ in range(3)
             ]
-            cost = label_assign.assign_cost_matrix(anchors, gts, cfg)
-            ious = label_assign.iou_matrix(anchors, gts)
-            fg = label_assign.foreground_mask(anchors, gts)
+            cost, ious, fg = label_assign.assign_tables(anchors, gts, cfg)
             positives = label_assign.dynamic_k_match(cost, ious, fg, cfg)
             for g_idx, sel in enumerate(positives):
                 for a_idx in sel:
-                    assert label_assign.in_center_region(anchors[a_idx], gts[g_idx])
+                    assert assign_oracle.in_center_region(anchors[a_idx], gts[g_idx])
 
         # toy dynamic-k oracle: candidate IoU mass 1.8 -> k = 2
         g = label_assign.GtInstance(box=BBox(0, 0, 100, 100), head=head)
@@ -293,9 +292,7 @@ def test_c09_label_assignment_penalty_and_dynamic_k():
             )
             for b in boxes
         ]
-        cost = label_assign.assign_cost_matrix(anchors, [g], cfg)
-        ious = label_assign.iou_matrix(anchors, [g])
-        fg = label_assign.foreground_mask(anchors, [g])
+        cost, ious, fg = label_assign.assign_tables(anchors, [g], cfg)
         assert label_assign.dynamic_k_match(cost, ious, fg, cfg) == [[0, 1]]
 
 

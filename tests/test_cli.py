@@ -720,6 +720,20 @@ class TestAssign:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr() == ("", f"headtrack: {scene}: {message}\n")
 
+    @pytest.mark.parametrize("anchor,row", [
+        ({"cx": -1e308, "cy": 0, "box": [0, 0, 10, 10]}, "0 - (no foreground anchors)"),
+        ({"cx": 0, "cy": 0, "stride": 1e308, "box": [0, 0, 10, 10]}, "0 0 55.955189 0.000000"),
+    ], ids=["centre distance", "radius"])
+    def test_region_overflow_is_silent(self, tmp_path, capsys, anchor, row):
+        # the centre distance, or 2.5 strides, passes the float limit: inf, as a Python float
+        doc = {"anchors": [anchor], "gts": [{"box": [1.5e308, 0, 1e307, 1]}]}
+        scene = write(tmp_path / "scene.json", json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["assign", "--scene", scene]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr() == (f"gt anchor cost iou\n{row}\n", "")
+
 
 class TestConfigHandling:
     def test_unknown_config_key_rejected(self, tmp_path, capsys):

@@ -9,32 +9,12 @@ from headtrack.geometry import (
     BBox,
     GridIndex,
     HeadKeypoint,
-    ciou_loss,
     gaussian_weight,
     grid_map,
     iou,
     iou_matrix,
     iou_pairs,
 )
-
-
-def ciou_reference(pred, gt):
-    """Independent transcription of the CIoU loss, corner-based."""
-    px1, py1, px2, py2 = pred.x, pred.y, pred.x + pred.w, pred.y + pred.h
-    gx1, gy1, gx2, gy2 = gt.x, gt.y, gt.x + gt.w, gt.y + gt.h
-    iw = max(0.0, min(px2, gx2) - max(px1, gx1))
-    ih = max(0.0, min(py2, gy2) - max(py1, gy1))
-    inter = iw * ih
-    union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
-    overlap = inter / union
-    rho2 = ((px1 + px2) / 2 - (gx1 + gx2) / 2) ** 2 + ((py1 + py2) / 2 - (gy1 + gy2) / 2) ** 2
-    cw = max(px2, gx2) - min(px1, gx1)
-    ch = max(py2, gy2) - min(py1, gy1)
-    v = (4 / math.pi**2) * (
-        math.atan((gx2 - gx1) / (gy2 - gy1)) - math.atan((px2 - px1) / (py2 - py1))
-    ) ** 2
-    alpha = v / (1 - overlap + v) if v > 0 else 0.0
-    return 1 - overlap + rho2 / (cw**2 + ch**2) + alpha * v
 
 
 finite_boxes = st.builds(
@@ -64,7 +44,6 @@ class TestBBox:
         assert (b.x2, b.y2) == (14, 28)
         assert (b.cx, b.cy) == (12, 24)
         assert b.area == 32
-        assert b.aspect == 0.5
 
 
 class TestIou:
@@ -159,46 +138,6 @@ class TestIouPairs:
         with np.errstate(all="raise"):
             out = iou_pairs(np.array([[0.0, 0.0, 1e308, 1e308]]), np.array([[-1e308, 0.0, 1.5e308, 1e308]]))
         assert np.isnan(out).tolist() == [True]
-
-
-class TestCiouLoss:
-    def test_identical_is_zero(self):
-        b = BBox(0, 0, 4, 4)
-        assert ciou_loss(b, b) == 0.0
-
-    def test_zero_on_random_boxes(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            b = BBox(*rng.uniform(-100, 100, 2), *rng.uniform(0.5, 200, 2))
-            assert ciou_loss(b, b) == 0.0
-
-    def test_disjoint_matches_reference(self):
-        pred, gt = BBox(0, 0, 2, 2), BBox(10, 0, 2, 2)
-        # frozen from the transcribed reference: 1 + 100/148
-        assert ciou_loss(pred, gt) == pytest.approx(1.6756756756756757, abs=1e-12)
-        assert ciou_loss(pred, gt) == pytest.approx(ciou_reference(pred, gt), abs=1e-12)
-
-    def test_aspect_penalty_strictly_positive(self):
-        # swapped aspect ratios force v > 0 so the loss exceeds 1 - IoU
-        pred, gt = BBox(0, 0, 2, 4), BBox(0, 0, 4, 2)
-        assert ciou_loss(pred, gt) > 1.0 - iou(pred, gt)
-        # same-center variant isolates the aspect term
-        pred_c, gt_c = BBox(1, 0, 2, 4), BBox(0, 1, 4, 2)
-        assert (pred_c.cx, pred_c.cy) == (gt_c.cx, gt_c.cy)
-        assert ciou_loss(pred_c, gt_c) > 1.0 - iou(pred_c, gt_c)
-
-    def test_matches_reference_on_random_pairs(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            a = BBox(*rng.uniform(-50, 50, 2), *rng.uniform(0.5, 80, 2))
-            b = BBox(*rng.uniform(-50, 50, 2), *rng.uniform(0.5, 80, 2))
-            assert ciou_loss(a, b) == pytest.approx(ciou_reference(a, b), rel=1e-12)
-
-    def test_grows_with_center_distance(self):
-        gt = BBox(0, 0, 4, 4)
-        near = ciou_loss(BBox(1, 0, 4, 4), gt)
-        far = ciou_loss(BBox(10, 0, 4, 4), gt)
-        assert far > near
 
 
 class TestGridMap:

@@ -63,6 +63,7 @@ VERB_MODULES = {
     "interpolate": CLI_MODULES + ["headtrack.lifting"],
     "evaluate": CLI_MODULES + ["headtrack.association", "headtrack.metrics"],
     "simulate": CLI_MODULES + ["headtrack.association", "headtrack.simulate"],
+    "assign": CLI_MODULES + ["headtrack.label_assign"],
 }
 
 
@@ -97,12 +98,13 @@ def fresh(module: str, *argvs: list[str]) -> Run:
 
 @pytest.fixture(scope="module")
 def scene(tmp_path_factory):
-    """A simulated scene and its tracked result, which has a gap to fill."""
+    """A simulated scene, its tracked result, which has a gap to fill, and an ``assign`` scene."""
     root = tmp_path_factory.mktemp("imports")
     (root / "scene.cfg").write_text(SCENE)
     assert cli.main(["simulate", "--spec", str(root / "scene.cfg"), "--out-dir", str(root)]) == 0
     args = ["--dets", str(root / "det.txt"), "--features", str(root / "features.ftfv")]
     assert cli.main(["track", *args, "--out", str(root / "result.txt"), "--min-hits", "1"]) == 0
+    (root / "assign.json").write_text(json.dumps(ASSIGN_SCENE))
     return root
 
 
@@ -115,6 +117,7 @@ def verb_argvs(scene, tmp_path) -> dict[str, list[str]]:
                         "--out", str(tmp_path / "filled.txt")],
         "evaluate": ["evaluate", "--gt", str(scene / "gt.txt"), "--result", str(scene / "result.txt")],
         "simulate": ["simulate", "--spec", str(scene / "scene.cfg"), "--out-dir", str(tmp_path)],
+        "assign": ["assign", "--scene", str(scene / "assign.json")],
     }
 
 
@@ -145,9 +148,7 @@ def test_cli_and_track_load_no_json(scene, tmp_path):
     track = ["track", "--dets", str(scene / "det.txt"), "--features", str(scene / "features.ftfv"),
              "--out", str(tmp_path / "result.txt")]
     assert python(JSON_PROBE, *track).split() == ["False", "False", "0"]
-    (tmp_path / "assign.json").write_text(json.dumps(ASSIGN_SCENE))
-    assert python(JSON_PROBE, "assign", "--scene", str(tmp_path / "assign.json")).split()[-3:] == [
-        "False", "True", "0"]
+    assert python(JSON_PROBE, *verb_argvs(scene, tmp_path)["assign"]).split()[-3:] == ["False", "True", "0"]
 
 
 @pytest.mark.parametrize("verb", VERB_MODULES)
@@ -219,10 +220,8 @@ def test_interpolate_loads_no_scipy(scene, tmp_path, method):
 
 
 def test_simulate_and_assign_load_no_scipy(scene, tmp_path):
-    (tmp_path / "assign.json").write_text(json.dumps(ASSIGN_SCENE))
-    simulate = ["simulate", "--spec", str(scene / "scene.cfg"), "--out-dir", str(tmp_path)]
-    assign = ["assign", "--scene", str(tmp_path / "assign.json")]
-    assert fresh("headtrack.cli", simulate, assign)[:2] == ([0, 0], [])
+    argvs = verb_argvs(scene, tmp_path)
+    assert fresh("headtrack.cli", argvs["simulate"], argvs["assign"])[:2] == ([0, 0], [])
 
 
 def test_failing_track_loads_no_scipy(tmp_path):

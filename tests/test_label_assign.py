@@ -11,21 +11,10 @@ from headtrack.label_assign import (
     Anchor,
     AssignConfig,
     GtInstance,
-    LabeledBatch,
-    assign_cost,
-    assign_cost_matrix,
     assign_tables,
     bce,
     dynamic_k_match,
-    foreground_mask,
-    in_center_region,
-    iou_cost,
     iou_matrix,
-    loss_box,
-    loss_cls,
-    loss_head,
-    loss_l1,
-    loss_total,
 )
 
 HEAD = HeadKeypoint(0.0, 0.0, 1.0)
@@ -47,15 +36,26 @@ def gt(box, radius=None, head=HEAD):
     return GtInstance(box=box, head=head, center_radius=radius)
 
 
+def pair_cost(a, g, cfg=AssignConfig()):
+    """The matching cost of one anchor and one target: the 1 x 1 case of ``assign_tables``."""
+    return assign_tables([a], [g], cfg)[0][0, 0]
+
+
+def iou_term(pred, target):
+    """The IoU term of the cost, -log(IoU + eps): alpha 1, and the BCE of cls 0.5 taken off."""
+    centred = anchor(target.cx, target.cy, box=pred, cls=0.5)  # no beta
+    return pair_cost(centred, gt(target), AssignConfig(alpha=1.0)) - bce(0.5, 1.0)
+
+
 class TestForegroundMask:
     def test_anchor_at_center(self):
         g = gt(BBox(0, 0, 100, 100))
-        mask = foreground_mask([anchor(50, 50)], [g])
+        _, _, mask = assign_tables([anchor(50, 50)], [g])
         assert mask[0, 0]
 
     def test_far_anchor(self):
         g = gt(BBox(0, 0, 16, 16))
-        mask = foreground_mask([anchor(16 + 10 * 8, 8)], [g])
+        _, _, mask = assign_tables([anchor(16 + 10 * 8, 8)], [g])
         assert not mask[0, 0]
 
     def test_outside_box_inside_center_region(self):
@@ -64,43 +64,43 @@ class TestForegroundMask:
         g = gt(BBox(20, 20, 10, 10))
         a = anchor(40.0, 25.0, stride=8)
         assert not (g.box.x <= a.cx <= g.box.x2)
-        mask = foreground_mask([a], [g])
+        _, _, mask = assign_tables([a], [g])
         assert mask[0, 0]
 
     def test_explicit_radius_overrides(self):
         g = gt(BBox(20, 20, 10, 10), radius=1.0)
-        mask = foreground_mask([anchor(40.0, 25.0)], [g])
+        _, _, mask = assign_tables([anchor(40.0, 25.0)], [g])
         assert not mask[0, 0]
 
     def test_shape(self):
-        mask = foreground_mask([anchor(0, 0), anchor(5, 5)], [gt(BBox(0, 0, 4, 4))])
+        _, _, mask = assign_tables([anchor(0, 0), anchor(5, 5)], [gt(BBox(0, 0, 4, 4))])
         assert mask.shape == (2, 1)
 
 
 class TestCosts:
     def test_iou_cost_identical(self):
         b = BBox(0, 0, 10, 10)
-        assert iou_cost(b, b) == pytest.approx(-math.log(1 + 1e-8), abs=1e-15)
+        assert iou_term(b, b) == pytest.approx(-math.log(1 + 1e-8), abs=1e-15)
 
     def test_iou_cost_disjoint(self):
-        assert iou_cost(BBox(0, 0, 1, 1), BBox(5, 5, 1, 1)) == pytest.approx(
+        assert iou_term(BBox(0, 0, 1, 1), BBox(5, 5, 1, 1)) == pytest.approx(
             -math.log(1e-8), abs=1e-9
         )
 
     def test_iou_cost_chained_from_geometry(self):
         # IoU 1/7 from the box-arithmetic example
-        c = iou_cost(BBox(0, 0, 2, 2), BBox(1, 1, 2, 2))
+        c = iou_term(BBox(0, 0, 2, 2), BBox(1, 1, 2, 2))
         assert c == pytest.approx(-math.log(1 / 7 + 1e-8), abs=1e-12)
 
     def test_assign_cost_near_zero_for_perfect_anchor(self):
         g = gt(BBox(0, 0, 100, 100))
         a = anchor(50, 50, box=BBox(0, 0, 100, 100), cls=1.0 - 1e-9)
-        assert assign_cost(a, g) < 1e-6
+        assert pair_cost(a, g) < 1e-6
 
     def test_assign_cost_penalizes_outside_region(self):
         g = gt(BBox(0, 0, 16, 16), radius=4.0)
         a = anchor(100.0, 100.0, box=BBox(0, 0, 16, 16), cls=0.9)
-        assert assign_cost(a, g) >= 1e5
+        assert pair_cost(a, g) >= 1e5
 
     def test_assign_cost_hand_value(self):
         # BCE(0.5, 1) + 3 * (-log(0.5 + 1e-8)), anchor inside the region
@@ -108,7 +108,7 @@ class TestCosts:
         pred = BBox(0, 0, 100, 50)  # IoU exactly 0.5
         a = anchor(50, 50, box=pred, cls=0.5)
         cfg = AssignConfig(alpha=3.0)
-        assert assign_cost(a, g, cfg) == pytest.approx(2.7725886622397815, abs=1e-9)
+        assert pair_cost(a, g, cfg) == pytest.approx(2.7725886622397815, abs=1e-9)
 
 
 def random_case(rng):
@@ -140,20 +140,16 @@ class TestArraysMatchPairOracle:
         rng = random.Random(seed)
         for _ in range(60):
             anchors, gts, cfg = random_case(rng)
-            fg = foreground_mask(anchors, gts)
-            cost = assign_cost_matrix(anchors, gts, cfg)
+            cost, ious, fg = assign_tables(anchors, gts, cfg)  # one IoU and region pass for all three
             want_fg = assign_oracle.foreground_mask(anchors, gts)
             want_cost = assign_oracle.assign_cost_matrix(anchors, gts, cfg)
             assert fg.shape == cost.shape == (len(anchors), len(gts))
             assert np.array_equal(fg, want_fg)
             assert cost.tobytes() == want_cost.tobytes()
-            ious = iou_matrix(anchors, gts)
+            assert ious.tobytes() == iou_matrix(anchors, gts).tobytes()
             assert dynamic_k_match(cost, ious, fg, cfg) == dynamic_k_match(want_cost, ious, want_fg, cfg)
-            shared = assign_tables(anchors, gts, cfg)  # one IoU and region pass for all three
-            assert [m.tobytes() for m in shared] == [want_cost.tobytes(), ious.tobytes(), want_fg.tobytes()]
-            for a, g in zip(anchors, gts):  # the scalar names are the 1 x 1 case
-                assert in_center_region(a, g) == assign_oracle.in_center_region(a, g)
-                assert assign_cost(a, g, cfg) == assign_oracle.assign_cost(a, g, cfg)
+            for a, g in zip(anchors, gts):  # one pair is the 1 x 1 case
+                assert pair_cost(a, g, cfg) == assign_oracle.assign_cost(a, g, cfg)
 
 
 class TestRecordChecks:
@@ -204,9 +200,7 @@ class TestDynamicK:
 
     def test_k_from_topk_iou_sum(self):
         anchors, gts = self.toy_instance()
-        cost = assign_cost_matrix(anchors, gts)
-        ious = iou_matrix(anchors, gts)
-        fg = foreground_mask(anchors, gts)
+        cost, ious, fg = assign_tables(anchors, gts)
         # hand oracle: sum of candidate IoUs ~ 0.9 + 0.8 + 0.05 + 0.05 = 1.8 -> k = 2,
         # and the two cheapest anchors are the two highest-IoU ones
         positives = dynamic_k_match(cost, ious, fg)
@@ -215,9 +209,7 @@ class TestDynamicK:
     def test_single_candidate_clamps_to_one(self):
         g = gt(BBox(0, 0, 16, 16), radius=1.0)
         a = anchor(8, 8, box=BBox(0, 0, 16, 16))
-        cost = assign_cost_matrix([a], [g])
-        ious = iou_matrix([a], [g])
-        fg = foreground_mask([a], [g])
+        cost, ious, fg = assign_tables([a], [g])
         assert dynamic_k_match(cost, ious, fg) == [[0]]
 
     def test_conflict_goes_to_cheaper_gt_and_loser_refills(self):
@@ -228,9 +220,7 @@ class TestDynamicK:
         backup = anchor(60, 50, box=BBox(10, 0, 100, 95), cls=0.5)
         anchors = [shared, backup]
         gts = [g1, g2]
-        cost = assign_cost_matrix(anchors, gts)
-        ious = iou_matrix(anchors, gts)
-        fg = foreground_mask(anchors, gts)
+        cost, ious, fg = assign_tables(anchors, gts)
         # force k = 1 per gt by shrinking the candidate IoU mass
         cfg = AssignConfig(q_topk=1)
         ious_small = np.minimum(ious, 0.6)
@@ -243,9 +233,7 @@ class TestDynamicK:
     def test_gt_without_candidates_gets_empty_set(self):
         g_far = gt(BBox(1000, 1000, 10, 10), radius=1.0)
         a = anchor(8, 8)
-        cost = assign_cost_matrix([a], [g_far])
-        ious = iou_matrix([a], [g_far])
-        fg = foreground_mask([a], [g_far])
+        cost, ious, fg = assign_tables([a], [g_far])
         assert dynamic_k_match(cost, ious, fg) == [[]]
 
     def test_k_bounds_random_scenes(self):
@@ -261,9 +249,7 @@ class TestDynamicK:
                 gt(BBox(*rng.uniform(0, 150, 2), *rng.uniform(20, 60, 2)))
                 for _ in range(3)
             ]
-            cost = assign_cost_matrix(anchors, gts)
-            ious = iou_matrix(anchors, gts)
-            fg = foreground_mask(anchors, gts)
+            cost, ious, fg = assign_tables(anchors, gts)
             positives = dynamic_k_match(cost, ious, fg)
             for g_idx, sel in enumerate(positives):
                 n_cand = int(fg[:, g_idx].sum())
@@ -286,19 +272,15 @@ class TestDynamicK:
                 gt(BBox(*rng.uniform(0, 250, 2), *rng.uniform(20, 80, 2)))
                 for _ in range(3)
             ]
-            cost = assign_cost_matrix(anchors, gts, cfg)
-            ious = iou_matrix(anchors, gts)
-            fg = foreground_mask(anchors, gts)
+            cost, ious, fg = assign_tables(anchors, gts, cfg)
             positives = dynamic_k_match(cost, ious, fg, cfg)
-            from headtrack.label_assign import in_center_region
-
             for g_idx, sel in enumerate(positives):
                 for a_idx in sel:
-                    if not in_center_region(anchors[a_idx], gts[g_idx]):
+                    if not assign_oracle.in_center_region(anchors[a_idx], gts[g_idx]):
                         # an outside anchor may only win when nothing else exists
                         inside = [
                             a for a in np.flatnonzero(fg[:, g_idx])
-                            if in_center_region(anchors[a], gts[g_idx])
+                            if assign_oracle.in_center_region(anchors[a], gts[g_idx])
                         ]
                         assert not inside
 
@@ -320,66 +302,6 @@ class TestBce:
         for p in (0.0, 0.3, 1.0):
             for y in (0.0, 1.0):
                 assert bce(p, y) >= 0.0
-
-
-class TestLosses:
-    def perfect_batch(self):
-        g = gt(BBox(0, 0, 100, 100), head=HeadKeypoint(50.0, 10.0, 1.0))
-        a = anchor(
-            50, 50,
-            box=BBox(0, 0, 100, 100),
-            cls=1.0,
-            obj=1.0,
-            head=HeadKeypoint(50.0, 10.0, 1.0),
-        )
-        return LabeledBatch(anchors=[a], gts=[g], positives=[[0]])
-
-    def test_perfect_predictions_near_zero(self):
-        batch = self.perfect_batch()
-        assert loss_cls(batch) <= 1e-6
-        assert loss_box(batch) <= 1e-6
-        assert loss_l1(batch) <= 1e-6
-        assert loss_head(batch) <= 1e-6
-        assert loss_total(batch, use_l1=True) <= 4e-6
-
-    def test_head_loss_hand_value(self):
-        g = gt(BBox(0, 0, 100, 100), head=HeadKeypoint(10.0, 10.0, 1.0))
-        a = anchor(50, 50, box=BBox(0, 0, 100, 100),
-                   head=HeadKeypoint(13.0, 14.0, 1.0))
-        batch = LabeledBatch(anchors=[a], gts=[g], positives=[[0]])
-        # displacement (3, 4): 25, visibility matched at ~1
-        assert loss_head(batch) == pytest.approx(25.0, abs=1e-5)
-
-    def test_objectness_counts_all_anchors(self):
-        g = gt(BBox(0, 0, 100, 100))
-        fg_anchor = anchor(50, 50, box=BBox(0, 0, 100, 100), cls=1.0, obj=1.0)
-        bg_anchor = anchor(500, 500, obj=0.5)
-        batch = LabeledBatch(anchors=[fg_anchor, bg_anchor], gts=[g], positives=[[0]])
-        # background objectness BCE(0.5, 0) = ln 2, normalized by N_fg = 1
-        assert loss_box(batch) == pytest.approx(math.log(2), abs=1e-6)
-
-    def test_empty_foreground(self):
-        g = gt(BBox(0, 0, 100, 100))
-        a = anchor(500, 500, obj=0.5)
-        batch = LabeledBatch(anchors=[a], gts=[g], positives=[[]])
-        assert loss_cls(batch) == 0.0
-        assert loss_l1(batch) == 0.0
-        assert loss_head(batch) == 0.0
-        # objectness survives with the unit normalizer
-        assert loss_box(batch) == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_l1_by_hand(self):
-        g = gt(BBox(0, 0, 100, 100))
-        a = anchor(50, 50, box=BBox(1, 2, 103, 96))
-        batch = LabeledBatch(anchors=[a], gts=[g], positives=[[0]])
-        assert loss_l1(batch) == pytest.approx(1 + 2 + 3 + 4)
-
-    def test_double_assignment_rejected(self):
-        g1 = gt(BBox(0, 0, 100, 100))
-        g2 = gt(BBox(10, 0, 100, 100))
-        a = anchor(50, 50)
-        with pytest.raises(ValueError):
-            LabeledBatch(anchors=[a], gts=[g1, g2], positives=[[0], [0]])
 
 
 def test_anchor_probability_bounds():
