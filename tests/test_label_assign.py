@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,76 @@ class TestDynamicK:
                         assert not inside
 
 
+class TestTableEdges:
+    """``assign_tables`` and ``dynamic_k_match`` on empty sides, at the float limit and across the region terms."""
+
+    def test_no_anchors(self):
+        cost, ious, fg = assign_tables([], [gt(BBox(0, 0, 10, 10))])
+        assert cost.shape == ious.shape == fg.shape == (0, 1)
+        assert dynamic_k_match(cost, ious, fg) == [[]]
+
+    def test_no_targets(self):
+        cost, ious, fg = assign_tables([anchor(5, 5)], [])
+        assert cost.shape == ious.shape == fg.shape == (1, 0)
+        assert dynamic_k_match(cost, ious, fg) == []
+
+    def test_far_centre_is_background_without_warning(self):
+        # the centre distance overflows to inf, which lies outside any region, as in scalar float arithmetic
+        a = anchor(-1e308, 0, box=BBox(0, 0, 1, 1))
+        g = gt(BBox(1.5e308, 0, 1e307, 1))
+        cfg = AssignConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cost, ious, fg = assign_tables([a], [g], cfg)
+        assert not fg[0, 0]
+        assert ious[0, 0] == 0.0
+        assert cost[0, 0] == bce(0.5, 1.0) + cfg.alpha * -math.log(cfg.eps_iou) + cfg.beta
+
+    def test_stride_radius_past_float_limit_covers_every_centre(self):
+        # 2.5 strides of 1e308 is inf, so the far target's region holds the anchor and spares it beta
+        a = anchor(0, 0, stride=1e308, box=BBox(0, 0, 1, 1))
+        g = gt(BBox(1e300, 1e300, 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cost, _, fg = assign_tables([a], [g])
+        assert fg[0, 0]
+        assert cost[0, 0] < AssignConfig().beta
+
+    def test_in_box_outside_region_is_foreground_with_beta(self):
+        # the mask is box OR region, but only the region spares the beta penalty
+        g = gt(BBox(0, 0, 100, 100), radius=1.0)
+        corner = anchor(5, 5, box=BBox(0, 0, 100, 100), cls=0.9)
+        centre = anchor(50, 50, box=BBox(0, 0, 100, 100), cls=0.9)
+        cost, _, fg = assign_tables([corner, centre], [g])
+        assert fg[:, 0].tolist() == [True, True]
+        assert cost[0, 0] == cost[1, 0] + AssignConfig().beta
+
+    def test_iou_term_scales_with_alpha(self):
+        a = anchor(50, 50, box=BBox(0, 0, 100, 50), cls=0.5)  # IoU exactly 0.5
+        g = gt(BBox(0, 0, 100, 100))
+        low, high = (pair_cost(a, g, AssignConfig(alpha=alpha)) for alpha in (1.0, 3.0))
+        assert high - low == pytest.approx(2 * -math.log(0.5 + 1e-8), abs=1e-12)
+
+    @pytest.mark.parametrize("short", ["ious", "fg"])
+    def test_match_rejects_mismatched_shapes(self, short):
+        tables = {"cost": np.zeros((2, 1)), "ious": np.zeros((2, 1)), "fg": np.ones((2, 1), dtype=bool)}
+        tables[short] = tables[short][:1]
+        with pytest.raises(ValueError, match="must share the same"):
+            dynamic_k_match(**tables)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_positives_are_disjoint_foreground_on_random_configs(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(60):
+            anchors, gts, cfg = random_case(rng)
+            cost, ious, fg = assign_tables(anchors, gts, cfg)
+            positives = dynamic_k_match(cost, ious, fg, cfg)
+            assert len(positives) == len(gts)
+            flat = [a for sel in positives for a in sel]
+            assert len(flat) == len(set(flat))
+            assert all(fg[a, g_idx] for g_idx, sel in enumerate(positives) for a in sel)
+
+
 class TestBce:
     def test_half_probability(self):
         assert bce(0.5, 1.0) == pytest.approx(math.log(2), abs=1e-12)
@@ -307,3 +378,19 @@ class TestBce:
 def test_anchor_probability_bounds():
     with pytest.raises(ValueError):
         anchor(0, 0, cls=1.5)
+
+
+@pytest.mark.parametrize("obj", [-0.1, 1.5])
+def test_anchor_objectness_bounds(obj):
+    with pytest.raises(ValueError, match="predicted probabilities must lie in"):
+        anchor(0, 0, obj=obj)
+
+
+@pytest.mark.parametrize("make", [
+    lambda box: anchor(0, 0, box=box),
+    lambda box: gt(box),
+], ids=["anchor", "gt"])
+def test_records_reject_box_past_float_limit(make):
+    # the far corner 1e308 + 1e308 is inf
+    with pytest.raises(ValueError, match="box far corner and area must be finite"):
+        make(BBox(1e308, 0, 1e308, 1))
