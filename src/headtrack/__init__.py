@@ -10,13 +10,15 @@ import importlib
 _HOMES = {  # name -> the submodule that defines it
     name: module
     for module, names in {
-        "association": ("AppearanceDescriptor", "CostMatrix"),
+        "association": ("CostMatrix",),
         "config": ("AssociationConfig", "KalmanConfig", "LiftingConfig", "TrackerConfig"),
-        "geometry": ("BBox", "GridIndex", "HeadKeypoint"),
+        "geometry": ("BBox",),
+        "head": ("GridIndex", "HeadKeypoint"),
         "kalman": ("IteratedUpdateConfig", "KalmanModel", "KalmanState"),
         "lifting": ("Pose3", "TrajectoryGap"),
         "metrics": ("EvalReport", "EvalTables", "evaluate"),
-        "tracker": ("Detection", "Track", "Tracker"),
+        "rows": ("AppearanceDescriptor", "Detection"),
+        "tracker": ("Track", "Tracker"),
     }.items()
     for name in names
 }

@@ -15,24 +15,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .config import FEATURE_KINDS, AssociationConfig
-from .geometry import HeadKeypoint
 
 UNIT_NORM_TOL = 1e-6  # how far a unit vector's norm may be from 1
-
-
-def _as_unit(v, kind: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"{kind} must be a 1-d vector")
-    n = math.sqrt(v @ v)  # bit for bit as np.linalg.norm of a 1-d vector
-    if not abs(n - 1.0) <= UNIT_NORM_TOL:  # also rejects a NaN norm
-        raise ValueError(f"{kind} must be unit-norm (got |v| = {n})")
-    return v
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
@@ -40,61 +29,12 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True, eq=False)  # vectors compare and hash by identity
-class AppearanceDescriptor:
-    """Unit-norm feature vectors from the detector's output branches.
-
-    Any subset of the three kinds may be present; comparisons only use
-    kinds present on both sides.
-    """
-
-    f_cls: Optional[np.ndarray] = None
-    f_reg: Optional[np.ndarray] = None
-    f_head: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        for kind in FEATURE_KINDS:
-            v = getattr(self, kind)
-            if v is not None:
-                object.__setattr__(self, kind, _as_unit(v, kind))
-        if all(getattr(self, k) is None for k in FEATURE_KINDS):
-            raise ValueError("descriptor needs at least one feature kind")
-
-
-@dataclass
+@dataclass(eq=False)  # arrays compare and hash by identity
 class CostMatrix:
     """Dense tracks x detections costs with an admissibility mask."""
 
     values: np.ndarray  # (T, D) float
     gate_mask: np.ndarray  # (T, D) bool
-
-
-def gaussian_weighted_descriptor(
-    cell_centers: np.ndarray,
-    cell_features: np.ndarray,
-    head: HeadKeypoint,
-    sigma: float,
-) -> np.ndarray:
-    """Reweight a feature-map patch around the head keypoint.
-
-    ``cell_centers`` is (N, 2) in pixel space and ``cell_features`` (N, C).
-    Each cell's features are scaled by the Gaussian falloff of its center
-    from the head point, then flattened and renormalized to a unit vector
-    (the head-weighted replacement for the raw regression feature).
-    """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    centers = np.asarray(cell_centers, dtype=float).reshape(-1, 2)
-    feats = np.asarray(cell_features, dtype=float)
-    if feats.shape[0] != centers.shape[0]:
-        raise ValueError("one feature row per cell required")
-    d2 = np.sum((centers - [head.x_head, head.y_head]) ** 2, axis=1)
-    w = np.exp(-d2 / (2.0 * sigma * sigma))
-    flat = (feats * w[:, None]).reshape(-1)
-    n = float(np.linalg.norm(flat))
-    if n <= 0.0:
-        raise ValueError("weighting produced a zero vector (head too far from the patch)")
-    return flat / n
 
 
 def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: AssociationConfig):
@@ -134,13 +74,14 @@ def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: Ass
 @functools.cache
 def _lsap():
     """The solver function, loaded once (see ``linear_sum_assignment``)."""
-    import scipy
-
     name = "scipy.optimize._lsap"
     module = sys.modules.get(name)
     if module is None:
-        optimize_dir = os.path.join(scipy.__path__[0], "optimize")
-        found = importlib.machinery.PathFinder.find_spec("_lsap", [optimize_dir])
+        scipy = importlib.util.find_spec("scipy")  # finds the package without running its __init__
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        optimize_dirs = [os.path.join(d, "optimize") for d in scipy.submodule_search_locations or ()]
+        found = importlib.machinery.PathFinder.find_spec("_lsap", optimize_dirs)
         if found is None or not isinstance(found.loader, importlib.machinery.ExtensionFileLoader):
             from scipy.optimize import linear_sum_assignment
 
@@ -156,12 +97,15 @@ def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
     """scipy's rectangular assignment solver, loaded at the first call.
 
     Only ``track`` and ``evaluate`` solve assignments, so the other verbs
-    never load scipy. The first call loads ``scipy`` and then only the
-    ``scipy/optimize/_lsap`` extension that holds the solver, under its
-    real name in ``sys.modules`` (a later ``import scipy.optimize`` reuses
-    it), not the ``scipy.optimize`` package, which brings in
-    ``scipy.sparse`` and ``scipy.linalg``. Without that extension file it
-    imports ``scipy.optimize``. Returns the (rows, cols) index arrays.
+    never load scipy. The first call finds scipy's directory without
+    importing the ``scipy`` package, whose ``__init__`` loads test and
+    subprocess helpers, and loads only the ``scipy/optimize/_lsap``
+    extension that holds the solver, under its real name in
+    ``sys.modules`` (a later ``import scipy.optimize`` reuses it), not the
+    ``scipy.optimize`` package, which brings in ``scipy.sparse`` and
+    ``scipy.linalg``. Without that extension file it imports
+    ``scipy.optimize``; without scipy it raises ModuleNotFoundError, as
+    ``import scipy`` would. Returns the (rows, cols) index arrays.
     """
     return _lsap()(cost, maximize=maximize)
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import dataio
 from .config import (EVAL_IOU_THRESHOLD, IMAGE_HEIGHT, IMAGE_WIDTH, METHODS, SCENE_SEED, AssignConfig,
                      AssociationConfig, KalmanConfig, LiftingConfig, TrackerConfig)
-from .geometry import BBox, HeadKeypoint
+from .geometry import BBox
 
 if TYPE_CHECKING:
     from .simulate import SceneSpec
@@ -364,6 +364,7 @@ def parse_assign_scene(path) -> tuple[list, list]:
     import json  # only this verb reads JSON
 
     from . import label_assign
+    from .head import HeadKeypoint
     try:
         doc = json.loads(Path(path).read_text())
     except RecursionError as exc:  # nesting deeper than the decoder recurses
@@ -435,7 +436,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         )
 
 
-def build_parser() -> _Parser:
+def build_parser(verb: str | None) -> _Parser:
+    """The parser of every verb; only ``verb``'s subparser, the one that parses, takes the config flags."""
     parser = _Parser(prog="headtrack", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -444,28 +446,25 @@ def build_parser() -> _Parser:
     p_track.add_argument("--features", default=None, help="sidecar (.ftfv), or a directory of them")
     p_track.add_argument("--out", required=True, help="result file (or directory for batches)")
     p_track.add_argument("--head-format", action="store_true", help="trailing fields carry head keypoints")
-    _add_config_flags(p_track)
 
     p_interp = sub.add_parser("interpolate", help="fill trajectory gaps in a result file")
     p_interp.add_argument("--input", required=True)
     p_interp.add_argument("--method", choices=METHODS, default="linear2d")
     p_interp.add_argument("--out", required=True)
-    _add_config_flags(p_interp)
 
     p_eval = sub.add_parser("evaluate", help="CLEAR-MOT / IDF1 report")
     p_eval.add_argument("--gt", required=True)
     p_eval.add_argument("--result", required=True)
-    _add_config_flags(p_eval)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic scene")
     p_sim.add_argument("--spec", required=True, help="scene description file")
     p_sim.add_argument("--out-dir", required=True)
-    _add_config_flags(p_sim)
 
     p_assign = sub.add_parser("assign", help="print the dynamic-k assignment table for a scene")
     p_assign.add_argument("--scene", required=True, help="JSON scene description")
-    _add_config_flags(p_assign)
 
+    if verb in sub.choices:
+        _add_config_flags(sub.choices[verb])
     return parser
 
 
@@ -485,8 +484,10 @@ def main(argv=None) -> int:
     # at import, and at most once however often main runs.
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse hands the rest of argv to the subparser of the first argument that is not an
+    # option; no option is a verb's name, so when that argument names a verb, it is the first that does
+    args = build_parser(next((a for a in argv if a in _VERBS), None)).parse_args(argv)
     try:
         keys = {f.name for f in dataclasses.fields(RunConfig)}
         cfg = load_config(args.config, {k: v for k, v in vars(args).items() if k in keys})

@@ -5,7 +5,7 @@ Text I/O follows the MOTChallenge comma-separated convention
 MotTable of columns. Text that numpy's C reader takes, empty lines
 included, is read in one pass of that reader. Other text is read and
 checked line by line, and any table written, a bounded chunk at a time.
-Iterating a table yields MotLine rows. Head keypoints ride in the
+Iterating a table yields ``rows.MotLine`` rows. Head keypoints ride in the
 trailing fields when head mode is on; plain files keep -1 placeholders
 there. High-dimensional appearance descriptors live in a
 binary sidecar keyed by (frame, detection index); everything in it is
@@ -19,16 +19,17 @@ from __future__ import annotations
 import dataclasses
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .config import FEATURE_KINDS
-from .geometry import BBox, HeadKeypoint, bad_boxes, check_boxes
+from .geometry import BBox, bad_boxes, check_boxes
 
-if TYPE_CHECKING:  # imported where it is built, so only the verb that builds it loads it
+if TYPE_CHECKING:  # imported where they are built, so only the code that builds them loads them
+    from .rows import MotLine
     from .tracker import Detections
 
 DESCRIPTOR_MAGIC = b"FTFV"
@@ -44,21 +45,6 @@ class MotParseError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
-
-
-@dataclass(frozen=True)
-class MotLine:
-    """One row of a MotTable."""
-
-    frame: int
-    id: int
-    box: BBox
-    conf: float = 1.0
-    extra: tuple[float, float, float] = (-1.0, -1.0, -1.0)
-    lineno: int = field(default=0, compare=False, repr=False)  # 1-based; 0 if not parsed
-
-    def bbox(self) -> BBox:  # kept for perfbench/test_perfbench.py, which reads rows through it
-        return self.box
 
 
 @dataclass(eq=False)
@@ -106,6 +92,7 @@ class MotTable:
         return len(self.frame)
 
     def __iter__(self) -> Iterator[MotLine]:
+        from .rows import MotLine
         return map(
             MotLine, self.frame.tolist(), self.id.tolist(), map(BBox, *self.box.T.tolist()),
             self.conf.tolist(), map(tuple, self.extra.tolist()), self.lineno.tolist(),
@@ -262,7 +249,7 @@ def split_frames(
     record, in ``descriptors``' row order, whose det_index its frame lacks,
     as ValueError.
     """
-    from .tracker import Detection, Detections
+    from .tracker import Detections
     check_boxes(table.box)
     order = np.argsort(table.frame, kind="stable")
     bad = ~np.isfinite(table.conf[order])
@@ -273,6 +260,8 @@ def split_frames(
     if bad.any():  # the first bad row names its first fault: its head, then its score
         first = int(bad.argmax())
         row = int(order[first])
+        from .head import HeadKeypoint
+        from .rows import Detection
         try:
             if head_format and worn[first]:
                 HeadKeypoint(*table.extra[row].tolist())

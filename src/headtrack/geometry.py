@@ -1,4 +1,4 @@
-"""Bounding-box and keypoint arithmetic shared by the whole pipeline.
+"""Bounding-box arithmetic shared by the whole pipeline.
 
 Boxes follow the MOTChallenge top-left + width/height convention and are
 converted to corners internally where needed. All coordinates are carried
@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-VALID_STRIDES = (8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -64,30 +62,6 @@ def check_boxes(boxes: np.ndarray) -> None:
         BBox(*boxes[bad.argmax()].tolist())
 
 
-@dataclass(frozen=True)
-class HeadKeypoint:
-    """Head center location plus a visibility score in [0, 1]."""
-
-    x_head: float
-    y_head: float
-    v_head: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x_head) and math.isfinite(self.y_head)):
-            raise ValueError("head coordinates must be finite")
-        if not 0.0 <= self.v_head <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {self.v_head}")
-
-
-@dataclass(frozen=True)
-class GridIndex:
-    """Integer feature-map cell reached by floor-dividing a pixel point by the stride."""
-
-    i: int
-    j: int
-    s: int
-
-
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes. Symmetric, in [0, 1].
 
@@ -125,24 +99,3 @@ def iou_pairs(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
         inter = ix * iy
         union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
         return np.divide(inter, union, out=np.zeros(inter.shape), where=(ix > 0.0) & (iy > 0.0))
-
-
-def grid_map(x_c: float, y_c: float, s: int) -> GridIndex:
-    """Project a pixel point onto the feature-map grid of stride ``s``."""
-    if s not in VALID_STRIDES:
-        raise ValueError(f"stride must be one of {VALID_STRIDES}, got {s}")
-    if x_c < 0.0 or y_c < 0.0:
-        raise ValueError(f"grid mapping needs non-negative coordinates, got ({x_c}, {y_c})")
-    return GridIndex(int(x_c // s), int(y_c // s), s)
-
-
-def gaussian_weight(p: tuple[float, float], center: HeadKeypoint, sigma: float) -> float:
-    """Isotropic Gaussian falloff of point ``p`` around the head keypoint.
-
-    Returns exp(-d^2 / (2 sigma^2)); equals 1 at the head point itself.
-    """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    dx = p[0] - center.x_head
-    dy = p[1] - center.y_head
-    return math.exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma))

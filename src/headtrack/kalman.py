@@ -39,7 +39,7 @@ class IteratedUpdateConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays compare and hash by identity
 class KalmanModel:
     """System matrices: transition F, measurement H, noises Q and R."""
 
@@ -49,7 +49,7 @@ class KalmanModel:
     R: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays compare and hash by identity
 class KalmanState:
     x: np.ndarray  # (8,)
     P: np.ndarray  # (8, 8)

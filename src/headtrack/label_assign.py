@@ -18,7 +18,8 @@ import numpy as np
 
 from . import geometry
 from .config import AssignConfig
-from .geometry import BBox, HeadKeypoint
+from .geometry import BBox
+from .head import HeadKeypoint
 
 _PROB_CLAMP = 1e-7
 CENTER_RADIUS_STRIDES = 2.5

@@ -37,7 +37,7 @@ _BRANCH_MARGIN = 1e-6
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays compare and hash by identity
 class Pose3:
     """SE(3) element: proper rotation R and translation t."""
 

@@ -12,38 +12,28 @@ not stored. ``step``'s emissions are the only output: a track keeps no boxes,
 and a detection no frame (it is the frame of the ``step`` it is passed to).
 A frame's detections arrive as one Detections batch of columns, and its
 emissions leave as Emissions columns; iterating a batch yields its rows as
-Detection, and iterating emissions yields (id, BBox) pairs.
+``rows.Detection``, and iterating emissions yields (id, BBox) pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from . import kalman
-from .association import AppearanceDescriptor, build_cost_matrix, row_norms, solve_assignment
+from .association import build_cost_matrix, row_norms, solve_assignment
 from .config import FEATURE_KINDS, TrackerConfig
 from .geometry import BBox, check_boxes
+
+if TYPE_CHECKING:  # the row view, loaded where a batch is iterated
+    from .rows import Detection
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
 REMOVED = "removed"
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One row of a Detections batch."""
-
-    bbox: BBox
-    score: float
-    descriptor: Optional[AppearanceDescriptor] = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.score):
-            raise ValueError("detection score must be finite")
 
 
 @dataclass(frozen=True, eq=False)  # columns compare and hash by identity, as MotTable does
@@ -64,7 +54,8 @@ class Detections:
         return len(self.scores)
 
     def __iter__(self) -> Iterator[Detection]:  # kept for perfbench/test_perfbench.py, which reads rows through it
-        """Each row as a Detection, its descriptor the kinds present in that row, or None."""
+        """Each row as a ``rows.Detection``, its descriptor the kinds present in that row, or None."""
+        from .rows import AppearanceDescriptor, Detection
         kinds = [(kind, m, has.tolist()) for kind, (m, has) in self.feats.items()]
         for j, (box, score) in enumerate(zip(self.boxes.tolist(), self.scores.tolist())):
             vectors = {kind: m[j] for kind, m, has in kinds if has[j]}

@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from headtrack.association import FEATURE_KINDS, AppearanceDescriptor
+from headtrack.association import FEATURE_KINDS
 from headtrack.dataio import MotParseError
 from headtrack.geometry import BBox
+from headtrack.rows import AppearanceDescriptor
 
 _HEADER = struct.Struct("<4sHIIIQ")
 _RECORD_HEAD = struct.Struct("<II")

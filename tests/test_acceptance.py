@@ -14,7 +14,8 @@ import pytest
 
 from headtrack import cli, dataio, label_assign, lifting, metrics, simulate
 from headtrack.association import CostMatrix, solve_assignment
-from headtrack.geometry import BBox, HeadKeypoint
+from headtrack.geometry import BBox
+from headtrack.head import HeadKeypoint
 from headtrack.kalman import KalmanState, constant_velocity_model, iterated_update, update
 from headtrack.tracker import Tracker
 import assign_oracle

@@ -10,15 +10,15 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from headtrack import association
 from headtrack.association import (
     FEATURE_KINDS,
-    AppearanceDescriptor,
     AssociationConfig,
     CostMatrix,
     build_cost_matrix,
-    gaussian_weighted_descriptor,
     solve_assignment,
 )
-from headtrack.geometry import BBox, HeadKeypoint
+from headtrack.geometry import BBox
+from headtrack.head import HeadKeypoint, gaussian_weighted_descriptor
 from headtrack.kalman import KalmanState
+from headtrack.rows import AppearanceDescriptor
 from square_oracle import square_solve
 
 
@@ -334,6 +334,12 @@ class TestMotionCost:
 
 
 class TestBuildCostMatrix:
+    def test_cost_matrix_compares_and_hashes_by_identity(self):
+        one, twin = (CostMatrix(values=np.eye(2), gate_mask=np.ones((2, 2), bool)) for _ in range(2))
+        assert one == one and one != twin
+        assert hash(one) == hash(one)
+        assert one in {one} and twin not in {one} and len({one, twin}) == 2
+
     @pytest.mark.parametrize(
         "w_mot, admissible, pairs",
         [

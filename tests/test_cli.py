@@ -17,9 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headtrack import cli, dataio, label_assign, lifting, simulate, tracker
-from headtrack.association import AppearanceDescriptor, AssociationConfig
+from headtrack.association import AssociationConfig
 from headtrack.dataio import parse_mot, read_descriptors, write_descriptors
-from headtrack.geometry import BBox, HeadKeypoint
+from headtrack.geometry import BBox
+from headtrack.head import HeadKeypoint
+from headtrack.rows import AppearanceDescriptor, Detection
 from headtrack.simulate import SceneSpec
 from headtrack.tracker import TrackerConfig
 
@@ -840,9 +842,10 @@ class TestConfigHandling:
         with pytest.raises(cli.ConfigError):
             cli.load_config(write(tmp_path / "bad.cfg", "emit_predictions = maybe\n"))
 
-    def test_help_lists_every_config_key(self, capsys):
+    @pytest.mark.parametrize("verb", cli._VERBS)
+    def test_help_lists_every_config_key(self, capsys, verb):
         with pytest.raises(SystemExit) as e:
-            cli.main(["track", "--help"])
+            cli.main([verb, "--help"])
         assert e.value.code == 0
         # argparse re-wraps help lines, so compare with whitespace removed
         text = "".join(capsys.readouterr().out.split())
@@ -854,6 +857,26 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as e:
             cli.main(["track"])  # missing required arguments
         assert e.value.code == 1
+
+    @pytest.mark.parametrize("flag,error", [(["--seed", "1"], "argument verb: invalid choice: '1'"),
+                                            (["--seed=1"], "unrecognized arguments: --seed=1\n")],
+                             ids=["value", "joined"])
+    def test_config_flag_before_the_verb_is_usage_error(self, sim_dir, capsys, flag, error):
+        """Before the verb, a config flag is the top-level parser's usage error; after it, the verb's flags still parse."""
+        gt = str(sim_dir / "gt.txt")
+        with pytest.raises(SystemExit) as e:
+            cli.main([*flag, "evaluate", "--gt", gt, "--result", gt, "--iou-threshold", "0.5"])
+        assert e.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: headtrack [-h] {track,") and f"headtrack: error: {error}" in err
+
+    def test_main_without_argv_reads_sys_argv(self, sim_dir, tmp_path, monkeypatch):
+        """``main()`` takes the verb, and so the config flags it accepts, from ``sys.argv``."""
+        argv = ["track", "--dets", str(sim_dir / "det.txt"), "--min-hits", "1", "--out"]
+        monkeypatch.setattr(sys, "argv", ["headtrack", *argv, str(tmp_path / "console.txt")])
+        assert cli.main() == 0
+        assert cli.main([*argv, str(tmp_path / "main.txt")]) == 0
+        assert (tmp_path / "console.txt").read_bytes() == (tmp_path / "main.txt").read_bytes() != b""
 
     def test_missing_input_file_is_data_error(self, tmp_path):
         code = cli.main(
@@ -1128,7 +1151,7 @@ class TestColumnChecksNameTheFirstError:
     def test_track_builds_no_row_objects(self, tmp_path, monkeypatch):
         dets, features = heads_scene(tmp_path)
         built = collections.Counter()
-        for cls in (tracker.Detection, AppearanceDescriptor, HeadKeypoint, BBox):
+        for cls in (Detection, AppearanceDescriptor, HeadKeypoint, BBox):
             check = cls.__post_init__
             monkeypatch.setattr(cls, "__post_init__", lambda obj, check=check: built.update([type(obj)]) or check(obj))
         track = tracker.Track  # a live track is its row: the verb builds no Track, not even one per spawn
@@ -1143,7 +1166,7 @@ class TestColumnChecksNameTheFirstError:
         lines = sum(map(len, frames.values()))
         assert built == {}  # splitting builds no row either
         rows = [d for batch in frames.values() for d in batch]  # the hooks count what iterating the batches builds
-        assert built[tracker.Detection] == built[AppearanceDescriptor] == built[BBox] == len(rows) == lines > 0
+        assert built[Detection] == built[AppearanceDescriptor] == built[BBox] == len(rows) == lines > 0
         assert built[HeadKeypoint] == 0  # a batch carries no head
 
 

@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 from test_cli import det_texts, raw_sidecar, sidecar_bytes
 
 from headtrack import dataio
-from headtrack.association import FEATURE_KINDS, AppearanceDescriptor
+from headtrack.association import FEATURE_KINDS
 from headtrack.dataio import (
     Descriptors,
-    MotLine,
     MotParseError,
     MotTable,
     check_unique_ids,
@@ -30,6 +29,7 @@ from headtrack.dataio import (
     write_mot,
 )
 from headtrack.geometry import BBox
+from headtrack.rows import AppearanceDescriptor, MotLine
 from headtrack.simulate import MOTION_MODELS, SceneSpec, generate_scene
 
 

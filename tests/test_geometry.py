@@ -5,16 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from headtrack.geometry import (
-    BBox,
-    GridIndex,
-    HeadKeypoint,
-    gaussian_weight,
-    grid_map,
-    iou,
-    iou_matrix,
-    iou_pairs,
-)
+from headtrack.geometry import BBox, iou, iou_matrix, iou_pairs
+from headtrack.head import GridIndex, HeadKeypoint, gaussian_weight, grid_map
 
 
 finite_boxes = st.builds(

@@ -1,15 +1,17 @@
-"""Each verb loads the headtrack modules it runs, and only the verbs that
-solve an assignment load scipy, and only its solver.
+"""Each verb loads the headtrack modules it runs, and of scipy only the
+verbs that solve an assignment load anything: its solver extension.
 
 ``import headtrack`` loads no submodule, and ``import headtrack.cli`` only
 the configs, the file formats and the geometry; each verb then loads the
-modules it runs, and only ``simulate`` loads the scene generator.
+modules it runs, and only ``simulate`` loads the scene generator. No verb
+of the benchmark path loads the row views or the head surface.
 ``track`` (at its first non-empty assignment) and ``evaluate`` (at its
-first matching) need scipy's assignment solver. They load ``scipy`` and
-the ``scipy.optimize._lsap`` extension that holds it, not the
-``scipy.optimize`` package; importing the package and every other verb
-must not load scipy at all. Each case runs in a fresh interpreter,
-because a module once imported stays in ``sys.modules``.
+first matching) need scipy's assignment solver. Of scipy they load only
+the ``scipy.optimize._lsap`` extension that holds it: not the ``scipy``
+package, whose ``__init__`` they find but do not run, and not
+``scipy.optimize``; importing the package and every other verb must not
+load scipy at all. Each case runs in a fresh interpreter, because a module
+once imported stays in ``sys.modules``.
 
 The same goes for exit: a process that ran ``cli.main`` freezes the
 garbage collector once, at exit; the import alone, and ``main`` run in
@@ -19,6 +21,7 @@ process, freeze nothing.
 import gc
 import importlib
 import importlib.machinery
+import importlib.util
 import json
 import os
 import subprocess
@@ -63,7 +66,7 @@ VERB_MODULES = {
     "interpolate": CLI_MODULES + ["headtrack.lifting"],
     "evaluate": CLI_MODULES + ["headtrack.association", "headtrack.metrics"],
     "simulate": CLI_MODULES + ["headtrack.association", "headtrack.simulate"],
-    "assign": CLI_MODULES + ["headtrack.label_assign"],
+    "assign": CLI_MODULES + ["headtrack.head", "headtrack.label_assign"],
 }
 
 
@@ -158,6 +161,15 @@ def test_verb_loads_only_the_modules_it_runs(scene, tmp_path, verb):
     assert sorted(run.headtrack_modules) == sorted(VERB_MODULES[verb])
 
 
+def test_bench_verbs_load_no_row_views_and_no_head_surface(scene, tmp_path):
+    """``track`` (with ``--head-format`` too), ``interpolate`` and ``evaluate`` in one interpreter."""
+    argvs = verb_argvs(scene, tmp_path)
+    run = fresh("headtrack.cli", argvs["track"], argvs["track"] + ["--head-format"], argvs["interpolate"],
+                argvs["evaluate"])
+    assert run.codes == [0] * 4
+    assert not {"headtrack.rows", "headtrack.head"} & set(run.headtrack_modules)
+
+
 # The probe's own exit hook, registered before headtrack's, runs after it. gc.freeze is
 # wrapped to count its calls; headtrack.cli looks it up when main runs.
 EXIT_PROBE = """
@@ -230,11 +242,8 @@ def test_failing_track_loads_no_scipy(tmp_path):
     assert fresh("headtrack.cli", argv)[:2] == ([2], [])
 
 
-def assert_solver_only(scipy_modules):
-    """The scipy modules of a verb that solved assignments with the extension alone."""
-    assert "scipy.optimize._lsap" in scipy_modules
-    assert "scipy.optimize" not in scipy_modules
-    assert not [m for m in scipy_modules if m.startswith(("scipy.sparse", "scipy.linalg"))]
+# the scipy modules of a verb that solved assignments with the extension alone
+SOLVER_ONLY = ["scipy.optimize._lsap"]
 
 
 def test_track_and_evaluate_load_only_the_solver_and_report_as_before(scene, tmp_path):
@@ -242,13 +251,13 @@ def test_track_and_evaluate_load_only_the_solver_and_report_as_before(scene, tmp
              "--out", str(tmp_path / "result.txt"), "--min-hits", "1"]
     run = fresh("headtrack.cli", track)
     assert run.codes == [0]
-    assert_solver_only(run.scipy_modules)
+    assert run.scipy_modules == SOLVER_ONLY
     assert (tmp_path / "result.txt").read_bytes() == (scene / "result.txt").read_bytes()
 
     evaluate = ["evaluate", "--gt", str(scene / "gt.txt"), "--result", str(tmp_path / "result.txt")]
     run = fresh("headtrack.cli", evaluate)
     assert run.codes == [0]
-    assert_solver_only(run.scipy_modules)
+    assert run.scipy_modules == SOLVER_ONLY
     assert run.printed == REPORT
 
 
@@ -295,6 +304,23 @@ def hidden_extension(request, monkeypatch):
     association._lsap.cache_clear()
     yield searched
     association._lsap.cache_clear()
+
+
+def test_solver_without_scipy_raises_as_import_does(monkeypatch):
+    """When no scipy is found, the first solve raises what ``import scipy`` raises."""
+    import scipy.optimize  # noqa: F401 - holds the extension module the test hides
+
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, package=None: None if name == "scipy" else find_spec(name, package))
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+    association._lsap.cache_clear()
+    try:
+        with pytest.raises(ModuleNotFoundError, match="^No module named 'scipy'$") as missing:
+            association.linear_sum_assignment(np.eye(2))
+        assert missing.value.name == "scipy"
+    finally:
+        association._lsap.cache_clear()
 
 
 @pytest.mark.parametrize("cost,maximize,expected", [

@@ -39,6 +39,15 @@ def random_state(rng):
     return KalmanState(x=x, P=P)
 
 
+
+@pytest.mark.parametrize("make", [make_state, zero_noise_model], ids=["KalmanState", "KalmanModel"])
+def test_compares_and_hashes_by_identity(make):
+    one, twin = make(), make()  # equal arrays, so a generated __eq__ would compare them
+    assert one == one and one != twin
+    assert hash(one) == hash(one)
+    assert one in {one} and twin not in {one} and len({one, twin}) == 2
+
+
 class TestPredict:
     def test_zero_velocity_keeps_position(self):
         st = predict(make_state(), zero_noise_model())

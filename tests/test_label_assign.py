@@ -7,7 +7,8 @@ import pytest
 
 import assign_oracle
 
-from headtrack.geometry import BBox, HeadKeypoint
+from headtrack.geometry import BBox
+from headtrack.head import HeadKeypoint
 from headtrack.label_assign import (
     Anchor,
     AssignConfig,

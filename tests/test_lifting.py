@@ -105,6 +105,12 @@ class TestPose3:
         assert np.max(np.abs(back.R - np.eye(3))) < 1e-12
         assert np.max(np.abs(back.t)) < 1e-9
 
+    def test_compares_and_hashes_by_identity(self):
+        one, twin = Pose3(R=np.eye(3), t=np.ones(3)), Pose3(R=np.eye(3), t=np.ones(3))
+        assert one == one and one != twin
+        assert hash(one) == hash(one)
+        assert one in {one} and twin not in {one} and len({one, twin}) == 2
+
 
 class TestInterpolate:
     def test_endpoints_exact(self):

@@ -82,7 +82,7 @@ UNREACHED = {
         "kalman.py:iterated_update.<locals>.h_fn", "kalman.py:_gain", "kalman.py:_state", "kalman.py:_symmetrize"],
     "c04": ["lifting.py:interpolate_se3"],
     "c05 to c08 read these row views, and perfbench does too (ROADMAP item 3)": [
-        "dataio.py:MotTable.__iter__", "dataio.py:MotLine.bbox", "tracker.py:Emissions.__iter__"],
+        "dataio.py:MotTable.__iter__", "rows.py:MotLine.bbox", "tracker.py:Emissions.__iter__"],
     "c09 through tests/assign_oracle.py, and tests/lifting_oracle.py": ["geometry.py:BBox.cx", "geometry.py:BBox.cy"],
     # error paths
     "usage errors: test_cli.TestConfigHandling.test_usage_error_exits_one": ["cli.py:_Parser.error"],
@@ -90,15 +90,15 @@ UNREACHED = {
         "dataio.py:_read_checked", "dataio.py:_int64", "dataio.py:MotParseError.__init__"],
     # perfbench
     "row views that perfbench/run.py and test_perfbench.py build (ROADMAP item 3)": [
-        "tracker.py:Detections.__iter__", "tracker.py:Detection.__post_init__",
-        "association.py:AppearanceDescriptor.__post_init__", "association.py:_as_unit"],
+        "tracker.py:Detections.__iter__", "rows.py:Detection.__post_init__",
+        "rows.py:AppearanceDescriptor.__post_init__", "rows.py:_as_unit"],
     "row views that perfbench/trace_cli.py reads (ROADMAP item 3)": [
         "metrics.py:EvalTables.__iter__", "metrics.py:_frame_rows", "tracker.py:Tracker.tracks"],
     "perfbench/trace_cli.py wraps it by name; a matrix Kalman form (ROADMAP item 5)": ["kalman.py:predict"],
     "the scalar reference of iou_matrix and iou_pairs, bit for bit; test_perfbench.py imports it": ["geometry.py:iou"],
     # pending ROADMAP decisions
     "the head surface, which ROADMAP item 7 makes change the track or deletes": [
-        "association.py:gaussian_weighted_descriptor", "geometry.py:gaussian_weight", "geometry.py:grid_map"],
+        "head.py:gaussian_weighted_descriptor", "head.py:gaussian_weight", "head.py:grid_map"],
     "the one-state birth, reference of initiate_rows in test_kalman and test_tracker (ROADMAP item 5)": [
         "kalman.py:initiate"],
     "tests only (ROADMAP item 17): test_cli and test_dataio write expected text with it": ["dataio.py:format_mot"],

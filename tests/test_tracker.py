@@ -4,14 +4,13 @@ import pytest
 from headtrack import association, kalman
 from headtrack.association import (
     FEATURE_KINDS,
-    AppearanceDescriptor,
     AssociationConfig,
     build_cost_matrix,
     solve_assignment,
 )
 from headtrack.geometry import BBox
+from headtrack.rows import AppearanceDescriptor, Detection
 from headtrack.tracker import (
-    Detection,
     Detections,
     Tracker,
     TrackerConfig,
