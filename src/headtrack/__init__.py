@@ -11,7 +11,7 @@ _HOMES = {  # name -> the submodule that defines it
     name: module
     for module, names in {
         "association": ("CostMatrix",),
-        "config": ("AssociationConfig", "KalmanConfig", "LiftingConfig", "TrackerConfig"),
+        "config": ("RunConfig",),
         "geometry": ("BBox",),
         "head": ("GridIndex", "HeadKeypoint"),
         "kalman": ("IteratedUpdateConfig", "KalmanModel", "KalmanState"),

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import FEATURE_KINDS, AssociationConfig
+from .config import FEATURE_KINDS, RunConfig
 
 UNIT_NORM_TOL = 1e-6  # how far a unit vector's norm may be from 1
 
@@ -37,21 +37,22 @@ class CostMatrix:
     gate_mask: np.ndarray  # (T, D) bool
 
 
-def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: AssociationConfig):
+def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: RunConfig, motion_scale: float):
     """Gated tracks x detections CostMatrix of appearance and motion costs.
 
     Centres are (T, 2) predictions and (D, 2) detections; feats map kinds
     to (n x d matrix, n presence mask), a row without the kind zero. Motion
-    is the centre distance over ``motion_scale``; appearance the cosine cost
-    1 - <p, q> averaged over the weighted kinds a pair shares, weights
-    renormalized over them (motion alone if none). One (T x d)(d x D)
-    product per kind. Raises ValueError when a kind both sides carry
-    differs in dimension.
+    is the centre distance over ``motion_scale`` (pixels, > 0); appearance
+    the cosine cost 1 - <p, q> averaged over the kinds a pair shares, with
+    ``cfg``'s lambda_* weights renormalized over them (motion alone if
+    none). ``cfg.w_app`` and ``w_mot`` weigh the two terms and ``gate_g``
+    gates their sum. One (T x d)(d x D) product per kind. Raises ValueError
+    when a kind both sides carry differs in dimension.
     """
     T, D = len(trk_xy), len(det_xy)
 
     acc = total_w = 0.0  # scalars until a kind both sides carry adds its (T, D) terms
-    for kind, w in zip(FEATURE_KINDS, cfg.feature_weights):
+    for kind, w in zip(FEATURE_KINDS, (cfg.lambda_cls, cfg.lambda_reg, cfg.lambda_head)):
         if w == 0.0 or kind not in trk_feats or kind not in det_feats:
             continue
         (p, has_p), (q, has_q) = trk_feats[kind], det_feats[kind]
@@ -66,7 +67,7 @@ def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: Ass
     # centres far apart cost inf (nan at w_mot = 0), which the gate rejects
     with np.errstate(over="ignore", invalid="ignore"):
         dx, dy = trk_xy[:, :1] - det_xy[:, 0], trk_xy[:, 1:] - det_xy[:, 1]
-        motion = np.hypot(dx, dy) / cfg.motion_scale
+        motion = np.hypot(dx, dy) / motion_scale
         values = cfg.w_app * app + cfg.w_mot * motion
     return CostMatrix(values=values, gate_mask=values <= cfg.gate_g)
 

@@ -17,7 +17,6 @@ import gc
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -25,8 +24,7 @@ import numpy as np
 
 # the library modules a verb runs are imported by that verb, when it runs
 from . import dataio
-from .config import (EVAL_IOU_THRESHOLD, IMAGE_HEIGHT, IMAGE_WIDTH, METHODS, SCENE_SEED, AssignConfig,
-                     AssociationConfig, KalmanConfig, LiftingConfig, TrackerConfig)
+from .config import METHODS, RunConfig
 from .geometry import BBox
 
 if TYPE_CHECKING:
@@ -39,53 +37,6 @@ INTERNAL_ERROR = 3
 
 class ConfigError(ValueError):
     """Bad configuration file or key."""
-
-
-def _key(default, help_text: str):
-    """A RunConfig field: its default, and its help line for --help."""
-    return dataclasses.field(default=default, metadata={"help": help_text})
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Every tunable of the pipeline.
-
-    The fields are the only list of config keys: the config file, the
-    per-key flags and --help all read them. Each default is read from the
-    library config or constant that owns the key; only ``motion_scale``
-    (0 is the image diagonal) states its own.
-    """
-
-    # association
-    w_app: float = _key(AssociationConfig.w_app, "appearance weight in the association cost")
-    w_mot: float = _key(AssociationConfig.w_mot, "motion weight in the association cost")
-    lambda_cls: float = _key(AssociationConfig.feature_weights[0], "weight of the classification-branch feature")
-    lambda_reg: float = _key(AssociationConfig.feature_weights[1], "weight of the regression-branch feature")
-    lambda_head: float = _key(AssociationConfig.feature_weights[2], "weight of the head-branch feature")
-    gate_g: float = _key(AssociationConfig.gate_g, "gating threshold on the combined association cost")
-    motion_scale: float = _key(0.0, "pixel normalizer for motion cost; 0 uses the image diagonal")
-    # tracker lifecycle
-    patience_w: int = _key(TrackerConfig.patience_w, "frames a track survives without a match")
-    min_hits: int = _key(TrackerConfig.min_hits, "matches required before a track is emitted")
-    init_score_min: float = _key(TrackerConfig.init_score_min, "confidence threshold for spawning new tracks")
-    descriptor_momentum: float = _key(TrackerConfig.descriptor_momentum, "EMA momentum for track descriptors")
-    emit_predictions: bool = _key(TrackerConfig.emit_predictions, "also emit predicted boxes while a track coasts")
-    # kalman
-    h_min: float = _key(KalmanConfig.h_min, "lower clamp on the filtered target height")
-    # gap filling
-    se3_process_std: float = _key(LiftingConfig.process_std, "process noise std of the se3_kalman centre smoother")
-    se3_meas_std: float = _key(LiftingConfig.meas_std, "measurement noise std of the se3_kalman centre smoother")
-    # label assignment
-    alpha: float = _key(AssignConfig.alpha, "IoU-cost weight in the assignment cost")
-    beta: float = _key(AssignConfig.beta, "positional penalty outside the center region")
-    eps_iou: float = _key(AssignConfig.eps_iou, "epsilon inside the -log(IoU + eps) cost")
-    q_topk: int = _key(AssignConfig.q_topk, "candidates summed for the dynamic-k rule")
-    # evaluation
-    iou_threshold: float = _key(EVAL_IOU_THRESHOLD, "IoU threshold for evaluation matching")
-    # scene geometry / determinism
-    image_width: float = _key(IMAGE_WIDTH, "image width in pixels")
-    image_height: float = _key(IMAGE_HEIGHT, "image height in pixels")
-    seed: int = _key(SCENE_SEED, "PRNG seed for the scene generator")
 
 
 def _coerce(name: str, target_type, raw: str):
@@ -140,37 +91,9 @@ def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     return RunConfig(**values)
 
 
-def tracker_config(cfg: RunConfig) -> TrackerConfig:
-    for key in ("image_width", "image_height"):
-        if not getattr(cfg, key) > 0.0:
-            raise ConfigError(f"key {key}: expected > 0, got {getattr(cfg, key)}")
-    scale = cfg.motion_scale
-    if scale < 0.0:
-        raise ConfigError(f"key motion_scale: expected >= 0 (0 is the image diagonal), got {scale}")
-    if scale == 0.0:
-        scale = float(np.hypot(cfg.image_width, cfg.image_height))
-    if cfg.w_app < 0.0 or cfg.w_mot < 0.0 or cfg.w_app + cfg.w_mot <= 0.0:
-        raise ConfigError("key w_app, w_mot: need w_app, w_mot >= 0 with a positive sum")
-    for key in ("lambda_cls", "lambda_reg", "lambda_head"):
-        if getattr(cfg, key) < 0.0:
-            raise ConfigError(f"key {key}: feature weights must be non-negative")
-    if cfg.gate_g <= 0.0:
-        raise ConfigError(f"key gate_g: gate must be positive, got {cfg.gate_g}")
-    return TrackerConfig(
-        patience_w=cfg.patience_w,
-        init_score_min=cfg.init_score_min,
-        min_hits=cfg.min_hits,
-        emit_predictions=cfg.emit_predictions,
-        descriptor_momentum=cfg.descriptor_momentum,
-        assoc=AssociationConfig(
-            w_app=cfg.w_app,
-            w_mot=cfg.w_mot,
-            feature_weights=(cfg.lambda_cls, cfg.lambda_reg, cfg.lambda_head),
-            gate_g=cfg.gate_g,
-            motion_scale=scale,
-        ),
-        noise=KalmanConfig(h_min=cfg.h_min),
-    )
+def tracker_config(cfg: RunConfig) -> RunConfig:
+    """The config a ``tracker.Tracker`` takes: ``cfg`` itself, range-checked when it was built."""
+    return cfg
 
 
 # -- verbs ---------------------------------------------------------------------
@@ -196,7 +119,7 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
         raise ConfigError(f"{dets_path}: {exc}") from None
     except ValueError as exc:  # parse_mot checked the boxes, so a sidecar record
         raise ConfigError(f"{features_path}: {exc}") from None
-    tracking = tracker.Tracker(tracker_config(cfg))
+    tracking = tracker.Tracker(cfg)
     emitted = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, 4)))]  # each step's frame, id, box columns
     f = 1
     for busy in frames:
@@ -261,10 +184,7 @@ def cmd_interpolate(args, cfg: RunConfig) -> int:
     _refuse_overwrite(args.out, "filled rows", [("--config", args.config, "settings")])  # --input may be --out
     table = _located(args.input, lambda: dataio.parse_mot(args.input))
     _located(args.input, lambda: dataio.check_unique_ids(table))
-    for key in ("se3_process_std", "se3_meas_std"):  # LiftingConfig checks each std alone
-        _located(f"key {key}", lambda: LiftingConfig(**{key.removeprefix("se3_"): getattr(cfg, key)}))
-    lcfg = LiftingConfig(process_std=cfg.se3_process_std, meas_std=cfg.se3_meas_std)
-    filled, skipped = _located(args.input, lambda: lifting.complete(table, args.method, lcfg))
+    filled, skipped = _located(args.input, lambda: lifting.complete(table, args.method, cfg))
     for gap in skipped:
         print(f"track {gap.id}: gap {gap.before + 1}-{gap.after - 1} left unfilled: {gap.reason}", file=sys.stderr)
     dataio.write_mot(args.out, filled)
@@ -307,7 +227,7 @@ def parse_scene_spec(path, cfg: RunConfig, flags=()) -> tuple[SceneSpec, list[st
     ``occlusion`` lists the windows as tid:start-end;... in place of the ``occlusions``
     field. A RunConfig key takes ``cfg``'s value when it is in ``flags``, the keys given on
     the command line, or when the spec leaves it out and ``cfg``'s value is not the
-    default; an out-of-range value of such a key is reported by key, any other by file.
+    default; ``cfg`` checked the range of those values, so an out-of-range field names the file.
     """
     from .simulate import SceneSpec
     parsers = _parsers(SceneSpec)
@@ -318,11 +238,7 @@ def parse_scene_spec(path, cfg: RunConfig, flags=()) -> tuple[SceneSpec, list[st
     from_cfg = [f.name for f in dataclasses.fields(RunConfig) if f.name in parsers and (
         f.name in flags or (f.name not in spec and getattr(cfg, f.name) != f.default))]
     kwargs = {"occlusions": spec.pop("occlusion", ()), **spec, **{key: getattr(cfg, key) for key in from_cfg}}
-    try:
-        return SceneSpec(**kwargs), from_cfg
-    except ValueError as exc:  # a field's message starts with its name
-        name = str(exc).split(" ", 1)[0]
-        raise ConfigError(f"key {name}: {exc}" if name in from_cfg else f"{path}: {exc}") from None
+    return _located(path, lambda: SceneSpec(**kwargs)), from_cfg
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
@@ -334,7 +250,11 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     spec, from_cfg = parse_scene_spec(args.spec, cfg, flags=vars(args))  # unset flags are not in args
     sized = [key for key in ("image_width", "image_height") if key in from_cfg]  # a failure names them too
     where = f"key {', '.join(sized)} and {args.spec}" if sized else args.spec
-    scene = _located(where, lambda: simulate.generate_scene(spec))
+    try:
+        scene = _located(where, lambda: simulate.generate_scene(spec))
+    except MemoryError:  # more frames or targets than the arrays can hold
+        size = f"targets = {spec.targets}, frames = {spec.frames}"
+        raise ConfigError(f"{where}: the scene does not fit in memory ({size})") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_mot(out_dir / "gt.txt", scene.gt)
     dataio.write_mot(out_dir / "det.txt", scene.detections)
@@ -391,9 +311,8 @@ def parse_assign_scene(path) -> tuple[list, list]:
 def cmd_assign(args, cfg: RunConfig) -> int:
     from . import label_assign
     anchors, gts = _located(args.scene, lambda: parse_assign_scene(args.scene))
-    acfg = AssignConfig(alpha=cfg.alpha, beta=cfg.beta, eps_iou=cfg.eps_iou, q_topk=cfg.q_topk)
-    cost, ious, fg = label_assign.assign_tables(anchors, gts, acfg)
-    positives = label_assign.dynamic_k_match(cost, ious, fg, acfg)
+    cost, ious, fg = label_assign.assign_tables(anchors, gts, cfg)
+    positives = label_assign.dynamic_k_match(cost, ious, fg, cfg)
     print("gt anchor cost iou")
     for g, selected in enumerate(positives):
         if not selected:

@@ -13,10 +13,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import KalmanConfig
+from .config import MEAS_STD_WEIGHT, RunConfig
 
 STATE_DIM = 8
 MEAS_DIM = 4
+# noise stds per unit of target height of position-like terms and of velocities; the measurement
+# weight, MEAS_STD_WEIGHT, lives in config because the range of h_min depends on it
+POS_STD_WEIGHT = 1.0 / 20
+VEL_STD_WEIGHT = 1.0 / 160
 
 
 class FilterDivergence(RuntimeError):
@@ -61,25 +65,25 @@ class IteratedResult(NamedTuple):
     converged: bool
 
 
-def constant_velocity_model(h: float, cfg: KalmanConfig = KalmanConfig()) -> KalmanModel:
-    """Build F, H, Q, R for a target of height ``h``."""
-    h = max(float(h), cfg.h_min)
-    pos = cfg.pos_std_weight * h
-    vel = cfg.vel_std_weight * h
-    meas = cfg.meas_std_weight * h
+def constant_velocity_model(h: float, h_min: float = RunConfig.h_min) -> KalmanModel:
+    """Build F, H, Q, R for a target of height ``h``, clamped to ``h_min``."""
+    h = max(float(h), h_min)
+    pos = POS_STD_WEIGHT * h
+    vel = VEL_STD_WEIGHT * h
+    meas = MEAS_STD_WEIGHT * h
     Q = np.diag([pos**2] * MEAS_DIM + [vel**2] * MEAS_DIM)
     R = np.diag([meas**2] * MEAS_DIM)
     F = np.eye(STATE_DIM) + np.eye(STATE_DIM, k=MEAS_DIM)  # each coordinate plus its velocity
     return KalmanModel(F=F, H=np.eye(MEAS_DIM, STATE_DIM), Q=Q, R=R)
 
 
-def initiate(z: np.ndarray, cfg: KalmanConfig = KalmanConfig()) -> KalmanState:
+def initiate(z: np.ndarray, h_min: float = RunConfig.h_min) -> KalmanState:
     """Start a filter from a first measurement (u, v, a, h).
 
     Velocities are unobserved at birth, so their variance is inflated:
     2x the measurement std on position terms, 10x on velocity terms.
     """
-    x, ((p, c, v),) = initiate_rows(np.asarray(z, dtype=float)[None], cfg)
+    x, ((p, c, v),) = initiate_rows(np.asarray(z, dtype=float)[None], h_min)
     return KalmanState(x=x[0], P=np.kron([[p, c], [c, v]], np.eye(MEAS_DIM)))
 
 
@@ -97,7 +101,7 @@ def _state(x: np.ndarray, P: np.ndarray, h_min: float) -> KalmanState:
     return KalmanState(x=x, P=P)
 
 
-def predict(state: KalmanState, model: KalmanModel, h_min: float = KalmanConfig.h_min) -> KalmanState:
+def predict(state: KalmanState, model: KalmanModel, h_min: float = RunConfig.h_min) -> KalmanState:
     """Propagate one frame: x' = F x, P' = F P F^T + Q."""
     with np.errstate(invalid="ignore", over="ignore"):
         x = model.F @ state.x
@@ -117,7 +121,7 @@ def _gain(P: np.ndarray, model: KalmanModel) -> np.ndarray:
     return scipy.linalg.cho_solve(chol, model.H @ P.T).T
 
 
-def update(state: KalmanState, z: np.ndarray, model: KalmanModel, h_min: float = KalmanConfig.h_min) -> KalmanState:
+def update(state: KalmanState, z: np.ndarray, model: KalmanModel, h_min: float = RunConfig.h_min) -> KalmanState:
     """Standard measurement update with (u, v, a, h) observation ``z``."""
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
@@ -134,7 +138,7 @@ def iterated_update(
     model: KalmanModel,
     h_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     cfg: IteratedUpdateConfig = IteratedUpdateConfig(),
-    h_min: float = KalmanConfig.h_min,
+    h_min: float = RunConfig.h_min,
 ) -> IteratedResult:
     """Measurement update that re-evaluates the residual around the corrected state.
 
@@ -188,42 +192,42 @@ def iterated_update(
 Rows = tuple[np.ndarray, np.ndarray]
 
 
-def initiate_rows(z: np.ndarray, cfg: KalmanConfig) -> Rows:
-    """The filters started from the (N, 4) measurements ``z``: states and (p, c, v)."""
-    h = np.maximum(z[:, 3], cfg.h_min)
+def initiate_rows(z: np.ndarray, h_min: float) -> Rows:
+    """The filters started from the (N, 4) measurements ``z``, heights clamped to ``h_min``: states and (p, c, v)."""
+    h = np.maximum(z[:, 3], h_min)
     with np.errstate(over="ignore"):  # a height near 1e308 starts with an inf variance
         pos2, vel2 = np.float_power(
-            [2.0 * cfg.meas_std_weight * h, 10.0 * cfg.vel_std_weight * h], 2
+            [2.0 * MEAS_STD_WEIGHT * h, 10.0 * VEL_STD_WEIGHT * h], 2
         )
     x = np.hstack([z[:, :3], h[:, None], np.zeros((len(z), MEAS_DIM))])
     return x, np.column_stack([pos2, np.zeros(len(z)), vel2])
 
 
-def predict_rows(x: np.ndarray, pcv: np.ndarray, cfg: KalmanConfig) -> Rows:
+def predict_rows(x: np.ndarray, pcv: np.ndarray, h_min: float) -> Rows:
     """``predict`` of each row with its own model; a p rounded below 0 becomes 0."""
-    h = np.maximum(x[:, 3], cfg.h_min)
+    h = np.maximum(x[:, 3], h_min)
     p, c, v = pcv[:, 0], pcv[:, 1], pcv[:, 2]
     x_out, pcv_out = x.copy(), np.empty_like(pcv)
     x_out[:, :MEAS_DIM] += x[:, MEAS_DIM:]
-    np.maximum(x_out[:, 3], cfg.h_min, out=x_out[:, 3])
+    np.maximum(x_out[:, 3], h_min, out=x_out[:, 3])
     pp = np.add(p, c, out=pcv_out[:, 0])
     pp += np.add(c, v, out=pcv_out[:, 1])
-    pp += np.float_power(cfg.pos_std_weight * h, 2)
+    pp += np.float_power(POS_STD_WEIGHT * h, 2)
     np.maximum(pp, 0.0, out=pp)
-    np.add(v, np.float_power(cfg.vel_std_weight * h, 2), out=pcv_out[:, 2])
+    np.add(v, np.float_power(VEL_STD_WEIGHT * h, 2), out=pcv_out[:, 2])
     return x_out, pcv_out
 
 
-def update_rows(x: np.ndarray, pcv: np.ndarray, z: np.ndarray, cfg: KalmanConfig) -> Rows:
+def update_rows(x: np.ndarray, pcv: np.ndarray, z: np.ndarray, h_min: float) -> Rows:
     """``update`` of each row by its row of ``z``; S = p + r >= (meas * h_min)^2 > 0."""
     p, c, v = pcv[:, 0], pcv[:, 1], pcv[:, 2]
-    il = 1 / np.sqrt(p + np.float_power(cfg.meas_std_weight * np.maximum(x[:, 3], cfg.h_min), 2))
+    il = 1 / np.sqrt(p + np.float_power(MEAS_STD_WEIGHT * np.maximum(x[:, 3], h_min), 2))
     k_pos, k_vel = p * il * il, c * il * il
     y = z - x[:, :MEAS_DIM]
     x_out, pcv_out = x.copy(), np.empty_like(pcv)
     x_out[:, :MEAS_DIM] += k_pos[:, None] * y
     x_out[:, MEAS_DIM:] += k_vel[:, None] * y
-    np.maximum(x_out[:, 3], cfg.h_min, out=x_out[:, 3])
+    np.maximum(x_out[:, 3], h_min, out=x_out[:, 3])
     kept = 1 - k_pos
     np.multiply(kept, p, out=pcv_out[:, 0])
     c_post = np.multiply(kept, c, out=pcv_out[:, 1])

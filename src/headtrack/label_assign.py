@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import geometry
-from .config import AssignConfig
+from .config import RunConfig
 from .geometry import BBox
 from .head import HeadKeypoint
 
@@ -90,7 +90,7 @@ def bce(p: float, y: float) -> float:
 
 
 def assign_tables(
-    anchors: list[Anchor], gts: list[GtInstance], cfg: AssignConfig = AssignConfig()
+    anchors: list[Anchor], gts: list[GtInstance], cfg: RunConfig = RunConfig()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, G) matching costs, ``iou_matrix`` and foreground mask, from one IoU and region pass.
 
@@ -119,7 +119,7 @@ def dynamic_k_match(
     cost: np.ndarray,
     ious: np.ndarray,
     fg: np.ndarray,
-    cfg: AssignConfig = AssignConfig(),
+    cfg: RunConfig = RunConfig(),
 ) -> list[list[int]]:
     """Per-target positive anchor sets.
 

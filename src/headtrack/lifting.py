@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import METHODS, LiftingConfig
+from .config import METHODS, RunConfig
 from .dataio import MotTable
 from .geometry import bad_boxes, check_boxes
 
@@ -148,7 +148,7 @@ def interpolate_se3(T1: Pose3, T2: Pose3, omega: float) -> Pose3:
 def complete(
     table: MotTable,
     method: str,
-    cfg: LiftingConfig = LiftingConfig(),
+    cfg: RunConfig = RunConfig(),
 ) -> tuple[MotTable, list[TrajectoryGap]]:
     """Fill the internal frame gaps of every track of ``table``.
 
@@ -158,14 +158,26 @@ def complete(
     a ``se3_linear`` gap whose heading turns by pi. Leading and trailing
     absences have no second anchor and are never filled; observed rows
     pass through untouched. A failure raises ValueError naming the first
-    failing track by id, and within it the first fault in frame order.
+    failing track by id, and within it the first fault in frame order;
+    running out of memory names the track with the longest gap.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     order = np.lexsort((table.frame, table.id))
     ids, frames, box = table.id[order], table.frame[order], table.box[order]
-    centres = box[:, :2] + 0.5 * box[:, 2:]
     gaps = np.flatnonzero((ids[1:] == ids[:-1]) & (frames[1:] - frames[:-1] > 1))  # row before each gap
+    try:
+        filled, skipped = _fill(ids, frames, box, gaps, method, cfg)
+        return MotTable.concat([table, filled]), skipped
+    except MemoryError:  # a gap's rows, or a track's smoother frames, do not fit
+        i = gaps[(frames[gaps + 1] - frames[gaps]).argmax()]
+        raise ValueError(
+            f"track {ids[i]}: not enough memory to fill frames {frames[i] + 1}-{frames[i + 1] - 1}") from None
+
+
+def _fill(ids, frames, box, gaps, method: str, cfg: RunConfig) -> tuple[MotTable, list[TrajectoryGap]]:
+    """``complete``'s filled rows and open gaps, from the rows sorted by id and frame and the row before each gap."""
+    centres = box[:, :2] + 0.5 * box[:, 2:]
     c, skipped, error = [], [], None  # c: the filled rows' centres, until a failure stops se3_*
     try:
         if method == "se3_kalman":  # every track of two rows or more, in id order
@@ -208,7 +220,7 @@ def complete(
         raise ValueError(f"track {ids[lo[bad_boxes(filled).argmax()]]}: {exc}") from None
     if error is not None:
         raise ValueError(error)
-    return MotTable.concat([table, MotTable(frames[lo] + step, ids[lo], filled)]), skipped
+    return MotTable(frames[lo] + step, ids[lo], filled), skipped
 
 
 def _heading_pose(centres: np.ndarray, idx: int) -> Pose3:
@@ -224,7 +236,7 @@ def _heading_pose(centres: np.ndarray, idx: int) -> Pose3:
     return Pose3(R=R, t=np.append(cur, 0.0))
 
 
-def _centre_smoother(frames: list[int], centres: list, cfg: LiftingConfig) -> list[tuple[float, float]]:
+def _centre_smoother(frames: list[int], centres: list, cfg: RunConfig) -> list[tuple[float, float]]:
     """RTS-smoothed box centres at the frames a track misses.
 
     A constant-velocity Kalman filter over (position, velocity) runs
@@ -239,8 +251,8 @@ def _centre_smoother(frames: list[int], centres: list, cfg: LiftingConfig) -> li
     last that ``frames`` lacks, in frame order. Raises ValueError on a
     singular covariance, which zero process and measurement noise give.
     """
-    q = cfg.process_std**2
-    r = cfg.meas_std**2
+    q = cfg.se3_process_std**2
+    r = cfg.se3_meas_std**2
     first = frames[0]
     n = frames[-1] - first + 1
     obs: list = [None] * n

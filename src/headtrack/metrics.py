@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 import numpy as np
 
 from .association import CostMatrix, linear_sum_assignment, solve_assignment
-from .config import EVAL_IOU_THRESHOLD
+from .config import RunConfig
 from .geometry import iou_matrix, iou_pairs
 
 if TYPE_CHECKING:
@@ -69,7 +69,7 @@ class EvalTables:
             yield FrameRows(frame, _frame_rows(self.gt, frame), _frame_rows(self.hyp, frame))
 
 
-def evaluate(tables: EvalTables, iou_threshold: float = EVAL_IOU_THRESHOLD) -> EvalReport:
+def evaluate(tables: EvalTables, iou_threshold: float = RunConfig.iou_threshold) -> EvalReport:
     """Score the hypothesis table of ``tables`` against its ground-truth table.
 
     A pair matches when its IoU is at least ``iou_threshold``. Each frame

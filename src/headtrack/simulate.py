@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .association import UNIT_NORM_TOL, row_norms
-from .config import IMAGE_HEIGHT, IMAGE_WIDTH, SCENE_SEED
+from .config import RunConfig
 from .dataio import Descriptors, MotTable
 from .geometry import check_boxes, iou_matrix
 
@@ -34,13 +34,13 @@ class SceneSpec:
     targets: int = 10
     motion: str = "crossing"
     frames: int = 100
-    image_width: float = IMAGE_WIDTH
-    image_height: float = IMAGE_HEIGHT
+    image_width: float = RunConfig.image_width
+    image_height: float = RunConfig.image_height
     box_height: float = 80.0
     noise_std: float = 0.0
     feat_noise_std: float = 0.0
     descriptor_dim: Optional[int] = None
-    seed: int = SCENE_SEED
+    seed: int = RunConfig.seed
     occlusions: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kalman
 from .association import build_cost_matrix, row_norms, solve_assignment
-from .config import FEATURE_KINDS, TrackerConfig
+from .config import FEATURE_KINDS, RunConfig
 from .geometry import BBox, check_boxes
 
 if TYPE_CHECKING:  # the row view, loaded where a batch is iterated
@@ -110,13 +110,15 @@ class Tracker:
     where absent; N mask)). ``spawned`` is the last id handed out.
     """
 
-    def __init__(self, cfg: TrackerConfig = TrackerConfig()):
+    def __init__(self, cfg: RunConfig = RunConfig()):
         self.cfg = cfg
+        # the pixel normalizer of motion costs: a motion_scale of 0 is the image diagonal
+        self.motion_scale = cfg.motion_scale or float(np.hypot(cfg.image_width, cfg.image_height))
         self.ids, self.spawned = np.zeros(0, dtype=int), 0
         self.x, self.pcv = np.zeros((0, kalman.STATE_DIM)), np.zeros((0, 3))
         self.hits, self.misses = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
         self.feats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._weights = dict(zip(FEATURE_KINDS, cfg.assoc.feature_weights))
+        self._weights = dict(zip(FEATURE_KINDS, (cfg.lambda_cls, cfg.lambda_reg, cfg.lambda_head)))
         self._last_frame: Optional[int] = None
 
     @property
@@ -149,17 +151,17 @@ class Tracker:
             return Emissions(np.zeros(0, dtype=int), np.zeros((0, 4)))
         cfg = self.cfg
 
-        self.x, self.pcv = kalman.predict_rows(self.x, self.pcv, cfg.noise)
+        self.x, self.pcv = kalman.predict_rows(self.x, self.pcv, cfg.h_min)
         if not math.isfinite(self.x.sum() + self.pcv.sum()):  # a finite sum has finite terms only
             self._keep(np.isfinite(self.x).all(axis=1) & np.isfinite(self.pcv).all(axis=1))
 
         z = measurements(detections.boxes)
         det_feats = {kind: f for kind, f in detections.feats.items() if self._weights[kind]}
-        cost = build_cost_matrix(self.x[:, :2], self.feats, z[:, :2], det_feats, cfg.assoc)
+        cost = build_cost_matrix(self.x[:, :2], self.feats, z[:, :2], det_feats, cfg, self.motion_scale)
         rows, cols = solve_assignment(cost).T
 
         if rows.size:
-            self.x[rows], self.pcv[rows] = kalman.update_rows(self.x[rows], self.pcv[rows], z[cols], cfg.noise)
+            self.x[rows], self.pcv[rows] = kalman.update_rows(self.x[rows], self.pcv[rows], z[cols], cfg.h_min)
         self._blend(rows, det_feats, cols)
         self.misses += 1
         self.misses[rows] = 0
@@ -223,7 +225,7 @@ class Tracker:
             self.feats[kind] = (np.vstack([m, q[fresh]]), np.concatenate([has, has_q[fresh]]))
         self.ids = np.append(self.ids, np.arange(self.spawned + 1, self.spawned + 1 + len(fresh)))
         self.spawned += len(fresh)
-        x, pcv = kalman.initiate_rows(z[fresh], self.cfg.noise)
+        x, pcv = kalman.initiate_rows(z[fresh], self.cfg.h_min)
         self.x, self.pcv = np.vstack([self.x, x]), np.vstack([self.pcv, pcv])
         self.hits = np.append(self.hits, np.ones(len(fresh), dtype=int))
         self.misses = np.append(self.misses, np.zeros(len(fresh), dtype=int))

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from headtrack.config import AssignConfig
+from headtrack.config import RunConfig
 from headtrack.geometry import BBox, iou
 from headtrack.label_assign import CENTER_RADIUS_STRIDES, Anchor, GtInstance, bce
 
@@ -44,14 +44,14 @@ def iou_cost(pred: BBox, gt: BBox, eps_iou: float) -> float:
     return -math.log(iou(pred, gt) + eps_iou)
 
 
-def assign_cost(anchor: Anchor, gt: GtInstance, cfg: AssignConfig) -> float:
+def assign_cost(anchor: Anchor, gt: GtInstance, cfg: RunConfig) -> float:
     cost = bce(anchor.pred_cls, 1.0) + cfg.alpha * iou_cost(anchor.pred_box, gt.box, cfg.eps_iou)
     if not in_center_region(anchor, gt):
         cost += cfg.beta
     return cost
 
 
-def assign_cost_matrix(anchors: list[Anchor], gts: list[GtInstance], cfg: AssignConfig) -> np.ndarray:
+def assign_cost_matrix(anchors: list[Anchor], gts: list[GtInstance], cfg: RunConfig) -> np.ndarray:
     cost = np.empty((len(anchors), len(gts)))
     for i, a in enumerate(anchors):
         for j, g in enumerate(gts):

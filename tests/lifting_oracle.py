@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from headtrack import lifting
-from headtrack.config import METHODS, LiftingConfig
+from headtrack.config import METHODS, RunConfig
 from headtrack.dataio import MotTable
 from headtrack.geometry import BBox
 from headtrack.lifting import Pose3, se3_exp, se3_log
@@ -34,7 +34,7 @@ class Gap:
     reason: str = ""
 
 
-def complete_track(points, method, cfg=LiftingConfig()):
+def complete_track(points, method, cfg=RunConfig()):
     """The library's ``complete`` on a table of one track's (frame, BBox) points.
 
     Returns the filled points by frame and the open gaps.
@@ -44,7 +44,7 @@ def complete_track(points, method, cfg=LiftingConfig()):
     return sorted(((row.frame, row.box) for row in filled), key=lambda p: p[0]), skipped
 
 
-def interpolate(table: MotTable, method: str, cfg: LiftingConfig = LiftingConfig()):
+def interpolate(table: MotTable, method: str, cfg: RunConfig = RunConfig()):
     """The filled table and the open gaps as (track id, Gap) pairs; an error names its track."""
     frames, boxes = table.frame.tolist(), list(map(BBox, *table.box.T.tolist()))
     filled_rows, skipped = [], []
@@ -62,7 +62,7 @@ def interpolate(table: MotTable, method: str, cfg: LiftingConfig = LiftingConfig
 
 
 @_quiet
-def complete(points, method, cfg=LiftingConfig()):
+def complete(points, method, cfg=RunConfig()):
     """Fill the internal frame gaps of one trajectory of (frame, bbox) points."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -131,8 +131,8 @@ def _heading_pose(pts, idx):
 
 def _centre_smoother(pts, cfg):
     """RTS-smoothed box centres for every frame spanned by the trajectory, indexed by frame minus the first."""
-    q = cfg.process_std**2
-    r = cfg.meas_std**2
+    q = cfg.se3_process_std**2
+    r = cfg.se3_meas_std**2
     first = pts[0][0]
     n = pts[-1][0] - first + 1
     obs = [None] * n

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from headtrack.association import CostMatrix, linear_sum_assignment, solve_assignment
-from headtrack.config import EVAL_IOU_THRESHOLD
+from headtrack.config import RunConfig
 from headtrack.dataio import MotTable
 from headtrack.geometry import BBox, iou_matrix
 from headtrack.metrics import EvalReport
@@ -48,7 +48,7 @@ def _xywh(pairs: list[tuple[int, BBox]]) -> np.ndarray:
     return np.array([(b.x, b.y, b.w, b.h) for _, b in pairs], dtype=float).reshape(-1, 4)
 
 
-def evaluate(frames: list[EvalFrame], iou_threshold: float = EVAL_IOU_THRESHOLD) -> EvalReport:
+def evaluate(frames: list[EvalFrame], iou_threshold: float = RunConfig.iou_threshold) -> EvalReport:
     """Score a hypothesis stream against ground truth.
 
     Raises ValueError when the ground truth is empty (MOTA undefined) or

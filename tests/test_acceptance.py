@@ -58,7 +58,7 @@ def permutation_minimum(values, mask):
 def run_scene(spec, run_cfg):
     scene = simulate.generate_scene(spec)
     frames = dataio.split_frames(scene.detections, scene.descriptors)
-    tracker = Tracker(cli.tracker_config(run_cfg))
+    tracker = Tracker(run_cfg)
     hyp = {f: list(tracker.step(f, frames.get(f, []))) for f in range(1, spec.frames + 1)}
     gt = {}
     for l in scene.gt:
@@ -211,7 +211,7 @@ def test_c07_patience_contract():
         for _ in range(2):
             scene = simulate.generate_scene(spec)
             frames = dataio.split_frames(scene.detections)
-            tracker = Tracker(cli.tracker_config(cfg))
+            tracker = Tracker(cfg)
             emitted = {
                 f: list(tracker.step(f, frames.get(f, []))) for f in range(1, spec.frames + 1)
             }
@@ -224,7 +224,7 @@ def test_c07_patience_contract():
 
 def test_c08_gap_fill_exactness():
     with criterion(8, "linear2d exact on constant velocity; se3_linear agrees"):
-        cfg = lifting.LiftingConfig()
+        cfg = cli.RunConfig()
         truth = []
         for f in range(1, 21):
             cx, cy = 100 + 4.0 * f, 700 - 3.0 * f
@@ -247,7 +247,7 @@ def test_c08_gap_fill_exactness():
 def test_c09_label_assignment_penalty_and_dynamic_k():
     with criterion(9, "beta penalty excludes outside anchors; dynamic-k oracle"):
         rng = np.random.default_rng(1009)
-        cfg = label_assign.AssignConfig(beta=1e5)
+        cfg = cli.RunConfig(beta=1e5)
         head = HeadKeypoint(0.0, 0.0, 1.0)
         for _ in range(100):
             # stride-8 anchor grid over a 256px tile, detector-style

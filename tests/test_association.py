@@ -10,16 +10,25 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from headtrack import association
 from headtrack.association import (
     FEATURE_KINDS,
-    AssociationConfig,
     CostMatrix,
     build_cost_matrix,
     solve_assignment,
 )
+from headtrack.config import RunConfig
 from headtrack.geometry import BBox
 from headtrack.head import HeadKeypoint, gaussian_weighted_descriptor
 from headtrack.kalman import KalmanState
 from headtrack.rows import AppearanceDescriptor
 from square_oracle import square_solve
+
+
+def lambdas(cls, reg, head):
+    """The RunConfig keys of per-kind feature weights, given in FEATURE_KINDS order."""
+    return dict(lambda_cls=cls, lambda_reg=reg, lambda_head=head)
+
+
+def feature_weights(cfg):
+    return cfg.lambda_cls, cfg.lambda_reg, cfg.lambda_head
 
 
 def unit(*vals):
@@ -156,7 +165,7 @@ def reference_cost_matrix(tracks, detections, cfg):
             dv = trk.kf.x[1] - det.bbox.cy
             c_mot = float(np.hypot(du, dv)) / cfg.motion_scale
             acc = total_w = 0.0
-            for kind, w in zip(FEATURE_KINDS, cfg.feature_weights):
+            for kind, w in zip(FEATURE_KINDS, feature_weights(cfg)):
                 a = getattr(trk.descriptor, kind, None)
                 b = getattr(det.descriptor, kind, None)
                 if a is None or b is None or w == 0.0:
@@ -188,7 +197,7 @@ class FakeDet:
 def stacked(descriptors, cfg):
     """Each weighted kind some descriptor carries: (matrix, presence mask), zero where one lacks it."""
     feats = {}
-    for kind, w in zip(FEATURE_KINDS, cfg.feature_weights):
+    for kind, w in zip(FEATURE_KINDS, feature_weights(cfg)):
         vecs = [None if d is None else getattr(d, kind) for d in descriptors]
         dims = {len(v) for v in vecs if v is not None}
         if w and dims:
@@ -204,18 +213,18 @@ def cost_matrix(tracks, detections, cfg):
     det_xy = np.array([(d.bbox.cx, d.bbox.cy) for d in detections], dtype=float).reshape(-1, 2)
     trk_feats = stacked([t.descriptor for t in tracks], cfg)
     det_feats = stacked([d.descriptor for d in detections], cfg)
-    return build_cost_matrix(trk_xy, trk_feats, det_xy, det_feats, cfg)
+    return build_cost_matrix(trk_xy, trk_feats, det_xy, det_feats, cfg, cfg.motion_scale)
 
 
 def appearance_term(track_desc, det_desc, weights=(1.0, 0.0, 0.0)):
     """The appearance cost of one co-located pair, read through build_cost_matrix."""
-    cfg = AssociationConfig(w_app=1.0, w_mot=0.0, feature_weights=weights, gate_g=1e9)
+    cfg = RunConfig(w_app=1.0, w_mot=0.0, **lambdas(*weights), gate_g=1e9, motion_scale=1.0)
     cm = cost_matrix([FakeTrack(0, 0, track_desc)], [FakeDet(0, 0, det_desc)], cfg)
     return cm.values[0, 0]
 
 
 def motion_term(track, det, motion_scale):
-    cfg = AssociationConfig(w_app=0.0, w_mot=1.0, motion_scale=motion_scale, gate_g=1e9)
+    cfg = RunConfig(w_app=0.0, w_mot=1.0, motion_scale=motion_scale, gate_g=1e9)
     return cost_matrix([track], [det], cfg).values[0, 0]
 
 
@@ -263,7 +272,7 @@ class TestAppearanceCost:
 
     def test_no_common_kind_is_sentinel(self):
         # no shared kind: the pair costs the motion term alone
-        cfg = AssociationConfig(w_app=0.7, w_mot=0.3, motion_scale=1.0, gate_g=1e9)
+        cfg = RunConfig(w_app=0.7, w_mot=0.3, motion_scale=1.0, gate_g=1e9)
         a = AppearanceDescriptor(f_cls=unit(1, 0))
         b = AppearanceDescriptor(f_reg=unit(1, 0))
         cm = cost_matrix([FakeTrack(0, 0, a)], [FakeDet(3, 4, b)], cfg)
@@ -350,7 +359,7 @@ class TestBuildCostMatrix:
     )
     def test_far_centres_gated_out_without_warnings(self, w_mot, admissible, pairs):
         # centres near +-1e308 are legal; the distance of (0, 0) overflows to inf
-        cfg = AssociationConfig(w_app=1.0, w_mot=w_mot, motion_scale=10.0, gate_g=0.5)
+        cfg = RunConfig(w_app=1.0, w_mot=w_mot, motion_scale=10.0, gate_g=0.5)
         tracks = [FakeTrack(1e308, 1e308), FakeTrack(0, 0)]
         dets = [FakeDet(-1e308, -1e308), FakeDet(0, 0)]
         with warnings.catch_warnings():
@@ -360,7 +369,7 @@ class TestBuildCostMatrix:
         assert cm.gate_mask.tolist() == admissible
 
     def test_motion_only_when_w_app_zero(self):
-        cfg = AssociationConfig(w_app=0.0, w_mot=1.0, motion_scale=10.0, gate_g=100.0)
+        cfg = RunConfig(w_app=0.0, w_mot=1.0, motion_scale=10.0, gate_g=100.0)
         tracks = [FakeTrack(0, 0), FakeTrack(10, 0)]
         dets = [FakeDet(0, 0), FakeDet(10, 0)]
         cm = cost_matrix(tracks, dets, cfg)
@@ -370,7 +379,7 @@ class TestBuildCostMatrix:
                 assert cm.values[i, j] == pytest.approx(expected)
 
     def test_empty_inputs(self):
-        cfg = AssociationConfig()
+        cfg = RunConfig(motion_scale=1.0)
         cm = cost_matrix([], [FakeDet(0, 0)], cfg)
         assert cm.values.shape == (0, 1)
         assert solve_pairs(cm) == []
@@ -379,7 +388,7 @@ class TestBuildCostMatrix:
         assert solve_pairs(cm) == []
 
     def test_hand_built_two_by_two(self):
-        cfg = AssociationConfig(w_app=0.5, w_mot=0.5, motion_scale=1.0, gate_g=1e9)
+        cfg = RunConfig(w_app=0.5, w_mot=0.5, motion_scale=1.0, gate_g=1e9)
         e1, e2 = unit(1, 0), unit(0, 1)
         tracks = [FakeTrack(0, 0, AppearanceDescriptor(f_cls=e1)),
                   FakeTrack(10, 0, AppearanceDescriptor(f_cls=e2))]
@@ -392,14 +401,14 @@ class TestBuildCostMatrix:
         assert cm.values[1, 1] == pytest.approx(0.5 * 1.0 + 0.5 * 0.0)
 
     def test_missing_descriptor_falls_back_to_motion(self):
-        cfg = AssociationConfig(w_app=0.7, w_mot=0.3, motion_scale=1.0, gate_g=1e9)
+        cfg = RunConfig(w_app=0.7, w_mot=0.3, motion_scale=1.0, gate_g=1e9)
         tracks = [FakeTrack(0, 0, AppearanceDescriptor(f_cls=unit(1, 0)))]
         dets = [FakeDet(3, 4)]  # no descriptor
         cm = cost_matrix(tracks, dets, cfg)
         assert cm.values[0, 0] == pytest.approx(0.3 * 5.0)
 
     def test_gate_mask(self):
-        cfg = AssociationConfig(w_app=0.0, w_mot=1.0, motion_scale=1.0, gate_g=6.0)
+        cfg = RunConfig(w_app=0.0, w_mot=1.0, motion_scale=1.0, gate_g=6.0)
         cm = cost_matrix([FakeTrack(0, 0)], [FakeDet(3, 4), FakeDet(30, 40)], cfg)
         assert cm.gate_mask.tolist() == [[True, False]]
 
@@ -420,10 +429,10 @@ class TestBuildCostMatrix:
         for _ in range(300):
             T, D = (int(n) for n in rng.integers(0, 7, 2))
             weights = tuple(float(w) for w in rng.choice([0.0, 0.3, 1.0, 2.5], 3))
-            cfg = AssociationConfig(
+            cfg = RunConfig(
                 w_app=float(rng.choice([0.0, 0.4, 1.0])),
                 w_mot=float(rng.choice([0.2, 0.5, 1.0])),
-                feature_weights=weights,
+                **lambdas(*weights),
                 gate_g=float(rng.uniform(0.1, 2.0)),
                 motion_scale=float(rng.uniform(50.0, 500.0)),
             )
@@ -438,7 +447,7 @@ class TestBuildCostMatrix:
         assert checked > 1000
 
     def test_shared_weighted_dimension_mismatch_raises(self):
-        cfg = AssociationConfig(feature_weights=(0.5, 0.5, 0.0), gate_g=1e9)
+        cfg = RunConfig(**lambdas(0.5, 0.5, 0.0), gate_g=1e9, motion_scale=1.0)
         two = AppearanceDescriptor(f_cls=unit(1, 0), f_reg=unit(1, 0))
         three = AppearanceDescriptor(f_cls=unit(1, 0, 0), f_reg=unit(1, 0))
         with pytest.raises(ValueError, match="f_cls"):
@@ -449,7 +458,7 @@ class TestBuildCostMatrix:
         two = AppearanceDescriptor(f_cls=unit(1, 0), f_head=unit(0, 1))
         three_head = AppearanceDescriptor(f_cls=unit(1, 1), f_head=unit(1, 0, 0))
         reg_only = AppearanceDescriptor(f_reg=unit(1, 0, 0))
-        cfg = AssociationConfig(feature_weights=(0.5, 0.5, 0.0), gate_g=1e9)
+        cfg = RunConfig(**lambdas(0.5, 0.5, 0.0), gate_g=1e9, motion_scale=1.0)
         tracks = [FakeTrack(0, 0, two), FakeTrack(5, 0, three_head)]
         dets = [FakeDet(0, 0, two), FakeDet(4, 3, reg_only)]
         cm = cost_matrix(tracks, dets, cfg)
@@ -663,7 +672,7 @@ class TestSolveAssignment:
         values = np.ones((n, n))
         values[np.eye(n, dtype=bool)] = 0.5
         values[np.eye(n, k=-1, dtype=bool)] = 0.0
-        cm = CostMatrix(values=values, gate_mask=values <= AssociationConfig().gate_g)
+        cm = CostMatrix(values=values, gate_mask=values <= RunConfig().gate_g)
         assert solve_pairs(cm) == [(i, i) for i in range(n)]
         assert reference_solve(cm) == [(i, i) for i in range(n)]
 
@@ -793,12 +802,12 @@ class TestSolveAssignment:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        AssociationConfig(w_app=0.0, w_mot=0.0)
-    with pytest.raises(ValueError):
-        AssociationConfig(gate_g=0.0)
-    with pytest.raises(ValueError):
-        AssociationConfig(feature_weights=(-0.1, 0.5, 0.6))
+    with pytest.raises(ValueError, match="^key w_app, w_mot: "):
+        RunConfig(w_app=0.0, w_mot=0.0)
+    with pytest.raises(ValueError, match="^key gate_g: "):
+        RunConfig(gate_g=0.0)
+    with pytest.raises(ValueError, match="^key lambda_cls: "):
+        RunConfig(**lambdas(-0.1, 0.5, 0.6))
 
 
 class TestBlockSolve:

@@ -17,13 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headtrack import cli, dataio, label_assign, lifting, simulate, tracker
-from headtrack.association import AssociationConfig
 from headtrack.dataio import parse_mot, read_descriptors, write_descriptors
 from headtrack.geometry import BBox
 from headtrack.head import HeadKeypoint
 from headtrack.rows import AppearanceDescriptor, Detection
 from headtrack.simulate import SceneSpec
-from headtrack.tracker import TrackerConfig
 
 SCENE = """
 targets = 4
@@ -624,7 +622,7 @@ class TestExtremeValuesQuiet:
         out = tmp_path / "o.txt"
         args = ["track", "--dets", str(sim_dir / "det.txt"), "--out", str(out), "--h-min", "1e156"]
         assert self.run(args, capsys) == (
-            2, "headtrack: h_min 1e+156 makes the measurement variance inf, outside (0, inf)\n")
+            2, "headtrack: key h_min: h_min 1e+156 makes the measurement variance inf, outside (0, inf)\n")
         assert not out.exists()
 
     def test_track_cost_span_too_wide(self, sim_dir, tmp_path, capsys):
@@ -885,12 +883,12 @@ class TestConfigHandling:
         assert code == 2
 
 
-def console(argv, cwd):
-    """Exit code, stdout and stderr of ``python -m headtrack.cli argv`` run in ``cwd``."""
+def console(argv, cwd, preexec_fn=None):
+    """Exit code, stdout and stderr of ``python -m headtrack.cli argv`` run in ``cwd``, after ``preexec_fn``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "headtrack.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True)
+                          preexec_fn=preexec_fn, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -946,7 +944,7 @@ SCENE_VALUES = {
 
 
 class TestSettingsStatedOnce:
-    """RunConfig's defaults are those of the library configs that own the keys."""
+    """RunConfig states each key's default once; the library and the scene spec read it."""
 
     def test_annotation_matches_default_type(self):
         # load_config parses a key as the type of its default
@@ -955,10 +953,10 @@ class TestSettingsStatedOnce:
 
     def test_tracker_config_defaults(self):
         cfg = cli.RunConfig()
-        diagonal = float(np.hypot(cfg.image_width, cfg.image_height))
-        expected = TrackerConfig(assoc=AssociationConfig(motion_scale=diagonal))
-        assert cli.tracker_config(cfg) == expected
+        assert cli.tracker_config(cfg) is cfg
+        assert tracker.Tracker(cli.tracker_config(cfg)).motion_scale == float(np.hypot(1920.0, 1080.0))
         assert (cfg.image_width, cfg.image_height) == (1920.0, 1080.0)
+        assert (SceneSpec().image_width, SceneSpec().image_height, SceneSpec().seed) == (1920.0, 1080.0, 0)
 
     def test_lifting_and_assign_defaults(self, sim_dir, tmp_path, monkeypatch):
         seen = []
@@ -970,7 +968,7 @@ class TestSettingsStatedOnce:
         doc = {"anchors": [{"cx": 5, "cy": 5, "box": [0, 0, 10, 10]}], "gts": [{"box": [0, 0, 10, 10]}]}
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["assign", "--scene", write(tmp_path / "s.json", json.dumps(doc))]) == 0
-        assert seen[0] == lifting.LiftingConfig() and seen[-1] == label_assign.AssignConfig()
+        assert seen[0] == seen[-1] == cli.RunConfig()  # each verb hands the library its run config
 
     def test_empty_spec_is_scene_spec_defaults(self, tmp_path):
         spec = write(tmp_path / "scene.cfg", "# no keys\n\n")
@@ -1228,7 +1226,7 @@ class TestSettingRanges:
         scene = write(tmp_path / "scene.json", json.dumps(doc))
         assert cli.main(["assign", "--scene", scene, f"{flag}={value}"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"headtrack: {message}\n" == captured.err
+        assert captured.out == "" and f"headtrack: key {flag[2:].replace('-', '_')}: {message}\n" == captured.err
 
     @pytest.mark.parametrize("value", ["-1", "0", "1.5"])
     def test_evaluate_iou_threshold(self, tmp_path, capsys, value):
@@ -1306,6 +1304,97 @@ class TestSettingRanges:
         assert cli.main(["track", "--dets", dets, "--out", str(out), "--image-width", "-5"]) == 2
         assert capsys.readouterr().err == "headtrack: key image_width: expected > 0, got -5.0\n"
         assert not out.exists()
+
+
+# One out-of-range value per range check of RunConfig, and the line it prints.
+OUT_OF_RANGE = [
+    ("--w-app", "-1", "key w_app, w_mot: need w_app, w_mot >= 0 with a positive sum"),
+    ("--w-mot", "-1", "key w_app, w_mot: need w_app, w_mot >= 0 with a positive sum"),
+    ("--lambda-cls", "-1", "key lambda_cls: feature weights must be non-negative"),
+    ("--lambda-reg", "-1", "key lambda_reg: feature weights must be non-negative"),
+    ("--lambda-head", "-1", "key lambda_head: feature weights must be non-negative"),
+    ("--gate-g", "0", "key gate_g: gate must be positive, got 0.0"),
+    ("--motion-scale", "-1", "key motion_scale: expected >= 0 (0 is the image diagonal), got -1.0"),
+    ("--patience-w", "0", "key patience_w: patience_w must be >= 1, got 0"),
+    ("--min-hits", "0", "key min_hits: min_hits must be >= 1, got 0"),
+    ("--descriptor-momentum", "1", "key descriptor_momentum: descriptor_momentum must lie in [0, 1), got 1.0"),
+    ("--h-min", "0", "key h_min: h_min must be positive and finite, got 0.0"),
+    ("--h-min", "1e156", "key h_min: h_min 1e+156 makes the measurement variance inf, outside (0, inf)"),
+    ("--se3-process-std", "1e200", "key se3_process_std: process_std must have a finite square, got 1e+200"),
+    ("--se3-meas-std", "1e200", "key se3_meas_std: meas_std must have a finite square, got 1e+200"),
+    ("--eps-iou", "0", "key eps_iou: eps_iou must be positive, got 0.0"),
+    ("--q-topk", "0", "key q_topk: q_topk must be >= 1, got 0"),
+    ("--iou-threshold", "0", "key iou_threshold: iou_threshold must lie in (0, 1], got 0.0"),
+    ("--image-width", "0", "key image_width: expected > 0, got 0.0"),
+    ("--image-height", "0", "key image_height: expected > 0, got 0.0"),
+    ("--seed", "-1", "key seed: seed must be >= 0, got -1"),
+]
+UNBOUNDED_KEYS = {"init_score_min", "emit_predictions", "alpha", "beta"}  # any finite value (or boolean) runs
+
+
+class TestConfigContract:
+    """Every verb builds the one RunConfig first: a key out of range exits 2 naming it, and writes nothing."""
+
+    @staticmethod
+    def argv(verb, root):
+        dets = write(root / "det.txt", "\n".join(ROWS))
+        spec = write(root / "scene.cfg", "targets = 2\nframes = 3\n")
+        doc = {"anchors": [{"cx": 5, "cy": 5, "box": [0, 0, 10, 10]}], "gts": [{"box": [0, 0, 10, 10]}]}
+        scene = write(root / "scene.json", json.dumps(doc))
+        return {
+            "track": ["track", "--dets", dets, "--out", str(root / "out")],
+            "interpolate": ["interpolate", "--input", dets, "--out", str(root / "out")],
+            "evaluate": ["evaluate", "--gt", dets, "--result", dets],
+            "simulate": ["simulate", "--spec", spec, "--out-dir", str(root / "out")],
+            "assign": ["assign", "--scene", scene],
+        }[verb]
+
+    def test_every_bounded_key_is_covered(self):
+        keys = {flag[2:].replace("-", "_") for flag, _, _ in OUT_OF_RANGE}
+        assert keys == set(CONFIG_KEYS) - UNBOUNDED_KEYS
+
+    @pytest.mark.parametrize("verb", cli._VERBS)
+    @pytest.mark.parametrize("flag,value,line", OUT_OF_RANGE, ids=[f"{f}={v}" for f, v, _ in OUT_OF_RANGE])
+    def test_out_of_range_exits_2_naming_the_key(self, tmp_path, capsys, verb, flag, value, line):
+        argv = self.argv(verb, tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert cli.main([*argv, f"{flag}={value}"]) == 2
+        assert capsys.readouterr() == ("", f"headtrack: {line}\n")
+        assert sorted(tmp_path.iterdir()) == before  # no output file or directory
+
+    @pytest.mark.parametrize("verb", cli._VERBS)
+    def test_config_file_value_reads_as_the_flag(self, tmp_path, capsys, verb):
+        cfgfile = write(tmp_path / "run.cfg", "patience_w = 0\n")
+        assert cli.main([*self.argv(verb, tmp_path), "--config", cfgfile]) == 2
+        assert capsys.readouterr() == ("", "headtrack: key patience_w: patience_w must be >= 1, got 0\n")
+        assert not (tmp_path / "out").exists()
+
+
+def capped(argv, cwd, limit=3 * 2**30):
+    """``console(argv, cwd)`` with the process's address space capped at ``limit`` bytes."""
+    import resource  # POSIX only, as the class that calls this
+
+    return console(argv, cwd, lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps the address space on Linux")
+class TestOutOfMemory:
+    """An input whose output cannot be held exits 2 naming the file, before any output, in a process whose
+    address space is capped, so the test itself stays small."""
+
+    @pytest.mark.parametrize("method", lifting.METHODS)
+    def test_interpolate_gap_of_a_trillion_frames(self, tmp_path, method):
+        write(tmp_path / "gap.txt", "1,5,10,10,20,40,1,-1,-1,-1\n1000000000000,5,10,10,20,40,1,-1,-1,-1\n")
+        argv = ["interpolate", "--input", "gap.txt", "--method", method, "--out", "o.txt"]
+        assert capped(argv, tmp_path) == (
+            2, "", "headtrack: gap.txt: track 5: not enough memory to fill frames 2-999999999999\n")
+        assert not (tmp_path / "o.txt").exists()
+
+    def test_simulate_a_trillion_frames(self, tmp_path):
+        write(tmp_path / "big.cfg", "targets = 1\nframes = 1000000000000\n")
+        assert capped(["simulate", "--spec", "big.cfg", "--out-dir", "scene"], tmp_path) == (
+            2, "", "headtrack: big.cfg: the scene does not fit in memory (targets = 1, frames = 1000000000000)\n")
+        assert not (tmp_path / "scene").exists()
 
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(cli.RunConfig)]

@@ -4,8 +4,10 @@ import pytest
 from headtrack.kalman import (
     FilterDivergence,
     IllConditionedUpdate,
+    MEAS_STD_WEIGHT,
+    POS_STD_WEIGHT,
+    VEL_STD_WEIGHT,
     IteratedUpdateConfig,
-    KalmanConfig,
     KalmanModel,
     KalmanState,
     constant_velocity_model,
@@ -17,6 +19,7 @@ from headtrack.kalman import (
     update,
     update_rows,
 )
+from headtrack.config import RunConfig
 
 
 def make_state(x=None, P=None):
@@ -245,32 +248,28 @@ class TestConfigs:
         assert large.Q[0, 0] == pytest.approx(100 * small.Q[0, 0])
 
     def test_initiate_covariance(self):
-        cfg = KalmanConfig()
-        st = initiate(np.array([5.0, 6.0, 0.5, 80.0]), cfg)
+        st = initiate(np.array([5.0, 6.0, 0.5, 80.0]))
         assert np.allclose(st.x[:4], [5, 6, 0.5, 80])
         assert np.allclose(st.x[4:], 0)
-        pos = (2 * cfg.meas_std_weight * 80) ** 2
-        vel = (10 * cfg.vel_std_weight * 80) ** 2
+        pos = (2 * MEAS_STD_WEIGHT * 80) ** 2
+        vel = (10 * VEL_STD_WEIGHT * 80) ** 2
         assert st.P[0, 0] == pytest.approx(pos)
         assert st.P[4, 4] == pytest.approx(vel)
 
 
     @pytest.mark.parametrize(
-        "kw",
+        "h_min",
         [
-            dict(h_min=0.0),
-            dict(h_min=-5.0),
-            dict(h_min=np.nan),
-            dict(h_min=np.inf),
-            dict(h_min=1e-300),  # (meas_std_weight * h_min)^2 underflows to 0
-            dict(meas_std_weight=0.0),
-            dict(pos_std_weight=-1.0),
-            dict(vel_std_weight=np.inf),
+            0.0,
+            -5.0,
+            np.nan,
+            np.inf,
+            1e-300,  # (MEAS_STD_WEIGHT * h_min)^2 underflows to 0
         ],
     )
-    def test_kalman_config_rejects_non_positive_noise(self, kw):
-        with pytest.raises(ValueError, match=next(iter(kw))):
-            KalmanConfig(**kw)
+    def test_run_config_rejects_h_min_without_noise(self, h_min):
+        with pytest.raises(ValueError, match="^key h_min: h_min "):
+            RunConfig(h_min=h_min)
 
 
 def kron_cov(pcv):
@@ -281,31 +280,28 @@ def kron_cov(pcv):
 class TestRows:
     """The whole-array forms against the matrix forms, bit for bit."""
 
-    CONFIGS = (
-        KalmanConfig(),
-        KalmanConfig(pos_std_weight=0.08, vel_std_weight=0.013, meas_std_weight=0.031, h_min=5.0),
-    )
+    H_MINS = (RunConfig.h_min, 5.0)
 
     @staticmethod
-    def pow_sensitive_heights(rng, cfg, n):
+    def pow_sensitive_heights(rng, h_min, n):
         """Heights where some (weight * h)^2 differs between C pow and a * a."""
-        h = rng.uniform(cfg.h_min, 400, 400_000)
+        h = rng.uniform(h_min, 400, 400_000)
         hit = np.zeros(len(h), dtype=bool)
-        for w in (cfg.pos_std_weight, cfg.vel_std_weight, cfg.meas_std_weight):
+        for w in (POS_STD_WEIGHT, VEL_STD_WEIGHT, MEAS_STD_WEIGHT):
             s = w * h
             hit |= np.array([v**2 for v in s.tolist()]) != s * s
         assert hit.sum() >= n
         return h[hit][:n]
 
     @classmethod
-    def rows(cls, rng, n, cfg):
+    def rows(cls, rng, n, h_min):
         x = np.column_stack([
             rng.uniform(-100, 4000, (n, 2)), rng.uniform(0.2, 1.0, n),
             rng.uniform(0.3, 400, n), rng.normal(0, 3, (n, 4)),  # some heights below h_min
         ])
         # an eighth keep their height through the predict, at heights where
         # squaring with a * a instead of pow would change the result
-        x[: n // 8, 3] = cls.pow_sensitive_heights(rng, cfg, n // 8)
+        x[: n // 8, 3] = cls.pow_sensitive_heights(rng, h_min, n // 8)
         x[: n // 8, 7] = 0.0
         p, v = rng.uniform(0.01, 500, n), rng.uniform(1e-3, 50, n)
         c = rng.uniform(-0.95, 0.95, n) * np.sqrt(p * v)
@@ -313,69 +309,69 @@ class TestRows:
         z[:, 2:] = np.abs(z[:, 2:]) + 0.01
         return x, np.column_stack([p, c, v]), z
 
-    @pytest.mark.parametrize("cfg", CONFIGS)
-    def test_predict_and_update_rows_equal_matrix_forms(self, cfg):
+    @pytest.mark.parametrize("h_min", H_MINS)
+    def test_predict_and_update_rows_equal_matrix_forms(self, h_min):
         rng = np.random.default_rng(17)
-        x, pcv, z = self.rows(rng, 2000, cfg)
-        x_pred, pcv_pred = predict_rows(x, pcv, cfg)
-        x_post, pcv_post = update_rows(x_pred, pcv_pred, z, cfg)
+        x, pcv, z = self.rows(rng, 2000, h_min)
+        x_pred, pcv_pred = predict_rows(x, pcv, h_min)
+        x_post, pcv_post = update_rows(x_pred, pcv_pred, z, h_min)
         for i in range(len(x)):
             st = KalmanState(x=x[i], P=kron_cov(pcv[i]))
-            st = predict(st, constant_velocity_model(x[i, 3], cfg), h_min=cfg.h_min)
+            st = predict(st, constant_velocity_model(x[i, 3], h_min), h_min=h_min)
             assert np.array_equal(st.x, x_pred[i]) and np.array_equal(st.P, kron_cov(pcv_pred[i]))
-            st = update(st, z[i], constant_velocity_model(st.x[3], cfg), h_min=cfg.h_min)
+            st = update(st, z[i], constant_velocity_model(st.x[3], h_min), h_min=h_min)
             assert np.array_equal(st.x, x_post[i]) and np.array_equal(st.P, kron_cov(pcv_post[i]))
 
     def test_rows_forms_return_fresh_arrays(self):
         # the forms write their results through out=: every input stays as it
         # was, and no result shares memory with an input or with the other result
-        cfg = self.CONFIGS[0]
-        x, pcv, z = self.rows(np.random.default_rng(5), 64, cfg)
+        h_min = self.H_MINS[0]
+        x, pcv, z = self.rows(np.random.default_rng(5), 64, h_min)
         inputs = (x, pcv, z)
         before = [a.copy() for a in inputs]
-        for out in (predict_rows(x, pcv, cfg), update_rows(x, pcv, z, cfg), initiate_rows(z, cfg)):
+        for out in (predict_rows(x, pcv, h_min), update_rows(x, pcv, z, h_min), initiate_rows(z, h_min)):
             assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
             assert not any(np.shares_memory(o, a) for o in out for a in inputs)
             assert not np.shares_memory(*out)
 
-    @pytest.mark.parametrize("cfg", CONFIGS)
-    def test_initiate_rows_equals_diagonal_birth(self, cfg):
+    @pytest.mark.parametrize("h_min", H_MINS)
+    def test_initiate_rows_equals_diagonal_birth(self, h_min):
         z = np.column_stack([np.full(500, 7.0), np.full(500, -3.0), np.full(500, 0.4),
                              np.random.default_rng(3).uniform(0.1, 400, 500)])
-        x, pcv = initiate_rows(z, cfg)
+        x, pcv = initiate_rows(z, h_min)
         for i in range(len(z)):
-            h = max(float(z[i, 3]), cfg.h_min)
-            pos, vel = 2.0 * cfg.meas_std_weight * h, 10.0 * cfg.vel_std_weight * h
+            h = max(float(z[i, 3]), h_min)
+            pos, vel = 2.0 * MEAS_STD_WEIGHT * h, 10.0 * VEL_STD_WEIGHT * h
             P = np.diag([pos**2] * 4 + [vel**2] * 4)
             assert np.array_equal(x[i], [7.0, -3.0, 0.4, h, 0, 0, 0, 0])
             assert np.array_equal(kron_cov(pcv[i]), P)
-            assert np.array_equal(initiate(z[i], cfg).P, P)
+            assert np.array_equal(initiate(z[i], h_min).P, P)
 
     def test_innovation_variance_stays_positive(self):
-        # S = p + r of every update: r >= (meas_std_weight * h_min)^2 > 0 for
-        # every accepted config, and a predicted p is never below 0, even when
+        # S = p + r of every update: r >= (MEAS_STD_WEIGHT * h_min)^2 > 0 for
+        # every accepted h_min, and a predicted p is never below 0, even when
         # heights collapse towards a tiny h_min
         rng = np.random.default_rng(9)
-        for cfg in self.CONFIGS + (KalmanConfig(h_min=1e-150), KalmanConfig(meas_std_weight=1e-3)):
+        for h_min in self.H_MINS + (1e-150,):
             z = np.column_stack([rng.uniform(0, 500, (200, 2)), rng.uniform(0.2, 1, 200),
                                  rng.uniform(1e-160, 300, 200)])
-            x, pcv = initiate_rows(z, cfg)
+            x, pcv = initiate_rows(z, h_min)
             for _ in range(60):
-                x, pcv = predict_rows(x, pcv, cfg)
-                r = (cfg.meas_std_weight * np.maximum(x[:, 3], cfg.h_min)) ** 2
+                x, pcv = predict_rows(x, pcv, h_min)
+                r = (MEAS_STD_WEIGHT * np.maximum(x[:, 3], h_min)) ** 2
                 assert (pcv[:, 0] >= 0).all() and (pcv[:, 0] + r > 0).all()
                 hit = rng.uniform(size=len(x)) < 0.6
                 z = x[:, :4] + rng.normal(0, 3, (len(x), 4))
                 z[:, 2:] = np.abs(z[:, 2:]) + 1e-160
-                x[hit], pcv[hit] = update_rows(x[hit], pcv[hit], z[hit], cfg)
+                x[hit], pcv[hit] = update_rows(x[hit], pcv[hit], z[hit], h_min)
                 assert np.isfinite(x).all() and np.isfinite(pcv).all()
 
     def test_rounding_below_zero_keeps_innovation_positive(self):
         # p + 2c + v one ulp below 0, as rounding leaves it, at a height whose
         # Q cannot lift it: the predicted p is 0, not negative, so S = r > 0
-        cfg = KalmanConfig(h_min=1e-12)
+        h_min = 1e-12
         x = np.array([[10.0, 20.0, 0.5, 1e-10, 0, 0, 0, 0]])
-        x_pred, pcv_pred = predict_rows(x, np.array([[1.0, -(1.0 + 2.0**-52), 1.0]]), cfg)
+        x_pred, pcv_pred = predict_rows(x, np.array([[1.0, -(1.0 + 2.0**-52), 1.0]]), h_min)
         assert pcv_pred[0, 0] == 0.0
-        x_post, pcv_post = update_rows(x_pred, pcv_pred, np.array([[11.0, 20.0, 0.5, 1e-10]]), cfg)
+        x_post, pcv_post = update_rows(x_pred, pcv_pred, np.array([[11.0, 20.0, 0.5, 1e-10]]), h_min)
         assert np.isfinite(x_post).all() and np.isfinite(pcv_post).all()

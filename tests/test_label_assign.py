@@ -7,11 +7,11 @@ import pytest
 
 import assign_oracle
 
+from headtrack.config import RunConfig
 from headtrack.geometry import BBox
 from headtrack.head import HeadKeypoint
 from headtrack.label_assign import (
     Anchor,
-    AssignConfig,
     GtInstance,
     assign_tables,
     bce,
@@ -38,7 +38,7 @@ def gt(box, radius=None, head=HEAD):
     return GtInstance(box=box, head=head, center_radius=radius)
 
 
-def pair_cost(a, g, cfg=AssignConfig()):
+def pair_cost(a, g, cfg=RunConfig()):
     """The matching cost of one anchor and one target: the 1 x 1 case of ``assign_tables``."""
     return assign_tables([a], [g], cfg)[0][0, 0]
 
@@ -46,7 +46,7 @@ def pair_cost(a, g, cfg=AssignConfig()):
 def iou_term(pred, target):
     """The IoU term of the cost, -log(IoU + eps): alpha 1, and the BCE of cls 0.5 taken off."""
     centred = anchor(target.cx, target.cy, box=pred, cls=0.5)  # no beta
-    return pair_cost(centred, gt(target), AssignConfig(alpha=1.0)) - bce(0.5, 1.0)
+    return pair_cost(centred, gt(target), RunConfig(alpha=1.0)) - bce(0.5, 1.0)
 
 
 class TestForegroundMask:
@@ -109,7 +109,7 @@ class TestCosts:
         g = gt(BBox(0, 0, 100, 100))
         pred = BBox(0, 0, 100, 50)  # IoU exactly 0.5
         a = anchor(50, 50, box=pred, cls=0.5)
-        cfg = AssignConfig(alpha=3.0)
+        cfg = RunConfig(alpha=3.0)
         assert pair_cost(a, g, cfg) == pytest.approx(2.7725886622397815, abs=1e-9)
 
 
@@ -131,7 +131,7 @@ def random_case(rng):
             box = BBox(b.x + rng.uniform(-8, 8), b.y + rng.uniform(-8, 8),
                        b.w * rng.uniform(0.5, 1.5), b.h * rng.uniform(0.5, 1.5))
         anchors.append(anchor(cx, cy, box=box, cls=rng.random(), stride=rng.choice([4, 8, 16, 32, 4.5])))
-    cfg = AssignConfig(alpha=rng.uniform(0.5, 5), beta=rng.choice([1e5, rng.uniform(0, 10)]),
+    cfg = RunConfig(alpha=rng.uniform(0.5, 5), beta=rng.choice([1e5, rng.uniform(0, 10)]),
                        eps_iou=rng.choice([1e-8, 1e-3, rng.uniform(1e-9, 0.5)]), q_topk=rng.randint(1, 12))
     return anchors, gts, cfg
 
@@ -175,17 +175,17 @@ class TestRecordChecks:
         assert gt(BBox(0, 0, 10, 10)).center_radius is None
 
 
-class TestAssignConfig:
+class TestAssignKeys:
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
     def test_non_positive_eps_rejected(self, eps):
         # -log(IoU + eps) is undefined at IoU = 0 unless eps > 0
-        with pytest.raises(ValueError, match="eps_iou must be positive"):
-            AssignConfig(eps_iou=eps)
+        with pytest.raises(ValueError, match="^key eps_iou: eps_iou must be positive"):
+            RunConfig(eps_iou=eps)
 
     @pytest.mark.parametrize("q", [0, -3])
     def test_q_topk_below_one_rejected(self, q):
-        with pytest.raises(ValueError, match="q_topk must be >= 1"):
-            AssignConfig(q_topk=q)
+        with pytest.raises(ValueError, match="^key q_topk: q_topk must be >= 1"):
+            RunConfig(q_topk=q)
 
 
 class TestDynamicK:
@@ -224,7 +224,7 @@ class TestDynamicK:
         gts = [g1, g2]
         cost, ious, fg = assign_tables(anchors, gts)
         # force k = 1 per gt by shrinking the candidate IoU mass
-        cfg = AssignConfig(q_topk=1)
+        cfg = RunConfig(q_topk=1)
         ious_small = np.minimum(ious, 0.6)
         positives = dynamic_k_match(cost, ious_small, fg, cfg)
         winner = 0 if cost[0, 0] <= cost[0, 1] else 1
@@ -262,7 +262,7 @@ class TestDynamicK:
 
     def test_penalty_excludes_outside_anchors(self):
         rng = np.random.default_rng(33)
-        cfg = AssignConfig(beta=1e5)
+        cfg = RunConfig(beta=1e5)
         for _ in range(100):
             anchors = [
                 anchor(float(rng.uniform(0, 300)), float(rng.uniform(0, 300)),
@@ -304,7 +304,7 @@ class TestTableEdges:
         # the centre distance overflows to inf, which lies outside any region, as in scalar float arithmetic
         a = anchor(-1e308, 0, box=BBox(0, 0, 1, 1))
         g = gt(BBox(1.5e308, 0, 1e307, 1))
-        cfg = AssignConfig()
+        cfg = RunConfig()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cost, ious, fg = assign_tables([a], [g], cfg)
@@ -320,7 +320,7 @@ class TestTableEdges:
             warnings.simplefilter("error")
             cost, _, fg = assign_tables([a], [g])
         assert fg[0, 0]
-        assert cost[0, 0] < AssignConfig().beta
+        assert cost[0, 0] < RunConfig().beta
 
     def test_in_box_outside_region_is_foreground_with_beta(self):
         # the mask is box OR region, but only the region spares the beta penalty
@@ -329,12 +329,12 @@ class TestTableEdges:
         centre = anchor(50, 50, box=BBox(0, 0, 100, 100), cls=0.9)
         cost, _, fg = assign_tables([corner, centre], [g])
         assert fg[:, 0].tolist() == [True, True]
-        assert cost[0, 0] == cost[1, 0] + AssignConfig().beta
+        assert cost[0, 0] == cost[1, 0] + RunConfig().beta
 
     def test_iou_term_scales_with_alpha(self):
         a = anchor(50, 50, box=BBox(0, 0, 100, 50), cls=0.5)  # IoU exactly 0.5
         g = gt(BBox(0, 0, 100, 100))
-        low, high = (pair_cost(a, g, AssignConfig(alpha=alpha)) for alpha in (1.0, 3.0))
+        low, high = (pair_cost(a, g, RunConfig(alpha=alpha)) for alpha in (1.0, 3.0))
         assert high - low == pytest.approx(2 * -math.log(0.5 + 1e-8), abs=1e-12)
 
     @pytest.mark.parametrize("short", ["ious", "fg"])

@@ -13,8 +13,8 @@ from headtrack import cli
 from headtrack.dataio import MotTable, format_mot, parse_mot
 from headtrack.simulate import SceneSpec, generate_scene
 from headtrack.geometry import BBox
+from headtrack.config import RunConfig
 from headtrack.lifting import (
-    LiftingConfig,
     METHODS,
     Pose3,
     complete,
@@ -158,7 +158,7 @@ def drop_frames(pts, missing):
 
 class TestComplete:
     def setup_method(self):
-        self.cfg = LiftingConfig()
+        self.cfg = RunConfig()
 
     def test_constant_velocity_gap_recovered_exactly(self):
         truth = linear_track(20)
@@ -281,9 +281,9 @@ class TestComplete:
 
 def test_lifting_config_validation():
     for name in ("process_std", "meas_std"):
-        LiftingConfig(**{name: 1e150})  # its square, 1e300, is finite
-        with pytest.raises(ValueError, match=name):
-            LiftingConfig(**{name: 1e200})
+        RunConfig(**{f"se3_{name}": 1e150})  # its square, 1e300, is finite
+        with pytest.raises(ValueError, match=f"^key se3_{name}: {name} must have a finite square, got 1e\\+200$"):
+            RunConfig(**{f"se3_{name}": 1e200})
 
 
 def twist_smoother(pts, cfg):
@@ -302,8 +302,8 @@ def twist_smoother(pts, cfg):
     F = np.eye(2 * dim)
     F[:dim, dim:] = np.eye(dim)
     H = np.hstack([np.eye(dim), np.zeros((dim, dim))])
-    Q = np.eye(2 * dim) * cfg.process_std**2
-    R = np.eye(dim) * cfg.meas_std**2
+    Q = np.eye(2 * dim) * cfg.se3_process_std**2
+    R = np.eye(dim) * cfg.se3_meas_std**2
 
     first, last = frames[0], frames[-1]
     x = np.zeros(2 * dim)
@@ -342,7 +342,7 @@ def decimal_smoother(pts, cfg, digits=50):
     with decimal.localcontext() as ctx:
         ctx.prec = digits
         D = decimal.Decimal
-        q, r = D(cfg.process_std) ** 2, D(cfg.meas_std) ** 2
+        q, r = D(cfg.se3_process_std) ** 2, D(cfg.se3_meas_std) ** 2
         first, last = pts[0][0], pts[-1][0]
         obs = {f: D(b.cx) for f, b in pts}
         x, vx = obs[first], D(0)
@@ -399,7 +399,7 @@ def test_se3_kalman_matches_twist_smoother(process_std, meas_std):
     # matrix inverse lose digits once p >> r. So every gap frame must agree
     # with it to 1e-9 px beyond that error, and with the 50-digit result to
     # 1e-9 px.
-    cfg = LiftingConfig(process_std=process_std, meas_std=meas_std)
+    cfg = RunConfig(se3_process_std=process_std, se3_meas_std=meas_std)
     rng = np.random.default_rng(71)
     gap_frames = 0
     for _ in range(10):
@@ -490,8 +490,9 @@ def test_interpolate_matches_track_at_a_time_oracle(oracle_dir, text, method, st
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    cfg = RunConfig(se3_process_std=stds[0], se3_meas_std=stds[1])
     try:
-        filled, skipped = lifting_oracle.interpolate(parse_mot(src), method, LiftingConfig(*stds))
+        filled, skipped = lifting_oracle.interpolate(parse_mot(src), method, cfg)
     except ValueError as exc:
         assert (code, err.getvalue(), out.exists()) == (2, f"headtrack: {src}: {exc}\n", False)
         return

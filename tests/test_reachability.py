@@ -95,6 +95,8 @@ UNREACHED = {
     "row views that perfbench/trace_cli.py reads (ROADMAP item 3)": [
         "metrics.py:EvalTables.__iter__", "metrics.py:_frame_rows", "tracker.py:Tracker.tracks"],
     "perfbench/trace_cli.py wraps it by name; a matrix Kalman form (ROADMAP item 5)": ["kalman.py:predict"],
+    "perfbench/run.py passes its result to Tracker; run_track_file hands Tracker the RunConfig itself": [
+        "cli.py:tracker_config"],
     "the scalar reference of iou_matrix and iou_pairs, bit for bit; test_perfbench.py imports it": ["geometry.py:iou"],
     # pending ROADMAP decisions
     "the head surface, which ROADMAP item 7 makes change the track or deletes": [

@@ -4,16 +4,15 @@ import pytest
 from headtrack import association, kalman
 from headtrack.association import (
     FEATURE_KINDS,
-    AssociationConfig,
     build_cost_matrix,
     solve_assignment,
 )
+from headtrack.config import RunConfig
 from headtrack.geometry import BBox
 from headtrack.rows import AppearanceDescriptor, Detection
 from headtrack.tracker import (
     Detections,
     Tracker,
-    TrackerConfig,
     boxes_from_states,
     measurements,
 )
@@ -28,11 +27,7 @@ def det(cx, cy, w=40.0, h=100.0, score=1.0, descriptor=None):
 
 
 def motion_config(**kw):
-    defaults = dict(
-        assoc=AssociationConfig(w_app=0.0, w_mot=1.0, motion_scale=1000.0, gate_g=0.2),
-    )
-    defaults.update(kw)
-    return TrackerConfig(**defaults)
+    return RunConfig(**{**dict(w_app=0.0, w_mot=1.0, motion_scale=1000.0, gate_g=0.2), **kw})
 
 
 def onehot(i, dim=8):
@@ -72,10 +67,7 @@ class TestLifecycle:
     def test_crossing_targets_kept_apart_by_appearance(self):
         # two constant-velocity targets crossing mid-sequence, orthogonal
         # descriptors, appearance-only cost: identities must survive
-        cfg = TrackerConfig(
-            min_hits=1,
-            assoc=AssociationConfig(w_app=1.0, w_mot=0.0, motion_scale=1000.0, gate_g=0.5),
-        )
+        cfg = RunConfig(min_hits=1, w_app=1.0, w_mot=0.0, motion_scale=1000.0, gate_g=0.5)
         tr = Tracker(cfg)
         history = {1: [], 2: []}
         for f in range(1, 21):
@@ -261,29 +253,30 @@ def reference_run(cfg, frames, statuses=None):
     once gone, else confirmed iff hits >= ``min_hits``.
     """
     tracks, emitted = [], []
-    kinds = [k for k, w in zip(FEATURE_KINDS, cfg.assoc.feature_weights) if w > 0]
+    kinds = [k for k, w in zip(FEATURE_KINDS, (cfg.lambda_cls, cfg.lambda_reg, cfg.lambda_head)) if w > 0]
     for f, dets in frames:
         for t in tracks:
             if t["status"] == "removed":
                 continue
-            model = kalman.constant_velocity_model(t["kf"].x[3], cfg.noise)
+            model = kalman.constant_velocity_model(t["kf"].x[3], cfg.h_min)
             try:
-                t["kf"] = kalman.predict(t["kf"], model, h_min=cfg.noise.h_min)
+                t["kf"] = kalman.predict(t["kf"], model, h_min=cfg.h_min)
             except kalman.FilterDivergence:
                 t["status"] = "removed"
         live = [t for t in tracks if t["status"] != "removed"]
         descs = [AppearanceDescriptor(**t["desc"]) if t["desc"] else None for t in live]
         trk_xy = np.array([t["kf"].x[:2] for t in live]).reshape(-1, 2)
         det_xy = np.array([(d.bbox.cx, d.bbox.cy) for d in dets]).reshape(-1, 2)
-        cost = build_cost_matrix(trk_xy, stacked(descs), det_xy, stacked([d.descriptor for d in dets]), cfg.assoc)
+        cost = build_cost_matrix(trk_xy, stacked(descs), det_xy, stacked([d.descriptor for d in dets]), cfg,
+                                 cfg.motion_scale)
         matched = dict(solve_assignment(cost).tolist())
         out = []
         for i, t in enumerate(live):
             if i in matched:
                 d = dets[matched[i]]
-                model = kalman.constant_velocity_model(t["kf"].x[3], cfg.noise)
+                model = kalman.constant_velocity_model(t["kf"].x[3], cfg.h_min)
                 t["kf"] = kalman.update(
-                    t["kf"], measurement(d.bbox), model, h_min=cfg.noise.h_min
+                    t["kf"], measurement(d.bbox), model, h_min=cfg.h_min
                 )
                 new = {k: getattr(d.descriptor, k) for k in kinds if d.descriptor is not None}
                 new = {k: v for k, v in new.items() if v is not None}
@@ -303,7 +296,7 @@ def reference_run(cfg, frames, statuses=None):
             desc = {k: getattr(d.descriptor, k) for k in kinds if d.descriptor is not None}
             tracks.append(dict(
                 id=len(tracks) + 1, status="live", hits=1, misses=0,
-                kf=kalman.initiate(measurement(d.bbox), cfg.noise),
+                kf=kalman.initiate(measurement(d.bbox), cfg.h_min),
                 desc={k: v for k, v in desc.items() if v is not None},
             ))
             if cfg.min_hits <= 1:
@@ -349,11 +342,12 @@ def unit_vec(v):
 class TestArrayCore:
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_per_track_library_loop(self, seed):
-        cfg = TrackerConfig(
+        cfg = RunConfig(
             min_hits=1 + seed % 3,
             patience_w=2 + seed % 4,
             emit_predictions=True,
-            assoc=AssociationConfig(motion_scale=300.0, gate_g=0.6),
+            motion_scale=300.0,
+            gate_g=0.6,
         )
         frames = random_frames(seed)
         statuses = []
@@ -368,10 +362,7 @@ class TestArrayCore:
         assert seen == {"confirmed", "removed"} | ({"tentative"} if cfg.min_hits > 1 else set())
 
     def test_blend_matches_per_descriptor_ema(self):
-        cfg = TrackerConfig(
-            min_hits=1, descriptor_momentum=0.5,
-            assoc=AssociationConfig(w_app=0.5, w_mot=0.5, motion_scale=1000.0, gate_g=2.0),
-        )
+        cfg = RunConfig(min_hits=1, descriptor_momentum=0.5, w_app=0.5, w_mot=0.5, motion_scale=1000.0, gate_g=2.0)
         rng = np.random.default_rng(5)
         a, b = unit_vec(rng.normal(size=16)), unit_vec(rng.normal(size=16))
         c = unit_vec(rng.normal(size=16))
@@ -389,7 +380,7 @@ class TestArrayCore:
     def test_blend_rows_equal_per_descriptor_ema(self):
         # 40 tracks matched to drifted descriptors: every blended row equals
         # the per-vector EMA with np.linalg.norm, bit for bit
-        cfg = TrackerConfig(min_hits=1, assoc=AssociationConfig(motion_scale=1000.0, gate_g=0.6))
+        cfg = RunConfig(min_hits=1, motion_scale=1000.0, gate_g=0.6)
         rng = np.random.default_rng(8)
         old = [unit_vec(rng.normal(size=128)) for _ in range(40)]
         new = [unit_vec(v + 0.3 * unit_vec(rng.normal(size=128))) for v in old]
@@ -403,12 +394,12 @@ class TestArrayCore:
         assert np.array_equal(tr.feats["f_cls"][0], np.array(expected))
 
     def test_unweighted_kind_is_not_stored(self):
-        cfg = TrackerConfig(min_hits=1, assoc=AssociationConfig(feature_weights=(0.0, 0.5, 0.0)))
+        cfg = RunConfig(min_hits=1, lambda_cls=0.0, lambda_reg=0.5, lambda_head=0.0, motion_scale=1.0)
         tr = Tracker(cfg)
         tr.step(1, as_batch([det(100, 100, descriptor=onehot(0))]))
         assert tr.feats == {}
         # random frames carry f_cls and f_reg; with f_reg unweighted only f_cls is kept
-        cfg = TrackerConfig(min_hits=2, assoc=AssociationConfig(motion_scale=300.0, feature_weights=(0.5, 0.0, 0.0)))
+        cfg = RunConfig(min_hits=2, motion_scale=300.0, lambda_cls=0.5, lambda_reg=0.0, lambda_head=0.0)
         tr = Tracker(cfg)
         for f, dets in random_frames(1):
             tr.step(f, as_batch(dets))
@@ -535,10 +526,7 @@ class TestEmittedTrajectories:
         spec = SceneSpec(targets=10, frames=60, motion="crossing", seed=13)
         scene = generate_scene(spec)
         frames = split_frames(scene.detections, scene.descriptors)
-        cfg = TrackerConfig(
-            min_hits=1,
-            assoc=AssociationConfig(w_app=0.5, w_mot=0.5, motion_scale=2203.0, gate_g=0.5),
-        )
+        cfg = RunConfig(min_hits=1, w_app=0.5, w_mot=0.5, motion_scale=2203.0, gate_g=0.5)
         trajs = trajectories(Tracker(cfg), [(f, frames.get(f, [])) for f in range(1, spec.frames + 1)])
         assert len(trajs) == 10
         for _, points in trajs:
@@ -571,7 +559,6 @@ class TestUniqueOptimumGuard:
     @pytest.mark.parametrize("emit", [False, True], ids=["emit detections", "emit predictions"])
     @pytest.mark.parametrize("name", list(SCENES))
     def test_generated_scene(self, name, emit, monkeypatch):
-        from headtrack.cli import RunConfig, tracker_config
         from headtrack.dataio import split_frames
         from headtrack.simulate import SceneSpec, generate_scene
 
@@ -580,7 +567,7 @@ class TestUniqueOptimumGuard:
         scene = generate_scene(spec)
         by_frame = split_frames(scene.detections, scene.descriptors)
         frames = [(f, by_frame.get(f, [])) for f in range(1, spec.frames + 1)]
-        cfg = tracker_config(RunConfig(min_hits=1, emit_predictions=emit, **keys))
+        cfg = RunConfig(min_hits=1, emit_predictions=emit, **keys)
         certified, held = self.run(cfg, frames, monkeypatch, association._unique_optimum)
         assert any(held)
         assert self.run(cfg, frames, monkeypatch, lambda *a: False)[0] == certified
@@ -589,8 +576,7 @@ class TestUniqueOptimumGuard:
     @pytest.mark.parametrize("emit", [False, True], ids=["emit detections", "emit predictions"])
     def test_shuffled_walkers(self, emit, monkeypatch):
         # clutter, dropouts and detections in random order: both sides of the certificate
-        cfg = TrackerConfig(min_hits=2, patience_w=3, emit_predictions=emit,
-                            assoc=AssociationConfig(motion_scale=300.0, gate_g=0.6))
+        cfg = RunConfig(min_hits=2, patience_w=3, emit_predictions=emit, motion_scale=300.0, gate_g=0.6)
         certify = association._unique_optimum
         for seed in range(4):
             frames = [(f, as_batch(dets)) for f, dets in random_frames(seed)]
@@ -624,14 +610,19 @@ def test_boxes_from_states_raise_the_first_bbox_error():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrackerConfig(patience_w=0)
-    with pytest.raises(ValueError):
-        TrackerConfig(min_hits=0)
-    with pytest.raises(ValueError):
-        TrackerConfig(descriptor_momentum=1.0)
+    with pytest.raises(ValueError, match="^key patience_w: "):
+        RunConfig(patience_w=0)
+    with pytest.raises(ValueError, match="^key min_hits: "):
+        RunConfig(min_hits=0)
+    with pytest.raises(ValueError, match=r"^key descriptor_momentum: .*, got 1\.0$"):
+        RunConfig(descriptor_momentum=1.0)
 
 
 def test_association_gate_is_kept():
-    cfg = TrackerConfig(assoc=AssociationConfig(gate_g=0.8))
-    assert cfg.assoc.gate_g == 0.8
+    assert Tracker(RunConfig(gate_g=0.8)).cfg.gate_g == 0.8
+
+
+def test_motion_scale_zero_is_the_image_diagonal():
+    assert Tracker(RunConfig()).motion_scale == float(np.hypot(1920.0, 1080.0))
+    assert Tracker(RunConfig(image_width=640.0, image_height=480.0)).motion_scale == 800.0
+    assert Tracker(RunConfig(motion_scale=7.5, image_width=640.0)).motion_scale == 7.5
