@@ -51,24 +51,36 @@ def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: Run
     """
     T, D = len(trk_xy), len(det_xy)
 
-    acc = total_w = 0.0  # scalars until a kind both sides carry adds its (T, D) terms
+    # A kind that every row of both sides carries adds its weight as one
+    # number and its terms unmasked: each pair sums what the masked form sums,
+    # in the same order. The first terms are not added to 0.0, which would
+    # only turn a -0.0 into 0.0, and the cost below cannot tell those apart.
+    acc, total_w = None, 0.0
     for kind, w in zip(FEATURE_KINDS, (cfg.lambda_cls, cfg.lambda_reg, cfg.lambda_head)):
         if w == 0.0 or kind not in trk_feats or kind not in det_feats:
             continue
         (p, has_p), (q, has_q) = trk_feats[kind], det_feats[kind]
-        if not (np.count_nonzero(has_p) and np.count_nonzero(has_q)):
+        n_p, n_q = np.count_nonzero(has_p), np.count_nonzero(has_q)
+        if not (n_p and n_q):
             continue
         if p.shape[1] != q.shape[1]:
             raise ValueError(f"{kind} dimension mismatch: {sorted({p.shape[1:], q.shape[1:]})}")
-        shared = has_p[:, None] & has_q
-        acc = acc + np.where(shared, w * (1.0 - p @ q.T), 0.0)
-        total_w = total_w + np.where(shared, w, 0.0)
-    app = np.divide(acc, total_w, out=np.zeros((T, D)), where=total_w > 0.0)
+        term = w * (1.0 - p @ q.T)
+        if n_p < T or n_q < D:
+            shared = has_p[:, None] & has_q
+            term, w = np.where(shared, term, 0.0), np.where(shared, w, 0.0)
+        acc = term if acc is None else acc + term
+        total_w = total_w + w
+    if acc is None:
+        app = 0.0
+    elif isinstance(total_w, float):  # every pair shares every kind that counts
+        app = acc / total_w
+    else:
+        app = np.divide(acc, total_w, out=np.zeros((T, D)), where=total_w > 0.0)
     # centres far apart cost inf (nan at w_mot = 0), which the gate rejects
     with np.errstate(over="ignore", invalid="ignore"):
         dx, dy = trk_xy[:, :1] - det_xy[:, 0], trk_xy[:, 1:] - det_xy[:, 1]
-        motion = np.hypot(dx, dy) / motion_scale
-        values = cfg.w_app * app + cfg.w_mot * motion
+        values = cfg.w_app * app + cfg.w_mot * (np.hypot(dx, dy) / motion_scale)
     return CostMatrix(values=values, gate_mask=values <= cfg.gate_g)
 
 
@@ -145,15 +157,15 @@ def solve_assignment(c: CostMatrix) -> np.ndarray:
     ``unmatch`` and make "leave unmatched" explicit, starting from the
     LSA's optimum carried over to it (``_tie_break``).
     """
-    T, D = c.values.shape
-    admissible = c.gate_mask & np.isfinite(c.values)
-    if not np.count_nonzero(admissible):  # no tracks, no detections, or nothing passes the gate
+    values = c.values
+    T, D = values.shape
+    admissible = c.gate_mask & np.isfinite(values)
+    kept = values[admissible]
+    if not kept.size:  # no tracks, no detections, or nothing passes the gate
         return np.zeros((0, 2), dtype=np.intp)
 
-    values = c.values
-    kept = values[admissible]
-    lo = min(float(kept.min()), 0.0)
-    hi = float(kept.max())
+    lo = min(float(np.minimum.reduce(kept)), 0.0)
+    hi = float(np.maximum.reduce(kept))
     # one more match saves two unmatch costs and adds at most min(T, D) * span of
     # pair cost along its augmenting path; barred outweighs every admissible matching
     unmatch = min(T, D) * (hi - lo) + 1.0
@@ -167,16 +179,17 @@ def solve_assignment(c: CostMatrix) -> np.ndarray:
 
     rows, cols = linear_sum_assignment(block)
     cost = block[rows, cols]
-    paired = cost < barred  # every admissible cost lies below barred
-    if np.count_nonzero(paired) < len(paired):
+    if np.maximum.reduce(cost) >= barred:  # a barred slot: every admissible cost lies below barred
+        paired = cost < barred
         rows, cols, cost = rows[paired], cols[paired], cost[paired]
     # the square encoding's optimum and its costs, row by row: tracks, then detection slots
     col = np.arange(D, D + T)  # an unmatched track takes its own slot
     col[rows] = cols
-    base = np.full(T + D, unmatch)
+    base = np.empty(T + D)
+    base.fill(unmatch)
     base[rows] = cost
     base[T + cols] = 0.0  # a matched detection's slot row takes its track's slot
-    tol = 1e-9 * max(1.0, abs(float(base.sum())))
+    tol = 1e-9 * max(1.0, abs(float(np.add.reduce(base))))
     if not _unique_optimum(block, col, base[:T], _UNIQUE_MARGIN * (T + D) * tol):
         slot = np.arange(D)  # an unmatched detection's slot row takes its own column,
         slot[cols] = D + rows  # a matched one its track's slot
@@ -214,7 +227,8 @@ def _unique_optimum(real: np.ndarray, col: np.ndarray, base: np.ndarray, delta: 
     T, D = real.shape
     matched = col < D
     near = np.where(matched, base + delta, -np.inf)  # each row's bound, none for an unmatched track
-    bound = np.full(T + D, -np.inf)
+    bound = np.empty(T + D)
+    bound.fill(-np.inf)
     bound[col] = near  # each column's bound: its track's; slots past D are never read
     # an entry within the bound of its row or of its column: only the pairs themselves may be
     return np.count_nonzero(real <= np.maximum(near[:, None], bound[:D])) == np.count_nonzero(matched)

@@ -284,21 +284,18 @@ def split_frames(
             raise ValueError(f"record ({key_frame[rec]},{key_index[rec]}) names no detection line")
         record[bounds[group] + key_index] = np.arange(len(group))
 
-    cuts = bounds[1:-1]
-    boxes, scores = np.split(table.box[order], cuts), np.split(table.conf[order], cuts)
-    has = record >= 0
-    features, present, masks = {}, np.zeros(len(frames), bool), []
+    boxes, scores, has = table.box[order], table.conf[order], record >= 0
+    features, present = {}, np.zeros(len(frames), bool)
     if has.any():
         present = np.logical_or.reduceat(has, bounds[:-1])
         for kind, m in descriptors.vectors.items():
             rows = m[record]  # one copy per kind: a row without a record (-1) reads the last record, then is zeroed
             rows[~has] = 0.0
-            features[kind] = np.split(rows, cuts)
-        masks = np.split(has, cuts)
-    out = {}
-    for i, frame in enumerate(frames.tolist()):
-        feats = {kind: (parts[i], masks[i]) for kind, parts in features.items()} if present[i] else {}
-        out[frame] = Detections(boxes[i], scores[i], feats)
+            features[kind] = rows
+    out = {}  # each frame's batch: slices, so views, of the sorted columns
+    for frame, a, b, shown in zip(frames.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(), present.tolist()):
+        feats = {kind: (rows[a:b], has[a:b]) for kind, rows in features.items()} if shown else {}
+        out[frame] = Detections(boxes[a:b], scores[a:b], feats)
     return out
 
 

@@ -221,14 +221,17 @@ def predict_rows(x: np.ndarray, pcv: np.ndarray, h_min: float) -> Rows:
 def update_rows(x: np.ndarray, pcv: np.ndarray, z: np.ndarray, h_min: float) -> Rows:
     """``update`` of each row by its row of ``z``; S = p + r >= (meas * h_min)^2 > 0."""
     p, c, v = pcv[:, 0], pcv[:, 1], pcv[:, 2]
-    il = 1 / np.sqrt(p + np.float_power(MEAS_STD_WEIGHT * np.maximum(x[:, 3], h_min), 2))
-    k_pos, k_vel = p * il * il, c * il * il
-    y = z - x[:, :MEAS_DIM]
-    x_out, pcv_out = x.copy(), np.empty_like(pcv)
-    x_out[:, :MEAS_DIM] += k_pos[:, None] * y
-    x_out[:, MEAS_DIM:] += k_vel[:, None] * y
+    il = np.reciprocal(np.sqrt(p + np.float_power(MEAS_STD_WEIGHT * np.maximum(x[:, 3], h_min), 2)))
+    k = np.empty((len(x), 2, 1))  # each row's gains of its positions and of its velocities
+    k_pos = np.multiply(p, il, out=k[:, 0, 0])
+    k_pos *= il
+    k_vel = np.multiply(c, il, out=k[:, 1, 0])
+    k_vel *= il
+    # x + K y, K the two gains times I4: row i adds k[i, g] * y[i] to its g-th half
+    x_out = x + (k * (z - x[:, :MEAS_DIM])[:, None, :]).reshape(x.shape)
     np.maximum(x_out[:, 3], h_min, out=x_out[:, 3])
-    kept = 1 - k_pos
+    pcv_out = np.empty_like(pcv)
+    kept = 1.0 - k_pos
     np.multiply(kept, p, out=pcv_out[:, 0])
     c_post = np.multiply(kept, c, out=pcv_out[:, 1])
     c_post += c - k_vel * p

@@ -294,5 +294,5 @@ def _centre_smoother(frames: list[int], centres: list, cfg: RunConfig) -> list[t
             y, vy = fy + g00 * ey + g01 * evy, fvy + g10 * ey + g11 * evy
             sx[k], sy[k] = x, y
     except ZeroDivisionError:
-        raise ValueError("singular smoother covariance; raise process_std or meas_std") from None
+        raise ValueError("singular smoother covariance; raise se3_process_std or se3_meas_std") from None
     return [(x, y) for x, y, z in zip(sx, sy, obs) if z is None]

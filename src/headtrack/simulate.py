@@ -50,9 +50,9 @@ class SceneSpec:
             raise ValueError(f"motion must be one of {MOTION_MODELS}, got {self.motion!r}")
         if self.frames < 1:
             raise ValueError("need at least one frame")
-        for name in ("image_width", "image_height", "box_height"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        RunConfig(image_width=self.image_width, image_height=self.image_height)  # the keys' own range check
+        if not self.box_height > 0:
+            raise ValueError(f"box_height must be positive, got {self.box_height}")
         for name in ("noise_std", "feat_noise_std", "seed"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

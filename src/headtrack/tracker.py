@@ -4,15 +4,19 @@ One Tracker owns one sequence; its live tracks are array rows. Each frame
 predicts every row, associates, corrects the matched rows with the
 closed-form Kalman update (the (u, v, a, h) measurement is linear, so
 ``kalman.iterated_update`` would stop after one pass) and blends their
-descriptors. A row that turns non-finite is a diverged filter: only that
-track is removed. Unmatched tracks coast on prediction and are eliminated
+descriptors. The update takes the whole state arrays when every row is
+matched, and otherwise gathers the matched rows once and writes them back
+once. A row that turns non-finite is a diverged filter: only that track is
+removed. Unmatched tracks coast on prediction and are eliminated
 after ``patience_w`` consecutive misses; tracks are emitted from ``min_hits`` matches.
 A live track is only its row, id included; its status is read from the row,
 not stored. ``step``'s emissions are the only output: a track keeps no boxes,
 and a detection no frame (it is the frame of the ``step`` it is passed to).
 A frame's detections arrive as one Detections batch of columns, and its
 emissions leave as Emissions columns; iterating a batch yields its rows as
-``rows.Detection``, and iterating emissions yields (id, BBox) pairs.
+``rows.Detection``, and iterating emissions yields (id, BBox) pairs. Without
+``emit_predictions`` every emitted row has a detection, so its box is that
+detection's and no box is built from a state.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ def measurements(boxes: np.ndarray) -> np.ndarray:
     """(D, 4) observations (u, v, a, h) of (D, 4) boxes (x, y, w, h): centre, aspect w / h, height."""
     z = np.array(boxes, dtype=float)
     z[:, :2] += 0.5 * z[:, 2:]
-    z[:, 2] = z[:, 2] / z[:, 3]
+    np.divide(z[:, 2], z[:, 3], out=z[:, 2])
     return z
 
 
@@ -152,7 +156,8 @@ class Tracker:
         cfg = self.cfg
 
         self.x, self.pcv = kalman.predict_rows(self.x, self.pcv, cfg.h_min)
-        if not math.isfinite(self.x.sum() + self.pcv.sum()):  # a finite sum has finite terms only
+        # a finite sum has finite terms only
+        if not math.isfinite(np.add.reduce(self.x, None) + np.add.reduce(self.pcv, None)):
             self._keep(np.isfinite(self.x).all(axis=1) & np.isfinite(self.pcv).all(axis=1))
 
         z = measurements(detections.boxes)
@@ -160,29 +165,38 @@ class Tracker:
         cost = build_cost_matrix(self.x[:, :2], self.feats, z[:, :2], det_feats, cfg, self.motion_scale)
         rows, cols = solve_assignment(cost).T
 
-        if rows.size:
-            self.x[rows], self.pcv[rows] = kalman.update_rows(self.x[rows], self.pcv[rows], z[cols], cfg.h_min)
+        n = len(self.ids)
+        if len(rows) == n > 0:  # every row matched: rows is 0..n-1, so no row is gathered or scattered
+            self.x, self.pcv = kalman.update_rows(self.x, self.pcv, z.take(cols, 0), cfg.h_min)
+        elif len(rows):
+            x, pcv = kalman.update_rows(self.x.take(rows, 0), self.pcv.take(rows, 0), z.take(cols, 0), cfg.h_min)
+            self.x[rows], self.pcv[rows] = x, pcv
         self._blend(rows, det_feats, cols)
         self.misses += 1
         self.misses[rows] = 0
         self.hits[rows] += 1
 
-        det = np.full(len(self.ids), -1)  # each row's detection this frame, -1 for none
-        det[rows] = cols
         fresh = detections.scores >= cfg.init_score_min
         fresh[cols] = False
-        if np.count_nonzero(fresh):
-            new = np.flatnonzero(fresh)
+        new = fresh.nonzero()[0]
+        det = np.empty(n + len(new), dtype=int)  # each row's detection this frame, -1 for none; spawned rows last
+        det.fill(-1)
+        det[rows] = cols
+        if len(new):
+            det[n:] = new
             self._spawn(new, z, det_feats)
-            det = np.concatenate([det, new])
 
-        seen = det >= 0  # with emit_predictions, a row that is not seen shows until it ages out
-        emit = (self.hits >= cfg.min_hits) & ((seen | (self.misses < cfg.patience_w)) if cfg.emit_predictions else seen)
-        j = det[emit]
-        coast = j < 0
-        boxes = detections.boxes[j] if len(detections) else np.empty((len(j), 4))  # coasting rows are filled in next
-        if coast.any():  # only coasting rows build a box from their state
-            boxes[coast] = boxes_from_states(self.x[emit][coast])
+        seen = det >= 0
+        if cfg.emit_predictions:  # a row that is not seen shows until it ages out, at its predicted box
+            emit = (self.hits >= cfg.min_hits) & (seen | (self.misses < cfg.patience_w))
+            j = det[emit]
+            coast = j < 0
+            boxes = detections.boxes[j] if len(detections) else np.empty((len(j), 4))  # coasting rows: filled next
+            if coast.any():
+                boxes[coast] = boxes_from_states(self.x[emit][coast])
+        else:  # every emitted row is seen
+            emit = (self.hits >= cfg.min_hits) & seen
+            boxes = detections.boxes.take(det[emit], 0)
         out = Emissions(self.ids[emit], boxes)
         self._keep(self.misses < cfg.patience_w)
         return out
@@ -206,13 +220,15 @@ class Tracker:
                 m, has = self.feats[kind] = (np.zeros((n, q.shape[1])), np.zeros(n, dtype=bool))
             if not rows.size:
                 continue
-            a, b, new = m[rows], q[cols], has_q[cols]
+            a, b = m.take(rows, 0), q.take(cols, 0)
             v = mom * a + (1.0 - mom) * b
             norm = row_norms(v)[:, None]
-            both = has[rows] & new
-            if np.count_nonzero(both) == len(both) and norm.min() >= 1e-9:  # every row blends, and none cancels
+            everywhere = np.count_nonzero(has) == n and np.count_nonzero(has_q) == len(has_q)  # every pair blends
+            if everywhere and np.minimum.reduce(norm, None) >= 1e-9:  # and none cancels
                 m[rows] = v / norm
                 continue
+            new = has_q.take(cols)
+            both = has.take(rows) & new
             # antipodal vectors can cancel; keep the fresher observation then
             mixed = np.where(norm < 1e-9, b, v / np.maximum(norm, 1e-9))
             m[rows] = np.where(both[:, None], mixed, np.where(new[:, None], b, a))

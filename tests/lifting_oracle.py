@@ -173,5 +173,5 @@ def _centre_smoother(pts, cfg):
             y, vy = fy + g00 * ey + g01 * evy, fvy + g10 * ey + g11 * evy
             sx[k], sy[k] = x, y
     except ZeroDivisionError:
-        raise ValueError("singular smoother covariance; raise process_std or meas_std") from None
+        raise ValueError("singular smoother covariance; raise se3_process_std or se3_meas_std") from None
     return sx, sy

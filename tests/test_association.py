@@ -446,6 +446,103 @@ class TestBuildCostMatrix:
             checked += T * D
         assert checked > 1000
 
+    @pytest.mark.parametrize("side", ["detection", "track"])
+    @pytest.mark.parametrize("lacking", ["f_cls", "f_reg"])
+    @pytest.mark.parametrize("w_cls, w_reg", [(0.3, 1.0), (1.0, 2.5), (2.5, 0.3), (1.0, 1.0)])
+    def test_all_present_block_has_the_masked_bits(self, w_cls, w_reg, lacking, side):
+        # a kind every row carries adds its weight as one number; one more row
+        # without ``lacking`` sends that kind through the masked form, and the
+        # shared block keeps every bit
+        rng = np.random.default_rng(int(10 * w_cls + w_reg))
+        cfg = RunConfig(w_app=0.6, w_mot=0.4, **lambdas(w_cls, w_reg, 0.0), gate_g=0.5, motion_scale=300.0)
+        dims = {"f_cls": 6, "f_reg": 4}
+
+        def side_of(n):
+            xy = rng.uniform(0, 300, (n, 2))
+            feats = {}
+            for kind, dim in dims.items():
+                m = rng.normal(size=(n, dim))
+                feats[kind] = (m / np.linalg.norm(m, axis=1, keepdims=True), np.ones(n, bool))
+            return xy, feats
+
+        def with_row(xy, feats):
+            xy = np.vstack([xy, rng.uniform(0, 300, (1, 2))])
+            grown = {}
+            for kind, (m, has) in feats.items():
+                extra = np.zeros((1, m.shape[1])) if kind == lacking else unit(*rng.normal(size=m.shape[1]))[None]
+                grown[kind] = (np.vstack([m, extra]), np.append(has, kind != lacking))
+            return xy, grown
+
+        trk, det = side_of(5), side_of(7)
+        full = build_cost_matrix(*trk, *det, cfg, cfg.motion_scale).values
+        if side == "detection":
+            masked = build_cost_matrix(*trk, *with_row(*det), cfg, cfg.motion_scale).values[:, :7]
+        else:
+            masked = build_cost_matrix(*with_row(*trk), *det, cfg, cfg.motion_scale).values[:5]
+        assert np.array_equal(full.view(np.int64), masked.view(np.int64))
+
+    def test_equals_the_masked_form_bit_for_bit(self):
+        # every kind through np.where masks and one masked np.divide, as the
+        # costs were built when no kind was taken as present everywhere: the
+        # same bits on all-present, partly present and absent kinds, zero
+        # weights, empty sides and an infinite w_app
+        def masked_form(trk_xy, trk_feats, det_xy, det_feats, cfg, scale):
+            acc = total_w = 0.0
+            for kind, w in zip(FEATURE_KINDS, feature_weights(cfg)):
+                if w == 0.0 or kind not in trk_feats or kind not in det_feats:
+                    continue
+                (p, has_p), (q, has_q) = trk_feats[kind], det_feats[kind]
+                if not (has_p.any() and has_q.any()):
+                    continue
+                shared = has_p[:, None] & has_q
+                acc = acc + np.where(shared, w * (1.0 - p @ q.T), 0.0)
+                total_w = total_w + np.where(shared, w, 0.0)
+            app = np.divide(acc, total_w, out=np.zeros((len(trk_xy), len(det_xy))), where=total_w > 0.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                dx, dy = trk_xy[:, :1] - det_xy[:, 0], trk_xy[:, 1:] - det_xy[:, 1]
+                return cfg.w_app * app + cfg.w_mot * (np.hypot(dx, dy) / scale)
+
+        rng = np.random.default_rng(23)
+        dims = {"f_cls": 5, "f_reg": 3, "f_head": 4}
+
+        def side_of(n, presence):
+            feats = {}
+            for kind, dim in dims.items():
+                if rng.uniform() < 0.2:
+                    continue
+                m = rng.normal(size=(n, dim))
+                m /= np.linalg.norm(m, axis=1, keepdims=True)
+                has = rng.uniform(size=n) < presence
+                m[~has] = 0.0
+                feats[kind] = (m, has)
+            return rng.uniform(0, 300, (n, 2)), feats
+
+        seen = set()
+        for k in range(400):
+            T, D = (int(n) for n in rng.integers(0, 6, 2))
+            presence = (1.0, 0.7, 0.0)[k % 3]
+            cfg = RunConfig(
+                w_app=float(rng.choice([0.0, 0.5, 1.0, np.inf])), w_mot=float(rng.choice([0.0, 0.5, 1.0])) + 0.1,
+                **lambdas(*(float(w) for w in rng.choice([0.0, 0.3, 1.0, 2.5], 3))), gate_g=1.0, motion_scale=200.0,
+            )
+            trk, det = side_of(T, presence), side_of(D, presence)
+            got = build_cost_matrix(*trk, *det, cfg, cfg.motion_scale).values
+            want = masked_form(*trk, *det, cfg, cfg.motion_scale)
+            assert got.shape == want.shape == (T, D)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (k, cfg)
+            seen.add((presence, bool(T and D)))
+        assert len(seen) == 6
+        # terms that underflow to -0.0 (<p, q> just above 1, a subnormal weight): the first term
+        # is not added to 0.0, and the costs still have the masked form's bits
+        p = np.tile([1.0 + 2.0**-52, 0.0], (2, 1))
+        side = (np.zeros((2, 2)), {"f_cls": (p, np.ones(2, bool)), "f_reg": (p, np.ones(2, bool))})
+        for w in (5e-324, 1e-310):
+            cfg = RunConfig(w_app=1.0, w_mot=1.0, **lambdas(w, w, 0.0), gate_g=1.0, motion_scale=1.0)
+            term = w * (1.0 - p @ p.T)
+            assert (term == 0.0).all() and np.signbit(term).all()
+            got = build_cost_matrix(*side, *side, cfg, 1.0).values
+            assert np.array_equal(got.view(np.int64), masked_form(*side, *side, cfg, 1.0).view(np.int64))
+
     def test_shared_weighted_dimension_mismatch_raises(self):
         cfg = RunConfig(**lambdas(0.5, 0.5, 0.0), gate_g=1e9, motion_scale=1.0)
         two = AppearanceDescriptor(f_cls=unit(1, 0), f_reg=unit(1, 0))

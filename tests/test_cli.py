@@ -525,8 +525,9 @@ class TestInterpolate:
         out = tmp_path / "out.txt"
         args = ["interpolate", "--input", inp, "--method", "se3_kalman", "--out", str(out)]
         assert cli.main(args + ["--se3-process-std", "0", "--se3-meas-std", "0"]) == 2
-        err = capsys.readouterr().err
-        assert "track 4" in err and "singular" in err
+        err = capsys.readouterr().err  # the message names the keys that set the two stds
+        want = "track 4: singular smoother covariance; raise se3_process_std or se3_meas_std"
+        assert err == f"headtrack: {inp}: {want}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("method", lifting.METHODS)
@@ -1287,6 +1288,18 @@ class TestSettingRanges:
         # a flag beats the spec, so the flag's key is named
         assert cli.main(["simulate", "--spec", spec, "--out-dir", str(out), "--image-height", "1e-320"]) == 2
         assert capsys.readouterr().err == f"headtrack: key image_height and {spec}: targets 1 and 2 overlap at spawn\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["image_width", "image_height"])
+    def test_spec_image_size_prints_the_flags_line(self, tmp_path, capsys, key):
+        # the spec's image size takes RunConfig's check: the flag's text, located in the spec
+        out = tmp_path / "scene"
+        spec = write(tmp_path / "s.cfg", f"targets = 2\nframes = 3\n{key} = 0\n")
+        assert cli.main(["simulate", "--spec", spec, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"headtrack: {spec}: key {key}: expected > 0, got 0.0\n")
+        good = write(tmp_path / "good.cfg", "targets = 2\nframes = 3\n")
+        assert cli.main(["simulate", "--spec", good, "--out-dir", str(out), f"--{key.replace('_', '-')}", "0"]) == 2
+        assert capsys.readouterr() == ("", f"headtrack: key {key}: expected > 0, got 0.0\n")
         assert not out.exists()
 
     def test_track_zero_image_size_named_by_key(self, tmp_path, capsys):

@@ -378,11 +378,15 @@ class TestGenerateScene:
         ("descriptor_dim", -2),
         ("image_width", 0.0),
         ("image_height", 0.0),
+        ("image_width", -5.0),
+        ("image_height", float("nan")),
         ("box_height", -80.0),
         ("seed", -1),
     ])
     def test_out_of_range_field_named(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+        # the image size is RunConfig's key and takes its check and text
+        text = f"key {field}: expected > 0, got {value}" if field.startswith("image_") else f"{field} must be"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}"):
             SceneSpec(**{field: value})
 
     def test_zero_descriptor_dim_makes_no_descriptors(self):

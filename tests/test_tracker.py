@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from headtrack import association, kalman
+from headtrack import association, kalman, tracker
 from headtrack.association import (
     FEATURE_KINDS,
     build_cost_matrix,
@@ -360,6 +360,47 @@ class TestArrayCore:
         assert sum(map(len, got)) > 100
         seen = set().union(*statuses)
         assert seen == {"confirmed", "removed"} | ({"tentative"} if cfg.min_hits > 1 else set())
+
+    @pytest.mark.parametrize("emit", [False, True], ids=["emit detections", "emit predictions"])
+    def test_generated_scene_with_missing_records_equals_library_loop(self, emit, monkeypatch):
+        # a simulate scene whose sidecar lacks the records of some detections:
+        # frames where every row and detection carries the kind and frames
+        # where some lack it, frames where every track is matched and frames
+        # where some are not, each equal to the per-track loop
+        from headtrack.dataio import Descriptors, split_frames
+        from headtrack.simulate import SceneSpec, generate_scene
+
+        spec = SceneSpec(targets=6, frames=60, motion="crossing", seed=4, noise_std=1.0, feat_noise_std=0.1,
+                         descriptor_dim=8, occlusions=((2, 10, 14), (5, 30, 33)))
+        scene = generate_scene(spec)
+        d = scene.descriptors
+        keep = ~((d.frame >= 20) & (d.frame <= 40) & (d.det_index % 3 == 1))  # drop a record in some frames
+        descriptors = Descriptors(d.frame[keep], d.det_index[keep], {k: m[keep] for k, m in d.vectors.items()})
+        by_frame = split_frames(scene.detections, descriptors)
+        cfg = RunConfig(min_hits=2, patience_w=4, emit_predictions=emit, motion_scale=300.0)
+        frames = [(f, by_frame.get(f, [])) for f in range(1, spec.frames + 1)]
+        want = reference_run(cfg, [(f, list(dets)) for f, dets in frames])
+
+        tr, paths = Tracker(cfg), set()
+        build, update = tracker.build_cost_matrix, kalman.update_rows
+
+        def build_spy(trk_xy, trk_feats, det_xy, det_feats, *args):
+            counts = [np.count_nonzero(has) for _, has in (*trk_feats.values(), *det_feats.values())]
+            sizes = [len(trk_xy)] * len(trk_feats) + [len(det_xy)] * len(det_feats)
+            paths.add("every row carries the kind" if counts == sizes else "some rows lack it")
+            return build(trk_xy, trk_feats, det_xy, det_feats, *args)
+
+        def update_spy(x, *args):
+            paths.add("every track matched" if x is tr.x else "some tracks unmatched")
+            return update(x, *args)
+
+        monkeypatch.setattr(tracker, "build_cost_matrix", build_spy)
+        monkeypatch.setattr(kalman, "update_rows", update_spy)
+        got = [list(tr.step(f, dets)) for f, dets in frames]
+        assert got == want
+        assert sum(map(len, got)) > 200
+        assert paths == {"every row carries the kind", "some rows lack it", "every track matched",
+                         "some tracks unmatched"}
 
     def test_blend_matches_per_descriptor_ema(self):
         cfg = RunConfig(min_hits=1, descriptor_momentum=0.5, w_app=0.5, w_mot=0.5, motion_scale=1000.0, gate_g=2.0)
