@@ -42,12 +42,15 @@ def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: Run
 
     Centres are (T, 2) predictions and (D, 2) detections; feats map kinds
     to (n x d matrix, n presence mask), a row without the kind zero. Motion
-    is the centre distance over ``motion_scale`` (pixels, > 0); appearance
-    the cosine cost 1 - <p, q> averaged over the kinds a pair shares, with
-    ``cfg``'s lambda_* weights renormalized over them (motion alone if
-    none). ``cfg.w_app`` and ``w_mot`` weigh the two terms and ``gate_g``
-    gates their sum. One (T x d)(d x D) product per kind. Raises ValueError
-    when a kind both sides carry differs in dimension.
+    is the centre distance over ``motion_scale`` (pixels, > 0). The distance
+    is the square root of the summed squares, within 1 ulp of ``np.hypot``'s;
+    a frame whose squares overflow or whose centres are not finite takes
+    ``np.hypot``'s. Appearance is the cosine cost 1 - <p, q> averaged over
+    the kinds a pair shares, with ``cfg``'s lambda_* weights renormalized
+    over them (motion alone if none). ``cfg.w_app`` and ``w_mot`` weigh the
+    two terms and ``gate_g`` gates their sum. One (T x d)(d x D) product per
+    kind. Raises ValueError when a kind both sides carry differs in
+    dimension.
     """
     T, D = len(trk_xy), len(det_xy)
 
@@ -80,7 +83,10 @@ def build_cost_matrix(trk_xy, trk_feats: dict, det_xy, det_feats: dict, cfg: Run
     # centres far apart cost inf (nan at w_mot = 0), which the gate rejects
     with np.errstate(over="ignore", invalid="ignore"):
         dx, dy = trk_xy[:, :1] - det_xy[:, 0], trk_xy[:, 1:] - det_xy[:, 1]
-        values = cfg.w_app * app + cfg.w_mot * (np.hypot(dx, dy) / motion_scale)
+        dist = np.sqrt(dx * dx + dy * dy)
+        if not math.isfinite(np.add.reduce(dist, axis=None)):  # a square overflowed, or a centre is not finite
+            dist = np.hypot(dx, dy)
+        values = cfg.w_app * app + cfg.w_mot * (dist / motion_scale)
     return CostMatrix(values=values, gate_mask=values <= cfg.gate_g)
 
 

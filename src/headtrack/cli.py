@@ -88,7 +88,10 @@ def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
         if key not in parsers:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = parsers[key](val) if isinstance(val, str) else val
-    return RunConfig(**values)
+    try:
+        return RunConfig(**values)
+    except ValueError as exc:  # a key out of range
+        raise ConfigError(str(exc)) from None
 
 
 def tracker_config(cfg: RunConfig) -> RunConfig:

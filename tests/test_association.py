@@ -216,6 +216,38 @@ def cost_matrix(tracks, detections, cfg):
     return build_cost_matrix(trk_xy, trk_feats, det_xy, det_feats, cfg, cfg.motion_scale)
 
 
+def masked_form(trk_xy, trk_feats, det_xy, det_feats, cfg, scale, distance):
+    """Costs with every kind masked by np.where and one masked np.divide.
+
+    The build's formula with no kind taken as present everywhere; the
+    centre distances are ``distance(dx, dy)`` on the (T, D) offsets.
+    """
+    acc = total_w = 0.0
+    for kind, w in zip(FEATURE_KINDS, feature_weights(cfg)):
+        if w == 0.0 or kind not in trk_feats or kind not in det_feats:
+            continue
+        (p, has_p), (q, has_q) = trk_feats[kind], det_feats[kind]
+        if not (has_p.any() and has_q.any()):
+            continue
+        shared = has_p[:, None] & has_q
+        acc = acc + np.where(shared, w * (1.0 - p @ q.T), 0.0)
+        total_w = total_w + np.where(shared, w, 0.0)
+    app = np.divide(acc, total_w, out=np.zeros((len(trk_xy), len(det_xy))), where=total_w > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy = trk_xy[:, :1] - det_xy[:, 0], trk_xy[:, 1:] - det_xy[:, 1]
+        return cfg.w_app * app + cfg.w_mot * (distance(dx, dy) / scale)
+
+
+def root_of_squares(dx, dy):
+    """Centre distances as the build takes them when no square overflows."""
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def ulps_apart(got, want):
+    """How many floats apart two arrays of non-negative floats are, elementwise."""
+    return np.abs(got.view(np.int64) - want.view(np.int64))
+
+
 def appearance_term(track_desc, det_desc, weights=(1.0, 0.0, 0.0)):
     """The appearance cost of one co-located pair, read through build_cost_matrix."""
     cfg = RunConfig(w_app=1.0, w_mot=0.0, **lambdas(*weights), gate_g=1e9, motion_scale=1.0)
@@ -367,6 +399,17 @@ class TestBuildCostMatrix:
             cm = cost_matrix(tracks, dets, cfg)
             assert solve_pairs(cm) == pairs
         assert cm.gate_mask.tolist() == admissible
+        # centres 1e200 apart: their squares overflow, their hypot does not, and
+        # under a motion_scale of 1e300 the pair costs w_mot * 1e-100 and is matched
+        far = RunConfig(w_app=1.0, w_mot=w_mot, motion_scale=1e300, gate_g=0.5)
+        trk_xy, det_xy = np.array([[0.0, 0.0]]), np.array([[6e199, 8e199]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cm = build_cost_matrix(trk_xy, {}, det_xy, {}, far, far.motion_scale)
+            assert solve_pairs(cm) == [(0, 0)]
+        want = masked_form(trk_xy, {}, det_xy, {}, far, far.motion_scale, np.hypot)
+        assert np.array_equal(cm.values.view(np.int64), want.view(np.int64))
+        assert cm.values[0, 0] == pytest.approx(w_mot * 1e-100, rel=1e-15, abs=0.0)
 
     def test_motion_only_when_w_app_zero(self):
         cfg = RunConfig(w_app=0.0, w_mot=1.0, motion_scale=10.0, gate_g=100.0)
@@ -485,23 +528,8 @@ class TestBuildCostMatrix:
         # every kind through np.where masks and one masked np.divide, as the
         # costs were built when no kind was taken as present everywhere: the
         # same bits on all-present, partly present and absent kinds, zero
-        # weights, empty sides and an infinite w_app
-        def masked_form(trk_xy, trk_feats, det_xy, det_feats, cfg, scale):
-            acc = total_w = 0.0
-            for kind, w in zip(FEATURE_KINDS, feature_weights(cfg)):
-                if w == 0.0 or kind not in trk_feats or kind not in det_feats:
-                    continue
-                (p, has_p), (q, has_q) = trk_feats[kind], det_feats[kind]
-                if not (has_p.any() and has_q.any()):
-                    continue
-                shared = has_p[:, None] & has_q
-                acc = acc + np.where(shared, w * (1.0 - p @ q.T), 0.0)
-                total_w = total_w + np.where(shared, w, 0.0)
-            app = np.divide(acc, total_w, out=np.zeros((len(trk_xy), len(det_xy))), where=total_w > 0.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                dx, dy = trk_xy[:, :1] - det_xy[:, 0], trk_xy[:, 1:] - det_xy[:, 1]
-                return cfg.w_app * app + cfg.w_mot * (np.hypot(dx, dy) / scale)
-
+        # weights, empty sides and an infinite w_app; centre distances are the
+        # square root of the summed squares, as the build takes them
         rng = np.random.default_rng(23)
         dims = {"f_cls": 5, "f_reg": 3, "f_head": 4}
 
@@ -527,7 +555,7 @@ class TestBuildCostMatrix:
             )
             trk, det = side_of(T, presence), side_of(D, presence)
             got = build_cost_matrix(*trk, *det, cfg, cfg.motion_scale).values
-            want = masked_form(*trk, *det, cfg, cfg.motion_scale)
+            want = masked_form(*trk, *det, cfg, cfg.motion_scale, root_of_squares)
             assert got.shape == want.shape == (T, D)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (k, cfg)
             seen.add((presence, bool(T and D)))
@@ -541,7 +569,54 @@ class TestBuildCostMatrix:
             term = w * (1.0 - p @ p.T)
             assert (term == 0.0).all() and np.signbit(term).all()
             got = build_cost_matrix(*side, *side, cfg, 1.0).values
-            assert np.array_equal(got.view(np.int64), masked_form(*side, *side, cfg, 1.0).view(np.int64))
+            want = masked_form(*side, *side, cfg, 1.0, root_of_squares)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_within_an_ulp_of_hypot_with_the_same_gate_and_matching(self, monkeypatch):
+        # np.hypot is the reference distance. Seeded frames of up to 80 x 80,
+        # with and without descriptor kinds, at w_app 0 and above; centres on a
+        # 12.3 px grid and descriptors from a small palette make equal and
+        # nearly equal costs, so some solves reach the tie-break. Each distance
+        # is within 1 ulp of hypot's; each cost is within 4 eps of the hypot
+        # form's, as the division by motion_scale, the product with w_mot and the
+        # sum with the appearance term each round once more; the gate and the
+        # matching are the same on both.
+        rng = np.random.default_rng(35)
+        palette = rng.normal(size=(5, 8))
+        palette /= np.linalg.norm(palette, axis=1, keepdims=True)
+        tie_break, walks = association._tie_break, []
+        monkeypatch.setattr(association, "_tie_break", lambda *a: walks.append(a[3:5]) or tie_break(*a))
+        unit_motion = RunConfig(w_app=0.0, w_mot=1.0, motion_scale=1.0)  # the costs are the distances
+
+        def side_of(n, kinds):
+            feats = {}
+            for kind in kinds:
+                has = rng.uniform(size=n) < 0.8
+                feats[kind] = (palette[rng.integers(0, len(palette), n)] * has[:, None], has)
+            return rng.integers(0, 40, (n, 2)) * 12.3, feats
+
+        kinds_seen = set()
+        for k in range(240):
+            T, D = (int(n) for n in rng.integers(0, 81, 2))
+            kinds = FEATURE_KINDS[: k % 3]
+            cfg = RunConfig(
+                w_app=float(rng.choice([0.0, 0.5, 1.0])), w_mot=float(rng.choice([0.3, 0.5, 1.0])),
+                **lambdas(*(float(w) for w in rng.choice([0.3, 1.0, 2.5], 3))),
+                gate_g=float(rng.uniform(0.05, 0.6)), motion_scale=float(rng.uniform(200.0, 2000.0)),
+            )
+            trk, det = side_of(T, kinds), side_of(D, kinds)
+            dist = build_cost_matrix(*trk, *det, unit_motion, 1.0).values
+            assert (ulps_apart(dist, masked_form(*trk, *det, unit_motion, 1.0, np.hypot)) <= 1).all(), k
+            got = build_cost_matrix(*trk, *det, cfg, cfg.motion_scale)
+            want = masked_form(*trk, *det, cfg, cfg.motion_scale, np.hypot)
+            assert got.values.shape == want.shape == (T, D)
+            assert (np.abs(got.values - want) <= 4 * np.finfo(float).eps * np.abs(want)).all(), k
+            assert np.array_equal(got.gate_mask, want <= cfg.gate_g), k
+            reference = CostMatrix(values=want, gate_mask=want <= cfg.gate_g)
+            assert np.array_equal(solve_assignment(got), solve_assignment(reference)), k
+            kinds_seen.add((len(kinds), cfg.w_app > 0.0))
+        assert len(kinds_seen) == 6
+        assert sum(T * D > 400 for T, D in walks) >= 20  # tie-breaks on large frames
 
     def test_shared_weighted_dimension_mismatch_raises(self):
         cfg = RunConfig(**lambdas(0.5, 0.5, 0.0), gate_g=1e9, motion_scale=1.0)

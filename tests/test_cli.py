@@ -1447,6 +1447,7 @@ class TestConfigFuzz:
         return root
 
     @given(text=CONFIG_TEXTS)
+    @example(text=b"w_app=-1")  # out of range: RunConfig's ValueError came out unwrapped
     @settings(max_examples=40, deadline=None)
     def test_load_config(self, fuzz_dir, text):
         cfgfile = fuzz_dir / "run.cfg"
