@@ -21,13 +21,6 @@ import numpy as np
 
 from .config import FEATURE_KINDS, RunConfig
 
-UNIT_NORM_TOL = 1e-6  # how far a unit vector's norm may be from 1
-
-
-def row_norms(m: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of ``m``, bit for bit as np.linalg.norm of that row."""
-    return np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0, 0]
-
 
 @dataclass(eq=False)  # arrays compare and hash by identity
 class CostMatrix:

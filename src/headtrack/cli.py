@@ -129,10 +129,14 @@ def run_track_file(dets_path, features_path, out_path, cfg: RunConfig, head_form
         while f <= busy:
             if not len(tracking.ids):  # a step would only move the frame: skip to the detections
                 f = busy
+            batch = frames.get(f, ())
             try:
-                out = tracking.step(f, frames.get(f, ()))
+                out = tracking.step(f, batch)
             except ValueError as exc:  # costs the assignment cannot encode, or a coasting box no BBox holds
                 raise ConfigError(f"{dets_path}: frame {f}: {exc}") from None
+            except MemoryError:  # the tracks x detections costs, or the tracks themselves, do not fit
+                size = f"{len(tracking.ids)} tracks and {len(batch)} detections"
+                raise ConfigError(f"{dets_path}: frame {f}: not enough memory for {size}") from None
             emitted.append((np.full(len(out.ids), f), out.ids, out.boxes))
             f += 1
     dataio.write_mot(out_path, dataio.MotTable(*map(np.concatenate, zip(*emitted))))
@@ -202,7 +206,10 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     _located(args.result, lambda: dataio.check_unique_ids(res_table))
     if not len(gt_table):
         raise ConfigError(f"{args.gt}: empty ground truth: MOTA undefined")
-    report = metrics.evaluate(metrics.EvalTables(gt_table, res_table), iou_threshold=cfg.iou_threshold)
+    try:
+        report = metrics.evaluate(metrics.EvalTables(gt_table, res_table), iou_threshold=cfg.iou_threshold)
+    except MemoryError:  # a frame's gt x result overlaps, or the identities', do not fit
+        raise ConfigError(f"{args.result}: not enough memory to evaluate against {args.gt}") from None
     print(f"MOTA={report.mota:.6f}")
     print(f"IDF1={report.idf1:.6f}")
     print(f"FP={report.fp}")
@@ -257,6 +264,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         scene = _located(where, lambda: simulate.generate_scene(spec))
     except MemoryError:  # more frames or targets than the arrays can hold
         size = f"targets = {spec.targets}, frames = {spec.frames}"
+        if spec.descriptor_dim is not None:
+            size += f", descriptor_dim = {spec.descriptor_dim}"
         raise ConfigError(f"{where}: the scene does not fit in memory ({size})") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_mot(out_dir / "gt.txt", scene.gt)

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 import numpy as np
 
 from .config import FEATURE_KINDS
-from .geometry import BBox, bad_boxes, check_boxes
+from .geometry import UNIT_NORM_TOL, BBox, bad_boxes, check_boxes, row_norms
 
 if TYPE_CHECKING:  # imported where they are built, so only the code that builds them loads them
     from .rows import MotLine
@@ -102,8 +102,8 @@ class MotTable:
 def parse_mot(source) -> MotTable:
     """Parse MOT text from a path, open file, or iterable of lines.
 
-    Lines may arrive in any frame order; use format_mot for canonical
-    output ordering. Every field is read as Python's ``int`` and
+    Lines may arrive in any frame order; write_mot writes rows in
+    canonical (frame, id) order. Every field is read as Python's ``int`` and
     ``float`` read it, and every box checked as a BBox would check it; the
     first failing line raises MotParseError naming it.
     """
@@ -201,11 +201,6 @@ def check_unique_ids(table: MotTable) -> None:
         f, i = table.frame[row], table.id[row]
         first = table.lineno[np.flatnonzero((table.frame == f) & (table.id == i))[0]]
         raise MotParseError(int(table.lineno[row]), f"frame {f} repeats id {i} (first on line {first})")
-
-
-def format_mot(table: MotTable) -> str:
-    """Serialize rows sorted by (frame, id); values round-trip exactly."""
-    return "".join(_mot_text(table))
 
 
 def write_mot(path, table: MotTable) -> None:
@@ -359,9 +354,8 @@ def write_descriptors(path, descriptors: Descriptors) -> None:
     records. What ``read_descriptors`` would reject raises ValueError and
     writes nothing: the first key outside u4; records without a kind; then
     the first record that repeats a key or whose vector is not unit-norm
-    within ``association.UNIT_NORM_TOL``.
+    within ``geometry.UNIT_NORM_TOL``.
     """
-    from .association import UNIT_NORM_TOL, row_norms
     frame, index, vectors = descriptors.frame, descriptors.det_index, descriptors.vectors
     outside = (np.minimum(frame, index) < 0) | (np.maximum(frame, index) >= 2**32)
     if outside.any():
@@ -389,7 +383,6 @@ def read_descriptors(path) -> Descriptors:
     is named, its (frame, det_index) repeat checked before its kinds in
     order.
     """
-    from .association import row_norms
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise ValueError("descriptor file truncated before header")

@@ -1,8 +1,9 @@
-"""Bounding-box arithmetic shared by the whole pipeline.
+"""Bounding-box arithmetic and row norms shared by the whole pipeline.
 
 Boxes follow the MOTChallenge top-left + width/height convention and are
 converted to corners internally where needed. All coordinates are carried
-as 64-bit floats; sub-pixel positions are never quantized.
+as 64-bit floats; sub-pixel positions are never quantized. Descriptor rows
+are unit vectors, which ``row_norms`` checks and renormalizes.
 """
 
 from __future__ import annotations
@@ -11,6 +12,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+UNIT_NORM_TOL = 1e-6  # how far a unit vector's norm may be from 1
+
+
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``m``, bit for bit as np.linalg.norm of that row."""
+    return np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import geometry
 from .config import RunConfig
-from .geometry import BBox
+from .geometry import BBox, iou_matrix
 from .head import HeadKeypoint
 
 _PROB_CLAMP = 1e-7
@@ -98,7 +97,10 @@ def assign_tables(
     Foreground: the anchor center lies in the target box or its center region. Logs go
     entry by entry through ``math.log``, whose last bit np.log may miss.
     """
-    ious = iou_matrix(anchors, gts)
+    ious = iou_matrix(
+        [(a.pred_box.x, a.pred_box.y, a.pred_box.w, a.pred_box.h) for a in anchors],
+        [(g.box.x, g.box.y, g.box.w, g.box.h) for g in gts],
+    )
     inside, centred = _region_masks(anchors, gts)
     cls = np.array([bce(a.pred_cls, 1.0) for a in anchors]).reshape(-1, 1)
     shifted = ious + cfg.eps_iou
@@ -106,13 +108,6 @@ def assign_tables(
     cost = cls + cfg.alpha * iou_term
     cost[~centred] += cfg.beta
     return cost, ious, inside | centred
-
-
-def iou_matrix(anchors: list[Anchor], gts: list[GtInstance]) -> np.ndarray:
-    return geometry.iou_matrix(
-        [(a.pred_box.x, a.pred_box.y, a.pred_box.w, a.pred_box.h) for a in anchors],
-        [(g.box.x, g.box.y, g.box.w, g.box.h) for g in gts],
-    )
 
 
 def dynamic_k_match(

@@ -22,6 +22,7 @@ are never altered.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,6 @@ class Pose3:
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > 1e-9:
             raise ValueError("rotation must have determinant +1")
-
-    @staticmethod
-    def identity() -> "Pose3":
-        return Pose3(R=np.eye(3), t=np.zeros(3))
 
     def inverse(self) -> "Pose3":
         return Pose3(R=self.R.T, t=-self.R.T @ self.t)
@@ -206,6 +203,8 @@ def _fill(ids, frames, box, gaps, method: str, cfg: RunConfig) -> tuple[MotTable
     gaps = np.asarray(gaps, dtype=np.int64)
     # one row per missing frame, gap after gap: its gap's first anchor, and its frame minus the anchor's
     count = frames[gaps + 1] - frames[gaps] - 1
+    if count.sum(dtype=float) * 32 > sys.maxsize:  # boxes past the address space, which numpy refuses as too big
+        raise MemoryError
     lo = np.repeat(gaps, count)
     step = np.arange(len(lo)) - np.repeat(np.cumsum(count) - count, count) + 1
     omega = step / np.repeat(count + 1, count)

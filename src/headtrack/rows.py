@@ -15,9 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .association import UNIT_NORM_TOL
 from .config import FEATURE_KINDS
-from .geometry import BBox
+from .geometry import UNIT_NORM_TOL, BBox
 
 
 @dataclass(frozen=True)

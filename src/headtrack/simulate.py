@@ -8,15 +8,15 @@ descriptors as dataio.Descriptors, all as whole arrays.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .association import UNIT_NORM_TOL, row_norms
 from .config import RunConfig
 from .dataio import Descriptors, MotTable
-from .geometry import check_boxes, iou_matrix
+from .geometry import UNIT_NORM_TOL, check_boxes, iou_matrix, row_norms
 
 MOTION_MODELS = ("linear", "crossing", "circular")
 
@@ -103,12 +103,16 @@ def generate_scene(spec: SceneSpec) -> SceneData:
 
     Fully deterministic for a fixed spec: the PCG64 generator seeded with
     ``spec.seed`` drives all randomness, in the draw order the README
-    states. Raises when a box is not a valid BBox (ground truth target by
-    target, then detections in file order), when spawn boxes overlap, or
-    when a descriptor is not unit-norm.
+    states. Raises ValueError when a box is not a valid BBox (ground truth
+    target by target, then detections in file order), when spawn boxes
+    overlap, or when a descriptor is not unit-norm; MemoryError when the
+    scene's arrays do not fit.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     T, F = spec.targets, spec.frames
+    dim = T if spec.descriptor_dim is None else spec.descriptor_dim
+    if max(4 * F, dim) * T * 8 > sys.maxsize:  # paths or bases past the address space, which numpy refuses as too big
+        raise MemoryError
     paths = _gt_paths(spec)
     check_boxes(paths.reshape(-1, 4))
     clashes = np.argwhere(np.triu(iou_matrix(paths[:, 0], paths[:, 0]) != 0.0, k=1))  # nan: areas overflow
@@ -119,7 +123,6 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     for tid, start, end in spec.occlusions:
         visible[start - 1:end, tid - 1] = False
     frame, target = np.nonzero(visible)  # frame-major, the detections' file order
-    dim = T if spec.descriptor_dim is None else spec.descriptor_dim
     if 0 < dim < T:
         bases = rng.normal(size=(T, dim))
         bases /= row_norms(bases)[:, None]

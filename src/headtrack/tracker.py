@@ -28,9 +28,9 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import kalman
-from .association import build_cost_matrix, row_norms, solve_assignment
+from .association import build_cost_matrix, solve_assignment
 from .config import FEATURE_KINDS, RunConfig
-from .geometry import BBox, check_boxes
+from .geometry import BBox, check_boxes, row_norms
 
 if TYPE_CHECKING:  # the row view, loaded where a batch is iterated
     from .rows import Detection

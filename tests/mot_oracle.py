@@ -1,8 +1,9 @@
 """Row-at-a-time MOT text and sidecar codecs, kept as test oracles.
 
-These are the per-row ``parse_mot``, ``format_mot`` and ``read_descriptors``
-that ``headtrack.dataio`` replaced with column-wise code. The tests hold
-the column-wise versions to the same rows, bytes and error texts.
+These are the per-row ``parse_mot`` and ``read_descriptors`` that
+``headtrack.dataio`` replaced with column-wise code, and ``format_mot``,
+the text its ``write_mot`` writes. The tests hold the column-wise versions
+to the same rows, bytes and error texts.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mot_oracle
 from headtrack import cli, dataio, label_assign, lifting, simulate, tracker
 from headtrack.dataio import parse_mot, read_descriptors, write_descriptors
 from headtrack.geometry import BBox
@@ -197,7 +198,7 @@ class TestTrack:
         out = tmp_path / "res.txt"
         cli.run_track_file(dets, None, out, cfg)
         expected = stepped_table(cfg, cli.dataio.split_frames(parse_mot(dets)))
-        assert out.read_text() == cli.dataio.format_mot(expected)
+        assert out.read_text() == mot_oracle.format_mot(expected)
         assert {l.frame for l in parse_mot(out)} >= set(range(11, 25))  # coasted boxes
 
     def test_deterministic_output(self, sim_dir, tmp_path):
@@ -1177,7 +1178,7 @@ def heads_scene(tmp_path):
     t = scene.detections
     extra = np.full((len(t), 3), -1.0)
     extra[::2] = np.stack([t.box[::2, 0] + t.box[::2, 2] / 2, t.box[::2, 1], np.linspace(0, 1, len(extra[::2]))], axis=1)
-    lines = dataio.format_mot(dataio.MotTable(t.frame, t.id, t.box, t.conf, extra)).splitlines(keepends=True)
+    lines = mot_oracle.format_mot(dataio.MotTable(t.frame, t.id, t.box, t.conf, extra)).splitlines(keepends=True)
     dets = tmp_path / "det.txt"
     dets.write_text("".join(sorted(lines, key=lambda l: -int(l.split(",")[0]))))  # stable: rows keep their order
     write_descriptors(tmp_path / "features.ftfv", scene.descriptors)
@@ -1199,7 +1200,7 @@ class TestTrackFileEqualsSteppedBatches:
         )
         expected = stepped_table(cfg, frames)
         assert len(expected) > 150
-        assert out.read_text() == dataio.format_mot(expected)
+        assert out.read_text() == mot_oracle.format_mot(expected)
 
 
 def stepped_table(cfg, frames):
@@ -1408,6 +1409,42 @@ class TestOutOfMemory:
         assert capped(["simulate", "--spec", "big.cfg", "--out-dir", "scene"], tmp_path) == (
             2, "", "headtrack: big.cfg: the scene does not fit in memory (targets = 1, frames = 1000000000000)\n")
         assert not (tmp_path / "scene").exists()
+
+    # a track's last frame at the largest int64: its gap is past what numpy makes one array of
+    @pytest.mark.parametrize("method", lifting.METHODS)
+    def test_interpolate_gap_past_the_address_space(self, tmp_path, method):
+        write(tmp_path / "gap.txt", "1,5,10,10,20,40,1,-1,-1,-1\n9223372036854775807,5,10,10,20,40,1,-1,-1,-1\n")
+        argv = ["interpolate", "--input", "gap.txt", "--method", method, "--out", "o.txt"]
+        assert capped(argv, tmp_path) == (
+            2, "", "headtrack: gap.txt: track 5: not enough memory to fill frames 2-9223372036854775806\n")
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("spec,size", [
+        ("frames = 10000000000000000000", "targets = 1, frames = 10000000000000000000"),  # past int64
+        ("frames = 1152921504606846976", "targets = 1, frames = 1152921504606846976"),  # 2**60
+        ("descriptor_dim = 10000000000000000000", "targets = 1, frames = 100, descriptor_dim = 10000000000000000000"),
+    ], ids=["frames past int64", "frames 2**60", "descriptor_dim past int64"])
+    def test_simulate_past_the_address_space(self, tmp_path, spec, size):
+        write(tmp_path / "big.cfg", f"targets = 1\n{spec}\n")
+        assert capped(["simulate", "--spec", "big.cfg", "--out-dir", "scene"], tmp_path) == (
+            2, "", f"headtrack: big.cfg: the scene does not fit in memory ({size})\n")
+        assert not (tmp_path / "scene").exists()
+
+    # 25,000 boxes: one (25000, 25000) float64 array, 4.66 GiB, is past the cap, so it fails at once
+    BOXES = np.random.default_rng(3).uniform(0.0, 1e5, (25000, 2)).round(1)
+
+    def test_track_costs_of_a_frame(self, tmp_path):
+        rows = [f"-1,{x},{y},20,40,1,-1,-1,-1\n" for x, y in self.BOXES.tolist()]
+        write(tmp_path / "det.txt", "".join(f"{frame},{row}" for frame in (1, 2) for row in rows))
+        assert capped(["track", "--dets", "det.txt", "--out", "o.txt"], tmp_path) == (
+            2, "", "headtrack: det.txt: frame 2: not enough memory for 25000 tracks and 25000 detections\n")
+        assert not (tmp_path / "o.txt").exists()
+
+    def test_evaluate_a_frame_against_itself(self, tmp_path):
+        write(tmp_path / "gt.txt", "".join(f"1,{i},{x},{y},20,40,1,-1,-1,-1\n"
+                                           for i, (x, y) in enumerate(self.BOXES.tolist(), 1)))
+        assert capped(["evaluate", "--gt", "gt.txt", "--result", "gt.txt"], tmp_path) == (
+            2, "", "headtrack: gt.txt: not enough memory to evaluate against gt.txt\n")
 
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(cli.RunConfig)]

@@ -1,9 +1,11 @@
 import io
 import struct
+import tempfile
 import warnings
 
 import itertools
 import re
+from pathlib import Path
 
 import mot_oracle
 import numpy as np
@@ -20,7 +22,6 @@ from headtrack.dataio import (
     MotParseError,
     MotTable,
     check_unique_ids,
-    format_mot,
     mot_to_detections,
     parse_mot,
     read_descriptors,
@@ -33,6 +34,14 @@ from headtrack.rows import AppearanceDescriptor, MotLine
 from headtrack.simulate import MOTION_MODELS, SceneSpec, generate_scene
 
 
+def mot_text(table: MotTable) -> str:
+    """The text ``write_mot`` writes for ``table``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "out.txt")
+        write_mot(path, table)
+        return path.read_text()
+
+
 class TestMotText:
     def test_canonical_detection_line(self):
         (l,) = parse_mot(["1,2,100,200,50,150,1,-1,-1,-1"])
@@ -43,7 +52,7 @@ class TestMotText:
 
     def test_empty_input(self):
         assert len(parse_mot([])) == 0
-        assert format_mot(MotTable((), (), ())) == ""
+        assert mot_text(MotTable((), (), ())) == ""
 
     def test_columns(self):
         table = parse_mot(["1,-1,100,200,50,150,0.9,120,210,0.8", "", "3,4,1,2,3,4,1,-1,-1,-1"])
@@ -102,7 +111,7 @@ class TestMotText:
 
     def test_output_sorted_by_frame_then_id(self):
         rows = MotTable([2, 1, 1], [1, 5, 2], [(0, 0, 1, 1)] * 3)
-        text = format_mot(rows)
+        text = mot_text(rows)
         firsts = [line.split(",")[:2] for line in text.strip().split("\n")]
         assert firsts == [["1", "2"], ["1", "5"], ["2", "1"]]
 
@@ -110,7 +119,7 @@ class TestMotText:
         # parse_mot accepts them in the trailing fields, and interpolate writes those back
         inf, nan = float("inf"), float("nan")
         rows = MotTable([1], [1], [(0, 0, 1, 1)], extra=[(inf, -inf, nan)])
-        assert format_mot(rows) == "1,1,0,0,1,1,1,inf,-inf,nan\n"
+        assert mot_text(rows) == "1,1,0,0,1,1,1,inf,-inf,nan\n"
 
     def test_file_roundtrip(self, tmp_path):
         rows = [MotLine(frame=1, id=3, box=BBox(10.25, -4.5, 33.1, 80.0), conf=0.75)]
@@ -146,7 +155,7 @@ class TestMotText:
             [(l.box.x, l.box.y, l.box.w, l.box.h) for l in rows],
             [l.conf for l in rows], [l.extra for l in rows],
         )
-        parsed = parse_mot(format_mot(table).splitlines())
+        parsed = parse_mot(mot_text(table).splitlines())
         assert sorted(parsed, key=lambda l: (l.frame, l.id)) == sorted(
             rows, key=lambda l: (l.frame, l.id)
         )
@@ -788,17 +797,17 @@ class TestOracles:
     @given(st.lists(st.tuples(key, key, finite, finite, extent, extent, anything, anything, anything, anything),
                     max_size=12))
     @settings(max_examples=300, deadline=None)
-    def test_format_mot(self, rows):
+    def test_write_mot(self, rows):
         want = mot_oracle.format_mot(
             mot_oracle.MotLine(f, i, BBox(x, y, w, h), c, (e1, e2, e3))
             for f, i, x, y, w, h, c, e1, e2, e3 in rows
         )
         cols = list(zip(*rows)) or [()] * 10
         table = MotTable(cols[0], cols[1], list(zip(*cols[2:6])), cols[6], list(zip(*cols[7:])))
-        assert format_mot(table) == want
+        assert mot_text(table) == want
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dataio, "_CHUNK", 3)
-            assert format_mot(table) == want
+            assert mot_text(table) == want
 
     @given(data=sidecar_bytes())
     @example(data=struct.pack("<4sHIIIQ", b"FTFV", 1, 2**32 - 1, 0, 0, 0))  # no records, huge dimension

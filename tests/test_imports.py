@@ -65,7 +65,7 @@ VERB_MODULES = {
     "track": CLI_MODULES + ["headtrack.association", "headtrack.kalman", "headtrack.tracker"],
     "interpolate": CLI_MODULES + ["headtrack.lifting"],
     "evaluate": CLI_MODULES + ["headtrack.association", "headtrack.metrics"],
-    "simulate": CLI_MODULES + ["headtrack.association", "headtrack.simulate"],
+    "simulate": CLI_MODULES + ["headtrack.simulate"],
     "assign": CLI_MODULES + ["headtrack.head", "headtrack.label_assign"],
 }
 

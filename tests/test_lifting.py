@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lifting_oracle
+import mot_oracle
 from headtrack import cli
-from headtrack.dataio import MotTable, format_mot, parse_mot
+from headtrack.dataio import MotTable, parse_mot
 from headtrack.simulate import SceneSpec, generate_scene
 from headtrack.geometry import BBox
 from headtrack.config import RunConfig
@@ -23,6 +24,9 @@ from headtrack.lifting import (
     se3_log,
 )
 from lifting_oracle import complete_track
+
+
+IDENTITY = Pose3(np.eye(3), np.zeros(3))
 
 
 def rodrigues(axis, angle):
@@ -49,7 +53,7 @@ def random_twist(rng, max_angle=math.pi - 0.01):
 
 class TestExpLog:
     def test_identity_roundtrip(self):
-        assert np.allclose(se3_log(Pose3.identity()), np.zeros(6))
+        assert np.allclose(se3_log(IDENTITY), np.zeros(6))
         T = se3_exp(np.zeros(6))
         assert np.allclose(T.R, np.eye(3))
         assert np.allclose(T.t, 0)
@@ -125,13 +129,13 @@ class TestInterpolate:
 
     def test_translation_midpoint(self):
         T2 = Pose3(R=np.eye(3), t=np.array([2.0, 0, 0]))
-        mid = interpolate_se3(Pose3.identity(), T2, 0.5)
+        mid = interpolate_se3(IDENTITY, T2, 0.5)
         assert np.allclose(mid.t, [1, 0, 0])
         assert np.allclose(mid.R, np.eye(3))
 
     def test_rotation_half_angle(self):
         T2 = Pose3(R=rodrigues([0, 0, 1], math.pi / 2), t=np.zeros(3))
-        mid = interpolate_se3(Pose3.identity(), T2, 0.5)
+        mid = interpolate_se3(IDENTITY, T2, 0.5)
         assert np.max(np.abs(mid.R - rodrigues([0, 0, 1], math.pi / 4))) < 1e-9
 
     def test_translation_affine_in_omega(self):
@@ -139,7 +143,7 @@ class TestInterpolate:
         t2 = rng.uniform(-5, 5, 3)
         T2 = Pose3(R=np.eye(3), t=t2)
         for w in np.linspace(0, 1, 11):
-            p = interpolate_se3(Pose3.identity(), T2, float(w))
+            p = interpolate_se3(IDENTITY, T2, float(w))
             assert np.max(np.abs(p.t - w * t2)) < 1e-9
 
 
@@ -498,4 +502,4 @@ def test_interpolate_matches_track_at_a_time_oracle(oracle_dir, text, method, st
         return
     gaps = [f"track {tid}: gap {g.before[0] + 1}-{g.after[0] - 1} left unfilled: {g.reason}\n" for tid, g in skipped]
     assert (code, err.getvalue()) == (0, "".join(gaps))
-    assert out.read_text() == format_mot(filled)
+    assert out.read_text() == mot_oracle.format_mot(filled)

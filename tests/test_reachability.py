@@ -83,7 +83,8 @@ UNREACHED = {
     "c04": ["lifting.py:interpolate_se3"],
     "c05 to c08 read these row views, and perfbench does too (ROADMAP item 3)": [
         "dataio.py:MotTable.__iter__", "rows.py:MotLine.bbox", "tracker.py:Emissions.__iter__"],
-    "c09 through tests/assign_oracle.py, and tests/lifting_oracle.py": ["geometry.py:BBox.cx", "geometry.py:BBox.cy"],
+    "c09 through tests/assign_oracle.py, and about 20 test and oracle sites that read box centres through them "
+    "(ROADMAP item 17)": ["geometry.py:BBox.cx", "geometry.py:BBox.cy"],
     # error paths
     "usage errors: test_cli.TestConfigHandling.test_usage_error_exits_one": ["cli.py:_Parser.error"],
     "the checked MOT reader, run on text numpy's C reader refuses: test_cli.TestBadRowsNameFileAndLine": [
@@ -103,8 +104,6 @@ UNREACHED = {
         "head.py:gaussian_weighted_descriptor", "head.py:gaussian_weight", "head.py:grid_map"],
     "the one-state birth, reference of initiate_rows in test_kalman and test_tracker (ROADMAP item 5)": [
         "kalman.py:initiate"],
-    "tests only (ROADMAP item 17): test_cli and test_dataio write expected text with it": ["dataio.py:format_mot"],
-    "tests only (ROADMAP item 17): test_lifting": ["lifting.py:Pose3.identity"],
     "the package's dir() hook: test_imports.test_package_names_resolve_to_their_home_modules": ["__init__.py:__dir__"],
 }
 
